@@ -44,7 +44,9 @@ from .measurement import (
     rms_disturbance,
     rms_error,
 )
-from .operators import Operator, StateVector, commutator, expectation, operator_norm, std_dev
+from .operators import (
+    HilbertSpec, Operator, StateVector, commutator, evolve, expectation, operator_norm, std_dev,
+)
 from .serialize import canonical_json, digest
 
 __all__ = [
@@ -52,6 +54,8 @@ __all__ = [
     "CONSERVATION_TOL",
     "identity_residuals",
     "identity_reports",
+    "require_conserving",
+    "trade_off_reports",
     "qway_bounds",
     "summed_bound",
     "fundamental_bound",
@@ -124,13 +128,15 @@ def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     return buf.getvalue()
 
 
-def _require_conserving(model: IndirectMeasurementModel, law: ConservationLaw) -> None:
-    if model.spec.factor_dims != law.spec.factor_dims:
+def require_conserving(spec: HilbertSpec, interaction: Operator, law: ConservationLaw) -> None:
+    """Raise unless ``interaction`` lives on the law's factors and
+    conserves its total charge within :data:`CONSERVATION_TOL`."""
+    if spec.factor_dims != law.spec.factor_dims:
         raise ValueError(
-            f"model factors {model.spec.factor_dims} do not match law factors "
+            f"interaction factors {spec.factor_dims} do not match law factors "
             f"{law.spec.factor_dims}"
         )
-    residual = conservation_residual(model.interaction, law)
+    residual = conservation_residual(interaction, law)
     if residual > CONSERVATION_TOL:
         raise ConservationError(residual, CONSERVATION_TOL)
 
@@ -139,17 +145,12 @@ def _charges_evolved(
     model: IndirectMeasurementModel, law: ConservationLaw
 ) -> tuple[Operator, Operator, Operator]:
     """The three charge parts, lifted and conjugated by the interaction."""
-    s = model.spec
-    u = model.interaction.entries
-    out = []
-    for part, role in (
-        (law.object_part, "object"),
-        (law.probe_part, "probe"),
-        (law.ancilla_part, "ancilla"),
-    ):
-        emb = s.embed(part, role).entries
-        out.append(Operator(u.conj().T @ emb @ u, hermitian=True))
-    return out[0], out[1], out[2]
+    s, u = model.spec, model.interaction
+    return (
+        evolve(s.embed(law.object_part, "object"), u),
+        evolve(s.embed(law.probe_part, "probe"), u),
+        evolve(s.embed(law.ancilla_part, "ancilla"), u),
+    )
 
 
 def identity_residuals(
@@ -162,7 +163,7 @@ def identity_residuals(
     identities are consequences of conservation and are not expected to
     hold without it.
     """
-    _require_conserving(model, law)
+    require_conserving(model.spec, model.interaction, law)
     s = model.spec
     lhs = commutator(
         s.embed(model.observable, "object"), s.embed(law.object_part, "object")
@@ -193,77 +194,70 @@ def identity_reports(
     )
 
 
-def _trade_off_ingredients(
+def trade_off_reports(
     model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector
-) -> dict[str, float]:
-    _require_conserving(model, law)
+) -> tuple[BoundReport, BoundReport, BoundReport, BoundReport]:
+    """The four state-dependent trade-off bounds from one ingredient pass.
+
+    In the module docstring's order: ``qway-1`` (ancilla term weighted
+    by the disturbance), ``qway-2`` (weighted by the error), ``summed``
+    and ``fundamental``.  The operator norms make the fundamental
+    denominator state-independent; the strictly tighter variant with the
+    evolved-charge deviations ``sigma1, sigma2`` in their place is
+    recorded in ``details["lhs_sigma_variant"]`` for comparison.
+    """
+    require_conserving(model.spec, model.interaction, law)
     state = model.initial_state(psi)
     l1t, l2t, l3t = _charges_evolved(model, law)
-    comm_obj = commutator(model.observable, law.object_part)
-    return {
+    q = {
         "eps": rms_error(model, psi),
         "eta": rms_disturbance(model, psi),
         "sigma_l1": std_dev(l1t, state),
         "sigma_l2": std_dev(l2t, state),
         "sigma_l3": std_dev(l3t, state),
-        "commutator_abs": abs(expectation(comm_obj, psi)),
+        "commutator_abs": abs(expectation(commutator(model.observable, law.object_part), psi)),
     }
+    eps, eta, s1, s2, s3, comm = q.values()
+    tag = digest(model=model, law=law, psi=psi)
+    half = 0.5 * comm
+    rhs1 = eps * s1 + eta * s2 + eta * s3
+    rhs2 = eps * s1 + eta * s2 + eps * s3
+    summed = (eps + eta) * (2.0 * max(s1, s2) + s3)
+    noise_sq = eps**2 + eta**2
+    norm_den = 2.0 * max(operator_norm(law.object_part), operator_norm(law.probe_part))
+    fund = _safe_ratio(comm**2, 2.0 * (norm_den + s3) ** 2)
+    fund_sigma = _safe_ratio(comm**2, 2.0 * (2.0 * max(s1, s2) + s3) ** 2)
+    return (
+        BoundReport("qway-1", "inequality", half, rhs1, rhs1 - half, tag, q),
+        BoundReport("qway-2", "inequality", half, rhs2, rhs2 - half, tag, q),
+        BoundReport("summed", "inequality", comm, summed, summed - comm, tag, q),
+        BoundReport(
+            "fundamental", "inequality", fund, noise_sq, noise_sq - fund, tag,
+            {**q, "lhs_sigma_variant": fund_sigma},
+        ),
+    )
 
 
 def qway_bounds(
     model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector
 ) -> tuple[BoundReport, BoundReport]:
-    """Both state-dependent trade-off bounds at the given object state.
-
-    Returns the variant whose ancilla term is weighted by the
-    disturbance first, then the variant weighted by the error.
-    """
-    q = _trade_off_ingredients(model, law, psi)
-    lhs = 0.5 * q["commutator_abs"]
-    rhs1 = q["eps"] * q["sigma_l1"] + q["eta"] * q["sigma_l2"] + q["eta"] * q["sigma_l3"]
-    rhs2 = q["eps"] * q["sigma_l1"] + q["eta"] * q["sigma_l2"] + q["eps"] * q["sigma_l3"]
-    tag = digest(model=model, law=law, psi=psi)
-    details = {k: v for k, v in q.items()}
-    return (
-        BoundReport("qway-1", "inequality", lhs, rhs1, rhs1 - lhs, tag, details),
-        BoundReport("qway-2", "inequality", lhs, rhs2, rhs2 - lhs, tag, details),
-    )
+    """``qway-1`` and ``qway-2`` of :func:`trade_off_reports`."""
+    qway1, qway2, _, _ = trade_off_reports(model, law, psi)
+    return qway1, qway2
 
 
 def summed_bound(
     model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector
 ) -> BoundReport:
-    """State-dependent bound obtained by adding the two base variants:
-    ``|<[A, L1]>| <= (eps + eta) * (2*max(sigma1, sigma2) + sigma3)``."""
-    q = _trade_off_ingredients(model, law, psi)
-    lhs = q["commutator_abs"]
-    rhs = (q["eps"] + q["eta"]) * (2.0 * max(q["sigma_l1"], q["sigma_l2"]) + q["sigma_l3"])
-    tag = digest(model=model, law=law, psi=psi)
-    return BoundReport("summed", "inequality", lhs, rhs, rhs - lhs, tag, dict(q))
+    """``summed`` of :func:`trade_off_reports`."""
+    return trade_off_reports(model, law, psi)[2]
 
 
 def fundamental_bound(
     model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector
 ) -> BoundReport:
-    """Norm-based lower bound on the squared noise:
-    ``|<[A, L1]>|^2 / (2*(2*max(||L1||, ||L2||) + sigma3)^2) <= eps^2 + eta^2``.
-
-    The operator norms make the denominator state-independent.  A
-    strictly tighter variant replaces them with the evolved-charge
-    deviations ``sigma1, sigma2``; its left side is recorded in
-    ``details["lhs_sigma_variant"]`` for comparison but the reported
-    relation uses the norm form.
-    """
-    q = _trade_off_ingredients(model, law, psi)
-    rhs = q["eps"] ** 2 + q["eta"] ** 2
-    norm_den = 2.0 * max(operator_norm(law.object_part), operator_norm(law.probe_part))
-    lhs = _safe_ratio(q["commutator_abs"] ** 2, 2.0 * (norm_den + q["sigma_l3"]) ** 2)
-    sig_den = 2.0 * max(q["sigma_l1"], q["sigma_l2"])
-    lhs_sigma = _safe_ratio(q["commutator_abs"] ** 2, 2.0 * (sig_den + q["sigma_l3"]) ** 2)
-    details = dict(q)
-    details["lhs_sigma_variant"] = lhs_sigma
-    tag = digest(model=model, law=law, psi=psi)
-    return BoundReport("fundamental", "inequality", lhs, rhs, rhs - lhs, tag, details)
+    """``fundamental`` of :func:`trade_off_reports`."""
+    return trade_off_reports(model, law, psi)[3]
 
 
 def _safe_ratio(num: float, den: float) -> float:

@@ -20,16 +20,8 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BoundReport,
-    fundamental_bound,
-    identity_reports,
-    qway_bounds,
-    reports_to_csv,
-    summed_bound,
-)
+from .bounds import BoundReport, identity_reports, reports_to_csv, trade_off_reports
 from .cnot import (
-    GateImplementation,
     SearchConfig,
     gate_fidelity,
     implementation_from_json,
@@ -52,7 +44,7 @@ from .sampling import (
     random_state,
 )
 from .scenarios import (
-    BosonScenario,
+    CeilingViolation,
     OptimizeConfig,
     build_boson,
     build_spin,
@@ -60,7 +52,7 @@ from .scenarios import (
     sigma_l3_bound_check,
     way_positive_control,
 )
-from .serialize import digest, law_from_json, law_to_json, model_from_json, state_to_json
+from .serialize import digest, law_from_json, model_from_json, state_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -262,9 +254,7 @@ def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
         spec = specs[i % len(specs)]
         model, law = random_conserving_model(case_seed, spec)
         psi = random_state(np.random.default_rng(case_seed + 1), spec.object_dim)
-        case_reports = list(qway_bounds(model, law, psi))
-        case_reports.append(summed_bound(model, law, psi))
-        case_reports.append(fundamental_bound(model, law, psi))
+        case_reports = trade_off_reports(model, law, psi)
         reports.extend(case_reports)
         records.extend(_record(r, tol) for r in case_reports)
     used = {
@@ -300,10 +290,10 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     records: list[dict[str, Any]] = []
     if "law" in config:
         law = law_from_json(_maybe_file(config["law"]))
-        reports = noise_fidelity_link(impl, law, search=search)
+        reports = noise_fidelity_link(impl, law, fidelity=result)
         records.extend(_record(r, tol) for r in reports)
         sigma = reports[0].details["sigma_l3"]
-        ceiling = 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2)
+        ceiling = reports[0].details["ceiling_fsq"]
         tag = digest(implementation=implementation_to_json(impl), law=law)
         ceiling_report = BoundReport(
             "sigma-ceiling",
@@ -345,29 +335,37 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     else:
         raise _UsageError(f"unknown scenario kind {kind!r} (expected \"spin\" or \"boson\")")
 
-    run = optimize_fidelity(scenario, opt)
-    record = run.to_json_dict()
-    record["passed"] = run.min_gap_evaluated >= -DEFAULT_TOL
-    record["relation"] = "ceiling"
-    record["slack"] = run.min_gap_evaluated
-
-    csv_lines = [
-        "scenario,ceiling_fsq,best_fidelity_sq,gap,min_gap_evaluated,evaluations,wall_time_s",
-        f"{run.scenario},{run.ceiling_fsq!r},{run.best_fidelity_sq!r},{run.gap!r},"
-        f"{run.min_gap_evaluated!r},{run.evaluations},{run.wall_time_s!r}",
-    ]
     used = {
         "kind": kind,
         "restarts": opt.restarts,
         "max_iter": opt.max_iter,
         "inner": {"restarts": opt.inner.restarts, "max_iter": opt.inner.max_iter},
     }
-    extra = {
-        "scenario": run.scenario,
-        "ceiling_fsq": run.ceiling_fsq,
-        "best_fidelity_sq": run.best_fidelity_sq,
-        "gap": run.gap,
-    }
+    extra: dict[str, Any] = {"scenario": scenario.label, "ceiling_fsq": scenario.ceiling_fsq}
+    try:
+        run = optimize_fidelity(scenario, opt)
+    except CeilingViolation as exc:
+        witness = {
+            "relation": "ceiling",
+            "scenario": exc.scenario,
+            "ceiling_fsq": exc.ceiling_fsq,
+            "fidelity_sq": exc.fidelity_sq,
+            "coefficients": list(exc.coefficients),
+            "slack": exc.ceiling_fsq - exc.fidelity_sq,
+            "passed": False,
+        }
+        return _finish(args, "optimize", seed, used, [witness], extra_summary=extra)
+    record = run.to_json_dict()
+    record["passed"] = run.min_gap_evaluated >= -DEFAULT_TOL
+    record["relation"] = "ceiling"
+    record["slack"] = run.min_gap_evaluated
+
+    csv_lines = [
+        "scenario,ceiling_fsq,best_fidelity_sq,gap,min_gap_evaluated,evaluations",
+        f"{run.scenario},{run.ceiling_fsq!r},{run.best_fidelity_sq!r},{run.gap!r},"
+        f"{run.min_gap_evaluated!r},{run.evaluations}",
+    ]
+    extra.update(best_fidelity_sq=run.best_fidelity_sq, gap=run.gap)
     return _finish(args, "optimize", seed, used, [record], extra_summary=extra, csv_text="\n".join(csv_lines) + "\n")
 
 
@@ -393,7 +391,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
             sig_report = sigma_l3_bound_check(impl, scenario)
             result = gate_fidelity(impl, search)
             sigma = sig_report.details["sigma_l3_evolved"]
-            rigorous = 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2)
+            rigorous = sig_report.details["sigma_ceiling_fsq"]
             tag = sig_report.digest
             ceiling_report = BoundReport(
                 "sigma-ceiling", "inequality",

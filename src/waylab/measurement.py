@@ -23,6 +23,7 @@ from .operators import (
     Operator,
     StateVector,
     eig_hermitian,
+    evolve,
     expectation,
     tensor_states,
 )
@@ -124,10 +125,7 @@ def heisenberg(
         emb = model.spec.embed(model.pointer, "probe")
     else:
         raise ValueError(f"unknown observable role {observable!r}")
-    if not evolved:
-        return emb
-    u = model.interaction.entries
-    return Operator(u.conj().T @ emb.entries @ u, hermitian=True)
+    return evolve(emb, model.interaction) if evolved else emb
 
 
 def error_operator(model: IndirectMeasurementModel) -> Operator:

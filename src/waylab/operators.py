@@ -28,6 +28,7 @@ __all__ = [
     "tensor_states",
     "partial_trace",
     "commutator",
+    "evolve",
     "expectation",
     "std_dev",
     "operator_norm",
@@ -336,6 +337,11 @@ def commutator(a: Operator, b: Operator) -> Operator:
     """[a, b] = ab - ba."""
     a._check_same_dim(b)
     return Operator(a.entries @ b.entries - b.entries @ a.entries)
+
+
+def evolve(op: Operator, u: Operator) -> Operator:
+    """Heisenberg-picture image U^dag op U of a Hermitian operator."""
+    return Operator(u.entries.conj().T @ op.entries @ u.entries, hermitian=True)
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

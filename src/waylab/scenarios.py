@@ -9,14 +9,13 @@ the mean photon number is F^2 <= 1 - 1/(16 nbar), with the rigorous
 per-implementation form using the measured deviation of the evolved
 charge.  :func:`optimize_fidelity` probes how closely conserving
 implementations approach these ceilings by derivative-free search over
-commutant coefficients, asserting along the way that no evaluated point
-ever crosses its ceiling.
+commutant coefficients, stopping with :class:`CeilingViolation` should
+any evaluated point cross its ceiling.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,7 +32,10 @@ from .cnot import (
     cnot_unitary,
     gate_fidelity,
     implementation_to_json,
+    measurement_view,
     pauli,
+    sigma_ceiling_fsq,
+    sigma_l3,
 )
 from .conservation import (
     CommutantBasis,
@@ -42,7 +44,7 @@ from .conservation import (
     conserving_unitary,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, commutator, std_dev, tensor_states
+from .operators import HilbertSpec, Operator, StateVector, commutator, evolve
 from .serialize import digest
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
     "BosonScenario",
     "OptimizeConfig",
     "OptimizationRun",
+    "CeilingViolation",
     "build_spin",
     "build_boson",
     "ceiling_qubit",
@@ -244,19 +247,6 @@ def build_boson(nbar: float, tail_tol: float = 1e-10, cutoff: int | None = None)
     )
 
 
-def _evolved_ancilla_charge(impl: GateImplementation, law: ConservationLaw) -> Operator:
-    u = impl.unitary.entries
-    emb = impl.spec.embed(law.ancilla_part, "ancilla").entries
-    return Operator(u.conj().T @ emb @ u, hermitian=True)
-
-
-def _full_input(impl: GateImplementation, control: StateVector) -> StateVector:
-    target_ready = StateVector.basis(2, 0)
-    if impl.spec.has_ancilla:
-        return tensor_states(control, target_ready, impl.ancilla_state)
-    return tensor_states(control, target_ready)
-
-
 def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> BoundReport:
     """Check the evolved field charge's deviation against 2*sqrt(<N>+2).
 
@@ -273,15 +263,11 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
     if impl.spec.factor_dims != scenario.spec.factor_dims:
         raise ValueError("implementation does not live on the scenario's space")
     control = candidate_control_states()["iplus"]
-    full = _full_input(impl, control)
-    l3_evolved = _evolved_ancilla_charge(impl, scenario.law)
-    sigma = std_dev(l3_evolved, full)
+    full = measurement_view(impl).initial_state(control)
+    sigma = sigma_l3(impl, scenario.law, control)
 
-    u = impl.unitary.entries
-    n_emb = impl.spec.embed(
-        Operator(0.5 * scenario.law.ancilla_part.entries, hermitian=True), "ancilla"
-    ).entries
-    n_evolved = Operator(u.conj().T @ n_emb @ u, hermitian=True)
+    number_op = Operator(0.5 * scenario.law.ancilla_part.entries, hermitian=True)
+    n_evolved = evolve(impl.spec.embed(number_op, "ancilla"), impl.unitary)
     vec = n_evolved.entries @ full.amplitudes
     mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
     var_n = max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0)
@@ -293,7 +279,7 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
         "mean_n_input": scenario.nbar,
         "mean_shift_margin": (scenario.nbar + 2.0) - mean_n,
         "poissonian_residual": abs(math.sqrt(var_n) - math.sqrt(max(mean_n, 0.0))),
-        "sigma_ceiling_fsq": 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2),
+        "sigma_ceiling_fsq": sigma_ceiling_fsq(sigma),
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }
     tag = digest(
@@ -353,7 +339,6 @@ class OptimizationRun:
     min_gap_evaluated: float
     coefficients: tuple[float, ...]
     evaluations: int
-    wall_time_s: float
     details: dict[str, float] = field(default_factory=dict)
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
 
@@ -367,14 +352,30 @@ class OptimizationRun:
             "min_gap_evaluated": self.min_gap_evaluated,
             "coefficients": list(self.coefficients),
             "evaluations": self.evaluations,
-            "wall_time_s": self.wall_time_s,
             "details": dict(sorted(self.details.items())),
             "trace": [dict(t) for t in self.trace],
         }
 
 
-class _CeilingViolation(AssertionError):
-    pass
+class CeilingViolation(Exception):
+    """An evaluated implementation landed above its fidelity ceiling.
+
+    That would contradict the conservation-law bound rather than merely
+    disappoint, so the search stops and keeps the witness: the clipped
+    commutant coefficients, their F^2 and the ceiling they crossed.
+    """
+
+    def __init__(
+        self, scenario: str, coefficients: tuple[float, ...], fidelity_sq: float, ceiling_fsq: float
+    ):
+        self.scenario = scenario
+        self.coefficients = coefficients
+        self.fidelity_sq = fidelity_sq
+        self.ceiling_fsq = ceiling_fsq
+        super().__init__(
+            f"implementation at F^2 = {fidelity_sq!r} exceeds ceiling "
+            f"{ceiling_fsq!r} by {fidelity_sq - ceiling_fsq:.3e} in {scenario}"
+        )
 
 
 def projected_gate_coefficients(
@@ -409,15 +410,13 @@ def optimize_fidelity(
     :func:`projected_gate_coefficients` -- followed by a coordinate
     compass polish of the best point.  Every evaluated implementation is checked against its
     ceiling (the fixed 1 - 1/(4 n^2) for spin; the measured
-    sigma(L3')-form for bosonic runs) and the run aborts loudly if any
-    point lands above ceiling + 1e-9, since that would contradict the
-    conservation-law bound rather than merely disappoint.
+    sigma(L3')-form for bosonic runs) and the run raises
+    :class:`CeilingViolation` if any point lands above ceiling + 1e-9.
     """
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
     count = basis.generator_count
     is_boson = isinstance(scenario, BosonScenario)
-    l3_emb = scenario.spec.embed(scenario.law.ancilla_part, "ancilla").entries
     control = candidate_control_states()["iplus"]
 
     state = {
@@ -435,12 +434,7 @@ def optimize_fidelity(
         )
         res = gate_fidelity(impl, search or cfg.inner)
         if is_boson:
-            full = _full_input(impl, control)
-            l3_evolved = Operator(
-                u.entries.conj().T @ l3_emb @ u.entries, hermitian=True
-            )
-            sigma = std_dev(l3_evolved, full)
-            ceiling = 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2)
+            ceiling = sigma_ceiling_fsq(sigma_l3(impl, scenario.law, control))
         else:
             ceiling = scenario.ceiling_fsq
         gap = ceiling - res.fidelity_sq
@@ -448,9 +442,8 @@ def optimize_fidelity(
         if gap < state["min_gap"]:
             state["min_gap"] = gap
         if gap < -1e-9:
-            raise _CeilingViolation(
-                f"implementation at F^2 = {res.fidelity_sq!r} exceeds ceiling "
-                f"{ceiling!r} by {-gap:.3e} in {scenario.label}"
+            raise CeilingViolation(
+                scenario.label, tuple(float(c) for c in coeffs), res.fidelity_sq, ceiling
             )
         if res.fidelity > state["best_f"]:
             state["best_f"] = res.fidelity
@@ -469,7 +462,6 @@ def optimize_fidelity(
         rng.standard_normal(count) * cfg.coeff_scale for _ in range(cfg.restarts)
     ]
 
-    t0 = time.perf_counter()
     trace: list[dict[str, float]] = []
     for i, x0 in enumerate(starts):
         f0 = -evaluate(x0)
@@ -528,7 +520,6 @@ def optimize_fidelity(
     best_x = np.array(state["best_x"], copy=True)
     state["best_f"] = -1.0
     evaluate(best_x, cfg.final)
-    wall = time.perf_counter() - t0
 
     best_f = float(state["best_f"])
     best_fsq = best_f * best_f
@@ -536,11 +527,9 @@ def optimize_fidelity(
     if is_boson:
         u = conserving_unitary(basis, state["best_x"])
         impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
-        full = _full_input(impl, control)
-        l3_evolved = Operator(u.entries.conj().T @ l3_emb @ u.entries, hermitian=True)
-        sigma = std_dev(l3_evolved, full)
+        sigma = sigma_l3(impl, scenario.law, control)
         details["sigma_l3_at_best"] = sigma
-        details["sigma_ceiling_at_best"] = 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2)
+        details["sigma_ceiling_at_best"] = sigma_ceiling_fsq(sigma)
     return OptimizationRun(
         scenario=scenario.label,
         ceiling_fsq=scenario.ceiling_fsq,
@@ -550,7 +539,6 @@ def optimize_fidelity(
         min_gap_evaluated=float(state["min_gap"]),
         coefficients=tuple(float(c) for c in state["best_x"]),
         evaluations=int(state["evaluations"]),
-        wall_time_s=wall,
         details=details,
         trace=tuple(trace),
     )

@@ -30,7 +30,6 @@ from waylab import (
     conservation_residual,
     expectation,
     expm_skew,
-    fundamental_bound,
     gate_fidelity,
     grid_search_fidelity,
     identity_reports,
@@ -40,13 +39,12 @@ from waylab import (
     noise_fidelity_link,
     outcome_distribution,
     pauli,
-    qway_bounds,
     rms_disturbance,
     rms_error,
     sample_conserving_unitary,
     sigma_l3_bound_check,
     std_dev,
-    summed_bound,
+    trade_off_reports,
     way_positive_control,
 )
 from waylab.sampling import (
@@ -100,8 +98,7 @@ def test_criterion_2_trade_off_bounds_on_random_triples(capsys):
         for k in range(per):
             model, law = random_conserving_model(5_000_000 + k + spec.total_dim * 131, spec)
             psi = random_state(rng, spec.object_dim)
-            b1, b2 = qway_bounds(model, law, psi)
-            reports = (b1, b2, summed_bound(model, law, psi), fundamental_bound(model, law, psi))
+            reports = trade_off_reports(model, law, psi)
             worst = min(worst, min(r.slack for r in reports))
             count += 1
     elapsed = time.perf_counter() - t0
@@ -173,9 +170,9 @@ def test_criterion_5_noise_fidelity_link_on_conserving_implementations(capsys):
     count = 0
     for k in range(200):
         impl = random_conserving_implementation(777 + k, LAW22, basis=basis)
-        search = SearchConfig(restarts=4, max_iter=80, seed=k)
+        fidelity = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80, seed=k))
         for psi in (None, plus):  # None = the circular candidate
-            for report in noise_fidelity_link(impl, LAW22, psi=psi, search=search):
+            for report in noise_fidelity_link(impl, LAW22, psi=psi, fidelity=fidelity):
                 worst = min(worst, report.slack)
         count += 1
     ok = worst >= -1e-9 and count >= 200

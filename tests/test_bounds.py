@@ -27,7 +27,9 @@ from waylab import (
     identity_residuals,
     qway_bounds,
     summed_bound,
+    trade_off_reports,
 )
+import waylab.bounds
 from waylab.bounds import reports_to_csv
 from waylab.cnot import pauli
 from waylab.sampling import random_conserving_model, random_state
@@ -118,6 +120,21 @@ def test_fundamental_sigma_variant_is_tighter(seed):
     # bound is at least as large, and it still sits under the noise
     assert rep.details["lhs_sigma_variant"] >= rep.lhs - 1e-12
     assert rep.details["lhs_sigma_variant"] <= rep.rhs + 1e-9
+
+
+def test_trade_off_reports_is_one_pass_behind_every_bound(monkeypatch):
+    model, law = random_conserving_model(17, HilbertSpec((2, 2, 2)))
+    psi = _random_object_state(18)
+    slices = [*qway_bounds(model, law, psi), summed_bound(model, law, psi), fundamental_bound(model, law, psi)]
+    calls = []
+    residual = waylab.bounds.conservation_residual
+    monkeypatch.setattr(
+        waylab.bounds, "conservation_residual", lambda u, lw: calls.append(1) or residual(u, lw)
+    )
+    reports = trade_off_reports(model, law, psi)
+    assert len(calls) == 1
+    assert [r.relation for r in reports] == ["qway-1", "qway-2", "summed", "fundamental"]
+    assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in slices]
 
 
 def test_commuting_law_degenerates_gracefully():

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import waylab.scenarios
 from waylab import (
+    FidelityResult,
     ConservationLaw,
     GateImplementation,
     HilbertSpec,
@@ -66,26 +68,41 @@ def test_verify_identities_seeded(tmp_path):
 
 
 def test_report_body_is_deterministic(tmp_path):
-    bodies = []
-    for name in ("a", "b"):
-        out = tmp_path / f"{name}.json"
-        code = main(
-            [
-                "verify-identities",
-                "--seed",
-                "11",
-                "--config",
-                str(_write(tmp_path, {"count": 4})),
-                "--out",
-                str(out),
-                "--quiet",
-            ]
-        )
-        assert code == EXIT_OK
-        data = json.loads(out.read_text())
-        data["header"].pop("generated_at")
-        bodies.append(json.dumps(data, sort_keys=True))
-    assert bodies[0] == bodies[1]
+    impl_json, law_json = _conserving_impl_json()
+    runs = {
+        "verify-identities": ({"count": 4}, ["--seed", "11"]),
+        "check-bounds": ({"count": 3}, ["--seed", "5"]),
+        "boson-check": (
+            {"nbars": [1.0], "samples_per": 1, "search": {"restarts": 2, "max_iter": 30}},
+            ["--seed", "4"],
+        ),
+        "positive-control": ({"basis": "z"}, []),
+        "optimize": (
+            {
+                "kind": "spin", "n": 2, "restarts": 0, "max_iter": 4, "polish_steps": 2,
+                "search": {"restarts": 2, "max_iter": 30},
+            },
+            ["--seed", "2"],
+        ),
+        "eval-impl": (
+            {"implementation": impl_json, "law": law_json, "search": {"restarts": 2, "max_iter": 30}},
+            [],
+        ),
+    }
+    for command, (config, extra) in runs.items():
+        bodies = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{command}-{name}.json"
+            code = main(
+                [command, "--config", str(_write(tmp_path, config)), "--out", str(out), "--quiet", *extra]
+            )
+            assert code == EXIT_OK, command
+            data = json.loads(out.read_text())
+            data["header"].pop("generated_at")
+            csv_path = out.with_suffix(".csv")
+            csv_text = csv_path.read_text() if csv_path.exists() else None
+            bodies.append((json.dumps(data, sort_keys=True), csv_text))
+        assert bodies[0] == bodies[1], command
 
 
 def _write(tmp_path: Path, config: dict) -> Path:
@@ -211,6 +228,38 @@ def test_optimize_spin_small_budget(tmp_path):
     assert record["ceiling_fsq"] == pytest.approx(15.0 / 16.0)
     assert report["summary"]["best_fidelity_sq"] <= 15.0 / 16.0 + 1e-9
     assert (tmp_path / "report.csv").exists()
+
+
+def test_optimize_search_without_starts_is_input_error(tmp_path, capsys):
+    code, _ = run_cli(
+        tmp_path,
+        "optimize",
+        {"search": {"restarts": 0, "include_seed_states": False}},
+        "--seed",
+        "3",
+    )
+    assert code == EXIT_USAGE
+    assert "starting points" in capsys.readouterr().err
+
+
+def test_optimize_ceiling_violation_is_reported(tmp_path, monkeypatch):
+    # a search claiming F = 1 crosses every finite-size ceiling
+    def perfect(impl, config=None):
+        return FidelityResult(1.0, 1.0, 0.0, StateVector.basis(4, 0), 1)
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", perfect)
+    code, report = run_cli(
+        tmp_path, "optimize", {"kind": "spin", "n": 2, "restarts": 0}, "--seed", "1"
+    )
+    assert code == EXIT_VIOLATION
+    assert report["summary"]["failed"] == 1
+    (record,) = report["records"]
+    assert record["relation"] == "ceiling"
+    assert not record["passed"]
+    assert record["fidelity_sq"] == 1.0
+    assert record["ceiling_fsq"] == pytest.approx(15.0 / 16.0)
+    assert record["slack"] == pytest.approx(-1.0 / 16.0)
+    assert len(record["coefficients"]) > 0
 
 
 def test_optimize_unknown_kind(tmp_path, capsys):

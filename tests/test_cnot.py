@@ -208,6 +208,12 @@ def test_gate_fidelity_result_is_consistent():
     assert res.evaluations > 0
 
 
+def test_gate_fidelity_without_starts_is_value_error():
+    impl = GateImplementation(SPEC22, cnot_unitary())
+    with pytest.raises(ValueError, match="starting points"):
+        gate_fidelity(impl, SearchConfig(restarts=0, include_seed_states=False))
+
+
 def test_more_restarts_never_worsen_the_minimum():
     # Sobol starts extend as a prefix sequence, so a larger budget can
     # only probe a superset of states
@@ -272,7 +278,8 @@ def _conserving_impl(seed: int):
 
 def test_noise_fidelity_link_reports():
     impl, law = _conserving_impl(11)
-    sq, link = noise_fidelity_link(impl, law, search=SearchConfig(restarts=8, max_iter=150))
+    fidelity = gate_fidelity(impl, SearchConfig(restarts=8, max_iter=150))
+    sq, link = noise_fidelity_link(impl, law, fidelity=fidelity)
     assert sq.relation == "squared-noise"
     assert link.relation == "fidelity-link"
     assert sq.passed() and link.passed()

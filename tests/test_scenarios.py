@@ -46,8 +46,9 @@ from waylab import (
     way_positive_control,
     zero,
 )
-from waylab.cnot import pauli
-from waylab.scenarios import poisson_cutoff, truncated_coherent
+import waylab.scenarios
+from waylab.cnot import FidelityResult, pauli
+from waylab.scenarios import CeilingViolation, poisson_cutoff, truncated_coherent
 
 
 X = pauli("X")
@@ -243,6 +244,23 @@ def test_optimize_rejects_bad_initial_points():
             build_spin(2),
             OptimizeConfig(restarts=0, max_iter=5, initial_points=((0.0, 0.0),)),
         )
+
+
+def test_optimize_stops_with_witness_above_ceiling(monkeypatch):
+    def perfect(impl, config=None):
+        return FidelityResult(1.0, 1.0, 0.0, StateVector.basis(4, 0), 1)
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", perfect)
+    scenario = build_spin(2)
+    with pytest.raises(CeilingViolation) as info:
+        optimize_fidelity(scenario, OptimizeConfig(restarts=0, max_iter=5))
+    exc = info.value
+    assert not isinstance(exc, AssertionError)
+    assert exc.scenario == "spin-n2"
+    assert exc.fidelity_sq == 1.0
+    assert exc.ceiling_fsq == pytest.approx(15.0 / 16.0)
+    expected = np.clip(projected_gate_coefficients(scenario), -2 * np.pi, 2 * np.pi)
+    assert np.allclose(exc.coefficients, expected)
 
 
 def test_positive_control_x_basis():
