@@ -200,7 +200,7 @@ def _finish(
     return exit_code
 
 
-def _case_seeds(seed: int, count: int) -> list[int]:
+def _case_seeds(seed: int | np.random.SeedSequence, count: int) -> list[int]:
     rng = np.random.default_rng(seed)
     return [int(s) for s in rng.integers(0, 2**62, size=count)]
 
@@ -380,10 +380,13 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []
-    for nbar in nbars:
+    # One independent child stream per nbar, so nearby nbars and nearby
+    # seeds never share implementations.
+    streams = np.random.SeedSequence(seed).spawn(len(nbars))
+    for nbar, stream in zip(nbars, streams):
         scenario = build_boson(nbar, tail_tol)
         basis = commutant_basis(scenario.law)
-        for case_seed in _case_seeds(seed + int(nbar * 1000), samples):
+        for case_seed in _case_seeds(stream, samples):
             impl = random_conserving_implementation(
                 case_seed, scenario.law, basis=basis,
                 strength=strength, ancilla_state=scenario.ancilla_state,

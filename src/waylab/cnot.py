@@ -3,23 +3,28 @@
 An implementation is a unitary on control x target x ancilla together
 with a fixed ancilla state; tracing the ancilla out turns it into a
 channel on the two qubits.  Its gate fidelity is the worst-case state
-fidelity against the ideal CNOT over all pure two-qubit inputs, found
-here by multi-start simplex descent over a six-angle parameterization
-of the input state.  When the implementation must conserve a spin
-component, the same object also defines an indirect measurement of the
-control qubit, which is what ties the gate error to the measurement
-trade-off bounds.
+fidelity against the ideal CNOT over all pure two-qubit inputs.  In
+Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2, and the minimum is exact
+without an ancilla: the distance from the origin to the convex hull of
+the eigenvalues of C^dag U (Toeplitz-Hausdorff).  With an ancilla it is
+estimated from above by a Riemannian descent on the unit sphere of C^4
+that runs every start as a row of one array.  A six-angle lattice over
+the input state remains as an independent grid oracle.  When the
+implementation must conserve a spin component, the same object also
+defines an indirect measurement of the control qubit, which is what ties
+the gate error to the measurement trade-off bounds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
-from scipy import optimize
+from scipy import linalg
 from scipy.stats import qmc
 
 from .bounds import BoundReport, require_conserving
@@ -52,7 +57,6 @@ __all__ = [
     "sigma_ceiling_fsq",
     "candidate_control_states",
     "angles_to_state",
-    "state_to_angles",
     "implementation_to_json",
     "implementation_from_json",
 ]
@@ -149,39 +153,55 @@ def channel_apply(impl: GateImplementation, rho: Operator) -> Operator:
 
 
 class _FidelityEvaluator:
-    """Precomputed contraction for fast state-fidelity evaluation.
+    """The implementation's Kraus forms, for fast state-fidelity evaluation.
 
-    With the ancilla input fixed, the map psi -> U (psi x xi) is a
-    (4*d_anc) x 4 matrix B computed once; each fidelity evaluation then
-    costs one small matrix-vector product instead of a full channel
-    application.
+    With the ancilla prepared in xi, the channel's Kraus operators are
+    K_a = (I x <a|) U (I x |xi>), and against the ideal CNOT C the state
+    fidelity squared is
+
+        F^2(psi) = sum_a |z_a|^2,    z_a = <psi|A_a|psi>,    A_a = C^dag K_a.
+
+    In the real coordinates w = (Re psi, Im psi), z_a = w^T M_a w with
+    M_a = [[A_a, i A_a], [-i A_a, A_a]], so the residuals r = (Re z, Im z)
+    are quadratic forms r_k = w^T Q_k w, with Q_k the real and imaginary
+    parts of the symmetrized M_a.  The 2*d_anc forms are stacked once
+    into one matrix, so a batch of states costs one real matrix product.
     """
 
     def __init__(self, impl: GateImplementation):
         d_anc = impl.spec.ancilla_dim
-        u = impl.unitary.entries
         xi = impl.ancilla_state.amplitudes
-        self.b = (u.reshape(4 * d_anc, 4, d_anc) @ xi)
-        self.target = cnot_unitary().entries
+        kraus = (impl.unitary.entries.reshape(4, d_anc, 4, d_anc) @ xi).transpose(1, 0, 2)
+        self.forms = cnot_unitary().entries.conj().T @ kraus
+        m = np.block([[self.forms, 1j * self.forms], [-1j * self.forms, self.forms]])
+        sym = 0.5 * (m + m.transpose(0, 2, 1))
+        self._rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 8)
         self.d_anc = d_anc
         self.evaluations = 0
 
-    def fidelity_sq(self, psi4: np.ndarray) -> float:
-        self.evaluations += 1
-        v = (self.b @ psi4).reshape(4, self.d_anc)
-        out = self.target @ psi4
-        amp = out.conj() @ v
-        fsq = float(np.real(np.vdot(amp, amp)))
-        return min(max(fsq, 0.0), 1.0)
+    def _forms_times(self, w: np.ndarray) -> np.ndarray:
+        """Q_k w for every form, shape (n, 2*d_anc, 8)."""
+        self.evaluations += w.shape[0]
+        return (w @ self._rows.T).reshape(w.shape[0], -1, 8)
 
     def fidelity_sq_batch(self, psis: np.ndarray) -> np.ndarray:
         """Vectorized fidelity^2 for a stack of states, shape (n, 4)."""
-        self.evaluations += psis.shape[0]
-        v = (psis @ self.b.T).reshape(-1, 4, self.d_anc)
-        outs = psis @ self.target.T
-        amp = np.einsum("ns,nsa->na", outs.conj(), v)
-        fsq = np.sum(np.abs(amp) ** 2, axis=1)
-        return np.clip(fsq.real, 0.0, 1.0)
+        w = np.concatenate([psis.real, psis.imag], axis=1)
+        res = np.einsum("nki,ni->nk", self._forms_times(w), w)
+        return np.clip(np.sum(res * res, axis=1), 0.0, 1.0)
+
+    def fidelity_sq_and_jacobian(
+        self, w: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """F^2 = |r|^2 at unit real coordinates w, with the residuals r and
+        their Jacobian J = 2 (Q_k w)_k, shape (n, 2*d_anc, 8).
+
+        2 J^T r is the gradient of F^2: the real form of the analytic
+        2 sum_a (conj(z_a) A_a + z_a A_a^dag) psi.
+        """
+        forms_w = self._forms_times(w)
+        res = np.einsum("nki,ni->nk", forms_w, w)
+        return np.sum(res * res, axis=1), 2.0 * forms_w, res
 
 
 def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
@@ -190,7 +210,7 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     if psi.dim != 4:
         raise ValueError(f"input must be a two-qubit state, got dim {psi.dim}")
     ev = _FidelityEvaluator(impl)
-    return math.sqrt(ev.fidelity_sq(psi.amplitudes))
+    return math.sqrt(float(ev.fidelity_sq_batch(psi.amplitudes[None, :])[0]))
 
 
 def angles_to_state(x: Sequence[float]) -> np.ndarray:
@@ -198,7 +218,7 @@ def angles_to_state(x: Sequence[float]) -> np.ndarray:
 
     Three polar angles set the magnitudes, three azimuthal angles the
     relative phases (the first amplitude is real).  Any real input maps
-    to a valid state, so optimizers can roam without bounds.
+    to a valid state, so a lattice over the angles covers the sphere.
     """
     t1, t2, t3, p1, p2, p3 = (float(v) for v in x)
     s1 = math.sin(t1)
@@ -231,23 +251,6 @@ def _angles_to_states_batch(
     )
 
 
-def state_to_angles(psi: StateVector | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`angles_to_state` up to global phase."""
-    amps = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
-    if amps.size != 4:
-        raise ValueError("expected a two-qubit state")
-    k = int(np.argmax(np.abs(amps)))
-    phase = amps[k] / abs(amps[k])
-    v = amps * np.conj(phase)
-    if abs(v[0]) > 1e-14:
-        v = v * (np.conj(v[0]) / abs(v[0]))
-    t1 = math.atan2(float(np.linalg.norm(v[1:])), float(np.real(v[0])))
-    t2 = math.atan2(float(np.linalg.norm(v[2:])), float(abs(v[1])))
-    t3 = math.atan2(float(abs(v[3])), float(abs(v[2])))
-    p1, p2, p3 = (float(np.angle(v[i])) if abs(v[i]) > 1e-14 else 0.0 for i in (1, 2, 3))
-    return np.array([t1, t2, t3, p1, p2, p3])
-
-
 def _seed_states() -> list[np.ndarray]:
     """Deterministic starting states: the computational basis and all
     equal-weight pairwise superpositions with phases 1 and i."""
@@ -267,9 +270,14 @@ def _seed_states() -> list[np.ndarray]:
 class SearchConfig:
     """Knobs for the worst-case fidelity search.
 
-    ``restarts`` low-discrepancy starting points are drawn from a
-    scrambled Sobol sequence (deterministic per ``seed``); the fixed
-    seed states are added on top unless ``include_seed_states`` is off.
+    Ancilla-free implementations are solved exactly and use none of
+    them.  With an ancilla, the descent starts from the fixed seed
+    states (unless ``include_seed_states`` is off) plus ``restarts``
+    points of a scrambled Sobol sequence, deterministic per ``seed``; a
+    larger ``restarts`` extends the same sequence.  It takes at most
+    ``max_iter`` steps and stops early once no start has lowered its F^2
+    by more than ``tol`` for two steps in a row.  A search with no
+    starts is refused either way.
     """
 
     restarts: int = 64
@@ -291,15 +299,150 @@ class FidelityResult:
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
 
 
+def _cross(u: complex, v: complex) -> float:
+    """Signed area spanned by two points of the complex plane, Im(conj(u) v)."""
+    return u.real * v.imag - u.imag * v.real
+
+
+def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
+    """Witness states of the hull point nearest the origin, ancilla-free case.
+
+    A = C^dag U is unitary, hence normal, so its numerical range
+    {<psi|A|psi>} is the convex hull of its eigenvalues
+    (Toeplitz-Hausdorff) and min_psi F is the hull's distance from the
+    origin.  The nearest point is a vertex, the foot of the
+    perpendicular on an edge, or the origin itself inside a triangle.
+    Each candidate's convex weights w give the state sum_k sqrt(w_k) v_k
+    with <psi|A|psi> = sum_k w_k lambda_k; the complex Schur form
+    supplies orthonormal eigenvectors v_k even for repeated eigenvalues.
+    """
+    schur_t, vecs = linalg.schur(ev.forms[0], output="complex")
+    lam = [complex(x) for x in np.diag(schur_t)]
+    weights = [np.eye(4)[k] for k in range(4)]
+    for j, k in itertools.combinations(range(4), 2):
+        # foot of the perpendicular from 0 on lam_j + s (lam_k - lam_j)
+        edge = lam[k] - lam[j]
+        s = -(edge.conjugate() * lam[j]).real / abs(edge) ** 2 if edge != 0 else 0.0
+        s = min(max(s, 0.0), 1.0)
+        w = np.zeros(4)
+        w[[j, k]] = (1.0 - s, s)
+        weights.append(w)
+    for tri in itertools.combinations(range(4), 3):
+        a, b, c = (lam[k] for k in tri)
+        area = _cross(b - a, c - a)
+        if area == 0.0:
+            continue
+        bary = np.array([_cross(b, c), _cross(c, a), _cross(a, b)]) / area
+        if np.all(bary >= 0.0):
+            w = np.zeros(4)
+            w[list(tri)] = bary
+            weights.append(w)
+    return np.sqrt(np.array(weights)) @ vecs.T
+
+
+# Bounds on the descent's step length s.  Above, the damping 1 / (2 s)
+# stays at least 5e-7, which bounds how far rounding is amplified along
+# the two directions the tangent Jacobian cannot see (the radius and the
+# phase).  Below, a start that keeps rejecting never divides by zero;
+# a step of 1e-12 already leaves a unit vector unchanged.
+_MIN_STEP, _MAX_STEP = 1e-12, 1e6
+
+
+def _search_starts(cfg: SearchConfig) -> tuple[list[str], np.ndarray]:
+    """Labels and unit states of the descent's starting points."""
+    labels: list[str] = []
+    states: list[np.ndarray] = []
+    if cfg.include_seed_states:
+        seeds = _seed_states()
+        labels += [f"seed-{i}" for i in range(len(seeds))]
+        states += seeds
+    if cfg.restarts > 0:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            raw = qmc.Sobol(d=6, scramble=True, seed=cfg.seed).random(cfg.restarts)
+        hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
+        labels += [f"sobol-{i}" for i in range(cfg.restarts)]
+        states += list(_angles_to_states_batch(*(raw * hi).T))
+    return labels, np.array(states)
+
+
+def _sphere_descent(
+    ev: _FidelityEvaluator, cfg: SearchConfig
+) -> tuple[np.ndarray, np.ndarray, list[dict[str, float]]]:
+    """Riemannian descent of F^2 on the unit sphere of C^4, all starts as
+    rows of one array.
+
+    Each step moves a start along the tangent space and renormalizes.
+    The move solves (J^T J + I / (2 s)) m = J^T r in the tangent space
+    (Levenberg-Marquardt, with J and r from
+    :meth:`_FidelityEvaluator.fidelity_sq_and_jacobian`): for a small
+    step length s it is the gradient step s * grad F^2, and for a large
+    one the Gauss-Newton step, which converges fast where F^2 is near a
+    zero.  A step is kept only when it lowers the value; s grows by 1.5
+    after a kept step and halves after a rejected one, per start, within
+    ``_MIN_STEP`` and ``_MAX_STEP``.
+
+    The loop stops early after two iterations in a row in which no start
+    lowered its F^2 by more than ``cfg.tol``.  One is not enough: a
+    rejected step is how s adapts, and every start may reject at once
+    far from a minimum.  Each start's trajectory is independent of the
+    others and the stop waits on every start, so more starts never
+    raise the minimum.  Returns each start's final state and F^2, and
+    the trace.
+    """
+    labels, psi = _search_starts(cfg)
+    w = np.concatenate([psi.real, psi.imag], axis=1)
+    value, jac, res = ev.fidelity_sq_and_jacobian(w)
+    initial = value
+    step = np.full(len(labels), 0.25)
+    damping_unit = np.eye(8)
+    iterations = quiet = 0
+    while iterations < cfg.max_iter and quiet < 2:
+        iterations += 1
+        # J on the tangent space: J (I - w w^T)
+        tangent = jac - (jac @ w[:, :, None]) * w[:, None, :]
+        normal = np.swapaxes(tangent, 1, 2) @ tangent + (0.5 / step)[:, None, None] * damping_unit
+        rhs = np.einsum("nki,nk->ni", tangent, res)
+        trial = w - np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial_value, trial_jac, trial_res = ev.fidelity_sq_and_jacobian(trial)
+        better = trial_value < value
+        gain = float(np.max(np.where(better, value - trial_value, 0.0)))
+        w = np.where(better[:, None], trial, w)
+        jac = np.where(better[:, None, None], trial_jac, jac)
+        res = np.where(better[:, None], trial_res, res)
+        value = np.where(better, trial_value, value)
+        step = np.clip(np.where(better, 1.5 * step, 0.5 * step), _MIN_STEP, _MAX_STEP)
+        quiet = quiet + 1 if gain <= cfg.tol else 0
+    trace = [
+        {
+            "start": label,
+            "initial": math.sqrt(max(float(f0), 0.0)),
+            "final": math.sqrt(max(float(f1), 0.0)),
+            "iterations": float(iterations),
+        }
+        for label, f0, f1 in zip(labels, initial, value)
+    ]
+    return w[:, :4] + 1j * w[:, 4:], value, trace
+
+
 def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) -> FidelityResult:
     """Worst-case state fidelity of an implementation against CNOT.
 
-    Runs Nelder-Mead descent from every Sobol start and every seed
-    state, keeping the best point seen across *all* objective
-    evaluations (so the result is never above any probed state's
-    fidelity).  The returned value estimates the minimum from above:
-    an insufficient budget can only make it optimistic, never produce
-    a spurious bound violation.
+    In Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2 (see
+    :class:`_FidelityEvaluator`).  Without an ancilla the minimum is
+    exact: the distance from the origin to the convex hull of the
+    eigenvalues of A = C^dag U.  Every nearest-point candidate's witness
+    state is evaluated and the lowest kept, so the value reported is a
+    real state's fidelity; the trace has one entry, ``"hull"``.
+
+    With an ancilla, a batched Riemannian descent on the unit sphere
+    (:func:`_sphere_descent`) runs from every seed state and Sobol start
+    (see :class:`SearchConfig`) and returns the lowest value evaluated, so
+    the result estimates the minimum from above: an insufficient budget
+    can only make it optimistic, never produce a spurious bound
+    violation.  Each start adds a trace entry; ``evaluations`` counts
+    states evaluated.
     """
     cfg = config or SearchConfig()
     if cfg.restarts < 0:
@@ -307,50 +450,22 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
     if cfg.restarts == 0 and not cfg.include_seed_states:
         raise ValueError("search has no starting points: restarts is 0 and seed states are off")
     ev = _FidelityEvaluator(impl)
-
-    best = {"f": np.inf, "x": None}
-
-    def objective(x: np.ndarray) -> float:
-        f = math.sqrt(ev.fidelity_sq(angles_to_state(x)))
-        if f < best["f"]:
-            best["f"] = f
-            best["x"] = np.array(x, copy=True)
-        return f
-
-    starts: list[tuple[str, np.ndarray]] = []
-    if cfg.include_seed_states:
-        starts += [(f"seed-{i}", state_to_angles(s)) for i, s in enumerate(_seed_states())]
-    if cfg.restarts > 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sampler = qmc.Sobol(d=6, scramble=True, seed=cfg.seed)
-            raw = sampler.random(cfg.restarts)
-        lo = np.zeros(6)
-        hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
-        scaled = qmc.scale(raw, lo, hi)
-        starts += [(f"sobol-{i}", scaled[i]) for i in range(cfg.restarts)]
-
-    trace: list[dict[str, float]] = []
-    for label, x0 in starts:
-        f0 = objective(np.asarray(x0, dtype=float))
-        res = optimize.minimize(
-            objective,
-            np.asarray(x0, dtype=float),
-            method="Nelder-Mead",
-            options={"maxiter": cfg.max_iter, "fatol": cfg.tol, "xatol": 1e-7},
-        )
-        trace.append(
-            {"start": label, "initial": float(f0), "final": float(res.fun), "iterations": float(res.nit)}
-        )
-
-    worst = StateVector.from_amplitudes(angles_to_state(best["x"]))
-    f = float(best["f"])
-    fsq = min(max(f * f, 0.0), 1.0)
+    if ev.d_anc == 1:
+        psis = _hull_witnesses(ev)
+        values = ev.fidelity_sq_batch(psis)
+        trace = None
+    else:
+        psis, values, trace = _sphere_descent(ev, cfg)
+    k = int(np.argmin(values))
+    fsq = min(max(float(values[k]), 0.0), 1.0)
+    f = math.sqrt(fsq)
+    if trace is None:
+        trace = [{"start": "hull", "initial": f, "final": f, "iterations": 0.0}]
     return FidelityResult(
         fidelity=f,
         fidelity_sq=fsq,
         error_probability=1.0 - fsq,
-        worst_state=worst,
+        worst_state=StateVector.from_amplitudes(psis[k]),
         evaluations=ev.evaluations,
         trace=tuple(trace),
     )

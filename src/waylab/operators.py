@@ -11,6 +11,7 @@ simplest and the most reliable tool.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -47,6 +48,11 @@ UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
 
+def _unitarity_defect(entries: np.ndarray) -> float:
+    """max|M^dag M - I|: the dense product behind every unitarity check."""
+    return float(np.max(np.abs(entries.conj().T @ entries - np.eye(entries.shape[0]))))
+
+
 def _as_complex_matrix(entries: object) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -81,8 +87,7 @@ class Operator:
             if dev > FLAG_TOL:
                 raise ValueError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
         if self.unitary:
-            eye = np.eye(self.dim)
-            dev = float(np.max(np.abs(self.entries.conj().T @ self.entries - eye)))
+            dev = _unitarity_defect(self.entries)
             if dev > UNITARY_TOL:
                 raise ValueError(f"unitary flag set but max|M^dag M - I| = {dev:.3e}")
 
@@ -98,8 +103,19 @@ class Operator:
         return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        eye = np.eye(self.dim)
-        return float(np.max(np.abs(self.entries.conj().T @ self.entries - eye))) <= tol
+        """Whether max|M^dag M - I| <= tol.
+
+        At the default tolerance a validated ``unitary=True`` flag
+        answers, and otherwise the first answer is kept: the entries are
+        read-only, so it cannot go stale.
+        """
+        if tol == UNITARY_TOL:
+            return self._unitary_at_default_tol
+        return _unitarity_defect(self.entries) <= tol
+
+    @functools.cached_property
+    def _unitary_at_default_tol(self) -> bool:
+        return bool(self.unitary) or _unitarity_defect(self.entries) <= UNITARY_TOL
 
     # Small arithmetic surface; flags propagate only where that is cheap
     # and always correct.

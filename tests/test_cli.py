@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import waylab.cli
+import waylab.operators
 import waylab.scenarios
 from waylab import (
     FidelityResult,
@@ -21,8 +23,8 @@ from waylab import (
     sample_conserving_unitary,
 )
 from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from waylab.cnot import implementation_to_json, pauli
-from waylab.serialize import law_to_json, model_to_json
+from waylab.cnot import implementation_from_json, implementation_to_json, pauli
+from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import StateVector
 
@@ -200,6 +202,30 @@ def test_eval_impl_with_law_emits_bound_records(tmp_path):
     assert all(r["passed"] for r in report["records"])
 
 
+def test_eval_impl_checks_unitarity_of_the_implementation_once(tmp_path, monkeypatch):
+    # the implementation and each measurement view of it hold the same
+    # Operator, so only the first unitarity check forms U^dag U
+    impl_json, law_json = _conserving_impl_json()
+    matrix = implementation_from_json(impl_json).unitary.entries
+    products = []
+    defect = waylab.operators._unitarity_defect
+
+    def counting(entries):
+        if entries.shape == matrix.shape and np.array_equal(entries, matrix):
+            products.append(1)
+        return defect(entries)
+
+    monkeypatch.setattr(waylab.operators, "_unitarity_defect", counting)
+    code, report = run_cli(
+        tmp_path,
+        "eval-impl",
+        {"implementation": impl_json, "law": law_json, "search": {"restarts": 2, "max_iter": 20}},
+    )
+    assert code == EXIT_OK
+    assert len(report["records"]) == 3
+    assert len(products) == 1
+
+
 def test_eval_impl_requires_implementation(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "eval-impl", {})
     assert code == EXIT_USAGE
@@ -288,6 +314,29 @@ def test_boson_check_advisories_do_not_fail_run(tmp_path):
     # non-advisory rigorous ceiling must hold
     rigorous = [r for r in report["records"] if r["relation"] == "sigma-ceiling"]
     assert rigorous[0]["passed"]
+
+
+def test_boson_check_nearby_nbars_draw_different_implementations(tmp_path, monkeypatch):
+    # before, both nbars drew from seed + 1000 and got the same unitaries
+    drawn = []
+    sample = waylab.cli.random_conserving_implementation
+
+    def recording(*args, **kwargs):
+        impl = sample(*args, **kwargs)
+        drawn.append(digest(unitary=operator_to_json(impl.unitary)))
+        return impl
+
+    monkeypatch.setattr(waylab.cli, "random_conserving_implementation", recording)
+    code, _ = run_cli(
+        tmp_path,
+        "boson-check",
+        {"nbars": [1.0, 1.0004], "samples_per": 2, "search": {"restarts": 1, "max_iter": 5}},
+        "--seed",
+        "4",
+    )
+    assert code == EXIT_OK
+    assert len(drawn) == 4  # nbar 1.0, then nbar 1.0004
+    assert not set(drawn[:2]) & set(drawn[2:])
 
 
 def test_positive_control_bases(tmp_path):
