@@ -13,28 +13,21 @@ from .operators import (
     Operator,
     StateVector,
     commutator,
-    eig_hermitian,
     expectation,
-    expm_skew,
-    identity,
     operator_norm,
-    partial_trace,
     std_dev,
-    tensor,
     tensor_states,
     zero,
 )
 from .measurement import (
     CertificationResult,
     IndirectMeasurementModel,
-    OutcomeDistribution,
     certification_states,
     disturbance_operator,
     error_operator,
     heisenberg,
     is_nondisturbing,
     is_precise,
-    outcome_distribution,
     rms_disturbance,
     rms_error,
 )
@@ -45,7 +38,6 @@ from .conservation import (
     commutant_basis,
     conservation_residual,
     conserving_unitary,
-    sample_conserving_unitary,
 )
 from .bounds import (
     BoundReport,
@@ -60,10 +52,8 @@ from .cnot import (
     FidelityResult,
     GateImplementation,
     SearchConfig,
-    channel_apply,
     cnot_unitary,
     gate_fidelity,
-    grid_search_fidelity,
     measurement_view,
     noise_fidelity_link,
     pauli,
@@ -91,26 +81,19 @@ __all__ = [
     "Operator",
     "StateVector",
     "commutator",
-    "eig_hermitian",
     "expectation",
-    "expm_skew",
-    "identity",
     "operator_norm",
-    "partial_trace",
     "std_dev",
-    "tensor",
     "tensor_states",
     "zero",
     "CertificationResult",
     "certification_states",
     "IndirectMeasurementModel",
-    "OutcomeDistribution",
     "disturbance_operator",
     "error_operator",
     "heisenberg",
     "is_nondisturbing",
     "is_precise",
-    "outcome_distribution",
     "rms_disturbance",
     "rms_error",
     "CommutantBasis",
@@ -119,7 +102,6 @@ __all__ = [
     "commutant_basis",
     "conservation_residual",
     "conserving_unitary",
-    "sample_conserving_unitary",
     "BoundReport",
     "fundamental_bound",
     "identity_reports",
@@ -130,10 +112,8 @@ __all__ = [
     "FidelityResult",
     "GateImplementation",
     "SearchConfig",
-    "channel_apply",
     "cnot_unitary",
     "gate_fidelity",
-    "grid_search_fidelity",
     "measurement_view",
     "noise_fidelity_link",
     "pauli",

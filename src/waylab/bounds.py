@@ -51,7 +51,6 @@ from .serialize import canonical_json, digest
 
 __all__ = [
     "BoundReport",
-    "CONSERVATION_TOL",
     "identity_residuals",
     "identity_reports",
     "require_conserving",

@@ -30,12 +30,7 @@ from .cnot import (
     noise_fidelity_link,
     pauli,
 )
-from .conservation import (
-    ConservationError,
-    ConservationLaw,
-    commutant_basis,
-    conservation_residual,
-)
+from .conservation import ConservationLaw, commutant_basis, conservation_residual
 from .measurement import is_nondisturbing, is_precise
 from .operators import HilbertSpec, Operator
 from .sampling import (
@@ -68,19 +63,24 @@ class _UsageError(Exception):
     pass
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _read_json(path: str, label: str) -> Any:
+    """Parse the JSON document at ``path``; ``label`` names it in the read error."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+        raise _UsageError(f"cannot read {label}{path!r}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(
             f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _load_config(path: str | None) -> dict[str, Any]:
+    if path is None:
+        return {}
+    data = _read_json(path, "config ")
     if not isinstance(data, dict):
         raise _UsageError(f"config root must be a JSON object, got {type(data).__name__}")
     return data
@@ -89,18 +89,7 @@ def _load_config(path: str | None) -> dict[str, Any]:
 def _maybe_file(value: Any) -> Any:
     """Config values referencing other JSON documents may be inline
     objects or path strings; load the latter."""
-    if isinstance(value, str):
-        try:
-            text = Path(value).read_text()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {value!r}: {exc}") from exc
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _UsageError(
-                f"malformed JSON in {value!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return value
+    return _read_json(value, "") if isinstance(value, str) else value
 
 
 def _pick(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any) -> Any:
@@ -494,9 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args, config)
     except _UsageError as exc:
         print(f"[waylab] usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConservationError as exc:
-        print(f"[waylab] input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, KeyError, OSError, TypeError) as exc:
         print(f"[waylab] input error: {exc}", file=sys.stderr)

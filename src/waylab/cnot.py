@@ -8,11 +8,10 @@ Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2, and the minimum is exact
 without an ancilla: the distance from the origin to the convex hull of
 the eigenvalues of C^dag U (Toeplitz-Hausdorff).  With an ancilla it is
 estimated from above by a Riemannian descent on the unit sphere of C^4
-that runs every start as a row of one array.  A six-angle lattice over
-the input state remains as an independent grid oracle.  When the
-implementation must conserve a spin component, the same object also
-defines an indirect measurement of the control qubit, which is what ties
-the gate error to the measurement trade-off bounds.
+that runs every start as a row of one array.  When the implementation
+must conserve a spin component, the same object also defines an
+indirect measurement of the control qubit, which is what ties the gate
+error to the measurement trade-off bounds.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 from scipy import linalg
@@ -47,16 +46,13 @@ __all__ = [
     "FidelityResult",
     "cnot_unitary",
     "pauli",
-    "channel_apply",
     "state_fidelity",
     "gate_fidelity",
-    "grid_search_fidelity",
     "measurement_view",
     "noise_fidelity_link",
     "sigma_l3",
     "sigma_ceiling_fsq",
     "candidate_control_states",
-    "angles_to_state",
     "implementation_to_json",
     "implementation_from_json",
 ]
@@ -138,20 +134,6 @@ def implementation_from_json(data: dict[str, Any]) -> GateImplementation:
     )
 
 
-def channel_apply(impl: GateImplementation, rho: Operator) -> Operator:
-    """The induced two-qubit channel: couple in the ancilla state, apply
-    the unitary, trace the ancilla back out."""
-    if rho.dim != 4:
-        raise ValueError(f"channel acts on two qubits, got operator dim {rho.dim}")
-    xi = impl.ancilla_state.amplitudes
-    joint = np.kron(rho.entries, np.outer(xi, xi.conj()))
-    u = impl.unitary.entries
-    evolved = u @ joint @ u.conj().T
-    d_anc = impl.spec.ancilla_dim
-    tensor_form = evolved.reshape(4, d_anc, 4, d_anc)
-    return Operator(np.trace(tensor_form, axis1=1, axis2=3))
-
-
 class _FidelityEvaluator:
     """The implementation's Kraus forms, for fast state-fidelity evaluation.
 
@@ -213,31 +195,12 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     return math.sqrt(float(ev.fidelity_sq_batch(psi.amplitudes[None, :])[0]))
 
 
-def angles_to_state(x: Sequence[float]) -> np.ndarray:
-    """Six hyperspherical angles -> normalized 4-amplitude vector.
-
-    Three polar angles set the magnitudes, three azimuthal angles the
-    relative phases (the first amplitude is real).  Any real input maps
-    to a valid state, so a lattice over the angles covers the sphere.
-    """
-    t1, t2, t3, p1, p2, p3 = (float(v) for v in x)
-    s1 = math.sin(t1)
-    s2 = math.sin(t2)
-    return np.array(
-        [
-            math.cos(t1),
-            s1 * math.cos(t2) * np.exp(1j * p1),
-            s1 * s2 * math.cos(t3) * np.exp(1j * p2),
-            s1 * s2 * math.sin(t3) * np.exp(1j * p3),
-        ],
-        dtype=np.complex128,
-    )
-
-
 def _angles_to_states_batch(
     t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     p1: np.ndarray, p2: np.ndarray, p3: np.ndarray,
 ) -> np.ndarray:
+    """Hyperspherical angles -> unit 4-amplitude rows: three polar angles
+    set the magnitudes, three azimuthal angles the relative phases."""
     s1 = np.sin(t1)
     s12 = s1 * np.sin(t2)
     return np.stack(
@@ -469,65 +432,6 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
         evaluations=ev.evaluations,
         trace=tuple(trace),
     )
-
-
-def grid_search_fidelity(
-    impl: GateImplementation,
-    coarse_step: float = np.pi / 8,
-    zoom_rounds: int = 6,
-    top_k: int = 32,
-    chunk: int = 200_000,
-) -> tuple[float, StateVector]:
-    """Worst-case fidelity by dense grid enumeration plus local zoom.
-
-    Independent check on :func:`gate_fidelity`: sweep the full six-angle
-    lattice at ``coarse_step``, keep the ``top_k`` lowest cells, then
-    repeatedly halve the step around each survivor.  With the default
-    six rounds the effective resolution around every candidate minimum
-    is finer than pi/256.  Exhaustive enumeration is vectorized and
-    shares only the state-fidelity contraction with the optimizer, not
-    its search logic.
-    """
-    ev = _FidelityEvaluator(impl)
-    theta_vals = np.arange(0.0, np.pi + 1e-12, coarse_step)
-    phi_vals = np.arange(0.0, 2 * np.pi - 1e-12, coarse_step)
-    shape = (len(theta_vals),) * 3 + (len(phi_vals),) * 3
-    total = int(np.prod(shape))
-
-    cand_f: list[float] = []
-    cand_x: list[np.ndarray] = []
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        idx = np.unravel_index(flat, shape)
-        t1, t2, t3 = theta_vals[idx[0]], theta_vals[idx[1]], theta_vals[idx[2]]
-        p1, p2, p3 = phi_vals[idx[3]], phi_vals[idx[4]], phi_vals[idx[5]]
-        fsq = ev.fidelity_sq_batch(_angles_to_states_batch(t1, t2, t3, p1, p2, p3))
-        take = min(top_k, fsq.size)
-        sel = np.argpartition(fsq, take - 1)[:take]
-        for s in sel:
-            cand_f.append(float(fsq[s]))
-            cand_x.append(np.array([t1[s], t2[s], t3[s], p1[s], p2[s], p3[s]]))
-    order = np.argsort(cand_f)[:top_k]
-    seeds = [cand_x[i] for i in order]
-
-    offsets = np.array(np.meshgrid(*([np.arange(-2, 3)] * 6), indexing="ij")).reshape(6, -1).T
-    best_f = math.inf
-    best_x = seeds[0]
-    for x0 in seeds:
-        x = np.array(x0, dtype=float)
-        step = coarse_step
-        for _ in range(zoom_rounds):
-            step *= 0.5
-            pts = x[None, :] + offsets * step
-            fsq = ev.fidelity_sq_batch(
-                _angles_to_states_batch(*(pts[:, i] for i in range(6)))
-            )
-            j = int(np.argmin(fsq))
-            x = pts[j]
-            if fsq[j] < best_f:
-                best_f = float(fsq[j])
-                best_x = np.array(x, copy=True)
-    return math.sqrt(max(best_f, 0.0)), StateVector.from_amplitudes(angles_to_state(best_x))
 
 
 def measurement_view(impl: GateImplementation) -> IndirectMeasurementModel:

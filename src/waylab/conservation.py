@@ -13,7 +13,7 @@ over directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "conservation_residual",
     "commutant_basis",
     "conserving_unitary",
-    "sample_conserving_unitary",
 ]
 
 
@@ -113,9 +112,9 @@ class CommutantBasis:
       ``i (v_i v_j^dag - v_j v_i^dag)/sqrt(2)`` for ``i < j``,
 
     all orthonormal under the trace inner product.  Blocks appear in
-    ascending order of eigenvalue.  Generators are materialized lazily;
-    :func:`conserving_unitary` works directly in the eigenbasis and
-    never needs the dense generator list.
+    ascending order of eigenvalue.  The dense generators are never
+    formed: coefficients map to Hermitian blocks in the eigenbasis and
+    back, both through one index layout (``_layout``).
     """
 
     eigenbasis: np.ndarray
@@ -130,37 +129,21 @@ class CommutantBasis:
     def generator_count(self) -> int:
         return sum(d * d for d in self.block_dims)
 
-    @property
-    def block_structure(self) -> dict[float, int]:
-        """Map from eigenvalue (cluster mean) to eigenspace dimension."""
-        return dict(zip(self.eigenvalues, self.block_dims))
-
-    def _block_slices(self) -> list[slice]:
-        out, start = [], 0
+    def _layout(self) -> Iterator[tuple]:
+        """The coefficient layout, one tuple per block: its slice of
+        eigenbasis columns, the index pairs (i, j), i < j, of its
+        off-diagonal generators in enumeration order, and the coefficient
+        slices of its diagonal, symmetric and antisymmetric runs."""
+        start = pos = 0
         for d in self.block_dims:
-            out.append(slice(start, start + d))
+            iu, ju = np.triu_indices(d, 1)
+            n = iu.size
+            yield (
+                slice(start, start + d), iu, ju,
+                slice(pos, pos + d), slice(pos + d, pos + d + n), slice(pos + d + n, pos + d * d),
+            )
             start += d
-        return out
-
-    @cached_property
-    def generators(self) -> tuple[Operator, ...]:
-        """Dense generator list (built on first access)."""
-        gens: list[Operator] = []
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for sl in self._block_slices():
-            cols = self.eigenbasis[:, sl]
-            d = cols.shape[1]
-            for i in range(d):
-                gens.append(Operator(np.outer(cols[:, i], cols[:, i].conj()), hermitian=True))
-            for i in range(d):
-                for j in range(i + 1, d):
-                    outer = np.outer(cols[:, i], cols[:, j].conj())
-                    gens.append(Operator((outer + outer.conj().T) * inv_sqrt2, hermitian=True))
-            for i in range(d):
-                for j in range(i + 1, d):
-                    outer = np.outer(cols[:, i], cols[:, j].conj())
-                    gens.append(Operator(1j * (outer - outer.conj().T) * inv_sqrt2, hermitian=True))
-        return tuple(gens)
+            pos += d * d
 
     def coefficient_blocks(self, coefficients: np.ndarray) -> list[np.ndarray]:
         """Assemble the Hermitian matrix of each block from coefficients.
@@ -175,24 +158,12 @@ class CommutantBasis:
                 f"expected {self.generator_count} coefficients, got {coeffs.size}"
             )
         blocks: list[np.ndarray] = []
-        pos = 0
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for d in self.block_dims:
-            h = np.zeros((d, d), dtype=np.complex128)
-            diag = coeffs[pos : pos + d]
-            pos += d
-            np.fill_diagonal(h, diag)
-            n_pairs = d * (d - 1) // 2
-            sym = coeffs[pos : pos + n_pairs]
-            pos += n_pairs
-            anti = coeffs[pos : pos + n_pairs]
-            pos += n_pairs
-            k = 0
-            for i in range(d):
-                for j in range(i + 1, d):
-                    h[i, j] = (sym[k] + 1j * anti[k]) * inv_sqrt2
-                    h[j, i] = np.conj(h[i, j])
-                    k += 1
+        for cols, iu, ju, diag, sym, anti in self._layout():
+            h = np.diag(coeffs[diag]).astype(np.complex128)
+            upper = (coeffs[sym] + 1j * coeffs[anti]) * inv_sqrt2
+            h[iu, ju] = upper
+            h[ju, iu] = np.conj(upper)
             blocks.append(h)
         return blocks
 
@@ -208,25 +179,15 @@ class CommutantBasis:
         if h.dim != self.dim:
             raise ValueError(f"target dim {h.dim} does not match basis dim {self.dim}")
         coeffs = np.empty(self.generator_count)
-        pos = 0
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         h_in_eigenbasis = self.eigenbasis.conj().T @ h.entries @ self.eigenbasis
         off_block = h_in_eigenbasis.copy()
-        start = 0
-        for d in self.block_dims:
-            hb = h_in_eigenbasis[start : start + d, start : start + d]
-            off_block[start : start + d, start : start + d] = 0.0
-            start += d
-            coeffs[pos : pos + d] = np.real(np.diag(hb))
-            pos += d
-            for i in range(d):
-                for j in range(i + 1, d):
-                    coeffs[pos] = np.real(hb[i, j] + hb[j, i]) * inv_sqrt2
-                    pos += 1
-            for i in range(d):
-                for j in range(i + 1, d):
-                    coeffs[pos] = np.real(1j * (hb[j, i] - hb[i, j])) * inv_sqrt2
-                    pos += 1
+        for cols, iu, ju, diag, sym, anti in self._layout():
+            hb = h_in_eigenbasis[cols, cols]
+            off_block[cols, cols] = 0.0
+            coeffs[diag] = np.real(np.diag(hb))
+            coeffs[sym] = np.real(hb[iu, ju] + hb[ju, iu]) * inv_sqrt2
+            coeffs[anti] = np.real(1j * (hb[ju, iu] - hb[iu, ju])) * inv_sqrt2
         # The generators span exactly the block-diagonal Hermitian
         # matrices in the eigenbasis, so what is lost is the Frobenius
         # mass outside the blocks, measured directly (a mass-subtraction
@@ -280,17 +241,3 @@ def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Opera
         u += cols @ ub @ cols.conj().T
         start += d
     return Operator(u, unitary=True)
-
-
-def sample_conserving_unitary(
-    basis: CommutantBasis, seed: int, strength: float = 1.0
-) -> tuple[Operator, np.ndarray]:
-    """Random conserving unitary with deterministic-per-seed coefficients.
-
-    Coefficients are standard normal draws from ``PCG64(seed)`` scaled
-    by ``strength``.  Returns the unitary together with the coefficient
-    vector that produced it.
-    """
-    rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(basis.generator_count) * float(strength)
-    return conserving_unitary(basis, coeffs), coeffs

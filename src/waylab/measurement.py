@@ -22,22 +22,18 @@ from .operators import (
     HilbertSpec,
     Operator,
     StateVector,
-    eig_hermitian,
     evolve,
-    expectation,
     tensor_states,
 )
 
 __all__ = [
     "IndirectMeasurementModel",
-    "OutcomeDistribution",
     "CertificationResult",
     "heisenberg",
     "error_operator",
     "disturbance_operator",
     "rms_error",
     "rms_disturbance",
-    "outcome_distribution",
     "certification_states",
     "is_precise",
     "is_nondisturbing",
@@ -159,53 +155,6 @@ def rms_error(model: IndirectMeasurementModel, psi: StateVector) -> float:
 def rms_disturbance(model: IndirectMeasurementModel, psi: StateVector) -> float:
     """Root-mean-square disturbance <D^2>^(1/2) in the product input state."""
     return _rms(disturbance_operator(model), model.initial_state(psi))
-
-
-@dataclass(frozen=True)
-class OutcomeDistribution:
-    """Discrete outcome distribution of a sharp observable.
-
-    Outcomes are strictly ascending; probabilities are nonnegative and
-    sum to one within 1e-10 (validated at construction).
-    """
-
-    outcomes: tuple[float, ...]
-    probabilities: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.outcomes) != len(self.probabilities):
-            raise ValueError("outcomes and probabilities must have equal length")
-        if any(b <= a for a, b in zip(self.outcomes, self.outcomes[1:])):
-            raise ValueError("outcomes must be strictly ascending")
-        if min(self.probabilities, default=0.0) < -1e-10:
-            raise ValueError("negative probability")
-        if abs(sum(self.probabilities) - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {sum(self.probabilities)!r}, not 1")
-
-    def moment(self, k: int = 1) -> float:
-        return float(sum(p * x**k for x, p in zip(self.outcomes, self.probabilities)))
-
-
-def outcome_distribution(
-    model: IndirectMeasurementModel,
-    psi: StateVector,
-    observable: Literal["measured", "pointer"],
-    *,
-    evolved: bool,
-) -> OutcomeDistribution:
-    """Born distribution of a Heisenberg-picture observable.
-
-    Degenerate eigenvalues (within the operator-core clustering
-    tolerance) are merged into a single outcome.
-    """
-    op = heisenberg(model, observable, evolved=evolved)
-    state = model.initial_state(psi)
-    vals, projs = eig_hermitian(op)
-    probs = []
-    for proj in projs:
-        p = float(np.real(expectation(proj, state)))
-        probs.append(min(max(p, 0.0), 1.0))
-    return OutcomeDistribution(tuple(float(v) for v in vals), tuple(probs))
 
 
 @dataclass(frozen=True)

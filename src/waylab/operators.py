@@ -14,28 +14,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FLAG_TOL",
-    "UNITARY_TOL",
     "DEGENERACY_TOL",
     "HilbertSpec",
     "Operator",
     "StateVector",
-    "tensor",
     "tensor_states",
-    "partial_trace",
     "commutator",
     "evolve",
     "expectation",
     "std_dev",
     "operator_norm",
-    "expm_skew",
-    "eig_hermitian",
-    "identity",
     "zero",
 ]
 
@@ -95,10 +89,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T, hermitian=self.hermitian, unitary=self.unitary)
-
     def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
         return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
 
@@ -116,33 +106,6 @@ class Operator:
     @functools.cached_property
     def _unitary_at_default_tol(self) -> bool:
         return bool(self.unitary) or _unitarity_defect(self.entries) <= UNITARY_TOL
-
-    # Small arithmetic surface; flags propagate only where that is cheap
-    # and always correct.
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_same_dim(other)
-        herm = True if (self.hermitian and other.hermitian) else None
-        return Operator(self.entries + other.entries, hermitian=herm)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_same_dim(other)
-        herm = True if (self.hermitian and other.hermitian) else None
-        return Operator(self.entries - other.entries, hermitian=herm)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        self._check_same_dim(other)
-        unit = True if (self.unitary and other.unitary) else None
-        return Operator(self.entries @ other.entries, unitary=unit)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        s = complex(scalar)
-        herm = True if (self.hermitian and s.imag == 0.0) else None
-        return Operator(self.entries * s, hermitian=herm)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self.entries, hermitian=self.hermitian)
 
     def _check_same_dim(self, other: "Operator") -> None:
         if not isinstance(other, Operator):
@@ -177,16 +140,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def density(self) -> Operator:
-        """Rank-one density operator |psi><psi|."""
-        return Operator(np.outer(self.amplitudes, self.amplitudes.conj()), hermitian=True)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     @staticmethod
     def basis(dim: int, index: int) -> "StateVector":
@@ -279,26 +232,8 @@ class HilbertSpec:
         return Operator(mat, hermitian=op.hermitian, unitary=op.unitary)
 
 
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim), hermitian=True, unitary=True)
-
-
 def zero(dim: int) -> Operator:
     return Operator(np.zeros((dim, dim)), hermitian=True)
-
-
-def tensor(*ops: Operator) -> Operator:
-    """Kronecker product of operators, left factor slowest."""
-    if not ops:
-        raise ValueError("tensor() needs at least one operator")
-    mat = ops[0].entries
-    herm: bool | None = ops[0].hermitian
-    unit: bool | None = ops[0].unitary
-    for op in ops[1:]:
-        mat = np.kron(mat, op.entries)
-        herm = True if (herm and op.hermitian) else None
-        unit = True if (unit and op.unitary) else None
-    return Operator(mat, hermitian=herm, unitary=unit)
 
 
 def tensor_states(*states: StateVector) -> StateVector:
@@ -309,44 +244,6 @@ def tensor_states(*states: StateVector) -> StateVector:
     for s in states[1:]:
         amps = np.kron(amps, s.amplitudes)
     return StateVector(amps)
-
-
-def partial_trace(rho: Operator, spec: HilbertSpec, keep: Iterable[int]) -> Operator:
-    """Trace out all factors of ``spec`` except those listed in ``keep``.
-
-    Parameters
-    ----------
-    rho
-        Operator on the total space of ``spec``.
-    keep
-        Indices into ``spec.factor_dims`` of the factors to retain, in
-        their original order.  Must be nonempty and in range.
-
-    Returns
-    -------
-    Operator on the retained factors (their dimensions multiplied in
-    the original factor order).
-    """
-    dims = spec.factor_dims
-    n = len(dims)
-    keep_list = sorted(set(int(k) for k in keep))
-    if not keep_list:
-        raise ValueError("keep set must be nonempty")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise ValueError(f"keep indices {keep_list} out of range for {n} factors")
-    if rho.dim != spec.total_dim:
-        raise ValueError(f"operator dim {rho.dim} does not match spec total {spec.total_dim}")
-
-    tensor_form = rho.entries.reshape(dims + dims)
-    # Trace out the complement one factor at a time, highest index first
-    # so earlier axis numbers stay valid.
-    traced = tensor_form
-    remaining = n
-    for ax in sorted(set(range(n)) - set(keep_list), reverse=True):
-        traced = np.trace(traced, axis1=ax, axis2=ax + remaining)
-        remaining -= 1
-    kept_dim = int(np.prod([dims[k] for k in keep_list], dtype=np.int64))
-    return Operator(traced.reshape(kept_dim, kept_dim))
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -384,47 +281,3 @@ def std_dev(op: Operator, psi: StateVector) -> float:
 def operator_norm(op: Operator) -> float:
     """Largest singular value (spectral norm)."""
     return float(np.linalg.norm(op.entries, ord=2))
-
-
-def expm_skew(h: Operator, t: float = 1.0) -> Operator:
-    """Unitary exp(-i t h) for Hermitian h, via eigendecomposition.
-
-    Diagonalizing keeps the result unitary to machine precision for the
-    moderate dimensions used here, unlike a truncated series.
-    """
-    if not h.is_hermitian(FLAG_TOL * max(1.0, operator_norm(h))):
-        raise ValueError("expm_skew expects a Hermitian generator")
-    vals, vecs = np.linalg.eigh(h.entries)
-    phases = np.exp(-1j * float(t) * vals)
-    mat = (vecs * phases) @ vecs.conj().T
-    return Operator(mat, unitary=True)
-
-
-def eig_hermitian(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, list[Operator]]:
-    """Spectral decomposition with degenerate levels merged.
-
-    Eigenvalues within ``degeneracy_tol`` of each other are clustered
-    into a single level whose reported value is the cluster mean and
-    whose projector spans the whole eigenspace.
-
-    Returns
-    -------
-    (values, projectors)
-        ``values`` strictly ascending; ``projectors`` the matching
-        orthogonal projectors, summing to the identity.
-    """
-    if not op.is_hermitian(max(FLAG_TOL, FLAG_TOL * operator_norm(op))):
-        raise ValueError("eig_hermitian expects a Hermitian operator")
-    vals, vecs = np.linalg.eigh(op.entries)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[clusters[-1][-1]] <= degeneracy_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    out_vals = np.array([float(np.mean(vals[c])) for c in clusters])
-    out_projs = []
-    for c in clusters:
-        block = vecs[:, c]
-        out_projs.append(Operator(block @ block.conj().T, hermitian=True))
-    return out_vals, out_projs

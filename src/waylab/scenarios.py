@@ -69,6 +69,9 @@ __all__ = [
 # along any single unit-norm generator direction, so a wider box only
 # revisits the same unitaries.
 COEFF_BOX = 2.0 * math.pi
+# Edge length of the initial Nelder-Mead simplex: large enough to step
+# off the wide F = 0 plateau that surrounds most of the coefficient box.
+SIMPLEX_SPREAD = 0.6
 
 
 def ceiling_qubit(n: int) -> float:
@@ -300,9 +303,6 @@ class OptimizeConfig:
     worst-case fidelity search runs with ``inner`` during the climb
     and with the stronger ``final`` once, on the best point found, so
     the reported value is not inflated by an under-converged minimum.
-    ``simplex_spread`` sets the edge length of the initial Nelder-Mead
-    simplex; the default 0.6 is large enough to step off the wide
-    F = 0 plateau that surrounds most of the coefficient box.
     """
 
     restarts: int = 3
@@ -310,7 +310,6 @@ class OptimizeConfig:
     seed: int = 0
     coeff_scale: float = 1.0
     polish_steps: int = 60
-    simplex_spread: float = 0.6
     inner: SearchConfig = field(
         default_factory=lambda: SearchConfig(restarts=8, max_iter=150)
     )
@@ -466,7 +465,7 @@ def optimize_fidelity(
     for i, x0 in enumerate(starts):
         f0 = -evaluate(x0)
         simplex = np.tile(x0, (count + 1, 1))
-        simplex[1:] += np.eye(count) * cfg.simplex_spread
+        simplex[1:] += np.eye(count) * SIMPLEX_SPREAD
         res = sp_optimize.minimize(
             evaluate,
             x0,

@@ -35,15 +35,13 @@ __all__ = [
 ]
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pairs(values: np.ndarray) -> list:
+    """Nested lists of ``[re, im]`` pairs, one numpy call for the array."""
+    return np.stack([values.real, values.imag], -1).tolist()
 
 
 def operator_to_json(op: Operator) -> dict[str, Any]:
-    return {
-        "dim": op.dim,
-        "entries": [[_pair(z) for z in row] for row in op.entries],
-    }
+    return {"dim": op.dim, "entries": _pairs(op.entries)}
 
 
 def operator_from_json(data: dict[str, Any]) -> Operator:
@@ -58,7 +56,7 @@ def operator_from_json(data: dict[str, Any]) -> Operator:
 
 
 def state_to_json(psi: StateVector) -> dict[str, Any]:
-    return {"dim": psi.dim, "amplitudes": [_pair(z) for z in psi.amplitudes]}
+    return {"dim": psi.dim, "amplitudes": _pairs(psi.amplitudes)}
 
 
 def state_from_json(data: dict[str, Any]) -> StateVector:

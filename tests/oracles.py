@@ -1,0 +1,214 @@
+"""Reference computations the tests compare the library against.
+
+Each oracle here takes the long way round on purpose: dense
+generators instead of the blockwise exponential, an explicit ancilla
+trace instead of Kraus forms, an exhaustive angle lattice instead of
+the sphere descent.  None of them calls the code it checks, so an
+agreement between the two is evidence rather than a tautology.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Literal
+
+import numpy as np
+
+from waylab.cnot import GateImplementation, cnot_unitary
+from waylab.conservation import CommutantBasis
+from waylab.measurement import IndirectMeasurementModel, heisenberg
+from waylab.operators import (
+    DEGENERACY_TOL,
+    FLAG_TOL,
+    Operator,
+    StateVector,
+    expectation,
+    operator_norm,
+)
+
+
+def expm_skew(h: Operator, t: float = 1.0) -> Operator:
+    """Unitary exp(-i t h) for Hermitian h, via one dense eigendecomposition."""
+    if not h.is_hermitian(FLAG_TOL * max(1.0, operator_norm(h))):
+        raise ValueError("expm_skew expects a Hermitian generator")
+    vals, vecs = np.linalg.eigh(h.entries)
+    return Operator((vecs * np.exp(-1j * float(t) * vals)) @ vecs.conj().T, unitary=True)
+
+
+def eig_hermitian(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> tuple[np.ndarray, list[Operator]]:
+    """Spectral decomposition with eigenvalues within ``degeneracy_tol``
+    merged into one level (value: the cluster mean; projector: the whole
+    eigenspace).  Values ascend; the projectors sum to the identity."""
+    if not op.is_hermitian(max(FLAG_TOL, FLAG_TOL * operator_norm(op))):
+        raise ValueError("eig_hermitian expects a Hermitian operator")
+    vals, vecs = np.linalg.eigh(op.entries)
+    clusters: list[list[int]] = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[clusters[-1][-1]] <= degeneracy_tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    out_vals = np.array([float(np.mean(vals[c])) for c in clusters])
+    out_projs = [Operator(vecs[:, c] @ vecs[:, c].conj().T, hermitian=True) for c in clusters]
+    return out_vals, out_projs
+
+
+@dataclass(frozen=True)
+class OutcomeDistribution:
+    """Discrete outcome distribution of a sharp observable: strictly
+    ascending outcomes, nonnegative probabilities summing to one within
+    1e-10 (validated at construction)."""
+
+    outcomes: tuple[float, ...]
+    probabilities: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.outcomes) != len(self.probabilities):
+            raise ValueError("outcomes and probabilities must have equal length")
+        if any(b <= a for a, b in zip(self.outcomes, self.outcomes[1:])):
+            raise ValueError("outcomes must be strictly ascending")
+        if min(self.probabilities, default=0.0) < -1e-10:
+            raise ValueError("negative probability")
+        if abs(sum(self.probabilities) - 1.0) > 1e-10:
+            raise ValueError(f"probabilities sum to {sum(self.probabilities)!r}, not 1")
+
+    def moment(self, k: int = 1) -> float:
+        return float(sum(p * x**k for x, p in zip(self.outcomes, self.probabilities)))
+
+
+def outcome_distribution(
+    model: IndirectMeasurementModel,
+    psi: StateVector,
+    observable: Literal["measured", "pointer"],
+    *,
+    evolved: bool,
+) -> OutcomeDistribution:
+    """Born distribution of a Heisenberg-picture observable in the
+    model's product input, degenerate levels merged into one outcome."""
+    state = model.initial_state(psi)
+    vals, projs = eig_hermitian(heisenberg(model, observable, evolved=evolved))
+    probs = [min(max(float(np.real(expectation(p, state))), 0.0), 1.0) for p in projs]
+    return OutcomeDistribution(tuple(float(v) for v in vals), tuple(probs))
+
+
+def generators(basis: CommutantBasis) -> tuple[Operator, ...]:
+    """The commutant basis as dense Hermitian matrices, in coefficient
+    order: per block (ascending charge), the d diagonal units
+    v_i v_i^dag, then the symmetric pairs (v_i v_j^dag + v_j v_i^dag)/sqrt(2)
+    and then the antisymmetric pairs i (v_i v_j^dag - v_j v_i^dag)/sqrt(2),
+    each run over i < j with i slowest."""
+    gens: list[Operator] = []
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    start = 0
+    for d in basis.block_dims:
+        cols = basis.eigenbasis[:, start : start + d]
+        start += d
+        for i in range(d):
+            gens.append(Operator(np.outer(cols[:, i], cols[:, i].conj()), hermitian=True))
+        for i in range(d):
+            for j in range(i + 1, d):
+                outer = np.outer(cols[:, i], cols[:, j].conj())
+                gens.append(Operator((outer + outer.conj().T) * inv_sqrt2, hermitian=True))
+        for i in range(d):
+            for j in range(i + 1, d):
+                outer = np.outer(cols[:, i], cols[:, j].conj())
+                gens.append(Operator(1j * (outer - outer.conj().T) * inv_sqrt2, hermitian=True))
+    return tuple(gens)
+
+
+def channel_apply(impl: GateImplementation, rho: Operator) -> Operator:
+    """The induced two-qubit channel: couple in the ancilla state, apply
+    the unitary, trace the ancilla back out."""
+    if rho.dim != 4:
+        raise ValueError(f"channel acts on two qubits, got operator dim {rho.dim}")
+    xi = impl.ancilla_state.amplitudes
+    u = impl.unitary.entries
+    evolved = u @ np.kron(rho.entries, np.outer(xi, xi.conj())) @ u.conj().T
+    d_anc = impl.spec.ancilla_dim
+    return Operator(np.trace(evolved.reshape(4, d_anc, 4, d_anc), axis1=1, axis2=3))
+
+
+def angle_states(t1, t2, t3, p1, p2, p3) -> np.ndarray:
+    """Six hyperspherical angles (arrays) -> unit 4-amplitude rows.
+
+    Three polar angles set the magnitudes, three azimuthal angles the
+    relative phases (the first amplitude is real), so a lattice over the
+    angles covers the sphere."""
+    s1 = np.sin(t1)
+    s12 = s1 * np.sin(t2)
+    return np.stack(
+        [
+            np.cos(t1) + 0j,
+            s1 * np.cos(t2) * np.exp(1j * np.asarray(p1)),
+            s12 * np.cos(t3) * np.exp(1j * np.asarray(p2)),
+            s12 * np.sin(t3) * np.exp(1j * np.asarray(p3)),
+        ],
+        axis=-1,
+    )
+
+
+def _kraus_fidelity_sq(impl: GateImplementation):
+    """psis (n, 4) -> F^2 = sum_a |<psi|C^dag K_a|psi>|^2, with the Kraus
+    operators K_a = (I x <a|) U (I x |xi>) read off the unitary."""
+    d_anc = impl.spec.ancilla_dim
+    u = impl.unitary.entries.reshape(4, d_anc, 4, d_anc)
+    xi = impl.ancilla_state.amplitudes
+    forms = np.stack([cnot_unitary().entries.conj().T @ (u[:, a] @ xi) for a in range(d_anc)])
+    stacked = forms.reshape(-1, 4).T
+
+    def fsq(psis: np.ndarray) -> np.ndarray:
+        images = (psis @ stacked).reshape(len(psis), d_anc, 4)
+        z = np.einsum("ni,nai->na", psis.conj(), images)
+        return np.sum(np.abs(z) ** 2, axis=1)
+
+    return fsq
+
+
+def grid_search_fidelity(
+    impl: GateImplementation,
+    coarse_step: float = np.pi / 8,
+    zoom_rounds: int = 6,
+    top_k: int = 32,
+    chunk: int = 200_000,
+) -> tuple[float, StateVector]:
+    """Worst-case fidelity by dense grid enumeration plus local zoom.
+
+    Sweep the full six-angle lattice at ``coarse_step``, keep the
+    ``top_k`` lowest cells, then repeatedly halve the step around each
+    survivor on a 5^6 stencil.  With six rounds the resolution around
+    every candidate minimum is finer than pi/256.
+    """
+    fsq_of = _kraus_fidelity_sq(impl)
+    theta_vals = np.arange(0.0, np.pi + 1e-12, coarse_step)
+    phi_vals = np.arange(0.0, 2 * np.pi - 1e-12, coarse_step)
+    shape = (len(theta_vals),) * 3 + (len(phi_vals),) * 3
+    total = int(np.prod(shape))
+
+    cand_f: list[float] = []
+    cand_x: list[np.ndarray] = []
+    for start in range(0, total, chunk):
+        idx = np.unravel_index(np.arange(start, min(start + chunk, total)), shape)
+        angles = [theta_vals[i] for i in idx[:3]] + [phi_vals[i] for i in idx[3:]]
+        fsq = fsq_of(angle_states(*angles))
+        take = min(top_k, fsq.size)
+        sel = np.argpartition(fsq, take - 1)[:take]
+        cand_f.extend(fsq[sel])
+        cand_x.extend(np.stack([a[sel] for a in angles], axis=1))
+    seeds = [cand_x[i] for i in np.argsort(cand_f)[:top_k]]
+
+    offsets = np.array(np.meshgrid(*([np.arange(-2, 3)] * 6), indexing="ij")).reshape(6, -1).T
+    best_f = math.inf
+    best_x = seeds[0]
+    for x in seeds:
+        step = coarse_step
+        for _ in range(zoom_rounds):
+            step *= 0.5
+            pts = x[None, :] + offsets * step
+            fsq = fsq_of(angle_states(*pts.T))
+            j = int(np.argmin(fsq))
+            x = pts[j]
+            if fsq[j] < best_f:
+                best_f = float(fsq[j])
+                best_x = x
+    return math.sqrt(max(best_f, 0.0)), StateVector.from_amplitudes(angle_states(*best_x))

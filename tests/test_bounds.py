@@ -19,10 +19,10 @@ from waylab import (
     ConservationLaw,
     HilbertSpec,
     IndirectMeasurementModel,
+    Operator,
     StateVector,
     cnot_unitary,
     fundamental_bound,
-    identity,
     identity_reports,
     identity_residuals,
     qway_bounds,
@@ -145,7 +145,7 @@ def test_commuting_law_degenerates_gracefully():
         spec=spec,
         probe_state=StateVector.basis(2, 0),
         ancilla_state=None,
-        interaction=identity(4),
+        interaction=Operator(np.eye(4), unitary=True),
         pointer=Z,
         observable=Z,
     )

@@ -20,7 +20,7 @@ from waylab import (
     HilbertSpec,
     cnot_unitary,
     commutant_basis,
-    sample_conserving_unitary,
+    conserving_unitary,
 )
 from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from waylab.cnot import implementation_from_json, implementation_to_json, pauli
@@ -41,11 +41,16 @@ def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: st
     return code, report
 
 
+def _conserving_unitary(law: ConservationLaw, seed: int):
+    basis = commutant_basis(law)
+    return conserving_unitary(basis, np.random.default_rng(seed).standard_normal(basis.generator_count))
+
+
 def _conserving_impl_json() -> tuple[dict, dict]:
     x = pauli("X")
     spec = HilbertSpec((2, 2))
     law = ConservationLaw(spec, x, x)
-    u, _ = sample_conserving_unitary(commutant_basis(law), seed=5)
+    u = _conserving_unitary(law, seed=5)
     impl = GateImplementation(spec, u)
     return implementation_to_json(impl), law_to_json(law)
 
@@ -117,7 +122,7 @@ def test_verify_identities_explicit_model(tmp_path):
     x = pauli("X")
     spec = HilbertSpec((2, 2))
     law = ConservationLaw(spec, x, x)
-    u, _ = sample_conserving_unitary(commutant_basis(law), seed=1)
+    u = _conserving_unitary(law, seed=1)
     model = IndirectMeasurementModel(
         spec=spec,
         probe_state=StateVector.basis(2, 0),

@@ -25,28 +25,24 @@ from waylab import (
     Operator,
     SearchConfig,
     StateVector,
-    channel_apply,
     cnot_unitary,
     commutant_basis,
     commutator,
+    conserving_unitary,
     expectation,
     gate_fidelity,
-    grid_search_fidelity,
-    identity,
     is_nondisturbing,
     is_precise,
     measurement_view,
     noise_fidelity_link,
-    partial_trace,
     pauli,
-    sample_conserving_unitary,
     state_fidelity,
-    tensor,
     tensor_states,
 )
-from waylab.cnot import angles_to_state, candidate_control_states
-from waylab.conservation import conserving_unitary
+from waylab.cnot import candidate_control_states
 from waylab.scenarios import build_spin, projected_gate_coefficients
+
+from oracles import angle_states, channel_apply, grid_search_fidelity
 
 
 X = pauli("X")
@@ -65,6 +61,16 @@ def hull_fidelity(u4: np.ndarray) -> float:
     return float(np.cos((2 * np.pi - widest) / 2))
 
 
+def conserving_xx_unitary(seed: int) -> Operator:
+    """A conserving X+X two-qubit unitary from standard normal coefficients."""
+    basis = commutant_basis(ConservationLaw(SPEC22, X, X))
+    return conserving_unitary(basis, np.random.default_rng(seed).standard_normal(basis.generator_count))
+
+
+def density(psi: StateVector) -> Operator:
+    return Operator(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
 def haar_unitary(seed: int, dim: int = 4) -> np.ndarray:
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -81,33 +87,33 @@ def test_cnot_truth_table():
     for k, target in enumerate(expected):
         out = u.entries @ basis[k].amplitudes
         assert abs(out[target]) == pytest.approx(1.0)
-    np.testing.assert_allclose((u @ u).entries, np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(u.entries @ u.entries, np.eye(4), atol=1e-15)
 
 
 def test_pauli_conventions():
     np.testing.assert_allclose(pauli("Y").entries, [[0, -1j], [1j, 0]], atol=0)
-    np.testing.assert_allclose((X @ pauli("Y")).entries, 1j * Z.entries, atol=1e-15)
+    np.testing.assert_allclose(X.entries @ pauli("Y").entries, 1j * Z.entries, atol=1e-15)
     with pytest.raises(ValueError):
         pauli("Q")
 
 
 def test_implementation_validation():
     with pytest.raises(ValueError):
-        GateImplementation(HilbertSpec((3, 2)), identity(6))
+        GateImplementation(HilbertSpec((3, 2)), Operator(np.eye(6)))
     with pytest.raises(ValueError):
-        GateImplementation(SPEC22, identity(4) * 1.5)
+        GateImplementation(SPEC22, Operator(np.eye(4) * 1.5))
     spec = HilbertSpec((2, 2, 2))
     with pytest.raises(ValueError):
-        GateImplementation(spec, identity(8))  # ancilla state required
+        GateImplementation(spec, Operator(np.eye(8)))  # ancilla state required
     with pytest.raises(ValueError):
-        GateImplementation(spec, identity(8), StateVector.basis(4, 0))
+        GateImplementation(spec, Operator(np.eye(8)), StateVector.basis(4, 0))
 
 
 def test_channel_apply_no_ancilla_is_conjugation():
     impl = GateImplementation(SPEC22, cnot_unitary())
     psi = StateVector.from_amplitudes([1.0, 0.0, 1.0, 0.0])
-    out = channel_apply(impl, psi.density())
-    expected = cnot_unitary().entries @ psi.density().entries @ cnot_unitary().entries.conj().T
+    out = channel_apply(impl, density(psi))
+    expected = cnot_unitary().entries @ density(psi).entries @ cnot_unitary().entries.conj().T
     np.testing.assert_allclose(out.entries, expected, atol=1e-14)
 
 
@@ -116,16 +122,20 @@ def test_channel_apply_traces_out_ancilla():
     u = Operator(haar_unitary(5, 8), unitary=True)
     impl = GateImplementation(spec, u, StateVector.basis(2, 0))
     psi = StateVector.from_amplitudes([1.0, 2.0, 0.0, 1j])
-    rho_out = channel_apply(impl, psi.density())
+    rho_out = channel_apply(impl, density(psi))
     assert rho_out.dim == 4
     assert np.trace(rho_out.entries).real == pytest.approx(1.0, abs=1e-12)
     assert rho_out.is_hermitian()
-    # independent reconstruction through the full-space density matrix
+    # independent reconstruction through the full-space density matrix,
+    # traced over the ancilla basis one vector at a time
     full = tensor_states(psi, StateVector.basis(2, 0))
     evolved = u.entries @ full.amplitudes
-    big = Operator(np.outer(evolved, evolved.conj()))
-    expected = partial_trace(big, HilbertSpec((4, 2)), (0,))
-    np.testing.assert_allclose(rho_out.entries, expected.entries, atol=1e-12)
+    big = np.outer(evolved, evolved.conj())
+    expected = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        bra = np.kron(np.eye(4), np.eye(2)[k])
+        expected += bra @ big @ bra.T
+    np.testing.assert_allclose(rho_out.entries, expected, atol=1e-12)
 
 
 def test_state_fidelity_matches_channel_overlap():
@@ -138,7 +148,7 @@ def test_state_fidelity_matches_channel_overlap():
             rng.standard_normal(4) + 1j * rng.standard_normal(4)
         )
         target = cnot_unitary().entries @ psi.amplitudes
-        rho_out = channel_apply(impl, psi.density())
+        rho_out = channel_apply(impl, density(psi))
         overlap = float(np.real(target.conj() @ rho_out.entries @ target))
         assert state_fidelity(impl, psi) ** 2 == pytest.approx(overlap, abs=1e-12)
 
@@ -146,7 +156,7 @@ def test_state_fidelity_matches_channel_overlap():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=6, max_size=6))
 def test_angles_always_give_normalized_states(angles):
-    psi = angles_to_state(angles)
+    psi = angle_states(*angles)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -156,7 +166,7 @@ def test_gate_fidelity_perfect_implementation():
     assert res.fidelity == pytest.approx(1.0, abs=1e-9)
     assert res.error_probability == pytest.approx(0.0, abs=1e-9)
     # global phase is invisible to the channel
-    phased = GateImplementation(SPEC22, cnot_unitary() * np.exp(0.7j))
+    phased = GateImplementation(SPEC22, Operator(cnot_unitary().entries * np.exp(0.7j)))
     res_p = gate_fidelity(phased, SearchConfig(restarts=8, max_iter=100))
     assert res_p.fidelity == pytest.approx(1.0, abs=1e-9)
 
@@ -190,15 +200,13 @@ def test_gate_fidelity_matches_hull_oracle(seed):
 
 
 def _hull_witness_cases():
-    law = ConservationLaw(SPEC22, X, X)
-    basis = commutant_basis(law)
     z_control = np.kron(Z.entries, np.eye(2)) @ cnot_unitary().entries
     cases = [
         pytest.param(cnot_unitary(), id="perfect"),  # one eigenvalue, four times
         pytest.param(Operator(z_control, unitary=True), id="z-control"),  # +-1
     ]
     cases += [
-        pytest.param(sample_conserving_unitary(basis, seed=s)[0], id=f"conserving-{s}")
+        pytest.param(conserving_xx_unitary(s), id=f"conserving-{s}")
         for s in range(6)
     ]
     return cases
@@ -308,12 +316,9 @@ def test_conserving_two_qubit_implementations_are_blind():
     # with charges X (x) I + I (x) X and no ancilla, |+-> pins the
     # total-charge sector while CNOT maps it across sectors, so every
     # conserving implementation scores exactly zero on that state
-    law = ConservationLaw(SPEC22, X, X)
-    basis = commutant_basis(law)
     plus_minus = StateVector.from_amplitudes([1.0, -1.0, 1.0, -1.0])
     for seed in range(6):
-        u, _ = sample_conserving_unitary(basis, seed=seed)
-        impl = GateImplementation(SPEC22, u)
+        impl = GateImplementation(SPEC22, conserving_xx_unitary(seed))
         assert state_fidelity(impl, plus_minus) <= 1e-12
         res = gate_fidelity(impl, SearchConfig(restarts=6, max_iter=150))
         assert res.fidelity <= 1e-6
@@ -336,10 +341,7 @@ def test_candidate_control_states_commutator_values():
 
 
 def _conserving_impl(seed: int):
-    law = ConservationLaw(SPEC22, X, X)
-    basis = commutant_basis(law)
-    u, _ = sample_conserving_unitary(basis, seed=seed)
-    return GateImplementation(SPEC22, u), law
+    return GateImplementation(SPEC22, conserving_xx_unitary(seed)), ConservationLaw(SPEC22, X, X)
 
 
 def test_noise_fidelity_link_reports():

@@ -15,17 +15,14 @@ from waylab import (
     HilbertSpec,
     IndirectMeasurementModel,
     Operator,
-    OutcomeDistribution,
     StateVector,
     cnot_unitary,
     disturbance_operator,
     error_operator,
     expectation,
     heisenberg,
-    identity,
     is_nondisturbing,
     is_precise,
-    outcome_distribution,
     rms_disturbance,
     rms_error,
     std_dev,
@@ -34,10 +31,13 @@ from waylab.cnot import pauli
 from waylab.measurement import CertificationResult, certification_states
 from waylab.sampling import random_conserving_model
 
+from oracles import OutcomeDistribution, outcome_distribution
+
 
 X = pauli("X")
 Z = pauli("Z")
 SPEC22 = HilbertSpec((2, 2))
+I4 = Operator(np.eye(4))
 KET0 = StateVector.basis(2, 0)
 PLUS = StateVector.from_amplitudes([1.0, 1.0])
 
@@ -59,7 +59,7 @@ def uncoupled_model() -> IndirectMeasurementModel:
         spec=SPEC22,
         probe_state=KET0,
         ancilla_state=None,
-        interaction=identity(4),
+        interaction=I4,
         pointer=Z,
         observable=Z,
     )
@@ -68,16 +68,16 @@ def uncoupled_model() -> IndirectMeasurementModel:
 def test_model_validation():
     with pytest.raises(ValueError):
         IndirectMeasurementModel(
-            SPEC22, KET0, None, identity(4) * 2.0, Z, Z
+            SPEC22, KET0, None, Operator(2.0 * np.eye(4)), Z, Z
         )  # not unitary
     with pytest.raises(ValueError):
-        IndirectMeasurementModel(SPEC22, KET0, None, identity(4), identity(3), Z)
+        IndirectMeasurementModel(SPEC22, KET0, None, I4, Operator(np.eye(3)), Z)
     with pytest.raises(ValueError):
         IndirectMeasurementModel(
-            SPEC22, KET0, None, identity(4), Z, Operator(1j * X.entries)
+            SPEC22, KET0, None, I4, Z, Operator(1j * X.entries)
         )  # observable not Hermitian
     with pytest.raises(ValueError):
-        IndirectMeasurementModel(SPEC22, StateVector.basis(3, 0), None, identity(4), Z, Z)
+        IndirectMeasurementModel(SPEC22, StateVector.basis(3, 0), None, I4, Z, Z)
 
 
 def test_initial_state_product():

@@ -1,0 +1,89 @@
+"""The public surface, pinned: what the CLI, the scenarios, the benchmark
+and the test oracles use, and nothing that only tests call.
+
+A name added to an ``__all__`` has to be added here too, which is the
+point: test-only helpers belong in ``tests/oracles.py``.
+"""
+
+import importlib
+
+import pytest
+
+import waylab
+
+MODULE_ALL = {
+    "operators": {
+        "FLAG_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
+        "tensor_states", "commutator", "evolve", "expectation", "std_dev",
+        "operator_norm", "zero",
+    },
+    "measurement": {
+        "IndirectMeasurementModel", "CertificationResult", "heisenberg",
+        "error_operator", "disturbance_operator", "rms_error", "rms_disturbance",
+        "certification_states", "is_precise", "is_nondisturbing",
+    },
+    "conservation": {
+        "ConservationError", "ConservationLaw", "CommutantBasis",
+        "conservation_residual", "commutant_basis", "conserving_unitary",
+    },
+    "bounds": {
+        "BoundReport", "identity_residuals", "identity_reports", "require_conserving",
+        "trade_off_reports", "qway_bounds", "summed_bound", "fundamental_bound",
+        "reports_to_csv",
+    },
+    "cnot": {
+        "GateImplementation", "SearchConfig", "FidelityResult", "cnot_unitary", "pauli",
+        "state_fidelity", "gate_fidelity", "measurement_view", "noise_fidelity_link",
+        "sigma_l3", "sigma_ceiling_fsq", "candidate_control_states",
+        "implementation_to_json", "implementation_from_json",
+    },
+    "scenarios": {
+        "SpinScenario", "BosonScenario", "OptimizeConfig", "OptimizationRun",
+        "CeilingViolation", "build_spin", "build_boson", "ceiling_qubit", "ceiling_boson",
+        "poisson_cutoff", "truncated_coherent", "sigma_l3_bound_check",
+        "projected_gate_coefficients", "optimize_fidelity", "way_positive_control",
+    },
+    "sampling": {
+        "random_state", "random_hermitian", "random_integer_spectrum_hermitian",
+        "random_law", "random_conserving_model", "random_conserving_implementation",
+    },
+    "serialize": {
+        "operator_to_json", "operator_from_json", "state_to_json", "state_from_json",
+        "spec_to_json", "spec_from_json", "law_to_json", "law_from_json",
+        "model_to_json", "model_from_json", "canonical_json", "digest",
+    },
+}
+
+PACKAGE_ALL = {
+    "HilbertSpec", "Operator", "StateVector", "commutator", "expectation",
+    "operator_norm", "std_dev", "tensor_states", "zero",
+    "CertificationResult", "certification_states", "IndirectMeasurementModel",
+    "disturbance_operator", "error_operator", "heisenberg", "is_nondisturbing",
+    "is_precise", "rms_disturbance", "rms_error",
+    "CommutantBasis", "ConservationError", "ConservationLaw", "commutant_basis",
+    "conservation_residual", "conserving_unitary",
+    "BoundReport", "fundamental_bound", "identity_reports", "identity_residuals",
+    "qway_bounds", "summed_bound", "trade_off_reports",
+    "FidelityResult", "GateImplementation", "SearchConfig", "cnot_unitary",
+    "gate_fidelity", "measurement_view", "noise_fidelity_link", "pauli", "state_fidelity",
+    "BosonScenario", "OptimizationRun", "OptimizeConfig", "SpinScenario", "build_boson",
+    "build_spin", "ceiling_boson", "ceiling_qubit", "optimize_fidelity",
+    "projected_gate_coefficients", "sigma_l3_bound_check", "way_positive_control",
+    "__version__",
+}
+
+
+def test_package_all_is_pinned():
+    assert len(waylab.__all__) == len(set(waylab.__all__))
+    assert set(waylab.__all__) == PACKAGE_ALL
+    for name in waylab.__all__:
+        assert hasattr(waylab, name), name
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ALL))
+def test_module_all_is_pinned(module):
+    mod = importlib.import_module(f"waylab.{module}")
+    assert len(mod.__all__) == len(set(mod.__all__))
+    assert set(mod.__all__) == MODULE_ALL[module]
+    for name in mod.__all__:
+        assert hasattr(mod, name), name

@@ -33,7 +33,6 @@ from waylab import (
     conservation_residual,
     conserving_unitary,
     expectation,
-    identity,
     is_nondisturbing,
     is_precise,
     operator_norm,
@@ -154,7 +153,7 @@ def test_sigma_check_untouched_field():
     # 2 sqrt(nbar), which for nbar=4 reads 4 against the bound
     # 2 sqrt(6) ~ 4.899
     sc = build_boson(4.0)
-    impl = GateImplementation(sc.spec, identity(sc.spec.total_dim), sc.ancilla_state)
+    impl = GateImplementation(sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state)
     rep = sigma_l3_bound_check(impl, sc)
     assert rep.relation == "sigma-l3"
     assert rep.lhs == pytest.approx(4.0, abs=1e-6)
@@ -169,7 +168,7 @@ def test_sigma_check_stable_under_larger_cutoff():
     for extra in (0, 5):
         sc = build_boson(1.0, cutoff=poisson_cutoff(1.0) + extra)
         impl = GateImplementation(
-            sc.spec, identity(sc.spec.total_dim), sc.ancilla_state
+            sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state
         )
         lhs.append(sigma_l3_bound_check(impl, sc).lhs)
     assert lhs[0] == pytest.approx(lhs[1], abs=1e-6)
@@ -286,7 +285,7 @@ def test_positive_control_z_basis():
 
 def test_positive_control_scalar_observable():
     law = ConservationLaw(HilbertSpec((2, 2)), X, X)
-    model = way_positive_control(identity(2) * 3.0, law)
+    model = way_positive_control(Operator(3.0 * np.eye(2), hermitian=True), law)
     assert is_precise(model)
     assert is_nondisturbing(model)
 

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from waylab import HilbertSpec, IndirectMeasurementModel, Operator, StateVector, cnot_unitary
-from waylab.cnot import pauli
+from waylab import (
+    GateImplementation, HilbertSpec, IndirectMeasurementModel, Operator, StateVector, cnot_unitary,
+)
+from waylab.cnot import implementation_to_json, pauli
 from waylab.serialize import (
     canonical_json,
     digest,
@@ -52,6 +54,15 @@ def test_operator_from_json_validates_shape():
 def test_complexes_encode_as_pairs():
     op = Operator(np.array([[1 + 2j]]))
     assert operator_to_json(op)["entries"] == [[[1.0, 2.0]]]
+    # the array encoder equals the entry-by-entry loop, signed zeros included
+    mixed = _random_operator(3, 4).entries * np.array([1.0, 0.0, -0.0, 1.0])
+    pairs = [[[float(z.real), float(z.imag)] for z in row] for row in mixed]
+    encoded = operator_to_json(Operator(mixed))["entries"]
+    assert json.dumps(encoded) == json.dumps(pairs)
+    assert "-0.0" in json.dumps(encoded)
+    psi = StateVector(np.array([-0.0, -1j * 0.6, 0.8]))
+    amplitudes = state_to_json(psi)["amplitudes"]
+    assert json.dumps(amplitudes) == json.dumps([[z.real, z.imag] for z in psi.amplitudes])
 
 
 def test_state_roundtrip():
@@ -121,3 +132,18 @@ def test_digest_known_value_is_frozen():
     assert digest(answer=42) == digest(answer=42)
     frozen = digest(answer=42)
     assert frozen == "ecf59a2696ca44a4"
+
+
+def test_implementation_digest_is_frozen():
+    # regression pin of the wire format of a whole implementation: the
+    # entries are exact products, so the digest is the same on every
+    # platform, and the negated zeros pin the sign of -0.0 in the encoding
+    rot = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    impl = GateImplementation(
+        HilbertSpec((2, 2, 2)),
+        Operator(-np.kron(cnot_unitary().entries, rot)),
+        StateVector(np.array([0.6, 0.8j])),
+    )
+    doc = implementation_to_json(impl)
+    assert canonical_json(doc).count("-0.0") == 112
+    assert digest(implementation=doc) == "36d73ebbf90afdce"
