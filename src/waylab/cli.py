@@ -25,7 +25,6 @@ from .cnot import (
     SearchConfig,
     gate_fidelity,
     implementation_from_json,
-    implementation_to_json,
     measurement_view,
     noise_fidelity_link,
     pauli,
@@ -283,7 +282,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
         records.extend(_record(r, tol) for r in reports)
         sigma = reports[0].details["sigma_l3"]
         ceiling = reports[0].details["ceiling_fsq"]
-        tag = digest(implementation=implementation_to_json(impl), law=law)
+        tag = digest(implementation=impl, law=law)
         ceiling_report = BoundReport(
             "sigma-ceiling",
             "inequality",

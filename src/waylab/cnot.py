@@ -16,6 +16,7 @@ error to the measurement trade-off bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -116,6 +117,17 @@ class GateImplementation:
             raise ValueError(
                 f"ancilla state dim {self.ancilla_state.dim}, expected {s.ancilla_dim}"
             )
+
+    @functools.cached_property
+    def _measurement_view(self) -> IndirectMeasurementModel:
+        return IndirectMeasurementModel(
+            spec=self.spec,
+            probe_state=StateVector.basis(2, 0),
+            ancilla_state=self.ancilla_state,
+            interaction=self.unitary,
+            pointer=pauli("Z"),
+            observable=pauli("Z"),
+        )
 
 
 def implementation_to_json(impl: GateImplementation) -> dict[str, Any]:
@@ -441,16 +453,10 @@ def measurement_view(impl: GateImplementation) -> IndirectMeasurementModel:
     target, so running the implementation with the target prepared in
     |0> and reading its Z afterwards is a measurement of the control's
     Z; the gate's noise figures are exactly this model's error and
-    disturbance.
+    disturbance.  The model is built once per implementation (both are
+    immutable), so its error and disturbance operators are too.
     """
-    return IndirectMeasurementModel(
-        spec=impl.spec,
-        probe_state=StateVector.basis(2, 0),
-        ancilla_state=impl.ancilla_state,
-        interaction=impl.unitary,
-        pointer=pauli("Z"),
-        observable=pauli("Z"),
-    )
+    return impl._measurement_view
 
 
 def candidate_control_states() -> dict[str, StateVector]:
@@ -467,10 +473,24 @@ def candidate_control_states() -> dict[str, StateVector]:
     }
 
 
-def sigma_l3(impl: GateImplementation, law: ConservationLaw, control: StateVector) -> float:
+def _evolved_ancilla_charge(impl: GateImplementation, law: ConservationLaw) -> Operator:
+    """L3' = U^dag L3 U, the ancilla charge after the interaction."""
+    return evolve(impl.spec.embed(law.ancilla_part, "ancilla"), impl.unitary)
+
+
+def sigma_l3(
+    impl: GateImplementation,
+    law: ConservationLaw,
+    control: StateVector,
+    *,
+    l3_evolved: Operator | None = None,
+) -> float:
     """sigma(L3'): deviation of the evolved ancilla charge U^dag L3 U in
-    the measurement-view input (control, target |0>, ancilla state)."""
-    l3_evolved = evolve(impl.spec.embed(law.ancilla_part, "ancilla"), impl.unitary)
+    the measurement-view input (control, target |0>, ancilla state).
+    A caller evaluating several controls passes L3' once as
+    ``l3_evolved``."""
+    if l3_evolved is None:
+        l3_evolved = _evolved_ancilla_charge(impl, law)
     return std_dev(l3_evolved, measurement_view(impl).initial_state(control))
 
 
@@ -527,12 +547,13 @@ def noise_fidelity_link(
     candidates = candidate_control_states()
     chosen = psi if psi is not None else candidates["iplus"]
     comm_zx = commutator(pauli("Z"), pauli("X"))
+    l3_evolved = _evolved_ancilla_charge(impl, law)
 
     def ingredients(state: StateVector) -> dict[str, float]:
         return {
             "eps": rms_error(view, state),
             "eta": rms_disturbance(view, state),
-            "sigma_l3": sigma_l3(impl, law, state),
+            "sigma_l3": sigma_l3(impl, law, state, l3_evolved=l3_evolved),
             "commutator_abs": abs(expectation(comm_zx, state)),
         }
 
@@ -552,7 +573,7 @@ def noise_fidelity_link(
     details["fidelity_sq"] = result.fidelity_sq
     details["ceiling_fsq"] = sigma_ceiling_fsq(main["sigma_l3"])
 
-    tag = digest(implementation=implementation_to_json(impl), law=law, psi=chosen)
+    tag = digest(implementation=impl, law=law, psi=chosen)
     return (
         BoundReport("squared-noise", "inequality", sq_lhs, sq_rhs, sq_rhs - sq_lhs, tag, details),
         BoundReport("fidelity-link", "inequality", link_lhs, link_rhs, link_rhs - link_lhs, tag, details),

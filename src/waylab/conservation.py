@@ -12,6 +12,7 @@ over directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -80,7 +81,15 @@ class ConservationLaw:
                 raise ValueError(f"{name} must be Hermitian")
 
     def total(self) -> Operator:
-        """The conserved quantity lifted to the total space."""
+        """The conserved quantity lifted to the total space.
+
+        Built on first use and kept: the parts are read-only, so it
+        cannot go stale.
+        """
+        return self._total
+
+    @functools.cached_property
+    def _total(self) -> Operator:
         s = self.spec
         tot = (
             s.embed(self.object_part, "object").entries

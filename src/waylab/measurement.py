@@ -12,6 +12,7 @@ the conservation-law identities and bounds live.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal
@@ -91,6 +92,18 @@ class IndirectMeasurementModel:
         if self.observable.dim != s.object_dim or not self.observable.is_hermitian():
             raise ValueError("observable must be Hermitian on the object factor")
 
+    @functools.cached_property
+    def _noise_operators(self) -> tuple[Operator, Operator]:
+        """The error and disturbance operators, built once per model: the
+        model is immutable, so they cannot go stale."""
+        measured = heisenberg(self, "measured", evolved=False)
+        pointer_after = heisenberg(self, "pointer", evolved=True).entries
+        measured_after = evolve(measured, self.interaction).entries
+        return (
+            Operator(pointer_after - measured.entries, hermitian=True),
+            Operator(measured_after - measured.entries, hermitian=True),
+        )
+
     def initial_state(self, psi: StateVector) -> StateVector:
         """Product state object x probe x ancilla for object state psi."""
         if psi.dim != self.spec.object_dim:
@@ -126,20 +139,12 @@ def heisenberg(
 
 def error_operator(model: IndirectMeasurementModel) -> Operator:
     """Pointer after the interaction minus observable before it."""
-    return Operator(
-        heisenberg(model, "pointer", evolved=True).entries
-        - heisenberg(model, "measured", evolved=False).entries,
-        hermitian=True,
-    )
+    return model._noise_operators[0]
 
 
 def disturbance_operator(model: IndirectMeasurementModel) -> Operator:
     """Observable after the interaction minus observable before it."""
-    return Operator(
-        heisenberg(model, "measured", evolved=True).entries
-        - heisenberg(model, "measured", evolved=False).entries,
-        hermitian=True,
-    )
+    return model._noise_operators[1]
 
 
 def _rms(op: Operator, state: StateVector) -> float:

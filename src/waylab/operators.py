@@ -47,6 +47,17 @@ def _unitarity_defect(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(entries.shape[0]))))
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two vectors or two matrices, left factor
+    slowest: the products ``np.kron`` forms, bit for bit, without its
+    shape handling, which dominates at these sizes."""
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    )
+
+
 def _as_complex_matrix(entries: object) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -218,15 +229,15 @@ class HilbertSpec:
         if role == "object":
             if op.dim != d_obj:
                 raise ValueError(f"object operator has dim {op.dim}, expected {d_obj}")
-            mat = np.kron(op.entries, np.eye(d_probe * d_anc))
+            mat = _outer(op.entries, np.eye(d_probe * d_anc))
         elif role == "probe":
             if op.dim != d_probe:
                 raise ValueError(f"probe operator has dim {op.dim}, expected {d_probe}")
-            mat = np.kron(np.kron(np.eye(d_obj), op.entries), np.eye(d_anc))
+            mat = _outer(_outer(np.eye(d_obj), op.entries), np.eye(d_anc))
         elif role == "ancilla":
             if op.dim != d_anc:
                 raise ValueError(f"ancilla operator has dim {op.dim}, expected {d_anc}")
-            mat = np.kron(np.eye(d_obj * d_probe), op.entries)
+            mat = _outer(np.eye(d_obj * d_probe), op.entries)
         else:
             raise ValueError(f"unknown role {role!r}")
         return Operator(mat, hermitian=op.hermitian, unitary=op.unitary)
@@ -242,7 +253,7 @@ def tensor_states(*states: StateVector) -> StateVector:
         raise ValueError("tensor_states() needs at least one state")
     amps = states[0].amplitudes
     for s in states[1:]:
-        amps = np.kron(amps, s.amplitudes)
+        amps = _outer(amps, s.amplitudes)
     return StateVector(amps)
 
 

@@ -31,7 +31,6 @@ from .cnot import (
     candidate_control_states,
     cnot_unitary,
     gate_fidelity,
-    implementation_to_json,
     measurement_view,
     pauli,
     sigma_ceiling_fsq,
@@ -285,10 +284,7 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
         "sigma_ceiling_fsq": sigma_ceiling_fsq(sigma),
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }
-    tag = digest(
-        implementation=implementation_to_json(impl),
-        scenario={"nbar": scenario.nbar, "cutoff": scenario.cutoff},
-    )
+    tag = digest(implementation=impl, scenario={"nbar": scenario.nbar, "cutoff": scenario.cutoff})
     return BoundReport("sigma-l3", "inequality", sigma, rhs, rhs - sigma, tag, details)
 
 

@@ -9,8 +9,10 @@ and configs reference heavyweight inputs through short content digests
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import weakref
 from typing import Any
 
 import numpy as np
@@ -36,23 +38,36 @@ __all__ = [
 
 
 def _pairs(values: np.ndarray) -> list:
-    """Nested lists of ``[re, im]`` pairs, one numpy call for the array."""
-    return np.stack([values.real, values.imag], -1).tolist()
+    """Nested lists of ``[re, im]`` pairs: the complex128 array viewed as
+    float64 pairs, converted in one call."""
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
+    return flat.reshape(values.shape + (2,)).tolist()
 
 
 def operator_to_json(op: Operator) -> dict[str, Any]:
     return {"dim": op.dim, "entries": _pairs(op.entries)}
 
 
+def _complexes(pairs: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Nested ``[re, im]`` pairs of the given shape, one numpy call.
+
+    The pairs land in a float64 array of shape ``shape + (2,)``, viewed
+    as complex128: bit-exact, like the encoder.  Ragged nesting, pairs
+    of the wrong length and non-numeric entries (strings included, which
+    a float conversion would parse) raise ``ValueError``.
+    """
+    try:
+        arr = np.array(pairs)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != shape + (2,) or arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be {'x'.join(map(str, shape))} numeric [re, im] pairs")
+    return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
+
+
 def operator_from_json(data: dict[str, Any]) -> Operator:
     dim = int(data["dim"])
-    rows = data["entries"]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ValueError(f"entries do not form a {dim}x{dim} matrix")
-    mat = np.array(
-        [[complex(c[0], c[1]) for c in row] for row in rows], dtype=np.complex128
-    )
-    return Operator(mat)
+    return Operator(_complexes(data["entries"], (dim, dim), "entries"))
 
 
 def state_to_json(psi: StateVector) -> dict[str, Any]:
@@ -61,10 +76,7 @@ def state_to_json(psi: StateVector) -> dict[str, Any]:
 
 def state_from_json(data: dict[str, Any]) -> StateVector:
     dim = int(data["dim"])
-    amps = data["amplitudes"]
-    if len(amps) != dim:
-        raise ValueError(f"amplitude count {len(amps)} does not match dim {dim}")
-    return StateVector(np.array([complex(c[0], c[1]) for c in amps], dtype=np.complex128))
+    return StateVector(_complexes(data["amplitudes"], (dim,), "amplitudes"))
 
 
 def spec_to_json(spec: HilbertSpec) -> dict[str, Any]:
@@ -136,30 +148,73 @@ def model_from_json(data: dict[str, Any]) -> IndirectMeasurementModel:
     )
 
 
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Any) -> str:
     """Deterministic JSON encoding: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(payload)
 
 
-_ENCODERS = {
-    Operator: operator_to_json,
-    StateVector: state_to_json,
-    HilbertSpec: spec_to_json,
-    ConservationLaw: law_to_json,
-    IndirectMeasurementModel: model_to_json,
-}
+# Canonical text of each operator and state digested so far, utf-8
+# encoded.  Their entries are read-only, so the text cannot go stale,
+# and it is dropped with the object.
+_CANONICAL: "weakref.WeakKeyDictionary[Operator | StateVector, bytes]" = (
+    weakref.WeakKeyDictionary()
+)
+
+_LEAF_ENCODERS = {Operator: operator_to_json, StateVector: state_to_json}
+
+
+def _composite_members(value: Any) -> dict[str, Any] | None:
+    """The fields of a law, a model or a gate implementation by name, or
+    ``None`` for anything else.  Such a value is a dataclass whose fields
+    are all specs, operators and states, and its document is its fields
+    by name, as ``law_to_json``, ``model_to_json`` and
+    ``implementation_to_json`` write it."""
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
+        return None
+    members = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if all(isinstance(v, (HilbertSpec, Operator, StateVector)) for v in members.values()):
+        return members
+    return None
+
+
+def _canonical_bytes(value: Any) -> bytes:
+    """``canonical_json`` of the value's document, utf-8 encoded, with
+    operators and states encoded once per object and composites spliced
+    from their parts."""
+    enc = _LEAF_ENCODERS.get(type(value))
+    if enc is not None:
+        text = _CANONICAL.get(value)
+        if text is None:
+            text = _CANONICAL[value] = canonical_json(enc(value)).encode("utf-8")
+        return text
+    if isinstance(value, HilbertSpec):
+        return canonical_json(spec_to_json(value)).encode("utf-8")
+    members = _composite_members(value)
+    if members is not None:
+        return _object_bytes(members)
+    return canonical_json(value).encode("utf-8")
+
+
+def _object_bytes(members: dict[str, Any]) -> bytes:
+    """A JSON object with sorted keys, its members' text spliced in."""
+    return b"{" + b",".join(
+        _CANONICAL_ENCODER.encode(name).encode("utf-8") + b":" + _canonical_bytes(value)
+        for name, value in sorted(members.items())
+    ) + b"}"
 
 
 def digest(**parts: Any) -> str:
     """Short content digest of the named inputs.
 
-    Each part is encoded with its type's JSON encoder (or used directly
-    if it is already JSON-compatible), the parts are assembled into one
-    canonical document keyed by name, and the first 16 hex digits of its
-    sha256 identify the input set in reports.
+    The parts form one canonical document keyed by name, and the first
+    16 hex digits of its sha256 identify the input set in reports.  A
+    spec, operator or state stands for its JSON encoding, a law, model
+    or gate implementation for the object of its fields' encodings, and
+    any other value for itself (it must be JSON-compatible).  The bytes
+    hashed are ``canonical_json`` of that document, but each operator
+    and state is encoded only the first time it is digested.
     """
-    doc: dict[str, Any] = {}
-    for name, value in sorted(parts.items()):
-        enc = _ENCODERS.get(type(value))
-        doc[name] = enc(value) if enc else value
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(_object_bytes(parts)).hexdigest()[:16]

@@ -3,29 +3,60 @@
 Each oracle here takes the long way round on purpose: dense
 generators instead of the blockwise exponential, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
-the sphere descent.  None of them calls the code it checks, so an
+the sphere descent, the whole document re-encoded instead of cached
+per-object text.  None of them calls the code it checks, so an
 agreement between the two is evidence rather than a tautology.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Any, Literal
 
 import numpy as np
 
-from waylab.cnot import GateImplementation, cnot_unitary
-from waylab.conservation import CommutantBasis
+from waylab.cnot import GateImplementation, cnot_unitary, implementation_to_json
+from waylab.conservation import CommutantBasis, ConservationLaw
 from waylab.measurement import IndirectMeasurementModel, heisenberg
 from waylab.operators import (
     DEGENERACY_TOL,
     FLAG_TOL,
+    HilbertSpec,
     Operator,
     StateVector,
     expectation,
     operator_norm,
 )
+from waylab.serialize import (
+    law_to_json,
+    model_to_json,
+    operator_to_json,
+    spec_to_json,
+    state_to_json,
+)
+
+
+_DOCUMENTS = {
+    Operator: operator_to_json,
+    StateVector: state_to_json,
+    HilbertSpec: spec_to_json,
+    ConservationLaw: law_to_json,
+    IndirectMeasurementModel: model_to_json,
+    GateImplementation: implementation_to_json,
+}
+
+
+def digest_of_documents(**parts: Any) -> str:
+    """The digest's defining formula, evaluated from scratch: each part
+    replaced by its wire-format document, the documents keyed by name in
+    one JSON text with sorted keys and no whitespace, and the first 16
+    hex digits of that text's sha256."""
+    doc = {name: _DOCUMENTS.get(type(value), lambda v: v)(value) for name, value in parts.items()}
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def expm_skew(h: Operator, t: float = 1.0) -> Operator:

@@ -13,6 +13,7 @@ import pytest
 import waylab.cli
 import waylab.operators
 import waylab.scenarios
+import waylab.serialize
 from waylab import (
     FidelityResult,
     ConservationLaw,
@@ -229,6 +230,45 @@ def test_eval_impl_checks_unitarity_of_the_implementation_once(tmp_path, monkeyp
     assert code == EXIT_OK
     assert len(report["records"]) == 3
     assert len(products) == 1
+
+
+def test_eval_impl_encodes_the_implementation_once(tmp_path, monkeypatch):
+    # the link's digest and the sigma-ceiling record's digest both cover
+    # the implementation; its unitary is rendered as canonical text once
+    impl_json, law_json = _conserving_impl_json()
+    matrix = implementation_from_json(impl_json).unitary.entries
+    encodes = []
+    pairs = waylab.serialize._pairs
+
+    def counting(values):
+        if values.shape == matrix.shape and np.array_equal(values, matrix):
+            encodes.append(1)
+        return pairs(values)
+
+    monkeypatch.setattr(waylab.serialize, "_pairs", counting)
+    code, report = run_cli(
+        tmp_path,
+        "eval-impl",
+        {"implementation": impl_json, "law": law_json, "search": {"restarts": 2, "max_iter": 20}},
+    )
+    assert code == EXIT_OK
+    assert len({r["digest"] for r in report["records"]}) == 2
+    assert len(encodes) == 1
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda p: p[:1], lambda p: p + [7.0], lambda p: [repr(p[0]), p[1]]],
+    ids=["one-number", "three-numbers", "string"],
+)
+def test_eval_impl_with_malformed_unitary_is_input_error(tmp_path, capsys, spoil):
+    # the spoiled pair keeps its numbers, so only the shape or type is wrong
+    impl_json, law_json = _conserving_impl_json()
+    entries = impl_json["unitary"]["entries"]
+    entries[0][0] = spoil(entries[0][0])
+    code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
+    assert code == EXIT_USAGE
+    assert "input error" in capsys.readouterr().err
 
 
 def test_eval_impl_requires_implementation(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import waylab.serialize
 from waylab import (
     GateImplementation, HilbertSpec, IndirectMeasurementModel, Operator, StateVector, cnot_unitary,
 )
@@ -23,7 +24,10 @@ from waylab.serialize import (
     state_from_json,
     state_to_json,
 )
-from waylab.conservation import ConservationLaw
+from waylab.conservation import ConservationLaw, commutant_basis
+from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
+
+from oracles import digest_of_documents
 
 
 def _random_operator(seed: int, dim: int) -> Operator:
@@ -49,6 +53,46 @@ def test_operator_from_json_validates_shape():
     data["entries"] = data["entries"][:2]
     with pytest.raises(ValueError):
         operator_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "bad_pair",
+    [[1.0], [1.0, 0.0, 7.0], ["1.0", 0.0], [None, 0.0], [[1.0, 0.0], 0.0], 1.0],
+    ids=["one-number", "three-numbers", "string", "null", "nested", "bare-number"],
+)
+def test_malformed_pairs_are_value_errors(bad_pair):
+    # one bad pair among good ones, and every pair bad, for operators and states
+    data = operator_to_json(_random_operator(4, 2))
+    data["entries"][1][0] = bad_pair
+    with pytest.raises(ValueError):
+        operator_from_json(data)
+    with pytest.raises(ValueError):
+        operator_from_json({"dim": 1, "entries": [[bad_pair]]})
+    amps = state_to_json(StateVector.basis(2, 0))
+    amps["amplitudes"][1] = bad_pair
+    with pytest.raises(ValueError):
+        state_from_json(amps)
+    with pytest.raises(ValueError):
+        state_from_json({"dim": 1, "amplitudes": [bad_pair]})
+
+
+def test_decode_validates_counts():
+    with pytest.raises(ValueError):
+        state_from_json({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+    data = operator_to_json(_random_operator(5, 3))
+    data["entries"][2] = data["entries"][2][:2]
+    with pytest.raises(ValueError):
+        operator_from_json(data)
+
+
+def test_decode_is_bit_exact_with_integers_and_signed_zeros():
+    data = {"dim": 2, "entries": [[[1, -0.0], [-0.0, 0]], [[2, 3], [0.1, -1e-300]]]}
+    entries = operator_from_json(data).entries
+    expected = np.array([[complex(1, -0.0), complex(-0.0, 0)], [complex(2, 3), complex(0.1, -1e-300)]])
+    np.testing.assert_array_equal(entries.view(np.float64), expected.view(np.float64))
+    assert np.signbit(entries.view(np.float64)).tolist() == [
+        [False, True, True, False], [False, False, False, True],
+    ]
 
 
 def test_complexes_encode_as_pairs():
@@ -147,3 +191,51 @@ def test_implementation_digest_is_frozen():
     doc = implementation_to_json(impl)
     assert canonical_json(doc).count("-0.0") == 112
     assert digest(implementation=doc) == "36d73ebbf90afdce"
+
+
+def _with_signed_zeros(values: np.ndarray) -> np.ndarray:
+    """The same numbers with the imaginary zeros negated."""
+    out = np.array(values, dtype=np.complex128)
+    flat = out.view(np.float64)
+    flat[flat == 0.0] = -0.0
+    return out
+
+
+def test_digest_matches_the_document_formula(monkeypatch):
+    # the cached, spliced digest hashes the same bytes as canonical_json
+    # of the *_to_json documents; the second digest of each part set is
+    # answered from the per-object cache without encoding anything
+    cases = []
+    for seed, dims in enumerate([(2, 2), (2, 3), (2, 2, 2), (3, 2, 2, 2)]):
+        spec = HilbertSpec(dims)
+        model, law = random_conserving_model(seed, spec)
+        psi = random_state(np.random.default_rng(seed), spec.object_dim)
+        cases += [
+            {"model": model, "law": law, "psi": psi},
+            {"model": model, "law": law},
+            {"law": law, "basis": "x", "scenario": {"nbar": 1.5, "cutoff": 9}},
+            {"state": StateVector(_with_signed_zeros(psi.amplitudes)), "spec": spec},
+        ]
+        if dims[:2] == (2, 2):
+            impl = random_conserving_implementation(
+                seed, law, basis=commutant_basis(law),
+                ancilla_state=random_state(np.random.default_rng(seed + 7), spec.ancilla_dim),
+            )
+            cases.append({"implementation": impl, "law": law, "psi": random_state(np.random.default_rng(1), 2)})
+            signed = GateImplementation(
+                spec, Operator(_with_signed_zeros(impl.unitary.entries)), impl.ancilla_state,
+            )
+            cases.append({"implementation": signed})
+    cases.append({"op": Operator(_with_signed_zeros(np.eye(3))), "answer": 42})
+
+    encodes = []
+    pairs = waylab.serialize._pairs
+    monkeypatch.setattr(waylab.serialize, "_pairs", lambda v: encodes.append(1) or pairs(v))
+    for parts in cases:
+        expected = digest_of_documents(**parts)
+        assert digest(**parts) == expected
+        encodes.clear()
+        assert digest(**parts) == expected
+        assert encodes == []
+    assert any("-0.0" in canonical_json(implementation_to_json(c["implementation"]))
+               for c in cases if "implementation" in c)
