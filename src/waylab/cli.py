@@ -154,7 +154,7 @@ def _finish(
         summary.update(extra_summary)
 
     report = {
-        "schema": 1,
+        "schema": 2,
         "header": {
             "command": command,
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),

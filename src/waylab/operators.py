@@ -240,7 +240,12 @@ class HilbertSpec:
             mat = _outer(np.eye(d_obj * d_probe), op.entries)
         else:
             raise ValueError(f"unknown role {role!r}")
-        return Operator(mat, hermitian=op.hermitian, unitary=op.unitary)
+        # a Kronecker product with identities keeps both properties, so
+        # the operand's flags carry over without a full-dimension check
+        lifted = Operator(mat)
+        object.__setattr__(lifted, "hermitian", op.hermitian)
+        object.__setattr__(lifted, "unitary", op.unitary)
+        return lifted
 
 
 def zero(dim: int) -> Operator:

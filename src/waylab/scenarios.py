@@ -28,6 +28,7 @@ from .bounds import BoundReport
 from .cnot import (
     GateImplementation,
     SearchConfig,
+    _evolved_ancilla_charge,
     candidate_control_states,
     cnot_unitary,
     gate_fidelity,
@@ -43,7 +44,7 @@ from .conservation import (
     conserving_unitary,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, commutator, evolve
+from .operators import HilbertSpec, Operator, StateVector, commutator
 from .serialize import digest
 
 __all__ = [
@@ -266,11 +267,11 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
         raise ValueError("implementation does not live on the scenario's space")
     control = candidate_control_states()["iplus"]
     full = measurement_view(impl).initial_state(control)
-    sigma = sigma_l3(impl, scenario.law, control)
+    l3_evolved = _evolved_ancilla_charge(impl, scenario.law)
+    sigma = sigma_l3(impl, scenario.law, control, l3_evolved=l3_evolved)
 
-    number_op = Operator(0.5 * scenario.law.ancilla_part.entries, hermitian=True)
-    n_evolved = evolve(impl.spec.embed(number_op, "ancilla"), impl.unitary)
-    vec = n_evolved.entries @ full.amplitudes
+    # N' = L3'/2: halving is exact, so this is U^dag (I x N) U bit for bit
+    vec = (0.5 * l3_evolved.entries) @ full.amplitudes
     mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
     var_n = max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0)
 

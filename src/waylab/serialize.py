@@ -4,7 +4,10 @@ Complex numbers are stored as ``[re, im]`` pairs.  Python's shortest
 round-trip float representation makes the encoding bit-exact: loading a
 dumped object reproduces the original arrays entry for entry.  Reports
 and configs reference heavyweight inputs through short content digests
-(sha256 over the canonical JSON encoding) rather than inlining them.
+rather than inlining them: sha256 over a small canonical JSON header
+(each part's kind, shape, dtype and spec) followed by the arrays' raw
+little-endian bytes, so digesting an operator never renders its floats
+as text.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import weakref
 from typing import Any
 
 import numpy as np
@@ -156,65 +158,43 @@ def canonical_json(payload: Any) -> str:
     return _CANONICAL_ENCODER.encode(payload)
 
 
-# Canonical text of each operator and state digested so far, utf-8
-# encoded.  Their entries are read-only, so the text cannot go stale,
-# and it is dropped with the object.
-_CANONICAL: "weakref.WeakKeyDictionary[Operator | StateVector, bytes]" = (
-    weakref.WeakKeyDictionary()
-)
-
-_LEAF_ENCODERS = {Operator: operator_to_json, StateVector: state_to_json}
-
-
-def _composite_members(value: Any) -> dict[str, Any] | None:
-    """The fields of a law, a model or a gate implementation by name, or
-    ``None`` for anything else.  Such a value is a dataclass whose fields
-    are all specs, operators and states, and its document is its fields
-    by name, as ``law_to_json``, ``model_to_json`` and
-    ``implementation_to_json`` write it."""
-    if not dataclasses.is_dataclass(value) or isinstance(value, type):
-        return None
-    members = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    if all(isinstance(v, (HilbertSpec, Operator, StateVector)) for v in members.values()):
-        return members
-    return None
-
-
-def _canonical_bytes(value: Any) -> bytes:
-    """``canonical_json`` of the value's document, utf-8 encoded, with
-    operators and states encoded once per object and composites spliced
-    from their parts."""
-    enc = _LEAF_ENCODERS.get(type(value))
-    if enc is not None:
-        text = _CANONICAL.get(value)
-        if text is None:
-            text = _CANONICAL[value] = canonical_json(enc(value)).encode("utf-8")
-        return text
-    if isinstance(value, HilbertSpec):
-        return canonical_json(spec_to_json(value)).encode("utf-8")
-    members = _composite_members(value)
-    if members is not None:
-        return _object_bytes(members)
-    return canonical_json(value).encode("utf-8")
-
-
-def _object_bytes(members: dict[str, Any]) -> bytes:
-    """A JSON object with sorted keys, its members' text spliced in."""
-    return b"{" + b",".join(
-        _CANONICAL_ENCODER.encode(name).encode("utf-8") + b":" + _canonical_bytes(value)
-        for name, value in sorted(members.items())
-    ) + b"}"
+def _header(members: dict[str, Any], arrays: list[np.ndarray]) -> dict[str, Any]:
+    """Each member's kind-tagged header node by name; the members'
+    arrays are appended to ``arrays`` in sorted depth-first order."""
+    out: dict[str, Any] = {}
+    for name in sorted(members):
+        value = members[name]
+        if isinstance(value, (Operator, StateVector)):
+            arr = value.entries if isinstance(value, Operator) else value.amplitudes
+            kind = "operator" if isinstance(value, Operator) else "state"
+            arrays.append(arr)
+            out[name] = {"kind": kind, "shape": list(arr.shape), "dtype": "<c16"}
+        elif isinstance(value, HilbertSpec):
+            out[name] = {"kind": "spec", "spec": spec_to_json(value)}
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+            out[name] = {"kind": "object", "fields": _header(fields, arrays)}
+        else:
+            out[name] = {"kind": "json", "value": value}
+    return out
 
 
 def digest(**parts: Any) -> str:
     """Short content digest of the named inputs.
 
-    The parts form one canonical document keyed by name, and the first
-    16 hex digits of its sha256 identify the input set in reports.  A
-    spec, operator or state stands for its JSON encoding, a law, model
-    or gate implementation for the object of its fields' encodings, and
-    any other value for itself (it must be JSON-compatible).  The bytes
-    hashed are ``canonical_json`` of that document, but each operator
-    and state is encoded only the first time it is digested.
+    The first 16 hex digits of the sha256 of a ``canonical_json`` header
+    followed by the raw bytes of every operator's and state's array,
+    little-endian complex128 (``<c16``) in the header's sorted
+    depth-first order.  The header maps each part's name to a node
+    tagged with its kind: an operator or state gives its shape and
+    dtype, a spec its ``spec_to_json``, a law, model or gate
+    implementation its fields' nodes by name, and any other value
+    itself (it must be JSON-compatible).  The header fixes every
+    array's length, and for non-NaN floats bits and shortest repr
+    determine each other, signed zeros included.
     """
-    return hashlib.sha256(_object_bytes(parts)).hexdigest()[:16]
+    arrays: list[np.ndarray] = []
+    h = hashlib.sha256(canonical_json(_header(parts, arrays)).encode("utf-8"))
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<c16"))
+    return h.hexdigest()[:16]

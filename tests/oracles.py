@@ -3,9 +3,9 @@
 Each oracle here takes the long way round on purpose: dense
 generators instead of the blockwise exponential, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
-the sphere descent, the whole document re-encoded instead of cached
-per-object text.  None of them calls the code it checks, so an
-agreement between the two is evidence rather than a tautology.
+the sphere descent, the digest's bytes assembled whole from its
+formula.  None of them calls the code it checks, so an agreement
+between the two is evidence rather than a tautology.
 """
 
 from __future__ import annotations
@@ -50,13 +50,49 @@ _DOCUMENTS = {
 
 
 def digest_of_documents(**parts: Any) -> str:
-    """The digest's defining formula, evaluated from scratch: each part
-    replaced by its wire-format document, the documents keyed by name in
-    one JSON text with sorted keys and no whitespace, and the first 16
-    hex digits of that text's sha256."""
+    """The digest's former formula (report schema 1), the reference the
+    current one is checked against: each part replaced by its
+    wire-format document, the documents keyed by name in one JSON text
+    with sorted keys and no whitespace, and the first 16 hex digits of
+    that text's sha256."""
     doc = {name: _DOCUMENTS.get(type(value), lambda v: v)(value) for name, value in parts.items()}
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+_FIELDS = {
+    ConservationLaw: ("spec", "object_part", "probe_part", "ancilla_part"),
+    IndirectMeasurementModel: (
+        "spec", "probe_state", "ancilla_state", "interaction", "pointer", "observable",
+    ),
+    GateImplementation: ("spec", "unitary", "ancilla_state"),
+}
+
+
+def digest_of_bits(**parts: Any) -> str:
+    """The digest's defining formula, written out: one JSON header with
+    sorted keys and no whitespace, naming each part's kind-tagged node,
+    then every operator's and state's array as little-endian complex128
+    bytes in the header's sorted depth-first order; the first 16 hex
+    digits of the sha256 of the two."""
+    blobs: list[bytes] = []
+
+    def node(value: Any) -> dict[str, Any]:
+        if type(value) in (Operator, StateVector):
+            arr = value.entries if type(value) is Operator else value.amplitudes
+            blobs.append(arr.astype("<c16").tobytes())
+            kind = "operator" if type(value) is Operator else "state"
+            return {"kind": kind, "shape": list(arr.shape), "dtype": "<c16"}
+        if type(value) is HilbertSpec:
+            return {"kind": "spec", "spec": spec_to_json(value)}
+        if type(value) in _FIELDS:
+            fields = sorted(_FIELDS[type(value)])
+            return {"kind": "object", "fields": {f: node(getattr(value, f)) for f in fields}}
+        return {"kind": "json", "value": value}
+
+    header = {name: node(parts[name]) for name in sorted(parts)}
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8") + b"".join(blobs)).hexdigest()[:16]
 
 
 def expm_skew(h: Operator, t: float = 1.0) -> Operator:

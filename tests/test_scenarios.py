@@ -10,6 +10,7 @@ contrapositive of the noise trade-off.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -45,8 +46,9 @@ from waylab import (
     way_positive_control,
     zero,
 )
+import waylab.operators
 import waylab.scenarios
-from waylab.cnot import FidelityResult, pauli
+from waylab.cnot import FidelityResult, candidate_control_states, measurement_view, pauli
 from waylab.scenarios import CeilingViolation, poisson_cutoff, truncated_coherent
 
 
@@ -160,6 +162,29 @@ def test_sigma_check_untouched_field():
     assert rep.rhs == pytest.approx(2.0 * math.sqrt(6.0), abs=1e-12)
     assert rep.passed()
     assert rep.details["mean_n_evolved"] == pytest.approx(4.0, abs=1e-6)
+
+
+def test_sigma_check_evolves_the_charge_once(monkeypatch):
+    # sigma(L3') and the moments of N' = L3'/2 share one U^dag L3 U, and
+    # halving is exact, so the mean is U^dag (I x N) U's to the bit
+    sc = build_boson(1.0)
+    basis = commutant_basis(sc.law)
+    u = conserving_unitary(basis, 0.3 * np.random.default_rng(3).standard_normal(basis.generator_count))
+    impl = GateImplementation(sc.spec, u, sc.ancilla_state)
+    full = measurement_view(impl).initial_state(candidate_control_states()["iplus"])
+    number_op = Operator(0.5 * sc.law.ancilla_part.entries, hermitian=True)
+    n_evolved = waylab.operators.evolve(sc.spec.embed(number_op, "ancilla"), u)
+    mean_n = float(np.real(np.vdot(full.amplitudes, n_evolved.entries @ full.amplitudes)))
+
+    evolve = waylab.operators.evolve
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
+            monkeypatch.setattr(module, "evolve", lambda op, v: calls.append(1) or evolve(op, v))
+    rep = sigma_l3_bound_check(impl, sc)
+    assert len(calls) == 1
+    assert rep.details["mean_n_evolved"] == mean_n
+    assert rep.details["mean_n_evolved"] != pytest.approx(1.0, abs=1e-3)
 
 
 def test_sigma_check_stable_under_larger_cutoff():

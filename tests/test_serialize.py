@@ -27,7 +27,7 @@ from waylab.serialize import (
 from waylab.conservation import ConservationLaw, commutant_basis
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
 
-from oracles import digest_of_documents
+from oracles import digest_of_bits, digest_of_documents
 
 
 def _random_operator(seed: int, dim: int) -> Operator:
@@ -172,25 +172,25 @@ def test_digest_stability_and_sensitivity():
 
 
 def test_digest_known_value_is_frozen():
-    # regression pin: if the encoding ever changes shape, this moves
+    # regression pin: if the header or the byte layout ever changes, this moves
     assert digest(answer=42) == digest(answer=42)
     frozen = digest(answer=42)
-    assert frozen == "ecf59a2696ca44a4"
+    assert frozen == "37ec1d9ffa131106"
 
 
 def test_implementation_digest_is_frozen():
-    # regression pin of the wire format of a whole implementation: the
-    # entries are exact products, so the digest is the same on every
-    # platform, and the negated zeros pin the sign of -0.0 in the encoding
+    # regression pin of the digest of a whole implementation: the entries
+    # are exact products, so their bits are the same on every platform,
+    # and the 112 negated zeros pin that -0.0 is hashed as its own bits
     rot = np.array([[0.6, 0.8j], [0.8j, 0.6]])
-    impl = GateImplementation(
-        HilbertSpec((2, 2, 2)),
-        Operator(-np.kron(cnot_unitary().entries, rot)),
-        StateVector(np.array([0.6, 0.8j])),
-    )
-    doc = implementation_to_json(impl)
-    assert canonical_json(doc).count("-0.0") == 112
-    assert digest(implementation=doc) == "36d73ebbf90afdce"
+    spec = HilbertSpec((2, 2, 2))
+    ancilla = StateVector(np.array([0.6, 0.8j]))
+    impl = GateImplementation(spec, Operator(-np.kron(cnot_unitary().entries, rot)), ancilla)
+    bits = impl.unitary.entries.view(np.float64)
+    assert int(np.count_nonzero(np.signbit(bits) & (bits == 0.0))) == 112
+    assert digest(implementation=impl) == "b569ab184e8e31f8"
+    unsigned = GateImplementation(spec, Operator(impl.unitary.entries + 0.0), ancilla)
+    assert digest(implementation=unsigned) != digest(implementation=impl)
 
 
 def _with_signed_zeros(values: np.ndarray) -> np.ndarray:
@@ -201,10 +201,12 @@ def _with_signed_zeros(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def test_digest_matches_the_document_formula(monkeypatch):
-    # the cached, spliced digest hashes the same bytes as canonical_json
-    # of the *_to_json documents; the second digest of each part set is
-    # answered from the per-object cache without encoding anything
+def _digest_cases() -> list[dict]:
+    """Part sets over four factorizations: laws, models, states and
+    implementations, content-equal copies decoded from their documents,
+    signed zeros, an operator and a state with the same numbers, equal
+    arrays under two specs, and an operator beside a dict that mimics
+    its header node."""
     cases = []
     for seed, dims in enumerate([(2, 2), (2, 3), (2, 2, 2), (3, 2, 2, 2)]):
         spec = HilbertSpec(dims)
@@ -212,9 +214,12 @@ def test_digest_matches_the_document_formula(monkeypatch):
         psi = random_state(np.random.default_rng(seed), spec.object_dim)
         cases += [
             {"model": model, "law": law, "psi": psi},
+            {"model": model_from_json(model_to_json(model)), "law": law, "psi": psi},
             {"model": model, "law": law},
             {"law": law, "basis": "x", "scenario": {"nbar": 1.5, "cutoff": 9}},
-            {"state": StateVector(_with_signed_zeros(psi.amplitudes)), "spec": spec},
+            {"law": law_from_json(law_to_json(law)), "basis": "x", "scenario": {"nbar": 1.5, "cutoff": 9}},
+            {"state": StateVector.basis(spec.object_dim, 0), "spec": spec},
+            {"state": StateVector(_with_signed_zeros(StateVector.basis(spec.object_dim, 0).amplitudes)), "spec": spec},
         ]
         if dims[:2] == (2, 2):
             impl = random_conserving_implementation(
@@ -222,20 +227,58 @@ def test_digest_matches_the_document_formula(monkeypatch):
                 ancilla_state=random_state(np.random.default_rng(seed + 7), spec.ancilla_dim),
             )
             cases.append({"implementation": impl, "law": law, "psi": random_state(np.random.default_rng(1), 2)})
-            signed = GateImplementation(
-                spec, Operator(_with_signed_zeros(impl.unitary.entries)), impl.ancilla_state,
-            )
-            cases.append({"implementation": signed})
+            ideal = np.kron(cnot_unitary().entries, np.eye(spec.ancilla_dim))
+            cases += [
+                {"implementation": impl},
+                {"implementation": GateImplementation(spec, Operator(ideal), impl.ancilla_state)},
+                {"implementation": GateImplementation(spec, Operator(_with_signed_zeros(ideal)), impl.ancilla_state)},
+            ]
     cases.append({"op": Operator(_with_signed_zeros(np.eye(3))), "answer": 42})
+    cases.append({"op": Operator(np.eye(3)), "answer": 42})
+    # an operator and a state with the same numbers
+    cases += [{"x": Operator(np.array([[1.0]]))}, {"x": StateVector(np.array([1.0]))}]
+    # equal arrays under two specs
+    u = random_conserving_implementation(
+        9, ConservationLaw(HilbertSpec((2, 2, 4)), pauli("X"), pauli("X"), Operator(np.diag([0.0, 1, 2, 3]))),
+    ).unitary
+    xi = StateVector.basis(4, 0)
+    for dims in [(2, 2, 4), (2, 2, 2, 2)]:
+        cases.append({"implementation": GateImplementation(HilbertSpec(dims), u, xi)})
+        cases.append({"spec": HilbertSpec(dims), "unitary": u})
+    # an operator beside a dict that mimics its header node
+    op = Operator(np.eye(2))
+    mimic = {"kind": "operator", "shape": [2, 2], "dtype": "<c16"}
+    cases += [{"a": op, "b": mimic}, {"a": mimic, "b": op}, {"a": op, "b": op}]
+    return cases
 
+
+def test_digest_matches_the_bits_formula(monkeypatch):
+    # the library's digest hashes the bytes the formula spells out, in
+    # any keyword order, and never renders an array as text
+    cases = _digest_cases()
     encodes = []
     pairs = waylab.serialize._pairs
     monkeypatch.setattr(waylab.serialize, "_pairs", lambda v: encodes.append(1) or pairs(v))
     for parts in cases:
-        expected = digest_of_documents(**parts)
+        expected = digest_of_bits(**parts)
         assert digest(**parts) == expected
-        encodes.clear()
-        assert digest(**parts) == expected
-        assert encodes == []
-    assert any("-0.0" in canonical_json(implementation_to_json(c["implementation"]))
-               for c in cases if "implementation" in c)
+        assert digest(**dict(reversed(list(parts.items())))) == expected
+    assert encodes == []
+
+
+def test_digest_tells_apart_what_the_document_formula_did():
+    # over every pair of part sets, the bits digest agrees exactly when
+    # the former document digest agreed: signed zeros, operator versus
+    # state, spec and the header-mimicking dict all still count
+    cases = _digest_cases()
+    old = [digest_of_documents(**parts) for parts in cases]
+    new = [digest(**parts) for parts in cases]
+    same = [(i, j) for i in range(len(cases)) for j in range(i) if old[i] == old[j]]
+    assert len(same) == 8  # the decoded copies, so the check is not vacuous
+    for i in range(len(cases)):
+        for j in range(i):
+            assert (new[i] == new[j]) == (old[i] == old[j]), (cases[i], cases[j])
+    # the one place the formulas part: a plain dict that spells out an
+    # operator's wire document matched the operator before, and no longer
+    assert digest_of_documents(op=operator_to_json(op := pauli("X"))) == digest_of_documents(op=op)
+    assert digest(op=operator_to_json(op)) != digest(op=op)
