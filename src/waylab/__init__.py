@@ -22,7 +22,6 @@ from .operators import (
 from .measurement import (
     CertificationResult,
     IndirectMeasurementModel,
-    certification_states,
     disturbance_operator,
     error_operator,
     heisenberg,
@@ -87,7 +86,6 @@ __all__ = [
     "tensor_states",
     "zero",
     "CertificationResult",
-    "certification_states",
     "IndirectMeasurementModel",
     "disturbance_operator",
     "error_operator",

@@ -308,7 +308,6 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
         restarts=int(_pick(args, config, "restarts", 3)),
         max_iter=int(_pick(args, config, "max_iter", 120)),
         seed=seed,
-        coeff_scale=float(_pick(args, config, "coeff_scale", 1.0)),
         polish_steps=int(_pick(args, config, "polish_steps", 60)),
         inner=SearchConfig(**inner_raw),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),

@@ -181,8 +181,7 @@ class _FidelityEvaluator:
     def fidelity_sq_batch(self, psis: np.ndarray) -> np.ndarray:
         """Vectorized fidelity^2 for a stack of states, shape (n, 4)."""
         w = np.concatenate([psis.real, psis.imag], axis=1)
-        res = np.einsum("nki,ni->nk", self._forms_times(w), w)
-        return np.clip(np.sum(res * res, axis=1), 0.0, 1.0)
+        return np.clip(self.fidelity_sq_and_jacobian(w)[0], 0.0, 1.0)
 
     def fidelity_sq_and_jacobian(
         self, w: np.ndarray

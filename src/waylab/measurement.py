@@ -35,7 +35,6 @@ __all__ = [
     "disturbance_operator",
     "rms_error",
     "rms_disturbance",
-    "certification_states",
     "is_precise",
     "is_nondisturbing",
 ]
@@ -164,10 +163,10 @@ def rms_disturbance(model: IndirectMeasurementModel, psi: StateVector) -> float:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Outcome of a worst-case predicate over a family of input states.
+    """Outcome of a worst-case predicate over every object input state.
 
-    ``ok`` says whether every probed state stayed below the tolerance;
-    ``worst_value`` and ``witness`` identify the worst offender either
+    ``ok`` says whether the worst case stays below the tolerance;
+    ``worst_value`` and ``witness`` identify the worst input either
     way, so a failure always comes with a concrete state to inspect.
     """
 
@@ -179,75 +178,36 @@ class CertificationResult:
         return self.ok
 
 
-def certification_states(dim: int, sample_count: int = 8, seed: int = 0) -> list[StateVector]:
-    """Deterministic family of object states used to certify predicates.
+def _certify(model: IndirectMeasurementModel, op: Operator) -> CertificationResult:
+    """Exact worst case of the rms of ``op`` over object states.
 
-    Computational basis states, all two-level superpositions
-    ``(|i> + |j>)/sqrt(2)`` and ``(|i> + i|j>)/sqrt(2)``, plus
-    ``sample_count`` seeded pseudo-random states.
+    In the input psi x phi, with phi the probe (x ancilla) state, the
+    mean square of ``op`` is psi^dag G psi, where G is the Gram matrix
+    of ``op`` applied to each object basis state x phi.  The worst rms
+    is therefore sqrt(lambda_max(G)), attained at the top eigenvector.
     """
-    if sample_count < 0:
-        raise ValueError("sample_count must be nonnegative")
-    states = [StateVector.basis(dim, i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[i] = 1.0
-            amps[j] = 1.0
-            states.append(StateVector.from_amplitudes(amps))
-            amps = np.zeros(dim, dtype=np.complex128)
-            amps[i] = 1.0
-            amps[j] = 1.0j
-            states.append(StateVector.from_amplitudes(amps))
-    rng = np.random.default_rng(seed)
-    for _ in range(sample_count):
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        states.append(StateVector.from_amplitudes(raw))
-    return states
+    phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
+    images = op.entries.reshape(op.dim, model.spec.object_dim, phi.size) @ phi
+    values, vectors = np.linalg.eigh(images.conj().T @ images)
+    worst = math.sqrt(max(float(values[-1]), 0.0))
+    return CertificationResult(
+        ok=worst <= PREDICATE_TOL, worst_value=worst, witness=StateVector(vectors[:, -1])
+    )
 
 
-def _certify(
-    model: IndirectMeasurementModel,
-    op: Operator,
-    sample_count: int,
-    tol: float,
-    seed: int,
-) -> CertificationResult:
-    worst = -1.0
-    witness: StateVector | None = None
-    for psi in certification_states(model.spec.object_dim, sample_count, seed):
-        value = _rms(op, model.initial_state(psi))
-        if value > worst:
-            worst = value
-            witness = psi
-    assert witness is not None
-    return CertificationResult(ok=worst <= tol, worst_value=worst, witness=witness)
+def is_precise(model: IndirectMeasurementModel) -> CertificationResult:
+    """Whether the rms error vanishes on every object input state.
 
-
-def is_precise(
-    model: IndirectMeasurementModel,
-    sample_count: int = 8,
-    tol: float = PREDICATE_TOL,
-    seed: int = 0,
-) -> CertificationResult:
-    """Whether the rms error vanishes on the certification family.
-
-    Zero error on the full family (basis states plus pairwise
-    superpositions plus random draws) pins the error operator down on
-    the whole object space, not just on a lucky input.
+    The exact worst case over object states (top Gram eigenvalue) is
+    compared with ``PREDICATE_TOL``; its eigenvector is the witness.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    return _certify(model, error_operator(model), sample_count, tol, seed)
+    return _certify(model, error_operator(model))
 
 
-def is_nondisturbing(
-    model: IndirectMeasurementModel,
-    sample_count: int = 8,
-    tol: float = PREDICATE_TOL,
-    seed: int = 0,
-) -> CertificationResult:
-    """Whether the rms disturbance vanishes on the certification family."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    return _certify(model, disturbance_operator(model), sample_count, tol, seed)
+def is_nondisturbing(model: IndirectMeasurementModel) -> CertificationResult:
+    """Whether the rms disturbance vanishes on every object input state.
+
+    The exact worst case over object states (top Gram eigenvalue) is
+    compared with ``PREDICATE_TOL``; its eigenvector is the witness.
+    """
+    return _certify(model, disturbance_operator(model))

@@ -62,6 +62,10 @@ def _as_complex_matrix(entries: object) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"operator entries must be a square matrix, got shape {arr.shape}")
+    # sum |M_ij|^2 is one BLAS dot, cheaper than an elementwise isfinite at
+    # these sizes; it is finite unless an entry is not or the squares overflow
+    if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
+        raise ValueError("operator entries must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -73,7 +77,8 @@ class Operator:
     Parameters
     ----------
     entries
-        Square complex matrix.  Copied and frozen on construction.
+        Square complex matrix of finite numbers.  Copied and frozen on
+        construction.
     hermitian, unitary
         Advisory flags.  ``None`` means "not checked".  Passing ``True``
         triggers a validation against the matrix (hermiticity within
@@ -132,8 +137,8 @@ class Operator:
 class StateVector:
     """A normalized pure state.
 
-    Normalization is enforced at construction: the amplitude vector must
-    have unit norm within ``1e-12``.
+    Normalization is enforced at construction: the amplitudes must be
+    finite and have unit norm within ``1e-12``.
     """
 
     amplitudes: np.ndarray
@@ -142,9 +147,11 @@ class StateVector:
         arr = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("state vector must have at least one amplitude")
+        # the norm is NaN or infinite when an amplitude is, and this
+        # comparison fails on NaN
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > FLAG_TOL:
-            raise ValueError(f"state vector not normalized: |psi| = {nrm!r}")
+        if not abs(nrm - 1.0) <= FLAG_TOL:
+            raise ValueError(f"state vector must be finite and normalized: |psi| = {nrm!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 

@@ -110,11 +110,6 @@ class SpinScenario:
     ceiling_fsq: float
 
     @property
-    def size(self) -> int:
-        """Implementation size: the total qubit count."""
-        return self.n
-
-    @property
     def label(self) -> str:
         return f"spin-n{self.n}"
 
@@ -124,21 +119,15 @@ class BosonScenario:
     """CNOT with a truncated coherent field mode as the control reservoir.
 
     The ancilla charge is twice the number operator; the coherent state
-    amplitude is real, ``alpha_amp = sqrt(nbar)``.  ``size`` follows the
-    field convention 2*sqrt(<N>).
+    amplitude is real, sqrt(nbar).
     """
 
     nbar: float
     cutoff: int
-    alpha_amp: complex
     spec: HilbertSpec
     law: ConservationLaw
     ancilla_state: StateVector
     ceiling_fsq: float
-
-    @property
-    def size(self) -> float:
-        return 2.0 * math.sqrt(self.nbar)
 
     @property
     def label(self) -> str:
@@ -242,7 +231,6 @@ def build_boson(nbar: float, tail_tol: float = 1e-10, cutoff: int | None = None)
     return BosonScenario(
         nbar=float(nbar),
         cutoff=d,
-        alpha_amp=complex(math.sqrt(nbar)),
         spec=spec,
         law=law,
         ancilla_state=xi,
@@ -305,7 +293,6 @@ class OptimizeConfig:
     restarts: int = 3
     max_iter: int = 120
     seed: int = 0
-    coeff_scale: float = 1.0
     polish_steps: int = 60
     inner: SearchConfig = field(
         default_factory=lambda: SearchConfig(restarts=8, max_iter=150)
@@ -454,9 +441,7 @@ def optimize_fidelity(
     ]
     if any(s.size != count for s in starts):
         raise ValueError(f"initial points must have {count} coefficients")
-    starts += [
-        rng.standard_normal(count) * cfg.coeff_scale for _ in range(cfg.restarts)
-    ]
+    starts += [rng.standard_normal(count) for _ in range(cfg.restarts)]
 
     trace: list[dict[str, float]] = []
     for i, x0 in enumerate(starts):

@@ -3,9 +3,10 @@
 Each oracle here takes the long way round on purpose: dense
 generators instead of the blockwise exponential, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
-the sphere descent, the digest's bytes assembled whole from its
-formula.  None of them calls the code it checks, so an agreement
-between the two is evidence rather than a tautology.
+the sphere descent, a cloud of object states instead of the Gram
+eigenvalue, the digest's bytes assembled whole from its formula.  None
+of them calls the code it checks, so an agreement between the two is
+evidence rather than a tautology.
 """
 
 from __future__ import annotations
@@ -157,6 +158,53 @@ def outcome_distribution(
     vals, projs = eig_hermitian(heisenberg(model, observable, evolved=evolved))
     probs = [min(max(float(np.real(expectation(p, state))), 0.0), 1.0) for p in projs]
     return OutcomeDistribution(tuple(float(v) for v in vals), tuple(probs))
+
+
+def object_state_cloud(dim: int, rng: np.random.Generator, count: int = 20_000) -> np.ndarray:
+    """Object states to take a worst case over, as rows.
+
+    For a qubit, a dense Bloch-sphere lattice: 361 polar angles by 720
+    azimuths, the poles included, so every pure state lies within about
+    0.005 rad of a row.  For larger dimensions, ``count`` Haar-random
+    states (normalized complex Gaussian vectors)."""
+    if dim == 2:
+        theta, phi = np.meshgrid(
+            np.linspace(0.0, np.pi, 361), np.arange(720) * (2.0 * np.pi / 720), indexing="ij"
+        )
+        return np.stack(
+            [np.cos(theta / 2) + 0j, np.sin(theta / 2) * np.exp(1j * phi)], axis=-1
+        ).reshape(-1, 2)
+    raw = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+def worst_noise_over_states(
+    model: IndirectMeasurementModel, kind: Literal["error", "disturbance"], psis: np.ndarray
+) -> float:
+    """Largest rms error or disturbance over the object states ``psis``.
+
+    The noise operator is rebuilt from its definition with dense
+    Kronecker products (pointer after minus observable before, or
+    observable after minus before), and each input psi x probe x
+    ancilla is formed whole."""
+    s = model.spec
+    u = model.interaction.entries
+    rest = s.probe_dim * s.ancilla_dim
+    measured = np.kron(model.observable.entries, np.eye(rest))
+    if kind == "error":
+        after = np.kron(np.kron(np.eye(s.object_dim), model.pointer.entries), np.eye(s.ancilla_dim))
+    else:
+        after = measured
+    noise = u.conj().T @ after @ u - measured
+    ready = np.kron(model.probe_state.amplitudes, model.ancilla_state.amplitudes)
+    worst = 0.0
+    step = 50_000
+    for start in range(0, len(psis), step):
+        chunk = psis[start : start + step]
+        inputs = (chunk[:, :, None] * ready[None, None, :]).reshape(len(chunk), -1)
+        images = inputs @ noise.T
+        worst = max(worst, float(np.max(np.sum(np.abs(images) ** 2, axis=1))))
+    return math.sqrt(worst)
 
 
 def generators(basis: CommutantBasis) -> tuple[Operator, ...]:

@@ -23,7 +23,6 @@ from waylab import (
     build_boson,
     build_spin,
     ceiling_qubit,
-    certification_states,
     cnot_unitary,
     commutant_basis,
     commutator,
@@ -37,8 +36,6 @@ from waylab import (
     measurement_view,
     noise_fidelity_link,
     pauli,
-    rms_disturbance,
-    rms_error,
     sigma_l3_bound_check,
     std_dev,
     trade_off_reports,
@@ -114,11 +111,13 @@ def test_criterion_3_ideal_gate_is_a_perfect_control_meter(capsys):
     # pointer statistics after the interaction reproduce the statistics
     # the control had before it
     view = measurement_view(GateImplementation(SPEC22, cnot_unitary()))
-    states = certification_states(view.spec.object_dim)
-    worst_noise = 0.0
+    worst_noise = max(is_precise(view).worst_value, is_nondisturbing(view).worst_value)
+    rng = np.random.default_rng(3)
+    states = [StateVector.basis(2, 0), StateVector.basis(2, 1)]
+    states += [StateVector.from_amplitudes([1.0, ph]) for ph in (1.0, -1.0, 1.0j, -1.0j)]
+    states += [random_state(rng, 2) for _ in range(8)]
     worst_prob = 0.0
     for psi in states:
-        worst_noise = max(worst_noise, rms_error(view, psi), rms_disturbance(view, psi))
         before = outcome_distribution(view, psi, "measured", evolved=False)
         after = outcome_distribution(view, psi, "pointer", evolved=True)
         assert before.outcomes == after.outcomes
@@ -127,8 +126,8 @@ def test_criterion_3_ideal_gate_is_a_perfect_control_meter(capsys):
     ok = worst_noise <= 1e-12 and worst_prob <= 1e-10
     _announce(
         capsys, 3, "ideal-gate meter", ok,
-        f"{len(states)} states, worst eps/eta {worst_noise:.2e}, "
-        f"worst probability gap {worst_prob:.2e}",
+        f"exact worst eps/eta {worst_noise:.2e}, "
+        f"worst probability gap {worst_prob:.2e} over {len(states)} states",
     )
 
 

@@ -56,6 +56,13 @@ def _conserving_impl_json() -> tuple[dict, dict]:
     return implementation_to_json(impl), law_to_json(law)
 
 
+def _ancilla_impl_and_law() -> tuple[GateImplementation, ConservationLaw]:
+    x = pauli("X")
+    spec = HilbertSpec((2, 2, 2))
+    law = ConservationLaw(spec, x, x, x)
+    return GateImplementation(spec, _conserving_unitary(law, seed=5), StateVector.basis(2, 0)), law
+
+
 def test_verify_identities_seeded(tmp_path):
     code, report = run_cli(
         tmp_path,
@@ -213,10 +220,7 @@ def test_eval_impl_checks_unitarity_of_the_implementation_once(tmp_path, monkeyp
     # Operator, so only the first unitarity check forms U^dag U, and the
     # lifts of the one-qubit pointer and observable keep their flags
     # without a full-dimension product
-    x = pauli("X")
-    spec = HilbertSpec((2, 2, 2))
-    law = ConservationLaw(spec, x, x, x)
-    impl = GateImplementation(spec, _conserving_unitary(law, seed=5), StateVector.basis(2, 0))
+    impl, law = _ancilla_impl_and_law()
     impl_json, law_json = implementation_to_json(impl), law_to_json(law)
     matrix = impl.unitary.entries
     products = []
@@ -275,6 +279,27 @@ def test_eval_impl_with_malformed_unitary_is_input_error(tmp_path, capsys, spoil
     code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
     assert code == EXIT_USAGE
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law", [False, True], ids=["no-law", "law"])
+@pytest.mark.parametrize("field", ["ancilla_state", "unitary"])
+def test_eval_impl_with_nan_entry_is_input_error(tmp_path, capsys, field, law):
+    # json reads the NaN literal; a NaN fails no tolerance comparison, so
+    # only an explicit finiteness check stops it
+    impl, conserved = _ancilla_impl_and_law()
+    impl_json = implementation_to_json(impl)
+    if field == "ancilla_state":
+        impl_json["ancilla_state"]["amplitudes"][1] = [float("nan"), 0.0]
+    else:
+        impl_json["unitary"]["entries"][0][0] = [float("nan"), 0.0]
+    config = {"implementation": impl_json, "search": {"restarts": 2, "max_iter": 20}}
+    if law:
+        config["law"] = law_to_json(conserved)
+    code, _ = run_cli(tmp_path, "eval-impl", config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "input error" in err and "finite" in err
+    assert "Traceback" not in err
 
 
 def test_eval_impl_requires_implementation(tmp_path, capsys):

@@ -42,6 +42,21 @@ def test_operator_rejects_nonsquare():
         Operator(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("flags", [{}, {"hermitian": True}, {"unitary": True}])
+def test_operator_and_state_reject_non_finite_entries(bad, flags):
+    # a NaN passes every "deviation > tol" comparison, so each
+    # constructor has to refuse it outright
+    entries = np.eye(2, dtype=np.complex128)
+    entries[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Operator(entries, **flags)
+    with pytest.raises(ValueError, match="finite"):
+        StateVector(np.array([1.0, bad]))
+    # huge finite entries overflow the cheap sum-of-squares test but pass
+    assert Operator(np.full((2, 2), 1e200)).dim == 2
+
+
 def test_operator_flag_validation():
     nonherm = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ MODULE_ALL = {
     "measurement": {
         "IndirectMeasurementModel", "CertificationResult", "heisenberg",
         "error_operator", "disturbance_operator", "rms_error", "rms_disturbance",
-        "certification_states", "is_precise", "is_nondisturbing",
+        "is_precise", "is_nondisturbing",
     },
     "conservation": {
         "ConservationError", "ConservationLaw", "CommutantBasis",
@@ -57,7 +57,7 @@ MODULE_ALL = {
 PACKAGE_ALL = {
     "HilbertSpec", "Operator", "StateVector", "commutator", "expectation",
     "operator_norm", "std_dev", "tensor_states", "zero",
-    "CertificationResult", "certification_states", "IndirectMeasurementModel",
+    "CertificationResult", "IndirectMeasurementModel",
     "disturbance_operator", "error_operator", "heisenberg", "is_nondisturbing",
     "is_precise", "rms_disturbance", "rms_error",
     "CommutantBasis", "ConservationError", "ConservationLaw", "commutant_basis",

@@ -75,7 +75,6 @@ def test_build_spin_layout():
     two = build_spin(2)
     assert two.spec.factor_dims == (2, 2)
     assert two.ancilla_state is None
-    assert two.size == 2
     assert two.label == "spin-n2"
     np.testing.assert_allclose(two.law.object_part.entries, X.entries, atol=0)
 
@@ -132,8 +131,6 @@ def test_build_boson_layout():
     sc = build_boson(1.0)
     assert sc.cutoff == 13
     assert sc.spec.factor_dims == (2, 2, 13)
-    assert sc.alpha_amp == pytest.approx(1.0)
-    assert sc.size == pytest.approx(2.0)
     assert sc.label == "boson-nbar1"
     assert sc.ceiling_fsq == pytest.approx(1.0 - 1.0 / 16.0)
     # the field charge is twice the number operator
