@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -110,6 +111,15 @@ def _require_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return int(seed)
 
 
+def _tol(args: argparse.Namespace, config: dict[str, Any]) -> float:
+    """The slack tolerance records are judged with: finite and nonnegative.
+    A NaN would fail every record and an infinity pass every one."""
+    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    if not 0.0 <= tol < math.inf:
+        raise _UsageError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def _search_config(args: argparse.Namespace, config: dict[str, Any], **defaults: Any) -> SearchConfig:
     raw = dict(config.get("search", {}))
     for key, val in defaults.items():
@@ -202,7 +212,7 @@ def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
 
 
 def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    tol = _tol(args, config)
     if "model" in config or "law" in config:
         if not ("model" in config and "law" in config):
             raise _UsageError("verify-identities needs both \"model\" and \"law\" when either is given")
@@ -233,7 +243,7 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
 
 def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    tol = _tol(args, config)
     count = int(_pick(args, config, "count", 250))
     specs = _factor_specs(config)
     records: list[dict[str, Any]] = []
@@ -257,7 +267,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     if "implementation" not in config:
         raise _UsageError("eval-impl needs \"implementation\" in the config (bundle or path)")
     impl = implementation_from_json(_maybe_file(config["implementation"]))
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    tol = _tol(args, config)
     seed = int(_pick(args, config, "seed", 0))
     search = _search_config(args, config, seed=seed)
     result = gate_fidelity(impl, search)
@@ -358,7 +368,7 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    tol = _tol(args, config)
     nbars = [float(x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
     samples = int(_pick(args, config, "samples_per", 3))
     strength = float(_pick(args, config, "strength", 1.0))
@@ -412,7 +422,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def _cmd_positive_control(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
+    tol = _tol(args, config)
     basis_name = str(_pick(args, config, "basis", "x")).lower()
     spec = HilbertSpec((2, 2, 2))
     if basis_name in ("x", "z"):

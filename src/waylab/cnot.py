@@ -8,7 +8,10 @@ Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2, and the minimum is exact
 without an ancilla: the distance from the origin to the convex hull of
 the eigenvalues of C^dag U (Toeplitz-Hausdorff).  With an ancilla it is
 estimated from above by a Riemannian descent on the unit sphere of C^4
-that runs every start as a row of one array.  When the implementation
+that runs every start as a row of one array.  It takes damped Riemannian
+Newton steps, falling back to a Gauss-Newton step where the Newton
+system is exactly singular: the minima have F^2 well above zero, where
+Gauss-Newton converges only linearly.  When the implementation
 must conserve a spin component, the same object also defines an
 indirect measurement of the control qubit, which is what ties the gate
 error to the measurement trade-off bounds.
@@ -322,8 +325,12 @@ def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
 _MIN_STEP, _MAX_STEP = 1e-12, 1e6
 
 
-def _search_starts(cfg: SearchConfig) -> tuple[list[str], np.ndarray]:
-    """Labels and unit states of the descent's starting points."""
+@functools.lru_cache(maxsize=32)
+def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
+    """Labels and unit states of the descent's starting points.
+
+    They depend on the frozen config alone, so they are built once per
+    config and shared read-only by every search that uses it."""
     labels: list[str] = []
     states: list[np.ndarray] = []
     if cfg.include_seed_states:
@@ -337,7 +344,61 @@ def _search_starts(cfg: SearchConfig) -> tuple[list[str], np.ndarray]:
         hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
         labels += [f"sobol-{i}" for i in range(cfg.restarts)]
         states += list(_angles_to_states_batch(*(raw * hi).T))
-    return labels, np.array(states)
+    psi = np.array(states)
+    psi.flags.writeable = False
+    return tuple(labels), psi
+
+
+def _newton_system(
+    ev: _FidelityEvaluator,
+    w: np.ndarray,
+    jac: np.ndarray,
+    res: np.ndarray,
+    value: np.ndarray,
+    damping: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Riemannian Newton matrix N of F^2 on the unit sphere, per
+    row, with the tangent Jacobian T = J (I - w w^T) and v = T^T r:
+
+        N = T^T T + 2 S - (v w^T + w v^T) + (damping - 2 F^2) I,
+
+    S = sum_k r_k Q_k.  On the tangent space N minus the damping is half
+    the Riemannian Hessian P (2 J^T J + 4 S) P - 4 F^2 P, P = I - w w^T;
+    N maps w itself to damping * w, so the solved move stays tangent.
+    Returns N, T and v.
+    """
+    tangent = jac - (jac @ w[:, :, None]) * w[:, None, :]
+    rhs = np.einsum("nki,nk->ni", tangent, res)
+    normal = np.swapaxes(tangent, 1, 2) @ tangent
+    curvature = res @ ev._rows.reshape(res.shape[1], 64)
+    normal += 2.0 * curvature.reshape(-1, 8, 8)
+    outer = rhs[:, :, None] * w[:, None, :]
+    normal -= outer
+    normal -= np.swapaxes(outer, 1, 2)
+    normal.reshape(len(w), 64)[:, ::9] += (damping - 2.0 * value)[:, None]
+    return normal, tangent, rhs
+
+
+def _solve_moves(
+    normal: np.ndarray, tangent: np.ndarray, rhs: np.ndarray, damping: np.ndarray
+) -> np.ndarray:
+    """Solve every row's Newton system; a row whose system is exactly
+    singular takes the Gauss-Newton move (T^T T + damping I)^-1 T^T r,
+    whose matrix is positive definite.  Rows are solved one by one only
+    then, each on its own, so no row's move depends on another row."""
+    try:
+        return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        pass
+    moves = np.empty_like(rhs)
+    for i in range(len(rhs)):
+        try:
+            moves[i] = np.linalg.solve(normal[i], rhs[i, :, None])[:, 0]
+        except np.linalg.LinAlgError:
+            gauss_newton = tangent[i].T @ tangent[i]
+            gauss_newton.flat[::9] += damping[i]
+            moves[i] = np.linalg.solve(gauss_newton, rhs[i, :, None])[:, 0]
+    return moves
 
 
 def _sphere_descent(
@@ -347,14 +408,18 @@ def _sphere_descent(
     rows of one array.
 
     Each step moves a start along the tangent space and renormalizes.
-    The move solves (J^T J + I / (2 s)) m = J^T r in the tangent space
-    (Levenberg-Marquardt, with J and r from
-    :meth:`_FidelityEvaluator.fidelity_sq_and_jacobian`): for a small
+    The move solves N m = T^T r with N the damped Riemannian Newton
+    matrix of :func:`_newton_system` and damping 1 / (2 s), J and r from
+    :meth:`_FidelityEvaluator.fidelity_sq_and_jacobian`: for a small
     step length s it is the gradient step s * grad F^2, and for a large
-    one the Gauss-Newton step, which converges fast where F^2 is near a
-    zero.  A step is kept only when it lowers the value; s grows by 1.5
-    after a kept step and halves after a rejected one, per start, within
-    ``_MIN_STEP`` and ``_MAX_STEP``.
+    one the Newton step.  Newton rather than Gauss-Newton, because the
+    minima sought have F^2 well above zero, and at a minimum whose
+    residual is not zero Gauss-Newton converges only linearly while
+    Newton converges quadratically.  A row whose Newton system is
+    exactly singular takes the Gauss-Newton step instead.  A step is
+    kept only when it lowers the value; s grows by 1.5 after a kept step
+    and halves after a rejected one, per start, within ``_MIN_STEP`` and
+    ``_MAX_STEP``.
 
     The loop stops early after two iterations in a row in which no start
     lowered its F^2 by more than ``cfg.tol``.  One is not enough: a
@@ -367,26 +432,25 @@ def _sphere_descent(
     labels, psi = _search_starts(cfg)
     w = np.concatenate([psi.real, psi.imag], axis=1)
     value, jac, res = ev.fidelity_sq_and_jacobian(w)
-    initial = value
+    initial = value.copy()
     step = np.full(len(labels), 0.25)
-    damping_unit = np.eye(8)
     iterations = quiet = 0
     while iterations < cfg.max_iter and quiet < 2:
         iterations += 1
-        # J on the tangent space: J (I - w w^T)
-        tangent = jac - (jac @ w[:, :, None]) * w[:, None, :]
-        normal = np.swapaxes(tangent, 1, 2) @ tangent + (0.5 / step)[:, None, None] * damping_unit
-        rhs = np.einsum("nki,nk->ni", tangent, res)
-        trial = w - np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+        damping = 0.5 / step
+        normal, tangent, rhs = _newton_system(ev, w, jac, res, value, damping)
+        trial = w - _solve_moves(normal, tangent, rhs, damping)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_value, trial_jac, trial_res = ev.fidelity_sq_and_jacobian(trial)
         better = trial_value < value
-        gain = float(np.max(np.where(better, value - trial_value, 0.0)))
-        w = np.where(better[:, None], trial, w)
-        jac = np.where(better[:, None, None], trial_jac, jac)
-        res = np.where(better[:, None], trial_res, res)
-        value = np.where(better, trial_value, value)
-        step = np.clip(np.where(better, 1.5 * step, 0.5 * step), _MIN_STEP, _MAX_STEP)
+        gain = float(np.max(value - trial_value, where=better, initial=0.0))
+        w[better] = trial[better]
+        jac[better] = trial_jac[better]
+        res[better] = trial_res[better]
+        value[better] = trial_value[better]
+        step *= np.where(better, 1.5, 0.5)
+        np.minimum(step, _MAX_STEP, out=step)
+        np.maximum(step, _MIN_STEP, out=step)
         quiet = quiet + 1 if gain <= cfg.tol else 0
     trace = [
         {

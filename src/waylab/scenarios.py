@@ -445,11 +445,18 @@ def optimize_fidelity(
 
     trace: list[dict[str, float]] = []
     for i, x0 in enumerate(starts):
-        f0 = -evaluate(x0)
+        # Nelder-Mead evaluates the simplex's first vertex, x0, first:
+        # that value is the start's initial fidelity.
+        values: list[float] = []
+
+        def objective(raw: np.ndarray) -> float:
+            values.append(evaluate(raw))
+            return values[-1]
+
         simplex = np.tile(x0, (count + 1, 1))
         simplex[1:] += np.eye(count) * SIMPLEX_SPREAD
         res = sp_optimize.minimize(
-            evaluate,
+            objective,
             x0,
             method="Nelder-Mead",
             options={
@@ -462,7 +469,7 @@ def optimize_fidelity(
         trace.append(
             {
                 "start": float(i),
-                "initial": float(f0),
+                "initial": -values[0],
                 "final": float(-res.fun),
                 "iterations": float(res.nit),
             }

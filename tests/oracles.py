@@ -263,7 +263,7 @@ def angle_states(t1, t2, t3, p1, p2, p3) -> np.ndarray:
     )
 
 
-def _kraus_fidelity_sq(impl: GateImplementation):
+def kraus_fidelity_sq(impl: GateImplementation):
     """psis (n, 4) -> F^2 = sum_a |<psi|C^dag K_a|psi>|^2, with the Kraus
     operators K_a = (I x <a|) U (I x |xi>) read off the unitary."""
     d_anc = impl.spec.ancilla_dim
@@ -294,7 +294,7 @@ def grid_search_fidelity(
     survivor on a 5^6 stencil.  With six rounds the resolution around
     every candidate minimum is finer than pi/256.
     """
-    fsq_of = _kraus_fidelity_sq(impl)
+    fsq_of = kraus_fidelity_sq(impl)
     theta_vals = np.arange(0.0, np.pi + 1e-12, coarse_step)
     phi_vals = np.arange(0.0, 2 * np.pi - 1e-12, coarse_step)
     shape = (len(theta_vals),) * 3 + (len(phi_vals),) * 3

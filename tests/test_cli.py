@@ -425,6 +425,26 @@ def test_positive_control_bases(tmp_path):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("positive-control", {"tol": float("nan")}, ()),
+        ("positive-control", {"tol": float("inf")}, ()),
+        ("check-bounds", {"count": 2}, ("--seed", "1", "--tol", "nan")),
+    ],
+    ids=["config-nan", "config-infinity", "flag-nan"],
+)
+def test_non_finite_tol_is_usage_error(tmp_path, capsys, command, config, flags):
+    # a NaN tolerance fails every record and an infinite one passes every
+    # record, so either would turn the exit code into noise
+    code, report = run_cli(tmp_path, command, config, *flags)
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and "tol" in err
+    assert "Traceback" not in err
+
+
 def test_randomized_commands_require_seed(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "verify-identities", {"count": 2})
     assert code == EXIT_USAGE

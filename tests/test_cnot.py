@@ -10,6 +10,7 @@ nearest hull point is the chord across the occupied arc, at distance
 cos(arc/2).  This formula shares no code with the search under test.
 """
 
+import itertools
 import warnings
 
 import numpy as np
@@ -39,10 +40,17 @@ from waylab import (
     state_fidelity,
     tensor_states,
 )
-from waylab.cnot import candidate_control_states
-from waylab.scenarios import build_spin, projected_gate_coefficients
+import waylab.cnot
+from waylab.cnot import (
+    _FidelityEvaluator,
+    _newton_system,
+    _search_starts,
+    candidate_control_states,
+)
+from waylab.sampling import random_conserving_implementation
+from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
 
-from oracles import angle_states, channel_apply, grid_search_fidelity
+from oracles import angle_states, channel_apply, grid_search_fidelity, kraus_fidelity_sq
 
 
 X = pauli("X")
@@ -310,6 +318,122 @@ def test_long_descent_keeps_a_finite_step():
         res = gate_fidelity(impl, SearchConfig(restarts=0, max_iter=1200, tol=-1.0))
     assert res.trace[0]["iterations"] == 1200.0
     assert np.isfinite(res.fidelity)
+
+
+def test_search_starts_are_built_once_and_read_only():
+    cfg = SearchConfig(restarts=6, seed=3)
+    labels, states = _search_starts(cfg)
+    again_labels, again_states = _search_starts(SearchConfig(restarts=6, seed=3))
+    assert again_labels is labels and again_states is states
+    assert not states.flags.writeable
+    fresh_labels, fresh_states = _search_starts.__wrapped__(cfg)
+    assert fresh_labels == labels
+    assert fresh_states.tobytes() == states.tobytes()
+    with pytest.raises(ValueError):
+        states[0, 0] = 0.0
+
+
+def test_cached_starts_leave_the_search_bit_identical(monkeypatch):
+    impl = _spin3_implementations()[1]
+    cfg = SearchConfig(restarts=5, max_iter=60, seed=11)
+    cached = [gate_fidelity(impl, cfg), gate_fidelity(impl, cfg)]
+    monkeypatch.setattr(waylab.cnot, "_search_starts", _search_starts.__wrapped__)
+    fresh = gate_fidelity(impl, cfg)
+    for res in cached:
+        assert res.fidelity_sq.hex() == fresh.fidelity_sq.hex()
+        assert res.worst_state.amplitudes.tobytes() == fresh.worst_state.amplitudes.tobytes()
+        assert res.trace == fresh.trace
+        assert res.evaluations == fresh.evaluations
+
+
+def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
+    w = rng.standard_normal((count, 8))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def _geodesic_hessian(fsq_of, w: np.ndarray, h: float = 1e-4) -> tuple[np.ndarray, np.ndarray]:
+    """Riemannian Hessian H of F^2 at the unit vector w of R^8, in an
+    orthonormal basis b_i of the tangent space: the central second
+    difference along the geodesic cos(t) w + sin(t) u, u = d / |d|, gives
+    u^T H u, for d = b_i + b_j, so H_ij = (d^T H d - H_ii - H_jj) / 2."""
+    basis = np.linalg.svd(np.eye(8) - np.outer(w, w))[0][:, :7]
+    pairs = list(itertools.combinations_with_replacement(range(7), 2))
+    dirs = np.array([basis[:, i] + basis[:, j] for i, j in pairs])
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    units = dirs / norms
+    pts = np.concatenate([w[None, :], np.cos(h) * w + np.sin(h) * units, np.cos(h) * w - np.sin(h) * units])
+    f = fsq_of(pts[:, :4] + 1j * pts[:, 4:])
+    n = len(pairs)
+    quad = dict(zip(pairs, (f[1 : n + 1] + f[n + 1 :] - 2.0 * f[0]) / h**2 * norms[:, 0] ** 2))
+    hess = np.empty((7, 7))
+    for i, j in pairs:
+        diag_i, diag_j = quad[i, i] / 4.0, quad[j, j] / 4.0
+        hess[i, j] = hess[j, i] = diag_i if i == j else (quad[i, j] - diag_i - diag_j) / 2.0
+    return basis, hess
+
+
+def _newton_case(name: str) -> GateImplementation:
+    if name == "spin-3":
+        return _spin3_implementations()[0]
+    boson = build_boson(1.0)
+    return random_conserving_implementation(
+        5, boson.law, strength=0.5, ancilla_state=boson.ancilla_state
+    )
+
+
+@pytest.mark.parametrize("name, d_anc", [("spin-3", 2), ("boson-1", 13)])
+def test_newton_matrix_is_half_the_riemannian_hessian(name, d_anc):
+    # F^2 for the finite differences comes from the oracle's Kraus forms,
+    # not from the evaluator whose matrix is under test
+    impl = _newton_case(name)
+    assert impl.spec.ancilla_dim == d_anc
+    fsq_of = kraus_fidelity_sq(impl)
+    ev = _FidelityEvaluator(impl)
+    w = _unit_rows(np.random.default_rng(8), 3)
+    damping = np.array([0.7, 2.0, 40.0])
+    value, jac, res = ev.fidelity_sq_and_jacobian(w)
+    normal, _, _ = _newton_system(ev, w, jac, res, value, damping)
+    for row in range(len(w)):
+        basis, hess = _geodesic_hessian(fsq_of, w[row])
+        tangent_part = basis.T @ (normal[row] - damping[row] * np.eye(8)) @ basis
+        scale = np.linalg.norm(hess)
+        assert np.linalg.norm(tangent_part - 0.5 * hess) <= 1e-5 * scale
+        # N maps w to damping * w and, being symmetric, the tangent space
+        # into itself: the solved move stays tangent
+        assert normal[row] @ w[row] == pytest.approx(damping[row] * w[row], abs=1e-12)
+        assert np.max(np.abs(normal[row] - normal[row].T)) <= 1e-12
+
+
+def test_singular_newton_system_falls_back_per_row():
+    # at the projected gate the start |1>|+> (seed-14) has F^2 = 1 up to
+    # rounding, so with the first damping 2 = 2 F^2 its Newton system is
+    # exactly singular; that row takes the Gauss-Newton step and the
+    # others go on as if it were not there
+    sc = build_spin(3)
+    impl = GateImplementation(
+        sc.spec,
+        conserving_unitary(commutant_basis(sc.law), projected_gate_coefficients(sc)),
+        sc.ancilla_state,
+    )
+    labels, states = _search_starts(SearchConfig(restarts=4))
+    ev = _FidelityEvaluator(impl)
+    w = np.concatenate([states.real, states.imag], axis=1)
+    value, jac, res = ev.fidelity_sq_and_jacobian(w)
+    row = labels.index("seed-14")
+    normal, _, rhs = _newton_system(ev, w, jac, res, value, np.full(len(w), 2.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(normal[row], rhs[row])
+
+    cfg = SearchConfig(restarts=6, max_iter=40, tol=-1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = gate_fidelity(impl, cfg)
+        alone = gate_fidelity(impl, SearchConfig(restarts=6, max_iter=40, tol=-1.0, include_seed_states=False))
+    sobol = [t for t in full.trace if t["start"].startswith("sobol-")]
+    assert [t["start"] for t in sobol] == [t["start"] for t in alone.trace]
+    for a, b in zip(sobol, alone.trace):
+        assert a["final"] == pytest.approx(b["final"], abs=1e-12)
+    assert np.isfinite(full.fidelity_sq)
 
 
 def test_conserving_two_qubit_implementations_are_blind():
