@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -111,21 +112,35 @@ def _require_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return int(seed)
 
 
+def _finite_nonnegative(name: str, value: Any) -> float:
+    number = float(value)
+    if not 0.0 <= number < math.inf:
+        raise _UsageError(f"{name} must be finite and nonnegative, got {number!r}")
+    return number
+
+
 def _tol(args: argparse.Namespace, config: dict[str, Any]) -> float:
     """The slack tolerance records are judged with: finite and nonnegative.
     A NaN would fail every record and an infinity pass every one."""
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
-    if not 0.0 <= tol < math.inf:
-        raise _UsageError(f"tol must be finite and nonnegative, got {tol!r}")
-    return tol
+    return _finite_nonnegative("tol", _pick(args, config, "tol", DEFAULT_TOL))
 
 
-def _search_config(args: argparse.Namespace, config: dict[str, Any], **defaults: Any) -> SearchConfig:
-    raw = dict(config.get("search", {}))
-    for key, val in defaults.items():
-        raw.setdefault(key, val)
-    if getattr(args, "restarts", None) is not None:
-        raw["restarts"] = args.restarts
+def _search_config(
+    config: dict[str, Any], restarts_flag: int | None = None, **defaults: Any
+) -> SearchConfig:
+    """The config's ``search`` block over ``defaults``, then the
+    ``--restarts`` flag when given.  A NaN search ``tol`` would never stop
+    the descent early and a negative ``max_iter`` would run no step, so
+    both are refused, as is any count that is not a nonnegative integer."""
+    raw = {**defaults, **dict(config.get("search", {}))}
+    if restarts_flag is not None:
+        raw["restarts"] = restarts_flag
+    if "tol" in raw:
+        raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
+    for key in ("restarts", "max_iter"):
+        val = raw.get(key, 0)
+        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
+            raise _UsageError(f"search {key} must be a nonnegative integer, got {val!r}")
     return SearchConfig(**raw)
 
 
@@ -269,7 +284,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     impl = implementation_from_json(_maybe_file(config["implementation"]))
     tol = _tol(args, config)
     seed = int(_pick(args, config, "seed", 0))
-    search = _search_config(args, config, seed=seed)
+    search = _search_config(config, args.restarts, seed=seed)
     result = gate_fidelity(impl, search)
 
     view = measurement_view(impl)
@@ -310,16 +325,12 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     kind = str(_pick(args, config, "kind", "spin"))
-    inner_raw = dict(config.get("search", {}))
-    inner_raw.setdefault("restarts", 8)
-    inner_raw.setdefault("max_iter", 150)
-    inner_raw.setdefault("seed", seed)
     opt = OptimizeConfig(
         restarts=int(_pick(args, config, "restarts", 3)),
         max_iter=int(_pick(args, config, "max_iter", 120)),
         seed=seed,
         polish_steps=int(_pick(args, config, "polish_steps", 60)),
-        inner=SearchConfig(**inner_raw),
+        inner=_search_config(config, restarts=8, max_iter=150, seed=seed),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),
     )
     if kind == "spin":
@@ -373,7 +384,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     samples = int(_pick(args, config, "samples_per", 3))
     strength = float(_pick(args, config, "strength", 1.0))
     tail_tol = float(_pick(args, config, "tail_tol", 1e-10))
-    search = _search_config(args, config, restarts=8, max_iter=150, seed=seed)
+    search = _search_config(config, args.restarts, restarts=8, max_iter=150, seed=seed)
 
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []
@@ -468,6 +479,7 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace, dict[str, Any]], int]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="waylab",

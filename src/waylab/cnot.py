@@ -11,7 +11,10 @@ estimated from above by a Riemannian descent on the unit sphere of C^4
 that runs every start as a row of one array.  It takes damped Riemannian
 Newton steps, falling back to a Gauss-Newton step where the Newton
 system is exactly singular: the minima have F^2 well above zero, where
-Gauss-Newton converges only linearly.  When the implementation
+Gauss-Newton converges only linearly.  Besides fixed seed states, the
+starts are points of a scrambled Sobol' sequence made here with numpy,
+bit-identical to ``scipy.stats.qmc.Sobol``, so that importing waylab
+does not pay for importing ``scipy.stats``.  When the implementation
 must conserve a spin component, the same object also defines an
 indirect measurement of the control qubit, which is what ties the gate
 error to the measurement trade-off bounds.
@@ -22,13 +25,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 from scipy import linalg
-from scipy.stats import qmc
 
 from .bounds import BoundReport, require_conserving
 from .conservation import ConservationLaw
@@ -325,12 +326,64 @@ def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
 _MIN_STEP, _MAX_STEP = 1e-12, 1e6
 
 
+# Six-dimensional Sobol' sequence with 30-bit points: the primitive
+# polynomials of dimensions 1-6 (bit k is the coefficient of x^k) and the
+# initial direction numbers of dimensions 2-6, from Joe & Kuo (2008);
+# dimension 1 has all direction numbers 1.
+_SOBOL_BITS = 30
+_SOBOL_POLYS = (1, 3, 7, 11, 13, 19)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+
+
+def _sobol_directions() -> np.ndarray:
+    """Unscrambled direction numbers, one row per dimension, as 30-bit
+    binary fractions (column j has its leading bit at 2^(29 - j))."""
+    v = [[1] * _SOBOL_BITS for _ in _SOBOL_POLYS]
+    for row, poly, init in zip(v, _SOBOL_POLYS, _SOBOL_VINIT):
+        m = len(init)
+        row[:m] = init
+        for j in range(m, _SOBOL_BITS):  # Bratley-Fox recurrence
+            row[j] = row[j - m]
+            for k in range(m):
+                if (poly >> (m - 1 - k)) & 1:
+                    row[j] ^= row[j - k - 1] << (k + 1)
+    return np.array(v) << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
+
+
+def _scrambled_sobol(n: int, seed: int) -> np.ndarray:
+    """First ``n`` points of the six-dimensional scrambled Sobol' sequence.
+
+    Matousek's (1998) linear matrix scrambling with a digital shift, both
+    drawn from ``numpy.random.default_rng(seed)`` in the order and with
+    the dtype that ``scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed)``
+    draws them, so the points equal that engine's ``random(n)`` bit for
+    bit; the tests pin this.  Point i is the shift XOR the scrambled
+    direction numbers selected by the Gray code of i.
+    """
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(6, bits), dtype=np.uint32) @ 2 ** np.arange(bits)
+    lower = np.tril(rng.integers(2, size=(6, bits, bits), dtype=np.uint32))
+    lower[:, np.arange(bits), np.arange(bits)] = 1
+    # Scrambled direction number = lower @ (its digits, leading first) mod 2.
+    place = bits - 1 - np.arange(bits)
+    digits = (_sobol_directions()[:, :, None] >> place) & 1
+    directions = ((digits @ lower.transpose(0, 2, 1)) & 1) @ (1 << place)
+    gray = np.arange(n) ^ (np.arange(n) >> 1)
+    points = np.tile(shift, (n, 1))
+    for b in range((n - 1).bit_length()):
+        points ^= ((gray >> b) & 1)[:, None] * directions[:, b]
+    return points * 2.0**-bits
+
+
 @functools.lru_cache(maxsize=32)
 def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and unit states of the descent's starting points.
 
-    They depend on the frozen config alone, so they are built once per
-    config and shared read-only by every search that uses it."""
+    The fixed seed states, then ``cfg.restarts`` angle vectors from
+    :func:`_scrambled_sobol` mapped onto the sphere.  They depend on the
+    frozen config alone, so they are built once per config and shared
+    read-only by every search that uses it."""
     labels: list[str] = []
     states: list[np.ndarray] = []
     if cfg.include_seed_states:
@@ -338,9 +391,7 @@ def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
         labels += [f"seed-{i}" for i in range(len(seeds))]
         states += seeds
     if cfg.restarts > 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            raw = qmc.Sobol(d=6, scramble=True, seed=cfg.seed).random(cfg.restarts)
+        raw = _scrambled_sobol(cfg.restarts, cfg.seed)
         hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
         labels += [f"sobol-{i}" for i in range(cfg.restarts)]
         states += list(_angles_to_states_batch(*(raw * hi).T))

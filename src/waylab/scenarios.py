@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-from scipy import optimize as sp_optimize
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc
 
 from .bounds import BoundReport
 from .cnot import (
@@ -187,7 +185,7 @@ def poisson_cutoff(nbar: float, tail_tol: float = 1e-10) -> int:
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
     d = 1
-    while float(poisson.sf(d - 1, nbar)) >= tail_tol:
+    while float(pdtrc(d - 1, nbar)) >= tail_tol:  # Poisson P(k >= d)
         d += 1
         if d > 100_000:
             raise RuntimeError("Poisson tail failed to fall below tolerance")
@@ -396,6 +394,9 @@ def optimize_fidelity(
     sigma(L3')-form for bosonic runs) and the run raises
     :class:`CeilingViolation` if any point lands above ceiling + 1e-9.
     """
+    # Imported here, its one user, so that no other command pays for it.
+    from scipy import optimize as sp_optimize
+
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
     count = basis.generator_count

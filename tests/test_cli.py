@@ -445,6 +445,32 @@ def test_non_finite_tol_is_usage_error(tmp_path, capsys, command, config, flags)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["eval-impl", "boson-check", "optimize"])
+@pytest.mark.parametrize(
+    "search, key",
+    [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"restarts": 2.5}, "restarts"),
+    ],
+    ids=["tol-nan", "tol-infinity", "tol-negative", "max-iter-negative", "restarts-fraction"],
+)
+def test_bad_search_block_is_usage_error(tmp_path, capsys, command, search, key):
+    # a NaN tol never stops the descent early and a negative max_iter
+    # runs no descent step; neither left a trace in the report
+    config: dict = {"search": search}
+    if command == "eval-impl":
+        config["implementation"] = implementation_to_json(_ancilla_impl_and_law()[0])
+    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"search {key}" in err
+    assert "Traceback" not in err
+
+
 def test_randomized_commands_require_seed(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "verify-identities", {"count": 2})
     assert code == EXIT_USAGE

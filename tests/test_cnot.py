@@ -44,6 +44,7 @@ import waylab.cnot
 from waylab.cnot import (
     _FidelityEvaluator,
     _newton_system,
+    _scrambled_sobol,
     _search_starts,
     candidate_control_states,
 )
@@ -331,6 +332,51 @@ def test_search_starts_are_built_once_and_read_only():
     assert fresh_states.tobytes() == states.tobytes()
     with pytest.raises(ValueError):
         states[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("seed", [*range(40), 20021017, 2**40 + 3])
+def test_scrambled_sobol_matches_scipy_bit_for_bit(seed):
+    from scipy.stats import qmc
+
+    for n in (1, 2, 3, 4, 5, 8, 16, 33, 64, 200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n not a power of 2
+            expected = qmc.Sobol(d=6, scramble=True, seed=seed).random(n)
+        got = _scrambled_sobol(n, seed)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), (seed, n)
+
+
+# The first eight starts at seeds 0 and 20021017, in units of 2^-30, so
+# that a change of scipy cannot move the search's starts unnoticed.
+_FROZEN_SOBOL = {
+    0: [
+        [913309191, 1000046633, 389465047, 391432754, 150265301, 602049772],
+        [519509323, 147982140, 692041731, 647733462, 635258173, 283565156],
+        [237288120, 805028059, 210169248, 50124406, 885918372, 84207349],
+        [649875956, 481445838, 848270964, 859028626, 434606668, 906016381],
+        [789430796, 576058543, 591656229, 1004120398, 329606127, 693671090],
+        [127215936, 287077306, 491425521, 169264042, 1049426695, 442287162],
+        [390497971, 909489245, 955505490, 779203850, 798995614, 264175275],
+        [1071541759, 92025672, 117088390, 532602862, 45493366, 1018867235],
+    ],
+    20021017: [
+        [466615008, 42183580, 101520655, 606028368, 724320019, 493076815],
+        [727269549, 830375065, 646454107, 310720590, 89989993, 566417522],
+        [910081145, 481348001, 456425616, 1019575578, 473922387, 896876933],
+        [111674932, 793634468, 1001492164, 173999876, 843999017, 164911288],
+        [213126620, 269328330, 697769193, 26112257, 1060867137, 358308027],
+        [1008908177, 602976463, 152179389, 924060447, 290099259, 704266630],
+        [558189381, 239009271, 883853686, 424955467, 136890369, 1028511857],
+        [299102472, 1036243698, 338396962, 802042965, 643421307, 32293196],
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_FROZEN_SOBOL))
+def test_scrambled_sobol_frozen_bits(seed):
+    expected = np.array(_FROZEN_SOBOL[seed], dtype=float) * 2.0**-30
+    assert _scrambled_sobol(8, seed).tobytes() == expected.tobytes()
 
 
 def test_cached_starts_leave_the_search_bit_identical(monkeypatch):
