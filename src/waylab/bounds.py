@@ -45,7 +45,14 @@ from .measurement import (
     rms_error,
 )
 from .operators import (
-    HilbertSpec, Operator, StateVector, commutator, evolve, expectation, operator_norm, std_dev,
+    HilbertSpec,
+    Operator,
+    StateVector,
+    _evolve_all,
+    commutator,
+    expectation,
+    operator_norm,
+    std_dev,
 )
 from .serialize import canonical_json, digest
 
@@ -143,13 +150,9 @@ def require_conserving(spec: HilbertSpec, interaction: Operator, law: Conservati
 def _charges_evolved(
     model: IndirectMeasurementModel, law: ConservationLaw
 ) -> tuple[Operator, Operator, Operator]:
-    """The three charge parts, lifted and conjugated by the interaction."""
-    s, u = model.spec, model.interaction
-    return (
-        evolve(s.embed(law.object_part, "object"), u),
-        evolve(s.embed(law.probe_part, "probe"), u),
-        evolve(s.embed(law.ancilla_part, "ancilla"), u),
-    )
+    """The law's three lifted charge parts conjugated by the interaction,
+    as one stacked product."""
+    return _evolve_all(law._lifts, model.interaction)
 
 
 def identity_residuals(
@@ -164,9 +167,7 @@ def identity_residuals(
     """
     require_conserving(model.spec, model.interaction, law)
     s = model.spec
-    lhs = commutator(
-        s.embed(model.observable, "object"), s.embed(law.object_part, "object")
-    ).entries
+    lhs = commutator(s.embed(model.observable, "object"), law._lifts[0]).entries
     err = error_operator(model).entries
     dist = disturbance_operator(model).entries
     l1t, l2t, l3t = (op.entries for op in _charges_evolved(model, law))

@@ -125,22 +125,36 @@ def _tol(args: argparse.Namespace, config: dict[str, Any]) -> float:
     return _finite_nonnegative("tol", _pick(args, config, "tol", DEFAULT_TOL))
 
 
+def _count(name: str, value: Any) -> int:
+    """A count from the config or a flag: a nonnegative integer, not a
+    bool, a float or a string that ``int`` would quietly convert."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise _UsageError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _search_config(
     config: dict[str, Any], restarts_flag: int | None = None, **defaults: Any
 ) -> SearchConfig:
     """The config's ``search`` block over ``defaults``, then the
     ``--restarts`` flag when given.  A NaN search ``tol`` would never stop
     the descent early and a negative ``max_iter`` would run no step, so
-    both are refused, as is any count that is not a nonnegative integer."""
+    both are refused, as is any count that is not a nonnegative integer,
+    an ``include_seed_states`` that is not a JSON boolean (the string
+    ``"false"`` is true) and a ``seed`` that is not an integer."""
     raw = {**defaults, **dict(config.get("search", {}))}
     if restarts_flag is not None:
         raw["restarts"] = restarts_flag
     if "tol" in raw:
         raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
     for key in ("restarts", "max_iter"):
-        val = raw.get(key, 0)
-        if isinstance(val, bool) or not isinstance(val, int) or val < 0:
-            raise _UsageError(f"search {key} must be a nonnegative integer, got {val!r}")
+        _count(f"search {key}", raw.get(key, 0))
+    flag = raw.get("include_seed_states", True)
+    if not isinstance(flag, bool):
+        raise _UsageError(f"search include_seed_states must be true or false, got {flag!r}")
+    seed = raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise _UsageError(f"search seed must be an integer, got {seed!r}")
     return SearchConfig(**raw)
 
 
@@ -240,7 +254,7 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
         return _finish(args, "verify-identities", seed, used, records)
 
     seed = _require_seed(args, config)
-    count = int(_pick(args, config, "count", 100))
+    count = _count("count", _pick(args, config, "count", 100))
     specs = _factor_specs(config)
     records: list[dict[str, Any]] = []
     for i, case_seed in enumerate(_case_seeds(seed, count)):
@@ -259,7 +273,7 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
 def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
-    count = int(_pick(args, config, "count", 250))
+    count = _count("count", _pick(args, config, "count", 250))
     specs = _factor_specs(config)
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []
@@ -326,10 +340,10 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     kind = str(_pick(args, config, "kind", "spin"))
     opt = OptimizeConfig(
-        restarts=int(_pick(args, config, "restarts", 3)),
-        max_iter=int(_pick(args, config, "max_iter", 120)),
+        restarts=_count("restarts", _pick(args, config, "restarts", 3)),
+        max_iter=_count("max_iter", _pick(args, config, "max_iter", 120)),
         seed=seed,
-        polish_steps=int(_pick(args, config, "polish_steps", 60)),
+        polish_steps=_count("polish_steps", _pick(args, config, "polish_steps", 60)),
         inner=_search_config(config, restarts=8, max_iter=150, seed=seed),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),
     )
@@ -381,7 +395,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
     nbars = [float(x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
-    samples = int(_pick(args, config, "samples_per", 3))
+    samples = _count("samples_per", _pick(args, config, "samples_per", 3))
     strength = float(_pick(args, config, "strength", 1.0))
     tail_tol = float(_pick(args, config, "tail_tol", 1e-10))
     search = _search_config(config, args.restarts, restarts=8, max_iter=150, seed=seed)

@@ -588,8 +588,15 @@ def candidate_control_states() -> dict[str, StateVector]:
 
 
 def _evolved_ancilla_charge(impl: GateImplementation, law: ConservationLaw) -> Operator:
-    """L3' = U^dag L3 U, the ancilla charge after the interaction."""
-    return evolve(impl.spec.embed(law.ancilla_part, "ancilla"), impl.unitary)
+    """L3' = U^dag L3 U, the ancilla charge after the interaction, from
+    the law's own lift of L3."""
+    s = impl.spec
+    if (s.total_dim, s.ancilla_dim) != (law.spec.total_dim, law.spec.ancilla_dim):
+        raise ValueError(
+            f"law on factors {law.spec.factor_dims} does not fit implementation "
+            f"factors {s.factor_dims}"
+        )
+    return evolve(law._lifts[2], impl.unitary)
 
 
 def sigma_l3(

@@ -13,8 +13,9 @@ over directly.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,14 +90,20 @@ class ConservationLaw:
         return self._total
 
     @functools.cached_property
-    def _total(self) -> Operator:
+    def _lifts(self) -> tuple[Operator, Operator, Operator]:
+        """The object, probe and ancilla parts lifted to the total space,
+        built once per law: every evolved charge starts from these."""
         s = self.spec
-        tot = (
-            s.embed(self.object_part, "object").entries
-            + s.embed(self.probe_part, "probe").entries
-            + s.embed(self.ancilla_part, "ancilla").entries
+        return (
+            s.embed(self.object_part, "object"),
+            s.embed(self.probe_part, "probe"),
+            s.embed(self.ancilla_part, "ancilla"),
         )
-        return Operator(tot, hermitian=True)
+
+    @functools.cached_property
+    def _total(self) -> Operator:
+        l1, l2, l3 = self._lifts
+        return Operator(l1.entries + l2.entries + l3.entries, hermitian=True)
 
 
 def conservation_residual(u: Operator, law: ConservationLaw) -> float:
@@ -104,6 +111,45 @@ def conservation_residual(u: Operator, law: ConservationLaw) -> float:
     if u.dim != law.spec.total_dim:
         raise ValueError(f"unitary dim {u.dim} does not match law space {law.spec.total_dim}")
     return operator_norm(commutator(u, law.total()))
+
+
+@functools.cache
+def _upper_pairs(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The index pairs (i, j), i < j, of a d x d block in generator
+    enumeration order, as rows ``i`` and columns ``j``."""
+    iu, ju = np.triu_indices(d, 1)
+    return tuple(iu.tolist()), tuple(ju.tolist())
+
+
+class _Layout(NamedTuple):
+    """Where each coefficient of a :class:`CommutantBasis` goes.
+
+    The blocks are grouped by dimension: the k blocks of dimension d
+    fill one (k, d, d) stack, and the stacks lie one after the other in
+    a buffer of ``generator_count`` entries.  ``groups`` holds each
+    stack's (d, k, offset in the buffer), by first appearance of d;
+    ``blocks`` holds, for each block in block order, its slice of
+    eigenbasis columns, its group and its place in that group.  The
+    arrays pair coefficient indices with buffer entries: ``diag[i]``
+    fills entry ``diag_at[i]``, and the pair ``sym[i]``, ``anti[i]``
+    fills entry ``upper_at[i]`` at (i, j), i < j, and its mirror
+    ``lower_at[i]`` at (j, i).
+    ``frame`` is each buffer entry's flat position in the ``dim x dim``
+    matrix in the eigenbasis.
+    """
+
+    groups: tuple[tuple[int, int, int], ...]
+    blocks: tuple[tuple[slice, int, int], ...]
+    diag: np.ndarray
+    diag_at: np.ndarray
+    sym: np.ndarray
+    anti: np.ndarray
+    upper_at: np.ndarray
+    lower_at: np.ndarray
+    frame: np.ndarray
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +169,9 @@ class CommutantBasis:
     all orthonormal under the trace inner product.  Blocks appear in
     ascending order of eigenvalue.  The dense generators are never
     formed: coefficients map to Hermitian blocks in the eigenbasis and
-    back, both through one index layout (``_layout``).
+    back through one index layout (``_layout``), built once per basis.
+    It groups the blocks by dimension, so all blocks of one size are
+    filled, and exponentiated, as one stack.
     """
 
     eigenbasis: np.ndarray
@@ -138,21 +186,63 @@ class CommutantBasis:
     def generator_count(self) -> int:
         return sum(d * d for d in self.block_dims)
 
-    def _layout(self) -> Iterator[tuple]:
-        """The coefficient layout, one tuple per block: its slice of
-        eigenbasis columns, the index pairs (i, j), i < j, of its
-        off-diagonal generators in enumeration order, and the coefficient
-        slices of its diagonal, symmetric and antisymmetric runs."""
-        start = pos = 0
-        for d in self.block_dims:
-            iu, ju = np.triu_indices(d, 1)
-            n = iu.size
-            yield (
-                slice(start, start + d), iu, ju,
-                slice(pos, pos + d), slice(pos + d, pos + d + n), slice(pos + d + n, pos + d * d),
-            )
-            start += d
+    @functools.cached_property
+    def _layout(self) -> _Layout:
+        dims, n = self.block_dims, self.dim
+        counts = Counter(dims)  # block sizes in order of first appearance
+        groups: list[tuple[int, int, int]] = []
+        group_of: dict[int, int] = {}
+        offset = 0
+        for g, (d, k) in enumerate(counts.items()):
+            group_of[d] = g
+            groups.append((d, k, offset))
+            offset += k * d * d
+        placed = dict.fromkeys(counts, 0)
+        blocks: list[tuple[slice, int, int]] = []
+        diag: list[int] = []
+        diag_at: list[int] = []
+        sym: list[int] = []
+        anti: list[int] = []
+        upper_at: list[int] = []
+        lower_at: list[int] = []
+        frame = [0] * offset
+        col = pos = 0
+        for d in dims:
+            g, m = group_of[d], placed[d]
+            placed[d] += 1
+            blocks.append((slice(col, col + d), g, m))
+            at = groups[g][2] + m * d * d
+            iu, ju = _upper_pairs(d)
+            pairs = len(iu)
+            diag += range(pos, pos + d)
+            diag_at += range(at, at + d * d, d + 1)
+            sym += range(pos + d, pos + d + pairs)
+            anti += range(pos + d + pairs, pos + d * d)
+            upper_at += [at + i * d + j for i, j in zip(iu, ju)]
+            lower_at += [at + j * d + i for i, j in zip(iu, ju)]
+            frame[at : at + d * d] = [(col + i) * n + col + j for i in range(d) for j in range(d)]
+            col += d
             pos += d * d
+        return _Layout(
+            tuple(groups), tuple(blocks),
+            *(np.array(x, dtype=np.intp) for x in (diag, diag_at, sym, anti, upper_at, lower_at, frame)),
+        )
+
+    def _block_stacks(self, coefficients: np.ndarray) -> list[np.ndarray]:
+        """The Hermitian blocks of each size group as one (k, d, d) stack,
+        filled straight from the coefficient vector."""
+        coeffs = np.asarray(coefficients, dtype=float).reshape(-1)
+        if coeffs.size != self.generator_count:
+            raise ValueError(
+                f"expected {self.generator_count} coefficients, got {coeffs.size}"
+            )
+        lay = self._layout
+        buf = np.zeros(coeffs.size, dtype=np.complex128)
+        buf[lay.diag_at] = coeffs[lay.diag]
+        upper = (coeffs[lay.sym] + 1j * coeffs[lay.anti]) * _INV_SQRT2
+        buf[lay.upper_at] = upper
+        buf[lay.lower_at] = np.conj(upper)
+        return [buf[at : at + k * d * d].reshape(k, d, d) for d, k, at in lay.groups]
 
     def coefficient_blocks(self, coefficients: np.ndarray) -> list[np.ndarray]:
         """Assemble the Hermitian matrix of each block from coefficients.
@@ -161,20 +251,8 @@ class CommutantBasis:
         order; the returned dense ``d x d`` Hermitian blocks satisfy
         ``sum_k c_k B_k = sum_blocks V_b H_b V_b^dag``.
         """
-        coeffs = np.asarray(coefficients, dtype=float).reshape(-1)
-        if coeffs.size != self.generator_count:
-            raise ValueError(
-                f"expected {self.generator_count} coefficients, got {coeffs.size}"
-            )
-        blocks: list[np.ndarray] = []
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for cols, iu, ju, diag, sym, anti in self._layout():
-            h = np.diag(coeffs[diag]).astype(np.complex128)
-            upper = (coeffs[sym] + 1j * coeffs[anti]) * inv_sqrt2
-            h[iu, ju] = upper
-            h[ju, iu] = np.conj(upper)
-            blocks.append(h)
-        return blocks
+        stacks = self._block_stacks(coefficients)
+        return [stacks[g][m] for _, g, m in self._layout.blocks]
 
     def project_coefficients(self, h: Operator) -> tuple[np.ndarray, float]:
         """Best-fit coefficients for a Hermitian target generator.
@@ -187,16 +265,16 @@ class CommutantBasis:
         """
         if h.dim != self.dim:
             raise ValueError(f"target dim {h.dim} does not match basis dim {self.dim}")
+        lay = self._layout
         coeffs = np.empty(self.generator_count)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
         h_in_eigenbasis = self.eigenbasis.conj().T @ h.entries @ self.eigenbasis
+        entries = h_in_eigenbasis.reshape(-1)[lay.frame]
+        upper, lower = entries[lay.upper_at], entries[lay.lower_at]
+        coeffs[lay.diag] = np.real(entries[lay.diag_at])
+        coeffs[lay.sym] = np.real(upper + lower) * _INV_SQRT2
+        coeffs[lay.anti] = np.real(1j * (lower - upper)) * _INV_SQRT2
         off_block = h_in_eigenbasis.copy()
-        for cols, iu, ju, diag, sym, anti in self._layout():
-            hb = h_in_eigenbasis[cols, cols]
-            off_block[cols, cols] = 0.0
-            coeffs[diag] = np.real(np.diag(hb))
-            coeffs[sym] = np.real(hb[iu, ju] + hb[ju, iu]) * inv_sqrt2
-            coeffs[anti] = np.real(1j * (hb[ju, iu] - hb[iu, ju])) * inv_sqrt2
+        off_block.flat[lay.frame] = 0.0
         # The generators span exactly the block-diagonal Hermitian
         # matrices in the eigenbasis, so what is lost is the Frobenius
         # mass outside the blocks, measured directly (a mass-subtraction
@@ -236,17 +314,16 @@ def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Opera
     """``exp(-i sum_k c_k B_k)`` over the commutant basis.
 
     The generator is block diagonal in the charge eigenbasis, so the
-    exponential is taken block by block; the result commutes with the
-    total charge by construction.
+    exponential is taken block by block, with one eigendecomposition per
+    block size: the blocks of each size are exponentiated as one stack.
+    The result commutes with the total charge by construction.
     """
-    blocks = basis.coefficient_blocks(coefficients)
-    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    start = 0
-    for h in blocks:
-        d = h.shape[0]
-        cols = basis.eigenbasis[:, start : start + d]
+    block_unitaries = []
+    for h in basis._block_stacks(coefficients):
         w, v = np.linalg.eigh(h)
-        ub = (v * np.exp(-1j * w)) @ v.conj().T
-        u += cols @ ub @ cols.conj().T
-        start += d
+        block_unitaries.append((v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
+    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for cols, g, m in basis._layout.blocks:
+        c = basis.eigenbasis[:, cols]
+        u += c @ block_unitaries[g][m] @ c.conj().T
     return Operator(u, unitary=True)

@@ -23,6 +23,7 @@ from .operators import (
     HilbertSpec,
     Operator,
     StateVector,
+    _evolve_all,
     evolve,
     tensor_states,
 )
@@ -96,11 +97,11 @@ class IndirectMeasurementModel:
         """The error and disturbance operators, built once per model: the
         model is immutable, so they cannot go stale."""
         measured = heisenberg(self, "measured", evolved=False)
-        pointer_after = heisenberg(self, "pointer", evolved=True).entries
-        measured_after = evolve(measured, self.interaction).entries
+        pointer = heisenberg(self, "pointer", evolved=False)
+        pointer_after, measured_after = _evolve_all((pointer, measured), self.interaction)
         return (
-            Operator(pointer_after - measured.entries, hermitian=True),
-            Operator(measured_after - measured.entries, hermitian=True),
+            Operator(pointer_after.entries - measured.entries, hermitian=True),
+            Operator(measured_after.entries - measured.entries, hermitian=True),
         )
 
     def initial_state(self, psi: StateVector) -> StateVector:

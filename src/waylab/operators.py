@@ -42,6 +42,11 @@ UNITARY_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
 
 
+def _hermiticity_defect(entries: np.ndarray) -> float:
+    """max|M - M^dag|: the comparison behind every hermiticity check."""
+    return float(np.max(np.abs(entries - entries.conj().T)))
+
+
 def _unitarity_defect(entries: np.ndarray) -> float:
     """max|M^dag M - I|: the dense product behind every unitarity check."""
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(entries.shape[0]))))
@@ -93,7 +98,7 @@ class Operator:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
         if self.hermitian:
-            dev = float(np.max(np.abs(self.entries - self.entries.conj().T)))
+            dev = _hermiticity_defect(self.entries)
             if dev > FLAG_TOL:
                 raise ValueError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
         if self.unitary:
@@ -106,7 +111,19 @@ class Operator:
         return self.entries.shape[0]
 
     def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T))) <= tol
+        """Whether max|M - M^dag| <= tol.
+
+        At the default tolerance a validated ``hermitian=True`` flag
+        answers, and otherwise the first answer is kept, as for
+        :meth:`is_unitary`.
+        """
+        if tol == FLAG_TOL:
+            return self._hermitian_at_default_tol
+        return _hermiticity_defect(self.entries) <= tol
+
+    @functools.cached_property
+    def _hermitian_at_default_tol(self) -> bool:
+        return bool(self.hermitian) or _hermiticity_defect(self.entries) <= FLAG_TOL
 
     def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         """Whether max|M^dag M - I| <= tol.
@@ -213,13 +230,13 @@ class HilbertSpec:
     def ancilla_dims(self) -> tuple[int, ...]:
         return self.factor_dims[2:]
 
-    @property
+    @functools.cached_property
     def ancilla_dim(self) -> int:
-        return int(np.prod(self.ancilla_dims, dtype=np.int64)) if self.ancilla_dims else 1
+        return math.prod(self.ancilla_dims)
 
-    @property
+    @functools.cached_property
     def total_dim(self) -> int:
-        return int(np.prod(self.factor_dims, dtype=np.int64))
+        return math.prod(self.factor_dims)
 
     @property
     def has_ancilla(self) -> bool:
@@ -277,7 +294,14 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 def evolve(op: Operator, u: Operator) -> Operator:
     """Heisenberg-picture image U^dag op U of a Hermitian operator."""
-    return Operator(u.entries.conj().T @ op.entries @ u.entries, hermitian=True)
+    return _evolve_all((op,), u)[0]
+
+
+def _evolve_all(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
+    """U^dag op U for each of ``ops``, as one stacked product; each image
+    is validated Hermitian as it is built."""
+    images = u.entries.conj().T @ np.stack([op.entries for op in ops]) @ u.entries
+    return tuple(Operator(image, hermitian=True) for image in images)
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:
@@ -302,5 +326,7 @@ def std_dev(op: Operator, psi: StateVector) -> float:
 
 
 def operator_norm(op: Operator) -> float:
-    """Largest singular value (spectral norm)."""
-    return float(np.linalg.norm(op.entries, ord=2))
+    """Largest singular value (spectral norm): the first of the descending
+    singular values, the number ``np.linalg.norm(ord=2)`` picks out of
+    the same decomposition."""
+    return float(np.linalg.svd(op.entries, compute_uv=False)[0])

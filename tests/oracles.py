@@ -232,6 +232,60 @@ def generators(basis: CommutantBasis) -> tuple[Operator, ...]:
     return tuple(gens)
 
 
+def _per_block_runs(basis: CommutantBasis):
+    """Each block's eigenbasis columns, its i < j index pairs and its
+    diagonal, symmetric and antisymmetric coefficient runs, block by block."""
+    start = pos = 0
+    for d in basis.block_dims:
+        iu, ju = np.triu_indices(d, 1)
+        n = iu.size
+        yield (
+            basis.eigenbasis[:, start : start + d], iu, ju,
+            slice(pos, pos + d), slice(pos + d, pos + d + n), slice(pos + d + n, pos + d * d),
+        )
+        start += d
+        pos += d * d
+
+
+def conserving_unitary_per_block(basis: CommutantBasis, coefficients: np.ndarray) -> np.ndarray:
+    """exp(-i sum_k c_k B_k) one block at a time, in block order: each
+    block's Hermitian matrix filled from its own coefficient runs, its own
+    eigendecomposition, and its V_b e^{-iH_b} V_b^dag added in.  This is
+    the loop the library ran before it grouped blocks by size; the grouped
+    form must equal it bit for bit."""
+    coeffs = np.asarray(coefficients, dtype=float).reshape(-1)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for cols, iu, ju, diag, sym, anti in _per_block_runs(basis):
+        h = np.diag(coeffs[diag]).astype(np.complex128)
+        upper = (coeffs[sym] + 1j * coeffs[anti]) * inv_sqrt2
+        h[iu, ju] = upper
+        h[ju, iu] = np.conj(upper)
+        w, v = np.linalg.eigh(h)
+        ub = (v * np.exp(-1j * w)) @ v.conj().T
+        u += cols @ ub @ cols.conj().T
+    return u
+
+
+def project_coefficients_per_block(basis: CommutantBasis, h: Operator) -> tuple[np.ndarray, float]:
+    """Coefficients of the block-diagonal part of ``h`` in the eigenbasis
+    and the Frobenius norm of the rest, read block by block."""
+    coeffs = np.empty(basis.generator_count)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    rotated = basis.eigenbasis.conj().T @ h.entries @ basis.eigenbasis
+    off_block = rotated.copy()
+    start = 0
+    for cols, iu, ju, diag, sym, anti in _per_block_runs(basis):
+        d = cols.shape[1]
+        hb = rotated[start : start + d, start : start + d]
+        off_block[start : start + d, start : start + d] = 0.0
+        coeffs[diag] = np.real(np.diag(hb))
+        coeffs[sym] = np.real(hb[iu, ju] + hb[ju, iu]) * inv_sqrt2
+        coeffs[anti] = np.real(1j * (hb[ju, iu] - hb[iu, ju])) * inv_sqrt2
+        start += d
+    return coeffs, float(np.linalg.norm(off_block))
+
+
 def channel_apply(impl: GateImplementation, rho: Operator) -> Operator:
     """The induced two-qubit channel: couple in the ancilla state, apply
     the unitary, trace the ancilla back out."""

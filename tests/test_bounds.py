@@ -30,6 +30,7 @@ from waylab import (
     trade_off_reports,
 )
 import waylab.bounds
+import waylab.operators
 from waylab.bounds import reports_to_csv
 from waylab.cnot import pauli
 from waylab.sampling import random_conserving_model, random_state
@@ -135,6 +136,46 @@ def test_trade_off_reports_is_one_pass_behind_every_bound(monkeypatch):
     assert len(calls) == 1
     assert [r.relation for r in reports] == ["qway-1", "qway-2", "summed", "fundamental"]
     assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in slices]
+
+
+def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
+    # every max|M - M^dag| comparison, keyed by the matrix it ran on: a
+    # flagged operator is compared when it is built and never again, and
+    # no matrix is compared twice
+    seen: dict[int, int] = {}
+    keep = []
+    defect = waylab.operators._hermiticity_defect
+
+    def counting(entries):
+        keep.append(entries)
+        seen[id(entries)] = seen.get(id(entries), 0) + 1
+        return defect(entries)
+
+    monkeypatch.setattr(waylab.operators, "_hermiticity_defect", counting)
+    for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):
+        model, law = random_conserving_model(5, HilbertSpec(dims))
+        psi = _random_object_state(6)
+        trade_off_reports(model, law, psi)
+        identity_reports(model, law)
+    assert keep and max(seen.values()) == 1
+
+
+def test_law_lifts_are_built_once(monkeypatch):
+    # the parent lifted each charge part again for every evolved-charge
+    # pass: 8 embeds per model and trade-off pass; now the law's three
+    # lifts and the model's pointer and observable
+    calls = []
+    embed = HilbertSpec.embed
+    monkeypatch.setattr(HilbertSpec, "embed", lambda s, op, role: calls.append(role) or embed(s, op, role))
+    model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
+    psi = _random_object_state(10)
+    trade_off_reports(model, law, psi)
+    assert sorted(calls) == ["ancilla", "object", "object", "probe", "probe"]
+    calls.clear()
+    trade_off_reports(model, law, psi)
+    assert calls == []
+    identity_reports(model, law)
+    assert calls == ["object"]  # the observable, for [A, L1]
 
 
 def test_commuting_law_degenerates_gracefully():

@@ -454,8 +454,15 @@ def test_non_finite_tol_is_usage_error(tmp_path, capsys, command, config, flags)
         ({"tol": -1e-3}, "tol"),
         ({"max_iter": -1}, "max_iter"),
         ({"restarts": 2.5}, "restarts"),
+        ({"include_seed_states": "false"}, "include_seed_states"),
+        ({"include_seed_states": 0}, "include_seed_states"),
+        ({"seed": True}, "seed"),
+        ({"seed": 2.0}, "seed"),
     ],
-    ids=["tol-nan", "tol-infinity", "tol-negative", "max-iter-negative", "restarts-fraction"],
+    ids=[
+        "tol-nan", "tol-infinity", "tol-negative", "max-iter-negative", "restarts-fraction",
+        "seed-states-string", "seed-states-integer", "seed-bool", "seed-float",
+    ],
 )
 def test_bad_search_block_is_usage_error(tmp_path, capsys, command, search, key):
     # a NaN tol never stops the descent early and a negative max_iter
@@ -468,6 +475,29 @@ def test_bad_search_block_is_usage_error(tmp_path, capsys, command, search, key)
     assert report == {}
     err = capsys.readouterr().err
     assert "usage error" in err and f"search {key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [2.5, "5", True, -3], ids=["fraction", "string", "bool", "negative"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("check-bounds", "count"),
+        ("verify-identities", "count"),
+        ("boson-check", "samples_per"),
+        ("optimize", "restarts"),
+        ("optimize", "max_iter"),
+        ("optimize", "polish_steps"),
+    ],
+)
+def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
+    # int() would truncate 2.5 and accept "5" and true; a negative count
+    # ended in numpy's "negative dimensions are not allowed"
+    code, report = run_cli(tmp_path, command, {key: value}, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"{key} must be a nonnegative integer" in err
     assert "Traceback" not in err
 
 

@@ -543,3 +543,21 @@ def test_noise_fidelity_link_rejects_nonconserving():
     impl = GateImplementation(SPEC22, cnot_unitary())
     with pytest.raises(ConservationError):
         noise_fidelity_link(impl, law)
+
+
+def test_evolved_ancilla_charge_reads_the_law_lift(monkeypatch):
+    scenario = build_spin(3)
+    impl = random_conserving_implementation(4, scenario.law)
+    want = impl.unitary.entries.conj().T @ np.kron(
+        np.eye(4), scenario.law.ancilla_part.entries
+    ) @ impl.unitary.entries
+    scenario.law.total()  # the lifts exist from here on
+    calls = []
+    monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)
+    assert np.array_equal(waylab.cnot._evolved_ancilla_charge(impl, scenario.law).entries, want)
+    assert calls == []
+    monkeypatch.undo()
+    # a law whose ancilla lift cannot act on the implementation's space
+    other = ConservationLaw(HilbertSpec((2, 2, 2, 2)), X, X, Operator(np.eye(4), hermitian=True))
+    with pytest.raises(ValueError, match="does not fit"):
+        waylab.cnot.sigma_l3(impl, other, candidate_control_states()["plus"])

@@ -23,8 +23,15 @@ from waylab import (
     zero,
 )
 from waylab.cnot import pauli
+from waylab.sampling import random_hermitian, random_law
+from waylab.scenarios import build_boson, build_spin
 
-from oracles import expm_skew, generators
+from oracles import (
+    conserving_unitary_per_block,
+    expm_skew,
+    generators,
+    project_coefficients_per_block,
+)
 
 
 X = pauli("X")
@@ -211,3 +218,40 @@ def test_commutant_spans_trivial_law():
     h = Operator((m + m.conj().T) / 2, hermitian=True)
     _, residual = basis.project_coefficients(h)
     assert residual == pytest.approx(0.0, abs=1e-10)
+
+
+def _random_laws():
+    for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2, 2), (2, 3, 2)):
+        for seed in range(12):
+            yield f"random-{dims}-{seed}", random_law(np.random.default_rng(seed), HilbertSpec(dims))
+    yield "spin-3", build_spin(3).law
+    yield "spin-4", build_spin(4).law
+    yield "boson-1", build_boson(1.0).law
+    # generic spectra: every block is 1 x 1
+    for dims in ((2, 2), (2, 2, 2), (3, 2, 2)):
+        rng = np.random.default_rng(sum(dims))
+        spec = HilbertSpec(dims)
+        yield f"nondegenerate-{dims}", ConservationLaw(
+            spec, *(random_hermitian(rng, d) for d in (spec.object_dim, spec.probe_dim, spec.ancilla_dim))
+        )
+
+
+def test_grouped_blocks_match_the_per_block_loop_bit_for_bit():
+    sizes_seen: set[tuple[int, ...]] = set()
+    for name, law in _random_laws():
+        basis = commutant_basis(law)
+        sizes_seen.add(tuple(sorted(set(basis.block_dims))))
+        if name.startswith("nondegenerate"):
+            assert set(basis.block_dims) == {1}, name
+        rng = np.random.default_rng(7)
+        for scale in (0.3, 1.0, 4.0):
+            coeffs = rng.standard_normal(basis.generator_count) * scale
+            u = conserving_unitary(basis, coeffs)
+            assert np.array_equal(u.entries, conserving_unitary_per_block(basis, coeffs)), name
+            m = rng.standard_normal((basis.dim, basis.dim)) + 1j * rng.standard_normal((basis.dim, basis.dim))
+            h = Operator((m + m.conj().T) / 2, hermitian=True)
+            got, residual = basis.project_coefficients(h)
+            want, want_residual = project_coefficients_per_block(basis, h)
+            assert np.array_equal(got, want) and residual == want_residual, name
+    # layouts with several sizes, repeated sizes and 1 x 1 blocks only
+    assert (1,) in sizes_seen and any(len(s) >= 3 for s in sizes_seen)

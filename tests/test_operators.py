@@ -20,6 +20,7 @@ from waylab import (
     std_dev,
     tensor_states,
 )
+import waylab.operators
 from waylab.cnot import pauli
 
 from oracles import eig_hermitian, expm_skew
@@ -65,6 +66,29 @@ def test_operator_flag_validation():
         Operator(nonherm, unitary=True)
     # the same matrix is fine without advisory flags
     assert not Operator(nonherm).is_hermitian()
+
+
+def test_is_hermitian_reads_the_flag_and_recomputes_off_default_tol(monkeypatch):
+    calls = []
+    defect = waylab.operators._hermiticity_defect
+    monkeypatch.setattr(
+        waylab.operators, "_hermiticity_defect", lambda m: calls.append(1) or defect(m)
+    )
+    # within FLAG_TOL of Hermitian, but not exactly
+    skew = np.array([[1.0, 2.0 + 1e-14], [2.0, 3.0]])
+    flagged = Operator(skew, hermitian=True)
+    assert len(calls) == 1  # the construction check
+    assert flagged.is_hermitian() and flagged.is_hermitian()
+    assert len(calls) == 1
+    # any other tolerance is a fresh comparison, every time
+    assert not flagged.is_hermitian(0.0) and not flagged.is_hermitian(0.0)
+    assert flagged.is_hermitian(1e-13)
+    assert len(calls) == 4
+    # an unflagged operator is checked once at the default tolerance
+    plain = Operator(skew)
+    assert plain.is_hermitian() and plain.is_hermitian()
+    assert len(calls) == 5
+    assert not Operator(np.array([[0.0, 1.0], [0.0, 0.0]])).is_hermitian()
 
 
 def test_operator_entries_frozen():
