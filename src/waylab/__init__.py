@@ -24,7 +24,6 @@ from .measurement import (
     IndirectMeasurementModel,
     disturbance_operator,
     error_operator,
-    heisenberg,
     is_nondisturbing,
     is_precise,
     rms_disturbance,
@@ -42,7 +41,6 @@ from .bounds import (
     BoundReport,
     fundamental_bound,
     identity_reports,
-    identity_residuals,
     qway_bounds,
     summed_bound,
     trade_off_reports,
@@ -89,7 +87,6 @@ __all__ = [
     "IndirectMeasurementModel",
     "disturbance_operator",
     "error_operator",
-    "heisenberg",
     "is_nondisturbing",
     "is_precise",
     "rms_disturbance",
@@ -103,7 +100,6 @@ __all__ = [
     "BoundReport",
     "fundamental_bound",
     "identity_reports",
-    "identity_residuals",
     "qway_bounds",
     "summed_bound",
     "trade_off_reports",

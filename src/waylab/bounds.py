@@ -58,7 +58,6 @@ from .serialize import canonical_json, digest
 
 __all__ = [
     "BoundReport",
-    "identity_residuals",
     "identity_reports",
     "require_conserving",
     "trade_off_reports",
@@ -77,9 +76,10 @@ CONSERVATION_TOL = 1e-9
 class BoundReport:
     """One audited relation evaluation.
 
-    ``kind`` is ``"identity"`` (slack is the residual norm, pass means
-    slack <= tol) or ``"inequality"`` (slack = rhs - lhs, pass means
-    slack >= -tol).  ``digest`` identifies the inputs that produced the
+    ``kind`` is ``"identity"`` (slack = |lhs - rhs|, the residual norm
+    when rhs is 0; pass means slack <= tol) or ``"inequality"`` (slack =
+    rhs - lhs, pass means slack >= -tol).  The slack is derived, never
+    passed.  ``digest`` identifies the inputs that produced the
     numbers; ``details`` carries auxiliary measured quantities.
     """
 
@@ -87,13 +87,18 @@ class BoundReport:
     kind: str
     lhs: float
     rhs: float
-    slack: float
+    slack: float = field(init=False)
     digest: str
     details: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("identity", "inequality"):
+        if self.kind == "identity":
+            slack = abs(self.lhs - self.rhs)
+        elif self.kind == "inequality":
+            slack = self.rhs - self.lhs
+        else:
             raise ValueError(f"unknown report kind {self.kind!r}")
+        object.__setattr__(self, "slack", slack)
 
     def passed(self, tol: float = CONSERVATION_TOL) -> bool:
         if self.kind == "identity":
@@ -147,18 +152,11 @@ def require_conserving(spec: HilbertSpec, interaction: Operator, law: Conservati
         raise ConservationError(residual, CONSERVATION_TOL)
 
 
-def _charges_evolved(
+def identity_reports(
     model: IndirectMeasurementModel, law: ConservationLaw
-) -> tuple[Operator, Operator, Operator]:
-    """The law's three lifted charge parts conjugated by the interaction,
-    as one stacked product."""
-    return _evolve_all(law._lifts, model.interaction)
-
-
-def identity_residuals(
-    model: IndirectMeasurementModel, law: ConservationLaw
-) -> tuple[float, float]:
-    """Spectral-norm residuals of the two commutation identities.
+) -> tuple[BoundReport, BoundReport]:
+    """Spectral-norm residuals of the two commutation identities, as
+    audit records.
 
     Requires the interaction to conserve the total charge (residual
     <= 1e-9), otherwise :class:`ConservationError` is raised: the
@@ -166,31 +164,20 @@ def identity_residuals(
     hold without it.
     """
     require_conserving(model.spec, model.interaction, law)
-    s = model.spec
-    lhs = commutator(s.embed(model.observable, "object"), law._lifts[0]).entries
+    lhs = commutator(model._measured, law._lifts[0]).entries
     err = error_operator(model).entries
     dist = disturbance_operator(model).entries
-    l1t, l2t, l3t = (op.entries for op in _charges_evolved(model, law))
+    l1t, l2t, l3t = (op.entries for op in _evolve_all(law._lifts, model.interaction))
 
     def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b - b @ a
 
     rhs1 = comm(l1t, err) + comm(l2t, dist) + comm(l3t, dist)
     rhs2 = comm(l1t, err) + comm(l2t, dist) + comm(l3t, err)
-    r1 = float(np.linalg.norm(lhs - rhs1, ord=2))
-    r2 = float(np.linalg.norm(lhs - rhs2, ord=2))
-    return r1, r2
-
-
-def identity_reports(
-    model: IndirectMeasurementModel, law: ConservationLaw
-) -> tuple[BoundReport, BoundReport]:
-    """The two identity residuals wrapped as audit records."""
-    r1, r2 = identity_residuals(model, law)
     tag = digest(model=model, law=law)
     return (
-        BoundReport("identity-1", "identity", r1, 0.0, r1, tag),
-        BoundReport("identity-2", "identity", r2, 0.0, r2, tag),
+        BoundReport("identity-1", "identity", float(np.linalg.norm(lhs - rhs1, ord=2)), 0.0, tag),
+        BoundReport("identity-2", "identity", float(np.linalg.norm(lhs - rhs2, ord=2)), 0.0, tag),
     )
 
 
@@ -208,7 +195,7 @@ def trade_off_reports(
     """
     require_conserving(model.spec, model.interaction, law)
     state = model.initial_state(psi)
-    l1t, l2t, l3t = _charges_evolved(model, law)
+    l1t, l2t, l3t = _evolve_all(law._lifts, model.interaction)
     q = {
         "eps": rms_error(model, psi),
         "eta": rms_disturbance(model, psi),
@@ -228,12 +215,11 @@ def trade_off_reports(
     fund = _safe_ratio(comm**2, 2.0 * (norm_den + s3) ** 2)
     fund_sigma = _safe_ratio(comm**2, 2.0 * (2.0 * max(s1, s2) + s3) ** 2)
     return (
-        BoundReport("qway-1", "inequality", half, rhs1, rhs1 - half, tag, q),
-        BoundReport("qway-2", "inequality", half, rhs2, rhs2 - half, tag, q),
-        BoundReport("summed", "inequality", comm, summed, summed - comm, tag, q),
+        BoundReport("qway-1", "inequality", half, rhs1, tag, q),
+        BoundReport("qway-2", "inequality", half, rhs2, tag, q),
+        BoundReport("summed", "inequality", comm, summed, tag, q),
         BoundReport(
-            "fundamental", "inequality", fund, noise_sq, noise_sq - fund, tag,
-            {**q, "lhs_sigma_variant": fund_sigma},
+            "fundamental", "inequality", fund, noise_sq, tag, {**q, "lhs_sigma_variant": fund_sigma}
         ),
     )
 

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable
@@ -109,7 +110,7 @@ def _require_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
             "this command is randomized; pass --seed or put \"seed\" in the config "
             "(reproducibility is mandatory)"
         )
-    return int(seed)
+    return _nonnegative_int("seed", seed)
 
 
 def _finite_nonnegative(name: str, value: Any) -> float:
@@ -125,9 +126,11 @@ def _tol(args: argparse.Namespace, config: dict[str, Any]) -> float:
     return _finite_nonnegative("tol", _pick(args, config, "tol", DEFAULT_TOL))
 
 
-def _count(name: str, value: Any) -> int:
-    """A count from the config or a flag: a nonnegative integer, not a
-    bool, a float or a string that ``int`` would quietly convert."""
+def _nonnegative_int(name: str, value: Any) -> int:
+    """A count, seed or size from the config, checked rather than
+    converted: ``int`` would quietly take a bool, truncate a float and
+    parse a string.  No such value is negative (numpy refuses a negative
+    seed)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise _UsageError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
@@ -139,22 +142,18 @@ def _search_config(
     """The config's ``search`` block over ``defaults``, then the
     ``--restarts`` flag when given.  A NaN search ``tol`` would never stop
     the descent early and a negative ``max_iter`` would run no step, so
-    both are refused, as is any count that is not a nonnegative integer,
-    an ``include_seed_states`` that is not a JSON boolean (the string
-    ``"false"`` is true) and a ``seed`` that is not an integer."""
+    both are refused, as is a count or ``seed`` that is not a nonnegative
+    integer and any key ``SearchConfig`` lacks."""
     raw = {**defaults, **dict(config.get("search", {}))}
     if restarts_flag is not None:
         raw["restarts"] = restarts_flag
+    unknown = set(raw) - {f.name for f in fields(SearchConfig)}
+    if unknown:
+        raise _UsageError(f"search {min(unknown)} is not a search setting")
     if "tol" in raw:
         raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
-    for key in ("restarts", "max_iter"):
-        _count(f"search {key}", raw.get(key, 0))
-    flag = raw.get("include_seed_states", True)
-    if not isinstance(flag, bool):
-        raise _UsageError(f"search include_seed_states must be true or false, got {flag!r}")
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise _UsageError(f"search seed must be an integer, got {seed!r}")
+    for key in ("restarts", "max_iter", "seed"):
+        _nonnegative_int(f"search {key}", raw.get(key, 0))
     return SearchConfig(**raw)
 
 
@@ -248,13 +247,15 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
         model = model_from_json(_maybe_file(config["model"]))
         law = law_from_json(_maybe_file(config["law"]))
         seed = _pick(args, config, "seed", None)
+        if seed is not None:
+            _nonnegative_int("seed", seed)
         reports = identity_reports(model, law)  # raises ConservationError when not conserving
         records = [_record(r, tol) for r in reports]
         used = {"tol": tol, "source": "explicit model"}
         return _finish(args, "verify-identities", seed, used, records)
 
     seed = _require_seed(args, config)
-    count = _count("count", _pick(args, config, "count", 100))
+    count = _nonnegative_int("count", _pick(args, config, "count", 100))
     specs = _factor_specs(config)
     records: list[dict[str, Any]] = []
     for i, case_seed in enumerate(_case_seeds(seed, count)):
@@ -273,7 +274,7 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
 def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
-    count = _count("count", _pick(args, config, "count", 250))
+    count = _nonnegative_int("count", _pick(args, config, "count", 250))
     specs = _factor_specs(config)
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []
@@ -297,7 +298,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
         raise _UsageError("eval-impl needs \"implementation\" in the config (bundle or path)")
     impl = implementation_from_json(_maybe_file(config["implementation"]))
     tol = _tol(args, config)
-    seed = int(_pick(args, config, "seed", 0))
+    seed = _nonnegative_int("seed", _pick(args, config, "seed", 0))
     search = _search_config(config, args.restarts, seed=seed)
     result = gate_fidelity(impl, search)
 
@@ -323,16 +324,10 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
         ceiling = reports[0].details["ceiling_fsq"]
         tag = digest(implementation=impl, law=law)
         ceiling_report = BoundReport(
-            "sigma-ceiling",
-            "inequality",
-            result.fidelity_sq,
-            ceiling,
-            ceiling - result.fidelity_sq,
-            tag,
-            {"sigma_l3": sigma},
+            "sigma-ceiling", "inequality", result.fidelity_sq, ceiling, tag, {"sigma_l3": sigma}
         )
         records.append(_record(ceiling_report, tol))
-    used = {"tol": tol, "search": {"restarts": search.restarts, "max_iter": search.max_iter}}
+    used = {"tol": tol, "search": asdict(search)}
     return _finish(args, "eval-impl", seed, used, records, extra_summary=info)
 
 
@@ -340,29 +335,26 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     kind = str(_pick(args, config, "kind", "spin"))
     opt = OptimizeConfig(
-        restarts=_count("restarts", _pick(args, config, "restarts", 3)),
-        max_iter=_count("max_iter", _pick(args, config, "max_iter", 120)),
+        restarts=_nonnegative_int("restarts", _pick(args, config, "restarts", 3)),
+        max_iter=_nonnegative_int("max_iter", _pick(args, config, "max_iter", 120)),
         seed=seed,
-        polish_steps=_count("polish_steps", _pick(args, config, "polish_steps", 60)),
+        polish_steps=_nonnegative_int("polish_steps", _pick(args, config, "polish_steps", 60)),
         inner=_search_config(config, restarts=8, max_iter=150, seed=seed),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),
     )
     if kind == "spin":
-        scenario = build_spin(int(_pick(args, config, "n", 2)))
+        params = {"n": _nonnegative_int("n", _pick(args, config, "n", 2))}
+        scenario = build_spin(**params)
     elif kind == "boson":
-        scenario = build_boson(
-            float(_pick(args, config, "nbar", 1.0)),
-            float(_pick(args, config, "tail_tol", 1e-10)),
-        )
+        params = {
+            "nbar": float(_pick(args, config, "nbar", 1.0)),
+            "tail_tol": float(_pick(args, config, "tail_tol", 1e-10)),
+        }
+        scenario = build_boson(**params)
     else:
         raise _UsageError(f"unknown scenario kind {kind!r} (expected \"spin\" or \"boson\")")
 
-    used = {
-        "kind": kind,
-        "restarts": opt.restarts,
-        "max_iter": opt.max_iter,
-        "inner": {"restarts": opt.inner.restarts, "max_iter": opt.inner.max_iter},
-    }
+    used = {"kind": kind, **asdict(opt), **params}
     extra: dict[str, Any] = {"scenario": scenario.label, "ceiling_fsq": scenario.ceiling_fsq}
     try:
         run = optimize_fidelity(scenario, opt)
@@ -395,7 +387,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
     nbars = [float(x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
-    samples = _count("samples_per", _pick(args, config, "samples_per", 3))
+    samples = _nonnegative_int("samples_per", _pick(args, config, "samples_per", 3))
     strength = float(_pick(args, config, "strength", 1.0))
     tail_tol = float(_pick(args, config, "tail_tol", 1e-10))
     search = _search_config(config, args.restarts, restarts=8, max_iter=150, seed=seed)
@@ -419,14 +411,12 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
             rigorous = sig_report.details["sigma_ceiling_fsq"]
             tag = sig_report.digest
             ceiling_report = BoundReport(
-                "sigma-ceiling", "inequality",
-                result.fidelity_sq, rigorous, rigorous - result.fidelity_sq, tag,
+                "sigma-ceiling", "inequality", result.fidelity_sq, rigorous, tag,
                 {"sigma_l3": sigma, "nbar": nbar},
             )
             nbar_report = BoundReport(
-                "nbar-ceiling", "inequality",
-                result.fidelity_sq, scenario.ceiling_fsq,
-                scenario.ceiling_fsq - result.fidelity_sq, tag, {"nbar": nbar},
+                "nbar-ceiling", "inequality", result.fidelity_sq, scenario.ceiling_fsq, tag,
+                {"nbar": nbar},
             )
             reports += [ceiling_report, sig_report, nbar_report]
             records.append(_record(ceiling_report, tol))
@@ -441,7 +431,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
         "strength": strength,
         "tail_tol": tail_tol,
         "tol": tol,
-        "search": {"restarts": search.restarts, "max_iter": search.max_iter},
+        "search": asdict(search),
     }
     return _finish(args, "boson-check", seed, used, records, csv_text=reports_to_csv(reports))
 
@@ -466,18 +456,12 @@ def _cmd_positive_control(args: argparse.Namespace, config: dict[str, Any]) -> i
     nondisturbing = is_nondisturbing(model)
     tag = digest(law=law, basis=basis_name)
     records = [
-        _record(BoundReport("conservation-residual", "identity", residual, 0.0, residual, tag), tol),
-        _record(
-            BoundReport("precision", "identity", precise.worst_value, 0.0, precise.worst_value, tag),
-            tol,
-        ),
-        _record(
-            BoundReport(
-                "non-disturbance", "identity",
-                nondisturbing.worst_value, 0.0, nondisturbing.worst_value, tag,
-            ),
-            tol,
-        ),
+        _record(BoundReport(relation, "identity", value, 0.0, tag), tol)
+        for relation, value in (
+            ("conservation-residual", residual),
+            ("precision", precise.worst_value),
+            ("non-disturbance", nondisturbing.worst_value),
+        )
     ]
     used = {"basis": basis_name, "tol": tol}
     return _finish(args, "positive-control", None, used, records)

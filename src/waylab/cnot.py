@@ -249,20 +249,18 @@ class SearchConfig:
     """Knobs for the worst-case fidelity search.
 
     Ancilla-free implementations are solved exactly and use none of
-    them.  With an ancilla, the descent starts from the fixed seed
-    states (unless ``include_seed_states`` is off) plus ``restarts``
-    points of a scrambled Sobol sequence, deterministic per ``seed``; a
-    larger ``restarts`` extends the same sequence.  It takes at most
-    ``max_iter`` steps and stops early once no start has lowered its F^2
-    by more than ``tol`` for two steps in a row.  A search with no
-    starts is refused either way.
+    them.  With an ancilla, the descent starts from the 16 fixed seed
+    states plus ``restarts`` points of a scrambled Sobol sequence,
+    deterministic per ``seed``; a larger ``restarts`` extends the same
+    sequence.  It takes at most ``max_iter`` steps and stops early once
+    no start has lowered its F^2 by more than ``tol`` for two steps in
+    a row.
     """
 
     restarts: int = 64
     max_iter: int = 400
     tol: float = 1e-10
     seed: int = 0
-    include_seed_states: bool = True
 
 
 @dataclass(frozen=True)
@@ -384,12 +382,8 @@ def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
     :func:`_scrambled_sobol` mapped onto the sphere.  They depend on the
     frozen config alone, so they are built once per config and shared
     read-only by every search that uses it."""
-    labels: list[str] = []
-    states: list[np.ndarray] = []
-    if cfg.include_seed_states:
-        seeds = _seed_states()
-        labels += [f"seed-{i}" for i in range(len(seeds))]
-        states += seeds
+    states = _seed_states()
+    labels = [f"seed-{i}" for i in range(len(states))]
     if cfg.restarts > 0:
         raw = _scrambled_sobol(cfg.restarts, cfg.seed)
         hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
@@ -536,8 +530,6 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
     cfg = config or SearchConfig()
     if cfg.restarts < 0:
         raise ValueError("restarts must be nonnegative")
-    if cfg.restarts == 0 and not cfg.include_seed_states:
-        raise ValueError("search has no starting points: restarts is 0 and seed states are off")
     ev = _FidelityEvaluator(impl)
     if ev.d_anc == 1:
         psis = _hull_witnesses(ev)
@@ -696,6 +688,6 @@ def noise_fidelity_link(
 
     tag = digest(implementation=impl, law=law, psi=chosen)
     return (
-        BoundReport("squared-noise", "inequality", sq_lhs, sq_rhs, sq_rhs - sq_lhs, tag, details),
-        BoundReport("fidelity-link", "inequality", link_lhs, link_rhs, link_rhs - link_lhs, tag, details),
+        BoundReport("squared-noise", "inequality", sq_lhs, sq_rhs, tag, details),
+        BoundReport("fidelity-link", "inequality", link_lhs, link_rhs, tag, details),
     )

@@ -244,16 +244,6 @@ class CommutantBasis:
         buf[lay.lower_at] = np.conj(upper)
         return [buf[at : at + k * d * d].reshape(k, d, d) for d, k, at in lay.groups]
 
-    def coefficient_blocks(self, coefficients: np.ndarray) -> list[np.ndarray]:
-        """Assemble the Hermitian matrix of each block from coefficients.
-
-        The coefficient vector is consumed in generator enumeration
-        order; the returned dense ``d x d`` Hermitian blocks satisfy
-        ``sum_k c_k B_k = sum_blocks V_b H_b V_b^dag``.
-        """
-        stacks = self._block_stacks(coefficients)
-        return [stacks[g][m] for _, g, m in self._layout.blocks]
-
     def project_coefficients(self, h: Operator) -> tuple[np.ndarray, float]:
         """Best-fit coefficients for a Hermitian target generator.
 
@@ -284,10 +274,10 @@ class CommutantBasis:
         return coeffs, residual
 
 
-def commutant_basis(law: ConservationLaw, degeneracy_tol: float = DEGENERACY_TOL) -> CommutantBasis:
+def commutant_basis(law: ConservationLaw) -> CommutantBasis:
     """Orthonormal Hermitian basis of operators commuting with the total charge.
 
-    Eigenvalues of the total charge within ``degeneracy_tol`` are merged
+    Eigenvalues of the total charge within ``DEGENERACY_TOL`` are merged
     into one block, so near-degenerate spectra do not fragment the
     commutant.
     """
@@ -297,7 +287,7 @@ def commutant_basis(law: ConservationLaw, degeneracy_tol: float = DEGENERACY_TOL
     block_vals: list[float] = []
     start = 0
     for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > degeneracy_tol:
+        if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_TOL:
             block_dims.append(i - start)
             block_vals.append(float(np.mean(vals[start:i])))
             start = i

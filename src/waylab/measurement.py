@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
@@ -24,14 +23,12 @@ from .operators import (
     Operator,
     StateVector,
     _evolve_all,
-    evolve,
     tensor_states,
 )
 
 __all__ = [
     "IndirectMeasurementModel",
     "CertificationResult",
-    "heisenberg",
     "error_operator",
     "disturbance_operator",
     "rms_error",
@@ -93,11 +90,17 @@ class IndirectMeasurementModel:
             raise ValueError("observable must be Hermitian on the object factor")
 
     @functools.cached_property
+    def _measured(self) -> Operator:
+        """The measured observable lifted to the total space, built once
+        per model and shared by the noise operators and the identities."""
+        return self.spec.embed(self.observable, "object")
+
+    @functools.cached_property
     def _noise_operators(self) -> tuple[Operator, Operator]:
         """The error and disturbance operators, built once per model: the
         model is immutable, so they cannot go stale."""
-        measured = heisenberg(self, "measured", evolved=False)
-        pointer = heisenberg(self, "pointer", evolved=False)
+        measured = self._measured
+        pointer = self.spec.embed(self.pointer, "probe")
         pointer_after, measured_after = _evolve_all((pointer, measured), self.interaction)
         return (
             Operator(pointer_after.entries - measured.entries, hermitian=True),
@@ -111,30 +114,6 @@ class IndirectMeasurementModel:
         if self.spec.has_ancilla:
             return tensor_states(psi, self.probe_state, self.ancilla_state)
         return tensor_states(psi, self.probe_state)
-
-
-def heisenberg(
-    model: IndirectMeasurementModel,
-    observable: Literal["measured", "pointer"],
-    *,
-    evolved: bool,
-) -> Operator:
-    """Heisenberg-picture operator on the total space.
-
-    ``observable="measured"`` lifts the object observable,
-    ``"pointer"`` the probe pointer.  With ``evolved=True`` the lifted
-    operator is conjugated by the interaction,
-    ``U^dag (op x I) U``, i.e. taken after the coupling; with
-    ``evolved=False`` it is the time-zero embedding.  Spectra are
-    preserved either way.
-    """
-    if observable == "measured":
-        emb = model.spec.embed(model.observable, "object")
-    elif observable == "pointer":
-        emb = model.spec.embed(model.pointer, "probe")
-    else:
-        raise ValueError(f"unknown observable role {observable!r}")
-    return evolve(emb, model.interaction) if evolved else emb
 
 
 def error_operator(model: IndirectMeasurementModel) -> Operator:

@@ -30,22 +30,20 @@ def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return StateVector.from_amplitudes(raw)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Operator:
+def random_hermitian(rng: np.random.Generator, dim: int) -> Operator:
     """GUE-style random Hermitian matrix."""
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((raw + raw.conj().T) * (0.5 * scale), hermitian=True)
+    return Operator((raw + raw.conj().T) * 0.5, hermitian=True)
 
 
-def random_integer_spectrum_hermitian(
-    rng: np.random.Generator, dim: int, low: int = -2, high: int = 2
-) -> Operator:
-    """Random Hermitian with small integer eigenvalues.
+def random_integer_spectrum_hermitian(rng: np.random.Generator, dim: int) -> Operator:
+    """Random Hermitian with integer eigenvalues in -2..2.
 
     Integer spectra keep the total charge's eigenvalue clusters well
     separated, so the commutant block structure is unambiguous.  The
     eigenbasis is Haar random (QR of a complex Gaussian matrix).
     """
-    spectrum = rng.integers(low, high + 1, size=dim).astype(float)
+    spectrum = rng.integers(-2, 3, size=dim).astype(float)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(raw)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
@@ -63,9 +61,7 @@ def random_law(rng: np.random.Generator, spec: HilbertSpec) -> ConservationLaw:
 
 
 def random_conserving_model(
-    seed: int,
-    spec: HilbertSpec,
-    strength: float = 1.0,
+    seed: int, spec: HilbertSpec
 ) -> tuple[IndirectMeasurementModel, ConservationLaw]:
     """Random measurement model whose interaction conserves a random law.
 
@@ -76,8 +72,7 @@ def random_conserving_model(
     rng = np.random.default_rng(seed)
     law = random_law(rng, spec)
     basis = commutant_basis(law)
-    coeffs = rng.standard_normal(basis.generator_count) * strength
-    u = conserving_unitary(basis, coeffs)
+    u = conserving_unitary(basis, rng.standard_normal(basis.generator_count))
     model = IndirectMeasurementModel(
         spec=spec,
         probe_state=random_state(rng, spec.probe_dim),

@@ -21,7 +21,7 @@ import numpy as np
 
 from waylab.cnot import GateImplementation, cnot_unitary, implementation_to_json
 from waylab.conservation import CommutantBasis, ConservationLaw
-from waylab.measurement import IndirectMeasurementModel, heisenberg
+from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import (
     DEGENERACY_TOL,
     FLAG_TOL,
@@ -153,9 +153,21 @@ def outcome_distribution(
     evolved: bool,
 ) -> OutcomeDistribution:
     """Born distribution of a Heisenberg-picture observable in the
-    model's product input, degenerate levels merged into one outcome."""
+    model's product input, degenerate levels merged into one outcome.
+
+    ``"measured"`` is the object observable, ``"pointer"`` the probe
+    pointer, each lifted with dense Kronecker products; ``evolved``
+    conjugates the lift by the interaction, U^dag (op x I) U."""
+    s = model.spec
+    if observable == "measured":
+        lifted = np.kron(model.observable.entries, np.eye(s.probe_dim * s.ancilla_dim))
+    else:
+        lifted = np.kron(np.kron(np.eye(s.object_dim), model.pointer.entries), np.eye(s.ancilla_dim))
+    if evolved:
+        u = model.interaction.entries
+        lifted = u.conj().T @ lifted @ u
     state = model.initial_state(psi)
-    vals, projs = eig_hermitian(heisenberg(model, observable, evolved=evolved))
+    vals, projs = eig_hermitian(Operator(lifted))
     probs = [min(max(float(np.real(expectation(p, state))), 0.0), 1.0) for p in projs]
     return OutcomeDistribution(tuple(float(v) for v in vals), tuple(probs))
 

@@ -143,7 +143,6 @@ def test_criterion_4_spin_ceilings_respected_by_search(capsys):
         cfg = OptimizeConfig(
             restarts=1, max_iter=max_iter, polish_steps=polish, seed=seed,
             inner=SearchConfig(restarts=4, max_iter=80, seed=seed),
-            final=SearchConfig(restarts=8, max_iter=200, seed=seed),
         )
         run = optimize_fidelity(build_spin(n), cfg)
         assert run.ceiling_fsq == ceiling_qubit(n)

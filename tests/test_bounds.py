@@ -24,7 +24,6 @@ from waylab import (
     cnot_unitary,
     fundamental_bound,
     identity_reports,
-    identity_residuals,
     qway_bounds,
     summed_bound,
     trade_off_reports,
@@ -47,9 +46,8 @@ def test_identity_residuals_vanish_on_conserving_models():
     spec = HilbertSpec((2, 2, 2))
     for seed in range(10):
         model, law = random_conserving_model(seed, spec)
-        r1, r2 = identity_residuals(model, law)
-        assert r1 <= 1e-9
-        assert r2 <= 1e-9
+        for rep in identity_reports(model, law):
+            assert rep.lhs <= 1e-9, rep.relation
 
 
 def test_identity_reports_structure():
@@ -80,7 +78,7 @@ def test_identity_rejects_nonconserving_interaction():
         observable=Z,
     )
     with pytest.raises(ConservationError) as exc:
-        identity_residuals(model, law)
+        identity_reports(model, law)
     assert exc.value.residual > 1e-9
 
 
@@ -175,7 +173,7 @@ def test_law_lifts_are_built_once(monkeypatch):
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert calls == ["object"]  # the observable, for [A, L1]
+    assert calls == []  # [A, L1] takes the observable lift the noise operators made
 
 
 def test_commuting_law_degenerates_gracefully():
@@ -200,20 +198,34 @@ def test_commuting_law_degenerates_gracefully():
 
 
 def test_bound_report_passed_semantics():
-    ident = BoundReport("r", "identity", 1e-12, 0.0, 1e-12, "deadbeefdeadbeef")
+    ident = BoundReport("r", "identity", 1e-12, 0.0, "deadbeefdeadbeef")
     assert ident.passed(1e-9)
-    assert not BoundReport("r", "identity", 1e-3, 0.0, 1e-3, "d" * 16).passed(1e-9)
-    ineq = BoundReport("r", "inequality", 1.0, 2.0, 1.0, "d" * 16)
+    assert not BoundReport("r", "identity", 1e-3, 0.0, "d" * 16).passed(1e-9)
+    ineq = BoundReport("r", "inequality", 1.0, 2.0, "d" * 16)
     assert ineq.passed(1e-9)
-    assert not BoundReport("r", "inequality", 2.0, 1.0, -1.0, "d" * 16).passed(1e-9)
+    assert not BoundReport("r", "inequality", 2.0, 1.0, "d" * 16).passed(1e-9)
     with pytest.raises(ValueError):
-        BoundReport("r", "mystery", 0.0, 0.0, 0.0, "d" * 16)
+        BoundReport("r", "mystery", 0.0, 0.0, "d" * 16)
+
+
+def test_slack_is_derived_from_kind_and_sides():
+    # rhs - lhs for an inequality, the distance |lhs - rhs| for an
+    # identity; the slack cannot be passed, so it cannot disagree
+    assert BoundReport("r", "inequality", 2.5, 1.0, "d" * 16).slack == -1.5
+    assert BoundReport("r", "inequality", 1.0, 2.5, "d" * 16).slack == 1.5
+    assert BoundReport("r", "identity", 3e-3, 0.0, "d" * 16).slack == 3e-3
+    assert BoundReport("r", "identity", 1.0, 2.5, "d" * 16).slack == 1.5
+    with pytest.raises(TypeError):
+        BoundReport("r", "inequality", 1.0, 2.0, "d" * 16, slack=1.0)
+    model, law = random_conserving_model(4, HilbertSpec((2, 2, 2)))
+    psi = _random_object_state(5)
+    for rep in (*identity_reports(model, law), *trade_off_reports(model, law, psi)):
+        expected = rep.rhs - rep.lhs if rep.kind == "inequality" else rep.lhs
+        assert rep.slack == expected, rep.relation
 
 
 def test_report_json_dict_sorts_details():
-    rep = BoundReport(
-        "r", "inequality", 1.0, 2.0, 1.0, "d" * 16, details={"zeta": 1.0, "alpha": 2.0}
-    )
+    rep = BoundReport("r", "inequality", 1.0, 2.0, "d" * 16, details={"zeta": 1.0, "alpha": 2.0})
     data = rep.to_json_dict()
     assert list(data["details"].keys()) == ["alpha", "zeta"]
     assert data["relation"] == "r"

@@ -28,6 +28,7 @@ from waylab.cnot import implementation_from_json, implementation_to_json, pauli
 from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import StateVector
+from waylab.sampling import random_conserving_model
 
 
 def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: str) -> tuple[int, dict]:
@@ -332,18 +333,6 @@ def test_optimize_spin_small_budget(tmp_path):
     assert (tmp_path / "report.csv").exists()
 
 
-def test_optimize_search_without_starts_is_input_error(tmp_path, capsys):
-    code, _ = run_cli(
-        tmp_path,
-        "optimize",
-        {"search": {"restarts": 0, "include_seed_states": False}},
-        "--seed",
-        "3",
-    )
-    assert code == EXIT_USAGE
-    assert "starting points" in capsys.readouterr().err
-
-
 def test_optimize_ceiling_violation_is_reported(tmp_path, monkeypatch):
     # a search claiming F = 1 crosses every finite-size ceiling
     def perfect(impl, config=None):
@@ -466,7 +455,9 @@ def test_non_finite_tol_is_usage_error(tmp_path, capsys, command, config, flags)
 )
 def test_bad_search_block_is_usage_error(tmp_path, capsys, command, search, key):
     # a NaN tol never stops the descent early and a negative max_iter
-    # runs no descent step; neither left a trace in the report
+    # runs no descent step; neither left a trace in the report.  Every
+    # search has its seed states, so the retired include_seed_states is
+    # refused as a key SearchConfig does not have
     config: dict = {"search": search}
     if command == "eval-impl":
         config["implementation"] = implementation_to_json(_ancilla_impl_and_law()[0])
@@ -499,6 +490,65 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
     err = capsys.readouterr().err
     assert "usage error" in err and f"{key} must be a nonnegative integer" in err
     assert "Traceback" not in err
+
+
+def _explicit_model_config() -> dict:
+    model, law = random_conserving_model(1, HilbertSpec((2, 2)))
+    return {"model": model_to_json(model), "law": law_to_json(law)}
+
+
+@pytest.mark.parametrize("value", [1.5, True, "7", -1], ids=["fraction", "bool", "string", "negative"])
+@pytest.mark.parametrize(
+    "command, key, config, flags",
+    [
+        ("check-bounds", "seed", {"count": 2}, []),
+        ("verify-identities", "seed", {"count": 2}, []),
+        ("verify-identities", "seed", _explicit_model_config(), []),
+        ("eval-impl", "seed", {"implementation": _conserving_impl_json()[0]}, []),
+        ("optimize", "n", {"restarts": 0, "max_iter": 2}, ["--seed", "3"]),
+    ],
+    ids=["check-bounds", "verify-identities", "verify-identities-explicit", "eval-impl", "optimize-n"],
+)
+def test_bad_integer_is_usage_error(tmp_path, capsys, command, key, config, flags, value):
+    # int() truncated 1.5 and took true and "7": check-bounds with seed
+    # 1.5 reported seed 1, and optimize with n 2.9 ran spin-n2; a
+    # negative seed ended in numpy's error or, where no draw used it,
+    # went into the report
+    code, report = run_cli(tmp_path, command, {**config, key: value}, *flags)
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"{key} must be a nonnegative integer" in err
+    assert "Traceback" not in err
+
+
+def test_report_config_lists_every_setting(tmp_path):
+    # optimize left out polish_steps, n, nbar, tail_tol, initial_points
+    # and the inner search's tol and seed, and the eval-impl and
+    # boson-check search blocks left out tol: runs that differed only
+    # there wrote the same block
+    search = {"restarts": 1, "max_iter": 5, "tol": 1e-8}
+    outer = {"restarts": 0, "max_iter": 2, "polish_steps": 1, "search": search}
+    code, report = run_cli(tmp_path, "optimize", {"kind": "spin", "n": 2, **outer}, "--seed", "2")
+    assert code == EXIT_OK
+    assert report["header"]["config"] == {
+        "kind": "spin", "restarts": 0, "max_iter": 2, "seed": 2, "polish_steps": 1,
+        "inner": {**search, "seed": 2}, "initial_points": [], "n": 2,
+    }
+    boson = {"kind": "boson", "nbar": 0.25, "tail_tol": 1e-3, **outer}
+    code, report = run_cli(tmp_path, "optimize", boson, "--seed", "2")
+    assert code == EXIT_OK
+    assert report["header"]["config"]["nbar"] == 0.25
+    assert report["header"]["config"]["tail_tol"] == 1e-3
+    impl_json, _ = _conserving_impl_json()
+    config = {"implementation": impl_json, "search": search}
+    code, report = run_cli(tmp_path, "eval-impl", config, "--seed", "5")
+    assert code == EXIT_OK
+    assert report["header"]["config"]["search"] == {**search, "seed": 5}
+    config = {"nbars": [0.25], "samples_per": 1, "tail_tol": 1e-3, "search": search}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "4")
+    assert code == EXIT_OK
+    assert report["header"]["config"]["search"] == {**search, "seed": 4}
 
 
 def test_randomized_commands_require_seed(tmp_path, capsys):

@@ -246,12 +246,6 @@ def test_gate_fidelity_result_is_consistent():
     assert res.evaluations > 0
 
 
-def test_gate_fidelity_without_starts_is_value_error():
-    impl = GateImplementation(SPEC22, cnot_unitary())
-    with pytest.raises(ValueError, match="starting points"):
-        gate_fidelity(impl, SearchConfig(restarts=0, include_seed_states=False))
-
-
 def test_more_restarts_never_worsen_the_minimum():
     # Sobol starts extend as a prefix sequence, so a larger budget can
     # only probe a superset of states
@@ -470,14 +464,14 @@ def test_singular_newton_system_falls_back_per_row():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(normal[row], rhs[row])
 
-    cfg = SearchConfig(restarts=6, max_iter=40, tol=-1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        full = gate_fidelity(impl, cfg)
-        alone = gate_fidelity(impl, SearchConfig(restarts=6, max_iter=40, tol=-1.0, include_seed_states=False))
-    sobol = [t for t in full.trace if t["start"].startswith("sobol-")]
-    assert [t["start"] for t in sobol] == [t["start"] for t in alone.trace]
-    for a, b in zip(sobol, alone.trace):
+        full = gate_fidelity(impl, SearchConfig(restarts=6, max_iter=40, tol=-1.0))
+        alone = gate_fidelity(impl, SearchConfig(restarts=0, max_iter=40, tol=-1.0))
+    seeds = [t for t in full.trace if t["start"].startswith("seed-")]
+    assert [t["start"] for t in seeds] == [t["start"] for t in alone.trace]
+    assert len(seeds) == 16 and len(full.trace) == 22
+    for a, b in zip(seeds, alone.trace):
         assert a["final"] == pytest.approx(b["final"], abs=1e-12)
     assert np.isfinite(full.fidelity_sq)
 

@@ -187,25 +187,6 @@ def test_project_detects_nonconserving_direction():
     assert residual > 0.5
 
 
-def test_coefficient_blocks_reassemble_generator_sum():
-    basis = commutant_basis(_xxx_law())
-    rng = np.random.default_rng(4)
-    coeffs = rng.standard_normal(basis.generator_count)
-    dense = sum(
-        (c * g.entries for c, g in zip(coeffs, generators(basis))),
-        np.zeros((8, 8), dtype=complex),
-    )
-    # blocks live in the eigenbasis, ordered like the block slices
-    eb = basis.eigenbasis
-    rotated = eb.conj().T @ dense @ eb
-    offset = 0
-    for block, d in zip(basis.coefficient_blocks(coeffs), basis.block_dims):
-        np.testing.assert_allclose(
-            block, rotated[offset : offset + d, offset : offset + d], atol=1e-12
-        )
-        offset += d
-
-
 def test_commutant_spans_trivial_law():
     # L = 0 conserves everything: the commutant is the full Hermitian
     # space and any Hermitian projects with zero residual

@@ -20,7 +20,6 @@ from waylab import (
     disturbance_operator,
     error_operator,
     expectation,
-    heisenberg,
     is_nondisturbing,
     is_precise,
     rms_disturbance,
@@ -29,6 +28,7 @@ from waylab import (
 )
 from waylab.cnot import pauli
 from waylab.measurement import CertificationResult
+from waylab.operators import evolve
 from waylab.sampling import random_conserving_model
 
 from oracles import (
@@ -96,26 +96,36 @@ def test_initial_state_product():
         model.initial_state(StateVector.basis(3, 0))
 
 
+def _lifts(model):
+    """The measured observable and the pointer at time zero."""
+    s = model.spec
+    return {
+        "measured": s.embed(model.observable, "object"),
+        "pointer": s.embed(model.pointer, "probe"),
+    }
+
+
 def test_heisenberg_cnot_propagates_pointer():
     # CNOT in the Heisenberg picture: Z2 -> Z1 Z2, Z1 -> Z1
     model = cnot_z_model()
+    lifts = _lifts(model)
     np.testing.assert_allclose(
-        heisenberg(model, "pointer", evolved=True).entries,
+        evolve(lifts["pointer"], model.interaction).entries,
         np.kron(Z.entries, Z.entries),
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        heisenberg(model, "measured", evolved=True).entries,
-        heisenberg(model, "measured", evolved=False).entries,
+        evolve(lifts["measured"], model.interaction).entries,
+        lifts["measured"].entries,
         atol=1e-14,
     )
 
 
 def test_heisenberg_preserves_spectrum():
     model = cnot_z_model()
-    for role in ("measured", "pointer"):
-        before = np.linalg.eigvalsh(heisenberg(model, role, evolved=False).entries)
-        after = np.linalg.eigvalsh(heisenberg(model, role, evolved=True).entries)
+    for lift in _lifts(model).values():
+        before = np.linalg.eigvalsh(lift.entries)
+        after = np.linalg.eigvalsh(evolve(lift, model.interaction).entries)
         np.testing.assert_allclose(before, after, atol=1e-12)
 
 

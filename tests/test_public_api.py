@@ -18,7 +18,7 @@ MODULE_ALL = {
         "operator_norm", "zero",
     },
     "measurement": {
-        "IndirectMeasurementModel", "CertificationResult", "heisenberg",
+        "IndirectMeasurementModel", "CertificationResult",
         "error_operator", "disturbance_operator", "rms_error", "rms_disturbance",
         "is_precise", "is_nondisturbing",
     },
@@ -27,7 +27,7 @@ MODULE_ALL = {
         "conservation_residual", "commutant_basis", "conserving_unitary",
     },
     "bounds": {
-        "BoundReport", "identity_residuals", "identity_reports", "require_conserving",
+        "BoundReport", "identity_reports", "require_conserving",
         "trade_off_reports", "qway_bounds", "summed_bound", "fundamental_bound",
         "reports_to_csv",
     },
@@ -58,11 +58,11 @@ PACKAGE_ALL = {
     "HilbertSpec", "Operator", "StateVector", "commutator", "expectation",
     "operator_norm", "std_dev", "tensor_states", "zero",
     "CertificationResult", "IndirectMeasurementModel",
-    "disturbance_operator", "error_operator", "heisenberg", "is_nondisturbing",
+    "disturbance_operator", "error_operator", "is_nondisturbing",
     "is_precise", "rms_disturbance", "rms_error",
     "CommutantBasis", "ConservationError", "ConservationLaw", "commutant_basis",
     "conservation_residual", "conserving_unitary",
-    "BoundReport", "fundamental_bound", "identity_reports", "identity_residuals",
+    "BoundReport", "fundamental_bound", "identity_reports",
     "qway_bounds", "summed_bound", "trade_off_reports",
     "FidelityResult", "GateImplementation", "SearchConfig", "cnot_unitary",
     "gate_fidelity", "measurement_view", "noise_fidelity_link", "pauli", "state_fidelity",

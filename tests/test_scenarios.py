@@ -227,7 +227,6 @@ def test_optimizer_attains_unit_fidelity_without_obstruction():
             max_iter=6,
             polish_steps=0,
             inner=SearchConfig(restarts=4, max_iter=80),
-            final=SearchConfig(restarts=8, max_iter=200),
         ),
     )
     assert run.best_fidelity_sq >= 1.0 - 1e-9
@@ -243,7 +242,6 @@ def test_optimize_fidelity_spin2_structure():
             seed=3,
             polish_steps=8,
             inner=SearchConfig(restarts=4, max_iter=60),
-            final=SearchConfig(restarts=8, max_iter=150),
         ),
     )
     assert run.scenario == "spin-n2"
