@@ -114,7 +114,7 @@ def _require_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
 
 def _finite_nonnegative(name: str, value: Any) -> float:
-    number = float(value)
+    number = _real(name, value)
     if not 0.0 <= number < math.inf:
         raise _UsageError(f"{name} must be finite and nonnegative, got {number!r}")
     return number
@@ -134,6 +134,14 @@ def _nonnegative_int(name: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise _UsageError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
+
+
+def _real(name: str, value: Any) -> float:
+    """A real number from the config, checked rather than converted:
+    ``float`` would quietly take a bool and parse a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _UsageError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _search_config(
@@ -338,7 +346,6 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
         restarts=_nonnegative_int("restarts", _pick(args, config, "restarts", 3)),
         max_iter=_nonnegative_int("max_iter", _pick(args, config, "max_iter", 120)),
         seed=seed,
-        polish_steps=_nonnegative_int("polish_steps", _pick(args, config, "polish_steps", 60)),
         inner=_search_config(config, restarts=8, max_iter=150, seed=seed),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),
     )
@@ -347,8 +354,8 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
         scenario = build_spin(**params)
     elif kind == "boson":
         params = {
-            "nbar": float(_pick(args, config, "nbar", 1.0)),
-            "tail_tol": float(_pick(args, config, "tail_tol", 1e-10)),
+            "nbar": _real("nbar", _pick(args, config, "nbar", 1.0)),
+            "tail_tol": _real("tail_tol", _pick(args, config, "tail_tol", 1e-10)),
         }
         scenario = build_boson(**params)
     else:
@@ -386,10 +393,10 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
-    nbars = [float(x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
+    nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
     samples = _nonnegative_int("samples_per", _pick(args, config, "samples_per", 3))
-    strength = float(_pick(args, config, "strength", 1.0))
-    tail_tol = float(_pick(args, config, "tail_tol", 1e-10))
+    strength = _real("strength", _pick(args, config, "strength", 1.0))
+    tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", 1e-10))
     search = _search_config(config, args.restarts, restarts=8, max_iter=150, seed=seed)
 
     records: list[dict[str, Any]] = []

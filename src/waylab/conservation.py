@@ -244,6 +244,17 @@ class CommutantBasis:
         buf[lay.lower_at] = np.conj(upper)
         return [buf[at : at + k * d * d].reshape(k, d, d) for d, k, at in lay.groups]
 
+    def _pairings(self, entries: np.ndarray) -> np.ndarray:
+        """Re tr(B_k X) for every generator B_k, from the block entries
+        of X in the eigenbasis, laid out as the coefficient buffer."""
+        lay = self._layout
+        coeffs = np.empty(self.generator_count)
+        upper, lower = entries[lay.upper_at], entries[lay.lower_at]
+        coeffs[lay.diag] = np.real(entries[lay.diag_at])
+        coeffs[lay.sym] = np.real(upper + lower) * _INV_SQRT2
+        coeffs[lay.anti] = np.real(1j * (lower - upper)) * _INV_SQRT2
+        return coeffs
+
     def project_coefficients(self, h: Operator) -> tuple[np.ndarray, float]:
         """Best-fit coefficients for a Hermitian target generator.
 
@@ -256,13 +267,8 @@ class CommutantBasis:
         if h.dim != self.dim:
             raise ValueError(f"target dim {h.dim} does not match basis dim {self.dim}")
         lay = self._layout
-        coeffs = np.empty(self.generator_count)
         h_in_eigenbasis = self.eigenbasis.conj().T @ h.entries @ self.eigenbasis
-        entries = h_in_eigenbasis.reshape(-1)[lay.frame]
-        upper, lower = entries[lay.upper_at], entries[lay.lower_at]
-        coeffs[lay.diag] = np.real(entries[lay.diag_at])
-        coeffs[lay.sym] = np.real(upper + lower) * _INV_SQRT2
-        coeffs[lay.anti] = np.real(1j * (lower - upper)) * _INV_SQRT2
+        coeffs = self._pairings(h_in_eigenbasis.reshape(-1)[lay.frame])
         off_block = h_in_eigenbasis.copy()
         off_block.flat[lay.frame] = 0.0
         # The generators span exactly the block-diagonal Hermitian
@@ -317,3 +323,30 @@ def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Opera
         c = basis.eigenbasis[:, cols]
         u += c @ block_unitaries[g][m] @ c.conj().T
     return Operator(u, unitary=True)
+
+
+def unitary_gradient(
+    basis: CommutantBasis, coefficients: np.ndarray, bra: np.ndarray, ket: np.ndarray
+) -> np.ndarray:
+    """Re <bra| dU/dc_k |ket> for every k, U = ``conserving_unitary``.
+
+    With a block-size stack h = V diag(w) V^dag, the derivative of
+    exp(-i h) along a block B is V (Gamma o V^dag B V) V^dag
+    (Daleckii-Krein), with the divided differences of exp(-i x) in a
+    form without branches, exact also on coinciding eigenvalues:
+    Gamma_ij = -i exp(-i (w_i + w_j)/2) sinc((w_i - w_j)/2).  So
+    <bra|dU|ket> = tr(B T), T = V (Gamma o V^dag Y V) V^dag with Y the
+    blocks of |ket><bra| in the eigenbasis, read off by ``_pairings``.
+    """
+    lay = basis._layout
+    e_dag = basis.eigenbasis.conj().T
+    y = np.outer(e_dag @ ket, (e_dag @ bra).conj()).reshape(-1)[lay.frame]
+    out = []
+    for (d, k, at), h in zip(lay.groups, basis._block_stacks(coefficients)):
+        w, v = np.linalg.eigh(h)
+        v_dag = v.conj().swapaxes(1, 2)
+        w_i, w_j = w[:, :, None], w[:, None, :]
+        gamma = -1j * np.exp(-0.5j * (w_i + w_j)) * np.sinc((w_i - w_j) / (2.0 * np.pi))
+        t = v @ (gamma * (v_dag @ y[at : at + k * d * d].reshape(k, d, d) @ v)) @ v_dag
+        out.append(t.reshape(-1))
+    return basis._pairings(np.concatenate(out))

@@ -8,9 +8,9 @@ a truncated coherent field mode with charge 2N; its ceiling in terms of
 the mean photon number is F^2 <= 1 - 1/(16 nbar), with the rigorous
 per-implementation form using the measured deviation of the evolved
 charge.  :func:`optimize_fidelity` probes how closely conserving
-implementations approach these ceilings by derivative-free search over
-commutant coefficients, stopping with :class:`CeilingViolation` should
-any evaluated point cross its ceiling.
+implementations approach these ceilings by projected gradient ascent
+over commutant coefficients, stopping with :class:`CeilingViolation`
+should any evaluated point cross its ceiling.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from scipy.special import gammaln, pdtrc
 
 from .bounds import BoundReport
 from .cnot import (
+    FidelityResult,
     GateImplementation,
     SearchConfig,
     _evolved_ancilla_charge,
@@ -40,6 +41,7 @@ from .conservation import (
     ConservationLaw,
     commutant_basis,
     conserving_unitary,
+    unitary_gradient,
 )
 from .measurement import IndirectMeasurementModel
 from .operators import HilbertSpec, Operator, StateVector, commutator
@@ -67,9 +69,10 @@ __all__ = [
 # along any single unit-norm generator direction, so a wider box only
 # revisits the same unitaries.
 COEFF_BOX = 2.0 * math.pi
-# Edge length of the initial Nelder-Mead simplex: large enough to step
-# off the wide F = 0 plateau that surrounds most of the coefficient box.
-SIMPLEX_SPREAD = 0.6
+# Initial length of an ascent step in coefficient space, as the inner
+# search's initial step; a start ends once its step falls below the floor.
+STEP_INIT = 0.25
+STEP_FLOOR = 1e-6
 # The inner search that scores the optimizer's best point once, stronger
 # than the climb's, so the reported value is not inflated by an
 # under-converged minimum.
@@ -286,7 +289,8 @@ class OptimizeConfig:
     ``restarts`` random coefficient starts are drawn from one PCG64
     stream (so a larger budget extends, rather than reshuffles, a
     smaller one); ``initial_points`` adds caller-chosen coefficient
-    vectors, e.g. a projection of a known-good interaction.  The inner
+    vectors, e.g. a projection of a known-good interaction.  Each start
+    takes at most ``max_iter`` gradient-ascent steps.  The inner
     worst-case fidelity search runs with ``inner`` during the climb
     and with :data:`FINAL_SEARCH` once, on the best point found.
     """
@@ -294,7 +298,6 @@ class OptimizeConfig:
     restarts: int = 3
     max_iter: int = 120
     seed: int = 0
-    polish_steps: int = 60
     inner: SearchConfig = field(
         default_factory=lambda: SearchConfig(restarts=8, max_iter=150)
     )
@@ -386,147 +389,102 @@ def optimize_fidelity(
 ) -> OptimizationRun:
     """Maximize the worst-case CNOT fidelity over conserving unitaries.
 
-    Multi-start Nelder-Mead over the commutant coefficient box
-    [-2*pi, 2*pi] -- always including the projected-gate start from
-    :func:`projected_gate_coefficients` -- followed by a coordinate
-    compass polish of the best point.  Every evaluated implementation is checked against its
-    ceiling (the fixed 1 - 1/(4 n^2) for spin; the measured
-    sigma(L3')-form for bosonic runs) and the run raises
-    :class:`CeilingViolation` if any point lands above ceiling + 1e-9.
+    One projected gradient ascent of F^2 per start within the box
+    [-2*pi, 2*pi], the first start the projected gate.  The gradient is
+    exact at the worst state psi the inner search returns (Danskin): with
+    z_a = <psi|A_a|psi>, dF^2/dc_k = 2 Re <(C psi) x z| dU/dc_k |psi x xi>.
+    A step is kept only when it raises F^2, and then grows by 1.5; a
+    rejected one halves.  A start ends after ``max_iter`` steps, at an
+    exactly zero gradient (the F = 0 plateau), or below ``STEP_FLOOR``.
+    Every evaluated point, rejected trials included, is checked against
+    its ceiling (the fixed 1 - 1/(4 n^2) for spin; the measured
+    sigma(L3')-form for bosonic runs): one above ceiling + 1e-9 raises
+    :class:`CeilingViolation`.
     """
-    # Imported here, its one user, so that no other command pays for it.
-    from scipy import optimize as sp_optimize
-
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
     count = basis.generator_count
     is_boson = isinstance(scenario, BosonScenario)
     control = candidate_control_states()["iplus"]
+    cnot = cnot_unitary().entries
+    min_gap, evaluations = math.inf, 0
+    sigma = math.nan  # boson only: sigma(L3') at the last evaluation
 
-    state = {
-        "best_f": -1.0,
-        "best_x": np.zeros(count),
-        "min_gap": math.inf,
-        "evaluations": 0,
-        "sigma_l3": math.nan,  # boson only: sigma(L3') at the last evaluation
-    }
-
-    def evaluate(raw: np.ndarray, search: SearchConfig | None = None) -> float:
-        coeffs = np.clip(np.asarray(raw, dtype=float), -COEFF_BOX, COEFF_BOX)
-        u = conserving_unitary(basis, coeffs)
+    def evaluate(
+        coeffs: np.ndarray, search: SearchConfig | None = None
+    ) -> tuple[FidelityResult, GateImplementation]:
+        nonlocal min_gap, evaluations, sigma
         impl = GateImplementation(
-            spec=scenario.spec, unitary=u, ancilla_state=scenario.ancilla_state
+            scenario.spec, conserving_unitary(basis, coeffs), scenario.ancilla_state
         )
         res = gate_fidelity(impl, search or cfg.inner)
         if is_boson:
-            state["sigma_l3"] = sigma_l3(impl, scenario.law, control)
-            ceiling = sigma_ceiling_fsq(state["sigma_l3"])
+            sigma = sigma_l3(impl, scenario.law, control)
+            ceiling = sigma_ceiling_fsq(sigma)
         else:
             ceiling = scenario.ceiling_fsq
-        gap = ceiling - res.fidelity_sq
-        state["evaluations"] += 1
-        if gap < state["min_gap"]:
-            state["min_gap"] = gap
-        if gap < -1e-9:
+        evaluations += 1
+        min_gap = min(min_gap, ceiling - res.fidelity_sq)
+        if min_gap < -1e-9:
             raise CeilingViolation(
                 scenario.label, tuple(float(c) for c in coeffs), res.fidelity_sq, ceiling
             )
-        if res.fidelity > state["best_f"]:
-            state["best_f"] = res.fidelity
-            state["best_x"] = coeffs
-        return -res.fidelity
+        return res, impl
+
+    def gradient(coeffs: np.ndarray, res: FidelityResult, impl: GateImplementation) -> np.ndarray:
+        """dF^2/dc at the worst state psi (Danskin)."""
+        psi = res.worst_state.amplitudes
+        ket = np.kron(psi, impl.ancilla_state.amplitudes)
+        z = (cnot @ psi).conj() @ (impl.unitary.entries @ ket).reshape(4, -1)
+        return 2.0 * unitary_gradient(basis, coeffs, np.kron(cnot @ psi, z), ket)
 
     rng = np.random.default_rng(cfg.seed)
     starts = [projected_gate_coefficients(scenario, basis)]
-    starts += [
-        np.clip(np.asarray(p, dtype=float), -COEFF_BOX, COEFF_BOX)
-        for p in cfg.initial_points
-    ]
+    starts += [np.asarray(p, dtype=float) for p in cfg.initial_points]
     if any(s.size != count for s in starts):
         raise ValueError(f"initial points must have {count} coefficients")
     starts += [rng.standard_normal(count) for _ in range(cfg.restarts)]
 
+    best_fsq, best_x = -1.0, starts[0]
     trace: list[dict[str, float]] = []
     for i, x0 in enumerate(starts):
-        # Nelder-Mead evaluates the simplex's first vertex, x0, first:
-        # that value is the start's initial fidelity.
-        values: list[float] = []
-
-        def objective(raw: np.ndarray) -> float:
-            values.append(evaluate(raw))
-            return values[-1]
-
-        simplex = np.tile(x0, (count + 1, 1))
-        simplex[1:] += np.eye(count) * SIMPLEX_SPREAD
-        res = sp_optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.max_iter,
-                "fatol": 1e-9,
-                "xatol": 1e-6,
-                "initial_simplex": simplex,
-            },
-        )
-        trace.append(
-            {
-                "start": float(i),
-                "initial": -values[0],
-                "final": float(-res.fun),
-                "iterations": float(res.nit),
-            }
-        )
-
-    # Compass polish: deterministic coordinate probes with a halving
-    # step, catching axis-aligned improvements the simplex missed.
-    x = np.array(state["best_x"], copy=True)
-    f_best = state["best_f"]
-    step = 0.25
-    budget = cfg.polish_steps
-    while budget > 0 and step > 1e-4:
-        improved = False
-        for k in range(count):
-            if budget <= 0:
-                break
-            for sgn in (1.0, -1.0):
-                trial = np.array(x, copy=True)
-                trial[k] += sgn * step
-                f_trial = -evaluate(trial)
-                budget -= 1
-                if f_trial > f_best + 1e-12:
-                    x, f_best = trial, f_trial
-                    improved = True
-                    break
-                if budget <= 0:
-                    break
-        if not improved:
-            step *= 0.5
+        x = np.clip(x0, -COEFF_BOX, COEFF_BOX)
+        res, impl = evaluate(x)
+        f0 = f = res.fidelity_sq
+        grad = gradient(x, res, impl)
+        step, iterations = STEP_INIT, 0
+        while iterations < cfg.max_iter and step >= STEP_FLOOR and grad.any():
+            iterations += 1
+            trial = np.clip(x + step / np.linalg.norm(grad) * grad, -COEFF_BOX, COEFF_BOX)
+            res, impl = evaluate(trial)
+            if res.fidelity_sq > f:
+                x, f, grad = trial, res.fidelity_sq, gradient(trial, res, impl)
+                step *= 1.5
+            else:
+                step *= 0.5
+        trace.append({"start": float(i), "initial": math.sqrt(f0), "final": math.sqrt(f),
+                      "iterations": float(iterations)})
+        if f > best_fsq:
+            best_fsq, best_x = f, x
 
     # One strong evaluation of the winner: the search estimates are
     # upper bounds on the true worst-case fidelity (a finite inner
     # search can miss the minimizing input), so the reported number
     # comes from the heavier FINAL_SEARCH.
-    search_estimate = float(state["best_f"])
-    best_x = np.array(state["best_x"], copy=True)
-    state["best_f"] = -1.0
-    evaluate(best_x, FINAL_SEARCH)
-
-    best_f = float(state["best_f"])
-    best_fsq = best_f * best_f
-    details: dict[str, float] = {"search_estimate_fsq": search_estimate**2}
+    final, _ = evaluate(best_x, FINAL_SEARCH)
+    details: dict[str, float] = {"search_estimate_fsq": best_fsq}
     if is_boson:
-        details["sigma_l3_at_best"] = state["sigma_l3"]
-        details["sigma_ceiling_at_best"] = sigma_ceiling_fsq(state["sigma_l3"])
+        details["sigma_l3_at_best"] = sigma
+        details["sigma_ceiling_at_best"] = sigma_ceiling_fsq(sigma)
     return OptimizationRun(
         scenario=scenario.label,
         ceiling_fsq=scenario.ceiling_fsq,
-        best_fidelity=best_f,
-        best_fidelity_sq=best_fsq,
-        gap=scenario.ceiling_fsq - best_fsq,
-        min_gap_evaluated=float(state["min_gap"]),
-        coefficients=tuple(float(c) for c in state["best_x"]),
-        evaluations=int(state["evaluations"]),
+        best_fidelity=final.fidelity,
+        best_fidelity_sq=final.fidelity_sq,
+        gap=scenario.ceiling_fsq - final.fidelity_sq,
+        min_gap_evaluated=float(min_gap),
+        coefficients=tuple(float(c) for c in best_x),
+        evaluations=evaluations,
         details=details,
         trace=tuple(trace),
     )

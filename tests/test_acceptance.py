@@ -138,10 +138,10 @@ def test_criterion_4_spin_ceilings_respected_by_search(capsys):
     assert ceiling_qubit(2) == 1.0 - 1.0 / 16.0
     assert 1.0 - ceiling_qubit(2) == 1.0 / 16.0
     results = {}
-    for n, max_iter, polish, seed in ((2, 30, 10, 11), (3, 90, 20, 12)):
+    for n, max_iter, seed in ((2, 30, 11), (3, 90, 12)):
         t0 = time.perf_counter()
         cfg = OptimizeConfig(
-            restarts=1, max_iter=max_iter, polish_steps=polish, seed=seed,
+            restarts=1, max_iter=max_iter, seed=seed,
             inner=SearchConfig(restarts=4, max_iter=80, seed=seed),
         )
         run = optimize_fidelity(build_spin(n), cfg)

@@ -95,7 +95,7 @@ def test_report_body_is_deterministic(tmp_path):
         "positive-control": ({"basis": "z"}, []),
         "optimize": (
             {
-                "kind": "spin", "n": 2, "restarts": 0, "max_iter": 4, "polish_steps": 2,
+                "kind": "spin", "n": 2, "restarts": 0, "max_iter": 4,
                 "search": {"restarts": 2, "max_iter": 30},
             },
             ["--seed", "2"],
@@ -318,7 +318,6 @@ def test_optimize_spin_small_budget(tmp_path):
             "n": 2,
             "restarts": 0,
             "max_iter": 6,
-            "polish_steps": 0,
             "search": {"restarts": 3, "max_iter": 50},
         },
         "--seed",
@@ -478,7 +477,6 @@ def test_bad_search_block_is_usage_error(tmp_path, capsys, command, search, key)
         ("boson-check", "samples_per"),
         ("optimize", "restarts"),
         ("optimize", "max_iter"),
-        ("optimize", "polish_steps"),
     ],
 )
 def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
@@ -523,16 +521,16 @@ def test_bad_integer_is_usage_error(tmp_path, capsys, command, key, config, flag
 
 
 def test_report_config_lists_every_setting(tmp_path):
-    # optimize left out polish_steps, n, nbar, tail_tol, initial_points
-    # and the inner search's tol and seed, and the eval-impl and
-    # boson-check search blocks left out tol: runs that differed only
-    # there wrote the same block
+    # optimize left out n, nbar, tail_tol, initial_points and the inner
+    # search's tol and seed, and the eval-impl and boson-check search
+    # blocks left out tol: runs that differed only there wrote the same
+    # block
     search = {"restarts": 1, "max_iter": 5, "tol": 1e-8}
-    outer = {"restarts": 0, "max_iter": 2, "polish_steps": 1, "search": search}
+    outer = {"restarts": 0, "max_iter": 2, "search": search}
     code, report = run_cli(tmp_path, "optimize", {"kind": "spin", "n": 2, **outer}, "--seed", "2")
     assert code == EXIT_OK
     assert report["header"]["config"] == {
-        "kind": "spin", "restarts": 0, "max_iter": 2, "seed": 2, "polish_steps": 1,
+        "kind": "spin", "restarts": 0, "max_iter": 2, "seed": 2,
         "inner": {**search, "seed": 2}, "initial_points": [], "n": 2,
     }
     boson = {"kind": "boson", "nbar": 0.25, "tail_tol": 1e-3, **outer}
@@ -549,6 +547,46 @@ def test_report_config_lists_every_setting(tmp_path):
     code, report = run_cli(tmp_path, "boson-check", config, "--seed", "4")
     assert code == EXIT_OK
     assert report["header"]["config"]["search"] == {**search, "seed": 4}
+
+
+def test_retired_polish_steps_is_ignored(tmp_path):
+    # the compass polish is gone; a config that still sets its budget
+    # runs like any config with an unrecognised top-level key
+    config = {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 2, "polish_steps": 10,
+              "search": {"restarts": 1, "max_iter": 5}}
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "2")
+    assert code == EXIT_OK
+    assert "polish_steps" not in report["header"]["config"]
+
+
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+@pytest.mark.parametrize(
+    "command, config, name",
+    [
+        ("check-bounds", lambda v: {"count": 2, "tol": v}, "tol"),
+        ("eval-impl", lambda v: {"implementation": _conserving_impl_json()[0], "tol": v}, "tol"),
+        ("eval-impl", lambda v: {"implementation": _conserving_impl_json()[0], "search": {"tol": v}},
+         "search tol"),
+        ("optimize", lambda v: {"kind": "boson", "nbar": v}, "nbar"),
+        ("optimize", lambda v: {"kind": "boson", "tail_tol": v}, "tail_tol"),
+        ("boson-check", lambda v: {"nbars": [1.0, v]}, "nbars entry"),
+        ("boson-check", lambda v: {"strength": v}, "strength"),
+        ("boson-check", lambda v: {"tail_tol": v}, "tail_tol"),
+    ],
+    ids=[
+        "check-bounds-tol", "eval-impl-tol", "eval-impl-search-tol", "optimize-nbar",
+        "optimize-tail-tol", "boson-check-nbars", "boson-check-strength", "boson-check-tail-tol",
+    ],
+)
+def test_bad_real_is_usage_error(tmp_path, capsys, command, config, name, value):
+    # float() took true as 1.0 and parsed "0.5": check-bounds with tol
+    # true exited 0 reporting tol 1.0
+    code, report = run_cli(tmp_path, command, config(value), "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"{name} must be a number" in err
+    assert "Traceback" not in err
 
 
 def test_randomized_commands_require_seed(tmp_path, capsys):

@@ -22,7 +22,8 @@ from waylab import (
     operator_norm,
     zero,
 )
-from waylab.cnot import pauli
+from waylab.cnot import GateImplementation, cnot_unitary, pauli
+from waylab.conservation import unitary_gradient
 from waylab.sampling import random_hermitian, random_law
 from waylab.scenarios import build_boson, build_spin
 
@@ -30,6 +31,7 @@ from oracles import (
     conserving_unitary_per_block,
     expm_skew,
     generators,
+    kraus_fidelity_sq,
     project_coefficients_per_block,
 )
 
@@ -236,3 +238,32 @@ def test_grouped_blocks_match_the_per_block_loop_bit_for_bit():
             assert np.array_equal(got, want) and residual == want_residual, name
     # layouts with several sizes, repeated sizes and 1 x 1 blocks only
     assert (1,) in sizes_seen and any(len(s) >= 3 for s in sizes_seen)
+
+
+@pytest.mark.parametrize("zero_point", [False, True], ids=["random-point", "degenerate-point"])
+@pytest.mark.parametrize("build", [lambda: build_spin(3), lambda: build_boson(1.0)], ids=["spin3", "boson1"])
+def test_unitary_gradient_matches_central_differences(build, zero_point):
+    # dF^2/dc_k at a fixed input psi is 2 Re <(C psi) x z| dU/dc_k |psi x xi>;
+    # at c = 0 every block's eigenvalues coincide, where only the sinc
+    # form of the divided differences stays finite
+    scenario = build()
+    basis = commutant_basis(scenario.law)
+    rng = np.random.default_rng(12)
+    c = np.zeros(basis.generator_count) if zero_point else rng.standard_normal(basis.generator_count)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    xi = scenario.ancilla_state.amplitudes
+    cnot = cnot_unitary().entries
+
+    def fsq(coeffs: np.ndarray) -> float:
+        impl = GateImplementation(scenario.spec, conserving_unitary(basis, coeffs), scenario.ancilla_state)
+        return float(kraus_fidelity_sq(impl)(psi[None, :])[0])
+
+    ket = np.kron(psi, xi)
+    u = conserving_unitary(basis, c).entries
+    z = (cnot @ psi).conj() @ (u @ ket).reshape(4, -1)
+    analytic = 2.0 * unitary_gradient(basis, c, np.kron(cnot @ psi, z), ket)
+    h = 1e-5
+    numeric = np.array([(fsq(c + h * e) - fsq(c - h * e)) / (2 * h) for e in np.eye(c.size)])
+    assert np.max(np.abs(numeric)) > 1e-3
+    np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-8)

@@ -1,10 +1,9 @@
 """What a fresh interpreter loads to run the CLI.
 
 Every ``waylab`` command is a new process, so whatever the package
-imports is paid before any check runs.  ``scipy.stats`` is never needed
-and ``scipy.optimize`` only by ``optimize``; these tests start fresh
-interpreters so that modules imported by other tests cannot hide an
-import.
+imports is paid before any check runs.  Neither ``scipy.stats`` nor
+``scipy.optimize`` is ever needed; these tests start fresh interpreters
+so that modules imported by other tests cannot hide an import.
 """
 
 import json
@@ -14,6 +13,9 @@ import sys
 from pathlib import Path
 
 import waylab
+from waylab import ConservationLaw, HilbertSpec, pauli
+from waylab.cnot import implementation_to_json
+from waylab.sampling import random_conserving_implementation
 
 SRC = str(Path(waylab.__file__).resolve().parents[1])
 
@@ -26,6 +28,17 @@ assert waylab.cli.main(
     ["check-bounds", "--seed", "1", "--quiet", "--out", out + "/cb.json", "--config", config]
 ) == 0
 print(json.dumps(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.optimize")))))
+"""
+
+_RUN_SEARCH_COMMANDS = """
+import json, sys
+import waylab.cli
+out = sys.argv[1]
+for command in sys.argv[2:]:
+    argv = [command, "--seed", "2", "--quiet", "--config", f"{out}/{command}.json",
+            "--out", f"{out}/{command}-report.json"]
+    assert waylab.cli.main(argv) == 0, command
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.optimize"))))
 """
 
 
@@ -44,16 +57,20 @@ def test_cli_imports_neither_scipy_stats_nor_scipy_optimize(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
-def test_optimize_imports_scipy_optimize_when_it_runs(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "kind": "spin", "n": 2, "restarts": 0, "max_iter": 4, "polish_steps": 0,
-        "search": {"restarts": 2, "max_iter": 20},
-    }))
-    out = tmp_path / "report.json"
-    done = _fresh_python(
-        "-m", "waylab.cli", "optimize", "--seed", "2", "--quiet",
-        "--config", str(config), "--out", str(out),
-    )
+def test_no_command_imports_scipy_optimize(tmp_path):
+    # the light commands are covered above; the four that search or
+    # sample run here, optimize's gradient ascent included
+    law = ConservationLaw(HilbertSpec((2, 2, 2)), pauli("X"), pauli("X"), pauli("X"))
+    impl = implementation_to_json(random_conserving_implementation(1, law))
+    configs = {
+        "optimize": {"kind": "spin", "n": 3, "restarts": 0, "max_iter": 2,
+                     "search": {"restarts": 1, "max_iter": 5}},
+        "eval-impl": {"implementation": impl, "search": {"restarts": 1, "max_iter": 5}},
+        "boson-check": {"nbars": [1.0], "samples_per": 1, "search": {"restarts": 1, "max_iter": 5}},
+        "verify-identities": {"count": 2},
+    }
+    for command, config in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    done = _fresh_python("-c", _RUN_SEARCH_COMMANDS, str(tmp_path), *configs)
     assert done.returncode == 0, done.stderr
-    assert json.loads(out.read_text())["summary"]["exit_code"] == 0
+    assert json.loads(done.stdout.splitlines()[-1]) == []
