@@ -1,20 +1,26 @@
 """JSON wire format for operators, states, models, and laws.
 
-Complex numbers are stored as ``[re, im]`` pairs.  Python's shortest
-round-trip float representation makes the encoding bit-exact: loading a
-dumped object reproduces the original arrays entry for entry.  Reports
-and configs reference heavyweight inputs through short content digests
-rather than inlining them: sha256 over a small canonical JSON header
-(each part's kind, shape, dtype and spec) followed by the arrays' raw
-little-endian bytes, so digesting an operator never renders its floats
-as text.
+A complex array is read in either of two forms: packed,
+``{"dtype": "<c16", "shape": [...], "base64": "..."}`` with the array's
+little-endian complex128 bytes, or nested ``[re, im]`` pairs.  Both are
+bit-exact, the pairs through Python's shortest round-trip float repr.
+``operator_to_json`` writes the packed form, so the large matrices of
+laws, models and implementations decode without a text parse of every
+float; ``state_to_json`` writes pairs, so a report's state stays
+readable.  Reports and configs reference heavyweight inputs through
+short content digests rather than inlining them: sha256 over a small
+canonical JSON header (each part's kind, shape, dtype and spec) followed
+by the arrays' raw little-endian bytes, so digesting an operator never
+renders its floats as text.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -46,20 +52,55 @@ def _pairs(values: np.ndarray) -> list:
     return flat.reshape(values.shape + (2,)).tolist()
 
 
+def _packed(values: np.ndarray) -> dict[str, Any]:
+    """The packed form: the array's ``<c16`` bytes in base64."""
+    arr = np.ascontiguousarray(values, dtype="<c16")
+    return {"dtype": "<c16", "shape": list(arr.shape), "base64": base64.b64encode(arr).decode("ascii")}
+
+
 def operator_to_json(op: Operator) -> dict[str, Any]:
-    return {"dim": op.dim, "entries": _pairs(op.entries)}
+    return {"dim": op.dim, "entries": _packed(op.entries)}
 
 
-def _complexes(pairs: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """Nested ``[re, im]`` pairs of the given shape, one numpy call.
-
-    The pairs land in a float64 array of shape ``shape + (2,)``, viewed
-    as complex128: bit-exact, like the encoder.  Ragged nesting, pairs
-    of the wrong length and non-numeric entries (strings included, which
-    a float conversion would parse) raise ``ValueError``.
-    """
+def _unpacked(data: dict[str, Any], shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The array a packed form carries, refused unless its dtype is
+    ``<c16``, its shape the expected one, and its base64 text valid and
+    exactly ``16 * prod(shape)`` bytes long."""
+    for key in ("dtype", "shape", "base64"):
+        if key not in data:
+            raise ValueError(f"packed {what} lacks {key!r}")
+    if data["dtype"] != "<c16":
+        raise ValueError(f"{what} dtype must be '<c16', got {data['dtype']!r}")
+    got = data["shape"]
+    if not (isinstance(got, list) and all(type(n) is int for n in got) and got == list(shape)):
+        raise ValueError(f"{what} shape must be {list(shape)}, got {got!r}")
+    if not isinstance(data["base64"], str):
+        raise ValueError(f"{what} base64 must be a string")
     try:
-        arr = np.array(pairs)
+        raw = base64.b64decode(data["base64"], validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} base64 is not valid: {exc}") from None
+    if len(raw) != 16 * math.prod(shape):
+        raise ValueError(f"{what} base64 holds {len(raw)} bytes, not {16 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<c16").reshape(shape)
+
+
+def _complexes(data: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A complex array of the given shape, from either wire form: the
+    packed form ``operator_to_json`` writes, or the ``[re, im]`` pairs of
+    ``state_to_json`` and of older configs.
+
+    A dict is the packed form (see :func:`_unpacked`); pairs land in a
+    float64 array of shape ``shape + (2,)``, viewed as complex128, in one
+    numpy call.  Ragged nesting, pairs of the wrong length, non-numeric
+    entries (strings included, which a float conversion would parse) and
+    every malformed packed field raise ``ValueError``; finiteness is left
+    to :class:`Operator` and :class:`StateVector`.
+    """
+    if isinstance(data, dict):
+        return _unpacked(data, shape, what)
+    try:
+        arr = np.array(data)
     except ValueError:
         arr = None
     if arr is None or arr.shape != shape + (2,) or arr.dtype.kind not in "biuf":

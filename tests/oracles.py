@@ -11,6 +11,7 @@ evidence rather than a tautology.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -50,13 +51,34 @@ _DOCUMENTS = {
 }
 
 
+def pair_form(doc: Any) -> Any:
+    """``doc`` with every packed array (a dict of exactly ``dtype``,
+    ``shape`` and ``base64``) written out entry by entry as nested
+    ``[re, im]`` pairs: the wire format's legacy form, which its writers
+    emitted before they packed."""
+    if not isinstance(doc, dict):
+        return doc
+    if set(doc) != {"dtype", "shape", "base64"}:
+        return {key: pair_form(value) for key, value in doc.items()}
+
+    def pairs(values: Any) -> list:
+        if isinstance(values, list):
+            return [pairs(v) for v in values]
+        return [values.real, values.imag]
+
+    raw = base64.b64decode(doc["base64"])
+    return pairs(np.frombuffer(raw, dtype="<c16").reshape(doc["shape"]).tolist())
+
+
 def digest_of_documents(**parts: Any) -> str:
     """The digest's former formula (report schema 1), the reference the
     current one is checked against: each part replaced by its
-    wire-format document, the documents keyed by name in one JSON text
-    with sorted keys and no whitespace, and the first 16 hex digits of
-    that text's sha256."""
-    doc = {name: _DOCUMENTS.get(type(value), lambda v: v)(value) for name, value in parts.items()}
+    wire-format document in the pair form, the documents keyed by name
+    in one JSON text with sorted keys and no whitespace, and the first
+    16 hex digits of that text's sha256."""
+    doc = pair_form(
+        {name: _DOCUMENTS.get(type(value), lambda v: v)(value) for name, value in parts.items()}
+    )
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 

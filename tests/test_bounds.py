@@ -29,10 +29,13 @@ from waylab import (
     trade_off_reports,
 )
 import waylab.bounds
+import waylab.conservation
 import waylab.operators
-from waylab.bounds import reports_to_csv
+from waylab.bounds import reports_to_csv, require_conserving
 from waylab.cnot import pauli
-from waylab.sampling import random_conserving_model, random_state
+from waylab.conservation import commutant_basis, conservation_residual
+from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
+from waylab.scenarios import build_boson
 
 
 Z = pauli("Z")
@@ -125,15 +128,47 @@ def test_trade_off_reports_is_one_pass_behind_every_bound(monkeypatch):
     model, law = random_conserving_model(17, HilbertSpec((2, 2, 2)))
     psi = _random_object_state(18)
     slices = [*qway_bounds(model, law, psi), summed_bound(model, law, psi), fundamental_bound(model, law, psi)]
-    calls = []
-    residual = waylab.bounds.conservation_residual
+    calls, residuals = [], []
+    gate, residual = waylab.bounds.require_conserving, waylab.bounds.conservation_residual
     monkeypatch.setattr(
-        waylab.bounds, "conservation_residual", lambda u, lw: calls.append(1) or residual(u, lw)
+        waylab.bounds, "require_conserving", lambda s, u, lw: calls.append(1) or gate(s, u, lw)
+    )
+    monkeypatch.setattr(
+        waylab.bounds, "conservation_residual", lambda u, lw: residuals.append(1) or residual(u, lw)
     )
     reports = trade_off_reports(model, law, psi)
+    # one conservation gate, which a conserving model passes on its
+    # Frobenius norm alone
     assert len(calls) == 1
+    assert residuals == []
     assert [r.relation for r in reports] == ["qway-1", "qway-2", "summed", "fundamental"]
     assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in slices]
+
+
+def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
+    scenario = build_boson(1.0)
+    law, spec = scenario.law, scenario.law.spec
+    u = random_conserving_implementation(3, law, basis=commutant_basis(law)).unitary
+    svds = []
+    norm = waylab.operators.operator_norm
+    for module in (waylab.bounds, waylab.conservation):
+        monkeypatch.setattr(module, "operator_norm", lambda op: svds.append(1) or norm(op))
+    # conserving: the Frobenius norm certifies it, with no SVD
+    require_conserving(spec, u, law)
+    assert svds == []
+    # spectral residual inside the tolerance, Frobenius norm above it:
+    # the SVD decides, and the unitary passes as before
+    tilt = np.kron(np.diag(np.exp([-0.25e-9j, 0.25e-9j])), np.eye(u.dim // 2))
+    tilted = Operator(u.entries @ tilt)
+    commuted = tilted.entries @ law.total().entries - law.total().entries @ tilted.entries
+    assert np.linalg.norm(commuted, 2) <= 1e-9 < np.linalg.norm(commuted)
+    require_conserving(spec, tilted, law)
+    assert len(svds) == 1
+    # not conserving: the error carries conservation_residual's value
+    cnot = Operator(np.kron(cnot_unitary().entries, np.eye(u.dim // 4)))
+    with pytest.raises(ConservationError) as exc:
+        require_conserving(spec, cnot, law)
+    assert exc.value.residual == conservation_residual(cnot, law)
 
 
 def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):

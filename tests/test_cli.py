@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so coverage and debuggers
 see them; each writes its report into the pytest tmp dir.
 """
 
+import base64
 import json
 from pathlib import Path
 
@@ -29,6 +30,8 @@ from waylab.serialize import digest, law_to_json, model_to_json, operator_to_jso
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import StateVector
 from waylab.sampling import random_conserving_model
+
+from oracles import pair_form
 
 
 def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: str) -> tuple[int, dict]:
@@ -62,6 +65,11 @@ def _ancilla_impl_and_law() -> tuple[GateImplementation, ConservationLaw]:
     spec = HilbertSpec((2, 2, 2))
     law = ConservationLaw(spec, x, x, x)
     return GateImplementation(spec, _conserving_unitary(law, seed=5), StateVector.basis(2, 0)), law
+
+
+def _ancilla_impl_config() -> dict:
+    impl, law = _ancilla_impl_and_law()
+    return {"implementation": implementation_to_json(impl), "law": law_to_json(law)}
 
 
 def test_verify_identities_seeded(tmp_path):
@@ -249,14 +257,14 @@ def test_eval_impl_never_encodes_the_implementation(tmp_path, monkeypatch):
     impl_json, law_json = _conserving_impl_json()
     matrix = implementation_from_json(impl_json).unitary.entries
     encodes = []
-    pairs = waylab.serialize._pairs
+    for encoder in ("_pairs", "_packed"):
 
-    def counting(values):
-        if values.shape == matrix.shape and np.array_equal(values, matrix):
-            encodes.append(1)
-        return pairs(values)
+        def counting(values, encode=getattr(waylab.serialize, encoder)):
+            if values.shape == matrix.shape and np.array_equal(values, matrix):
+                encodes.append(1)
+            return encode(values)
 
-    monkeypatch.setattr(waylab.serialize, "_pairs", counting)
+        monkeypatch.setattr(waylab.serialize, encoder, counting)
     code, report = run_cli(
         tmp_path,
         "eval-impl",
@@ -275,6 +283,7 @@ def test_eval_impl_never_encodes_the_implementation(tmp_path, monkeypatch):
 def test_eval_impl_with_malformed_unitary_is_input_error(tmp_path, capsys, spoil):
     # the spoiled pair keeps its numbers, so only the shape or type is wrong
     impl_json, law_json = _conserving_impl_json()
+    impl_json = pair_form(impl_json)
     entries = impl_json["unitary"]["entries"]
     entries[0][0] = spoil(entries[0][0])
     code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
@@ -282,17 +291,50 @@ def test_eval_impl_with_malformed_unitary_is_input_error(tmp_path, capsys, spoil
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda d: {**d, "dtype": "<c8"},
+        lambda d: {**d, "shape": [d["shape"][0], d["shape"][1] + 1]},
+        lambda d: {k: v for k, v in d.items() if k != "base64"},
+        lambda d: {**d, "base64": None},
+        lambda d: {**d, "base64": "!" + d["base64"][1:]},
+        lambda d: {**d, "base64": d["base64"][:-24]},
+    ],
+    ids=["dtype", "shape", "missing-base64", "null-base64", "bad-character", "one-entry-short"],
+)
+def test_eval_impl_with_malformed_packed_unitary_is_input_error(tmp_path, capsys, spoil):
+    impl_json, law_json = _conserving_impl_json()
+    impl_json["unitary"]["entries"] = spoil(impl_json["unitary"]["entries"])
+    code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "input error" in err and "entries" in err
+    assert "Traceback" not in err
+
+
+def _nan_at(values: np.ndarray, index: tuple[int, ...]) -> dict:
+    """``values`` with one NaN entry, in the packed form."""
+    spoiled = np.array(values, dtype="<c16")
+    spoiled[index] = complex(float("nan"), 0.0)
+    return {"dtype": "<c16", "shape": list(spoiled.shape), "base64": base64.b64encode(spoiled).decode()}
+
+
 @pytest.mark.parametrize("law", [False, True], ids=["no-law", "law"])
-@pytest.mark.parametrize("field", ["ancilla_state", "unitary"])
+@pytest.mark.parametrize("field", ["ancilla_state", "unitary", "ancilla_state-packed", "unitary-packed"])
 def test_eval_impl_with_nan_entry_is_input_error(tmp_path, capsys, field, law):
     # json reads the NaN literal; a NaN fails no tolerance comparison, so
-    # only an explicit finiteness check stops it
+    # only an explicit finiteness check stops it, whichever form carries it
     impl, conserved = _ancilla_impl_and_law()
-    impl_json = implementation_to_json(impl)
+    impl_json = pair_form(implementation_to_json(impl))
     if field == "ancilla_state":
         impl_json["ancilla_state"]["amplitudes"][1] = [float("nan"), 0.0]
-    else:
+    elif field == "unitary":
         impl_json["unitary"]["entries"][0][0] = [float("nan"), 0.0]
+    elif field == "ancilla_state-packed":
+        impl_json["ancilla_state"]["amplitudes"] = _nan_at(impl.ancilla_state.amplitudes, (1,))
+    else:
+        impl_json["unitary"]["entries"] = _nan_at(impl.unitary.entries, (0, 0))
     config = {"implementation": impl_json, "search": {"restarts": 2, "max_iter": 20}}
     if law:
         config["law"] = law_to_json(conserved)
@@ -493,6 +535,41 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
 def _explicit_model_config() -> dict:
     model, law = random_conserving_model(1, HilbertSpec((2, 2)))
     return {"model": model_to_json(model), "law": law_to_json(law)}
+
+
+def _body_text(path: Path) -> str:
+    """The report file's text without its ``generated_at`` line."""
+    return "".join(line for line in path.read_text().splitlines(keepends=True) if '"generated_at"' not in line)
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("eval-impl", _ancilla_impl_config(), ["--seed", "3"]),
+        ("verify-identities", _explicit_model_config(), []),
+    ],
+    ids=["eval-impl", "verify-identities"],
+)
+def test_pair_and_packed_inputs_give_identical_reports(tmp_path, command, config, flags):
+    # every document packed, every one in pairs, and each mixture
+    first, second = config
+    forms = {
+        "packed": config,
+        "pairs": pair_form(config),
+        f"pair-{first}": {**config, first: pair_form(config[first])},
+        f"pair-{second}": {**config, second: pair_form(config[second])},
+    }
+    assert "base64" in json.dumps(config) and "base64" not in json.dumps(forms["pairs"])
+    search = {"search": {"restarts": 2, "max_iter": 20}} if command == "eval-impl" else {}
+    bodies = {}
+    for name, documents in forms.items():
+        out = tmp_path / f"{name}.json"
+        argv = [command, "--config", str(_write(tmp_path, {**documents, **search})), "--out", str(out), "--quiet"]
+        assert main(argv + flags) == EXIT_OK, name
+        csv_path = out.with_suffix(".csv")
+        bodies[name] = (_body_text(out), csv_path.read_text() if csv_path.exists() else None)
+        assert json.loads(out.read_text())["records"][0]["digest"]
+    assert all(body == bodies["packed"] for body in bodies.values()), bodies.keys()
 
 
 @pytest.mark.parametrize("value", [1.5, True, "7", -1], ids=["fraction", "bool", "string", "negative"])

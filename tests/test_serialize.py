@@ -1,6 +1,8 @@
 """Wire-format tests: bit-exact round trips and stable digests."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from waylab.serialize import (
 from waylab.conservation import ConservationLaw, commutant_basis
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
 
-from oracles import digest_of_bits, digest_of_documents
+from oracles import digest_of_bits, digest_of_documents, pair_form
 
 
 def _random_operator(seed: int, dim: int) -> Operator:
@@ -49,7 +51,7 @@ def test_operator_roundtrip_survives_json_text():
 
 
 def test_operator_from_json_validates_shape():
-    data = operator_to_json(_random_operator(2, 3))
+    data = pair_form(operator_to_json(_random_operator(2, 3)))
     data["entries"] = data["entries"][:2]
     with pytest.raises(ValueError):
         operator_from_json(data)
@@ -62,13 +64,13 @@ def test_operator_from_json_validates_shape():
 )
 def test_malformed_pairs_are_value_errors(bad_pair):
     # one bad pair among good ones, and every pair bad, for operators and states
-    data = operator_to_json(_random_operator(4, 2))
+    data = pair_form(operator_to_json(_random_operator(4, 2)))
     data["entries"][1][0] = bad_pair
     with pytest.raises(ValueError):
         operator_from_json(data)
     with pytest.raises(ValueError):
         operator_from_json({"dim": 1, "entries": [[bad_pair]]})
-    amps = state_to_json(StateVector.basis(2, 0))
+    amps = {"dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}
     amps["amplitudes"][1] = bad_pair
     with pytest.raises(ValueError):
         state_from_json(amps)
@@ -79,7 +81,7 @@ def test_malformed_pairs_are_value_errors(bad_pair):
 def test_decode_validates_counts():
     with pytest.raises(ValueError):
         state_from_json({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
-    data = operator_to_json(_random_operator(5, 3))
+    data = pair_form(operator_to_json(_random_operator(5, 3)))
     data["entries"][2] = data["entries"][2][:2]
     with pytest.raises(ValueError):
         operator_from_json(data)
@@ -97,16 +99,78 @@ def test_decode_is_bit_exact_with_integers_and_signed_zeros():
 
 def test_complexes_encode_as_pairs():
     op = Operator(np.array([[1 + 2j]]))
-    assert operator_to_json(op)["entries"] == [[[1.0, 2.0]]]
-    # the array encoder equals the entry-by-entry loop, signed zeros included
+    assert operator_from_json({"dim": 1, "entries": [[[1.0, 2.0]]]}).entries.tolist() == [[1 + 2j]]
+    # the pair encoder equals the entry-by-entry loop, signed zeros
+    # included, and the packed encoder the entry-by-entry bytes
     mixed = _random_operator(3, 4).entries * np.array([1.0, 0.0, -0.0, 1.0])
     pairs = [[[float(z.real), float(z.imag)] for z in row] for row in mixed]
-    encoded = operator_to_json(Operator(mixed))["entries"]
-    assert json.dumps(encoded) == json.dumps(pairs)
-    assert "-0.0" in json.dumps(encoded)
+    assert json.dumps(waylab.serialize._pairs(mixed)) == json.dumps(pairs)
+    assert "-0.0" in json.dumps(pairs)
+    assert operator_to_json(op)["entries"] == {
+        "dtype": "<c16", "shape": [1, 1], "base64": base64.b64encode(struct.pack("<dd", 1.0, 2.0)).decode(),
+    }
+    packed = operator_to_json(Operator(mixed))["entries"]
+    assert base64.b64decode(packed["base64"]) == b"".join(
+        struct.pack("<dd", z.real, z.imag) for row in mixed for z in row
+    )
+    assert json.dumps(pair_form(packed)) == json.dumps(pairs)
     psi = StateVector(np.array([-0.0, -1j * 0.6, 0.8]))
     amplitudes = state_to_json(psi)["amplitudes"]
     assert json.dumps(amplitudes) == json.dumps([[z.real, z.imag] for z in psi.amplitudes])
+
+
+def _packed_by_hand(values: np.ndarray) -> dict:
+    """The packed form of ``values``, built from its entries' bytes."""
+    raw = b"".join(struct.pack("<dd", z.real, z.imag) for z in values.reshape(-1).tolist())
+    return {"dtype": "<c16", "shape": list(values.shape), "base64": base64.b64encode(raw).decode()}
+
+
+def test_packed_roundtrip_is_bit_exact():
+    # signed zeros, the smallest subnormal and a larger one, both signs
+    entries = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -1.0]).view(np.complex128)
+    entries = entries.reshape(2, 2)
+    data = json.loads(json.dumps(operator_to_json(Operator(entries))))
+    assert data["entries"] == _packed_by_hand(entries)
+    back = operator_from_json(data).entries
+    assert back.view(np.uint64).tolist() == entries.view(np.uint64).tolist()
+    amplitudes = np.array([0.6, -0.0, -0.0, 0.8, 5e-324, -1e-310, -5e-324, 0.0]).view(np.complex128)
+    psi = state_from_json({"dim": 4, "amplitudes": _packed_by_hand(amplitudes)}).amplitudes
+    assert psi.view(np.uint64).tolist() == amplitudes.view(np.uint64).tolist()
+
+
+def _rebased(data: dict, change) -> dict:
+    """``data`` with its base64 text replaced by that of ``change(bytes)``."""
+    return {**data, "base64": base64.b64encode(change(base64.b64decode(data["base64"]))).decode()}
+
+
+# each spoiler, and the field its error must name
+_PACKED_SPOILERS = {
+    "dtype-c8": (lambda d: {**d, "dtype": "<c8"}, "dtype"),
+    "dtype-big-endian": (lambda d: {**d, "dtype": ">c16"}, "dtype"),
+    "dtype-name": (lambda d: {**d, "dtype": "complex128"}, "dtype"),
+    "shape-mismatch": (lambda d: {**d, "shape": [n + 1 for n in d["shape"]]}, "shape"),
+    "shape-extra-axis": (lambda d: {**d, "shape": d["shape"] + [1]}, "shape"),
+    "shape-strings": (lambda d: {**d, "shape": [str(n) for n in d["shape"]]}, "shape"),
+    "no-dtype": (lambda d: {k: v for k, v in d.items() if k != "dtype"}, "dtype"),
+    "no-shape": (lambda d: {k: v for k, v in d.items() if k != "shape"}, "shape"),
+    "no-base64": (lambda d: {k: v for k, v in d.items() if k != "base64"}, "base64"),
+    "base64-number": (lambda d: {**d, "base64": 7}, "base64"),
+    "base64-list": (lambda d: {**d, "base64": [d["base64"]]}, "base64"),
+    "base64-bad-character": (lambda d: {**d, "base64": "*" + d["base64"][1:]}, "base64"),
+    "base64-non-ascii": (lambda d: {**d, "base64": "\u00e9" + d["base64"][1:]}, "base64"),
+    "one-entry-short": (lambda d: _rebased(d, lambda raw: raw[16:]), "base64"),
+    "one-entry-long": (lambda d: _rebased(d, lambda raw: raw + bytes(16)), "base64"),
+}
+
+
+@pytest.mark.parametrize("spoil,field", list(_PACKED_SPOILERS.values()), ids=list(_PACKED_SPOILERS))
+def test_malformed_packed_arrays_are_value_errors(spoil, field):
+    entries = operator_to_json(_random_operator(6, 3))["entries"]
+    with pytest.raises(ValueError, match=f"entries.*{field}"):
+        operator_from_json({"dim": 3, "entries": spoil(entries)})
+    amplitudes = _packed_by_hand(np.array([0.6, 0.8j, 0.0]))
+    with pytest.raises(ValueError, match=f"amplitudes.*{field}"):
+        state_from_json({"dim": 3, "amplitudes": spoil(amplitudes)})
 
 
 def test_state_roundtrip():
@@ -257,8 +321,9 @@ def test_digest_matches_the_bits_formula(monkeypatch):
     # any keyword order, and never renders an array as text
     cases = _digest_cases()
     encodes = []
-    pairs = waylab.serialize._pairs
-    monkeypatch.setattr(waylab.serialize, "_pairs", lambda v: encodes.append(1) or pairs(v))
+    for encoder in ("_pairs", "_packed"):
+        encode = getattr(waylab.serialize, encoder)
+        monkeypatch.setattr(waylab.serialize, encoder, lambda v, encode=encode: encodes.append(1) or encode(v))
     for parts in cases:
         expected = digest_of_bits(**parts)
         assert digest(**parts) == expected
