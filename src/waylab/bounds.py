@@ -48,8 +48,8 @@ from .operators import (
     HilbertSpec,
     Operator,
     StateVector,
-    _evolve_all,
     commutator,
+    evolve,
     expectation,
     operator_norm,
     std_dev,
@@ -58,6 +58,7 @@ from .serialize import canonical_json, digest
 
 __all__ = [
     "BoundReport",
+    "bound_ingredients",
     "identity_reports",
     "require_conserving",
     "trade_off_reports",
@@ -174,7 +175,7 @@ def identity_reports(
     lhs = commutator(model._measured, law._lifts[0]).entries
     err = error_operator(model).entries
     dist = disturbance_operator(model).entries
-    l1t, l2t, l3t = (op.entries for op in _evolve_all(law._lifts, model.interaction))
+    l1t, l2t, l3t = (op.entries for op in evolve(law._lifts, model.interaction))
 
     def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b - b @ a
@@ -186,6 +187,23 @@ def identity_reports(
         BoundReport("identity-1", "identity", float(np.linalg.norm(lhs - rhs1, ord=2)), 0.0, tag),
         BoundReport("identity-2", "identity", float(np.linalg.norm(lhs - rhs2, ord=2)), 0.0, tag),
     )
+
+
+def bound_ingredients(
+    model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector,
+    evolved: Mapping[str, Operator],
+) -> dict[str, float]:
+    """The trade-off bounds' ingredients at object state ``psi``: ``eps``,
+    ``eta``, the deviation of each evolved charge U^dag L U in ``evolved``
+    under its name, taken in the full input state, and ``commutator_abs``
+    = |<[A, L1]>|.  Every trade-off bound and the CNOT chain read these."""
+    state = model.initial_state(psi)
+    return {
+        "eps": rms_error(model, psi),
+        "eta": rms_disturbance(model, psi),
+        **{name: std_dev(charge, state) for name, charge in evolved.items()},
+        "commutator_abs": abs(expectation(commutator(model.observable, law.object_part), psi)),
+    }
 
 
 def trade_off_reports(
@@ -201,16 +219,8 @@ def trade_off_reports(
     recorded in ``details["lhs_sigma_variant"]`` for comparison.
     """
     require_conserving(model.spec, model.interaction, law)
-    state = model.initial_state(psi)
-    l1t, l2t, l3t = _evolve_all(law._lifts, model.interaction)
-    q = {
-        "eps": rms_error(model, psi),
-        "eta": rms_disturbance(model, psi),
-        "sigma_l1": std_dev(l1t, state),
-        "sigma_l2": std_dev(l2t, state),
-        "sigma_l3": std_dev(l3t, state),
-        "commutator_abs": abs(expectation(commutator(model.observable, law.object_part), psi)),
-    }
+    names = ("sigma_l1", "sigma_l2", "sigma_l3")
+    q = bound_ingredients(model, law, psi, dict(zip(names, evolve(law._lifts, model.interaction))))
     eps, eta, s1, s2, s3, comm = q.values()
     tag = digest(model=model, law=law, psi=psi)
     half = 0.5 * comm

@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -63,6 +63,13 @@ DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2,
 
 class _UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        # a usage error, not argparse's exit 2, which here means a violated bound
+        self.print_usage(sys.stderr)
+        raise _UsageError(message)
 
 
 def _read_json(path: str, label: str) -> Any:
@@ -326,15 +333,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     records: list[dict[str, Any]] = []
     if "law" in config:
         law = law_from_json(_maybe_file(config["law"]))
-        reports = noise_fidelity_link(impl, law, fidelity=result)
-        records.extend(_record(r, tol) for r in reports)
-        sigma = reports[0].details["sigma_l3"]
-        ceiling = reports[0].details["ceiling_fsq"]
-        tag = digest(implementation=impl, law=law)
-        ceiling_report = BoundReport(
-            "sigma-ceiling", "inequality", result.fidelity_sq, ceiling, tag, {"sigma_l3": sigma}
-        )
-        records.append(_record(ceiling_report, tol))
+        records.extend(_record(r, tol) for r in noise_fidelity_link(impl, law, fidelity=result))
     used = {"tol": tol, "search": asdict(search)}
     return _finish(args, "eval-impl", seed, used, records, extra_summary=info)
 
@@ -486,7 +485,7 @@ _COMMANDS: dict[str, Callable[[argparse.Namespace, dict[str, Any]], int]] = {
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="waylab",
         description="Conservation-law limits on measurement and CNOT fidelity: "
         "verification runs with JSON audit reports.",
@@ -502,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
     except _UsageError as exc:

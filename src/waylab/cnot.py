@@ -31,10 +31,10 @@ from typing import Any
 import numpy as np
 from scipy import linalg
 
-from .bounds import BoundReport, require_conserving
+from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
-from .measurement import IndirectMeasurementModel, rms_disturbance, rms_error
-from .operators import HilbertSpec, Operator, StateVector, commutator, evolve, expectation, std_dev
+from .measurement import IndirectMeasurementModel
+from .operators import HilbertSpec, Operator, StateVector, evolve, std_dev
 from .serialize import (
     digest,
     operator_from_json,
@@ -579,31 +579,17 @@ def candidate_control_states() -> dict[str, StateVector]:
     }
 
 
-def _evolved_ancilla_charge(impl: GateImplementation, law: ConservationLaw) -> Operator:
-    """L3' = U^dag L3 U, the ancilla charge after the interaction, from
-    the law's own lift of L3."""
+def sigma_l3(impl: GateImplementation, law: ConservationLaw, control: StateVector) -> float:
+    """sigma(L3'): deviation of the evolved ancilla charge U^dag L3 U, from
+    the law's own lift of L3, in the measurement-view input (control,
+    target |0>, ancilla state)."""
     s = impl.spec
     if (s.total_dim, s.ancilla_dim) != (law.spec.total_dim, law.spec.ancilla_dim):
         raise ValueError(
             f"law on factors {law.spec.factor_dims} does not fit implementation "
             f"factors {s.factor_dims}"
         )
-    return evolve(law._lifts[2], impl.unitary)
-
-
-def sigma_l3(
-    impl: GateImplementation,
-    law: ConservationLaw,
-    control: StateVector,
-    *,
-    l3_evolved: Operator | None = None,
-) -> float:
-    """sigma(L3'): deviation of the evolved ancilla charge U^dag L3 U in
-    the measurement-view input (control, target |0>, ancilla state).
-    A caller evaluating several controls passes L3' once as
-    ``l3_evolved``."""
-    if l3_evolved is None:
-        l3_evolved = _evolved_ancilla_charge(impl, law)
+    (l3_evolved,) = evolve(law._lifts[2:], impl.unitary)
     return std_dev(l3_evolved, measurement_view(impl).initial_state(control))
 
 
@@ -619,7 +605,7 @@ def noise_fidelity_link(
     *,
     psi: StateVector | None = None,
     fidelity: FidelityResult | None = None,
-) -> tuple[BoundReport, BoundReport]:
+) -> tuple[BoundReport, BoundReport, BoundReport]:
     """Chain from conservation to a hard fidelity ceiling.
 
     For an implementation conserving total spin-x (object and probe
@@ -636,7 +622,12 @@ def noise_fidelity_link(
     (second report, relation ``fidelity-link``), which rearranges to
     F^2 <= 1 - |<[Z, X]>|^2 / (16*(2 + sigma(L3'))^2).  Here L3' is the
     ancilla charge after the interaction and sigma is taken in the full
-    input state.
+    input state.  At |<[Z, X]>| = 2 that is :func:`sigma_ceiling_fsq`, which
+    the third report, relation ``sigma-ceiling``, holds F^2 to under a
+    digest of the implementation and the law alone.  The ingredients come
+    from one :func:`~waylab.bounds.bound_ingredients` pass per control
+    state with L3 evolved once, so the first report is the measurement
+    view's ``fundamental`` trade-off bound.
 
     The control state defaults to (|0> + i|1>)/sqrt(2), which maximizes
     |<[Z, X]>|; the equal-weight real superposition (|0> + |1>)/sqrt(2)
@@ -659,35 +650,28 @@ def noise_fidelity_link(
     view = measurement_view(impl)
     candidates = candidate_control_states()
     chosen = psi if psi is not None else candidates["iplus"]
-    comm_zx = commutator(pauli("Z"), pauli("X"))
-    l3_evolved = _evolved_ancilla_charge(impl, law)
-
-    def ingredients(state: StateVector) -> dict[str, float]:
-        return {
-            "eps": rms_error(view, state),
-            "eta": rms_disturbance(view, state),
-            "sigma_l3": sigma_l3(impl, law, state, l3_evolved=l3_evolved),
-            "commutator_abs": abs(expectation(comm_zx, state)),
-        }
-
-    main = ingredients(chosen)
+    evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0]}
+    main = bound_ingredients(view, law, chosen, evolved)
     details: dict[str, float] = dict(main)
     for name, cand in candidates.items():
         if psi is not None or name != "iplus":
-            details.update((f"{name}_{key}", val) for key, val in ingredients(cand).items())
+            other = bound_ingredients(view, law, cand, evolved)
+            details.update((f"{name}_{key}", val) for key, val in other.items())
 
-    sq_lhs = main["commutator_abs"] ** 2 / (2.0 * (2.0 + main["sigma_l3"]) ** 2)
-    sq_rhs = main["eps"] ** 2 + main["eta"] ** 2
-
+    sigma = main["sigma_l3"]
+    noise_sq = main["eps"] ** 2 + main["eta"] ** 2
     result = fidelity if fidelity is not None else gate_fidelity(impl)
-    link_lhs = sq_rhs
-    link_rhs = 8.0 * (1.0 - result.fidelity_sq)
-    details["fidelity"] = result.fidelity
-    details["fidelity_sq"] = result.fidelity_sq
-    details["ceiling_fsq"] = sigma_ceiling_fsq(main["sigma_l3"])
-
+    fsq, ceiling = result.fidelity_sq, sigma_ceiling_fsq(sigma)
+    details.update(fidelity=result.fidelity, fidelity_sq=fsq, ceiling_fsq=ceiling)
     tag = digest(implementation=impl, law=law, psi=chosen)
     return (
-        BoundReport("squared-noise", "inequality", sq_lhs, sq_rhs, tag, details),
-        BoundReport("fidelity-link", "inequality", link_lhs, link_rhs, tag, details),
+        BoundReport(
+            "squared-noise", "inequality",
+            main["commutator_abs"] ** 2 / (2.0 * (2.0 + sigma) ** 2), noise_sq, tag, details,
+        ),
+        BoundReport("fidelity-link", "inequality", noise_sq, 8.0 * (1.0 - fsq), tag, details),
+        BoundReport(
+            "sigma-ceiling", "inequality", fsq, ceiling,
+            digest(implementation=impl, law=law), {"sigma_l3": sigma},
+        ),
     )

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    HilbertSpec,
-    Operator,
-    StateVector,
-    _evolve_all,
-    tensor_states,
-)
+from .operators import HilbertSpec, Operator, StateVector, evolve, tensor_states
 
 __all__ = [
     "IndirectMeasurementModel",
@@ -101,7 +95,7 @@ class IndirectMeasurementModel:
         model is immutable, so they cannot go stale."""
         measured = self._measured
         pointer = self.spec.embed(self.pointer, "probe")
-        pointer_after, measured_after = _evolve_all((pointer, measured), self.interaction)
+        pointer_after, measured_after = evolve((pointer, measured), self.interaction)
         return (
             Operator(pointer_after.entries - measured.entries, hermitian=True),
             Operator(measured_after.entries - measured.entries, hermitian=True),

@@ -29,6 +29,7 @@ __all__ = [
     "evolve",
     "expectation",
     "std_dev",
+    "moments",
     "operator_norm",
     "zero",
 ]
@@ -110,34 +111,22 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = FLAG_TOL) -> bool:
-        """Whether max|M - M^dag| <= tol.
-
-        At the default tolerance a validated ``hermitian=True`` flag
-        answers, and otherwise the first answer is kept, as for
-        :meth:`is_unitary`.
-        """
-        if tol == FLAG_TOL:
-            return self._hermitian_at_default_tol
-        return _hermiticity_defect(self.entries) <= tol
+    def is_hermitian(self) -> bool:
+        """Whether max|M - M^dag| <= ``FLAG_TOL``; answered as :meth:`is_unitary` is."""
+        return self._hermitian
 
     @functools.cached_property
-    def _hermitian_at_default_tol(self) -> bool:
+    def _hermitian(self) -> bool:
         return bool(self.hermitian) or _hermiticity_defect(self.entries) <= FLAG_TOL
 
-    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
-        """Whether max|M^dag M - I| <= tol.
-
-        At the default tolerance a validated ``unitary=True`` flag
+    def is_unitary(self) -> bool:
+        """Whether max|M^dag M - I| <= ``UNITARY_TOL``.  A validated flag
         answers, and otherwise the first answer is kept: the entries are
-        read-only, so it cannot go stale.
-        """
-        if tol == UNITARY_TOL:
-            return self._unitary_at_default_tol
-        return _unitarity_defect(self.entries) <= tol
+        read-only, so it cannot go stale."""
+        return self._unitary
 
     @functools.cached_property
-    def _unitary_at_default_tol(self) -> bool:
+    def _unitary(self) -> bool:
         return bool(self.unitary) or _unitarity_defect(self.entries) <= UNITARY_TOL
 
     def _check_same_dim(self, other: "Operator") -> None:
@@ -292,14 +281,9 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.entries @ b.entries - b.entries @ a.entries)
 
 
-def evolve(op: Operator, u: Operator) -> Operator:
-    """Heisenberg-picture image U^dag op U of a Hermitian operator."""
-    return _evolve_all((op,), u)[0]
-
-
-def _evolve_all(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
-    """U^dag op U for each of ``ops``, as one stacked product; each image
-    is validated Hermitian as it is built."""
+def evolve(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
+    """Heisenberg-picture images U^dag op U of Hermitian ``ops``, as one
+    stacked product; each image is validated Hermitian as it is built."""
     images = u.entries.conj().T @ np.stack([op.entries for op in ops]) @ u.entries
     return tuple(Operator(image, hermitian=True) for image in images)
 
@@ -312,17 +296,23 @@ def expectation(op: Operator, psi: StateVector) -> complex:
 
 
 def std_dev(op: Operator, psi: StateVector) -> float:
-    """Standard deviation of a Hermitian observable in a pure state.
+    """Standard deviation of a Hermitian observable in a pure state; see :func:`moments`."""
+    return moments(op, psi)[1]
 
-    Computed as sqrt(<op^2> - <op>^2) with the variance clipped at zero
-    to absorb roundoff.
+
+def moments(op: Operator, psi: StateVector) -> tuple[float, float]:
+    """Mean and standard deviation of a Hermitian observable in a pure
+    state, both from the one product op|psi>.
+
+    The deviation is sqrt(<op^2> - <op>^2) with the variance clipped at
+    zero to absorb roundoff.
     """
     if op.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {psi.dim}")
     vec = op.entries @ psi.amplitudes
     mean = float(np.real(np.vdot(psi.amplitudes, vec)))
     second = float(np.real(np.vdot(vec, vec)))
-    return math.sqrt(max(second - mean * mean, 0.0))
+    return mean, math.sqrt(max(second - mean * mean, 0.0))
 
 
 def operator_norm(op: Operator) -> float:

@@ -27,7 +27,6 @@ from .cnot import (
     FidelityResult,
     GateImplementation,
     SearchConfig,
-    _evolved_ancilla_charge,
     candidate_control_states,
     cnot_unitary,
     gate_fidelity,
@@ -44,7 +43,7 @@ from .conservation import (
     unitary_gradient,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, commutator
+from .operators import HilbertSpec, Operator, StateVector, commutator, evolve, moments
 from .serialize import digest
 
 __all__ = [
@@ -260,13 +259,10 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
         raise ValueError("implementation does not live on the scenario's space")
     control = candidate_control_states()["iplus"]
     full = measurement_view(impl).initial_state(control)
-    l3_evolved = _evolved_ancilla_charge(impl, scenario.law)
-    sigma = sigma_l3(impl, scenario.law, control, l3_evolved=l3_evolved)
-
-    # N' = L3'/2: halving is exact, so this is U^dag (I x N) U bit for bit
-    vec = (0.5 * l3_evolved.entries) @ full.amplitudes
-    mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
-    var_n = max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0)
+    (l3_evolved,) = evolve(scenario.law._lifts[2:], impl.unitary)
+    mean_l3, sigma = moments(l3_evolved, full)
+    # N' = L3'/2: halving is exact, so these are U^dag (I x N) U's moments bit for bit
+    mean_n, delta_n = 0.5 * mean_l3, 0.5 * sigma
 
     rhs = 2.0 * math.sqrt(scenario.nbar + 2.0)
     details = {
@@ -274,7 +270,7 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
         "mean_n_evolved": mean_n,
         "mean_n_input": scenario.nbar,
         "mean_shift_margin": (scenario.nbar + 2.0) - mean_n,
-        "poissonian_residual": abs(math.sqrt(var_n) - math.sqrt(max(mean_n, 0.0))),
+        "poissonian_residual": abs(delta_n - math.sqrt(max(mean_n, 0.0))),
         "sigma_ceiling_fsq": sigma_ceiling_fsq(sigma),
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }

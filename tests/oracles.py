@@ -118,9 +118,14 @@ def digest_of_bits(**parts: Any) -> str:
     return hashlib.sha256(text.encode("utf-8") + b"".join(blobs)).hexdigest()[:16]
 
 
+def _hermiticity_defect(op: Operator) -> float:
+    """max|M - M^dag|, for the norm-scaled hermiticity checks below."""
+    return float(np.max(np.abs(op.entries - op.entries.conj().T)))
+
+
 def expm_skew(h: Operator, t: float = 1.0) -> Operator:
     """Unitary exp(-i t h) for Hermitian h, via one dense eigendecomposition."""
-    if not h.is_hermitian(FLAG_TOL * max(1.0, operator_norm(h))):
+    if _hermiticity_defect(h) > FLAG_TOL * max(1.0, operator_norm(h)):
         raise ValueError("expm_skew expects a Hermitian generator")
     vals, vecs = np.linalg.eigh(h.entries)
     return Operator((vecs * np.exp(-1j * float(t) * vals)) @ vecs.conj().T, unitary=True)
@@ -130,7 +135,7 @@ def eig_hermitian(op: Operator, degeneracy_tol: float = DEGENERACY_TOL) -> tuple
     """Spectral decomposition with eigenvalues within ``degeneracy_tol``
     merged into one level (value: the cluster mean; projector: the whole
     eigenspace).  Values ascend; the projectors sum to the identity."""
-    if not op.is_hermitian(max(FLAG_TOL, FLAG_TOL * operator_norm(op))):
+    if _hermiticity_defect(op) > max(FLAG_TOL, FLAG_TOL * operator_norm(op)):
         raise ValueError("eig_hermitian expects a Hermitian operator")
     vals, vecs = np.linalg.eigh(op.entries)
     clusters: list[list[int]] = [[0]]

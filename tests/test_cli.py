@@ -699,3 +699,23 @@ def test_stdout_summary_unless_quiet(tmp_path, capsys):
 
 def test_exit_codes_are_distinct():
     assert (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION) == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus"], ["check-bounds", "--sed", "1"], ["check-bounds", "--seed", "x"]],
+    ids=["unknown-command", "misspelled-flag", "non-integer-seed"],
+)
+def test_argument_errors_are_usage_errors(tmp_path, capsys, argv):
+    # argparse's own exit status 2 would read as a violated bound
+    code, report = run_cli(tmp_path, argv[0], None, *argv[1:])
+    assert code == EXIT_USAGE
+    assert report == {}
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: waylab" in capsys.readouterr().out

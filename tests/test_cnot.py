@@ -11,6 +11,7 @@ cos(arc/2).  This formula shares no code with the search under test.
 """
 
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -30,6 +31,7 @@ from waylab import (
     commutant_basis,
     commutator,
     conserving_unitary,
+    error_operator,
     expectation,
     gate_fidelity,
     is_nondisturbing,
@@ -38,9 +40,12 @@ from waylab import (
     noise_fidelity_link,
     pauli,
     state_fidelity,
+    std_dev,
     tensor_states,
+    trade_off_reports,
 )
 import waylab.cnot
+import waylab.operators
 from waylab.cnot import (
     _FidelityEvaluator,
     _newton_system,
@@ -50,6 +55,7 @@ from waylab.cnot import (
 )
 from waylab.sampling import random_conserving_implementation
 from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
+from waylab.serialize import digest
 
 from oracles import angle_states, channel_apply, grid_search_fidelity, kraus_fidelity_sq
 
@@ -511,7 +517,7 @@ def _conserving_impl(seed: int):
 def test_noise_fidelity_link_reports():
     impl, law = _conserving_impl(11)
     fidelity = gate_fidelity(impl, SearchConfig(restarts=8, max_iter=150))
-    sq, link = noise_fidelity_link(impl, law, fidelity=fidelity)
+    sq, link, ceiling = noise_fidelity_link(impl, law, fidelity=fidelity)
     assert sq.relation == "squared-noise"
     assert link.relation == "fidelity-link"
     assert sq.passed() and link.passed()
@@ -523,6 +529,63 @@ def test_noise_fidelity_link_reports():
     assert sq.details["plus_commutator_abs"] == pytest.approx(0.0, abs=1e-12)
     # no-ancilla spin charges: ceiling must be the n=2 value 15/16
     assert sq.details["ceiling_fsq"] == pytest.approx(15.0 / 16.0, abs=1e-12)
+    # the third record checks F^2 against that ceiling, digested without psi
+    assert ceiling.relation == "sigma-ceiling" and ceiling.kind == "inequality"
+    assert ceiling.digest == digest(implementation=impl, law=law) != sq.digest
+    assert ceiling.lhs == fidelity.fidelity_sq
+    assert ceiling.rhs == sq.details["ceiling_fsq"]
+    assert ceiling.details == {"sigma_l3": sq.details["sigma_l3"]}
+    assert ceiling.passed()
+
+
+def _link_cases():
+    """(implementation, law) for d_anc = 1, boson nbar = 1 and spin n = 3."""
+    impl, law = _conserving_impl(11)
+    boson = build_boson(1.0)
+    spin = build_spin(3)
+    return [
+        (impl, law),
+        (random_conserving_implementation(3, boson.law, ancilla_state=boson.ancilla_state), boson.law),
+        (random_conserving_implementation(4, spin.law), spin.law),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["d1", "boson-nbar1", "spin3"])
+@pytest.mark.parametrize("control", ["iplus", "plus"])
+def test_noise_fidelity_link_reads_the_fundamental_bound(case, control):
+    # the chain's first link is the fundamental trade-off bound on the
+    # measurement view: the same ingredients, lhs and rhs, to the bit
+    impl, law = _link_cases()[case]
+    psi = candidate_control_states()[control]
+    fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
+    sq = noise_fidelity_link(impl, law, psi=psi, fidelity=fidelity)[0]
+    fund = trade_off_reports(measurement_view(impl), law, psi)[3]
+    for key in ("eps", "eta", "sigma_l3", "commutator_abs"):
+        assert sq.details[key] == fund.details[key], key
+    assert (sq.lhs, sq.rhs) == (fund.lhs, fund.rhs)
+
+
+def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
+    impl, law = _link_cases()[1]
+    error_operator(measurement_view(impl))  # the view's noise operators exist from here on
+    evolve = waylab.operators.evolve
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
+            monkeypatch.setattr(module, "evolve", lambda ops, u: calls.append(1) or evolve(ops, u))
+    fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
+    noise_fidelity_link(impl, law, fidelity=fidelity)
+    assert len(calls) == 1
+    noise_fidelity_link(impl, law, psi=candidate_control_states()["plus"], fidelity=fidelity)
+    assert len(calls) == 2
+
+
+def test_evolve_takes_a_sequence():
+    # a bare operator is not a sequence of them: an old-style
+    # evolve(op, u) call fails instead of computing a wrong product
+    with pytest.raises(TypeError):
+        waylab.operators.evolve(X, Z)
+    assert np.array_equal(waylab.operators.evolve((X,), Z)[0].entries, -X.entries)
 
 
 def test_noise_fidelity_link_rejects_wrong_charges():
@@ -539,19 +602,21 @@ def test_noise_fidelity_link_rejects_nonconserving():
         noise_fidelity_link(impl, law)
 
 
-def test_evolved_ancilla_charge_reads_the_law_lift(monkeypatch):
+def test_sigma_l3_reads_the_law_lift(monkeypatch):
     scenario = build_spin(3)
     impl = random_conserving_implementation(4, scenario.law)
     want = impl.unitary.entries.conj().T @ np.kron(
         np.eye(4), scenario.law.ancilla_part.entries
     ) @ impl.unitary.entries
+    control = candidate_control_states()["plus"]
+    full = measurement_view(impl).initial_state(control)
     scenario.law.total()  # the lifts exist from here on
     calls = []
     monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)
-    assert np.array_equal(waylab.cnot._evolved_ancilla_charge(impl, scenario.law).entries, want)
+    assert waylab.cnot.sigma_l3(impl, scenario.law, control) == std_dev(Operator(want), full)
     assert calls == []
     monkeypatch.undo()
     # a law whose ancilla lift cannot act on the implementation's space
     other = ConservationLaw(HilbertSpec((2, 2, 2, 2)), X, X, Operator(np.eye(4), hermitian=True))
     with pytest.raises(ValueError, match="does not fit"):
-        waylab.cnot.sigma_l3(impl, other, candidate_control_states()["plus"])
+        waylab.cnot.sigma_l3(impl, other, control)

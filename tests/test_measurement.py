@@ -110,12 +110,12 @@ def test_heisenberg_cnot_propagates_pointer():
     model = cnot_z_model()
     lifts = _lifts(model)
     np.testing.assert_allclose(
-        evolve(lifts["pointer"], model.interaction).entries,
+        evolve((lifts["pointer"],), model.interaction)[0].entries,
         np.kron(Z.entries, Z.entries),
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        evolve(lifts["measured"], model.interaction).entries,
+        evolve((lifts["measured"],), model.interaction)[0].entries,
         lifts["measured"].entries,
         atol=1e-14,
     )
@@ -125,7 +125,7 @@ def test_heisenberg_preserves_spectrum():
     model = cnot_z_model()
     for lift in _lifts(model).values():
         before = np.linalg.eigvalsh(lift.entries)
-        after = np.linalg.eigvalsh(evolve(lift, model.interaction).entries)
+        after = np.linalg.eigvalsh(evolve((lift,), model.interaction)[0].entries)
         np.testing.assert_allclose(before, after, atol=1e-12)
 
 

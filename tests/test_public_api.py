@@ -14,7 +14,7 @@ import waylab
 MODULE_ALL = {
     "operators": {
         "FLAG_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
-        "tensor_states", "commutator", "evolve", "expectation", "std_dev",
+        "tensor_states", "commutator", "evolve", "expectation", "std_dev", "moments",
         "operator_norm", "zero",
     },
     "measurement": {
@@ -27,7 +27,7 @@ MODULE_ALL = {
         "conservation_residual", "commutant_basis", "conserving_unitary",
     },
     "bounds": {
-        "BoundReport", "identity_reports", "require_conserving",
+        "BoundReport", "bound_ingredients", "identity_reports", "require_conserving",
         "trade_off_reports", "qway_bounds", "summed_bound", "fundamental_bound",
         "reports_to_csv",
     },

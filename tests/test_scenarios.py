@@ -163,24 +163,29 @@ def test_sigma_check_untouched_field():
 
 def test_sigma_check_evolves_the_charge_once(monkeypatch):
     # sigma(L3') and the moments of N' = L3'/2 share one U^dag L3 U, and
-    # halving is exact, so the mean is U^dag (I x N) U's to the bit
+    # halving is exact, so the mean and deviation are U^dag (I x N) U's
+    # to the bit
     sc = build_boson(1.0)
     basis = commutant_basis(sc.law)
     u = conserving_unitary(basis, 0.3 * np.random.default_rng(3).standard_normal(basis.generator_count))
     impl = GateImplementation(sc.spec, u, sc.ancilla_state)
     full = measurement_view(impl).initial_state(candidate_control_states()["iplus"])
     number_op = Operator(0.5 * sc.law.ancilla_part.entries, hermitian=True)
-    n_evolved = waylab.operators.evolve(sc.spec.embed(number_op, "ancilla"), u)
-    mean_n = float(np.real(np.vdot(full.amplitudes, n_evolved.entries @ full.amplitudes)))
+    (n_evolved,) = waylab.operators.evolve((sc.spec.embed(number_op, "ancilla"),), u)
+    vec = n_evolved.entries @ full.amplitudes
+    mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
+    delta_n = math.sqrt(max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0))
 
     evolve = waylab.operators.evolve
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
-            monkeypatch.setattr(module, "evolve", lambda op, v: calls.append(1) or evolve(op, v))
+            monkeypatch.setattr(module, "evolve", lambda ops, v: calls.append(1) or evolve(ops, v))
     rep = sigma_l3_bound_check(impl, sc)
     assert len(calls) == 1
     assert rep.details["mean_n_evolved"] == mean_n
+    assert rep.lhs == 2.0 * delta_n
+    assert rep.details["poissonian_residual"] == abs(delta_n - math.sqrt(mean_n))
     assert rep.details["mean_n_evolved"] != pytest.approx(1.0, abs=1e-3)
 
 
