@@ -222,7 +222,7 @@ def _finish(
         "records": records,
     }
     out_path = Path(args.out) if args.out else Path(f"waylab-{command}-report.json")
-    out_path.write_text(json.dumps(report, indent=2) + "\n")
+    out_path.write_text(json.dumps(report) + "\n")
     if csv_text is not None:
         out_path.with_suffix(".csv").write_text(csv_text)
     if not args.quiet:

@@ -8,16 +8,19 @@ Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2, and the minimum is exact
 without an ancilla: the distance from the origin to the convex hull of
 the eigenvalues of C^dag U (Toeplitz-Hausdorff).  With an ancilla it is
 estimated from above by a Riemannian descent on the unit sphere of C^4
-that runs every start as a row of one array.  It takes damped Riemannian
-Newton steps, falling back to a Gauss-Newton step where the Newton
-system is exactly singular: the minima have F^2 well above zero, where
-Gauss-Newton converges only linearly.  Besides fixed seed states, the
-starts are points of a scrambled Sobol' sequence made here with numpy,
-bit-identical to ``scipy.stats.qmc.Sobol``, so that importing waylab
-does not pay for importing ``scipy.stats``.  When the implementation
-must conserve a spin component, the same object also defines an
-indirect measurement of the control qubit, which is what ties the gate
-error to the measurement trade-off bounds.
+that runs every start as a row of one array.  F^2 is a fixed quadratic
+form in psi psi^dag, so the forms are read once into two matrices with
+64 columns, and building a step's Newton system costs the same at every
+ancilla size.  It takes damped Riemannian Newton steps, falling back to
+a Gauss-Newton step where the Newton system is exactly singular: the
+minima have F^2 well above zero, where Gauss-Newton converges only
+linearly.  Besides fixed seed states, the starts are points of a
+scrambled Sobol' sequence made here with numpy, bit-identical to
+``scipy.stats.qmc.Sobol``, so that importing waylab does not pay for
+importing ``scipy.stats``.  When the implementation must conserve a spin
+component, the same object also defines an indirect measurement of the
+control qubit, which is what ties the gate error to the measurement
+trade-off bounds.
 """
 
 from __future__ import annotations
@@ -162,8 +165,13 @@ class _FidelityEvaluator:
     In the real coordinates w = (Re psi, Im psi), z_a = w^T M_a w with
     M_a = [[A_a, i A_a], [-i A_a, A_a]], so the residuals r = (Re z, Im z)
     are quadratic forms r_k = w^T Q_k w, with Q_k the real and imaginary
-    parts of the symmetrized M_a.  The 2*d_anc forms are stacked once
-    into one matrix, so a batch of states costs one real matrix product.
+    parts of the symmetrized M_a.  The m = 2*d_anc forms, flattened, are
+    the rows of one m x 64 matrix M, and with W = w x w the residuals of
+    a batch of states are one product r = W M^T: F^2 is a fixed quadratic
+    form in psi psi^dag.  It is summed as sum_k r_k^2, which keeps its
+    relative precision near F = 0, where W (M^T M) W^T does not.  The
+    residuals' Jacobian J = 2 (Q_k w)_k enters the Newton system only as
+    J^T J = W K, with the 64 x 64 matrix K = 4 sum_k Q_k x Q_k built once.
     """
 
     def __init__(self, impl: GateImplementation):
@@ -173,32 +181,33 @@ class _FidelityEvaluator:
         self.forms = cnot_unitary().entries.conj().T @ kraus
         m = np.block([[self.forms, 1j * self.forms], [-1j * self.forms, self.forms]])
         sym = 0.5 * (m + m.transpose(0, 2, 1))
-        self._rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 8)
+        self._rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 64)
         self.d_anc = d_anc
         self.evaluations = 0
 
-    def _forms_times(self, w: np.ndarray) -> np.ndarray:
-        """Q_k w for every form, shape (n, 2*d_anc, 8)."""
+    @functools.cached_property
+    def _gram(self) -> np.ndarray:
+        """K, laid out so that W K, read as 8 x 8, is J^T J."""
+        pairs = 4.0 * self._rows.T @ self._rows  # rows (a, i), columns (b, j)
+        return pairs.reshape(8, 8, 8, 8).swapaxes(1, 2).reshape(64, 64)
+
+    def residuals(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W = w x w, shape (n, 64), and r = W M^T at real coordinates w."""
         self.evaluations += w.shape[0]
-        return (w @ self._rows.T).reshape(w.shape[0], -1, 8)
+        big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
+        return big_w, big_w @ self._rows.T
 
     def fidelity_sq_batch(self, psis: np.ndarray) -> np.ndarray:
         """Vectorized fidelity^2 for a stack of states, shape (n, 4)."""
-        w = np.concatenate([psis.real, psis.imag], axis=1)
-        return np.clip(self.fidelity_sq_and_jacobian(w)[0], 0.0, 1.0)
+        res = self.residuals(np.concatenate([psis.real, psis.imag], axis=1))[1]
+        return np.clip(np.sum(res * res, axis=1), 0.0, 1.0)
 
-    def fidelity_sq_and_jacobian(
-        self, w: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """F^2 = |r|^2 at unit real coordinates w, with the residuals r and
-        their Jacobian J = 2 (Q_k w)_k, shape (n, 2*d_anc, 8).
-
-        2 J^T r is the gradient of F^2: the real form of the analytic
-        2 sum_a (conj(z_a) A_a + z_a A_a^dag) psi.
-        """
-        forms_w = self._forms_times(w)
-        res = np.einsum("nki,ni->nk", forms_w, w)
-        return np.sum(res * res, axis=1), 2.0 * forms_w, res
+    def points(self, w: np.ndarray) -> np.ndarray:
+        """Packed rows [w, W, S, F^2] at unit real coordinates w, shape
+        (n, 137), with S = r M = sum_k r_k Q_k flattened."""
+        big_w, res = self.residuals(w)
+        fsq = np.sum(res * res, axis=1, keepdims=True)
+        return np.concatenate([w, big_w, res @ self._rows, fsq], axis=1)
 
 
 def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
@@ -395,42 +404,47 @@ def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _newton_system(
-    ev: _FidelityEvaluator,
-    w: np.ndarray,
-    jac: np.ndarray,
-    res: np.ndarray,
-    value: np.ndarray,
-    damping: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Riemannian Newton matrix N of F^2 on the unit sphere, per
-    row, with the tangent Jacobian T = J (I - w w^T) and v = T^T r:
+    ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray, curvature: float = 2.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Riemannian Newton matrix N of F^2 on the unit sphere and
+    the right-hand side, per packed row [w, W, S, F^2] of
+    :meth:`_FidelityEvaluator.points`.
 
-        N = T^T T + 2 S - (v w^T + w v^T) + (damping - 2 F^2) I,
+    J w = 2 r and J^T r = 2 s with s = S w, so with J^T J = W K and the
+    weight c = ``curvature`` of S
 
-    S = sum_k r_k Q_k.  On the tangent space N minus the damping is half
-    the Riemannian Hessian P (2 J^T J + 4 S) P - 4 F^2 P, P = I - w w^T;
-    N maps w itself to damping * w, so the solved move stays tangent.
-    Returns N, T and v.
+        N = J^T J + c S - (u w^T + w u^T) + (damping - c F^2) I,
+        u = (c + 4) s - (c + 2) F^2 w.
+
+    At c = 2, N = J^T J + 2 S - 6 (s w^T + w s^T) + 8 F^2 w w^T +
+    (damping - 2 F^2) I: on the tangent space N minus the damping is half
+    the Riemannian Hessian P (2 J^T J + 4 S) P - 4 F^2 P, P = I - w w^T,
+    and N maps w itself to damping * w, so the solved move stays tangent.
+    At c = 0 it is the Gauss-Newton matrix T^T T + damping I of the
+    tangent Jacobian T = J P, which is positive definite.  The
+    right-hand side is T^T r = 2 (s - F^2 w).
     """
-    tangent = jac - (jac @ w[:, :, None]) * w[:, None, :]
-    rhs = np.einsum("nki,nk->ni", tangent, res)
-    normal = np.swapaxes(tangent, 1, 2) @ tangent
-    curvature = res @ ev._rows.reshape(res.shape[1], 64)
-    normal += 2.0 * curvature.reshape(-1, 8, 8)
-    outer = rhs[:, :, None] * w[:, None, :]
-    normal -= outer
-    normal -= np.swapaxes(outer, 1, 2)
-    normal.reshape(len(w), 64)[:, ::9] += (damping - 2.0 * value)[:, None]
-    return normal, tangent, rhs
+    n = len(points)
+    w, value = points[:, :8], points[:, -1:]
+    s = (points[:, 72:136].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
+    fw = value * w
+    u = (curvature + 4.0) * s - (curvature + 2.0) * fw
+    uw = u[:, :, None] * w[:, None, :]
+    matrix = points[:, 8:72] @ ev._gram
+    matrix += curvature * points[:, 72:136]
+    matrix = matrix.reshape(n, 8, 8)
+    matrix -= uw
+    matrix -= np.swapaxes(uw, 1, 2)
+    matrix.reshape(n, 64)[:, ::9] += damping[:, None] - curvature * value
+    return matrix, 2.0 * (s - fw)
 
 
-def _solve_moves(
-    normal: np.ndarray, tangent: np.ndarray, rhs: np.ndarray, damping: np.ndarray
-) -> np.ndarray:
+def _newton_moves(ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray) -> np.ndarray:
     """Solve every row's Newton system; a row whose system is exactly
-    singular takes the Gauss-Newton move (T^T T + damping I)^-1 T^T r,
-    whose matrix is positive definite.  Rows are solved one by one only
-    then, each on its own, so no row's move depends on another row."""
+    singular takes the Gauss-Newton move, whose matrix is positive
+    definite.  Rows are solved one by one only then, each on its own,
+    so no row's move depends on another row."""
+    normal, rhs = _newton_system(ev, points, damping)
     try:
         return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -438,11 +452,10 @@ def _solve_moves(
     moves = np.empty_like(rhs)
     for i in range(len(rhs)):
         try:
-            moves[i] = np.linalg.solve(normal[i], rhs[i, :, None])[:, 0]
+            moves[i] = np.linalg.solve(normal[i], rhs[i])
         except np.linalg.LinAlgError:
-            gauss_newton = tangent[i].T @ tangent[i]
-            gauss_newton.flat[::9] += damping[i]
-            moves[i] = np.linalg.solve(gauss_newton, rhs[i, :, None])[:, 0]
+            gauss_newton = _newton_system(ev, points[i : i + 1], damping[i : i + 1], 0.0)[0][0]
+            moves[i] = np.linalg.solve(gauss_newton, rhs[i])
     return moves
 
 
@@ -452,19 +465,20 @@ def _sphere_descent(
     """Riemannian descent of F^2 on the unit sphere of C^4, all starts as
     rows of one array.
 
-    Each step moves a start along the tangent space and renormalizes.
-    The move solves N m = T^T r with N the damped Riemannian Newton
-    matrix of :func:`_newton_system` and damping 1 / (2 s), J and r from
-    :meth:`_FidelityEvaluator.fidelity_sq_and_jacobian`: for a small
-    step length s it is the gradient step s * grad F^2, and for a large
-    one the Newton step.  Newton rather than Gauss-Newton, because the
-    minima sought have F^2 well above zero, and at a minimum whose
-    residual is not zero Gauss-Newton converges only linearly while
-    Newton converges quadratically.  A row whose Newton system is
-    exactly singular takes the Gauss-Newton step instead.  A step is
-    kept only when it lowers the value; s grows by 1.5 after a kept step
-    and halves after a rejected one, per start, within ``_MIN_STEP`` and
-    ``_MAX_STEP``.
+    Each start is kept as one packed row [w, W, S, F^2]
+    (:meth:`_FidelityEvaluator.points`), and each step moves it along the
+    tangent space and renormalizes.  The move solves N m = T^T r with N
+    the damped Riemannian Newton matrix of :func:`_newton_system` and
+    damping 1 / (2 s), assembled from W K, S and s = S w alone, so its
+    cost does not grow with the ancilla: for a small step length s it is
+    the gradient step s * grad F^2, and for a large one the Newton step.
+    Newton rather than Gauss-Newton, because the minima sought have F^2
+    well above zero, and at a minimum whose residual is not zero
+    Gauss-Newton converges only linearly while Newton converges
+    quadratically.  A row whose Newton system is exactly singular takes
+    the Gauss-Newton step instead.  A step is kept only when it lowers
+    the value; s grows by 1.5 after a kept step and halves after a
+    rejected one, per start, within ``_MIN_STEP`` and ``_MAX_STEP``.
 
     The loop stops early after two iterations in a row in which no start
     lowered its F^2 by more than ``cfg.tol``.  One is not enough: a
@@ -475,24 +489,20 @@ def _sphere_descent(
     the trace.
     """
     labels, psi = _search_starts(cfg)
-    w = np.concatenate([psi.real, psi.imag], axis=1)
-    value, jac, res = ev.fidelity_sq_and_jacobian(w)
+    points = ev.points(np.concatenate([psi.real, psi.imag], axis=1))
+    value = points[:, -1]
     initial = value.copy()
     step = np.full(len(labels), 0.25)
     iterations = quiet = 0
     while iterations < cfg.max_iter and quiet < 2:
         iterations += 1
         damping = 0.5 / step
-        normal, tangent, rhs = _newton_system(ev, w, jac, res, value, damping)
-        trial = w - _solve_moves(normal, tangent, rhs, damping)
+        trial = points[:, :8] - _newton_moves(ev, points, damping)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_value, trial_jac, trial_res = ev.fidelity_sq_and_jacobian(trial)
-        better = trial_value < value
-        gain = float(np.max(value - trial_value, where=better, initial=0.0))
-        w[better] = trial[better]
-        jac[better] = trial_jac[better]
-        res[better] = trial_res[better]
-        value[better] = trial_value[better]
+        trial_points = ev.points(trial)
+        better = trial_points[:, -1] < value
+        gain = float(np.max(value - trial_points[:, -1], where=better, initial=0.0))
+        points[better] = trial_points[better]
         step *= np.where(better, 1.5, 0.5)
         np.minimum(step, _MAX_STEP, out=step)
         np.maximum(step, _MIN_STEP, out=step)
@@ -506,7 +516,7 @@ def _sphere_descent(
         }
         for label, f0, f1 in zip(labels, initial, value)
     ]
-    return w[:, :4] + 1j * w[:, 4:], value, trace
+    return points[:, :4] + 1j * points[:, 4:8], value, trace
 
 
 def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) -> FidelityResult:

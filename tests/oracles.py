@@ -356,13 +356,20 @@ def angle_states(t1, t2, t3, p1, p2, p3) -> np.ndarray:
     )
 
 
-def kraus_fidelity_sq(impl: GateImplementation):
-    """psis (n, 4) -> F^2 = sum_a |<psi|C^dag K_a|psi>|^2, with the Kraus
-    operators K_a = (I x <a|) U (I x |xi>) read off the unitary."""
+def kraus_forms(impl: GateImplementation) -> np.ndarray:
+    """The forms A_a = C^dag K_a, shape (d_anc, 4, 4), with the Kraus
+    operators K_a = (I x <a|) U (I x |xi>) read off the unitary one
+    ancilla level at a time."""
     d_anc = impl.spec.ancilla_dim
     u = impl.unitary.entries.reshape(4, d_anc, 4, d_anc)
     xi = impl.ancilla_state.amplitudes
-    forms = np.stack([cnot_unitary().entries.conj().T @ (u[:, a] @ xi) for a in range(d_anc)])
+    return np.stack([cnot_unitary().entries.conj().T @ (u[:, a] @ xi) for a in range(d_anc)])
+
+
+def kraus_fidelity_sq(impl: GateImplementation):
+    """psis (n, 4) -> F^2 = sum_a |<psi|A_a|psi>|^2 over :func:`kraus_forms`."""
+    forms = kraus_forms(impl)
+    d_anc = len(forms)
     stacked = forms.reshape(-1, 4).T
 
     def fsq(psis: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ see them; each writes its report into the pytest tmp dir.
 
 import base64
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -538,8 +539,10 @@ def _explicit_model_config() -> dict:
 
 
 def _body_text(path: Path) -> str:
-    """The report file's text without its ``generated_at`` line."""
-    return "".join(line for line in path.read_text().splitlines(keepends=True) if '"generated_at"' not in line)
+    """The report file's text without its ``generated_at`` field."""
+    text, count = re.subn(r'"generated_at": "[^"]*", ', "", path.read_text())
+    assert count == 1
+    return text
 
 
 @pytest.mark.parametrize(

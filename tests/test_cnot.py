@@ -57,7 +57,7 @@ from waylab.sampling import random_conserving_implementation
 from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
 from waylab.serialize import digest
 
-from oracles import angle_states, channel_apply, grid_search_fidelity, kraus_fidelity_sq
+from oracles import angle_states, channel_apply, grid_search_fidelity, kraus_fidelity_sq, kraus_forms
 
 
 X = pauli("X")
@@ -392,6 +392,22 @@ def test_cached_starts_leave_the_search_bit_identical(monkeypatch):
         assert res.evaluations == fresh.evaluations
 
 
+@pytest.mark.parametrize("kind", ["spin-3", "boson-1"])
+def test_fidelity_keeps_its_relative_precision_near_zero(kind):
+    # coefficients of size 1e-5 leave the gate next to the identity,
+    # whose worst case against CNOT is F = 0: the minimum found is about
+    # 2e-11, where F^2 = sum_k r_k^2 keeps its relative precision and
+    # the shorter W (M^T M) W^T loses about 1e-5 of it
+    sc = build_spin(3) if kind == "spin-3" else build_boson(1.0)
+    basis = commutant_basis(sc.law)
+    coefficients = 1e-5 * np.random.default_rng(3).standard_normal(basis.generator_count)
+    impl = GateImplementation(sc.spec, conserving_unitary(basis, coefficients), sc.ancilla_state)
+    res = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80))
+    assert 1e-12 < res.fidelity_sq < 1e-10
+    expected = kraus_fidelity_sq(impl)(res.worst_state.amplitudes[None, :])[0]
+    assert res.fidelity_sq == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
 def _unit_rows(rng: np.random.Generator, count: int) -> np.ndarray:
     w = rng.standard_normal((count, 8))
     return w / np.linalg.norm(w, axis=1, keepdims=True)
@@ -419,15 +435,65 @@ def _geodesic_hessian(fsq_of, w: np.ndarray, h: float = 1e-4) -> tuple[np.ndarra
 
 
 def _newton_case(name: str) -> GateImplementation:
+    if name == "xx-2":
+        return GateImplementation(SPEC22, conserving_xx_unitary(4))
     if name == "spin-3":
         return _spin3_implementations()[0]
-    boson = build_boson(1.0)
+    boson = build_boson(float(name.removeprefix("boson-")))
     return random_conserving_implementation(
         5, boson.law, strength=0.5, ancilla_state=boson.ancilla_state
     )
 
 
-@pytest.mark.parametrize("name, d_anc", [("spin-3", 2), ("boson-1", 13)])
+@pytest.mark.parametrize("name, d_anc", [("xx-2", 1), ("spin-3", 2), ("boson-1", 13)])
+def test_evaluator_rows_match_the_kraus_forms(name, d_anc):
+    # r, S and J^T J = W K against derivatives of z_a = <psi|A_a|psi>
+    # contracted directly with the oracle's forms: the coordinate e_i of
+    # R^8 is the state E_i = e_i (i < 4) or i e_(i-4) of C^4, so
+    # dz_a / dw_i = <E_i|A_a|psi> + <psi|A_a|E_i> and
+    # d^2 z_a / dw_i dw_j = <E_i|A_a|E_j> + <E_j|A_a|E_i>
+    impl = _newton_case(name)
+    assert impl.spec.ancilla_dim == d_anc
+    forms = kraus_forms(impl)
+    ev = _FidelityEvaluator(impl)
+    w = _unit_rows(np.random.default_rng(9), 4)
+    psi = w[:, :4] + 1j * w[:, 4:]
+    basis = np.concatenate([np.eye(4), 1j * np.eye(4)])
+    z = np.einsum("ni,aij,nj->na", psi.conj(), forms, psi)
+    dz = np.einsum("ki,aij,nj->nak", basis.conj(), forms, psi)
+    dz += np.einsum("ni,aij,kj->nak", psi.conj(), forms, basis)
+    d2z = np.einsum("ki,aij,lj->akl", basis.conj(), forms, basis)
+    d2z += np.swapaxes(d2z, 1, 2)
+    jac = np.concatenate([dz.real, dz.imag], axis=1)
+    curvature = 0.5 * (
+        np.einsum("na,akl->nkl", z.real, d2z.real) + np.einsum("na,akl->nkl", z.imag, d2z.imag)
+    )
+
+    before = ev.evaluations
+    points = ev.points(w)
+    assert ev.evaluations == before + len(w)
+    big_w, res = ev.residuals(w)
+    np.testing.assert_allclose(res, np.concatenate([z.real, z.imag], axis=1), rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(big_w, np.einsum("ni,nj->nij", w, w).reshape(-1, 64))
+    assert points.shape == (len(w), 137)
+    np.testing.assert_array_equal(points[:, :8], w)
+    np.testing.assert_array_equal(points[:, 8:72], big_w)
+    np.testing.assert_allclose(points[:, 72:136].reshape(-1, 8, 8), curvature, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(points[:, 136], kraus_fidelity_sq(impl)(psi), rtol=1e-13)
+    np.testing.assert_allclose(
+        (big_w @ ev._gram).reshape(-1, 8, 8), np.swapaxes(jac, 1, 2) @ jac, rtol=0, atol=1e-13
+    )
+    # the fallback's Gauss-Newton matrix T^T T + damping I and the
+    # right-hand side T^T r, with the tangent Jacobian T = J (I - w w^T)
+    tangent = jac - (jac @ w[:, :, None]) * w[:, None, :]
+    gauss_newton, rhs = _newton_system(ev, points, np.full(len(w), 0.5), curvature=0.0)
+    np.testing.assert_allclose(
+        gauss_newton, np.swapaxes(tangent, 1, 2) @ tangent + 0.5 * np.eye(8), rtol=0, atol=1e-13
+    )
+    np.testing.assert_allclose(rhs, np.einsum("nki,nk->ni", tangent, res), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name, d_anc", [("spin-3", 2), ("boson-1", 13), ("boson-4", 23)])
 def test_newton_matrix_is_half_the_riemannian_hessian(name, d_anc):
     # F^2 for the finite differences comes from the oracle's Kraus forms,
     # not from the evaluator whose matrix is under test
@@ -437,8 +503,7 @@ def test_newton_matrix_is_half_the_riemannian_hessian(name, d_anc):
     ev = _FidelityEvaluator(impl)
     w = _unit_rows(np.random.default_rng(8), 3)
     damping = np.array([0.7, 2.0, 40.0])
-    value, jac, res = ev.fidelity_sq_and_jacobian(w)
-    normal, _, _ = _newton_system(ev, w, jac, res, value, damping)
+    normal, _ = _newton_system(ev, ev.points(w), damping)
     for row in range(len(w)):
         basis, hess = _geodesic_hessian(fsq_of, w[row])
         tangent_part = basis.T @ (normal[row] - damping[row] * np.eye(8)) @ basis
@@ -450,26 +515,7 @@ def test_newton_matrix_is_half_the_riemannian_hessian(name, d_anc):
         assert np.max(np.abs(normal[row] - normal[row].T)) <= 1e-12
 
 
-def test_singular_newton_system_falls_back_per_row():
-    # at the projected gate the start |1>|+> (seed-14) has F^2 = 1 up to
-    # rounding, so with the first damping 2 = 2 F^2 its Newton system is
-    # exactly singular; that row takes the Gauss-Newton step and the
-    # others go on as if it were not there
-    sc = build_spin(3)
-    impl = GateImplementation(
-        sc.spec,
-        conserving_unitary(commutant_basis(sc.law), projected_gate_coefficients(sc)),
-        sc.ancilla_state,
-    )
-    labels, states = _search_starts(SearchConfig(restarts=4))
-    ev = _FidelityEvaluator(impl)
-    w = np.concatenate([states.real, states.imag], axis=1)
-    value, jac, res = ev.fidelity_sq_and_jacobian(w)
-    row = labels.index("seed-14")
-    normal, _, rhs = _newton_system(ev, w, jac, res, value, np.full(len(w), 2.0))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(normal[row], rhs[row])
-
+def _assert_rows_go_on_alone(impl: GateImplementation) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         full = gate_fidelity(impl, SearchConfig(restarts=6, max_iter=40, tol=-1.0))
@@ -480,6 +526,45 @@ def test_singular_newton_system_falls_back_per_row():
     for a, b in zip(seeds, alone.trace):
         assert a["final"] == pytest.approx(b["final"], abs=1e-12)
     assert np.isfinite(full.fidelity_sq)
+
+
+def test_singular_newton_system_falls_back_per_row():
+    # CNOT after the control phase gate diag(1, i) with an idle ancilla:
+    # z = p + i (1 - p) with p = |psi_0|^2 + |psi_1|^2, so at |00> (seed-0)
+    # F^2 = 1 and half the Riemannian Hessian is -2 along the four
+    # tangents that move weight to |10> and |11>.  Every entry is a small
+    # dyadic number computed without rounding, so with the first damping
+    # 2 = 2 F^2 the row's Newton system is exactly singular; that row
+    # takes the Gauss-Newton step and the others go on as if it were not
+    # there
+    unitary = np.kron(cnot_unitary().entries @ np.diag([1, 1, 1j, 1j]), np.eye(2))
+    impl = GateImplementation(HilbertSpec((2, 2, 2)), Operator(unitary, unitary=True), StateVector.basis(2, 0))
+    labels, states = _search_starts(SearchConfig(restarts=4))
+    ev = _FidelityEvaluator(impl)
+    points = ev.points(np.concatenate([states.real, states.imag], axis=1))
+    row = labels.index("seed-0")
+    normal, rhs = _newton_system(ev, points, np.full(len(points), 2.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(normal[row], rhs[row])
+    _assert_rows_go_on_alone(impl)
+
+
+def test_near_singular_start_leaves_the_other_rows_alone():
+    # at the projected gate the start |1>|+> (seed-14) has F^2 = 1 up to
+    # rounding, so with the first damping 2 = 2 F^2 its Newton system is
+    # singular up to rounding
+    sc = build_spin(3)
+    impl = GateImplementation(
+        sc.spec,
+        conserving_unitary(commutant_basis(sc.law), projected_gate_coefficients(sc)),
+        sc.ancilla_state,
+    )
+    labels, states = _search_starts(SearchConfig(restarts=4))
+    ev = _FidelityEvaluator(impl)
+    points = ev.points(np.concatenate([states.real, states.imag], axis=1))
+    normal, _ = _newton_system(ev, points, np.full(len(points), 2.0))
+    assert np.min(np.abs(np.linalg.eigvalsh(normal[labels.index("seed-14")]))) <= 1e-14
+    _assert_rows_go_on_alone(impl)
 
 
 def test_conserving_two_qubit_implementations_are_blind():
