@@ -153,6 +153,9 @@ def implementation_from_json(data: dict[str, Any]) -> GateImplementation:
     )
 
 
+_W, _BIG_W, _S, _FSQ = slice(0, 8), slice(8, 72), slice(72, 136), 136  # packed row [w, W, S, F^2]
+
+
 class _FidelityEvaluator:
     """The implementation's Kraus forms, for fast state-fidelity evaluation.
 
@@ -425,13 +428,15 @@ def _newton_system(
     right-hand side is T^T r = 2 (s - F^2 w).
     """
     n = len(points)
-    w, value = points[:, :8], points[:, -1:]
-    s = (points[:, 72:136].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
+    w, value = points[:, _W], points[:, _FSQ, None]
+    s = (points[:, _S].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
     fw = value * w
     u = (curvature + 4.0) * s - (curvature + 2.0) * fw
     uw = u[:, :, None] * w[:, None, :]
-    matrix = points[:, 8:72] @ ev._gram
-    matrix += curvature * points[:, 72:136]
+    # W K row by row: one (n x 64)(64 x 64) product rounds a row by its batch,
+    # and with it whether the row's Newton system is exactly singular
+    matrix = (points[:, None, _BIG_W] @ ev._gram)[:, 0]
+    matrix += curvature * points[:, _S]
     matrix = matrix.reshape(n, 8, 8)
     matrix -= uw
     matrix -= np.swapaxes(uw, 1, 2)
@@ -490,18 +495,18 @@ def _sphere_descent(
     """
     labels, psi = _search_starts(cfg)
     points = ev.points(np.concatenate([psi.real, psi.imag], axis=1))
-    value = points[:, -1]
+    value = points[:, _FSQ]
     initial = value.copy()
     step = np.full(len(labels), 0.25)
     iterations = quiet = 0
     while iterations < cfg.max_iter and quiet < 2:
         iterations += 1
         damping = 0.5 / step
-        trial = points[:, :8] - _newton_moves(ev, points, damping)
+        trial = points[:, _W] - _newton_moves(ev, points, damping)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_points = ev.points(trial)
-        better = trial_points[:, -1] < value
-        gain = float(np.max(value - trial_points[:, -1], where=better, initial=0.0))
+        better = trial_points[:, _FSQ] < value
+        gain = float(np.max(value - trial_points[:, _FSQ], where=better, initial=0.0))
         points[better] = trial_points[better]
         step *= np.where(better, 1.5, 0.5)
         np.minimum(step, _MAX_STEP, out=step)
@@ -516,7 +521,7 @@ def _sphere_descent(
         }
         for label, f0, f1 in zip(labels, initial, value)
     ]
-    return points[:, :4] + 1j * points[:, 4:8], value, trace
+    return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, trace
 
 
 def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) -> FidelityResult:

@@ -47,6 +47,10 @@ from waylab import (
 import waylab.cnot
 import waylab.operators
 from waylab.cnot import (
+    _BIG_W,
+    _FSQ,
+    _S,
+    _W,
     _FidelityEvaluator,
     _newton_system,
     _scrambled_sobol,
@@ -476,10 +480,10 @@ def test_evaluator_rows_match_the_kraus_forms(name, d_anc):
     np.testing.assert_allclose(res, np.concatenate([z.real, z.imag], axis=1), rtol=0, atol=1e-14)
     np.testing.assert_array_equal(big_w, np.einsum("ni,nj->nij", w, w).reshape(-1, 64))
     assert points.shape == (len(w), 137)
-    np.testing.assert_array_equal(points[:, :8], w)
-    np.testing.assert_array_equal(points[:, 8:72], big_w)
-    np.testing.assert_allclose(points[:, 72:136].reshape(-1, 8, 8), curvature, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(points[:, 136], kraus_fidelity_sq(impl)(psi), rtol=1e-13)
+    np.testing.assert_array_equal(points[:, _W], w)
+    np.testing.assert_array_equal(points[:, _BIG_W], big_w)
+    np.testing.assert_allclose(points[:, _S].reshape(-1, 8, 8), curvature, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(points[:, _FSQ], kraus_fidelity_sq(impl)(psi), rtol=1e-13)
     np.testing.assert_allclose(
         (big_w @ ev._gram).reshape(-1, 8, 8), np.swapaxes(jac, 1, 2) @ jac, rtol=0, atol=1e-13
     )
@@ -528,42 +532,51 @@ def _assert_rows_go_on_alone(impl: GateImplementation) -> None:
     assert np.isfinite(full.fidelity_sq)
 
 
-def test_singular_newton_system_falls_back_per_row():
-    # CNOT after the control phase gate diag(1, i) with an idle ancilla:
-    # z = p + i (1 - p) with p = |psi_0|^2 + |psi_1|^2, so at |00> (seed-0)
-    # F^2 = 1 and half the Riemannian Hessian is -2 along the four
-    # tangents that move weight to |10> and |11>.  Every entry is a small
-    # dyadic number computed without rounding, so with the first damping
-    # 2 = 2 F^2 the row's Newton system is exactly singular; that row
-    # takes the Gauss-Newton step and the others go on as if it were not
-    # there
-    unitary = np.kron(cnot_unitary().entries @ np.diag([1, 1, 1j, 1j]), np.eye(2))
-    impl = GateImplementation(HilbertSpec((2, 2, 2)), Operator(unitary, unitary=True), StateVector.basis(2, 0))
+def _first_newton_system(impl: GateImplementation) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
     labels, states = _search_starts(SearchConfig(restarts=4))
     ev = _FidelityEvaluator(impl)
     points = ev.points(np.concatenate([states.real, states.imag], axis=1))
-    row = labels.index("seed-0")
-    normal, rhs = _newton_system(ev, points, np.full(len(points), 2.0))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(normal[row], rhs[row])
-    _assert_rows_go_on_alone(impl)
+    damping = np.full(len(points), 2.0)
+    normal, rhs = _newton_system(ev, points, damping)
+    # each row's system is built on its own: alone it is the same bits
+    for i in range(len(points)):
+        one_normal, one_rhs = _newton_system(ev, points[i : i + 1], damping[i : i + 1])
+        np.testing.assert_array_equal(one_normal[0], normal[i])
+        np.testing.assert_array_equal(one_rhs[0], rhs[i])
+    return labels, normal, rhs
 
 
-def test_near_singular_start_leaves_the_other_rows_alone():
+def test_singular_newton_system_falls_back_per_row():
     # at the projected gate the start |1>|+> (seed-14) has F^2 = 1 up to
     # rounding, so with the first damping 2 = 2 F^2 its Newton system is
-    # singular up to rounding
+    # exactly singular; that row takes the Gauss-Newton step and the
+    # others go on as if it were not there
     sc = build_spin(3)
     impl = GateImplementation(
         sc.spec,
         conserving_unitary(commutant_basis(sc.law), projected_gate_coefficients(sc)),
         sc.ancilla_state,
     )
-    labels, states = _search_starts(SearchConfig(restarts=4))
-    ev = _FidelityEvaluator(impl)
-    points = ev.points(np.concatenate([states.real, states.imag], axis=1))
-    normal, _ = _newton_system(ev, points, np.full(len(points), 2.0))
-    assert np.min(np.abs(np.linalg.eigvalsh(normal[labels.index("seed-14")]))) <= 1e-14
+    labels, normal, rhs = _first_newton_system(impl)
+    row = labels.index("seed-14")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(normal[row], rhs[row])
+    _assert_rows_go_on_alone(impl)
+
+
+def test_dyadic_singular_newton_system_falls_back_per_row():
+    # CNOT after the control phase gate diag(1, i) with an idle ancilla:
+    # z = p + i (1 - p) with p = |psi_0|^2 + |psi_1|^2, so at |00> (seed-0)
+    # F^2 = 1 and half the Riemannian Hessian is -2 along the four
+    # tangents that move weight to |10> and |11>.  Every entry is a small
+    # dyadic number computed without rounding, so with the first damping
+    # 2 = 2 F^2 the row's Newton system is singular in exact arithmetic
+    unitary = np.kron(cnot_unitary().entries @ np.diag([1, 1, 1j, 1j]), np.eye(2))
+    impl = GateImplementation(HilbertSpec((2, 2, 2)), Operator(unitary, unitary=True), StateVector.basis(2, 0))
+    labels, normal, rhs = _first_newton_system(impl)
+    row = labels.index("seed-0")
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(normal[row], rhs[row])
     _assert_rows_go_on_alone(impl)
 
 
