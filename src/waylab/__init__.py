@@ -8,6 +8,8 @@ gate fidelity attainable when the interaction must commute with a
 conserved quantity.
 """
 
+from types import ModuleType as _Module
+
 from .operators import (
     HilbertSpec,
     Operator,
@@ -73,56 +75,8 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
+# The imports above are the one list of public names; the submodules they bind are not.
 __all__ = [
-    "HilbertSpec",
-    "Operator",
-    "StateVector",
-    "commutator",
-    "expectation",
-    "operator_norm",
-    "std_dev",
-    "tensor_states",
-    "zero",
-    "CertificationResult",
-    "IndirectMeasurementModel",
-    "disturbance_operator",
-    "error_operator",
-    "is_nondisturbing",
-    "is_precise",
-    "rms_disturbance",
-    "rms_error",
-    "CommutantBasis",
-    "ConservationError",
-    "ConservationLaw",
-    "commutant_basis",
-    "conservation_residual",
-    "conserving_unitary",
-    "BoundReport",
-    "fundamental_bound",
-    "identity_reports",
-    "qway_bounds",
-    "summed_bound",
-    "trade_off_reports",
-    "FidelityResult",
-    "GateImplementation",
-    "SearchConfig",
-    "cnot_unitary",
-    "gate_fidelity",
-    "measurement_view",
-    "noise_fidelity_link",
-    "pauli",
-    "state_fidelity",
-    "BosonScenario",
-    "OptimizationRun",
-    "OptimizeConfig",
-    "SpinScenario",
-    "build_boson",
-    "build_spin",
-    "ceiling_boson",
-    "ceiling_qubit",
-    "optimize_fidelity",
-    "projected_gate_coefficients",
-    "sigma_l3_bound_check",
-    "way_positive_control",
-    "__version__",
-]
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _Module))
+] + ["__version__"]

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .cnot import (
     pauli,
 )
 from .conservation import ConservationLaw, commutant_basis, conservation_residual
-from .measurement import is_nondisturbing, is_precise
+from .measurement import IndirectMeasurementModel, is_nondisturbing, is_precise
 from .operators import HilbertSpec, Operator
 from .sampling import (
     random_conserving_implementation,
@@ -41,6 +42,7 @@ from .sampling import (
     random_state,
 )
 from .scenarios import (
+    TAIL_TOL,
     CeilingViolation,
     OptimizeConfig,
     build_boson,
@@ -152,23 +154,22 @@ def _real(name: str, value: Any) -> float:
 
 
 def _search_config(
-    config: dict[str, Any], restarts_flag: int | None = None, **defaults: Any
+    config: dict[str, Any], base: SearchConfig, restarts_flag: int | None = None
 ) -> SearchConfig:
-    """The config's ``search`` block over ``defaults``, then the
+    """The config's ``search`` block over ``base``, then the
     ``--restarts`` flag when given.  A NaN search ``tol`` would never stop
     the descent early and a negative ``max_iter`` would run no step, so
     both are refused, as is a count or ``seed`` that is not a nonnegative
     integer and any key ``SearchConfig`` lacks."""
-    raw = {**defaults, **dict(config.get("search", {}))}
+    raw = {**asdict(base), **dict(config.get("search", {}))}
     if restarts_flag is not None:
         raw["restarts"] = restarts_flag
     unknown = set(raw) - {f.name for f in fields(SearchConfig)}
     if unknown:
         raise _UsageError(f"search {min(unknown)} is not a search setting")
-    if "tol" in raw:
-        raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
+    raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
     for key in ("restarts", "max_iter", "seed"):
-        _nonnegative_int(f"search {key}", raw.get(key, 0))
+        _nonnegative_int(f"search {key}", raw[key])
     return SearchConfig(**raw)
 
 
@@ -247,11 +248,28 @@ def _case_seeds(seed: int | np.random.SeedSequence, count: int) -> list[int]:
 
 
 def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
-    dims = config.get("factor_dims", [list(d) for d in DEFAULT_FACTOR_DIMS])
-    specs = [HilbertSpec(tuple(int(x) for x in row)) for row in dims]
-    if not specs:
-        raise _UsageError("factor_dims must list at least one factorization")
-    return specs
+    """The config's factor layouts; each entry is checked as a count is, and must be at least 1."""
+    dims = config.get("factor_dims", DEFAULT_FACTOR_DIMS)
+    if not dims or any(_nonnegative_int("factor_dims entry", x) < 1 for row in dims for x in row):
+        raise _UsageError(f"factor_dims must list factorizations of entries >= 1, got {dims!r}")
+    return [HilbertSpec(tuple(row)) for row in dims]
+
+
+def _random_cases(
+    args: argparse.Namespace, config: dict[str, Any], tol: float, default_count: int
+) -> tuple[int, dict[str, Any], Iterator[tuple[int, IndirectMeasurementModel, ConservationLaw]]]:
+    """A randomized command's seed, its config record and its cases: one
+    ``(case_seed, model, law)`` per case seed, cycling through the factor
+    layouts, each model drawn only when the loop reaches it."""
+    seed = _require_seed(args, config)
+    count = _nonnegative_int("count", _pick(args, config, "count", default_count))
+    specs = _factor_specs(config)
+    used = {"count": count, "tol": tol, "factor_dims": [list(s.factor_dims) for s in specs]}
+    cases = (
+        (case_seed, *random_conserving_model(case_seed, spec))
+        for case_seed, spec in zip(_case_seeds(seed, count), itertools.cycle(specs))
+    )
+    return seed, used, cases
 
 
 def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -269,42 +287,19 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
         used = {"tol": tol, "source": "explicit model"}
         return _finish(args, "verify-identities", seed, used, records)
 
-    seed = _require_seed(args, config)
-    count = _nonnegative_int("count", _pick(args, config, "count", 100))
-    specs = _factor_specs(config)
-    records: list[dict[str, Any]] = []
-    for i, case_seed in enumerate(_case_seeds(seed, count)):
-        spec = specs[i % len(specs)]
-        model, law = random_conserving_model(case_seed, spec)
-        for rep in identity_reports(model, law):
-            records.append(_record(rep, tol))
-    used = {
-        "count": count,
-        "tol": tol,
-        "factor_dims": [list(s.factor_dims) for s in specs],
-    }
+    seed, used, cases = _random_cases(args, config, tol, 100)
+    records = [_record(rep, tol) for _, model, law in cases for rep in identity_reports(model, law)]
     return _finish(args, "verify-identities", seed, used, records)
 
 
 def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _require_seed(args, config)
     tol = _tol(args, config)
-    count = _nonnegative_int("count", _pick(args, config, "count", 250))
-    specs = _factor_specs(config)
-    records: list[dict[str, Any]] = []
+    seed, used, cases = _random_cases(args, config, tol, 250)
     reports: list[BoundReport] = []
-    for i, case_seed in enumerate(_case_seeds(seed, count)):
-        spec = specs[i % len(specs)]
-        model, law = random_conserving_model(case_seed, spec)
-        psi = random_state(np.random.default_rng(case_seed + 1), spec.object_dim)
-        case_reports = trade_off_reports(model, law, psi)
-        reports.extend(case_reports)
-        records.extend(_record(r, tol) for r in case_reports)
-    used = {
-        "count": count,
-        "tol": tol,
-        "factor_dims": [list(s.factor_dims) for s in specs],
-    }
+    for case_seed, model, law in cases:
+        psi = random_state(np.random.default_rng(case_seed + 1), model.spec.object_dim)
+        reports.extend(trade_off_reports(model, law, psi))
+    records = [_record(r, tol) for r in reports]
     return _finish(args, "check-bounds", seed, used, records, csv_text=reports_to_csv(reports))
 
 
@@ -314,7 +309,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     impl = implementation_from_json(_maybe_file(config["implementation"]))
     tol = _tol(args, config)
     seed = _nonnegative_int("seed", _pick(args, config, "seed", 0))
-    search = _search_config(config, args.restarts, seed=seed)
+    search = _search_config(config, SearchConfig(seed=seed), args.restarts)
     result = gate_fidelity(impl, search)
 
     view = measurement_view(impl)
@@ -341,11 +336,12 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     kind = str(_pick(args, config, "kind", "spin"))
+    defaults = OptimizeConfig()
     opt = OptimizeConfig(
-        restarts=_nonnegative_int("restarts", _pick(args, config, "restarts", 3)),
-        max_iter=_nonnegative_int("max_iter", _pick(args, config, "max_iter", 120)),
+        restarts=_nonnegative_int("restarts", _pick(args, config, "restarts", defaults.restarts)),
+        max_iter=_nonnegative_int("max_iter", _pick(args, config, "max_iter", defaults.max_iter)),
         seed=seed,
-        inner=_search_config(config, restarts=8, max_iter=150, seed=seed),
+        inner=_search_config(config, replace(defaults.inner, seed=seed)),
         initial_points=tuple(tuple(p) for p in config.get("initial_points", [])),
     )
     if kind == "spin":
@@ -354,7 +350,7 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     elif kind == "boson":
         params = {
             "nbar": _real("nbar", _pick(args, config, "nbar", 1.0)),
-            "tail_tol": _real("tail_tol", _pick(args, config, "tail_tol", 1e-10)),
+            "tail_tol": _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL)),
         }
         scenario = build_boson(**params)
     else:
@@ -380,13 +376,11 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     record["relation"] = "ceiling"
     record["slack"] = run.min_gap_evaluated
 
-    csv_lines = [
-        "scenario,ceiling_fsq,best_fidelity_sq,gap,min_gap_evaluated,evaluations",
-        f"{run.scenario},{run.ceiling_fsq!r},{run.best_fidelity_sq!r},{run.gap!r},"
-        f"{run.min_gap_evaluated!r},{run.evaluations}",
-    ]
+    columns = ("scenario", "ceiling_fsq", "best_fidelity_sq", "gap", "min_gap_evaluated", "evaluations")
+    rows = (columns, [record[c] for c in columns])  # str of a float is its repr
+    csv_text = "".join(",".join(map(str, row)) + "\n" for row in rows)
     extra.update(best_fidelity_sq=run.best_fidelity_sq, gap=run.gap)
-    return _finish(args, "optimize", seed, used, [record], extra_summary=extra, csv_text="\n".join(csv_lines) + "\n")
+    return _finish(args, "optimize", seed, used, [record], extra_summary=extra, csv_text=csv_text)
 
 
 def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -395,8 +389,8 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
     samples = _nonnegative_int("samples_per", _pick(args, config, "samples_per", 3))
     strength = _real("strength", _pick(args, config, "strength", 1.0))
-    tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", 1e-10))
-    search = _search_config(config, args.restarts, restarts=8, max_iter=150, seed=seed)
+    tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL))
+    search = _search_config(config, SearchConfig(restarts=8, max_iter=150, seed=seed), args.restarts)
 
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []

@@ -37,7 +37,7 @@ from scipy import linalg
 from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, evolve, std_dev
+from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, evolve, moments
 from .serialize import (
     digest,
     operator_from_json,
@@ -58,9 +58,8 @@ __all__ = [
     "gate_fidelity",
     "measurement_view",
     "noise_fidelity_link",
-    "sigma_l3",
+    "l3_moments",
     "sigma_ceiling_fsq",
-    "candidate_control_states",
     "implementation_to_json",
     "implementation_from_json",
 ]
@@ -113,7 +112,7 @@ class GateImplementation:
         if self.unitary.dim != s.total_dim:
             raise ValueError(f"unitary dim {self.unitary.dim}, expected {s.total_dim}")
         if not self.unitary.is_unitary():
-            raise ValueError("implementation matrix must be unitary (within 1e-10)")
+            raise ValueError(f"implementation matrix must be unitary (within {UNITARY_TOL:g})")
         anc = self.ancilla_state
         if anc is None:
             anc = StateVector(np.ones(1)) if not s.has_ancilla else None
@@ -594,10 +593,10 @@ def candidate_control_states() -> dict[str, StateVector]:
     }
 
 
-def sigma_l3(impl: GateImplementation, law: ConservationLaw, control: StateVector) -> float:
-    """sigma(L3'): deviation of the evolved ancilla charge U^dag L3 U, from
-    the law's own lift of L3, in the measurement-view input (control,
-    target |0>, ancilla state)."""
+def l3_moments(impl: GateImplementation, law: ConservationLaw) -> tuple[float, float]:
+    """<L3'> and sigma(L3') for the evolved ancilla charge L3' = U^dag L3 U,
+    from the law's own lift of L3, in the chain's headline input: control
+    (|0> + i|1>)/sqrt(2), target |0>, the implementation's ancilla state."""
     s = impl.spec
     if (s.total_dim, s.ancilla_dim) != (law.spec.total_dim, law.spec.ancilla_dim):
         raise ValueError(
@@ -605,7 +604,8 @@ def sigma_l3(impl: GateImplementation, law: ConservationLaw, control: StateVecto
             f"factors {s.factor_dims}"
         )
     (l3_evolved,) = evolve(law._lifts[2:], impl.unitary)
-    return std_dev(l3_evolved, measurement_view(impl).initial_state(control))
+    control = candidate_control_states()["iplus"]
+    return moments(l3_evolved, measurement_view(impl).initial_state(control))
 
 
 def sigma_ceiling_fsq(sigma: float) -> float:

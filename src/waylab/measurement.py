@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HilbertSpec, Operator, StateVector, evolve, tensor_states
+from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, evolve, tensor_states
 
 __all__ = [
     "IndirectMeasurementModel",
@@ -77,7 +77,7 @@ class IndirectMeasurementModel:
                 f"interaction dim {self.interaction.dim}, expected {s.total_dim}"
             )
         if not self.interaction.is_unitary():
-            raise ValueError("interaction must be unitary (within 1e-10)")
+            raise ValueError(f"interaction must be unitary (within {UNITARY_TOL:g})")
         if self.pointer.dim != s.probe_dim or not self.pointer.is_hermitian():
             raise ValueError("pointer must be Hermitian on the probe factor")
         if self.observable.dim != s.object_dim or not self.observable.is_hermitian():

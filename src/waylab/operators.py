@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "FLAG_TOL",
+    "UNITARY_TOL",
     "DEGENERACY_TOL",
     "HilbertSpec",
     "Operator",

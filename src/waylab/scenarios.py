@@ -16,7 +16,7 @@ should any evaluated point cross its ceiling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -27,13 +27,11 @@ from .cnot import (
     FidelityResult,
     GateImplementation,
     SearchConfig,
-    candidate_control_states,
     cnot_unitary,
     gate_fidelity,
-    measurement_view,
+    l3_moments,
     pauli,
     sigma_ceiling_fsq,
-    sigma_l3,
 )
 from .conservation import (
     CommutantBasis,
@@ -43,10 +41,11 @@ from .conservation import (
     unitary_gradient,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, commutator, evolve, moments
+from .operators import HilbertSpec, Operator, StateVector, commutator
 from .serialize import digest
 
 __all__ = [
+    "TAIL_TOL",
     "SpinScenario",
     "BosonScenario",
     "OptimizeConfig",
@@ -76,19 +75,21 @@ STEP_FLOOR = 1e-6
 # than the climb's, so the reported value is not inflated by an
 # under-converged minimum.
 FINAL_SEARCH = SearchConfig(restarts=32, max_iter=300)
+# Default bound on the Poisson tail a field-mode truncation may drop.
+TAIL_TOL = 1e-10
 
 
 def ceiling_qubit(n: int) -> float:
     """Fidelity-squared ceiling 1 - 1/(4 n^2) for an n-qubit implementation.
 
-    Follows from the noise-fidelity chain with sigma(L3') bounded by the
-    ancilla charge norm n - 2.  At n=2 the ceiling is 15/16: the
-    worst-case error probability of any spin-conserving two-qubit CNOT
-    is at least 1/16.
+    The chain's :func:`~waylab.cnot.sigma_ceiling_fsq` at sigma = n - 2, which
+    bounds sigma(L3') since the ancilla charge, X summed over n - 2 qubits,
+    has norm n - 2.  At n=2 the ceiling is 15/16: the worst-case error
+    probability of any spin-conserving two-qubit CNOT is at least 1/16.
     """
     if n < 2:
         raise ValueError(f"need at least control and target qubits, got n={n}")
-    return 1.0 - 1.0 / (4.0 * n * n)
+    return sigma_ceiling_fsq(n - 2)
 
 
 def ceiling_boson(nbar: float) -> float:
@@ -98,8 +99,8 @@ def ceiling_boson(nbar: float) -> float:
     may be <= 0 for nbar <= 1/16, where the formula degenerates and
     excludes nothing.
     """
-    if nbar <= 0:
-        raise ValueError(f"mean photon number must be positive, got {nbar}")
+    if not 0 < nbar < math.inf:
+        raise ValueError(f"mean photon number must be positive and finite, got {nbar}")
     return 1.0 - 1.0 / (16.0 * nbar)
 
 
@@ -162,8 +163,7 @@ def build_spin(n: int, ancilla_state: StateVector | None = None) -> SpinScenario
     over the charge sectors and act as a coherent reservoir, the same
     role the coherent state plays in the bosonic family.
     """
-    if n < 2:
-        raise ValueError(f"need at least control and target qubits, got n={n}")
+    ceiling = ceiling_qubit(n)  # refuses n < 2
     anc_qubits = n - 2
     spec = HilbertSpec((2, 2) + (2,) * anc_qubits)
     x = pauli("X")
@@ -180,21 +180,21 @@ def build_spin(n: int, ancilla_state: StateVector | None = None) -> SpinScenario
             f"ancilla state dim {anc_state.dim}, expected {spec.ancilla_dim}"
         )
     return SpinScenario(
-        n=n, spec=spec, law=law, ancilla_state=anc_state, ceiling_fsq=ceiling_qubit(n)
+        n=n, spec=spec, law=law, ancilla_state=anc_state, ceiling_fsq=ceiling
     )
 
 
-def poisson_cutoff(nbar: float, tail_tol: float = 1e-10) -> int:
+def poisson_cutoff(nbar: float, tail_tol: float = TAIL_TOL) -> int:
     """Smallest Fock dimension whose neglected Poisson tail is < tail_tol."""
-    if nbar <= 0:
-        raise ValueError(f"mean photon number must be positive, got {nbar}")
+    if not 0 < nbar < math.inf:
+        raise ValueError(f"mean photon number must be positive and finite, got {nbar}")
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
     d = 1
     while float(pdtrc(d - 1, nbar)) >= tail_tol:  # Poisson P(k >= d)
         d += 1
         if d > 100_000:
-            raise RuntimeError("Poisson tail failed to fall below tolerance")
+            raise ValueError(f"nbar={nbar} needs over 100000 Fock levels for tail {tail_tol}")
     return d
 
 
@@ -215,17 +215,17 @@ def truncated_coherent(nbar: float, cutoff: int) -> StateVector:
     return StateVector.from_amplitudes(np.exp(log_amp))
 
 
-def build_boson(nbar: float, tail_tol: float = 1e-10, cutoff: int | None = None) -> BosonScenario:
+def build_boson(nbar: float, tail_tol: float = TAIL_TOL, cutoff: int | None = None) -> BosonScenario:
     """Bosonic scenario: CNOT qubits plus one truncated field mode.
 
     The cutoff defaults to the smallest dimension meeting the tail
     tolerance; pass ``cutoff`` explicitly to study truncation
     sensitivity.  Mean photon numbers below 1e-6 are rejected: the
     vacuum limit leaves no reservoir and the truncation itself would
-    degenerate.
+    degenerate.  So are non-finite ones.
     """
-    if nbar < 1e-6:
-        raise ValueError(f"mean photon number {nbar} below the supported 1e-6 floor")
+    if not 1e-6 <= nbar < math.inf:
+        raise ValueError(f"mean photon number {nbar} outside the supported range [1e-6, inf)")
     d = cutoff if cutoff is not None else poisson_cutoff(nbar, tail_tol)
     spec = HilbertSpec((2, 2, d))
     number_op = Operator(np.diag(np.arange(d, dtype=float)), hermitian=True)
@@ -257,10 +257,7 @@ def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> B
     """
     if impl.spec.factor_dims != scenario.spec.factor_dims:
         raise ValueError("implementation does not live on the scenario's space")
-    control = candidate_control_states()["iplus"]
-    full = measurement_view(impl).initial_state(control)
-    (l3_evolved,) = evolve(scenario.law._lifts[2:], impl.unitary)
-    mean_l3, sigma = moments(l3_evolved, full)
+    mean_l3, sigma = l3_moments(impl, scenario.law)
     # N' = L3'/2: halving is exact, so these are U^dag (I x N) U's moments bit for bit
     mean_n, delta_n = 0.5 * mean_l3, 0.5 * sigma
 
@@ -323,18 +320,7 @@ class OptimizationRun:
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "ceiling_fsq": self.ceiling_fsq,
-            "best_fidelity": self.best_fidelity,
-            "best_fidelity_sq": self.best_fidelity_sq,
-            "gap": self.gap,
-            "min_gap_evaluated": self.min_gap_evaluated,
-            "coefficients": list(self.coefficients),
-            "evaluations": self.evaluations,
-            "details": dict(sorted(self.details.items())),
-            "trace": [dict(t) for t in self.trace],
-        }
+        return {**asdict(self), "details": dict(sorted(self.details.items()))}
 
 
 class CeilingViolation(Exception):
@@ -401,7 +387,6 @@ def optimize_fidelity(
     basis = commutant_basis(scenario.law)
     count = basis.generator_count
     is_boson = isinstance(scenario, BosonScenario)
-    control = candidate_control_states()["iplus"]
     cnot = cnot_unitary().entries
     min_gap, evaluations = math.inf, 0
     sigma = math.nan  # boson only: sigma(L3') at the last evaluation
@@ -415,7 +400,7 @@ def optimize_fidelity(
         )
         res = gate_fidelity(impl, search or cfg.inner)
         if is_boson:
-            sigma = sigma_l3(impl, scenario.law, control)
+            sigma = l3_moments(impl, scenario.law)[1]
             ceiling = sigma_ceiling_fsq(sigma)
         else:
             ceiling = scenario.ceiling_fsq

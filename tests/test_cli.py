@@ -669,6 +669,69 @@ def test_bad_real_is_usage_error(tmp_path, capsys, command, config, name, value)
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("nbar", [float("nan"), float("inf"), 1e6], ids=["nan", "infinity", "huge"])
+@pytest.mark.parametrize(
+    "command, config",
+    [("optimize", lambda v: {"kind": "boson", "nbar": v}), ("boson-check", lambda v: {"nbars": [v]})],
+    ids=["optimize", "boson-check"],
+)
+def test_unusable_nbar_is_input_error(tmp_path, capsys, command, config, nbar):
+    # infinity and 1e6 escaped main as a RuntimeError traceback from
+    # poisson_cutoff, and NaN failed only inside StateVector
+    code, report = run_cli(tmp_path, command, config(nbar), "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check-bounds", "verify-identities"])
+@pytest.mark.parametrize(
+    "row", [[2.7, 2], ["2", 2], [True, 2], [2, 0]], ids=["fraction", "string", "bool", "zero"]
+)
+def test_bad_factor_dims_is_usage_error(tmp_path, capsys, command, row):
+    # int() truncated 2.7 and took "2" and true: check-bounds exited 0
+    # with factor_dims [[2, 2]] or [[2, 1]] in its header
+    config = {"count": 2, "factor_dims": [[2, 2], row]}
+    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and "factor_dims" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval-impl", "boson-check"])
+def test_restarts_flag_overrides_the_search_block(tmp_path, monkeypatch, command):
+    config: dict = {"search": {"restarts": 2, "max_iter": 5}}
+    if command == "eval-impl":
+        config["implementation"] = implementation_to_json(_ancilla_impl_and_law()[0])
+    else:
+        config.update(nbars=[1.0], samples_per=1)
+    searches = []
+    search = waylab.cli.gate_fidelity
+    monkeypatch.setattr(
+        waylab.cli, "gate_fidelity", lambda impl, cfg: searches.append(cfg) or search(impl, cfg)
+    )
+    code, report = run_cli(tmp_path, command, config, "--seed", "4", "--restarts", "3")
+    assert code == EXIT_OK
+    assert [(s.restarts, s.max_iter, s.seed) for s in searches] == [(3, 5, 4)]
+    assert report["header"]["config"]["search"] == {"restarts": 3, "max_iter": 5, "tol": 1e-10, "seed": 4}
+
+
+def test_stdout_lists_violations(tmp_path, capsys, monkeypatch):
+    def perfect(impl, config=None):
+        return FidelityResult(1.0, 1.0, 0.0, StateVector.basis(4, 0), 1)
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", perfect)
+    config = _write(tmp_path, {"kind": "spin", "n": 2, "restarts": 0})
+    code = main(["optimize", "--seed", "1", "--config", str(config), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_VIOLATION
+    stdout = capsys.readouterr().out
+    assert "optimize: 0/1 records passed -> FAIL" in stdout
+    assert "[waylab]   violation: ceiling slack=-6.250e-02 digest=None" in stdout
+
+
 def test_randomized_commands_require_seed(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "verify-identities", {"count": 2})
     assert code == EXIT_USAGE

@@ -40,7 +40,6 @@ from waylab import (
     noise_fidelity_link,
     pauli,
     state_fidelity,
-    std_dev,
     tensor_states,
     trade_off_reports,
 )
@@ -58,6 +57,7 @@ from waylab.cnot import (
     candidate_control_states,
 )
 from waylab.sampling import random_conserving_implementation
+from waylab.operators import moments
 from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
 from waylab.serialize import digest
 
@@ -706,15 +706,15 @@ def test_sigma_l3_reads_the_law_lift(monkeypatch):
     want = impl.unitary.entries.conj().T @ np.kron(
         np.eye(4), scenario.law.ancilla_part.entries
     ) @ impl.unitary.entries
-    control = candidate_control_states()["plus"]
-    full = measurement_view(impl).initial_state(control)
+    # the chain's headline input: control (|0> + i|1>)/sqrt(2), target |0>
+    full = measurement_view(impl).initial_state(candidate_control_states()["iplus"])
     scenario.law.total()  # the lifts exist from here on
     calls = []
     monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)
-    assert waylab.cnot.sigma_l3(impl, scenario.law, control) == std_dev(Operator(want), full)
+    assert waylab.cnot.l3_moments(impl, scenario.law) == moments(Operator(want), full)
     assert calls == []
     monkeypatch.undo()
     # a law whose ancilla lift cannot act on the implementation's space
     other = ConservationLaw(HilbertSpec((2, 2, 2, 2)), X, X, Operator(np.eye(4), hermitian=True))
     with pytest.raises(ValueError, match="does not fit"):
-        waylab.cnot.sigma_l3(impl, other, control)
+        waylab.cnot.l3_moments(impl, other)

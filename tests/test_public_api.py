@@ -13,7 +13,7 @@ import waylab
 
 MODULE_ALL = {
     "operators": {
-        "FLAG_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
+        "FLAG_TOL", "UNITARY_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
         "tensor_states", "commutator", "evolve", "expectation", "std_dev", "moments",
         "operator_norm", "zero",
     },
@@ -34,11 +34,11 @@ MODULE_ALL = {
     "cnot": {
         "GateImplementation", "SearchConfig", "FidelityResult", "cnot_unitary", "pauli",
         "state_fidelity", "gate_fidelity", "measurement_view", "noise_fidelity_link",
-        "sigma_l3", "sigma_ceiling_fsq", "candidate_control_states",
+        "l3_moments", "sigma_ceiling_fsq",
         "implementation_to_json", "implementation_from_json",
     },
     "scenarios": {
-        "SpinScenario", "BosonScenario", "OptimizeConfig", "OptimizationRun",
+        "TAIL_TOL", "SpinScenario", "BosonScenario", "OptimizeConfig", "OptimizationRun",
         "CeilingViolation", "build_spin", "build_boson", "ceiling_qubit", "ceiling_boson",
         "poisson_cutoff", "truncated_coherent", "sigma_l3_bound_check",
         "projected_gate_coefficients", "optimize_fidelity", "way_positive_control",

@@ -109,6 +109,22 @@ def test_poisson_cutoff_oracles():
         poisson_cutoff(-1.0)
 
 
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, 1e6], ids=["nan", "infinity", "huge"])
+def test_unusable_nbar_is_value_error(nbar):
+    # poisson_cutoff returned 1 for NaN, which failed later inside
+    # StateVector, and ran infinity and 1e6 to its level cap, ending in a
+    # RuntimeError; every case fails here before anything is allocated
+    with pytest.raises(ValueError):
+        poisson_cutoff(nbar)
+    with pytest.raises(ValueError):
+        build_boson(nbar)
+    if not math.isfinite(nbar):
+        with pytest.raises(ValueError):
+            build_boson(nbar, cutoff=13)
+        with pytest.raises(ValueError):
+            ceiling_boson(nbar)
+
+
 def test_truncated_coherent_moments():
     for nbar in (1.0, 2.0, 4.0):
         cutoff = poisson_cutoff(nbar)
