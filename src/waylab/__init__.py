@@ -63,13 +63,10 @@ from .scenarios import (
     OptimizationRun,
     OptimizeConfig,
     SpinScenario,
+    boson_reports,
     build_boson,
     build_spin,
-    ceiling_boson,
-    ceiling_qubit,
     optimize_fidelity,
-    projected_gate_coefficients,
-    sigma_l3_bound_check,
     way_positive_control,
 )
 

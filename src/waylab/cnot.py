@@ -37,7 +37,7 @@ from scipy import linalg
 from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
 from .measurement import IndirectMeasurementModel
-from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, evolve, moments
+from .operators import HilbertSpec, Operator, StateVector, evolve, moments
 from .serialize import (
     digest,
     operator_from_json,
@@ -89,6 +89,9 @@ def cnot_unitary() -> Operator:
     return Operator(mat, hermitian=True, unitary=True)
 
 
+_READY, _Z = StateVector.basis(2, 0), pauli("Z")  # every measurement view's target state and readout
+
+
 @dataclass(frozen=True, eq=False)
 class GateImplementation:
     """Candidate CNOT: a unitary with a fixed ancilla input.
@@ -109,31 +112,20 @@ class GateImplementation:
                 f"control/target factors must be qubits, got dims "
                 f"{s.object_dim}, {s.probe_dim}"
             )
-        if self.unitary.dim != s.total_dim:
-            raise ValueError(f"unitary dim {self.unitary.dim}, expected {s.total_dim}")
-        if not self.unitary.is_unitary():
-            raise ValueError(f"implementation matrix must be unitary (within {UNITARY_TOL:g})")
-        anc = self.ancilla_state
-        if anc is None:
-            anc = StateVector(np.ones(1)) if not s.has_ancilla else None
-            if anc is None:
-                raise ValueError("spec has an ancilla group but no ancilla state given")
-            object.__setattr__(self, "ancilla_state", anc)
-        if self.ancilla_state.dim != s.ancilla_dim:
-            raise ValueError(
-                f"ancilla state dim {self.ancilla_state.dim}, expected {s.ancilla_dim}"
-            )
-
-    @functools.cached_property
-    def _measurement_view(self) -> IndirectMeasurementModel:
-        return IndirectMeasurementModel(
-            spec=self.spec,
-            probe_state=StateVector.basis(2, 0),
+        if self.ancilla_state is None and s.has_ancilla:
+            raise ValueError("spec has an ancilla group but no ancilla state given")
+        # the view checks the unitary and the ancilla state, and supplies
+        # the trivial ancilla state when there is no ancilla
+        view = IndirectMeasurementModel(
+            spec=s,
+            probe_state=_READY,
             ancilla_state=self.ancilla_state,
             interaction=self.unitary,
-            pointer=pauli("Z"),
-            observable=pauli("Z"),
+            pointer=_Z,
+            observable=_Z,
         )
+        object.__setattr__(self, "ancilla_state", view.ancilla_state)
+        object.__setattr__(self, "_measurement_view", view)
 
 
 def implementation_to_json(impl: GateImplementation) -> dict[str, Any]:
@@ -199,11 +191,6 @@ class _FidelityEvaluator:
         big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
         return big_w, big_w @ self._rows.T
 
-    def fidelity_sq_batch(self, psis: np.ndarray) -> np.ndarray:
-        """Vectorized fidelity^2 for a stack of states, shape (n, 4)."""
-        res = self.residuals(np.concatenate([psis.real, psis.imag], axis=1))[1]
-        return np.clip(np.sum(res * res, axis=1), 0.0, 1.0)
-
     def points(self, w: np.ndarray) -> np.ndarray:
         """Packed rows [w, W, S, F^2] at unit real coordinates w, shape
         (n, 137), with S = r M = sum_k r_k Q_k flattened."""
@@ -217,8 +204,8 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     CNOT output, sqrt(<psi'| channel(|psi><psi|) |psi'>)."""
     if psi.dim != 4:
         raise ValueError(f"input must be a two-qubit state, got dim {psi.dim}")
-    ev = _FidelityEvaluator(impl)
-    return math.sqrt(float(ev.fidelity_sq_batch(psi.amplitudes[None, :])[0]))
+    w = np.concatenate([psi.amplitudes.real, psi.amplitudes.imag])
+    return math.sqrt(min(float(_FidelityEvaluator(impl).points(w[None, :])[0, _FSQ]), 1.0))
 
 
 def _angles_to_states_batch(
@@ -547,7 +534,7 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
     ev = _FidelityEvaluator(impl)
     if ev.d_anc == 1:
         psis = _hull_witnesses(ev)
-        values = ev.fidelity_sq_batch(psis)
+        values = ev.points(np.concatenate([psis.real, psis.imag], axis=1))[:, _FSQ]
         trace = None
     else:
         psis, values, trace = _sphere_descent(ev, cfg)

@@ -105,9 +105,7 @@ class IndirectMeasurementModel:
         """Product state object x probe x ancilla for object state psi."""
         if psi.dim != self.spec.object_dim:
             raise ValueError(f"object state dim {psi.dim}, expected {self.spec.object_dim}")
-        if self.spec.has_ancilla:
-            return tensor_states(psi, self.probe_state, self.ancilla_state)
-        return tensor_states(psi, self.probe_state)
+        return tensor_states(psi, self.probe_state, self.ancilla_state)
 
 
 def error_operator(model: IndirectMeasurementModel) -> Operator:

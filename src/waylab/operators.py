@@ -42,6 +42,7 @@ FLAG_TOL = 1e-12
 UNITARY_TOL = 1e-10
 # Eigenvalues closer than this are treated as a single degenerate level.
 DEGENERACY_TOL = 1e-8
+MAX_TOTAL_DIM = 4096  # largest total dimension of a HilbertSpec: a dense complex matrix is 256 MiB
 
 
 def _hermiticity_defect(entries: np.ndarray) -> float:
@@ -195,7 +196,8 @@ class HilbertSpec:
     ``factor_dims[0]`` is the object factor, ``factor_dims[1]`` the
     probe, and any remaining factors form the ancilla group.  The
     ancilla group may be empty, in which case its collective dimension
-    is 1 and ancilla-side operators are trivial.
+    is 1 and ancilla-side operators are trivial.  A total dimension above
+    ``MAX_TOTAL_DIM`` is refused before any matrix on it is built.
     """
 
     factor_dims: tuple[int, ...]
@@ -206,6 +208,8 @@ class HilbertSpec:
             raise ValueError("need at least object and probe factors")
         if any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
+        if math.prod(dims) > MAX_TOTAL_DIM:
+            raise ValueError(f"total dimension of {dims} exceeds the dense limit {MAX_TOTAL_DIM}")
         object.__setattr__(self, "factor_dims", dims)
 
     @property

@@ -15,13 +15,14 @@ from .measurement import IndirectMeasurementModel
 from .operators import HilbertSpec, Operator, StateVector
 
 __all__ = [
+    "DEFAULT_STRENGTH",
     "random_state",
-    "random_hermitian",
-    "random_integer_spectrum_hermitian",
-    "random_law",
     "random_conserving_model",
     "random_conserving_implementation",
 ]
+
+# Scale of a sampled implementation's standard normal commutant coefficients.
+DEFAULT_STRENGTH = 1.0
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -88,7 +89,7 @@ def random_conserving_implementation(
     seed: int,
     law: ConservationLaw,
     basis: CommutantBasis | None = None,
-    strength: float = 1.0,
+    strength: float = DEFAULT_STRENGTH,
     ancilla_state: StateVector | None = None,
 ) -> GateImplementation:
     """Random CNOT candidate conserving the given law.

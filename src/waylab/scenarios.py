@@ -53,12 +53,7 @@ __all__ = [
     "CeilingViolation",
     "build_spin",
     "build_boson",
-    "ceiling_qubit",
-    "ceiling_boson",
-    "poisson_cutoff",
-    "truncated_coherent",
-    "sigma_l3_bound_check",
-    "projected_gate_coefficients",
+    "boson_reports",
     "optimize_fidelity",
     "way_positive_control",
 ]
@@ -242,37 +237,42 @@ def build_boson(nbar: float, tail_tol: float = TAIL_TOL, cutoff: int | None = No
     )
 
 
-def sigma_l3_bound_check(impl: GateImplementation, scenario: BosonScenario) -> BoundReport:
-    """Check the evolved field charge's deviation against 2*sqrt(<N>+2).
-
-    The chain behind the nbar-form ceiling estimates sigma(L3') = 2*
-    (Delta N') assuming the evolved field keeps Poissonian statistics
-    and gains at most the two qubits' worth of charge.  Neither step is
-    exact after an arbitrary conserving interaction, so this measures
-    sigma(L3') directly in the standard input (control (|0>+i|1>)/
-    sqrt(2), target |0>, coherent ancilla), compares it against the
-    claimed cap, and records the Poissonian residual |Delta N' -
-    sqrt(<N'>)| and the mean-shift margin in the details.  The report's
-    pass/fail is data about the approximation, not a build gate.
+def boson_reports(
+    impl: GateImplementation, scenario: BosonScenario, fidelity: FidelityResult
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """The coherent-field check of one implementation, three reports under
+    one digest: F^2 (``fidelity``, its worst-case search) against
+    :func:`~waylab.cnot.sigma_ceiling_fsq` of the measured sigma(L3')
+    (``sigma-ceiling``, rigorous); sigma(L3') in the chain's input against
+    the cap 2*sqrt(<N>+2) (``sigma-l3``); and F^2 against 1 - 1/(16 nbar)
+    (``nbar-ceiling``).  The last two rest on coherent-state steps, the
+    evolved field staying Poissonian and gaining at most the two qubits'
+    charge, that are not exact after an arbitrary conserving interaction:
+    their outcomes are data about the approximation, not a build gate.
+    ``sigma-l3`` records the Poissonian residual |Delta N' - sqrt(<N'>)|
+    and the mean-shift margin in its details.
     """
     if impl.spec.factor_dims != scenario.spec.factor_dims:
         raise ValueError("implementation does not live on the scenario's space")
     mean_l3, sigma = l3_moments(impl, scenario.law)
     # N' = L3'/2: halving is exact, so these are U^dag (I x N) U's moments bit for bit
     mean_n, delta_n = 0.5 * mean_l3, 0.5 * sigma
-
-    rhs = 2.0 * math.sqrt(scenario.nbar + 2.0)
+    nbar, fsq, rigorous = scenario.nbar, fidelity.fidelity_sq, sigma_ceiling_fsq(sigma)
     details = {
         "sigma_l3_evolved": sigma,
         "mean_n_evolved": mean_n,
-        "mean_n_input": scenario.nbar,
-        "mean_shift_margin": (scenario.nbar + 2.0) - mean_n,
+        "mean_n_input": nbar,
+        "mean_shift_margin": (nbar + 2.0) - mean_n,
         "poissonian_residual": abs(delta_n - math.sqrt(max(mean_n, 0.0))),
-        "sigma_ceiling_fsq": sigma_ceiling_fsq(sigma),
+        "sigma_ceiling_fsq": rigorous,
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }
-    tag = digest(implementation=impl, scenario={"nbar": scenario.nbar, "cutoff": scenario.cutoff})
-    return BoundReport("sigma-l3", "inequality", sigma, rhs, tag, details)
+    tag = digest(implementation=impl, scenario={"nbar": nbar, "cutoff": scenario.cutoff})
+    return (
+        BoundReport("sigma-ceiling", "inequality", fsq, rigorous, tag, {"sigma_l3": sigma, "nbar": nbar}),
+        BoundReport("sigma-l3", "inequality", sigma, 2.0 * math.sqrt(nbar + 2.0), tag, details),
+        BoundReport("nbar-ceiling", "inequality", fsq, scenario.ceiling_fsq, tag, {"nbar": nbar}),
+    )
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from waylab import (
     Operator,
     SearchConfig,
     StateVector,
+    boson_reports,
     build_boson,
     build_spin,
-    ceiling_qubit,
     cnot_unitary,
     commutant_basis,
     commutator,
@@ -36,7 +36,6 @@ from waylab import (
     measurement_view,
     noise_fidelity_link,
     pauli,
-    sigma_l3_bound_check,
     std_dev,
     trade_off_reports,
     way_positive_control,
@@ -47,7 +46,7 @@ from waylab.sampling import (
     random_hermitian,
     random_state,
 )
-from waylab.scenarios import OptimizeConfig, optimize_fidelity
+from waylab.scenarios import OptimizeConfig, ceiling_qubit, optimize_fidelity
 
 from oracles import expm_skew, grid_search_fidelity, outcome_distribution
 
@@ -198,8 +197,8 @@ def test_criterion_6_boson_ceilings(capsys):
                 9000 + 17 * k + int(nbar), scenario.law, basis=basis,
                 ancilla_state=scenario.ancilla_state,
             )
-            sig = sigma_l3_bound_check(impl, scenario)
             result = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80, seed=k))
+            _, sig, _ = boson_reports(impl, scenario, result)
             sigma = sig.details["sigma_l3_evolved"]
             ceiling = 1.0 - 1.0 / (4.0 * (2.0 + sigma) ** 2)
             rigorous_ok = rigorous_ok and result.fidelity_sq <= ceiling + 1e-9

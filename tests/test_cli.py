@@ -5,6 +5,8 @@ see them; each writes its report into the pytest tmp dir.
 """
 
 import base64
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -26,7 +28,7 @@ from waylab import (
     conserving_unitary,
 )
 from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
-from waylab.cnot import implementation_from_json, implementation_to_json, pauli
+from waylab.cnot import implementation_from_json, implementation_to_json, pauli, sigma_ceiling_fsq
 from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import StateVector
@@ -423,6 +425,20 @@ def test_boson_check_advisories_do_not_fail_run(tmp_path):
     assert rigorous[0]["passed"]
 
 
+def test_boson_check_csv_lists_each_implementation_ceiling_first(tmp_path):
+    config = {"nbars": [1.0, 2.0], "samples_per": 2, "search": {"restarts": 1, "max_iter": 10}}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "4")
+    assert code == EXIT_OK
+    cells = list(csv.reader(io.StringIO((tmp_path / "report.csv").read_text())))[1:]
+    assert [c[0] for c in cells] == ["sigma-ceiling", "sigma-l3", "nbar-ceiling"] * 4
+    for i in range(0, 12, 3):
+        ceiling, sigma_l3, nbar_ceiling = cells[i : i + 3]
+        assert ceiling[5] == sigma_l3[5] == nbar_ceiling[5]
+        assert float(ceiling[3]) == sigma_ceiling_fsq(float(sigma_l3[2]))
+    assert len({c[5] for c in cells}) == 4
+    assert sorted(r["digest"] for r in report["records"]) == sorted(c[5] for c in cells)
+
+
 def test_boson_check_nearby_nbars_draw_different_implementations(tmp_path, monkeypatch):
     # before, both nbars drew from seed + 1000 and got the same unitaries
     drawn = []
@@ -683,6 +699,75 @@ def test_unusable_nbar_is_input_error(tmp_path, capsys, command, config, nbar):
     assert report == {}
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "entry", [float("inf"), float("nan"), "1", True], ids=["infinity", "nan", "string", "bool"]
+)
+def test_bad_initial_point_entry_is_usage_error(tmp_path, capsys, entry):
+    # infinity, "1" and true ran to exit 0, and the report header then
+    # carried a bare Infinity; NaN failed later as "operator entries must be finite"
+    config = {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 1,
+              "initial_points": [[0.5, 0, 0, 0, 0, 0], [entry, 0, 0, 0, 0, 0]]}
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and "initial_points entr" in err
+    assert "Traceback" not in err
+
+
+def test_initial_points_are_reported_as_given(tmp_path):
+    points = [[1, 0, 0, 0, 0, -2.5]]
+    config = {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 1, "initial_points": points}
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "3")
+    assert code == EXIT_OK
+    assert report["header"]["config"]["initial_points"] == points
+    assert isinstance(report["header"]["config"]["initial_points"][0][0], int)
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("positive-control", {}, ["--seed", "3"]),
+        ("positive-control", {}, ["--restarts", "5"]),
+        ("optimize", {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 1}, ["--tol", "5", "--seed", "1"]),
+        ("check-bounds", {"count": 2}, ["--restarts", "2", "--seed", "1"]),
+        ("verify-identities", {"count": 2}, ["--restarts", "2", "--seed", "1"]),
+    ],
+    ids=["positive-control-seed", "positive-control-restarts", "optimize-tol",
+         "check-bounds-restarts", "verify-identities-restarts"],
+)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, capsys, command, config, flags):
+    # each ran to exit 0 with the flag ignored: positive-control reported
+    # "seed": null, and optimize judged its record at 1e-9 whatever --tol said
+    code, report = run_cli(tmp_path, command, config, *flags)
+    assert code == EXIT_USAGE
+    assert report == {}
+    assert f"usage error: {command} does not read {flags[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, dims",
+    [
+        ("optimize", {"kind": "boson", "nbar": 1e4}, (2, 2, 10644)),
+        ("boson-check", {"nbars": [1e4]}, (2, 2, 10644)),
+        ("optimize", {"kind": "spin", "n": 16}, (2,) * 16),
+        ("check-bounds", {"count": 2, "factor_dims": [[64, 64, 64]]}, (64, 64, 64)),
+    ],
+    ids=["optimize-nbar", "boson-check-nbar", "optimize-spin", "check-bounds-dims"],
+)
+def test_space_past_the_dense_limit_is_input_error(tmp_path, capsys, command, config, dims):
+    # nbar 1e4 asked for a 42 576-dimensional space, about 27 GiB per dense
+    # matrix.  The guard runs first, so code without the limit fails here
+    # instead of allocating.
+    with pytest.raises(ValueError, match="dense limit"):
+        HilbertSpec(dims)
+    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "input error" in err and "exceeds the dense limit 4096" in err
 
 
 @pytest.mark.parametrize("command", ["check-bounds", "verify-identities"])

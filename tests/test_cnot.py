@@ -121,6 +121,8 @@ def test_implementation_validation():
         GateImplementation(HilbertSpec((3, 2)), Operator(np.eye(6)))
     with pytest.raises(ValueError):
         GateImplementation(SPEC22, Operator(np.eye(4) * 1.5))
+    with pytest.raises(ValueError, match="dim 8, expected 4"):
+        GateImplementation(SPEC22, Operator(np.eye(8)))  # unitary of the wrong size
     spec = HilbertSpec((2, 2, 2))
     with pytest.raises(ValueError):
         GateImplementation(spec, Operator(np.eye(8)))  # ancilla state required

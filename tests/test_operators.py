@@ -185,6 +185,14 @@ def test_hilbert_spec_shapes():
         HilbertSpec((2,))
 
 
+def test_hilbert_spec_refuses_a_total_past_the_dense_limit():
+    # only the dimensions are checked here: no matrix on such a space is built
+    assert HilbertSpec((2, 2, 1024)).total_dim == waylab.operators.MAX_TOTAL_DIM == 4096
+    for dims in ((2, 2, 1025), (2,) * 13, (64, 64, 64)):
+        with pytest.raises(ValueError, match="exceeds the dense limit 4096"):
+            HilbertSpec(dims)
+
+
 def test_expectation_and_std_dev():
     plus = StateVector.from_amplitudes([1.0, 1.0])
     assert expectation(X, plus) == pytest.approx(1.0)

@@ -39,13 +39,12 @@ MODULE_ALL = {
     },
     "scenarios": {
         "TAIL_TOL", "SpinScenario", "BosonScenario", "OptimizeConfig", "OptimizationRun",
-        "CeilingViolation", "build_spin", "build_boson", "ceiling_qubit", "ceiling_boson",
-        "poisson_cutoff", "truncated_coherent", "sigma_l3_bound_check",
-        "projected_gate_coefficients", "optimize_fidelity", "way_positive_control",
+        "CeilingViolation", "build_spin", "build_boson", "boson_reports",
+        "optimize_fidelity", "way_positive_control",
     },
     "sampling": {
-        "random_state", "random_hermitian", "random_integer_spectrum_hermitian",
-        "random_law", "random_conserving_model", "random_conserving_implementation",
+        "DEFAULT_STRENGTH", "random_state", "random_conserving_model",
+        "random_conserving_implementation",
     },
     "serialize": {
         "operator_to_json", "operator_from_json", "state_to_json", "state_from_json",
@@ -66,9 +65,8 @@ PACKAGE_ALL = {
     "qway_bounds", "summed_bound", "trade_off_reports",
     "FidelityResult", "GateImplementation", "SearchConfig", "cnot_unitary",
     "gate_fidelity", "measurement_view", "noise_fidelity_link", "pauli", "state_fidelity",
-    "BosonScenario", "OptimizationRun", "OptimizeConfig", "SpinScenario", "build_boson",
-    "build_spin", "ceiling_boson", "ceiling_qubit", "optimize_fidelity",
-    "projected_gate_coefficients", "sigma_l3_bound_check", "way_positive_control",
+    "BosonScenario", "OptimizationRun", "OptimizeConfig", "SpinScenario", "boson_reports",
+    "build_boson", "build_spin", "optimize_fidelity", "way_positive_control",
     "__version__",
 }
 

@@ -25,10 +25,9 @@ from waylab import (
     SearchConfig,
     SpinScenario,
     StateVector,
+    boson_reports,
     build_boson,
     build_spin,
-    ceiling_boson,
-    ceiling_qubit,
     cnot_unitary,
     commutant_basis,
     conservation_residual,
@@ -38,22 +37,36 @@ from waylab import (
     is_precise,
     operator_norm,
     optimize_fidelity,
-    projected_gate_coefficients,
     rms_disturbance,
     rms_error,
-    sigma_l3_bound_check,
     std_dev,
     way_positive_control,
     zero,
 )
 import waylab.operators
 import waylab.scenarios
-from waylab.cnot import FidelityResult, candidate_control_states, measurement_view, pauli
-from waylab.scenarios import CeilingViolation, poisson_cutoff, truncated_coherent
+from waylab.cnot import (
+    FidelityResult,
+    candidate_control_states,
+    gate_fidelity,
+    measurement_view,
+    pauli,
+    sigma_ceiling_fsq,
+)
+from waylab.scenarios import (
+    CeilingViolation,
+    ceiling_boson,
+    ceiling_qubit,
+    poisson_cutoff,
+    projected_gate_coefficients,
+    truncated_coherent,
+)
 
 
 X = pauli("X")
 Z = pauli("Z")
+# the sigma-l3 report does not read the fidelity
+PERFECT = FidelityResult(1.0, 1.0, 0.0, StateVector.basis(4, 0), 1)
 
 
 def test_ceiling_qubit_values():
@@ -169,7 +182,7 @@ def test_sigma_check_untouched_field():
     # 2 sqrt(6) ~ 4.899
     sc = build_boson(4.0)
     impl = GateImplementation(sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state)
-    rep = sigma_l3_bound_check(impl, sc)
+    rep = boson_reports(impl, sc, PERFECT)[1]
     assert rep.relation == "sigma-l3"
     assert rep.lhs == pytest.approx(4.0, abs=1e-6)
     assert rep.rhs == pytest.approx(2.0 * math.sqrt(6.0), abs=1e-12)
@@ -197,12 +210,32 @@ def test_sigma_check_evolves_the_charge_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
             monkeypatch.setattr(module, "evolve", lambda ops, v: calls.append(1) or evolve(ops, v))
-    rep = sigma_l3_bound_check(impl, sc)
+    rep = boson_reports(impl, sc, PERFECT)[1]
     assert len(calls) == 1
     assert rep.details["mean_n_evolved"] == mean_n
     assert rep.lhs == 2.0 * delta_n
     assert rep.details["poissonian_residual"] == abs(delta_n - math.sqrt(mean_n))
     assert rep.details["mean_n_evolved"] != pytest.approx(1.0, abs=1e-3)
+
+
+def test_boson_reports_share_one_digest_and_one_ceiling():
+    # one l3_moments pass feeds all three records, so sigma-ceiling's
+    # ceiling is sigma-l3's deviation put through sigma_ceiling_fsq, bit for bit
+    sc = build_boson(2.0)
+    basis = commutant_basis(sc.law)
+    u = conserving_unitary(basis, 0.4 * np.random.default_rng(5).standard_normal(basis.generator_count))
+    impl = GateImplementation(sc.spec, u, sc.ancilla_state)
+    result = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=30))
+    ceiling, sigma_l3, nbar_ceiling = boson_reports(impl, sc, result)
+    assert [r.relation for r in (ceiling, sigma_l3, nbar_ceiling)] == ["sigma-ceiling", "sigma-l3", "nbar-ceiling"]
+    assert ceiling.digest == sigma_l3.digest == nbar_ceiling.digest
+    assert ceiling.rhs == sigma_ceiling_fsq(sigma_l3.lhs)
+    assert ceiling.rhs == sigma_l3.details["sigma_ceiling_fsq"]
+    assert ceiling.lhs == nbar_ceiling.lhs == result.fidelity_sq
+    assert nbar_ceiling.rhs == sc.ceiling_fsq == sigma_l3.details["nbar_ceiling_fsq"]
+    assert dict(ceiling.details) == {"sigma_l3": sigma_l3.lhs, "nbar": 2.0}
+    with pytest.raises(ValueError, match="scenario's space"):
+        boson_reports(impl, build_boson(1.0), result)
 
 
 def test_sigma_check_stable_under_larger_cutoff():
@@ -213,7 +246,7 @@ def test_sigma_check_stable_under_larger_cutoff():
         impl = GateImplementation(
             sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state
         )
-        lhs.append(sigma_l3_bound_check(impl, sc).lhs)
+        lhs.append(boson_reports(impl, sc, PERFECT)[1].lhs)
     assert lhs[0] == pytest.approx(lhs[1], abs=1e-6)
 
 
