@@ -43,6 +43,7 @@ from .sampling import (
     random_state,
 )
 from .scenarios import (
+    CEILING_TOL,
     TAIL_TOL,
     CeilingViolation,
     OptimizeConfig,
@@ -148,9 +149,12 @@ def _nonnegative_int(name: str, value: Any) -> int:
 
 def _real(name: str, value: Any) -> float:
     """A real number from the config, checked rather than converted:
-    ``float`` would quietly take a bool and parse a string."""
+    ``float`` would quietly take a bool and parse a string, and raises
+    ``OverflowError`` for an integer past the largest double."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise _UsageError(f"{name} must be a number within the range of a double")
     return float(value)
 
 
@@ -377,7 +381,7 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
         }
         return _finish(args, "optimize", seed, used, [witness], extra_summary=extra)
     record = run.to_json_dict()
-    record["passed"] = run.min_gap_evaluated >= -DEFAULT_TOL
+    record["passed"] = run.min_gap_evaluated >= -CEILING_TOL  # as optimize_fidelity judged it
     record["relation"] = "ceiling"
     record["slack"] = run.min_gap_evaluated
 

@@ -90,6 +90,13 @@ def cnot_unitary() -> Operator:
 
 
 _READY, _Z = StateVector.basis(2, 0), pauli("Z")  # every measurement view's target state and readout
+# The noise-fidelity chain's two control states: (|0> + i|1>)/sqrt(2)
+# maximizes |<[Z, X]>| (value 2) and is its headline input;
+# (|0> + |1>)/sqrt(2) sits in the commutator's kernel (value 0).  Both are
+# evaluated wherever the chain is reported.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_IPLUS = StateVector(np.array([_INV_SQRT2, 1.0j * _INV_SQRT2]))
+_PLUS = StateVector(np.array([_INV_SQRT2, _INV_SQRT2]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,20 +573,6 @@ def measurement_view(impl: GateImplementation) -> IndirectMeasurementModel:
     return impl._measurement_view
 
 
-def candidate_control_states() -> dict[str, StateVector]:
-    """The two natural control states for the noise-fidelity chain.
-
-    ``"iplus"`` = (|0> + i|1>)/sqrt(2) maximizes |<[Z, X]>| (value 2);
-    ``"plus"`` = (|0> + |1>)/sqrt(2) sits in the commutator's kernel
-    (value 0).  Both are evaluated wherever the chain is reported.
-    """
-    inv = 1.0 / math.sqrt(2.0)
-    return {
-        "plus": StateVector(np.array([inv, inv])),
-        "iplus": StateVector(np.array([inv, 1.0j * inv])),
-    }
-
-
 def l3_moments(impl: GateImplementation, law: ConservationLaw) -> tuple[float, float]:
     """<L3'> and sigma(L3') for the evolved ancilla charge L3' = U^dag L3 U,
     from the law's own lift of L3, in the chain's headline input: control
@@ -591,8 +584,7 @@ def l3_moments(impl: GateImplementation, law: ConservationLaw) -> tuple[float, f
             f"factors {s.factor_dims}"
         )
     (l3_evolved,) = evolve(law._lifts[2:], impl.unitary)
-    control = candidate_control_states()["iplus"]
-    return moments(l3_evolved, measurement_view(impl).initial_state(control))
+    return moments(l3_evolved, measurement_view(impl).initial_state(_IPLUS))
 
 
 def sigma_ceiling_fsq(sigma: float) -> float:
@@ -625,16 +617,20 @@ def noise_fidelity_link(
     F^2 <= 1 - |<[Z, X]>|^2 / (16*(2 + sigma(L3'))^2).  Here L3' is the
     ancilla charge after the interaction and sigma is taken in the full
     input state.  At |<[Z, X]>| = 2 that is :func:`sigma_ceiling_fsq`, which
-    the third report, relation ``sigma-ceiling``, holds F^2 to under a
-    digest of the implementation and the law alone.  The ingredients come
-    from one :func:`~waylab.bounds.bound_ingredients` pass per control
-    state with L3 evolved once, so the first report is the measurement
-    view's ``fundamental`` trade-off bound.
+    the third report, relation ``sigma-ceiling``, holds F^2 to.  The
+    ingredients come from one :func:`~waylab.bounds.bound_ingredients` pass
+    per control state with L3 evolved once, so the first report is the
+    measurement view's ``fundamental`` trade-off bound.
 
-    The control state defaults to (|0> + i|1>)/sqrt(2), which maximizes
+    The chain's headline input is (|0> + i|1>)/sqrt(2), which maximizes
     |<[Z, X]>|; the equal-weight real superposition (|0> + |1>)/sqrt(2)
     makes the commutator expectation vanish, so it is evaluated and
     recorded in the details rather than used for the headline numbers.
+    A given ``psi`` replaces the headline input in the first two reports
+    and adds a third pass; the ceiling's sigma is taken at the headline
+    input whatever ``psi`` is, as :func:`l3_moments` takes it, and all
+    three reports carry one digest of the implementation, the law and
+    the control state used.
 
     ``fidelity`` is this implementation's worst-case search result, F
     being independent of the control state; when omitted it is computed
@@ -650,30 +646,24 @@ def noise_fidelity_link(
     require_conserving(impl.spec, impl.unitary, law)
 
     view = measurement_view(impl)
-    candidates = candidate_control_states()
-    chosen = psi if psi is not None else candidates["iplus"]
     evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0]}
-    main = bound_ingredients(view, law, chosen, evolved)
+    headline = bound_ingredients(view, law, _IPLUS, evolved)
+    main, alternates = headline, {"plus": bound_ingredients(view, law, _PLUS, evolved)}
+    if psi is not None:
+        main, alternates["iplus"] = bound_ingredients(view, law, psi, evolved), headline
     details: dict[str, float] = dict(main)
-    for name, cand in candidates.items():
-        if psi is not None or name != "iplus":
-            other = bound_ingredients(view, law, cand, evolved)
-            details.update((f"{name}_{key}", val) for key, val in other.items())
+    for name, other in alternates.items():
+        details.update((f"{name}_{key}", val) for key, val in other.items())
 
-    sigma = main["sigma_l3"]
     noise_sq = main["eps"] ** 2 + main["eta"] ** 2
     result = fidelity if fidelity is not None else gate_fidelity(impl)
-    fsq, ceiling = result.fidelity_sq, sigma_ceiling_fsq(sigma)
+    fsq, sigma = result.fidelity_sq, headline["sigma_l3"]
+    ceiling = sigma_ceiling_fsq(sigma)
     details.update(fidelity=result.fidelity, fidelity_sq=fsq, ceiling_fsq=ceiling)
-    tag = digest(implementation=impl, law=law, psi=chosen)
+    tag = digest(implementation=impl, law=law, psi=_IPLUS if psi is None else psi)
+    squared = main["commutator_abs"] ** 2 / (2.0 * (2.0 + main["sigma_l3"]) ** 2)
     return (
-        BoundReport(
-            "squared-noise", "inequality",
-            main["commutator_abs"] ** 2 / (2.0 * (2.0 + sigma) ** 2), noise_sq, tag, details,
-        ),
+        BoundReport("squared-noise", "inequality", squared, noise_sq, tag, details),
         BoundReport("fidelity-link", "inequality", noise_sq, 8.0 * (1.0 - fsq), tag, details),
-        BoundReport(
-            "sigma-ceiling", "inequality", fsq, ceiling,
-            digest(implementation=impl, law=law), {"sigma_l3": sigma},
-        ),
+        BoundReport("sigma-ceiling", "inequality", fsq, ceiling, tag, {"sigma_l3": sigma}),
     )

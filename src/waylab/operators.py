@@ -12,7 +12,9 @@ simplest and the most reliable tool.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -208,8 +210,11 @@ class HilbertSpec:
             raise ValueError("need at least object and probe factors")
         if any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be positive, got {dims}")
-        if math.prod(dims) > MAX_TOTAL_DIM:
-            raise ValueError(f"total dimension of {dims} exceeds the dense limit {MAX_TOTAL_DIM}")
+        # stops at the first partial product past the limit; names no factor
+        if any(t > MAX_TOTAL_DIM for t in itertools.accumulate(dims, operator.mul)):
+            raise ValueError(
+                f"total dimension of {len(dims)} factors exceeds the dense limit {MAX_TOTAL_DIM}"
+            )
         object.__setattr__(self, "factor_dims", dims)
 
     @property

@@ -41,11 +41,12 @@ from .conservation import (
     unitary_gradient,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, commutator
+from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator
 from .serialize import digest
 
 __all__ = [
     "TAIL_TOL",
+    "CEILING_TOL",
     "SpinScenario",
     "BosonScenario",
     "OptimizeConfig",
@@ -72,6 +73,9 @@ STEP_FLOOR = 1e-6
 FINAL_SEARCH = SearchConfig(restarts=32, max_iter=300)
 # Default bound on the Poisson tail a field-mode truncation may drop.
 TAIL_TOL = 1e-10
+# How far an evaluated F^2 may sit above its ceiling before the optimizer
+# raises CeilingViolation: room for the rounding of the search.
+CEILING_TOL = 1e-9
 
 
 def ceiling_qubit(n: int) -> float:
@@ -158,6 +162,11 @@ def build_spin(n: int, ancilla_state: StateVector | None = None) -> SpinScenario
     over the charge sectors and act as a coherent reservoir, the same
     role the coherent state plays in the bosonic family.
     """
+    if n >= MAX_TOTAL_DIM.bit_length():  # 2^n > MAX_TOTAL_DIM, refused before any factor is listed
+        raise ValueError(
+            f"a spin space of more than {MAX_TOTAL_DIM.bit_length() - 1} qubits "
+            f"exceeds the dense limit {MAX_TOTAL_DIM}"
+        )
     ceiling = ceiling_qubit(n)  # refuses n < 2
     anc_qubits = n - 2
     spec = HilbertSpec((2, 2) + (2,) * anc_qubits)
@@ -185,11 +194,13 @@ def poisson_cutoff(nbar: float, tail_tol: float = TAIL_TOL) -> int:
         raise ValueError(f"mean photon number must be positive and finite, got {nbar}")
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
+    if float(pdtrc(MAX_TOTAL_DIM - 1, nbar)) >= tail_tol:  # the tail falls as d grows
+        raise ValueError(
+            f"the Fock cutoff for nbar={nbar} and tail {tail_tol} exceeds the dense limit {MAX_TOTAL_DIM}"
+        )
     d = 1
     while float(pdtrc(d - 1, nbar)) >= tail_tol:  # Poisson P(k >= d)
         d += 1
-        if d > 100_000:
-            raise ValueError(f"nbar={nbar} needs over 100000 Fock levels for tail {tail_tol}")
     return d
 
 
@@ -380,8 +391,8 @@ def optimize_fidelity(
     exactly zero gradient (the F = 0 plateau), or below ``STEP_FLOOR``.
     Every evaluated point, rejected trials included, is checked against
     its ceiling (the fixed 1 - 1/(4 n^2) for spin; the measured
-    sigma(L3')-form for bosonic runs): one above ceiling + 1e-9 raises
-    :class:`CeilingViolation`.
+    sigma(L3')-form for bosonic runs): one above ceiling + ``CEILING_TOL``
+    raises :class:`CeilingViolation`.
     """
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
@@ -406,7 +417,7 @@ def optimize_fidelity(
             ceiling = scenario.ceiling_fsq
         evaluations += 1
         min_gap = min(min_gap, ceiling - res.fidelity_sq)
-        if min_gap < -1e-9:
+        if min_gap < -CEILING_TOL:
             raise CeilingViolation(
                 scenario.label, tuple(float(c) for c in coeffs), res.fidelity_sq, ceiling
             )

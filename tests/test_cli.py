@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +256,8 @@ def test_eval_impl_checks_unitarity_of_the_implementation_once(tmp_path, monkeyp
 
 
 def test_eval_impl_never_encodes_the_implementation(tmp_path, monkeypatch):
-    # the link's digest and the sigma-ceiling record's digest both cover
-    # the implementation; they hash its unitary's bits, never its text
+    # the chain's three records share one digest, hashed once per call; it
+    # covers the implementation by its unitary's bits, never its text
     impl_json, law_json = _conserving_impl_json()
     matrix = implementation_from_json(impl_json).unitary.entries
     encodes = []
@@ -268,13 +269,19 @@ def test_eval_impl_never_encodes_the_implementation(tmp_path, monkeypatch):
             return encode(values)
 
         monkeypatch.setattr(waylab.serialize, encoder, counting)
+    digests = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("waylab") and getattr(module, "digest", None) is digest:
+            monkeypatch.setattr(module, "digest", lambda **kw: digests.append(1) or digest(**kw))
     code, report = run_cli(
         tmp_path,
         "eval-impl",
         {"implementation": impl_json, "law": law_json, "search": {"restarts": 2, "max_iter": 20}},
     )
     assert code == EXIT_OK
-    assert len({r["digest"] for r in report["records"]}) == 2
+    assert len(report["records"]) == 3
+    assert len({r["digest"] for r in report["records"]}) == 1
+    assert len(digests) == 1
     assert encodes == []
 
 
@@ -768,6 +775,55 @@ def test_space_past_the_dense_limit_is_input_error(tmp_path, capsys, command, co
     assert report == {}
     err = capsys.readouterr().err
     assert "input error" in err and "exceeds the dense limit 4096" in err
+
+
+HUGE = 10**400  # a JSON integer past the largest double
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("optimize", {"kind": "boson", "nbar": HUGE}),
+        ("check-bounds", {"count": 2, "tol": HUGE}),
+        ("boson-check", {"nbars": [1.0, HUGE], "samples_per": 1}),
+        ("optimize", {"kind": "spin", "n": 2, "initial_points": [[HUGE, 0, 0, 0, 0, 0]]}),
+        ("optimize", {"kind": "spin", "n": HUGE}),
+    ],
+    ids=["optimize-nbar", "check-bounds-tol", "boson-check-nbars", "initial-points", "spin-n"],
+)
+def test_integer_past_a_double_is_refused(tmp_path, capsys, command, config):
+    # float() of such an integer raised OverflowError, which main let
+    # through as a traceback
+    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert len(err) < 300
+
+
+def test_spin_n_past_the_dense_limit_is_refused_with_a_short_message(tmp_path, capsys):
+    # n = 10**6 took 21.6 s and printed every one of its factors
+    code, report = run_cli(tmp_path, "optimize", {"kind": "spin", "n": 10**6}, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "input error" in err and "exceeds the dense limit 4096" in err
+    assert len(err) < 300
+
+
+def test_optimize_judges_the_ceiling_with_one_named_tolerance(tmp_path, monkeypatch):
+    config = {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 2}
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "3")
+    assert code == EXIT_OK
+    assert report["records"][0]["slack"] >= -waylab.scenarios.CEILING_TOL
+    # the optimizer raises at the named tolerance: demanding a margin of 1
+    # turns the first evaluation into a violation witness
+    monkeypatch.setattr(waylab.scenarios, "CEILING_TOL", -1.0)
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "3")
+    assert code == EXIT_VIOLATION
+    assert report["records"][0]["relation"] == "ceiling"
+    assert report["records"][0]["passed"] is False
 
 
 @pytest.mark.parametrize("command", ["check-bounds", "verify-identities"])

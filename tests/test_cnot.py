@@ -48,15 +48,18 @@ import waylab.operators
 from waylab.cnot import (
     _BIG_W,
     _FSQ,
+    _IPLUS,
+    _PLUS,
     _S,
     _W,
     _FidelityEvaluator,
     _newton_system,
     _scrambled_sobol,
     _search_starts,
-    candidate_control_states,
+    l3_moments,
+    sigma_ceiling_fsq,
 )
-from waylab.sampling import random_conserving_implementation
+from waylab.sampling import random_conserving_implementation, random_state
 from waylab.operators import moments
 from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
 from waylab.serialize import digest
@@ -603,11 +606,13 @@ def test_measurement_view_of_perfect_cnot():
     assert is_nondisturbing(view)
 
 
+CONTROLS = {"iplus": _IPLUS, "plus": _PLUS}
+
+
 def test_candidate_control_states_commutator_values():
-    cands = candidate_control_states()
     comm = commutator(Z, X)
-    assert abs(expectation(comm, cands["plus"])) == pytest.approx(0.0, abs=1e-12)
-    assert abs(expectation(comm, cands["iplus"])) == pytest.approx(2.0, abs=1e-12)
+    assert abs(expectation(comm, _PLUS)) == pytest.approx(0.0, abs=1e-12)
+    assert abs(expectation(comm, _IPLUS)) == pytest.approx(2.0, abs=1e-12)
 
 
 def _conserving_impl(seed: int):
@@ -629,9 +634,10 @@ def test_noise_fidelity_link_reports():
     assert sq.details["plus_commutator_abs"] == pytest.approx(0.0, abs=1e-12)
     # no-ancilla spin charges: ceiling must be the n=2 value 15/16
     assert sq.details["ceiling_fsq"] == pytest.approx(15.0 / 16.0, abs=1e-12)
-    # the third record checks F^2 against that ceiling, digested without psi
+    # the third record checks F^2 against that ceiling, under the same
+    # digest: the implementation, the law and the headline control state
     assert ceiling.relation == "sigma-ceiling" and ceiling.kind == "inequality"
-    assert ceiling.digest == digest(implementation=impl, law=law) != sq.digest
+    assert ceiling.digest == sq.digest == digest(implementation=impl, law=law, psi=_IPLUS)
     assert ceiling.lhs == fidelity.fidelity_sq
     assert ceiling.rhs == sq.details["ceiling_fsq"]
     assert ceiling.details == {"sigma_l3": sq.details["sigma_l3"]}
@@ -656,13 +662,37 @@ def test_noise_fidelity_link_reads_the_fundamental_bound(case, control):
     # the chain's first link is the fundamental trade-off bound on the
     # measurement view: the same ingredients, lhs and rhs, to the bit
     impl, law = _link_cases()[case]
-    psi = candidate_control_states()[control]
+    psi = CONTROLS[control]
     fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
     sq = noise_fidelity_link(impl, law, psi=psi, fidelity=fidelity)[0]
     fund = trade_off_reports(measurement_view(impl), law, psi)[3]
     for key in ("eps", "eta", "sigma_l3", "commutator_abs"):
         assert sq.details[key] == fund.details[key], key
     assert (sq.lhs, sq.rhs) == (fund.lhs, fund.rhs)
+
+
+@pytest.mark.parametrize("case", ["spin3", "spin4", "boson-nbar1"])
+def test_sigma_ceiling_is_the_same_record_at_every_control_state(case):
+    # the ceiling's sigma(L3') is taken at the headline input whatever psi
+    # is: a psi-dependent sigma gave two numbers for one relation, the spin
+    # n=4 case below read rhs 0.973228 at psi=None and 0.968316 at |+>
+    if case == "boson-nbar1":
+        scenario = build_boson(1.0)
+        impl = random_conserving_implementation(3, scenario.law, ancilla_state=scenario.ancilla_state)
+    else:
+        scenario = build_spin(int(case[-1]))
+        impl = random_conserving_implementation(3, scenario.law)
+    fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
+    psi = random_state(np.random.default_rng(5), 2)
+    records = [
+        noise_fidelity_link(impl, scenario.law, psi=control, fidelity=fidelity)[2]
+        for control in (None, _PLUS, psi)
+    ]
+    for rec in records:
+        assert rec.relation == "sigma-ceiling"
+        assert (rec.lhs, rec.rhs, rec.details) == (records[0].lhs, records[0].rhs, records[0].details)
+    sigma = l3_moments(impl, scenario.law)[1]
+    assert (records[0].rhs, records[0].details) == (sigma_ceiling_fsq(sigma), {"sigma_l3": sigma})
 
 
 def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
@@ -676,7 +706,7 @@ def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
     fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
     noise_fidelity_link(impl, law, fidelity=fidelity)
     assert len(calls) == 1
-    noise_fidelity_link(impl, law, psi=candidate_control_states()["plus"], fidelity=fidelity)
+    noise_fidelity_link(impl, law, psi=_PLUS, fidelity=fidelity)
     assert len(calls) == 2
 
 
@@ -709,7 +739,7 @@ def test_sigma_l3_reads_the_law_lift(monkeypatch):
         np.eye(4), scenario.law.ancilla_part.entries
     ) @ impl.unitary.entries
     # the chain's headline input: control (|0> + i|1>)/sqrt(2), target |0>
-    full = measurement_view(impl).initial_state(candidate_control_states()["iplus"])
+    full = measurement_view(impl).initial_state(_IPLUS)
     scenario.law.total()  # the lifts exist from here on
     calls = []
     monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)

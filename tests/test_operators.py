@@ -191,6 +191,11 @@ def test_hilbert_spec_refuses_a_total_past_the_dense_limit():
     for dims in ((2, 2, 1025), (2,) * 13, (64, 64, 64)):
         with pytest.raises(ValueError, match="exceeds the dense limit 4096"):
             HilbertSpec(dims)
+    # the message names the factor count, not each factor: it printed all
+    # of them, 300 048 characters for 100 000 qubits
+    with pytest.raises(ValueError) as info:
+        HilbertSpec((2,) * 100_000)
+    assert str(info.value) == "total dimension of 100000 factors exceeds the dense limit 4096"
 
 
 def test_expectation_and_std_dev():

@@ -38,8 +38,8 @@ MODULE_ALL = {
         "implementation_to_json", "implementation_from_json",
     },
     "scenarios": {
-        "TAIL_TOL", "SpinScenario", "BosonScenario", "OptimizeConfig", "OptimizationRun",
-        "CeilingViolation", "build_spin", "build_boson", "boson_reports",
+        "TAIL_TOL", "CEILING_TOL", "SpinScenario", "BosonScenario", "OptimizeConfig",
+        "OptimizationRun", "CeilingViolation", "build_spin", "build_boson", "boson_reports",
         "optimize_fidelity", "way_positive_control",
     },
     "sampling": {

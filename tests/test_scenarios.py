@@ -46,8 +46,8 @@ from waylab import (
 import waylab.operators
 import waylab.scenarios
 from waylab.cnot import (
+    _IPLUS,
     FidelityResult,
-    candidate_control_states,
     gate_fidelity,
     measurement_view,
     pauli,
@@ -138,6 +138,23 @@ def test_unusable_nbar_is_value_error(nbar):
             ceiling_boson(nbar)
 
 
+@pytest.mark.parametrize("nbar", [1e4, 1e6])
+def test_fock_cutoff_is_bounded_by_the_dense_limit(nbar):
+    # poisson_cutoff searched up to its own cap of 100 000 levels; no space
+    # holding a factor past the dense limit can be built
+    with pytest.raises(ValueError, match="Fock cutoff .* exceeds the dense limit 4096"):
+        poisson_cutoff(nbar)
+    assert poisson_cutoff(900.0) <= waylab.operators.MAX_TOTAL_DIM
+
+
+@pytest.mark.parametrize("n", [13, 10**6, 10**400])
+def test_oversized_spin_n_is_refused_before_any_factor_is_listed(n):
+    # build_spin listed (2,) * (n - 2) before anything was refused, and a
+    # ceiling_qubit of an n past a double's range raised OverflowError
+    with pytest.raises(ValueError, match="more than 12 qubits exceeds the dense limit 4096"):
+        build_spin(n)
+
+
 def test_truncated_coherent_moments():
     for nbar in (1.0, 2.0, 4.0):
         cutoff = poisson_cutoff(nbar)
@@ -198,7 +215,7 @@ def test_sigma_check_evolves_the_charge_once(monkeypatch):
     basis = commutant_basis(sc.law)
     u = conserving_unitary(basis, 0.3 * np.random.default_rng(3).standard_normal(basis.generator_count))
     impl = GateImplementation(sc.spec, u, sc.ancilla_state)
-    full = measurement_view(impl).initial_state(candidate_control_states()["iplus"])
+    full = measurement_view(impl).initial_state(_IPLUS)
     number_op = Operator(0.5 * sc.law.ancilla_part.entries, hermitian=True)
     (n_evolved,) = waylab.operators.evolve((sc.spec.embed(number_op, "ancilla"),), u)
     vec = n_evolved.entries @ full.amplitudes
