@@ -278,6 +278,9 @@ class FidelityResult:
     worst_state: StateVector
     evaluations: int
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
+    # every start's final state, one row of 4 amplitudes each: the ``starts``
+    # of a search on a nearby implementation; in no report
+    final_states: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _cross(u: complex, v: complex) -> float:
@@ -458,10 +461,11 @@ def _newton_moves(ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarra
 
 
 def _sphere_descent(
-    ev: _FidelityEvaluator, cfg: SearchConfig
+    ev: _FidelityEvaluator, cfg: SearchConfig, starts: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[dict[str, float]]]:
     """Riemannian descent of F^2 on the unit sphere of C^4, all starts as
-    rows of one array.
+    rows of one array: those of :func:`_search_starts`, or the unit rows
+    ``starts`` when given.
 
     Each start is kept as one packed row [w, W, S, F^2]
     (:meth:`_FidelityEvaluator.points`), and each step moves it along the
@@ -486,7 +490,10 @@ def _sphere_descent(
     raise the minimum.  Returns each start's final state and F^2, and
     the trace.
     """
-    labels, psi = _search_starts(cfg)
+    if starts is None:
+        labels, psi = _search_starts(cfg)
+    else:
+        labels, psi = [f"given-{i}" for i in range(len(starts))], starts
     points = ev.points(np.concatenate([psi.real, psi.imag], axis=1))
     value = points[:, _FSQ]
     initial = value.copy()
@@ -517,7 +524,9 @@ def _sphere_descent(
     return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, trace
 
 
-def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) -> FidelityResult:
+def gate_fidelity(
+    impl: GateImplementation, config: SearchConfig | None = None, *, starts: np.ndarray | None = None
+) -> FidelityResult:
     """Worst-case state fidelity of an implementation against CNOT.
 
     In Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2 (see
@@ -529,11 +538,14 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
 
     With an ancilla, a batched Riemannian descent on the unit sphere
     (:func:`_sphere_descent`) runs from every seed state and Sobol start
-    (see :class:`SearchConfig`) and returns the lowest value evaluated, so
-    the result estimates the minimum from above: an insufficient budget
-    can only make it optimistic, never produce a spurious bound
-    violation.  Each start adds a trace entry; ``evaluations`` counts
-    states evaluated.
+    (see :class:`SearchConfig`), or from the unit rows ``starts`` when
+    given (the hull ignores them), and returns the lowest value
+    evaluated, so the result estimates the minimum from above.  An
+    insufficient budget therefore overstates F^2: a PASS of an
+    F^2 <= ceiling relation is sound, but a FAIL, or the optimizer's
+    ``CeilingViolation``, may be spurious.  The optimizer's warm pass
+    only ever rejects ascent trials, so it adds no such risk.  Each
+    start adds a trace entry; ``evaluations`` counts states evaluated.
     """
     cfg = config or SearchConfig()
     if cfg.restarts < 0:
@@ -544,7 +556,7 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
         values = ev.points(np.concatenate([psis.real, psis.imag], axis=1))[:, _FSQ]
         trace = None
     else:
-        psis, values, trace = _sphere_descent(ev, cfg)
+        psis, values, trace = _sphere_descent(ev, cfg, starts)
     k = int(np.argmin(values))
     fsq = min(max(float(values[k]), 0.0), 1.0)
     f = math.sqrt(fsq)
@@ -557,6 +569,7 @@ def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) 
         worst_state=StateVector.from_amplitudes(psis[k]),
         evaluations=ev.evaluations,
         trace=tuple(trace),
+        final_states=psis,
     )
 
 

@@ -10,6 +10,7 @@ nearest hull point is the chord across the occupied arc, at distance
 cos(arc/2).  This formula shares no code with the search under test.
 """
 
+import dataclasses
 import itertools
 import sys
 import warnings
@@ -399,6 +400,26 @@ def test_cached_starts_leave_the_search_bit_identical(monkeypatch):
         assert res.worst_state.amplitudes.tobytes() == fresh.worst_state.amplitudes.tobytes()
         assert res.trace == fresh.trace
         assert res.evaluations == fresh.evaluations
+
+
+def test_given_starts_run_the_same_descent():
+    impl = _spin3_implementations()[0]
+    cfg = SearchConfig(restarts=5, max_iter=60, seed=11)
+    cold = gate_fidelity(impl, cfg)
+    given = gate_fidelity(impl, cfg, starts=_search_starts(cfg)[1])
+    assert given.fidelity_sq.hex() == cold.fidelity_sq.hex()
+    assert given.final_states.tobytes() == cold.final_states.tobytes()
+    assert [t["final"] for t in given.trace] == [t["final"] for t in cold.trace]
+    assert given.trace[0]["start"] == "given-0"
+    # one row per start, the worst among them, and in neither repr nor equality
+    assert cold.final_states.shape == (len(cold.trace), 4)
+    assert np.min(np.linalg.norm(cold.final_states - cold.worst_state.amplitudes, axis=1)) < 1e-12
+    assert "final_states" not in repr(cold)
+    assert dataclasses.replace(cold, final_states=None) == cold
+    # the final states reproduce the minimum without a step
+    again = gate_fidelity(impl, SearchConfig(max_iter=0), starts=cold.final_states)
+    assert again.fidelity_sq.hex() == cold.fidelity_sq.hex()
+    assert again.evaluations == len(cold.trace)
 
 
 @pytest.mark.parametrize("kind", ["spin-3", "boson-1"])

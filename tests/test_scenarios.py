@@ -343,6 +343,80 @@ def test_gradient_ascent_reaches_quarter_at_n3(seed):
     assert run.trace[0]["initial"] ** 2 < 1e-6
 
 
+# the maximin-spin3 benchmark's optimize budget
+MAXIMIN_BUDGET = dict(restarts=0, max_iter=30, inner=SearchConfig(restarts=4, max_iter=80))
+
+
+@pytest.mark.parametrize(
+    "scenario, config",
+    [
+        (build_spin(3), OptimizeConfig(seed=20021017, **MAXIMIN_BUDGET)),
+        (build_spin(4), OptimizeConfig(restarts=1, max_iter=20, seed=7, inner=SearchConfig(restarts=4, max_iter=60))),
+        (build_boson(1.0), OptimizeConfig(restarts=1, max_iter=20, seed=7, inner=SearchConfig(restarts=4, max_iter=60))),
+    ],
+    ids=["spin-n3", "spin-n4", "boson-nbar1"],
+)
+def test_warm_pass_leaves_the_run_of_cold_searches_unchanged(monkeypatch, scenario, config):
+    shipped = optimize_fidelity(scenario, config).to_json_dict()
+
+    def cold_instead(impl, search=None, *, starts=None):
+        return gate_fidelity(impl, config.inner if starts is not None else search)
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", cold_instead)
+    assert optimize_fidelity(scenario, config).to_json_dict() == shipped
+
+
+def test_warm_pass_rejects_only_trials_the_cold_search_rejects(monkeypatch):
+    config = OptimizeConfig(seed=20021017, **MAXIMIN_BUDGET)
+    cold, warm = [], []  # (impl, result); (impl, result, the current point's F^2, the cold F^2)
+
+    def spy(impl, search=None, *, starts=None):
+        res = gate_fidelity(impl, search, starts=starts)
+        if starts is None:
+            cold.append((impl, res))
+        else:
+            current = next(r for _, r in cold if r.final_states is starts)
+            warm.append((impl, res, current.fidelity_sq, gate_fidelity(impl, config.inner).fidelity_sq))
+        return res
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", spy)
+    run = optimize_fidelity(build_spin(3), config)
+    assert run.evaluations == 32  # 1 + 30 ascent points and the final score, as without the pass
+    assert len(cold) <= 20
+    assert len(warm) == 30  # every trial, none on the start point or the final score
+    rejected = [w for w in warm if not any(impl is w[0] for impl, _ in cold)]
+    assert len(rejected) == 32 - len(cold)
+    for _, res, current_fsq, cold_fsq in rejected:
+        assert res.fidelity_sq <= current_fsq
+        assert cold_fsq <= current_fsq
+
+
+def test_spin2_runs_no_warm_pass(monkeypatch):
+    starts_seen = []
+
+    def spy(impl, search=None, *, starts=None):
+        starts_seen.append(starts)
+        return gate_fidelity(impl, search, starts=starts)
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", spy)
+    run = optimize_fidelity(build_spin(2), OptimizeConfig(restarts=1, max_iter=10, seed=3))
+    assert len(starts_seen) == run.evaluations
+    assert all(s is None for s in starts_seen)
+
+
+def test_random_starts_are_drawn_when_their_turn_comes(monkeypatch):
+    # a list of 10^18 starts would exhaust memory before the first search
+    class Reached(Exception):
+        pass
+
+    def first_search(impl, search=None, *, starts=None):
+        raise Reached
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", first_search)
+    with pytest.raises(Reached):
+        optimize_fidelity(build_spin(2), OptimizeConfig(restarts=10**18))
+
+
 def test_optimize_rejects_bad_initial_points():
     with pytest.raises(ValueError):
         optimize_fidelity(
