@@ -39,14 +39,7 @@ from .conservation import (
     conservation_residual,
     conserving_unitary,
 )
-from .bounds import (
-    BoundReport,
-    fundamental_bound,
-    identity_reports,
-    qway_bounds,
-    summed_bound,
-    trade_off_reports,
-)
+from .bounds import BoundReport, identity_reports, trade_off_reports
 from .cnot import (
     FidelityResult,
     GateImplementation,
@@ -56,7 +49,6 @@ from .cnot import (
     measurement_view,
     noise_fidelity_link,
     pauli,
-    state_fidelity,
 )
 from .scenarios import (
     BosonScenario,

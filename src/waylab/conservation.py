@@ -255,29 +255,17 @@ class CommutantBasis:
         coeffs[lay.anti] = np.real(1j * (lower - upper)) * _INV_SQRT2
         return coeffs
 
-    def project_coefficients(self, h: Operator) -> tuple[np.ndarray, float]:
-        """Best-fit coefficients for a Hermitian target generator.
-
-        Returns ``(coefficients, residual)`` where ``residual`` is the
-        Frobenius norm of the part of ``h`` outside the commutant span.
-        A conserving generator projects with residual ~0, which is how a
-        known-good interaction is turned into a starting point for the
-        fidelity search.
+    def project_coefficients(self, h: Operator) -> np.ndarray:
+        """Best-fit coefficients for a Hermitian target generator: those of
+        its block-diagonal part in the eigenbasis, the closest conserving
+        generator in the Frobenius sense.  This is how a known-good
+        interaction is turned into a starting point for the fidelity
+        search.
         """
         if h.dim != self.dim:
             raise ValueError(f"target dim {h.dim} does not match basis dim {self.dim}")
-        lay = self._layout
         h_in_eigenbasis = self.eigenbasis.conj().T @ h.entries @ self.eigenbasis
-        coeffs = self._pairings(h_in_eigenbasis.reshape(-1)[lay.frame])
-        off_block = h_in_eigenbasis.copy()
-        off_block.flat[lay.frame] = 0.0
-        # The generators span exactly the block-diagonal Hermitian
-        # matrices in the eigenbasis, so what is lost is the Frobenius
-        # mass outside the blocks, measured directly (a mass-subtraction
-        # formula would lose half the floating-point digits right where
-        # it matters, at residual ~ 0).
-        residual = float(np.linalg.norm(off_block))
-        return coeffs, residual
+        return self._pairings(h_in_eigenbasis.reshape(-1)[self._layout.frame])
 
 
 def commutant_basis(law: ConservationLaw) -> CommutantBasis:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -205,7 +206,10 @@ class HilbertSpec:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.factor_dims)
+        for d in self.factor_dims:
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+                raise ValueError(f"factor dimensions must be integers, got {d!r}")
+        dims = tuple(int(d) for d in self.factor_dims)  # numpy integers become Python ints
         if len(dims) < 2:
             raise ValueError("need at least object and probe factors")
         if any(d < 1 for d in dims):

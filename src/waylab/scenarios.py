@@ -156,12 +156,12 @@ def _sum_single_site(op2: np.ndarray, sites: int) -> Operator:
     return Operator(total, hermitian=True)
 
 
-def build_spin(n: int, ancilla_state: StateVector | None = None) -> SpinScenario:
+def build_spin(n: int) -> SpinScenario:
     """Spin scenario on n >= 2 qubits.
 
     The conservation law is Pauli X on the control, Pauli X on the
     target, and the summed X over the n-2 ancilla qubits (absent for
-    n=2).  The default ancilla state is |0>^(n-2).  The choice matters:
+    n=2).  The ancilla state is |0>^(n-2).  The choice matters:
     an ancilla prepared in an eigenstate of its conserved charge (any
     product of |+> and |->) pins the total charge sector, and a sector
     argument then forces the worst-case fidelity of *every* conserving
@@ -183,13 +183,7 @@ def build_spin(n: int, ancilla_state: StateVector | None = None) -> SpinScenario
         anc_state = None
     else:
         law = ConservationLaw(spec, x, x, _sum_single_site(x.entries, anc_qubits))
-        if ancilla_state is None:
-            ancilla_state = StateVector.basis(spec.ancilla_dim, 0)
-        anc_state = ancilla_state
-    if anc_state is not None and anc_state.dim != spec.ancilla_dim:
-        raise ValueError(
-            f"ancilla state dim {anc_state.dim}, expected {spec.ancilla_dim}"
-        )
+        anc_state = StateVector.basis(spec.ancilla_dim, 0)
     return SpinScenario(
         n=n, spec=spec, law=law, ancilla_state=anc_state, ceiling_fsq=ceiling
     )
@@ -218,28 +212,24 @@ def truncated_coherent(nbar: float, cutoff: int) -> StateVector:
     Amplitudes alpha^k / sqrt(k!) are evaluated in log space (log-gamma
     for the factorial) so large cutoffs do not overflow.
     """
-    if nbar <= 0:
-        raise ValueError(f"mean photon number must be positive, got {nbar}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     alpha = math.sqrt(nbar)
     ks = np.arange(cutoff)
     log_amp = ks * math.log(alpha) - 0.5 * gammaln(ks + 1.0) - 0.5 * nbar
     return StateVector.from_amplitudes(np.exp(log_amp))
 
 
-def build_boson(nbar: float, tail_tol: float = TAIL_TOL, cutoff: int | None = None) -> BosonScenario:
+def build_boson(nbar: float, tail_tol: float = TAIL_TOL) -> BosonScenario:
     """Bosonic scenario: CNOT qubits plus one truncated field mode.
 
-    The cutoff defaults to the smallest dimension meeting the tail
-    tolerance; pass ``cutoff`` explicitly to study truncation
-    sensitivity.  Mean photon numbers below 1e-6 are rejected: the
+    The cutoff is the smallest dimension meeting the tail tolerance
+    (:func:`poisson_cutoff`); a smaller ``tail_tol`` keeps more Fock
+    levels.  Mean photon numbers below 1e-6 are rejected: the
     vacuum limit leaves no reservoir and the truncation itself would
     degenerate.  So are non-finite ones.
     """
     if not 1e-6 <= nbar < math.inf:
         raise ValueError(f"mean photon number {nbar} outside the supported range [1e-6, inf)")
-    d = cutoff if cutoff is not None else poisson_cutoff(nbar, tail_tol)
+    d = poisson_cutoff(nbar, tail_tol)
     spec = HilbertSpec((2, 2, d))
     number_op = Operator(np.diag(np.arange(d, dtype=float)), hermitian=True)
     x = pauli("X")
@@ -362,9 +352,7 @@ class CeilingViolation(Exception):
         )
 
 
-def projected_gate_coefficients(
-    scenario: SpinScenario | BosonScenario, basis: CommutantBasis | None = None
-) -> np.ndarray:
+def projected_gate_coefficients(scenario: SpinScenario | BosonScenario, basis: CommutantBasis) -> np.ndarray:
     """Commutant coefficients of the ideal gate's generator.
 
     The CNOT is exp(-i H) with H = (pi/2)(I - U_CN); projecting H
@@ -374,14 +362,11 @@ def projected_gate_coefficients(
     plateau of the maximin landscape, so this point is the one start
     that reliably lands inside a basin with nonzero fidelity.
     """
-    if basis is None:
-        basis = commutant_basis(scenario.law)
     h = (math.pi / 2.0) * (np.eye(4) - cnot_unitary().entries)
     lifted = Operator(
         np.kron(h, np.eye(scenario.spec.ancilla_dim)), hermitian=True
     )
-    coeffs, _ = basis.project_coefficients(lifted)
-    return coeffs
+    return basis.project_coefficients(lifted)
 
 
 def optimize_fidelity(
@@ -530,11 +515,11 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
     eigenvalue and the ancilla in the one matching the lower.  The swap
     branch commutes with any law whose probe and ancilla charges are
     the same operator, and the eigenspace projectors commute with L1 by
-    hypothesis, so conservation is exact.
+    hypothesis, so conservation is exact.  A scalar observable is the
+    degenerate case, P_upper = I and P_lower = 0, so U = I.
 
     Requires qubit object/probe/ancilla factors with equal probe and
-    ancilla charges, except for scalar observables where the identity
-    interaction works under any law on any spec.
+    ancilla charges, scalar observables included.
     """
     if observable.dim != law.spec.object_dim:
         raise ValueError(
@@ -554,26 +539,9 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
         )
 
     spec = law.spec
-    vals, vecs = np.linalg.eigh(observable.entries)
-    scalar = vals[-1] - vals[0] <= 1e-12
-
-    if scalar:
-        c = float(np.mean(vals))
-        pointer = Operator(c * np.eye(spec.probe_dim), hermitian=True)
-        return IndirectMeasurementModel(
-            spec=spec,
-            probe_state=StateVector.basis(spec.probe_dim, 0),
-            ancilla_state=(
-                StateVector.basis(spec.ancilla_dim, 0) if spec.has_ancilla else None
-            ),
-            interaction=Operator(np.eye(spec.total_dim), unitary=True),
-            pointer=pointer,
-            observable=observable,
-        )
-
     if spec.factor_dims != (2, 2, 2):
         raise ValueError(
-            f"nondegenerate construction needs qubit object/probe/ancilla "
+            f"the swap construction needs qubit object/probe/ancilla "
             f"factors, got {spec.factor_dims}"
         )
     charge_gap = float(
@@ -581,14 +549,17 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
     )
     if charge_gap > 1e-12:
         raise ValueError(
-            "nondegenerate construction needs equal probe and ancilla "
+            "the swap construction needs equal probe and ancilla "
             f"charges (the swap branch conserves only then); parts differ "
             f"by {charge_gap:.3e}"
         )
 
+    vals, vecs = np.linalg.eigh(observable.entries)
     lower, upper = vecs[:, 0], vecs[:, 1]
     p_upper = np.outer(upper, upper.conj())
     p_lower = np.outer(lower, lower.conj())
+    if vals[-1] - vals[0] <= 1e-12:  # scalar: the swap branch is empty, U = I
+        p_upper, p_lower = np.eye(2), np.zeros((2, 2))
     u = np.kron(p_upper, np.eye(4)) + np.kron(p_lower, _swap_two_qubits())
     return IndirectMeasurementModel(
         spec=spec,

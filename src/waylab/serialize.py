@@ -93,8 +93,8 @@ def _complexes(data: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     A dict is the packed form (see :func:`_unpacked`); pairs land in a
     float64 array of shape ``shape + (2,)``, viewed as complex128, in one
     numpy call.  Ragged nesting, pairs of the wrong length, non-numeric
-    entries (strings included, which a float conversion would parse) and
-    every malformed packed field raise ``ValueError``; finiteness is left
+    entries (booleans, and strings, which a float conversion would parse)
+    and every malformed packed field raise ``ValueError``; finiteness is left
     to :class:`Operator` and :class:`StateVector`.
     """
     if isinstance(data, dict):
@@ -103,13 +103,21 @@ def _complexes(data: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
         arr = np.array(data)
     except ValueError:
         arr = None
-    if arr is None or arr.shape != shape + (2,) or arr.dtype.kind not in "biuf":
+    if arr is None or arr.shape != shape + (2,) or arr.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be {'x'.join(map(str, shape))} numeric [re, im] pairs")
     return arr.astype(np.float64, copy=False).view(np.complex128)[..., 0]
 
 
+def _dim(data: dict[str, Any]) -> int:
+    """The ``dim`` field, a JSON integer: a float, bool or string is refused."""
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    return dim
+
+
 def operator_from_json(data: dict[str, Any]) -> Operator:
-    dim = int(data["dim"])
+    dim = _dim(data)
     return Operator(_complexes(data["entries"], (dim, dim), "entries"))
 
 
@@ -118,7 +126,7 @@ def state_to_json(psi: StateVector) -> dict[str, Any]:
 
 
 def state_from_json(data: dict[str, Any]) -> StateVector:
-    dim = int(data["dim"])
+    dim = _dim(data)
     return StateVector(_complexes(data["amplitudes"], (dim,), "amplitudes"))
 
 
@@ -134,21 +142,15 @@ def spec_to_json(spec: HilbertSpec) -> dict[str, Any]:
 
 
 def spec_from_json(data: dict[str, Any]) -> HilbertSpec:
-    dims = tuple(int(d) for d in data["factor_dims"])
+    spec = HilbertSpec(data["factor_dims"])
     roles = data.get("roles")
-    if roles is not None:
-        expected = {"object": 0, "probe": 1, "ancilla": list(range(2, len(dims)))}
-        got = {
-            "object": int(roles.get("object", -1)),
-            "probe": int(roles.get("probe", -1)),
-            "ancilla": [int(k) for k in roles.get("ancilla", [])],
-        }
-        if got != expected:
-            raise ValueError(
-                f"unsupported factor roles {got}; this build expects object=0, "
-                f"probe=1, ancilla=remaining"
-            )
-    return HilbertSpec(dims)
+    # compared as JSON text, so 0.0 or true in place of an index is refused too
+    if roles is not None and canonical_json(roles) != canonical_json(spec_to_json(spec)["roles"]):
+        raise ValueError(
+            f"unsupported factor roles {roles!r}; this build expects object=0, "
+            f"probe=1, ancilla=remaining"
+        )
+    return spec
 
 
 def law_to_json(law: ConservationLaw) -> dict[str, Any]:

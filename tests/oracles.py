@@ -70,6 +70,32 @@ def pair_form(doc: Any) -> Any:
     return pairs(np.frombuffer(raw, dtype="<c16").reshape(doc["shape"]).tolist())
 
 
+# One malformed field each, as (part, key, value) of an implementation's
+# wire form: values that a decoder converting with int() or float() reads
+# as the valid (2, 2), 4, 1 and 1+0j of an ancilla-free implementation.
+WIRE_SPOILERS = {
+    "factor-dims-fraction": ("spec", "factor_dims", [2.9, 2]),
+    "factor-dims-string": ("spec", "factor_dims", [2, "2"]),
+    "roles-string": ("spec", "roles", {"object": "0", "probe": 1, "ancilla": []}),
+    "roles-bool": ("spec", "roles", {"object": 0, "probe": True, "ancilla": []}),
+    "unitary-dim-fraction": ("unitary", "dim", 4.5),
+    "unitary-dim-string": ("unitary", "dim", "4"),
+    "ancilla-dim-bool": ("ancilla_state", "dim", True),
+    "ancilla-dim-float": ("ancilla_state", "dim", 1.0),
+    "amplitudes-bool": ("ancilla_state", "amplitudes", [[True, False]]),
+}
+
+
+def spoiled_implementation(*spoilers: str) -> dict[str, Any]:
+    """The pair form of the ancilla-free CNOT implementation with the
+    named ``WIRE_SPOILERS`` applied."""
+    doc = pair_form(implementation_to_json(GateImplementation(HilbertSpec((2, 2)), cnot_unitary())))
+    for name in spoilers:
+        part, key, value = WIRE_SPOILERS[name]
+        doc[part][key] = value
+    return doc
+
+
 def digest_of_documents(**parts: Any) -> str:
     """The digest's former formula (report schema 1), the reference the
     current one is checked against: each part replaced by its

@@ -22,16 +22,13 @@ from waylab import (
     Operator,
     StateVector,
     cnot_unitary,
-    fundamental_bound,
     identity_reports,
-    qway_bounds,
-    summed_bound,
     trade_off_reports,
 )
 import waylab.bounds
 import waylab.conservation
 import waylab.operators
-from waylab.bounds import reports_to_csv, require_conserving
+from waylab.bounds import fundamental_bound, qway_bounds, reports_to_csv, require_conserving, summed_bound
 from waylab.cnot import pauli
 from waylab.conservation import commutant_basis, conservation_residual
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state

@@ -35,7 +35,7 @@ from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import StateVector
 from waylab.sampling import random_conserving_model
 
-from oracles import pair_form
+from oracles import WIRE_SPOILERS, pair_form, spoiled_implementation
 
 
 def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: str) -> tuple[int, dict]:
@@ -353,6 +353,18 @@ def test_eval_impl_with_nan_entry_is_input_error(tmp_path, capsys, field, law):
     err = capsys.readouterr().err
     assert "input error" in err and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spoilers", [(name,) for name in WIRE_SPOILERS] + [tuple(WIRE_SPOILERS)], ids=[*WIRE_SPOILERS, "all"]
+)
+def test_eval_impl_with_unconverted_wire_field_is_input_error(tmp_path, capsys, spoilers):
+    # eval-impl exited 0 on each: the decoders converted the field into a valid one
+    config = {"implementation": spoiled_implementation(*spoilers), "search": {"restarts": 2, "max_iter": 20}}
+    code, _ = run_cli(tmp_path, "eval-impl", config)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
 
 
 def test_eval_impl_requires_implementation(tmp_path, capsys):

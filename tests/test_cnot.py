@@ -40,7 +40,6 @@ from waylab import (
     measurement_view,
     noise_fidelity_link,
     pauli,
-    state_fidelity,
     tensor_states,
     trade_off_reports,
 )
@@ -59,6 +58,7 @@ from waylab.cnot import (
     _search_starts,
     l3_moments,
     sigma_ceiling_fsq,
+    state_fidelity,
 )
 from waylab.sampling import random_conserving_implementation, random_state
 from waylab.operators import moments
@@ -578,10 +578,9 @@ def test_singular_newton_system_falls_back_per_row():
     # exactly singular; that row takes the Gauss-Newton step and the
     # others go on as if it were not there
     sc = build_spin(3)
+    basis = commutant_basis(sc.law)
     impl = GateImplementation(
-        sc.spec,
-        conserving_unitary(commutant_basis(sc.law), projected_gate_coefficients(sc)),
-        sc.ancilla_state,
+        sc.spec, conserving_unitary(basis, projected_gate_coefficients(sc, basis)), sc.ancilla_state
     )
     labels, normal, rhs = _first_newton_system(impl)
     row = labels.index("seed-14")

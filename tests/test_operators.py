@@ -185,6 +185,18 @@ def test_hilbert_spec_shapes():
         HilbertSpec((2,))
 
 
+@pytest.mark.parametrize("dims", [(2, 2.0), (2, 2.9), (2, "2"), (2, True), (True, True)])
+def test_hilbert_spec_refuses_factors_that_are_not_integers(dims):
+    # int() made (2, 2), (2, 1) and (1, 1) of these
+    with pytest.raises(ValueError, match="must be integers"):
+        HilbertSpec(dims)
+
+
+def test_hilbert_spec_stores_numpy_integers_as_python_ints():
+    spec = HilbertSpec((np.int64(2), np.int32(3)))
+    assert spec.factor_dims == (2, 3) and all(type(d) is int for d in spec.factor_dims)
+
+
 def test_hilbert_spec_refuses_a_total_past_the_dense_limit():
     # only the dimensions are checked here: no matrix on such a space is built
     assert HilbertSpec((2, 2, 1024)).total_dim == waylab.operators.MAX_TOTAL_DIM == 4096

@@ -11,7 +11,7 @@ import waylab.serialize
 from waylab import (
     GateImplementation, HilbertSpec, IndirectMeasurementModel, Operator, StateVector, cnot_unitary,
 )
-from waylab.cnot import implementation_to_json, pauli
+from waylab.cnot import implementation_from_json, implementation_to_json, pauli
 from waylab.serialize import (
     canonical_json,
     digest,
@@ -29,7 +29,7 @@ from waylab.serialize import (
 from waylab.conservation import ConservationLaw, commutant_basis
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
 
-from oracles import digest_of_bits, digest_of_documents, pair_form
+from oracles import WIRE_SPOILERS, digest_of_bits, digest_of_documents, pair_form, spoiled_implementation
 
 
 def _random_operator(seed: int, dim: int) -> Operator:
@@ -188,6 +188,14 @@ def test_spec_roundtrip_and_role_validation():
     data["roles"] = {"object": 1, "probe": 0, "ancilla": [2, 3]}
     with pytest.raises(ValueError):
         spec_from_json(data)
+
+
+@pytest.mark.parametrize("spoiler", list(WIRE_SPOILERS))
+def test_wire_integers_are_checked_not_converted(spoiler):
+    # the decoders converted each of these into a valid field
+    assert implementation_from_json(spoiled_implementation()).spec.factor_dims == (2, 2)
+    with pytest.raises(ValueError):
+        implementation_from_json(spoiled_implementation(spoiler))
 
 
 def test_law_roundtrip():
