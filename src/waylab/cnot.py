@@ -14,13 +14,11 @@ form in psi psi^dag, so the forms are read once into two matrices with
 ancilla size.  It takes damped Riemannian Newton steps, falling back to
 a Gauss-Newton step where the Newton system is exactly singular: the
 minima have F^2 well above zero, where Gauss-Newton converges only
-linearly.  Besides fixed seed states, the starts are points of a
-scrambled Sobol' sequence made here with numpy, bit-identical to
-``scipy.stats.qmc.Sobol``, so that importing waylab does not pay for
-importing ``scipy.stats``.  When the implementation must conserve a spin
-component, the same object also defines an indirect measurement of the
-control qubit, which is what ties the gate error to the measurement
-trade-off bounds.
+linearly.  Besides fixed seed states, the starts are normalised complex
+Gaussian rows, uniform on the sphere.  When the implementation must
+conserve a spin component, the same object also defines an indirect
+measurement of the control qubit, which is what ties the gate error to
+the measurement trade-off bounds.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from scipy import linalg
 from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, evolve, moments
+from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, evolve, moments
 from .serialize import (
     digest,
     operator_from_json,
@@ -215,25 +213,6 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     return math.sqrt(min(float(_FidelityEvaluator(impl).points(w[None, :])[0, _FSQ]), 1.0))
 
 
-def _angles_to_states_batch(
-    t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
-    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray,
-) -> np.ndarray:
-    """Hyperspherical angles -> unit 4-amplitude rows: three polar angles
-    set the magnitudes, three azimuthal angles the relative phases."""
-    s1 = np.sin(t1)
-    s12 = s1 * np.sin(t2)
-    return np.stack(
-        [
-            np.cos(t1).astype(np.complex128),
-            s1 * np.cos(t2) * np.exp(1j * p1),
-            s12 * np.cos(t3) * np.exp(1j * p2),
-            s12 * np.sin(t3) * np.exp(1j * p3),
-        ],
-        axis=1,
-    )
-
-
 def _seed_states() -> list[np.ndarray]:
     """Deterministic starting states: the computational basis and all
     equal-weight pairwise superpositions with phases 1 and i."""
@@ -255,11 +234,11 @@ class SearchConfig:
 
     Ancilla-free implementations are solved exactly and use none of
     them.  With an ancilla, the descent starts from the 16 fixed seed
-    states plus ``restarts`` points of a scrambled Sobol sequence,
+    states plus ``restarts`` normalised complex Gaussian rows,
     deterministic per ``seed``; a larger ``restarts`` extends the same
-    sequence.  It takes at most ``max_iter`` steps and stops early once
-    no start has lowered its F^2 by more than ``tol`` for two steps in
-    a row.
+    sequence, and more than ``MAX_TOTAL_DIM`` is refused.  It takes at
+    most ``max_iter`` steps and stops early once no start has lowered
+    its F^2 by more than ``tol`` for two steps in a row.
     """
 
     restarts: int = 64
@@ -332,72 +311,23 @@ def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
 _MIN_STEP, _MAX_STEP = 1e-12, 1e6
 
 
-# Six-dimensional Sobol' sequence with 30-bit points: the primitive
-# polynomials of dimensions 1-6 (bit k is the coefficient of x^k) and the
-# initial direction numbers of dimensions 2-6, from Joe & Kuo (2008);
-# dimension 1 has all direction numbers 1.
-_SOBOL_BITS = 30
-_SOBOL_POLYS = (1, 3, 7, 11, 13, 19)
-_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
-
-
-def _sobol_directions() -> np.ndarray:
-    """Unscrambled direction numbers, one row per dimension, as 30-bit
-    binary fractions (column j has its leading bit at 2^(29 - j))."""
-    v = [[1] * _SOBOL_BITS for _ in _SOBOL_POLYS]
-    for row, poly, init in zip(v, _SOBOL_POLYS, _SOBOL_VINIT):
-        m = len(init)
-        row[:m] = init
-        for j in range(m, _SOBOL_BITS):  # Bratley-Fox recurrence
-            row[j] = row[j - m]
-            for k in range(m):
-                if (poly >> (m - 1 - k)) & 1:
-                    row[j] ^= row[j - k - 1] << (k + 1)
-    return np.array(v) << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))
-
-
-def _scrambled_sobol(n: int, seed: int) -> np.ndarray:
-    """First ``n`` points of the six-dimensional scrambled Sobol' sequence.
-
-    Matousek's (1998) linear matrix scrambling with a digital shift, both
-    drawn from ``numpy.random.default_rng(seed)`` in the order and with
-    the dtype that ``scipy.stats.qmc.Sobol(d=6, scramble=True, seed=seed)``
-    draws them, so the points equal that engine's ``random(n)`` bit for
-    bit; the tests pin this.  Point i is the shift XOR the scrambled
-    direction numbers selected by the Gray code of i.
-    """
-    bits = _SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(6, bits), dtype=np.uint32) @ 2 ** np.arange(bits)
-    lower = np.tril(rng.integers(2, size=(6, bits, bits), dtype=np.uint32))
-    lower[:, np.arange(bits), np.arange(bits)] = 1
-    # Scrambled direction number = lower @ (its digits, leading first) mod 2.
-    place = bits - 1 - np.arange(bits)
-    digits = (_sobol_directions()[:, :, None] >> place) & 1
-    directions = ((digits @ lower.transpose(0, 2, 1)) & 1) @ (1 << place)
-    gray = np.arange(n) ^ (np.arange(n) >> 1)
-    points = np.tile(shift, (n, 1))
-    for b in range((n - 1).bit_length()):
-        points ^= ((gray >> b) & 1)[:, None] * directions[:, b]
-    return points * 2.0**-bits
-
-
 @functools.lru_cache(maxsize=32)
 def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and unit states of the descent's starting points.
 
-    The fixed seed states, then ``cfg.restarts`` angle vectors from
-    :func:`_scrambled_sobol` mapped onto the sphere.  They depend on the
+    The fixed seed states, then ``cfg.restarts`` complex Gaussian rows
+    from ``numpy.random.default_rng(cfg.seed)``, each normalised, so
+    uniform on the unit sphere of C^4.  Rows are drawn in order, so a
+    larger ``restarts`` extends the same sequence.  They depend on the
     frozen config alone, so they are built once per config and shared
     read-only by every search that uses it."""
-    states = _seed_states()
-    labels = [f"seed-{i}" for i in range(len(states))]
+    psi = np.array(_seed_states())
+    labels = [f"seed-{i}" for i in range(len(psi))]
     if cfg.restarts > 0:
-        raw = _scrambled_sobol(cfg.restarts, cfg.seed)
-        hi = np.array([np.pi, np.pi, np.pi, 2 * np.pi, 2 * np.pi, 2 * np.pi])
-        labels += [f"sobol-{i}" for i in range(cfg.restarts)]
-        states += list(_angles_to_states_batch(*(raw * hi).T))
-    psi = np.array(states)
+        g = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8))
+        extra = g[:, :4] + 1j * g[:, 4:]
+        psi = np.concatenate([psi, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+        labels += [f"random-{i}" for i in range(cfg.restarts)]
     psi.flags.writeable = False
     return tuple(labels), psi
 
@@ -537,9 +467,9 @@ def gate_fidelity(
     real state's fidelity; the trace has one entry, ``"hull"``.
 
     With an ancilla, a batched Riemannian descent on the unit sphere
-    (:func:`_sphere_descent`) runs from every seed state and Sobol start
-    (see :class:`SearchConfig`), or from the unit rows ``starts`` when
-    given (the hull ignores them), and returns the lowest value
+    (:func:`_sphere_descent`) runs from every seed state and Gaussian
+    start (see :class:`SearchConfig`), or from the unit rows ``starts``
+    when given (the hull ignores them), and returns the lowest value
     evaluated, so the result estimates the minimum from above.  An
     insufficient budget therefore overstates F^2: a PASS of an
     F^2 <= ceiling relation is sound, but a FAIL, or the optimizer's
@@ -548,8 +478,8 @@ def gate_fidelity(
     start adds a trace entry; ``evaluations`` counts states evaluated.
     """
     cfg = config or SearchConfig()
-    if cfg.restarts < 0:
-        raise ValueError("restarts must be nonnegative")
+    if not 0 <= cfg.restarts <= MAX_TOTAL_DIM:  # each start is a row of 137 doubles
+        raise ValueError(f"restarts must lie in [0, {MAX_TOTAL_DIM}], got {cfg.restarts}")
     ev = _FidelityEvaluator(impl)
     if ev.d_anc == 1:
         psis = _hull_witnesses(ev)

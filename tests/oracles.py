@@ -406,6 +406,22 @@ def kraus_fidelity_sq(impl: GateImplementation):
     return fsq
 
 
+def kraus_lower_fsq(impl: GateImplementation, psi: StateVector) -> float:
+    """A value no input's F^2 falls below, from the direction of z at ``psi``.
+
+    With z_a = <psi|A_a|psi> over :func:`kraus_forms` and c = z/|z|, the
+    Hermitian part H of sum_a conj(c_a) A_a has <phi|H|phi> =
+    Re <c, z(phi)> <= |z(phi)| = F(phi) for every unit phi (Cauchy-Schwarz),
+    so min F^2 >= max(0, lambda_min(H))^2.  It is tight exactly when psi is
+    a lowest eigenvector of H with eigenvalue F(psi)."""
+    forms = kraus_forms(impl)
+    amps = psi.amplitudes
+    z = np.einsum("i,aij,j->a", amps.conj(), forms, amps)
+    c = z / np.linalg.norm(z)
+    b = np.einsum("a,aij->ij", c.conj(), forms)
+    return max(0.0, float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])) ** 2
+
+
 def grid_search_fidelity(
     impl: GateImplementation,
     coarse_step: float = np.pi / 8,

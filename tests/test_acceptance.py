@@ -46,9 +46,15 @@ from waylab.sampling import (
     random_hermitian,
     random_state,
 )
-from waylab.scenarios import OptimizeConfig, ceiling_qubit, optimize_fidelity
+from waylab.scenarios import (
+    FINAL_SEARCH,
+    OptimizeConfig,
+    ceiling_qubit,
+    optimize_fidelity,
+    projected_gate_coefficients,
+)
 
-from oracles import expm_skew, grid_search_fidelity, outcome_distribution
+from oracles import expm_skew, grid_search_fidelity, kraus_lower_fsq, outcome_distribution
 
 X = pauli("X")
 SPEC22 = HilbertSpec((2, 2))
@@ -275,4 +281,49 @@ def test_criterion_9_search_matches_grid_oracle(capsys):
         capsys, 9, "search vs grid oracle", ok,
         f"{len(cases)} two-spin instances, worst |grid - search| {worst_gap:.2e}, "
         f"{elapsed:.1f}s",
+    )
+
+
+def test_criterion_10_ancilla_search_meets_an_independent_lower_value(capsys):
+    # with an ancilla the descent estimates min F^2 from above; the grid
+    # lattice is a second estimate from above, and the Kraus-form lower
+    # value at the search's worst state bounds it from below.  At the
+    # maximin optima all three must meet.
+    t0 = time.perf_counter()
+    seed = int(np.random.SeedSequence(20021017).generate_state(1)[0])
+    cfg = OptimizeConfig(restarts=0, max_iter=30, seed=seed, inner=SearchConfig(restarts=4, max_iter=80))
+    worst_gap = worst_grid = 0.0
+    ok = True
+    names = []
+    for name, scenario in (("n=3", build_spin(3)), ("n=4", build_spin(4)), ("nbar=1", build_boson(1.0))):
+        basis = commutant_basis(scenario.law)
+        run = optimize_fidelity(scenario, cfg)
+        u = conserving_unitary(basis, np.array(run.coefficients))
+        impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
+        res = gate_fidelity(impl, FINAL_SEARCH)
+        lower = kraus_lower_fsq(impl, res.worst_state)
+        f_grid, _ = grid_search_fidelity(impl, zoom_rounds=5)
+        ok = ok and lower <= f_grid**2 + 1e-12 and abs(f_grid - res.fidelity) <= 1e-4
+        worst_gap = max(worst_gap, res.fidelity_sq - lower)
+        worst_grid = max(worst_grid, abs(f_grid - res.fidelity))
+        names.append(f"{name} F^2={res.fidelity_sq:.4f}")
+    ok = ok and worst_gap <= 1e-9
+    # off the optima the lower value need not close, but it must stay below
+    scenario = build_spin(3)
+    basis = commutant_basis(scenario.law)
+    center = projected_gate_coefficients(scenario, basis)
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        u = conserving_unitary(basis, center + 0.3 * rng.standard_normal(center.size))
+        impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
+        res = gate_fidelity(impl, FINAL_SEARCH)
+        ok = ok and kraus_lower_fsq(impl, res.worst_state) <= res.fidelity_sq + 1e-12
+    # about 10 s on one core, nearly all of it the three grid sweeps; the
+    # bound leaves room for a loaded machine
+    elapsed = time.perf_counter() - t0
+    ok = ok and elapsed < 60.0
+    _announce(
+        capsys, 10, "ancilla search vs independent routes", ok,
+        f"optima {', '.join(names)}: worst search - lower {worst_gap:.1e}, "
+        f"worst |grid - search| {worst_grid:.1e}; 2 perturbed n=3 gates; {elapsed:.1f}s",
     )

@@ -789,6 +789,27 @@ def test_space_past_the_dense_limit_is_input_error(tmp_path, capsys, command, co
     assert "input error" in err and "exceeds the dense limit 4096" in err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("boson-check", {"nbars": [1.0], "samples_per": 1}),
+        ("eval-impl", _ancilla_impl_config()),
+        ("optimize", {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 1}),
+    ],
+    ids=["boson-check", "eval-impl", "optimize"],
+)
+def test_restarts_past_the_dense_limit_is_input_error(tmp_path, capsys, command, config):
+    # boson-check and eval-impl died in an uncaught numpy MemoryError
+    # ("Unable to allocate 6.94 EiB"): each start is a row of the descent
+    search = {"search": {"restarts": 10**18, "max_iter": 10}}
+    code, report = run_cli(tmp_path, command, {**config, **search}, "--seed", "1")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "input error" in err and "restarts must lie in [0, 4096]" in err
+    assert "Traceback" not in err
+
+
 HUGE = 10**400  # a JSON integer past the largest double
 
 

@@ -54,7 +54,6 @@ from waylab.cnot import (
     _W,
     _FidelityEvaluator,
     _newton_system,
-    _scrambled_sobol,
     _search_starts,
     l3_moments,
     sigma_ceiling_fsq,
@@ -263,8 +262,8 @@ def test_gate_fidelity_result_is_consistent():
 
 
 def test_more_restarts_never_worsen_the_minimum():
-    # Sobol starts extend as a prefix sequence, so a larger budget can
-    # only probe a superset of states
+    # the Gaussian starts extend as a prefix sequence, so a larger budget
+    # can only probe a superset of states
     u = haar_unitary(21)
     impl = GateImplementation(SPEC22, Operator(u, unitary=True))
     small = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=150))
@@ -344,49 +343,53 @@ def test_search_starts_are_built_once_and_read_only():
         states[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("seed", [*range(40), 20021017, 2**40 + 3])
-def test_scrambled_sobol_matches_scipy_bit_for_bit(seed):
-    from scipy.stats import qmc
-
-    for n in (1, 2, 3, 4, 5, 8, 16, 33, 64, 200):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # n not a power of 2
-            expected = qmc.Sobol(d=6, scramble=True, seed=seed).random(n)
-        got = _scrambled_sobol(n, seed)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes(), (seed, n)
-
-
-# The first eight starts at seeds 0 and 20021017, in units of 2^-30, so
-# that a change of scipy cannot move the search's starts unnoticed.
-_FROZEN_SOBOL = {
+# The first two Gaussian starts at seeds 0 and 20021017, real parts then
+# imaginary parts, so that a change of numpy cannot move the search's
+# starts unnoticed.
+_FROZEN_STARTS = {
     0: [
-        [913309191, 1000046633, 389465047, 391432754, 150265301, 602049772],
-        [519509323, 147982140, 692041731, 647733462, 635258173, 283565156],
-        [237288120, 805028059, 210169248, 50124406, 885918372, 84207349],
-        [649875956, 481445838, 848270964, 859028626, 434606668, 906016381],
-        [789430796, 576058543, 591656229, 1004120398, 329606127, 693671090],
-        [127215936, 287077306, 491425521, 169264042, 1049426695, 442287162],
-        [390497971, 909489245, 955505490, 779203850, 798995614, 264175275],
-        [1071541759, 92025672, 117088390, 532602862, 45493366, 1018867235],
+        [0.06750061473502707, -0.07092296032014339, 0.3438228471979393, 0.056317584841808654,
+         -0.2875840960801554, 0.1941290509097708, 0.7000767508028545, 0.5084580831809623],
+        [-0.2222201761918653, -0.39958519617162674, -0.19681288335962602, 0.013049604374740346,
+         -0.734180586821509, -0.06908837249373749, -0.3934243109206539, -0.23122983233197264],
     ],
     20021017: [
-        [466615008, 42183580, 101520655, 606028368, 724320019, 493076815],
-        [727269549, 830375065, 646454107, 310720590, 89989993, 566417522],
-        [910081145, 481348001, 456425616, 1019575578, 473922387, 896876933],
-        [111674932, 793634468, 1001492164, 173999876, 843999017, 164911288],
-        [213126620, 269328330, 697769193, 26112257, 1060867137, 358308027],
-        [1008908177, 602976463, 152179389, 924060447, 290099259, 704266630],
-        [558189381, 239009271, 883853686, 424955467, 136890369, 1028511857],
-        [299102472, 1036243698, 338396962, 802042965, 643421307, 32293196],
+        [0.2057236397798933, 0.07769512715251173, 0.41125580286581215, 0.5842461527796976,
+         0.46848559833998293, -0.12957677263197273, -0.01889478926433776, -0.45226147293877744],
+        [-0.24052606957181527, 0.35636757753301956, 0.7198865553940961, 0.31895576314177526,
+         0.15474228083917818, -0.23553418967171005, -0.022769735672218034, 0.33947008589100963],
     ],
 }
 
 
-@pytest.mark.parametrize("seed", sorted(_FROZEN_SOBOL))
-def test_scrambled_sobol_frozen_bits(seed):
-    expected = np.array(_FROZEN_SOBOL[seed], dtype=float) * 2.0**-30
-    assert _scrambled_sobol(8, seed).tobytes() == expected.tobytes()
+@pytest.mark.parametrize("seed", sorted(_FROZEN_STARTS))
+def test_gaussian_starts_frozen_values(seed):
+    labels, states = _search_starts(SearchConfig(restarts=2, seed=seed))
+    assert labels[16:] == ("random-0", "random-1")
+    rows = np.array(_FROZEN_STARTS[seed])
+    expected = rows[:, :4] + 1j * rows[:, 4:]
+    assert states[16:].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20021017])
+def test_gaussian_starts_extend_as_a_prefix(seed):
+    small_labels, small = _search_starts(SearchConfig(restarts=4, seed=seed))
+    large_labels, large = _search_starts(SearchConfig(restarts=16, seed=seed))
+    assert large_labels[: len(small_labels)] == small_labels
+    assert large[: len(small)].tobytes() == small.tobytes()
+    assert np.max(np.abs(np.linalg.norm(large, axis=1) - 1.0)) <= 1e-15
+
+
+def test_restarts_past_the_dense_limit_are_refused():
+    # each start is a row of the descent, so a huge count would try to
+    # allocate before the first step; the limit is refused at once
+    impl = _spin3_implementations()[0]
+    for restarts in (waylab.operators.MAX_TOTAL_DIM + 1, 10**18, -1):
+        with pytest.raises(ValueError, match="restarts"):
+            gate_fidelity(impl, SearchConfig(restarts=restarts, max_iter=1))
+    # the limit itself is still a valid count
+    labels, states = _search_starts(SearchConfig(restarts=waylab.operators.MAX_TOTAL_DIM))
+    assert len(labels) == len(states) == 16 + waylab.operators.MAX_TOTAL_DIM
 
 
 def test_cached_starts_leave_the_search_bit_identical(monkeypatch):
