@@ -8,7 +8,8 @@ Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2, and the minimum is exact
 without an ancilla: the distance from the origin to the convex hull of
 the eigenvalues of C^dag U (Toeplitz-Hausdorff).  With an ancilla it is
 estimated from above by a Riemannian descent on the unit sphere of C^4
-that runs every start as a row of one array.  F^2 is a fixed quadratic
+that runs every start as a row of one array, and stops once a lower
+value each row holds certifies the minimum.  F^2 is a fixed quadratic
 form in psi psi^dag, so the forms are read once into two matrices with
 64 columns, and building a step's Newton system costs the same at every
 ancilla size.  It takes damped Riemannian Newton steps, falling back to
@@ -181,6 +182,7 @@ class _FidelityEvaluator:
         m = np.block([[self.forms, 1j * self.forms], [-1j * self.forms, self.forms]])
         sym = 0.5 * (m + m.transpose(0, 2, 1))
         self._rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 64)
+        self._rows_norm = float(np.linalg.norm(self._rows))  # ||S||_F <= |r| ||M||_F
         self.d_anc = d_anc
         self.evaluations = 0
 
@@ -237,8 +239,8 @@ class SearchConfig:
     states plus ``restarts`` normalised complex Gaussian rows,
     deterministic per ``seed``; a larger ``restarts`` extends the same
     sequence, and more than ``MAX_TOTAL_DIM`` is refused.  It takes at
-    most ``max_iter`` steps and stops early once no start has lowered
-    its F^2 by more than ``tol`` for two steps in a row.
+    most ``max_iter`` steps and stops early once its lowest F^2 is
+    certified within ``tol``, or no start gained that much twice running.
     """
 
     restarts: int = 64
@@ -256,6 +258,7 @@ class FidelityResult:
     error_probability: float
     worst_state: StateVector
     evaluations: int
+    fidelity_sq_lower: float = 0.0  # certified: min F^2 lies in [fidelity_sq_lower, fidelity_sq]
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
     # every start's final state, one row of 4 amplitudes each: the ``starts``
     # of a search on a nearby implementation; in no report
@@ -309,6 +312,7 @@ def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
 # phase).  Below, a start that keeps rejecting never divides by zero;
 # a step of 1e-12 already leaves a unit vector unchanged.
 _MIN_STEP, _MAX_STEP = 1e-12, 1e6
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=32)
@@ -370,14 +374,16 @@ def _newton_system(
     return matrix, 2.0 * (s - fw)
 
 
-def _newton_moves(ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray) -> np.ndarray:
+def _newton_moves(
+    ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve every row's Newton system; a row whose system is exactly
     singular takes the Gauss-Newton move, whose matrix is positive
     definite.  Rows are solved one by one only then, each on its own,
-    so no row's move depends on another row."""
+    so no row's move depends on another row.  Returns moves and rhs."""
     normal, rhs = _newton_system(ev, points, damping)
     try:
-        return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0]
+        return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0], rhs
     except np.linalg.LinAlgError:
         pass
     moves = np.empty_like(rhs)
@@ -387,12 +393,28 @@ def _newton_moves(ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarra
         except np.linalg.LinAlgError:
             gauss_newton = _newton_system(ev, points[i : i + 1], damping[i : i + 1], 0.0)[0][0]
             moves[i] = np.linalg.solve(gauss_newton, rhs[i])
-    return moves
+    return moves, rhs
+
+
+def _lower_fsq(ev: _FidelityEvaluator, points: np.ndarray) -> np.ndarray:
+    """A value min F^2 cannot fall below, per packed row, for the forms M.
+
+    For unit w', w'^T S w' = sum_k r_k r_k(w') <= |r| F(w'), so min F >=
+    lambda_min(S) / |r|, |r| = F.  With m forms and machine epsilon e, delta
+    covers the rounding of S = r M (m e F ||M||_F, Weyl), of eigvalsh
+    (backward stable, 32 e ||S||_F <= 32 e F ||M||_F) and of |r| (m e F^2).
+    A row whose diagonal, never below lambda_min, dips to delta gives 0."""
+    m, f = len(ev._rows), np.sqrt(points[:, _FSQ])
+    delta = _EPS * f * ((m + 32) * ev._rows_norm + m * f)
+    lam = np.min(points[:, _S][:, ::9], axis=1)
+    open_rows = lam > delta
+    lam[open_rows] = np.linalg.eigvalsh(points[open_rows, _S].reshape(-1, 8, 8))[:, 0]
+    return (np.maximum(lam - delta, 0.0) / np.maximum(f, _TINY)) ** 2
 
 
 def _sphere_descent(
     ev: _FidelityEvaluator, cfg: SearchConfig, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, list[dict[str, float]]]:
+) -> tuple[np.ndarray, np.ndarray, float, list[dict[str, float]]]:
     """Riemannian descent of F^2 on the unit sphere of C^4, all starts as
     rows of one array: those of :func:`_search_starts`, or the unit rows
     ``starts`` when given.
@@ -412,13 +434,16 @@ def _sphere_descent(
     the value; s grows by 1.5 after a kept step and halves after a
     rejected one, per start, within ``_MIN_STEP`` and ``_MAX_STEP``.
 
-    The loop stops early after two iterations in a row in which no start
-    lowered its F^2 by more than ``cfg.tol``.  One is not enough: a
-    rejected step is how s adapts, and every start may reject at once
-    far from a minimum.  Each start's trajectory is independent of the
-    others and the stop waits on every start, so more starts never
-    raise the minimum.  Returns each start's final state and F^2, and
-    the trace.
+    The loop stops once the lowest row's lower value (:func:`_lower_fsq`)
+    is positive and within ``cfg.tol`` of its F^2, then within ``tol`` of
+    the true minimum.  It checks each row at most once, at the top of an
+    iteration, and only where it can close: with g = s - F^2 w (half the
+    right-hand side), F^2 - lambda_min(S) >= |g|^2 / (2 F ||M||_F + |g|).
+    Otherwise it stops after two iterations in a row in which no start
+    lowered its F^2 by more than ``cfg.tol``; one is not enough, as every
+    start may reject at once far from a minimum.  More starts never raise
+    the minimum by more than ``tol``.  Returns the final states, their F^2
+    and largest lower value, and the trace.
     """
     if starts is None:
         labels, psi = _search_starts(cfg)
@@ -427,12 +452,21 @@ def _sphere_descent(
     points = ev.points(np.concatenate([psi.real, psi.imag], axis=1))
     value = points[:, _FSQ]
     initial = value.copy()
-    step = np.full(len(labels), 0.25)
+    step, checked = np.full(len(labels), 0.25), np.zeros(len(labels), dtype=bool)
     iterations = quiet = 0
     while iterations < cfg.max_iter and quiet < 2:
-        iterations += 1
         damping = 0.5 / step
-        trial = points[:, _W] - _newton_moves(ev, points, damping)
+        moves, rhs = _newton_moves(ev, points, damping)
+        k = int(value.argmin())
+        if not checked[k]:
+            g = 0.5 * math.sqrt(float(rhs[k] @ rhs[k]))
+            if g * g <= (2.0 * math.sqrt(value[k]) * ev._rows_norm + g) * cfg.tol:
+                checked[k] = True
+                lower = float(_lower_fsq(ev, points[k : k + 1])[0])
+                if 0.0 < lower and value[k] - lower <= cfg.tol:
+                    break
+        iterations += 1
+        trial = points[:, _W] - moves
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
         trial_points = ev.points(trial)
         better = trial_points[:, _FSQ] < value
@@ -451,7 +485,8 @@ def _sphere_descent(
         }
         for label, f0, f1 in zip(labels, initial, value)
     ]
-    return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, trace
+    lower = float(np.max(_lower_fsq(ev, points)))
+    return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, lower, trace
 
 
 def gate_fidelity(
@@ -473,9 +508,11 @@ def gate_fidelity(
     evaluated, so the result estimates the minimum from above.  An
     insufficient budget therefore overstates F^2: a PASS of an
     F^2 <= ceiling relation is sound, but a FAIL, or the optimizer's
-    ``CeilingViolation``, may be spurious.  The optimizer's warm pass
-    only ever rejects ascent trials, so it adds no such risk.  Each
-    start adds a trace entry; ``evaluations`` counts states evaluated.
+    ``CeilingViolation``, may be spurious, unless ``fidelity_sq_lower``,
+    the final rows' largest certified lower value (the hull's exact value),
+    crosses the ceiling too.  The optimizer's warm pass only ever rejects
+    ascent trials, so it adds no such risk.  Each start adds a trace
+    entry; ``evaluations`` counts states evaluated.
     """
     cfg = config or SearchConfig()
     if not 0 <= cfg.restarts <= MAX_TOTAL_DIM:  # each start is a row of 137 doubles
@@ -484,20 +521,21 @@ def gate_fidelity(
     if ev.d_anc == 1:
         psis = _hull_witnesses(ev)
         values = ev.points(np.concatenate([psis.real, psis.imag], axis=1))[:, _FSQ]
-        trace = None
+        lower = trace = None
     else:
-        psis, values, trace = _sphere_descent(ev, cfg, starts)
+        psis, values, lower, trace = _sphere_descent(ev, cfg, starts)
     k = int(np.argmin(values))
     fsq = min(max(float(values[k]), 0.0), 1.0)
     f = math.sqrt(fsq)
     if trace is None:
-        trace = [{"start": "hull", "initial": f, "final": f, "iterations": 0.0}]
+        lower, trace = fsq, [{"start": "hull", "initial": f, "final": f, "iterations": 0.0}]
     return FidelityResult(
         fidelity=f,
         fidelity_sq=fsq,
         error_probability=1.0 - fsq,
         worst_state=StateVector.from_amplitudes(psis[k]),
         evaluations=ev.evaluations,
+        fidelity_sq_lower=lower,
         trace=tuple(trace),
         final_states=psis,
     )

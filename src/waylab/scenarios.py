@@ -309,7 +309,8 @@ class OptimizeConfig:
 class OptimizationRun:
     """Result of one ceiling-probing run.
 
-    ``gap`` is the reference ceiling minus the best fidelity-squared;
+    ``gap`` is the reference ceiling minus the best fidelity-squared, and
+    ``best_fidelity_sq_lower`` the final search's certified lower value;
     ``min_gap_evaluated`` is the smallest per-evaluation margin seen
     anywhere during the search (negative would mean a ceiling
     violation; for bosonic runs the per-evaluation margin uses the
@@ -320,6 +321,7 @@ class OptimizationRun:
     ceiling_fsq: float
     best_fidelity: float
     best_fidelity_sq: float
+    best_fidelity_sq_lower: float
     gap: float
     min_gap_evaluated: float
     coefficients: tuple[float, ...]
@@ -484,6 +486,7 @@ def optimize_fidelity(
         ceiling_fsq=scenario.ceiling_fsq,
         best_fidelity=final.fidelity,
         best_fidelity_sq=final.fidelity_sq,
+        best_fidelity_sq_lower=final.fidelity_sq_lower,
         gap=scenario.ceiling_fsq - final.fidelity_sq,
         min_gap_evaluated=float(min_gap),
         coefficients=tuple(float(c) for c in best_x),

@@ -207,6 +207,8 @@ def test_eval_impl_perfect_gate(tmp_path):
     )
     assert code == EXIT_OK
     assert report["summary"]["gate_fidelity"] == pytest.approx(1.0, abs=1e-8)
+    # no ancilla: the hull value is exact, so it is its own lower value
+    assert report["summary"]["fidelity_sq_lower"] == report["summary"]["fidelity_sq"]
     assert report["summary"]["precision_worst_eps"] <= 1e-12
     assert report["summary"]["disturbance_worst_eta"] <= 1e-12
 
@@ -393,7 +395,32 @@ def test_optimize_spin_small_budget(tmp_path):
     assert record["passed"]
     assert record["ceiling_fsq"] == pytest.approx(15.0 / 16.0)
     assert report["summary"]["best_fidelity_sq"] <= 15.0 / 16.0 + 1e-9
+    assert record["best_fidelity_sq_lower"] == record["best_fidelity_sq"]  # n = 2: the exact hull
     assert (tmp_path / "report.csv").exists()
+
+
+def test_reports_carry_the_certified_lower_value(tmp_path):
+    search = {"restarts": 2, "max_iter": 40}
+    config = {"kind": "spin", "n": 3, "restarts": 0, "max_iter": 4, "search": search}
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "2")
+    assert code == EXIT_OK
+    (record,) = report["records"]
+    assert 0.0 <= record["best_fidelity_sq_lower"] <= record["best_fidelity_sq"]
+    csv_header = (tmp_path / "report.csv").read_text().splitlines()[0]
+    assert csv_header == "scenario,ceiling_fsq,best_fidelity_sq,gap,min_gap_evaluated,evaluations"
+
+    config = {"nbars": [1.0], "samples_per": 1, "search": search}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "4")
+    assert code == EXIT_OK
+    records = {r["relation"]: r for r in report["records"]}
+    details = {relation: r["details"] for relation, r in records.items()}
+    lower = details["sigma-ceiling"]["fidelity_sq_lower"]
+    assert details["nbar-ceiling"]["fidelity_sq_lower"] == lower
+    assert 0.0 <= lower <= records["sigma-ceiling"]["lhs"]  # lhs is the search's F^2
+    assert "fidelity_sq_lower" not in details["sigma-l3"]
+    assert list(details["sigma-ceiling"]) == sorted(details["sigma-ceiling"])
+    # the report gains the field; the CSV keeps the reports as they are
+    assert "fidelity_sq_lower" not in (tmp_path / "report.csv").read_text()
 
 
 def test_optimize_ceiling_violation_is_reported(tmp_path, monkeypatch):

@@ -61,10 +61,17 @@ from waylab.cnot import (
 )
 from waylab.sampling import random_conserving_implementation, random_state
 from waylab.operators import moments
-from waylab.scenarios import build_boson, build_spin, projected_gate_coefficients
+from waylab.scenarios import OptimizeConfig, build_boson, build_spin, optimize_fidelity, projected_gate_coefficients
 from waylab.serialize import digest
 
-from oracles import angle_states, channel_apply, grid_search_fidelity, kraus_fidelity_sq, kraus_forms
+from oracles import (
+    angle_states,
+    channel_apply,
+    grid_search_fidelity,
+    kraus_fidelity_sq,
+    kraus_forms,
+    kraus_lower_fsq,
+)
 
 
 X = pauli("X")
@@ -311,12 +318,93 @@ def test_grid_oracle_agrees_with_descent_with_ancilla():
 
 
 def test_more_restarts_never_worsen_the_descent():
+    # both searches stop once their minimum is certified, and a larger batch
+    # may certify, and so stop, earlier: more starts never raise the
+    # minimum by more than tol, and may cost fewer evaluations
     for impl in _spin3_implementations():
         small = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80))
         large = gate_fidelity(impl, SearchConfig(restarts=16, max_iter=80))
-        assert large.fidelity <= small.fidelity + 1e-12
+        tol = SearchConfig().tol
+        for res in (small, large):
+            assert 0.0 < res.fidelity_sq_lower and res.fidelity_sq - res.fidelity_sq_lower <= tol
+        assert large.fidelity_sq <= small.fidelity_sq + tol
         assert len(large.trace) == len(small.trace) + 12
-        assert large.evaluations > small.evaluations
+
+
+def _uncertified(monkeypatch) -> None:
+    """Make every row's lower value 0: no search stops on its certificate,
+    so each runs as it did before the certificate existed."""
+    monkeypatch.setattr(waylab.cnot, "_lower_fsq", lambda ev, points: np.zeros(len(points)))
+
+
+def _eval_boson_inputs():
+    # the eval-boson benchmark's kind of input: random conserving gates on
+    # the coherent field, two per nbar
+    impls = []
+    for nbar in (1.0, 2.0, 4.0):
+        sc = build_boson(nbar)
+        basis = commutant_basis(sc.law)
+        impls += [
+            random_conserving_implementation(seed, sc.law, basis=basis, ancilla_state=sc.ancilla_state)
+            for seed in (31, 32)
+        ]
+    return impls
+
+
+def test_certified_lower_value_brackets_the_minimum():
+    impls = _spin3_implementations() + _eval_boson_inputs()
+    for impl in impls:
+        res = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80))
+        strong = gate_fidelity(impl, SearchConfig(restarts=64, max_iter=400))
+        for r in (res, strong):
+            assert 0.0 <= r.fidelity_sq_lower <= r.fidelity_sq
+            # the search's lower value is the largest over its rows, the
+            # worst state's among them, which the Kraus form computes apart
+            assert r.fidelity_sq_lower >= kraus_lower_fsq(impl, r.worst_state) - 1e-12
+        # a lower value from one search sits below the other's estimate
+        assert res.fidelity_sq_lower <= strong.fidelity_sq
+        assert strong.fidelity_sq_lower <= res.fidelity_sq
+
+
+def test_hull_lower_value_is_the_exact_value():
+    for seed in range(5):
+        impl = GateImplementation(SPEC22, Operator(haar_unitary(seed), unitary=True))
+        res = gate_fidelity(impl, SearchConfig(restarts=4, max_iter=80))
+        assert res.fidelity_sq_lower == res.fidelity_sq
+
+
+def test_certified_stop_at_the_maximin_optimum(monkeypatch):
+    # the maximin-spin3 benchmark's optimum: its minimum row is a
+    # stationary point whose F^2 is the lowest eigenvalue of S
+    scenario = build_spin(3)
+    seed = int(np.random.SeedSequence(20021017).generate_state(1)[0])
+    inner = SearchConfig(restarts=4, max_iter=80)
+    run = optimize_fidelity(scenario, OptimizeConfig(restarts=0, max_iter=30, seed=seed, inner=inner))
+    u = conserving_unitary(commutant_basis(scenario.law), np.array(run.coefficients))
+    impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
+    certified = gate_fidelity(impl, inner)
+    assert 0.0 <= certified.fidelity_sq - certified.fidelity_sq_lower <= inner.tol
+    assert certified.fidelity_sq_lower >= 0.2499
+    _uncertified(monkeypatch)
+    waited = gate_fidelity(impl, inner)
+    assert certified.evaluations < waited.evaluations
+    assert abs(certified.fidelity_sq - waited.fidelity_sq) <= inner.tol
+
+
+def test_zero_fidelity_is_not_stopped_by_the_certificate(monkeypatch):
+    # a random spin-3 gate on the F = 0 plateau: a lower value of 0 is
+    # within tol of F^2 ~ 1e-33, but certifies nothing, so the search
+    # waits for its quiet stop as before
+    scenario = build_spin(3)
+    impl = random_conserving_implementation(0, scenario.law, ancilla_state=scenario.ancilla_state)
+    cfg = SearchConfig(restarts=4, max_iter=80)
+    res = gate_fidelity(impl, cfg)
+    assert 0.0 < res.fidelity_sq < 1e-30
+    assert res.fidelity_sq_lower == 0.0
+    _uncertified(monkeypatch)
+    waited = gate_fidelity(impl, cfg)
+    assert res.fidelity_sq.hex() == waited.fidelity_sq.hex()
+    assert res.evaluations == waited.evaluations
 
 
 def test_long_descent_keeps_a_finite_step():
