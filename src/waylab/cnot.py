@@ -12,14 +12,14 @@ that runs every start as a row of one array, and stops once a lower
 value each row holds certifies the minimum.  F^2 is a fixed quadratic
 form in psi psi^dag, so the forms are read once into two matrices with
 64 columns, and building a step's Newton system costs the same at every
-ancilla size.  It takes damped Riemannian Newton steps, falling back to
-a Gauss-Newton step where the Newton system is exactly singular: the
-minima have F^2 well above zero, where Gauss-Newton converges only
-linearly.  Besides fixed seed states, the starts are normalised complex
-Gaussian rows, uniform on the sphere.  When the implementation must
-conserve a spin component, the same object also defines an indirect
-measurement of the control qubit, which is what ties the gate error to
-the measurement trade-off bounds.
+ancilla size.  It takes damped Riemannian Newton steps, not Gauss-Newton
+ones: the minima have F^2 well above zero, where Gauss-Newton converges
+only linearly.  A start whose Newton system is exactly singular keeps its
+place for that step.  Besides fixed seed states, the starts are
+normalised complex Gaussian rows, uniform on the sphere.  When the
+implementation must conserve a spin component, the same object also
+defines an indirect measurement of the control qubit, which is what ties
+the gate error to the measurement trade-off bounds.
 """
 
 from __future__ import annotations
@@ -192,16 +192,13 @@ class _FidelityEvaluator:
         pairs = 4.0 * self._rows.T @ self._rows  # rows (a, i), columns (b, j)
         return pairs.reshape(8, 8, 8, 8).swapaxes(1, 2).reshape(64, 64)
 
-    def residuals(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """W = w x w, shape (n, 64), and r = W M^T at real coordinates w."""
-        self.evaluations += w.shape[0]
-        big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
-        return big_w, big_w @ self._rows.T
-
     def points(self, w: np.ndarray) -> np.ndarray:
         """Packed rows [w, W, S, F^2] at unit real coordinates w, shape
-        (n, 137), with S = r M = sum_k r_k Q_k flattened."""
-        big_w, res = self.residuals(w)
+        (n, 137), with W = w x w, r = W M^T and S = r M = sum_k r_k Q_k
+        flattened."""
+        self.evaluations += w.shape[0]
+        big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
+        res = big_w @ self._rows.T
         fsq = np.sum(res * res, axis=1, keepdims=True)
         return np.concatenate([w, big_w, res @ self._rows, fsq], axis=1)
 
@@ -215,19 +212,11 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     return math.sqrt(min(float(_FidelityEvaluator(impl).points(w[None, :])[0, _FSQ]), 1.0))
 
 
-def _seed_states() -> list[np.ndarray]:
-    """Deterministic starting states: the computational basis and all
-    equal-weight pairwise superpositions with phases 1 and i."""
-    states = [np.eye(4, dtype=np.complex128)[i] for i in range(4)]
-    inv = 1.0 / math.sqrt(2.0)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for ph in (1.0, 1.0j):
-                amps = np.zeros(4, dtype=np.complex128)
-                amps[i] = inv
-                amps[j] = ph * inv
-                states.append(amps)
-    return states
+# The descent's deterministic starting states: the computational basis and
+# all equal-weight pairwise superpositions with phases 1 and i.
+_SEED_STATES = np.concatenate([np.eye(4), _INV_SQRT2 * np.array([
+    np.eye(4)[i] + ph * np.eye(4)[j] for i, j in itertools.combinations(range(4), 2) for ph in (1, 1j)
+])])
 
 
 @dataclass(frozen=True)
@@ -258,7 +247,8 @@ class FidelityResult:
     error_probability: float
     worst_state: StateVector
     evaluations: int
-    fidelity_sq_lower: float = 0.0  # certified: min F^2 lies in [fidelity_sq_lower, fidelity_sq]
+    # certified: min F^2 lies in [fidelity_sq_lower, fidelity_sq]; 0.0 from given starts
+    fidelity_sq_lower: float = 0.0
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
     # every start's final state, one row of 4 amplitudes each: the ``starts``
     # of a search on a nearby implementation; in no report
@@ -325,7 +315,7 @@ def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
     larger ``restarts`` extends the same sequence.  They depend on the
     frozen config alone, so they are built once per config and shared
     read-only by every search that uses it."""
-    psi = np.array(_seed_states())
+    psi = _SEED_STATES
     labels = [f"seed-{i}" for i in range(len(psi))]
     if cfg.restarts > 0:
         g = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8))
@@ -337,62 +327,60 @@ def _search_starts(cfg: SearchConfig) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _newton_system(
-    ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray, curvature: float = 2.0
+    ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Riemannian Newton matrix N of F^2 on the unit sphere and
     the right-hand side, per packed row [w, W, S, F^2] of
     :meth:`_FidelityEvaluator.points`.
 
-    J w = 2 r and J^T r = 2 s with s = S w, so with J^T J = W K and the
-    weight c = ``curvature`` of S
+    J w = 2 r and J^T r = 2 s with s = S w, so with J^T J = W K
 
-        N = J^T J + c S - (u w^T + w u^T) + (damping - c F^2) I,
-        u = (c + 4) s - (c + 2) F^2 w.
+        N = J^T J + 2 S - (u w^T + w u^T) + (damping - 2 F^2) I,
+        u = 6 s - 4 F^2 w,
 
-    At c = 2, N = J^T J + 2 S - 6 (s w^T + w s^T) + 8 F^2 w w^T +
+    that is J^T J + 2 S - 6 (s w^T + w s^T) + 8 F^2 w w^T +
     (damping - 2 F^2) I: on the tangent space N minus the damping is half
     the Riemannian Hessian P (2 J^T J + 4 S) P - 4 F^2 P, P = I - w w^T,
     and N maps w itself to damping * w, so the solved move stays tangent.
-    At c = 0 it is the Gauss-Newton matrix T^T T + damping I of the
-    tangent Jacobian T = J P, which is positive definite.  The
-    right-hand side is T^T r = 2 (s - F^2 w).
+    The right-hand side is T^T r = 2 (s - F^2 w), with T = J P the
+    tangent Jacobian.
     """
     n = len(points)
     w, value = points[:, _W], points[:, _FSQ, None]
     s = (points[:, _S].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
     fw = value * w
-    u = (curvature + 4.0) * s - (curvature + 2.0) * fw
+    u = 6.0 * s - 4.0 * fw
     uw = u[:, :, None] * w[:, None, :]
     # W K row by row: one (n x 64)(64 x 64) product rounds a row by its batch,
     # and with it whether the row's Newton system is exactly singular
     matrix = (points[:, None, _BIG_W] @ ev._gram)[:, 0]
-    matrix += curvature * points[:, _S]
+    matrix += 2.0 * points[:, _S]
     matrix = matrix.reshape(n, 8, 8)
     matrix -= uw
     matrix -= np.swapaxes(uw, 1, 2)
-    matrix.reshape(n, 64)[:, ::9] += damping[:, None] - curvature * value
+    matrix.reshape(n, 64)[:, ::9] += damping[:, None] - 2.0 * value
     return matrix, 2.0 * (s - fw)
 
 
 def _newton_moves(
     ev: _FidelityEvaluator, points: np.ndarray, damping: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every row's Newton system; a row whose system is exactly
-    singular takes the Gauss-Newton move, whose matrix is positive
-    definite.  Rows are solved one by one only then, each on its own,
-    so no row's move depends on another row.  Returns moves and rhs."""
+    """Solve every row's Newton system.  A row whose system is exactly
+    singular gets a zero move and keeps its place: its trial is its own
+    point renormalised, which is rejected, so its damping doubles, off the
+    singular value.  Rows are solved one by one only then, each on its
+    own, so no row's move depends on another row.  Returns moves and rhs."""
     normal, rhs = _newton_system(ev, points, damping)
     try:
         return np.linalg.solve(normal, rhs[:, :, None])[:, :, 0], rhs
     except np.linalg.LinAlgError:
         pass
-    moves = np.empty_like(rhs)
+    moves = np.zeros_like(rhs)
     for i in range(len(rhs)):
         try:
             moves[i] = np.linalg.solve(normal[i], rhs[i])
         except np.linalg.LinAlgError:
-            gauss_newton = _newton_system(ev, points[i : i + 1], damping[i : i + 1], 0.0)[0][0]
-            moves[i] = np.linalg.solve(gauss_newton, rhs[i])
+            pass
     return moves, rhs
 
 
@@ -402,13 +390,10 @@ def _lower_fsq(ev: _FidelityEvaluator, points: np.ndarray) -> np.ndarray:
     For unit w', w'^T S w' = sum_k r_k r_k(w') <= |r| F(w'), so min F >=
     lambda_min(S) / |r|, |r| = F.  With m forms and machine epsilon e, delta
     covers the rounding of S = r M (m e F ||M||_F, Weyl), of eigvalsh
-    (backward stable, 32 e ||S||_F <= 32 e F ||M||_F) and of |r| (m e F^2).
-    A row whose diagonal, never below lambda_min, dips to delta gives 0."""
+    (backward stable, 32 e ||S||_F <= 32 e F ||M||_F) and of |r| (m e F^2)."""
     m, f = len(ev._rows), np.sqrt(points[:, _FSQ])
     delta = _EPS * f * ((m + 32) * ev._rows_norm + m * f)
-    lam = np.min(points[:, _S][:, ::9], axis=1)
-    open_rows = lam > delta
-    lam[open_rows] = np.linalg.eigvalsh(points[open_rows, _S].reshape(-1, 8, 8))[:, 0]
+    lam = np.linalg.eigvalsh(points[:, _S].reshape(-1, 8, 8))[:, 0]
     return (np.maximum(lam - delta, 0.0) / np.maximum(f, _TINY)) ** 2
 
 
@@ -429,8 +414,8 @@ def _sphere_descent(
     Newton rather than Gauss-Newton, because the minima sought have F^2
     well above zero, and at a minimum whose residual is not zero
     Gauss-Newton converges only linearly while Newton converges
-    quadratically.  A row whose Newton system is exactly singular takes
-    the Gauss-Newton step instead.  A step is kept only when it lowers
+    quadratically.  A row whose Newton system is exactly singular keeps
+    its place (:func:`_newton_moves`).  A step is kept only when it lowers
     the value; s grows by 1.5 after a kept step and halves after a
     rejected one, per start, within ``_MIN_STEP`` and ``_MAX_STEP``.
 
@@ -443,7 +428,8 @@ def _sphere_descent(
     lowered its F^2 by more than ``cfg.tol``; one is not enough, as every
     start may reject at once far from a minimum.  More starts never raise
     the minimum by more than ``tol``.  Returns the final states, their F^2
-    and largest lower value, and the trace.
+    and largest lower value (0.0, still valid, from given ``starts``: the
+    optimizer's warm pass never reads it), and the trace.
     """
     if starts is None:
         labels, psi = _search_starts(cfg)
@@ -485,7 +471,7 @@ def _sphere_descent(
         }
         for label, f0, f1 in zip(labels, initial, value)
     ]
-    lower = float(np.max(_lower_fsq(ev, points)))
+    lower = float(np.max(_lower_fsq(ev, points))) if starts is None else 0.0
     return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, lower, trace
 
 
@@ -575,11 +561,7 @@ def sigma_ceiling_fsq(sigma: float) -> float:
 
 
 def noise_fidelity_link(
-    impl: GateImplementation,
-    law: ConservationLaw,
-    *,
-    psi: StateVector | None = None,
-    fidelity: FidelityResult | None = None,
+    impl: GateImplementation, law: ConservationLaw, *, fidelity: FidelityResult | None = None
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
     """Chain from conservation to a hard fidelity ceiling.
 
@@ -606,12 +588,10 @@ def noise_fidelity_link(
     The chain's headline input is (|0> + i|1>)/sqrt(2), which maximizes
     |<[Z, X]>|; the equal-weight real superposition (|0> + |1>)/sqrt(2)
     makes the commutator expectation vanish, so it is evaluated and
-    recorded in the details rather than used for the headline numbers.
-    A given ``psi`` replaces the headline input in the first two reports
-    and adds a third pass; the ceiling's sigma is taken at the headline
-    input whatever ``psi`` is, as :func:`l3_moments` takes it, and all
-    three reports carry one digest of the implementation, the law and
-    the control state used.
+    recorded in the details, under ``plus_`` names, rather than used for
+    the headline numbers.  The ceiling's sigma is the headline input's,
+    as :func:`l3_moments` takes it, and all three reports carry one
+    digest of the implementation, the law and the headline input.
 
     ``fidelity`` is this implementation's worst-case search result, F
     being independent of the control state; when omitted it is computed
@@ -628,21 +608,20 @@ def noise_fidelity_link(
 
     view = measurement_view(impl)
     evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0]}
-    headline = bound_ingredients(view, law, _IPLUS, evolved)
-    main, alternates = headline, {"plus": bound_ingredients(view, law, _PLUS, evolved)}
-    if psi is not None:
-        main, alternates["iplus"] = bound_ingredients(view, law, psi, evolved), headline
-    details: dict[str, float] = dict(main)
-    for name, other in alternates.items():
-        details.update((f"{name}_{key}", val) for key, val in other.items())
-
-    noise_sq = main["eps"] ** 2 + main["eta"] ** 2
+    main, plus = (bound_ingredients(view, law, psi, evolved) for psi in (_IPLUS, _PLUS))
     result = fidelity if fidelity is not None else gate_fidelity(impl)
-    fsq, sigma = result.fidelity_sq, headline["sigma_l3"]
+    fsq, sigma = result.fidelity_sq, main["sigma_l3"]
     ceiling = sigma_ceiling_fsq(sigma)
-    details.update(fidelity=result.fidelity, fidelity_sq=fsq, ceiling_fsq=ceiling)
-    tag = digest(implementation=impl, law=law, psi=_IPLUS if psi is None else psi)
-    squared = main["commutator_abs"] ** 2 / (2.0 * (2.0 + main["sigma_l3"]) ** 2)
+    details = {
+        **main,
+        **{f"plus_{key}": val for key, val in plus.items()},
+        "fidelity": result.fidelity,
+        "fidelity_sq": fsq,
+        "ceiling_fsq": ceiling,
+    }
+    noise_sq = main["eps"] ** 2 + main["eta"] ** 2
+    tag = digest(implementation=impl, law=law, psi=_IPLUS)
+    squared = main["commutator_abs"] ** 2 / (2.0 * (2.0 + sigma) ** 2)
     return (
         BoundReport("squared-noise", "inequality", squared, noise_sq, tag, details),
         BoundReport("fidelity-link", "inequality", noise_sq, 8.0 * (1.0 - fsq), tag, details),
