@@ -41,8 +41,7 @@ from .measurement import (
     IndirectMeasurementModel,
     disturbance_operator,
     error_operator,
-    rms_disturbance,
-    rms_error,
+    rms_noise,
 )
 from .operators import (
     HilbertSpec,
@@ -180,8 +179,9 @@ def identity_reports(
     def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b - b @ a
 
-    rhs1 = comm(l1t, err) + comm(l2t, dist) + comm(l3t, dist)
-    rhs2 = comm(l1t, err) + comm(l2t, dist) + comm(l3t, err)
+    shared = comm(l1t, err) + comm(l2t, dist)
+    rhs1 = shared + comm(l3t, dist)
+    rhs2 = shared + comm(l3t, err)
     tag = digest(model=model, law=law)
     return (
         BoundReport("identity-1", "identity", float(np.linalg.norm(lhs - rhs1, ord=2)), 0.0, tag),
@@ -196,11 +196,13 @@ def bound_ingredients(
     """The trade-off bounds' ingredients at object state ``psi``: ``eps``,
     ``eta``, the deviation of each evolved charge U^dag L U in ``evolved``
     under its name, taken in the full input state, and ``commutator_abs``
-    = |<[A, L1]>|.  Every trade-off bound and the CNOT chain read these."""
+    = |<[A, L1]>|.  Every trade-off bound and the CNOT chain read these.
+    The input x is built once; ``eps`` and ``eta`` are read from U x."""
     state = model.initial_state(psi)
+    eps, eta = rms_noise(model, state)
     return {
-        "eps": rms_error(model, psi),
-        "eta": rms_disturbance(model, psi),
+        "eps": eps,
+        "eta": eta,
         **{name: std_dev(charge, state) for name, charge in evolved.items()},
         "commutator_abs": abs(expectation(commutator(model.observable, law.object_part), psi)),
     }

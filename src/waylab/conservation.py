@@ -152,6 +152,51 @@ class _Layout(NamedTuple):
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=128)
+def _block_layout(dims: tuple[int, ...]) -> _Layout:
+    """The :class:`_Layout` for these block dimensions, which are all it
+    reads: built once per signature, with read-only arrays to share."""
+    n = sum(dims)
+    counts = Counter(dims)  # block sizes in order of first appearance
+    groups: list[tuple[int, int, int]] = []
+    group_of: dict[int, int] = {}
+    offset = 0
+    for g, (d, k) in enumerate(counts.items()):
+        group_of[d] = g
+        groups.append((d, k, offset))
+        offset += k * d * d
+    placed = dict.fromkeys(counts, 0)
+    blocks: list[tuple[slice, int, int]] = []
+    diag: list[int] = []
+    diag_at: list[int] = []
+    sym: list[int] = []
+    anti: list[int] = []
+    upper_at: list[int] = []
+    lower_at: list[int] = []
+    frame = [0] * offset
+    col = pos = 0
+    for d in dims:
+        g, m = group_of[d], placed[d]
+        placed[d] += 1
+        blocks.append((slice(col, col + d), g, m))
+        at = groups[g][2] + m * d * d
+        iu, ju = _upper_pairs(d)
+        pairs = len(iu)
+        diag += range(pos, pos + d)
+        diag_at += range(at, at + d * d, d + 1)
+        sym += range(pos + d, pos + d + pairs)
+        anti += range(pos + d + pairs, pos + d * d)
+        upper_at += [at + i * d + j for i, j in zip(iu, ju)]
+        lower_at += [at + j * d + i for i, j in zip(iu, ju)]
+        frame[at : at + d * d] = [(col + i) * n + col + j for i in range(d) for j in range(d)]
+        col += d
+        pos += d * d
+    arrays = [np.array(x, dtype=np.intp) for x in (diag, diag_at, sym, anti, upper_at, lower_at, frame)]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return _Layout(tuple(groups), tuple(blocks), *arrays)
+
+
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
     """Orthonormal Hermitian basis of the commutant of a total charge.
@@ -169,14 +214,13 @@ class CommutantBasis:
     all orthonormal under the trace inner product.  Blocks appear in
     ascending order of eigenvalue.  The dense generators are never
     formed: coefficients map to Hermitian blocks in the eigenbasis and
-    back through one index layout (``_layout``), built once per basis.
-    It groups the blocks by dimension, so all blocks of one size are
-    filled, and exponentiated, as one stack.
+    back through one index layout (``_layout``), shared by every basis
+    with the same block dimensions.  It groups the blocks by dimension,
+    so all blocks of one size are filled, and exponentiated, as one stack.
     """
 
     eigenbasis: np.ndarray
     block_dims: tuple[int, ...]
-    eigenvalues: tuple[float, ...]
 
     @property
     def dim(self) -> int:
@@ -188,45 +232,7 @@ class CommutantBasis:
 
     @functools.cached_property
     def _layout(self) -> _Layout:
-        dims, n = self.block_dims, self.dim
-        counts = Counter(dims)  # block sizes in order of first appearance
-        groups: list[tuple[int, int, int]] = []
-        group_of: dict[int, int] = {}
-        offset = 0
-        for g, (d, k) in enumerate(counts.items()):
-            group_of[d] = g
-            groups.append((d, k, offset))
-            offset += k * d * d
-        placed = dict.fromkeys(counts, 0)
-        blocks: list[tuple[slice, int, int]] = []
-        diag: list[int] = []
-        diag_at: list[int] = []
-        sym: list[int] = []
-        anti: list[int] = []
-        upper_at: list[int] = []
-        lower_at: list[int] = []
-        frame = [0] * offset
-        col = pos = 0
-        for d in dims:
-            g, m = group_of[d], placed[d]
-            placed[d] += 1
-            blocks.append((slice(col, col + d), g, m))
-            at = groups[g][2] + m * d * d
-            iu, ju = _upper_pairs(d)
-            pairs = len(iu)
-            diag += range(pos, pos + d)
-            diag_at += range(at, at + d * d, d + 1)
-            sym += range(pos + d, pos + d + pairs)
-            anti += range(pos + d + pairs, pos + d * d)
-            upper_at += [at + i * d + j for i, j in zip(iu, ju)]
-            lower_at += [at + j * d + i for i, j in zip(iu, ju)]
-            frame[at : at + d * d] = [(col + i) * n + col + j for i in range(d) for j in range(d)]
-            col += d
-            pos += d * d
-        return _Layout(
-            tuple(groups), tuple(blocks),
-            *(np.array(x, dtype=np.intp) for x in (diag, diag_at, sym, anti, upper_at, lower_at, frame)),
-        )
+        return _block_layout(self.block_dims)
 
     def _block_stacks(self, coefficients: np.ndarray) -> list[np.ndarray]:
         """The Hermitian blocks of each size group as one (k, d, d) stack,
@@ -277,21 +283,12 @@ def commutant_basis(law: ConservationLaw) -> CommutantBasis:
     """
     total = law.total()
     vals, vecs = np.linalg.eigh(total.entries)
-    block_dims: list[int] = []
-    block_vals: list[float] = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > DEGENERACY_TOL:
-            block_dims.append(i - start)
-            block_vals.append(float(np.mean(vals[start:i])))
-            start = i
+    # a block ends wherever the ascending spectrum steps by more than the tolerance
+    ends = np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1
+    block_dims = np.diff(ends, prepend=0, append=len(vals))
     basis = np.array(vecs, copy=True)
     basis.setflags(write=False)
-    return CommutantBasis(
-        eigenbasis=basis,
-        block_dims=tuple(block_dims),
-        eigenvalues=tuple(block_vals),
-    )
+    return CommutantBasis(eigenbasis=basis, block_dims=tuple(block_dims.tolist()))
 
 
 def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Operator:

@@ -6,8 +6,8 @@ is read out on the probe.  The quality of the scheme for measuring a
 given object observable is captured by two root-mean-square figures:
 the error (pointer after the interaction vs. observable before) and the
 disturbance (observable after vs. before).  Both are defined through
-Heisenberg-picture operators on the total space, which is also where
-the conservation-law identities and bounds live.
+Heisenberg-picture operators E and D on the total space, where the
+identities live; the figures need only E x and D x, read from U x.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "CertificationResult",
     "error_operator",
     "disturbance_operator",
+    "rms_noise",
     "rms_error",
     "rms_disturbance",
     "is_precise",
@@ -92,7 +93,7 @@ class IndirectMeasurementModel:
     @functools.cached_property
     def _noise_operators(self) -> tuple[Operator, Operator]:
         """The error and disturbance operators, built once per model: the
-        model is immutable, so they cannot go stale."""
+        model is immutable, so they cannot go stale; only the identities read them."""
         measured = self._measured
         pointer = self.spec.embed(self.pointer, "probe")
         pointer_after, measured_after = evolve((pointer, measured), self.interaction)
@@ -118,19 +119,32 @@ def disturbance_operator(model: IndirectMeasurementModel) -> Operator:
     return model._noise_operators[1]
 
 
-def _rms(op: Operator, state: StateVector) -> float:
-    vec = op.entries @ state.amplitudes
-    return math.sqrt(max(float(np.real(np.vdot(vec, vec))), 0.0))
+def _noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E x = U^dag P U x - A x and D x = U^dag A U x - A x for the columns of ``x``,
+    with P and A applied on their own factor: O(d^2) a column, never forming E or D."""
+    s, u, a = model.spec, model.interaction.entries, model.observable.entries
+    ux = u @ x
+    ax = (a @ x.reshape(s.object_dim, -1)).reshape(x.shape)
+    a_ux = (a @ ux.reshape(s.object_dim, -1)).reshape(x.shape)
+    p_ux = (model.pointer.entries @ ux.reshape(s.object_dim, s.probe_dim, -1)).reshape(x.shape)
+    u_dag = u.conj().T
+    return u_dag @ p_ux - ax, u_dag @ a_ux - ax
+
+
+def rms_noise(model: IndirectMeasurementModel, state: StateVector) -> tuple[float, float]:
+    """<E^2>^(1/2) and <D^2>^(1/2) in the full input ``state``: the norms of E x and D x."""
+    err, dist = _noise_images(model, state.amplitudes[:, None])
+    return math.sqrt(np.vdot(err, err).real), math.sqrt(np.vdot(dist, dist).real)
 
 
 def rms_error(model: IndirectMeasurementModel, psi: StateVector) -> float:
     """Root-mean-square error <E^2>^(1/2) in the product input state."""
-    return _rms(error_operator(model), model.initial_state(psi))
+    return rms_noise(model, model.initial_state(psi))[0]
 
 
 def rms_disturbance(model: IndirectMeasurementModel, psi: StateVector) -> float:
     """Root-mean-square disturbance <D^2>^(1/2) in the product input state."""
-    return _rms(disturbance_operator(model), model.initial_state(psi))
+    return rms_noise(model, model.initial_state(psi))[1]
 
 
 @dataclass(frozen=True)
@@ -150,16 +164,17 @@ class CertificationResult:
         return self.ok
 
 
-def _certify(model: IndirectMeasurementModel, op: Operator) -> CertificationResult:
-    """Exact worst case of the rms of ``op`` over object states.
+def _certify(model: IndirectMeasurementModel, noise: int) -> CertificationResult:
+    """Exact worst case over object states of the rms error (``noise`` 0)
+    or disturbance (``noise`` 1).
 
     In the input psi x phi, with phi the probe (x ancilla) state, the
-    mean square of ``op`` is psi^dag G psi, where G is the Gram matrix
-    of ``op`` applied to each object basis state x phi.  The worst rms
-    is therefore sqrt(lambda_max(G)), attained at the top eigenvector.
+    mean square is psi^dag G psi, where G is the Gram matrix of the noise
+    images of each object basis state x phi (:func:`_noise_images`).  The
+    worst rms is therefore sqrt(lambda_max(G)), at the top eigenvector.
     """
     phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
-    images = op.entries.reshape(op.dim, model.spec.object_dim, phi.size) @ phi
+    images = _noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))[noise]
     values, vectors = np.linalg.eigh(images.conj().T @ images)
     worst = math.sqrt(max(float(values[-1]), 0.0))
     return CertificationResult(
@@ -173,7 +188,7 @@ def is_precise(model: IndirectMeasurementModel) -> CertificationResult:
     The exact worst case over object states (top Gram eigenvalue) is
     compared with ``PREDICATE_TOL``; its eigenvector is the witness.
     """
-    return _certify(model, error_operator(model))
+    return _certify(model, 0)
 
 
 def is_nondisturbing(model: IndirectMeasurementModel) -> CertificationResult:
@@ -182,4 +197,4 @@ def is_nondisturbing(model: IndirectMeasurementModel) -> CertificationResult:
     The exact worst case over object states (top Gram eigenvalue) is
     compared with ``PREDICATE_TOL``; its eigenvector is the witness.
     """
-    return _certify(model, disturbance_operator(model))
+    return _certify(model, 1)

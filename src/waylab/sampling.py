@@ -47,7 +47,8 @@ def random_integer_spectrum_hermitian(rng: np.random.Generator, dim: int) -> Ope
     spectrum = rng.integers(-2, 3, size=dim).astype(float)
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(raw)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    diag = r.diagonal()
+    q = q * (diag / np.abs(diag))
     return Operator((q * spectrum) @ q.conj().T, hermitian=True)
 
 

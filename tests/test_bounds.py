@@ -20,9 +20,15 @@ from waylab import (
     HilbertSpec,
     IndirectMeasurementModel,
     Operator,
+    SearchConfig,
     StateVector,
     cnot_unitary,
+    gate_fidelity,
     identity_reports,
+    is_nondisturbing,
+    is_precise,
+    measurement_view,
+    noise_fidelity_link,
     trade_off_reports,
 )
 import waylab.bounds
@@ -191,21 +197,42 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 
 def test_law_lifts_are_built_once(monkeypatch):
-    # the parent lifted each charge part again for every evolved-charge
-    # pass: 8 embeds per model and trade-off pass; now the law's three
-    # lifts and the model's pointer and observable
+    # each lift is built once: the law's three parts for the evolved
+    # charges, then the model's pointer and observable for the noise
+    # operators, which only the identities need (the trade-off pass
+    # applies P and A to U x on their own factors)
     calls = []
     embed = HilbertSpec.embed
     monkeypatch.setattr(HilbertSpec, "embed", lambda s, op, role: calls.append(role) or embed(s, op, role))
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     psi = _random_object_state(10)
     trade_off_reports(model, law, psi)
-    assert sorted(calls) == ["ancilla", "object", "object", "probe", "probe"]
+    assert sorted(calls) == ["ancilla", "object", "probe"]
     calls.clear()
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert calls == []  # [A, L1] takes the observable lift the noise operators made
+    assert sorted(calls) == ["object", "probe"]  # [A, L1] takes the observable lift the noise operators made
+    calls.clear()
+    identity_reports(model, law)
+    trade_off_reports(model, law, psi)
+    assert calls == []
+
+
+def test_noise_operators_are_built_only_for_the_identities():
+    # eps, eta and the certificates read E x and D x from U x; only the
+    # operator identities need the dense noise operators
+    model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
+    trade_off_reports(model, law, _random_object_state(10))
+    is_precise(model)
+    is_nondisturbing(model)
+    assert "_noise_operators" not in model.__dict__
+    identity_reports(model, law)
+    assert "_noise_operators" in model.__dict__
+    x_law = ConservationLaw(HilbertSpec((2, 2, 2)), pauli("X"), pauli("X"), pauli("X"))
+    impl = random_conserving_implementation(1, x_law)
+    noise_fidelity_link(impl, x_law, fidelity=gate_fidelity(impl, SearchConfig(restarts=1, max_iter=10)))
+    assert "_noise_operators" not in measurement_view(impl).__dict__
 
 
 def test_commuting_law_degenerates_gracefully():

@@ -32,7 +32,6 @@ from waylab import (
     commutant_basis,
     commutator,
     conserving_unitary,
-    error_operator,
     expectation,
     gate_fidelity,
     is_nondisturbing,
@@ -863,7 +862,6 @@ def test_sigma_ceiling_is_the_same_record_at_every_control_state(case):
 
 def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
     impl, law = _link_cases()[1]
-    error_operator(measurement_view(impl))  # the view's noise operators exist from here on
     evolve = waylab.operators.evolve
     calls = []
     for name, module in list(sys.modules.items()):

@@ -97,10 +97,27 @@ def test_commutant_generator_counts():
 
 
 def test_block_structure_matches_multiplicities():
-    # keys are clustered eigenvalues (floats), so compare with tolerance
-    basis = commutant_basis(_xx_law())
-    np.testing.assert_allclose(basis.eigenvalues, [-2.0, 0.0, 2.0], atol=1e-12)
+    # each block's charge value, read off the diagonal of the total
+    # charge in the eigenbasis (floats, so compared with tolerance)
+    law = _xx_law()
+    basis = commutant_basis(law)
     assert basis.block_dims == (1, 2, 1)
+    e = basis.eigenbasis
+    diagonal = np.real(np.diag(e.conj().T @ law.total().entries @ e))
+    ends = np.cumsum(basis.block_dims)
+    for value, block in zip([-2.0, 0.0, 2.0], np.split(diagonal, ends[:-1])):
+        np.testing.assert_allclose(block, value, atol=1e-12)
+    assert ends[-1] == diagonal.size
+
+
+def test_bases_with_one_block_signature_share_a_read_only_layout():
+    # X1 + X2 and Z1 + Z2 both split into blocks (1, 2, 1)
+    xx, zz = commutant_basis(_xx_law()), commutant_basis(ConservationLaw(HilbertSpec((2, 2)), Z, Z))
+    assert xx.block_dims == zz.block_dims == (1, 2, 1)
+    assert xx._layout is zz._layout
+    for arr in xx._layout[2:]:
+        assert not arr.flags.writeable
+    assert commutant_basis(_xxx_law())._layout is not xx._layout
 
 
 @pytest.mark.parametrize("law_fn", [_xx_law, _xxx_law])

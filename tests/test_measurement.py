@@ -6,6 +6,8 @@ input), while an uncoupled pointer has error sqrt(2 - 2<Z>) and the same
 coupling disturbs X on the control with RMS sqrt(2 - 2<X>_probe).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,10 +28,12 @@ from waylab import (
     rms_error,
     std_dev,
 )
-from waylab.cnot import pauli
+from waylab.cnot import measurement_view, pauli
+from waylab.conservation import ConservationLaw
 from waylab.measurement import CertificationResult
-from waylab.operators import evolve
-from waylab.sampling import random_conserving_model
+from waylab.operators import evolve, tensor_states
+from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
+from waylab.scenarios import build_boson, build_spin, way_positive_control
 
 from oracles import (
     OutcomeDistribution,
@@ -256,3 +260,50 @@ def test_predicates_report_the_exact_worst_case(dims):
             if dims[0] == 2:
                 assert verdict.worst_value <= sampled + 1e-4
             assert rms(model, verdict.witness) == pytest.approx(verdict.worst_value, abs=1e-9)
+
+
+def _heisenberg_figures(model, psi):
+    """(rms, worst case) of E and then of D, read from the dense
+    Heisenberg-picture operators: the norm of E x at x = psi x phi, and
+    the square root of the top eigenvalue of the Gram matrix of E
+    applied to each object basis state x phi."""
+    phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
+    state = model.initial_state(psi).amplitudes
+    figures = []
+    for op in (error_operator(model), disturbance_operator(model)):
+        images = op.entries.reshape(op.dim, model.spec.object_dim, phi.size) @ phi
+        top = np.linalg.eigvalsh(images.conj().T @ images)[-1]
+        figures.append((np.linalg.norm(op.entries @ state), math.sqrt(max(top, 0.0))))
+    return figures
+
+
+def _figure_cases():
+    for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):  # the CLI's default layouts
+        for seed in range(3):
+            yield f"random-{dims}-{seed}", random_conserving_model(seed, HilbertSpec(dims))[0]
+    for name, scenario in (("spin3", build_spin(3)), ("boson-nbar1", build_boson(1.0))):
+        for seed in range(2):
+            impl = random_conserving_implementation(
+                seed, scenario.law, ancilla_state=scenario.ancilla_state
+            )
+            yield f"{name}-view-{seed}", measurement_view(impl)
+    for basis, charge, observable in (("x", X, X), ("z", Z, Z), ("scalar", X, Operator(np.eye(2)))):
+        law = ConservationLaw(HilbertSpec((2, 2, 2)), charge, charge, charge)
+        yield f"positive-control-{basis}", way_positive_control(observable, law)
+
+
+@pytest.mark.parametrize("name, model", [pytest.param(*case, id=case[0]) for case in _figure_cases()])
+def test_figures_match_the_heisenberg_forms(name, model):
+    # eps, eta and the worst cases are read from U applied to the input;
+    # they agree with the dense noise operators to rounding
+    psi = random_state(np.random.default_rng(len(name)), model.spec.object_dim)
+    (eps, worst_e), (eta, worst_d) = _heisenberg_figures(model, psi)
+    for value, reference in (
+        (rms_error(model, psi), eps),
+        (rms_disturbance(model, psi), eta),
+        (is_precise(model).worst_value, worst_e),
+        (is_nondisturbing(model).worst_value, worst_d),
+    ):
+        assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
+    if name.startswith("positive-control"):
+        assert max(is_precise(model).worst_value, is_nondisturbing(model).worst_value) <= 1e-12

@@ -19,7 +19,7 @@ MODULE_ALL = {
     },
     "measurement": {
         "IndirectMeasurementModel", "CertificationResult",
-        "error_operator", "disturbance_operator", "rms_error", "rms_disturbance",
+        "error_operator", "disturbance_operator", "rms_noise", "rms_error", "rms_disturbance",
         "is_precise", "is_nondisturbing",
     },
     "conservation": {
