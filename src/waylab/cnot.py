@@ -79,8 +79,9 @@ def pauli(name: str) -> Operator:
     return Operator(_PAULI[key], hermitian=True, unitary=True)
 
 
+@functools.cache
 def cnot_unitary() -> Operator:
-    """Ideal CNOT on control x target: |a, b> -> |a, b xor a>."""
+    """Ideal CNOT on control x target: |a, b> -> |a, b xor a>, built once."""
     mat = np.zeros((4, 4), dtype=np.complex128)
     for a in (0, 1):
         for b in (0, 1):
@@ -88,6 +89,7 @@ def cnot_unitary() -> Operator:
     return Operator(mat, hermitian=True, unitary=True)
 
 
+_CNOT_DAG = cnot_unitary().entries.conj().T  # every evaluator's C^dag
 _READY, _Z = StateVector.basis(2, 0), pauli("Z")  # every measurement view's target state and readout
 # The noise-fidelity chain's two control states: (|0> + i|1>)/sqrt(2)
 # maximizes |<[Z, X]>| (value 2) and is its headline input;
@@ -178,8 +180,9 @@ class _FidelityEvaluator:
         d_anc = impl.spec.ancilla_dim
         xi = impl.ancilla_state.amplitudes
         kraus = (impl.unitary.entries.reshape(4, d_anc, 4, d_anc) @ xi).transpose(1, 0, 2)
-        self.forms = cnot_unitary().entries.conj().T @ kraus
-        m = np.block([[self.forms, 1j * self.forms], [-1j * self.forms, self.forms]])
+        self.forms = forms = _CNOT_DAG @ kraus
+        top = np.concatenate([forms, 1j * forms], axis=2)
+        m = np.concatenate([top, np.concatenate([-1j * forms, forms], axis=2)], axis=1)
         sym = 0.5 * (m + m.transpose(0, 2, 1))
         self._rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 64)
         self._rows_norm = float(np.linalg.norm(self._rows))  # ||S||_F <= |r| ||M||_F
@@ -195,12 +198,16 @@ class _FidelityEvaluator:
     def points(self, w: np.ndarray) -> np.ndarray:
         """Packed rows [w, W, S, F^2] at unit real coordinates w, shape
         (n, 137), with W = w x w, r = W M^T and S = r M = sum_k r_k Q_k
-        flattened."""
-        self.evaluations += w.shape[0]
-        big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
+        flattened; each call writes them into one new array."""
+        n = w.shape[0]
+        self.evaluations += n
+        out = np.empty((n, 137))
+        out[:, _W], big_w = w, out[:, _BIG_W]
+        np.multiply(w[:, :, None], w[:, None, :], out=big_w.reshape(n, 8, 8))
         res = big_w @ self._rows.T
-        fsq = np.sum(res * res, axis=1, keepdims=True)
-        return np.concatenate([w, big_w, res @ self._rows, fsq], axis=1)
+        np.matmul(res, self._rows, out=out[:, _S])
+        np.add.reduce(res * res, axis=1, out=out[:, _FSQ])
+        return out
 
 
 def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
@@ -346,18 +353,17 @@ def _newton_system(
     tangent Jacobian.
     """
     n = len(points)
-    w, value = points[:, _W], points[:, _FSQ, None]
-    s = (points[:, _S].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
+    w, value, big_s = points[:, _W], points[:, _FSQ, None], points[:, _S].reshape(n, 8, 8)
+    s = (big_s @ w[:, :, None])[:, :, 0]
     fw = value * w
     u = 6.0 * s - 4.0 * fw
     uw = u[:, :, None] * w[:, None, :]
     # W K row by row: one (n x 64)(64 x 64) product rounds a row by its batch,
     # and with it whether the row's Newton system is exactly singular
-    matrix = (points[:, None, _BIG_W] @ ev._gram)[:, 0]
-    matrix += 2.0 * points[:, _S]
-    matrix = matrix.reshape(n, 8, 8)
+    matrix = (points[:, None, _BIG_W] @ ev._gram).reshape(n, 8, 8)
+    matrix += 2.0 * big_s
     matrix -= uw
-    matrix -= np.swapaxes(uw, 1, 2)
+    matrix -= uw.transpose(0, 2, 1)
     matrix.reshape(n, 64)[:, ::9] += damping[:, None] - 2.0 * value
     return matrix, 2.0 * (s - fw)
 
@@ -452,24 +458,21 @@ def _sphere_descent(
                 if 0.0 < lower and value[k] - lower <= cfg.tol:
                     break
         iterations += 1
-        trial = points[:, _W] - moves
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial = np.subtract(points[:, _W], moves, out=moves)
+        trial /= np.sqrt(np.add.reduce(trial * trial, axis=1, keepdims=True))
         trial_points = ev.points(trial)
         better = trial_points[:, _FSQ] < value
-        gain = float(np.max(value - trial_points[:, _FSQ], where=better, initial=0.0))
-        points[better] = trial_points[better]
+        # rows that are not better add nothing: their gain is <= 0 or NaN, which fmax skips
+        gain = float(np.fmax.reduce(value - trial_points[:, _FSQ], initial=0.0))
+        np.copyto(points, trial_points, where=better[:, None])
         step *= np.where(better, 1.5, 0.5)
         np.minimum(step, _MAX_STEP, out=step)
         np.maximum(step, _MIN_STEP, out=step)
         quiet = quiet + 1 if gain <= cfg.tol else 0
+    firsts, finals = (np.sqrt(np.maximum(f, 0.0)).tolist() for f in (initial, value))
     trace = [
-        {
-            "start": label,
-            "initial": math.sqrt(max(float(f0), 0.0)),
-            "final": math.sqrt(max(float(f1), 0.0)),
-            "iterations": float(iterations),
-        }
-        for label, f0, f1 in zip(labels, initial, value)
+        {"start": label, "initial": f0, "final": f1, "iterations": float(iterations)}
+        for label, f0, f1 in zip(labels, firsts, finals)
     ]
     lower = float(np.max(_lower_fsq(ev, points))) if starts is None else 0.0
     return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, lower, trace

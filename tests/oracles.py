@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Any, Literal
 
 import numpy as np
 
-from waylab.cnot import GateImplementation, cnot_unitary, implementation_to_json
+from waylab.cnot import GateImplementation, SearchConfig, cnot_unitary, implementation_to_json
 from waylab.conservation import CommutantBasis, ConservationLaw
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import (
@@ -420,6 +421,136 @@ def kraus_lower_fsq(impl: GateImplementation, psi: StateVector) -> float:
     c = z / np.linalg.norm(z)
     b = np.einsum("a,aij->ij", c.conj(), forms)
     return max(0.0, float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])) ** 2
+
+
+def reference_evaluator(impl: GateImplementation) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The descent's fixed matrices in their plain formulation: the forms
+    A_a = C^dag K_a, the m x 64 rows M of the symmetrized real forms
+    [[A, iA], [-iA, A]] (``np.block``), ||M||_F, and K = 4 M^T M laid out
+    so that W K, read as 8 x 8, is J^T J."""
+    d_anc = impl.spec.ancilla_dim
+    xi = impl.ancilla_state.amplitudes
+    kraus = (impl.unitary.entries.reshape(4, d_anc, 4, d_anc) @ xi).transpose(1, 0, 2)
+    forms = cnot_unitary().entries.conj().T @ kraus
+    m = np.block([[forms, 1j * forms], [-1j * forms, forms]])
+    sym = 0.5 * (m + m.transpose(0, 2, 1))
+    rows = np.concatenate([sym.real, sym.imag]).reshape(-1, 64)
+    pairs = 4.0 * rows.T @ rows
+    gram = pairs.reshape(8, 8, 8, 8).swapaxes(1, 2).reshape(64, 64)
+    return forms, rows, float(np.linalg.norm(rows)), gram
+
+
+def reference_points(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Packed rows [w, W, S, F^2] at unit real coordinates w, one array per
+    piece, joined at the end: W = w x w, r = W M^T, S = r M, F^2 = sum r^2."""
+    big_w = (w[:, :, None] * w[:, None, :]).reshape(w.shape[0], 64)
+    res = big_w @ rows.T
+    fsq = np.sum(res * res, axis=1, keepdims=True)
+    return np.concatenate([w, big_w, res @ rows, fsq], axis=1)
+
+
+def _reference_moves(gram: np.ndarray, points: np.ndarray, damping: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's damped Newton move and right-hand side, with the matrix
+    built term by term; a row whose system is exactly singular stays put."""
+    n = len(points)
+    w, value = points[:, :8], points[:, 136, None]
+    s = (points[:, 72:136].reshape(n, 8, 8) @ w[:, :, None])[:, :, 0]
+    fw = value * w
+    u = 6.0 * s - 4.0 * fw
+    uw = u[:, :, None] * w[:, None, :]
+    matrix = (points[:, None, 8:72] @ gram)[:, 0]
+    matrix += 2.0 * points[:, 72:136]
+    matrix = matrix.reshape(n, 8, 8)
+    matrix -= uw
+    matrix -= np.swapaxes(uw, 1, 2)
+    matrix.reshape(n, 64)[:, ::9] += damping[:, None] - 2.0 * value
+    rhs = 2.0 * (s - fw)
+    try:
+        return np.linalg.solve(matrix, rhs[:, :, None])[:, :, 0], rhs
+    except np.linalg.LinAlgError:
+        pass
+    moves = np.zeros_like(rhs)
+    for i in range(n):
+        try:
+            moves[i] = np.linalg.solve(matrix[i], rhs[i])
+        except np.linalg.LinAlgError:
+            pass
+    return moves, rhs
+
+
+def _reference_lower(rows: np.ndarray, rows_norm: float, points: np.ndarray) -> np.ndarray:
+    """lambda_min(S) / F, less the stated rounding allowance, squared, per row."""
+    m, f = len(rows), np.sqrt(points[:, 136])
+    delta = np.finfo(float).eps * f * ((m + 32) * rows_norm + m * f)
+    lam = np.linalg.eigvalsh(points[:, 72:136].reshape(-1, 8, 8))[:, 0]
+    return (np.maximum(lam - delta, 0.0) / np.maximum(f, np.finfo(float).tiny)) ** 2
+
+
+def reference_descent(
+    impl: GateImplementation, cfg: SearchConfig, starts: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, float, list[dict[str, float]], int]:
+    """The batched damped Riemannian Newton descent of ``gate_fidelity``,
+    written out plainly: packed rows from :func:`reference_points`, row
+    norms from ``np.linalg.norm``, accepted rows copied by boolean index,
+    the gain as ``np.max(..., where=better)`` and the trace one
+    ``math.sqrt`` per start.  The starts are the 16 seed states and
+    ``cfg.restarts`` normalised complex Gaussian rows of
+    ``default_rng(cfg.seed)``, or the unit rows ``starts``.  Returns the
+    final states, their F^2, the largest certified lower value (0.0 from
+    given starts), the trace and the number of states evaluated."""
+    _, rows, rows_norm, gram = reference_evaluator(impl)
+    if starts is None:
+        eye, half = np.eye(4), 1.0 / math.sqrt(2.0)
+        pairs = [eye[i] + ph * eye[j] for i, j in itertools.combinations(range(4), 2) for ph in (1, 1j)]
+        psi = np.concatenate([eye, half * np.array(pairs)])
+        labels = [f"seed-{i}" for i in range(len(psi))]
+        if cfg.restarts > 0:
+            g = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8))
+            extra = g[:, :4] + 1j * g[:, 4:]
+            psi = np.concatenate([psi, extra / np.linalg.norm(extra, axis=1, keepdims=True)])
+            labels += [f"random-{i}" for i in range(cfg.restarts)]
+    else:
+        labels, psi = [f"given-{i}" for i in range(len(starts))], starts
+    w = np.concatenate([psi.real, psi.imag], axis=1)
+    evaluations = len(w)
+    points = reference_points(rows, w)
+    value = points[:, 136]
+    initial = value.copy()
+    step, checked = np.full(len(labels), 0.25), np.zeros(len(labels), dtype=bool)
+    iterations = quiet = 0
+    while iterations < cfg.max_iter and quiet < 2:
+        moves, rhs = _reference_moves(gram, points, 0.5 / step)
+        k = int(value.argmin())
+        if not checked[k]:
+            g = 0.5 * math.sqrt(float(rhs[k] @ rhs[k]))
+            if g * g <= (2.0 * math.sqrt(value[k]) * rows_norm + g) * cfg.tol:
+                checked[k] = True
+                lower = float(_reference_lower(rows, rows_norm, points[k : k + 1])[0])
+                if 0.0 < lower and value[k] - lower <= cfg.tol:
+                    break
+        iterations += 1
+        trial = points[:, :8] - moves
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        evaluations += len(trial)
+        trial_points = reference_points(rows, trial)
+        better = trial_points[:, 136] < value
+        gain = float(np.max(value - trial_points[:, 136], where=better, initial=0.0))
+        points[better] = trial_points[better]
+        step *= np.where(better, 1.5, 0.5)
+        np.minimum(step, 1e6, out=step)
+        np.maximum(step, 1e-12, out=step)
+        quiet = quiet + 1 if gain <= cfg.tol else 0
+    trace = [
+        {
+            "start": label,
+            "initial": math.sqrt(max(float(f0), 0.0)),
+            "final": math.sqrt(max(float(f1), 0.0)),
+            "iterations": float(iterations),
+        }
+        for label, f0, f1 in zip(labels, initial, value)
+    ]
+    lower = float(np.max(_reference_lower(rows, rows_norm, points))) if starts is None else 0.0
+    return points[:, :4] + 1j * points[:, 4:8], value, lower, trace, evaluations
 
 
 def grid_search_fidelity(

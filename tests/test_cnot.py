@@ -65,6 +65,7 @@ from waylab.operators import moments
 from waylab.scenarios import OptimizeConfig, build_boson, build_spin, optimize_fidelity, projected_gate_coefficients
 from waylab.serialize import digest
 
+import oracles
 from oracles import (
     angle_states,
     channel_apply,
@@ -72,6 +73,9 @@ from oracles import (
     kraus_fidelity_sq,
     kraus_forms,
     kraus_lower_fsq,
+    reference_descent,
+    reference_evaluator,
+    reference_points,
 )
 
 
@@ -750,6 +754,132 @@ def test_singular_row_keeps_its_place(case, known):
             own = np.zeros(8)
         assert moves[i].tobytes() == own.tobytes(), label
     assert known in singular
+
+
+@pytest.mark.parametrize("name, d_anc", [("xx-2", 1), ("spin-3", 2), ("boson-1", 13), ("boson-4", 23)])
+def test_evaluator_matches_the_plain_formulation(name, d_anc):
+    # the module's C^dag and two concatenations build the same forms, M,
+    # ||M||_F and K, bit for bit, as cnot_unitary() and np.block do
+    impl = _newton_case(name)
+    assert impl.spec.ancilla_dim == d_anc
+    ev = _FidelityEvaluator(impl)
+    forms, rows, rows_norm, gram = reference_evaluator(impl)
+    assert ev.forms.tobytes() == forms.tobytes()
+    assert ev._rows.tobytes() == rows.tobytes()
+    assert ev._rows_norm.hex() == rows_norm.hex()
+    assert ev._gram.tobytes() == gram.tobytes()
+
+
+@pytest.mark.parametrize("name, m", [("spin-3", 4), ("boson-4", 46)])
+@pytest.mark.parametrize("count", [1, 20, 48])
+def test_packed_rows_match_the_plain_formulation(name, m, count):
+    # one array written piece by piece holds what joining the pieces holds,
+    # also from a strided view of w, and every call returns its own array:
+    # the descent keeps the current rows and copies accepted trial rows in
+    impl = _newton_case(name)
+    ev = _FidelityEvaluator(impl)
+    assert ev._rows.shape == (m, 64)
+    w = _unit_rows(np.random.default_rng(count), count)
+    expected = reference_points(reference_evaluator(impl)[1], w)
+    strided = np.concatenate([w, w], axis=1)[:, :8]
+    first, second, third = ev.points(w), ev.points(w), ev.points(strided)
+    for got in (first, second, third):
+        assert np.array_equal(got, expected)
+        assert got.dtype == np.float64 and got.shape == (count, 137) and got.flags.c_contiguous
+    assert not np.shares_memory(first, second) and not np.shares_memory(second, third)
+    assert not np.shares_memory(first, w)
+    assert ev.evaluations == 3 * count
+
+
+def _hexed(trace) -> list[dict]:
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in t.items()} for t in trace]
+
+
+def _assert_search_is_the_reference(impl: GateImplementation, cfg: SearchConfig, starts=None):
+    res = gate_fidelity(impl, cfg, starts=starts)
+    psis, values, lower, trace, evaluations = reference_descent(impl, cfg, starts)
+    k = int(np.argmin(values))
+    assert res.final_states.tobytes() == psis.tobytes()
+    assert res.worst_state.amplitudes.tobytes() == StateVector.from_amplitudes(psis[k]).amplitudes.tobytes()
+    assert res.fidelity_sq.hex() == min(max(float(values[k]), 0.0), 1.0).hex()
+    assert res.fidelity_sq_lower.hex() == lower.hex()
+    assert res.evaluations == evaluations
+    assert _hexed(res.trace) == _hexed(trace)
+    return res
+
+
+def _eval_boson_case(nbar: float) -> GateImplementation:
+    sc = build_boson(nbar)
+    basis = commutant_basis(sc.law)
+    return random_conserving_implementation(
+        int(10 * nbar), sc.law, basis=basis, ancilla_state=sc.ancilla_state
+    )
+
+
+@pytest.mark.parametrize("case", ["spin3-0", "spin3-1", "boson-1", "boson-2", "boson-4", "projected-spin3"])
+def test_search_is_the_reference_descent_bit_for_bit(case):
+    # final states, F^2, lower value, evaluations and trace, against the
+    # descent written out plainly; the projected gate's seed-14 row has an
+    # exactly singular Newton system at the first damping 2
+    if case.startswith("spin3-"):
+        impl = _spin3_implementations()[int(case[-1])]
+    elif case.startswith("boson-"):
+        impl = _eval_boson_case(float(case.removeprefix("boson-")))
+    else:
+        impl = _projected_spin3()
+    res = _assert_search_is_the_reference(impl, SearchConfig(restarts=4, max_iter=80, seed=len(case)))
+    assert res.trace[0]["iterations"] > 2.0
+
+
+def test_warm_pass_is_the_reference_descent_bit_for_bit():
+    # the optimizer's warm pass: a few steps on a nearby implementation
+    # from every final state of the current one's search
+    first, second = _spin3_implementations()
+    cold = gate_fidelity(first, SearchConfig(restarts=4, max_iter=80))
+    warm = SearchConfig(restarts=4, max_iter=waylab.scenarios.WARM_STEPS)
+    res = _assert_search_is_the_reference(second, warm, starts=cold.final_states)
+    assert res.trace[0]["start"] == "given-0" and res.fidelity_sq_lower == 0.0
+
+
+def _spoiled(points, row: int, rest: float | None):
+    """``points`` whose second call, the search's first trial, reads F^2 =
+    NaN at ``row``; with ``rest``, every other trial F^2 reads ``rest``."""
+    calls = []
+
+    def spoiled(*args):
+        out = points(*args)
+        calls.append(len(out))
+        if len(calls) > 1 and rest is not None:
+            out[:, _FSQ] = rest
+        if len(calls) == 2:
+            out[row, _FSQ] = np.nan
+        return out
+
+    return spoiled
+
+
+@pytest.mark.parametrize("rest", [None, np.inf], ids=["once", "stalled"])
+def test_non_finite_trial_is_never_a_gain(monkeypatch, rest):
+    # a trial whose F^2 reads NaN is not better, so its row keeps its place,
+    # and it adds nothing to the gain: with every other trial worse
+    # ("stalled") the search is quiet twice and stops after two steps,
+    # as the descent written out with np.max(..., where=better) does
+    impl = _spin3_implementations()[0]
+    points, reference = _FidelityEvaluator.points, oracles.reference_points
+    for cfg in (SearchConfig(restarts=4, max_iter=80), SearchConfig(restarts=4, max_iter=1, tol=-1.0)):
+        monkeypatch.setattr(_FidelityEvaluator, "points", _spoiled(points, 3, rest))
+        monkeypatch.setattr(oracles, "reference_points", _spoiled(reference, 3, rest))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _assert_search_is_the_reference(impl, cfg)
+        steps = res.trace[0]["iterations"]
+        if rest is None and cfg.max_iter > 1:
+            assert steps > 2.0  # the row went on after its one NaN
+            continue
+        np.testing.assert_array_equal(res.final_states[3], _search_starts(cfg)[1][3])
+        assert res.trace[3]["final"] == res.trace[3]["initial"]
+        if rest is not None:
+            assert steps == min(2.0, cfg.max_iter) and res.evaluations == len(res.trace) * (1 + steps)
 
 
 def test_conserving_two_qubit_implementations_are_blind():
