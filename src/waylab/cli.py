@@ -399,6 +399,8 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
     samples = _nonnegative_int("samples_per", _pick(args, config, "samples_per", 3))
     strength = _real("strength", _pick(args, config, "strength", DEFAULT_STRENGTH))
+    if not math.isfinite(strength):  # a negative strength is a valid draw
+        raise _UsageError(f"strength must be finite, got {strength!r}")
     tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL))
     search = _search_config(config, replace(OptimizeConfig().inner, seed=seed), args.restarts)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -291,47 +291,50 @@ def commutant_basis(law: ConservationLaw) -> CommutantBasis:
     return CommutantBasis(eigenbasis=basis, block_dims=tuple(block_dims.tolist()))
 
 
-def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Operator:
-    """``exp(-i sum_k c_k B_k)`` over the commutant basis.
+def conserving_exponential(
+    basis: CommutantBasis, coefficients: np.ndarray
+) -> tuple[Operator, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """U = ``exp(-i sum_k c_k B_k)`` over the commutant basis, and the map
+    (bra, ket) -> Re <bra| dU/dc_k |ket> for every k at the same point.
 
     The generator is block diagonal in the charge eigenbasis, so the
     exponential is taken block by block, with one eigendecomposition per
     block size: the blocks of each size are exponentiated as one stack.
-    The result commutes with the total charge by construction.
-    """
-    block_unitaries = []
-    for h in basis._block_stacks(coefficients):
-        w, v = np.linalg.eigh(h)
-        block_unitaries.append((v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2))
-    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    for cols, g, m in basis._layout.blocks:
-        c = basis.eigenbasis[:, cols]
-        u += c @ block_unitaries[g][m] @ c.conj().T
-    return Operator(u, unitary=True)
+    U commutes with the total charge by construction.
 
-
-def unitary_gradient(
-    basis: CommutantBasis, coefficients: np.ndarray, bra: np.ndarray, ket: np.ndarray
-) -> np.ndarray:
-    """Re <bra| dU/dc_k |ket> for every k, U = ``conserving_unitary``.
-
-    With a block-size stack h = V diag(w) V^dag, the derivative of
-    exp(-i h) along a block B is V (Gamma o V^dag B V) V^dag
-    (Daleckii-Krein), with the divided differences of exp(-i x) in a
-    form without branches, exact also on coinciding eigenvalues:
+    The map reads the same eigensystems.  With a block-size stack
+    h = V diag(w) V^dag, the derivative of exp(-i h) along a block B is
+    V (Gamma o V^dag B V) V^dag (Daleckii-Krein), with the divided
+    differences of exp(-i x) in a form without branches, exact also on
+    coinciding eigenvalues:
     Gamma_ij = -i exp(-i (w_i + w_j)/2) sinc((w_i - w_j)/2).  So
     <bra|dU|ket> = tr(B T), T = V (Gamma o V^dag Y V) V^dag with Y the
     blocks of |ket><bra| in the eigenbasis, read off by ``_pairings``.
     """
     lay = basis._layout
-    e_dag = basis.eigenbasis.conj().T
-    y = np.outer(e_dag @ ket, (e_dag @ bra).conj()).reshape(-1)[lay.frame]
-    out = []
-    for (d, k, at), h in zip(lay.groups, basis._block_stacks(coefficients)):
-        w, v = np.linalg.eigh(h)
-        v_dag = v.conj().swapaxes(1, 2)
-        w_i, w_j = w[:, :, None], w[:, None, :]
-        gamma = -1j * np.exp(-0.5j * (w_i + w_j)) * np.sinc((w_i - w_j) / (2.0 * np.pi))
-        t = v @ (gamma * (v_dag @ y[at : at + k * d * d].reshape(k, d, d) @ v)) @ v_dag
-        out.append(t.reshape(-1))
-    return basis._pairings(np.concatenate(out))
+    stacks = basis._block_stacks(coefficients)
+    eigen = [(w, v, v.conj().swapaxes(1, 2)) for w, v in map(np.linalg.eigh, stacks)]
+    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    block_unitaries = [(v * np.exp(-1j * w)[:, None, :]) @ v_dag for w, v, v_dag in eigen]
+    for cols, g, m in lay.blocks:
+        c = basis.eigenbasis[:, cols]
+        u += c @ block_unitaries[g][m] @ c.conj().T
+
+    def derivative(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
+        e_dag = basis.eigenbasis.conj().T
+        y = np.outer(e_dag @ ket, (e_dag @ bra).conj()).reshape(-1)[lay.frame]
+        out = []
+        for (d, k, at), (w, v, v_dag) in zip(lay.groups, eigen):
+            w_i, w_j = w[:, :, None], w[:, None, :]
+            gamma = -1j * np.exp(-0.5j * (w_i + w_j)) * np.sinc((w_i - w_j) / (2.0 * np.pi))
+            t = v @ (gamma * (v_dag @ y[at : at + k * d * d].reshape(k, d, d) @ v)) @ v_dag
+            out.append(t.reshape(-1))
+        return basis._pairings(np.concatenate(out))
+
+    return Operator(u, unitary=True), derivative
+
+
+def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Operator:
+    """``exp(-i sum_k c_k B_k)`` over the commutant basis: the unitary of
+    :func:`conserving_exponential`, which commutes with the total charge."""
+    return conserving_exponential(basis, coefficients)[0]

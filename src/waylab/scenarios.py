@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import gammaln, pdtrc
@@ -38,8 +38,7 @@ from .conservation import (
     CommutantBasis,
     ConservationLaw,
     commutant_basis,
-    conserving_unitary,
-    unitary_gradient,
+    conserving_exponential,
 )
 from .measurement import IndirectMeasurementModel
 from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator
@@ -409,12 +408,12 @@ def optimize_fidelity(
 
     def evaluate(
         coeffs: np.ndarray, search: SearchConfig | None = None, current: FidelityResult | None = None
-    ) -> tuple[FidelityResult, GateImplementation]:
-        """Score a point; a warm pass that rejects a trial stands as its result."""
+    ) -> tuple[FidelityResult, GateImplementation, Callable[..., np.ndarray]]:
+        """Score a point, kept with its implementation and the derivative
+        of its U; a warm pass that rejects a trial stands as its result."""
         nonlocal min_gap, evaluations, sigma
-        impl = GateImplementation(
-            scenario.spec, conserving_unitary(basis, coeffs), scenario.ancilla_state
-        )
+        u, derivative = conserving_exponential(basis, coeffs)
+        impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
         if is_boson:
             sigma = l3_moments(impl, scenario.law)[1]
             ceiling = sigma_ceiling_fsq(sigma)
@@ -433,14 +432,16 @@ def optimize_fidelity(
             raise CeilingViolation(
                 scenario.label, tuple(float(c) for c in coeffs), res.fidelity_sq, ceiling
             )
-        return res, impl
+        return res, impl, derivative
 
-    def gradient(coeffs: np.ndarray, res: FidelityResult, impl: GateImplementation) -> np.ndarray:
-        """dF^2/dc at the worst state psi (Danskin)."""
+    def gradient(
+        res: FidelityResult, impl: GateImplementation, derivative: Callable[..., np.ndarray]
+    ) -> np.ndarray:
+        """dF^2/dc at the scored point's worst state psi (Danskin)."""
         psi = res.worst_state.amplitudes
         ket = np.kron(psi, impl.ancilla_state.amplitudes)
         z = (cnot @ psi).conj() @ (impl.unitary.entries @ ket).reshape(4, -1)
-        return 2.0 * unitary_gradient(basis, coeffs, np.kron(cnot @ psi, z), ket)
+        return 2.0 * derivative(np.kron(cnot @ psi, z), ket)
 
     rng = np.random.default_rng(cfg.seed)
     given = [projected_gate_coefficients(scenario, basis)]
@@ -454,16 +455,16 @@ def optimize_fidelity(
     trace: list[dict[str, float]] = []
     for i, x0 in enumerate(starts):
         x = np.clip(x0, -COEFF_BOX, COEFF_BOX)
-        here, impl = evaluate(x)
+        here, impl, derivative = evaluate(x)
         f0 = f = here.fidelity_sq
-        grad = gradient(x, here, impl)
+        grad = gradient(here, impl, derivative)
         step, iterations = STEP_INIT, 0
         while iterations < cfg.max_iter and step >= STEP_FLOOR and grad.any():
             iterations += 1
             trial = np.clip(x + step / np.linalg.norm(grad) * grad, -COEFF_BOX, COEFF_BOX)
-            res, impl = evaluate(trial, current=here)
+            res, impl, derivative = evaluate(trial, current=here)
             if res.fidelity_sq > f:
-                x, f, here, grad = trial, res.fidelity_sq, res, gradient(trial, res, impl)
+                x, f, here, grad = trial, res.fidelity_sq, res, gradient(res, impl, derivative)
                 step *= 1.5
             else:
                 step *= 0.5
@@ -476,7 +477,7 @@ def optimize_fidelity(
     # upper bounds on the true worst-case fidelity (a finite inner
     # search can miss the minimizing input), so the reported number
     # comes from the heavier FINAL_SEARCH.
-    final, _ = evaluate(best_x, FINAL_SEARCH)
+    final, *_ = evaluate(best_x, FINAL_SEARCH)
     details: dict[str, float] = {"search_estimate_fsq": best_fsq}
     if is_boson:
         details["sigma_l3_at_best"] = sigma
@@ -494,14 +495,6 @@ def optimize_fidelity(
         details=details,
         trace=tuple(trace),
     )
-
-
-def _swap_two_qubits() -> np.ndarray:
-    swap = np.zeros((4, 4), dtype=np.complex128)
-    for y in (0, 1):
-        for z in (0, 1):
-            swap[2 * z + y, 2 * y + z] = 1.0
-    return swap
 
 
 def way_positive_control(observable: Operator, law: ConservationLaw) -> IndirectMeasurementModel:
@@ -563,7 +556,8 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
     p_lower = np.outer(lower, lower.conj())
     if vals[-1] - vals[0] <= 1e-12:  # scalar: the swap branch is empty, U = I
         p_upper, p_lower = np.eye(2), np.zeros((2, 2))
-    u = np.kron(p_upper, np.eye(4)) + np.kron(p_lower, _swap_two_qubits())
+    swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]  # exchanges the probe and ancilla qubits
+    u = np.kron(p_upper, np.eye(4)) + np.kron(p_lower, swap)
     return IndirectMeasurementModel(
         spec=spec,
         probe_state=StateVector(upper),

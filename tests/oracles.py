@@ -333,6 +333,30 @@ def conserving_unitary_per_block(basis: CommutantBasis, coefficients: np.ndarray
     return u
 
 
+def unitary_gradient(
+    basis: CommutantBasis, coefficients: np.ndarray, bra: np.ndarray, ket: np.ndarray
+) -> np.ndarray:
+    """Re <bra| dU/dc_k |ket> for every k, from block stacks filled and
+    decomposed afresh: the derivative as the library computed it before
+    it read the eigensystems that built U.  With h = V diag(w) V^dag, the
+    derivative along a block B is V (Gamma o V^dag B V) V^dag
+    (Daleckii-Krein), Gamma_ij = -i exp(-i (w_i + w_j)/2) sinc((w_i - w_j)/2),
+    so <bra|dU|ket> = tr(B T) with Y the blocks of |ket><bra| in the
+    eigenbasis and T = V (Gamma o V^dag Y V) V^dag."""
+    lay = basis._layout
+    e_dag = basis.eigenbasis.conj().T
+    y = np.outer(e_dag @ ket, (e_dag @ bra).conj()).reshape(-1)[lay.frame]
+    out = []
+    for (d, k, at), h in zip(lay.groups, basis._block_stacks(coefficients)):
+        w, v = np.linalg.eigh(h)
+        v_dag = v.conj().swapaxes(1, 2)
+        w_i, w_j = w[:, :, None], w[:, None, :]
+        gamma = -1j * np.exp(-0.5j * (w_i + w_j)) * np.sinc((w_i - w_j) / (2.0 * np.pi))
+        t = v @ (gamma * (v_dag @ y[at : at + k * d * d].reshape(k, d, d) @ v)) @ v_dag
+        out.append(t.reshape(-1))
+    return basis._pairings(np.concatenate(out))
+
+
 def project_coefficients_per_block(basis: CommutantBasis, h: Operator) -> tuple[np.ndarray, float]:
     """Coefficients of the block-diagonal part of ``h`` in the eigenbasis
     and the Frobenius norm of the rest, read block by block."""

@@ -747,6 +747,27 @@ def test_unusable_nbar_is_input_error(tmp_path, capsys, command, config, nbar):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("strength", [float("inf"), float("nan")], ids=["infinity", "nan"])
+def test_non_finite_strength_is_usage_error(tmp_path, capsys, strength):
+    # both reached the sampled generator: numpy warned, and the run ended
+    # with "Eigenvalues did not converge", or a RuntimeWarning traceback
+    # when warnings are errors
+    config = {"nbars": [1.0], "samples_per": 1, "strength": strength, "search": {"restarts": 1, "max_iter": 5}}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error: strength must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_negative_strength_is_a_valid_draw(tmp_path):
+    config = {"nbars": [1.0], "samples_per": 1, "strength": -0.5, "search": {"restarts": 1, "max_iter": 5}}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "3")
+    assert code == EXIT_OK
+    assert report["header"]["config"]["strength"] == -0.5
+
+
 @pytest.mark.parametrize(
     "entry", [float("inf"), float("nan"), "1", True], ids=["infinity", "nan", "string", "bool"]
 )

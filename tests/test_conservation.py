@@ -23,7 +23,7 @@ from waylab import (
     zero,
 )
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
-from waylab.conservation import unitary_gradient
+from waylab.conservation import conserving_exponential
 from waylab.sampling import random_hermitian, random_law
 from waylab.scenarios import build_boson, build_spin
 
@@ -33,6 +33,7 @@ from oracles import (
     generators,
     kraus_fidelity_sq,
     project_coefficients_per_block,
+    unitary_gradient,
 )
 
 
@@ -283,10 +284,30 @@ def test_unitary_gradient_matches_central_differences(build, zero_point):
         return float(kraus_fidelity_sq(impl)(psi[None, :])[0])
 
     ket = np.kron(psi, xi)
-    u = conserving_unitary(basis, c).entries
-    z = (cnot @ psi).conj() @ (u @ ket).reshape(4, -1)
-    analytic = 2.0 * unitary_gradient(basis, c, np.kron(cnot @ psi, z), ket)
+    u, derivative = conserving_exponential(basis, c)
+    z = (cnot @ psi).conj() @ (u.entries @ ket).reshape(4, -1)
+    analytic = 2.0 * derivative(np.kron(cnot @ psi, z), ket)
     h = 1e-5
     numeric = np.array([(fsq(c + h * e) - fsq(c - h * e)) / (2 * h) for e in np.eye(c.size)])
     assert np.max(np.abs(numeric)) > 1e-3
     np.testing.assert_allclose(analytic, numeric, rtol=0, atol=1e-8)
+
+
+def test_exponential_derivative_is_the_fresh_decomposition_bit_for_bit():
+    # the derivative map reads the eigensystems that built U; filling and
+    # decomposing the stacks again, as the reference does, gives the same bits
+    for name, law in _random_laws():
+        basis = commutant_basis(law)
+        rng = np.random.default_rng(11)
+        points = [np.zeros(basis.generator_count)]
+        points += [rng.standard_normal(basis.generator_count) * scale for scale in (0.3, 1.0, 4.0)]
+        for c in points:
+            u, derivative = conserving_exponential(basis, c)
+            # a plain Operator: the digest types operators by exact class
+            assert type(u) is Operator, name
+            assert np.array_equal(u.entries, conserving_unitary(basis, c).entries), name
+            for _ in range(2):  # the map can be read more than once
+                bra, ket = rng.standard_normal((2, basis.dim)) + 1j * rng.standard_normal((2, basis.dim))
+                got = derivative(bra, ket)
+                assert got.shape == (basis.generator_count,) and got.dtype == np.float64, name
+                assert np.array_equal(got, unitary_gradient(basis, c, bra, ket)), name
