@@ -24,8 +24,6 @@ from .operators import (
 from .measurement import (
     CertificationResult,
     IndirectMeasurementModel,
-    disturbance_operator,
-    error_operator,
     is_nondisturbing,
     is_precise,
     rms_disturbance,

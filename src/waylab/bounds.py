@@ -37,12 +37,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .conservation import ConservationError, ConservationLaw, conservation_residual
-from .measurement import (
-    IndirectMeasurementModel,
-    disturbance_operator,
-    error_operator,
-    rms_noise,
-)
+from .measurement import IndirectMeasurementModel, noise_images, rms_noise
 from .operators import (
     HilbertSpec,
     Operator,
@@ -172,8 +167,7 @@ def identity_reports(
     """
     require_conserving(model.spec, model.interaction, law)
     lhs = commutator(model._measured, law._lifts[0]).entries
-    err = error_operator(model).entries
-    dist = disturbance_operator(model).entries
+    err, dist = noise_images(model, np.eye(model.spec.total_dim))
     l1t, l2t, l3t = (op.entries for op in evolve(law._lifts, model.interaction))
 
     def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ is read out on the probe.  The quality of the scheme for measuring a
 given object observable is captured by two root-mean-square figures:
 the error (pointer after the interaction vs. observable before) and the
 disturbance (observable after vs. before).  Both are defined through
-Heisenberg-picture operators E and D on the total space, where the
-identities live; the figures need only E x and D x, read from U x.
+Heisenberg-picture operators E and D on the total space.  One routine,
+:func:`noise_images`, applies them to vectors, read from U x: the
+figures take E x and D x at the input, the identities E and D at every
+basis vector.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, evolve, tensor_states
+from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, tensor_states
 
 __all__ = [
     "IndirectMeasurementModel",
     "CertificationResult",
-    "error_operator",
-    "disturbance_operator",
+    "noise_images",
     "rms_noise",
     "rms_error",
     "rms_disturbance",
@@ -87,20 +88,8 @@ class IndirectMeasurementModel:
     @functools.cached_property
     def _measured(self) -> Operator:
         """The measured observable lifted to the total space, built once
-        per model and shared by the noise operators and the identities."""
+        per model for the identities' [A, L1]."""
         return self.spec.embed(self.observable, "object")
-
-    @functools.cached_property
-    def _noise_operators(self) -> tuple[Operator, Operator]:
-        """The error and disturbance operators, built once per model: the
-        model is immutable, so they cannot go stale; only the identities read them."""
-        measured = self._measured
-        pointer = self.spec.embed(self.pointer, "probe")
-        pointer_after, measured_after = evolve((pointer, measured), self.interaction)
-        return (
-            Operator(pointer_after.entries - measured.entries, hermitian=True),
-            Operator(measured_after.entries - measured.entries, hermitian=True),
-        )
 
     def initial_state(self, psi: StateVector) -> StateVector:
         """Product state object x probe x ancilla for object state psi."""
@@ -109,19 +98,10 @@ class IndirectMeasurementModel:
         return tensor_states(psi, self.probe_state, self.ancilla_state)
 
 
-def error_operator(model: IndirectMeasurementModel) -> Operator:
-    """Pointer after the interaction minus observable before it."""
-    return model._noise_operators[0]
-
-
-def disturbance_operator(model: IndirectMeasurementModel) -> Operator:
-    """Observable after the interaction minus observable before it."""
-    return model._noise_operators[1]
-
-
-def _noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E x = U^dag P U x - A x and D x = U^dag A U x - A x for the columns of ``x``,
-    with P and A applied on their own factor: O(d^2) a column, never forming E or D."""
+    with P and A applied on their own factor: O(d^2) a column.  At the
+    identity matrix the images are E and D themselves."""
     s, u, a = model.spec, model.interaction.entries, model.observable.entries
     ux = u @ x
     ax = (a @ x.reshape(s.object_dim, -1)).reshape(x.shape)
@@ -133,7 +113,7 @@ def _noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.nd
 
 def rms_noise(model: IndirectMeasurementModel, state: StateVector) -> tuple[float, float]:
     """<E^2>^(1/2) and <D^2>^(1/2) in the full input ``state``: the norms of E x and D x."""
-    err, dist = _noise_images(model, state.amplitudes[:, None])
+    err, dist = noise_images(model, state.amplitudes[:, None])
     return math.sqrt(np.vdot(err, err).real), math.sqrt(np.vdot(dist, dist).real)
 
 
@@ -170,11 +150,11 @@ def _certify(model: IndirectMeasurementModel, noise: int) -> CertificationResult
 
     In the input psi x phi, with phi the probe (x ancilla) state, the
     mean square is psi^dag G psi, where G is the Gram matrix of the noise
-    images of each object basis state x phi (:func:`_noise_images`).  The
+    images of each object basis state x phi (:func:`noise_images`).  The
     worst rms is therefore sqrt(lambda_max(G)), at the top eigenvector.
     """
     phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
-    images = _noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))[noise]
+    images = noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))[noise]
     values, vectors = np.linalg.eigh(images.conj().T @ images)
     worst = math.sqrt(max(float(values[-1]), 0.0))
     return CertificationResult(

@@ -257,7 +257,8 @@ def boson_reports(
     charge, that are not exact after an arbitrary conserving interaction:
     their outcomes are data about the approximation, not a build gate.
     ``sigma-l3`` records the Poissonian residual |Delta N' - sqrt(<N'>)|
-    and the mean-shift margin in its details.
+    and the mean-shift margin in its details; the two F^2 records carry
+    the search's certified ``fidelity_sq_lower`` in theirs.
     """
     if impl.spec.factor_dims != scenario.spec.factor_dims:
         raise ValueError("implementation does not live on the scenario's space")
@@ -275,10 +276,11 @@ def boson_reports(
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }
     tag = digest(implementation=impl, scenario={"nbar": nbar, "cutoff": scenario.cutoff})
+    fsq_details = {"fidelity_sq_lower": fidelity.fidelity_sq_lower, "nbar": nbar}
     return (
-        BoundReport("sigma-ceiling", "inequality", fsq, rigorous, tag, {"sigma_l3": sigma, "nbar": nbar}),
+        BoundReport("sigma-ceiling", "inequality", fsq, rigorous, tag, {**fsq_details, "sigma_l3": sigma}),
         BoundReport("sigma-l3", "inequality", sigma, 2.0 * math.sqrt(nbar + 2.0), tag, details),
-        BoundReport("nbar-ceiling", "inequality", fsq, scenario.ceiling_fsq, tag, {"nbar": nbar}),
+        BoundReport("nbar-ceiling", "inequality", fsq, scenario.ceiling_fsq, tag, fsq_details),
     )
 
 

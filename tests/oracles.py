@@ -1,7 +1,8 @@
 """Reference computations the tests compare the library against.
 
 Each oracle here takes the long way round on purpose: dense
-generators instead of the blockwise exponential, an explicit ancilla
+generators instead of the blockwise exponential, Kronecker-lifted noise
+operators instead of their images under U, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
 the sphere descent, a cloud of object states instead of the Gram
 eigenvalue, the digest's bytes assembled whole from its formula.  None
@@ -244,24 +245,25 @@ def object_state_cloud(dim: int, rng: np.random.Generator, count: int = 20_000) 
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
+def noise_operators(model: IndirectMeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """The error and disturbance operators E = U^dag P U - A and
+    D = U^dag A U - A as dense matrices, from their definition: P and A
+    lifted with Kronecker products, then conjugated by the whole U."""
+    s = model.spec
+    u = model.interaction.entries
+    measured = np.kron(model.observable.entries, np.eye(s.probe_dim * s.ancilla_dim))
+    pointer = np.kron(np.kron(np.eye(s.object_dim), model.pointer.entries), np.eye(s.ancilla_dim))
+    return u.conj().T @ pointer @ u - measured, u.conj().T @ measured @ u - measured
+
+
 def worst_noise_over_states(
     model: IndirectMeasurementModel, kind: Literal["error", "disturbance"], psis: np.ndarray
 ) -> float:
     """Largest rms error or disturbance over the object states ``psis``.
 
-    The noise operator is rebuilt from its definition with dense
-    Kronecker products (pointer after minus observable before, or
-    observable after minus before), and each input psi x probe x
-    ancilla is formed whole."""
-    s = model.spec
-    u = model.interaction.entries
-    rest = s.probe_dim * s.ancilla_dim
-    measured = np.kron(model.observable.entries, np.eye(rest))
-    if kind == "error":
-        after = np.kron(np.kron(np.eye(s.object_dim), model.pointer.entries), np.eye(s.ancilla_dim))
-    else:
-        after = measured
-    noise = u.conj().T @ after @ u - measured
+    The noise operator is :func:`noise_operators`' dense form, and each
+    input psi x probe x ancilla is formed whole."""
+    noise = noise_operators(model)[0 if kind == "error" else 1]
     ready = np.kron(model.probe_state.amplitudes, model.ancilla_state.amplitudes)
     worst = 0.0
     step = 50_000

@@ -27,12 +27,12 @@ from waylab import (
     identity_reports,
     is_nondisturbing,
     is_precise,
-    measurement_view,
     noise_fidelity_link,
     trade_off_reports,
 )
 import waylab.bounds
 import waylab.conservation
+import waylab.measurement
 import waylab.operators
 from waylab.bounds import fundamental_bound, qway_bounds, reports_to_csv, require_conserving, summed_bound
 from waylab.cnot import pauli
@@ -198,9 +198,9 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 def test_law_lifts_are_built_once(monkeypatch):
     # each lift is built once: the law's three parts for the evolved
-    # charges, then the model's pointer and observable for the noise
-    # operators, which only the identities need (the trade-off pass
-    # applies P and A to U x on their own factors)
+    # charges, then the model's observable for the identities' [A, L1]
+    # (E and D, like the trade-off pass's E x and D x, apply P and A to
+    # U x on their own factors)
     calls = []
     embed = HilbertSpec.embed
     monkeypatch.setattr(HilbertSpec, "embed", lambda s, op, role: calls.append(role) or embed(s, op, role))
@@ -212,27 +212,37 @@ def test_law_lifts_are_built_once(monkeypatch):
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert sorted(calls) == ["object", "probe"]  # [A, L1] takes the observable lift the noise operators made
+    assert calls == ["object"]
     calls.clear()
     identity_reports(model, law)
     trade_off_reports(model, law, psi)
     assert calls == []
 
 
-def test_noise_operators_are_built_only_for_the_identities():
-    # eps, eta and the certificates read E x and D x from U x; only the
-    # operator identities need the dense noise operators
+def test_noise_operators_are_built_only_for_the_identities(monkeypatch):
+    # eps, eta and the certificates read E x and D x at the inputs, at
+    # most one column per object basis state; only the operator
+    # identities pass the whole basis, whose images are E and D
+    calls = []
+    images = waylab.measurement.noise_images
+
+    def recording(model, x):
+        calls.append((x.shape[1], model.spec.object_dim, model.spec.total_dim))
+        return images(model, x)
+
+    for module in (waylab.measurement, waylab.bounds):
+        monkeypatch.setattr(module, "noise_images", recording)
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     trade_off_reports(model, law, _random_object_state(10))
     is_precise(model)
     is_nondisturbing(model)
-    assert "_noise_operators" not in model.__dict__
-    identity_reports(model, law)
-    assert "_noise_operators" in model.__dict__
     x_law = ConservationLaw(HilbertSpec((2, 2, 2)), pauli("X"), pauli("X"), pauli("X"))
     impl = random_conserving_implementation(1, x_law)
     noise_fidelity_link(impl, x_law, fidelity=gate_fidelity(impl, SearchConfig(restarts=1, max_iter=10)))
-    assert "_noise_operators" not in measurement_view(impl).__dict__
+    assert len(calls) == 5 and all(columns <= object_dim for columns, object_dim, _ in calls)
+    calls.clear()
+    identity_reports(model, law)
+    assert calls == [(8, 2, 8)]
 
 
 def test_commuting_law_degenerates_gracefully():

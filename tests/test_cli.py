@@ -419,8 +419,10 @@ def test_reports_carry_the_certified_lower_value(tmp_path):
     assert 0.0 <= lower <= records["sigma-ceiling"]["lhs"]  # lhs is the search's F^2
     assert "fidelity_sq_lower" not in details["sigma-l3"]
     assert list(details["sigma-ceiling"]) == sorted(details["sigma-ceiling"])
-    # the report gains the field; the CSV keeps the reports as they are
-    assert "fidelity_sq_lower" not in (tmp_path / "report.csv").read_text()
+    # the CSV rows carry the same details as the report's records
+    rows = {row["relation"]: row for row in csv.DictReader(io.StringIO((tmp_path / "report.csv").read_text()))}
+    for relation, record_details in details.items():
+        assert json.loads(rows[relation]["details"]) == record_details
 
 
 def test_optimize_ceiling_violation_is_reported(tmp_path, monkeypatch):
@@ -593,6 +595,34 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
     err = capsys.readouterr().err
     assert "usage error" in err and f"{key} must be a nonnegative integer" in err
     assert "Traceback" not in err
+
+
+def test_huge_count_draws_each_case_seed_when_its_case_is_reached(tmp_path, capsys, monkeypatch):
+    # drawing every case seed up front asked numpy for 6.94 EiB at this
+    # count; one seed per case reaches the second case's input error
+    drawn = []
+
+    def second_fails(seed, spec):
+        drawn.append(seed)
+        if len(drawn) == 2:
+            raise ValueError("second case refused")
+        return random_conserving_model(seed, spec)
+
+    monkeypatch.setattr(waylab.cli, "random_conserving_model", second_fails)
+    code, report = run_cli(tmp_path, "check-bounds", {"count": 10**18}, "--seed", "1")
+    assert code == EXIT_USAGE and report == {} and len(drawn) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "second case refused" in err
+    assert "MemoryError" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "seed", [1, 11, 20021017, np.random.SeedSequence(14).spawn(2)[1]], ids=["1", "11", "20021017", "spawned"]
+)
+def test_case_seeds_drawn_one_at_a_time_match_the_batched_draw(seed):
+    # the reports' case seeds, and so their bytes, are those of one batched draw
+    batched = np.random.default_rng(seed).integers(0, 2**62, size=7)
+    assert list(waylab.cli._case_seeds(seed, 7)) == [int(s) for s in batched]
 
 
 def _explicit_model_config() -> dict:

@@ -19,8 +19,6 @@ from waylab import (
     Operator,
     StateVector,
     cnot_unitary,
-    disturbance_operator,
-    error_operator,
     expectation,
     is_nondisturbing,
     is_precise,
@@ -28,15 +26,17 @@ from waylab import (
     rms_error,
     std_dev,
 )
+from waylab.bounds import identity_reports
 from waylab.cnot import measurement_view, pauli
 from waylab.conservation import ConservationLaw
-from waylab.measurement import CertificationResult
+from waylab.measurement import CertificationResult, noise_images
 from waylab.operators import evolve, tensor_states
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
 from waylab.scenarios import build_boson, build_spin, way_positive_control
 
 from oracles import (
     OutcomeDistribution,
+    noise_operators,
     object_state_cloud,
     outcome_distribution,
     worst_noise_over_states,
@@ -164,9 +164,10 @@ def test_cnot_disturbs_conjugate_observable():
 
 
 def test_error_and_disturbance_operators_are_hermitian():
+    # the noise images of the whole basis are E and D themselves
     model = cnot_z_model()
-    assert error_operator(model).is_hermitian()
-    assert disturbance_operator(model).is_hermitian()
+    for op in noise_images(model, np.eye(model.spec.total_dim)):
+        assert Operator(op).is_hermitian()
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,7 +179,7 @@ def test_rms_error_decomposes_into_bias_and_spread(seed):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     psi = StateVector.from_amplitudes(v)
     full = model.initial_state(psi)
-    e = error_operator(model)
+    e = Operator(noise_operators(model)[0])
     eps = rms_error(model, psi)
     decomposed = std_dev(e, full) ** 2 + expectation(e, full).real ** 2
     assert eps**2 == pytest.approx(decomposed, abs=1e-9)
@@ -270,29 +271,32 @@ def _heisenberg_figures(model, psi):
     phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
     state = model.initial_state(psi).amplitudes
     figures = []
-    for op in (error_operator(model), disturbance_operator(model)):
-        images = op.entries.reshape(op.dim, model.spec.object_dim, phi.size) @ phi
+    for op in noise_operators(model):
+        images = op.reshape(len(op), model.spec.object_dim, phi.size) @ phi
         top = np.linalg.eigvalsh(images.conj().T @ images)[-1]
-        figures.append((np.linalg.norm(op.entries @ state), math.sqrt(max(top, 0.0))))
+        figures.append((np.linalg.norm(op @ state), math.sqrt(max(top, 0.0))))
     return figures
 
 
 def _figure_cases():
+    """(name, model, law): random models, CNOT views and the positive controls."""
     for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2)):  # the CLI's default layouts
         for seed in range(3):
-            yield f"random-{dims}-{seed}", random_conserving_model(seed, HilbertSpec(dims))[0]
+            yield f"random-{dims}-{seed}", *random_conserving_model(seed, HilbertSpec(dims))
     for name, scenario in (("spin3", build_spin(3)), ("boson-nbar1", build_boson(1.0))):
         for seed in range(2):
             impl = random_conserving_implementation(
                 seed, scenario.law, ancilla_state=scenario.ancilla_state
             )
-            yield f"{name}-view-{seed}", measurement_view(impl)
+            yield f"{name}-view-{seed}", measurement_view(impl), scenario.law
     for basis, charge, observable in (("x", X, X), ("z", Z, Z), ("scalar", X, Operator(np.eye(2)))):
         law = ConservationLaw(HilbertSpec((2, 2, 2)), charge, charge, charge)
-        yield f"positive-control-{basis}", way_positive_control(observable, law)
+        yield f"positive-control-{basis}", way_positive_control(observable, law), law
 
 
-@pytest.mark.parametrize("name, model", [pytest.param(*case, id=case[0]) for case in _figure_cases()])
+@pytest.mark.parametrize(
+    "name, model", [pytest.param(name, model, id=name) for name, model, _ in _figure_cases()]
+)
 def test_figures_match_the_heisenberg_forms(name, model):
     # eps, eta and the worst cases are read from U applied to the input;
     # they agree with the dense noise operators to rounding
@@ -307,3 +311,15 @@ def test_figures_match_the_heisenberg_forms(name, model):
         assert abs(value - reference) <= 1e-13 * max(1.0, abs(reference))
     if name.startswith("positive-control"):
         assert max(is_precise(model).worst_value, is_nondisturbing(model).worst_value) <= 1e-12
+
+
+@pytest.mark.parametrize("name, model, law", [pytest.param(*case, id=case[0]) for case in _figure_cases()])
+def test_noise_images_of_the_basis_are_the_noise_operators(name, model, law):
+    # at the identity the images are E and D: they match the dense
+    # Kronecker-lifted forms to rounding, are Hermitian, and the
+    # identities built on them close
+    for image, reference in zip(noise_images(model, np.eye(model.spec.total_dim)), noise_operators(model)):
+        scale = max(1.0, np.linalg.norm(reference, 2))
+        assert np.linalg.norm(image - reference, 2) <= 1e-13 * scale
+        assert np.linalg.norm(image - image.conj().T, 2) <= 1e-12
+    assert max(rep.lhs for rep in identity_reports(model, law)) <= 1e-12

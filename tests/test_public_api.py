@@ -19,7 +19,7 @@ MODULE_ALL = {
     },
     "measurement": {
         "IndirectMeasurementModel", "CertificationResult",
-        "error_operator", "disturbance_operator", "rms_noise", "rms_error", "rms_disturbance",
+        "noise_images", "rms_noise", "rms_error", "rms_disturbance",
         "is_precise", "is_nondisturbing",
     },
     "conservation": {
@@ -57,8 +57,7 @@ PACKAGE_ALL = {
     "HilbertSpec", "Operator", "StateVector", "commutator", "expectation",
     "operator_norm", "std_dev", "tensor_states", "zero",
     "CertificationResult", "IndirectMeasurementModel",
-    "disturbance_operator", "error_operator", "is_nondisturbing",
-    "is_precise", "rms_disturbance", "rms_error",
+    "is_nondisturbing", "is_precise", "rms_disturbance", "rms_error",
     "CommutantBasis", "ConservationError", "ConservationLaw", "commutant_basis",
     "conservation_residual", "conserving_unitary",
     "BoundReport", "identity_reports", "trade_off_reports",

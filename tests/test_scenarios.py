@@ -240,7 +240,9 @@ def test_boson_reports_share_one_digest_and_one_ceiling():
     assert ceiling.rhs == sigma_l3.details["sigma_ceiling_fsq"]
     assert ceiling.lhs == nbar_ceiling.lhs == result.fidelity_sq
     assert nbar_ceiling.rhs == sc.ceiling_fsq == sigma_l3.details["nbar_ceiling_fsq"]
-    assert dict(ceiling.details) == {"sigma_l3": sigma_l3.lhs, "nbar": 2.0}
+    f2_details = {"fidelity_sq_lower": result.fidelity_sq_lower, "nbar": 2.0}
+    assert dict(ceiling.details) == {**f2_details, "sigma_l3": sigma_l3.lhs}
+    assert dict(nbar_ceiling.details) == f2_details
     with pytest.raises(ValueError, match="scenario's space"):
         boson_reports(impl, build_boson(1.0), result)
 
