@@ -39,7 +39,7 @@ from .operators import HilbertSpec, Operator
 from .sampling import (
     DEFAULT_STRENGTH,
     random_conserving_implementation,
-    random_conserving_model,
+    random_conserving_models,
     random_state,
 )
 from .scenarios import (
@@ -63,6 +63,13 @@ DEFAULT_TOL = 1e-9
 
 # Factor layouts cycled through by the randomized commands.
 DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2, 2))
+# The randomized commands sample their models this many cases at a time,
+# so that numpy's per-call cost is paid once per chunk rather than once
+# per case.  A chunk's stacks of total-space matrices hold at most
+# CHUNK_ENTRIES entries (1 MiB of complex128) unless one case's matrix
+# alone holds more, so the chunk's models fit in a few MiB.
+CASES_PER_CHUNK = 64
+CHUNK_ENTRIES = 2**16
 
 
 class _UsageError(Exception):
@@ -248,9 +255,20 @@ def _finish(
 
 
 def _case_seeds(seed: int | np.random.SeedSequence, count: int) -> Iterator[int]:
-    """The ``count`` case seeds, each drawn only when its case is reached."""
+    """The ``count`` case seeds, each drawn only when its case is reached
+    (for the sampled models, when its chunk is): single draws give the
+    seeds of one batched draw, so chunking moves no seed."""
     rng = np.random.default_rng(seed)
     return (int(rng.integers(0, 2**62)) for _ in range(count))
+
+
+def _chunk_cases(total_dim: int) -> int:
+    """How many cases the randomized commands sample together when the
+    largest layout has ``total_dim``: ``CASES_PER_CHUNK``, fewer where a
+    stack of that many total-space matrices would hold more than
+    ``CHUNK_ENTRIES`` entries, and at least one.  So no stacked array
+    is larger than the largest one-case matrix or ``CHUNK_ENTRIES``."""
+    return max(1, min(CASES_PER_CHUNK, CHUNK_ENTRIES // total_dim**2))
 
 
 def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
@@ -266,16 +284,23 @@ def _random_cases(
 ) -> tuple[int, dict[str, Any], Iterator[tuple[int, IndirectMeasurementModel, ConservationLaw]]]:
     """A randomized command's seed, its config record and its cases: one
     ``(case_seed, model, law)`` per case seed, cycling through the factor
-    layouts, each model drawn only when the loop reaches it."""
+    layouts, in seed order.  The models are sampled a chunk of
+    :func:`_chunk_cases` cases at a time, each chunk, seeds included,
+    drawn only when the loop reaches it."""
     seed = _require_seed(args, config)
     count = _nonnegative_int("count", _pick(args, config, "count", default_count))
     specs = _factor_specs(config)
     used = {"count": count, "tol": tol, "factor_dims": [list(s.factor_dims) for s in specs]}
-    cases = (
-        (case_seed, *random_conserving_model(case_seed, spec))
-        for case_seed, spec in zip(_case_seeds(seed, count), itertools.cycle(specs))
-    )
-    return seed, used, cases
+    chunk = _chunk_cases(max(s.total_dim for s in specs))
+    pending = zip(_case_seeds(seed, count), itertools.cycle(specs))
+
+    def cases() -> Iterator[tuple[int, IndirectMeasurementModel, ConservationLaw]]:
+        while batch := list(itertools.islice(pending, chunk)):
+            case_seeds, case_specs = zip(*batch)
+            for case_seed, (model, law) in zip(case_seeds, random_conserving_models(case_seeds, case_specs)):
+                yield case_seed, model, law
+
+    return seed, used, cases()
 
 
 def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> int:

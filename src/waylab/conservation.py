@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .operators import (
     HilbertSpec,
     Operator,
     commutator,
+    flagged_operators,
     operator_norm,
+    positions,
     zero,
 )
 
@@ -34,7 +36,9 @@ __all__ = [
     "CommutantBasis",
     "conservation_residual",
     "commutant_basis",
+    "commutant_bases",
     "conserving_unitary",
+    "conserving_unitaries",
 ]
 
 
@@ -87,23 +91,33 @@ class ConservationLaw:
         Built on first use and kept: the parts are read-only, so it
         cannot go stale.
         """
-        return self._total
+        return self._lifted[3]
 
-    @functools.cached_property
+    @property
     def _lifts(self) -> tuple[Operator, Operator, Operator]:
         """The object, probe and ancilla parts lifted to the total space,
         built once per law: every evolved charge starts from these."""
-        s = self.spec
-        return (
-            s.embed(self.object_part, "object"),
-            s.embed(self.probe_part, "probe"),
-            s.embed(self.ancilla_part, "ancilla"),
-        )
+        return self._lifted[:3]
 
     @functools.cached_property
-    def _total(self) -> Operator:
-        l1, l2, l3 = self._lifts
-        return Operator(l1.entries + l2.entries + l3.entries, hermitian=True)
+    def _lifted(self) -> tuple[Operator, Operator, Operator, Operator]:
+        """The three lifts and their sum, the total charge: this law's own
+        pass, unless :func:`commutant_bases` filled it for a whole stack."""
+        return _lifted_laws(self.spec, [self])[0]
+
+
+_ROLES = (("object", "object_part"), ("probe", "probe_part"), ("ancilla", "ancilla_part"))
+
+
+def _lifted_laws(
+    spec: HilbertSpec, laws: Sequence[ConservationLaw]
+) -> list[tuple[Operator, Operator, Operator, Operator]]:
+    """The three lifted parts and the total charge of each law on
+    ``spec``, lifted one stack per role: every law gets the bits of its
+    own pass."""
+    lifts = [spec.embed_all([getattr(law, part) for law in laws], role) for role, part in _ROLES]
+    totals = np.array([l1.entries + l2.entries + l3.entries for l1, l2, l3 in zip(*lifts)])
+    return list(zip(*lifts, flagged_operators(totals, hermitian=True)))
 
 
 def conservation_residual(u: Operator, law: ConservationLaw) -> float:
@@ -279,16 +293,73 @@ def commutant_basis(law: ConservationLaw) -> CommutantBasis:
 
     Eigenvalues of the total charge within ``DEGENERACY_TOL`` are merged
     into one block, so near-degenerate spectra do not fragment the
-    commutant.
+    commutant.  This is :func:`commutant_bases` of one law.
     """
-    total = law.total()
-    vals, vecs = np.linalg.eigh(total.entries)
-    # a block ends wherever the ascending spectrum steps by more than the tolerance
-    ends = np.flatnonzero(np.diff(vals) > DEGENERACY_TOL) + 1
-    block_dims = np.diff(ends, prepend=0, append=len(vals))
-    basis = np.array(vecs, copy=True)
-    basis.setflags(write=False)
-    return CommutantBasis(eigenbasis=basis, block_dims=tuple(block_dims.tolist()))
+    return commutant_bases([law])[0]
+
+
+def commutant_bases(laws: Sequence[ConservationLaw]) -> list[CommutantBasis]:
+    """:func:`commutant_basis` of each law, with one stacked pass per
+    factor layout: the laws not yet lifted are lifted together, and the
+    totals of the layout are decomposed by one stacked ``eigh``, which
+    gives each matrix the bits of its own call."""
+    bases: list = [None] * len(laws)
+    for members in positions([law.spec for law in laws]):
+        group = [laws[i] for i in members]
+        spec = group[0].spec
+        fresh = [law for law in group if "_lifted" not in vars(law)]
+        if fresh:
+            for law, lifted in zip(fresh, _lifted_laws(spec, fresh)):
+                vars(law)["_lifted"] = lifted  # what the cached property would build
+        vals, vecs = np.linalg.eigh(np.array([law.total().entries for law in group]))
+        # a block ends wherever the ascending spectrum steps by more than the tolerance
+        steps = np.diff(vals) > DEGENERACY_TOL
+        for i, step, vec in zip(members, steps, vecs):
+            ends = [0, *(np.flatnonzero(step) + 1).tolist(), spec.total_dim]
+            basis = np.array(vec, copy=True)
+            basis.setflags(write=False)
+            bases[i] = CommutantBasis(
+                eigenbasis=basis, block_dims=tuple(b - a for a, b in zip(ends, ends[1:]))
+            )
+    return bases
+
+
+def _exponentials(
+    bases: Sequence[CommutantBasis], coefficients: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]]:
+    """For each basis and its coefficients: the entries of U =
+    ``exp(-i sum_k c_k B_k)`` and, per size group of the basis, the
+    eigensystem (w, V, V^dag) of its block stack and the stack's
+    exponential V exp(-i w) V^dag.
+
+    The block stacks of one size, across all the bases, are decomposed
+    by one ``eigh`` and exponentiated as one stack; a stacked ``eigh`` or
+    product gives each matrix the bits of its own call, so every basis
+    gets the U of its own pass.
+    """
+    stacks = [basis._block_stacks(c) for basis, c in zip(bases, coefficients)]
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    for i, groups in enumerate(stacks):
+        for g, stack in enumerate(groups):
+            by_size.setdefault(stack.shape[-1], []).append((i, g))
+    eigen: list[list] = [[None] * len(groups) for groups in stacks]
+    for members in by_size.values():
+        w, v = np.linalg.eigh(np.concatenate([stacks[i][g] for i, g in members]))
+        v_dag = v.conj().swapaxes(1, 2)
+        exp = (v * np.exp(-1j * w)[:, None, :]) @ v_dag
+        at = 0
+        for i, g in members:
+            k = len(stacks[i][g])
+            eigen[i][g] = (w[at : at + k], v[at : at + k], v_dag[at : at + k], exp[at : at + k])
+            at += k
+    out = []
+    for basis, eig in zip(bases, eigen):
+        u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+        for cols, g, m in basis._layout.blocks:
+            c = basis.eigenbasis[:, cols]
+            u += c @ eig[g][3][m] @ c.conj().T
+        out.append((u, eig))
+    return out
 
 
 def conserving_exponential(
@@ -299,8 +370,9 @@ def conserving_exponential(
 
     The generator is block diagonal in the charge eigenbasis, so the
     exponential is taken block by block, with one eigendecomposition per
-    block size: the blocks of each size are exponentiated as one stack.
-    U commutes with the total charge by construction.
+    block size: the blocks of each size are exponentiated as one stack
+    (:func:`_exponentials` of one basis).  U commutes with the total
+    charge by construction.
 
     The map reads the same eigensystems.  With a block-size stack
     h = V diag(w) V^dag, the derivative of exp(-i h) along a block B is
@@ -312,19 +384,13 @@ def conserving_exponential(
     blocks of |ket><bra| in the eigenbasis, read off by ``_pairings``.
     """
     lay = basis._layout
-    stacks = basis._block_stacks(coefficients)
-    eigen = [(w, v, v.conj().swapaxes(1, 2)) for w, v in map(np.linalg.eigh, stacks)]
-    u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    block_unitaries = [(v * np.exp(-1j * w)[:, None, :]) @ v_dag for w, v, v_dag in eigen]
-    for cols, g, m in lay.blocks:
-        c = basis.eigenbasis[:, cols]
-        u += c @ block_unitaries[g][m] @ c.conj().T
+    ((u, eigen),) = _exponentials([basis], [coefficients])
 
     def derivative(bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
         e_dag = basis.eigenbasis.conj().T
         y = np.outer(e_dag @ ket, (e_dag @ bra).conj()).reshape(-1)[lay.frame]
         out = []
-        for (d, k, at), (w, v, v_dag) in zip(lay.groups, eigen):
+        for (d, k, at), (w, v, v_dag, _) in zip(lay.groups, eigen):
             w_i, w_j = w[:, :, None], w[:, None, :]
             gamma = -1j * np.exp(-0.5j * (w_i + w_j)) * np.sinc((w_i - w_j) / (2.0 * np.pi))
             t = v @ (gamma * (v_dag @ y[at : at + k * d * d].reshape(k, d, d) @ v)) @ v_dag
@@ -338,3 +404,18 @@ def conserving_unitary(basis: CommutantBasis, coefficients: np.ndarray) -> Opera
     """``exp(-i sum_k c_k B_k)`` over the commutant basis: the unitary of
     :func:`conserving_exponential`, which commutes with the total charge."""
     return conserving_exponential(basis, coefficients)[0]
+
+
+def conserving_unitaries(
+    bases: Sequence[CommutantBasis], coefficients: Sequence[np.ndarray]
+) -> list[Operator]:
+    """:func:`conserving_unitary` of each basis and coefficient vector,
+    with one ``eigh`` and one block exponential per block size across
+    all of them, bit for bit.  The unitaries of one dimension are
+    validated as one stack."""
+    us = [u for u, _ in _exponentials(bases, coefficients)]
+    out: list = [None] * len(us)
+    for members in positions([len(u) for u in us]):
+        for i, op in zip(members, flagged_operators(np.array([us[i] for i in members]), unitary=True)):
+            out[i] = op
+    return out

@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -49,24 +49,41 @@ MAX_TOTAL_DIM = 4096  # largest total dimension of a HilbertSpec: a dense comple
 
 
 def _hermiticity_defect(entries: np.ndarray) -> float:
-    """max|M - M^dag|: the comparison behind every hermiticity check."""
-    return float(np.max(np.abs(entries - entries.conj().T)))
+    """max|M - M^dag|: the comparison behind every hermiticity check,
+    taken over every matrix of a stack at once."""
+    return float(np.abs(entries - entries.conj().swapaxes(-1, -2)).max())
 
 
 def _unitarity_defect(entries: np.ndarray) -> float:
-    """max|M^dag M - I|: the dense product behind every unitarity check."""
-    return float(np.max(np.abs(entries.conj().T @ entries - np.eye(entries.shape[0]))))
+    """max|M^dag M - I|: the dense product behind every unitarity check,
+    taken over every matrix of a stack at once."""
+    gram = entries.conj().swapaxes(-1, -2) @ entries
+    return float(np.abs(gram - np.eye(entries.shape[-1])).max())
+
+
+def _check_flags(entries: np.ndarray, hermitian: bool | None, unitary: bool | None) -> None:
+    """Raise ``ValueError`` unless every matrix of ``entries`` (one, or a
+    stack) is what a set flag claims."""
+    if hermitian:
+        dev = _hermiticity_defect(entries)
+        if dev > FLAG_TOL:
+            raise ValueError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
+    if unitary:
+        dev = _unitarity_defect(entries)
+        if dev > UNITARY_TOL:
+            raise ValueError(f"unitary flag set but max|M^dag M - I| = {dev:.3e}")
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices, left factor
-    slowest: the products ``np.kron`` forms, bit for bit, without its
-    shape handling, which dominates at these sizes."""
+    """Kronecker product of two vectors or two matrices (or stacks of
+    matrices), left factor slowest: the products ``np.kron`` forms, bit
+    for bit, without its shape handling, which dominates at these sizes."""
     if a.ndim == 1:
         return (a[:, None] * b).reshape(-1)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    )
+    # matrices may come as stacks, whose leading axes broadcast
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    shape = out.shape
+    return out.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
 
 
 def _as_complex_matrix(entries: object) -> np.ndarray:
@@ -103,14 +120,7 @@ class Operator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        if self.hermitian:
-            dev = _hermiticity_defect(self.entries)
-            if dev > FLAG_TOL:
-                raise ValueError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
-        if self.unitary:
-            dev = _unitarity_defect(self.entries)
-            if dev > UNITARY_TOL:
-                raise ValueError(f"unitary flag set but max|M^dag M - I| = {dev:.3e}")
+        _check_flags(self.entries, self.hermitian, self.unitary)
 
     @property
     def dim(self) -> int:
@@ -250,29 +260,61 @@ class HilbertSpec:
 
         ``role`` is one of ``"object"``, ``"probe"``, ``"ancilla"``.
         The ancilla role expects an operator on the full ancilla group
-        (dimension ``ancilla_dim``).
+        (dimension ``ancilla_dim``).  This is :meth:`embed_all` of one.
         """
+        return self.embed_all([op], role)[0]
+
+    def embed_all(self, ops: Sequence[Operator], role: str) -> list[Operator]:
+        """:meth:`embed` of each of ``ops``, all on one factor, lifted as
+        one stack: each lift has the bits of its own elementwise products."""
         d_obj, d_probe, d_anc = self.object_dim, self.probe_dim, self.ancilla_dim
-        if role == "object":
-            if op.dim != d_obj:
-                raise ValueError(f"object operator has dim {op.dim}, expected {d_obj}")
-            mat = _outer(op.entries, np.eye(d_probe * d_anc))
-        elif role == "probe":
-            if op.dim != d_probe:
-                raise ValueError(f"probe operator has dim {op.dim}, expected {d_probe}")
-            mat = _outer(_outer(np.eye(d_obj), op.entries), np.eye(d_anc))
-        elif role == "ancilla":
-            if op.dim != d_anc:
-                raise ValueError(f"ancilla operator has dim {op.dim}, expected {d_anc}")
-            mat = _outer(np.eye(d_obj * d_probe), op.entries)
-        else:
+        if role not in ("object", "probe", "ancilla"):
             raise ValueError(f"unknown role {role!r}")
-        # a Kronecker product with identities keeps both properties, so
-        # the operand's flags carry over without a full-dimension check
-        lifted = Operator(mat)
-        object.__setattr__(lifted, "hermitian", op.hermitian)
-        object.__setattr__(lifted, "unitary", op.unitary)
+        want = d_obj if role == "object" else d_probe if role == "probe" else d_anc
+        for op in ops:
+            if op.dim != want:
+                raise ValueError(f"{role} operator has dim {op.dim}, expected {want}")
+        entries = np.array([op.entries for op in ops])
+        if role == "object":
+            mats = _outer(entries, np.eye(d_probe * d_anc))
+        elif role == "probe":
+            mats = _outer(_outer(np.eye(d_obj), entries), np.eye(d_anc))
+        else:
+            mats = _outer(np.eye(d_obj * d_probe), entries)
+        lifted = []
+        for op, mat in zip(ops, mats):
+            # a Kronecker product with identities keeps both properties, so
+            # the operand's flags carry over without a full-dimension check
+            lift = Operator(mat)
+            object.__setattr__(lift, "hermitian", op.hermitian)
+            object.__setattr__(lift, "unitary", op.unitary)
+            lifted.append(lift)
         return lifted
+
+
+def flagged_operators(
+    stack: np.ndarray, hermitian: bool | None = None, unitary: bool | None = None
+) -> list[Operator]:
+    """``Operator(m, hermitian=hermitian, unitary=unitary)`` for each
+    matrix ``m`` of the stack, with the flags validated for the whole
+    stack by one comparison each."""
+    _check_flags(stack, hermitian, unitary)
+    out = []
+    for mat in stack:
+        op = Operator(mat)
+        object.__setattr__(op, "hermitian", hermitian)
+        object.__setattr__(op, "unitary", unitary)
+        out.append(op)
+    return out
+
+
+def positions(keys: Sequence[Hashable]) -> list[list[int]]:
+    """The positions of each distinct key in ``keys``, keys in order of
+    first appearance: how the stacked routines group what they stack."""
+    out: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return list(out.values())
 
 
 def zero(dim: int) -> Operator:

@@ -7,17 +7,27 @@ runs exactly.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .cnot import GateImplementation
-from .conservation import CommutantBasis, ConservationLaw, commutant_basis, conserving_unitary
+from .conservation import (
+    CommutantBasis,
+    ConservationLaw,
+    commutant_bases,
+    commutant_basis,
+    conserving_unitaries,
+    conserving_unitary,
+)
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector
+from .operators import HilbertSpec, Operator, StateVector, flagged_operators, positions
 
 __all__ = [
     "DEFAULT_STRENGTH",
     "random_state",
     "random_conserving_model",
+    "random_conserving_models",
     "random_conserving_implementation",
 ]
 
@@ -33,33 +43,62 @@ def random_state(rng: np.random.Generator, dim: int) -> StateVector:
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> Operator:
     """GUE-style random Hermitian matrix."""
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((raw + raw.conj().T) * 0.5, hermitian=True)
+    return _hermitians([_gaussian(rng, dim)])[0]
 
 
-def random_integer_spectrum_hermitian(rng: np.random.Generator, dim: int) -> Operator:
-    """Random Hermitian with integer eigenvalues in -2..2.
+def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim matrix of complex standard normals, real parts drawn first."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _hermitians(raws: Sequence[np.ndarray]) -> list[Operator]:
+    """(G + G^dag) / 2 for each Gaussian matrix G, one stack per dimension."""
+    out: list = [None] * len(raws)
+    for members in positions([len(raw) for raw in raws]):
+        g = np.array([raws[i] for i in members])
+        for i, op in zip(members, flagged_operators((g + g.conj().swapaxes(1, 2)) * 0.5, hermitian=True)):
+            out[i] = op
+    return out
+
+
+def _integer_spectrum_hermitians(spectra: Sequence[np.ndarray], raws: Sequence[np.ndarray]) -> list[Operator]:
+    """Random Hermitians with the given integer spectra, one per Gaussian matrix.
 
     Integer spectra keep the total charge's eigenvalue clusters well
     separated, so the commutant block structure is unambiguous.  The
-    eigenbasis is Haar random (QR of a complex Gaussian matrix).
+    eigenbasis is Haar random: the QR of the Gaussian matrix, with the
+    phases of R's diagonal moved into Q.  The matrices of one dimension
+    are factored by one stacked ``qr``, which gives each the bits of its
+    own call.
     """
-    spectrum = rng.integers(-2, 3, size=dim).astype(float)
-    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(raw)
-    diag = r.diagonal()
-    q = q * (diag / np.abs(diag))
-    return Operator((q * spectrum) @ q.conj().T, hermitian=True)
+    out: list = [None] * len(raws)
+    for members in positions([len(raw) for raw in raws]):
+        q, r = np.linalg.qr(np.array([raws[i] for i in members]))
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        q = q * (diag / np.abs(diag))[:, None, :]
+        spectrum = np.array([spectra[i] for i in members])[:, None, :]
+        mats = (q * spectrum) @ q.conj().swapaxes(1, 2)
+        for i, op in zip(members, flagged_operators(mats, hermitian=True)):
+            out[i] = op
+    return out
 
 
 def random_law(rng: np.random.Generator, spec: HilbertSpec) -> ConservationLaw:
     """Random additive law with integer charge spectra on each factor."""
-    return ConservationLaw(
-        spec=spec,
-        object_part=random_integer_spectrum_hermitian(rng, spec.object_dim),
-        probe_part=random_integer_spectrum_hermitian(rng, spec.probe_dim),
-        ancilla_part=random_integer_spectrum_hermitian(rng, spec.ancilla_dim),
-    )
+    return _random_laws([rng], [spec])[0]
+
+
+def _random_laws(rngs: Sequence[np.random.Generator], specs: Sequence[HilbertSpec]) -> list[ConservationLaw]:
+    """A random additive law on each spec, drawn from its own stream:
+    the object, probe and ancilla charges, each an integer spectrum in
+    -2..2 and then its Gaussian matrix."""
+    spectra, raws = [], []
+    for rng, spec in zip(rngs, specs):
+        for d in (spec.object_dim, spec.probe_dim, spec.ancilla_dim):
+            spectra.append(rng.integers(-2, 3, size=d).astype(float))
+            raws.append(_gaussian(rng, d))
+    parts = _integer_spectrum_hermitians(spectra, raws)
+    return [ConservationLaw(spec, *parts[3 * i : 3 * i + 3]) for i, spec in enumerate(specs)]
 
 
 def random_conserving_model(
@@ -68,22 +107,53 @@ def random_conserving_model(
     """Random measurement model whose interaction conserves a random law.
 
     The law, the commutant coefficients, the probe/ancilla states, and
-    the observable/pointer pair are all drawn from one PCG64 stream, so
-    a single integer reproduces the whole scenario.
+    the observable/pointer pair are all drawn from one PCG64 stream, in
+    that order, so a single integer reproduces the whole scenario.  This
+    is :func:`random_conserving_models` of one case.
     """
-    rng = np.random.default_rng(seed)
-    law = random_law(rng, spec)
-    basis = commutant_basis(law)
-    u = conserving_unitary(basis, rng.standard_normal(basis.generator_count))
-    model = IndirectMeasurementModel(
-        spec=spec,
-        probe_state=random_state(rng, spec.probe_dim),
-        ancilla_state=random_state(rng, spec.ancilla_dim) if spec.has_ancilla else None,
-        interaction=u,
-        pointer=random_hermitian(rng, spec.probe_dim),
-        observable=random_hermitian(rng, spec.object_dim),
-    )
-    return model, law
+    return random_conserving_models([seed], [spec])[0]
+
+
+def random_conserving_models(
+    seeds: Sequence[int], specs: Sequence[HilbertSpec]
+) -> list[tuple[IndirectMeasurementModel, ConservationLaw]]:
+    """:func:`random_conserving_model` of each (seed, spec) pair, bit for
+    bit, with the linear algebra of all the cases done together.
+
+    Each case draws from its own stream in its own order.  The cases'
+    law factors of one dimension share one stacked ``qr``, their laws of
+    one layout one stacked lift and ``eigh`` (:func:`commutant_bases`),
+    and their commutant blocks of one size one ``eigh`` and block
+    exponential (:func:`conserving_unitaries`).  A stacked decomposition
+    or product gives each matrix the bits of its own call.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    laws = _random_laws(rngs, specs)
+    bases = commutant_bases(laws)
+    coefficients = [rng.standard_normal(basis.generator_count) for rng, basis in zip(rngs, bases)]
+    unitaries = conserving_unitaries(bases, coefficients)
+    states, raws = [], []
+    for rng, spec in zip(rngs, specs):
+        states.append((
+            random_state(rng, spec.probe_dim),
+            random_state(rng, spec.ancilla_dim) if spec.has_ancilla else None,
+        ))
+        raws += [_gaussian(rng, spec.probe_dim), _gaussian(rng, spec.object_dim)]
+    hermitians = _hermitians(raws)
+    return [
+        (
+            IndirectMeasurementModel(
+                spec=spec,
+                probe_state=probe,
+                ancilla_state=ancilla,
+                interaction=u,
+                pointer=hermitians[2 * i],
+                observable=hermitians[2 * i + 1],
+            ),
+            law,
+        )
+        for i, (spec, (probe, ancilla), u, law) in enumerate(zip(specs, states, unitaries, laws))
+    ]
 
 
 def random_conserving_implementation(

@@ -5,7 +5,8 @@ generators instead of the blockwise exponential, Kronecker-lifted noise
 operators instead of their images under U, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
 the sphere descent, a cloud of object states instead of the Gram
-eigenvalue, the digest's bytes assembled whole from its formula.  None
+eigenvalue, the digest's bytes assembled whole from its formula, one
+sampled case at a time instead of a stacked chunk.  None
 of them calls the code it checks, so an agreement between the two is
 evidence rather than a tautology.
 """
@@ -333,6 +334,61 @@ def conserving_unitary_per_block(basis: CommutantBasis, coefficients: np.ndarray
         ub = (v * np.exp(-1j * w)) @ v.conj().T
         u += cols @ ub @ cols.conj().T
     return u
+
+
+def reference_conserving_model(
+    seed: int, spec: HilbertSpec
+) -> tuple[IndirectMeasurementModel, ConservationLaw, dict[str, Any]]:
+    """The sampled model of ``seed`` on ``spec`` written out plainly, one
+    case and one matrix at a time, as the library drew it before it
+    stacked its cases: each charge from its own ``qr``, the lifts as
+    ``np.kron`` products, the total's own ``eigh`` cut into blocks where
+    its spectrum steps, U block by block
+    (:func:`conserving_unitary_per_block`), and then the states, the
+    pointer and the observable, all from the seed's one stream in that
+    order.  Returns the model, the law and the intermediate arrays
+    (``lifts``, ``total``, ``eigenbasis``, ``block_dims``)."""
+    rng = np.random.default_rng(seed)
+    d_obj, d_probe, d_anc = spec.object_dim, spec.probe_dim, spec.ancilla_dim
+    parts = []
+    for d in (d_obj, d_probe, d_anc):
+        spectrum = rng.integers(-2, 3, size=d).astype(float)
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(raw)
+        diag = r.diagonal()
+        q = q * (diag / np.abs(diag))
+        parts.append((q * spectrum) @ q.conj().T)
+    lifts = (
+        np.kron(parts[0], np.eye(d_probe * d_anc)),
+        np.kron(np.kron(np.eye(d_obj), parts[1]), np.eye(d_anc)),
+        np.kron(np.eye(d_obj * d_probe), parts[2]),
+    )
+    total = lifts[0] + lifts[1] + lifts[2]
+    vals, vecs = np.linalg.eigh(total)
+    block_dims, start = [], 0
+    for k in range(1, len(vals) + 1):
+        if k == len(vals) or vals[k] - vals[k - 1] > DEGENERACY_TOL:
+            block_dims.append(k - start)
+            start = k
+    basis = CommutantBasis(eigenbasis=vecs, block_dims=tuple(block_dims))
+    u = conserving_unitary_per_block(basis, rng.standard_normal(sum(d * d for d in block_dims)))
+
+    def state(dim: int) -> StateVector:
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        return StateVector(raw / np.linalg.norm(raw))
+
+    def hermitian(dim: int) -> Operator:
+        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        return Operator((raw + raw.conj().T) * 0.5)
+
+    probe = state(d_probe)
+    ancilla = state(d_anc) if spec.has_ancilla else None
+    pointer = hermitian(d_probe)
+    observable = hermitian(d_obj)
+    law = ConservationLaw(spec, *(Operator(part) for part in parts))
+    model = IndirectMeasurementModel(spec, probe, ancilla, Operator(u), pointer, observable)
+    steps = {"lifts": lifts, "total": total, "eigenbasis": vecs, "block_dims": basis.block_dims}
+    return model, law, steps
 
 
 def unitary_gradient(

@@ -197,22 +197,25 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 
 def test_law_lifts_are_built_once(monkeypatch):
-    # each lift is built once: the law's three parts for the evolved
-    # charges, then the model's observable for the identities' [A, L1]
-    # (E and D, like the trade-off pass's E x and D x, apply P and A to
-    # U x on their own factors)
+    # each lift is built once: the law's three parts, by the sampler for
+    # its total charge, then the model's observable for the identities'
+    # [A, L1] (E and D, like the trade-off pass's E x and D x, apply P and
+    # A to U x on their own factors)
     calls = []
-    embed = HilbertSpec.embed
-    monkeypatch.setattr(HilbertSpec, "embed", lambda s, op, role: calls.append(role) or embed(s, op, role))
+    embed_all = HilbertSpec.embed_all
+    monkeypatch.setattr(
+        HilbertSpec, "embed_all", lambda s, ops, role: calls.append((role, len(ops))) or embed_all(s, ops, role)
+    )
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
+    assert sorted(calls) == [("ancilla", 1), ("object", 1), ("probe", 1)]
+    calls.clear()
     psi = _random_object_state(10)
     trade_off_reports(model, law, psi)
-    assert sorted(calls) == ["ancilla", "object", "probe"]
-    calls.clear()
+    assert calls == []
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert calls == ["object"]
+    assert calls == [("object", 1)]
     calls.clear()
     identity_reports(model, law)
     trade_off_reports(model, law, psi)

@@ -7,6 +7,7 @@ see them; each writes its report into the pytest tmp dir.
 import base64
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -28,14 +29,15 @@ from waylab import (
     commutant_basis,
     conserving_unitary,
 )
+from waylab.bounds import identity_reports, reports_to_csv, trade_off_reports
 from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from waylab.cnot import implementation_from_json, implementation_to_json, pauli, sigma_ceiling_fsq
 from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
 from waylab.measurement import IndirectMeasurementModel
-from waylab.operators import StateVector
-from waylab.sampling import random_conserving_model
+from waylab.operators import MAX_TOTAL_DIM, StateVector
+from waylab.sampling import random_conserving_model, random_conserving_models, random_state
 
-from oracles import WIRE_SPOILERS, pair_form, spoiled_implementation
+from oracles import WIRE_SPOILERS, pair_form, reference_conserving_model, spoiled_implementation
 
 
 def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: str) -> tuple[int, dict]:
@@ -599,21 +601,90 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
 
 def test_huge_count_draws_each_case_seed_when_its_case_is_reached(tmp_path, capsys, monkeypatch):
     # drawing every case seed up front asked numpy for 6.94 EiB at this
-    # count; one seed per case reaches the second case's input error
-    drawn = []
+    # count; seeds are drawn one chunk at a time, each when its chunk is
+    # reached, so the second chunk's input error ends the run
+    pulled, calls = [], []
+    case_seeds = waylab.cli._case_seeds
 
-    def second_fails(seed, spec):
-        drawn.append(seed)
-        if len(drawn) == 2:
-            raise ValueError("second case refused")
-        return random_conserving_model(seed, spec)
+    def counting(seed, count):
+        for case_seed in case_seeds(seed, count):
+            pulled.append(case_seed)
+            yield case_seed
 
-    monkeypatch.setattr(waylab.cli, "random_conserving_model", second_fails)
+    def second_fails(seeds, specs):
+        calls.append((len(seeds), len(pulled)))
+        if len(calls) == 2:
+            raise ValueError("second chunk refused")
+        return random_conserving_models(seeds, specs)
+
+    monkeypatch.setattr(waylab.cli, "_case_seeds", counting)
+    monkeypatch.setattr(waylab.cli, "random_conserving_models", second_fails)
     code, report = run_cli(tmp_path, "check-bounds", {"count": 10**18}, "--seed", "1")
-    assert code == EXIT_USAGE and report == {} and len(drawn) == 2
+    assert code == EXIT_USAGE and report == {}
+    chunk = waylab.cli.CASES_PER_CHUNK
+    assert calls == [(chunk, chunk), (chunk, 2 * chunk)]
     err = capsys.readouterr().err
-    assert "input error" in err and "second case refused" in err
+    assert "input error" in err and "second chunk refused" in err
     assert "MemoryError" not in err and "Traceback" not in err
+
+
+CHUNK_LAYOUTS = [[2, 2], [3, 2], [2, 2, 2, 2]]
+
+
+@pytest.mark.parametrize(
+    "command, count",
+    [("check-bounds", n) for n in (0, 1, 64, 65, 130)] + [("verify-identities", 65)],
+)
+def test_chunked_cases_give_the_records_of_the_per_case_oracle(tmp_path, command, count):
+    # across chunk boundaries the records are those of the models the
+    # per-case oracle draws from the same case seeds: digests, floats,
+    # order and CSV
+    code, report = run_cli(tmp_path, command, {"count": count, "factor_dims": CHUNK_LAYOUTS}, "--seed", "5")
+    assert code == EXIT_OK
+    specs = itertools.cycle([HilbertSpec(tuple(dims)) for dims in CHUNK_LAYOUTS])
+    reports = []
+    for case_seed, spec in zip(waylab.cli._case_seeds(5, count), specs):
+        model, law, _ = reference_conserving_model(case_seed, spec)
+        if command == "check-bounds":
+            psi = random_state(np.random.default_rng(case_seed + 1), spec.object_dim)
+            reports += trade_off_reports(model, law, psi)
+        else:
+            reports += identity_reports(model, law)
+    tol = waylab.cli.DEFAULT_TOL
+    records = sorted(
+        ({**r.to_json_dict(), "passed": r.passed(tol)} for r in reports),
+        key=lambda r: (r["digest"], r["relation"]),
+    )
+    assert len(report["records"]) == len(records) == count * (4 if command == "check-bounds" else 2)
+    for got, want in zip(report["records"], records):  # one record at a time keeps a failure's diff small
+        assert json.dumps(got) == json.dumps(want)
+    if command == "check-bounds":
+        got_rows = (tmp_path / "report.csv").read_text().splitlines()
+        want_rows = reports_to_csv(reports).splitlines()
+        assert len(got_rows) == len(want_rows)
+        for got, want in zip(got_rows, want_rows):
+            assert got == want
+
+
+def test_chunk_size_bounds_every_stack(tmp_path, monkeypatch):
+    # the rule on its arithmetic: the largest layout, (2,)*12, holds one
+    # case, the default layouts a full chunk, and no stack of total-space
+    # matrices exceeds one case's matrix or CHUNK_ENTRIES, so none is
+    # larger than the largest one-case matrix there is
+    chunk_cases = waylab.cli._chunk_cases
+    assert chunk_cases(HilbertSpec((2,) * 12).total_dim) == 1
+    assert chunk_cases(16) == waylab.cli.CASES_PER_CHUNK
+    for n in range(1, MAX_TOTAL_DIM + 1):
+        m = chunk_cases(n)
+        assert 1 <= m <= waylab.cli.CASES_PER_CHUNK
+        assert m * n * n <= max(n * n, waylab.cli.CHUNK_ENTRIES) <= MAX_TOTAL_DIM**2
+    # the randomized commands size their chunks by their largest layout
+    sizes = []
+    sample = waylab.cli.random_conserving_models
+    monkeypatch.setattr(waylab.cli, "random_conserving_models", lambda s, p: sizes.append(len(s)) or sample(s, p))
+    code, report = run_cli(tmp_path, "verify-identities", {"count": 20, "factor_dims": [[2, 2], [2] * 6]}, "--seed", "3")
+    assert code == EXIT_OK and report["summary"]["records"] == 40
+    assert sizes == [chunk_cases(64)] + [20 - chunk_cases(64)] == [16, 4]
 
 
 @pytest.mark.parametrize(

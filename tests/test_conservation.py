@@ -23,8 +23,9 @@ from waylab import (
     zero,
 )
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
-from waylab.conservation import conserving_exponential
-from waylab.sampling import random_hermitian, random_law
+from waylab.conservation import commutant_bases, conserving_exponential
+from waylab.sampling import random_conserving_models, random_hermitian, random_law
+from waylab.serialize import digest
 from waylab.scenarios import build_boson, build_spin
 
 from oracles import (
@@ -33,6 +34,7 @@ from oracles import (
     generators,
     kraus_fidelity_sq,
     project_coefficients_per_block,
+    reference_conserving_model,
     unitary_gradient,
 )
 
@@ -311,3 +313,35 @@ def test_exponential_derivative_is_the_fresh_decomposition_bit_for_bit():
                 got = derivative(bra, ket)
                 assert got.shape == (basis.generator_count,) and got.dtype == np.float64, name
                 assert np.array_equal(got, unitary_gradient(basis, c, bra, ket)), name
+
+
+SAMPLED_LAYOUTS = ((2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2), (1, 2), (2, 3, 2))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 63, 64, 65, 130])
+def test_stacked_sampler_is_the_per_case_oracle_byte_for_byte(chunk):
+    # 130 cases cycling through six layouts, sampled a chunk at a time:
+    # each chunk mixes layouts and block sizes, and every case keeps the
+    # bytes of its own one-case draw
+    seeds = [int(s) for s in np.random.default_rng(28).integers(0, 2**62, size=130)]
+    specs = [HilbertSpec(SAMPLED_LAYOUTS[i % len(SAMPLED_LAYOUTS)]) for i in range(len(seeds))]
+    for start in range(0, len(seeds), chunk):
+        cases = random_conserving_models(seeds[start : start + chunk], specs[start : start + chunk])
+        bases = commutant_bases([law for _, law in cases])
+        for seed, spec, (model, law), basis in zip(seeds[start:], specs[start:], cases, bases):
+            ref_model, ref_law, ref = reference_conserving_model(seed, spec)
+            got = [
+                law.object_part, law.probe_part, law.ancilla_part, *law._lifts, law.total(),
+                basis.eigenbasis, model.interaction, model.probe_state, model.ancilla_state,
+                model.pointer, model.observable,
+            ]
+            want = [
+                ref_law.object_part, ref_law.probe_part, ref_law.ancilla_part, *ref["lifts"], ref["total"],
+                ref["eigenbasis"], ref_model.interaction, ref_model.probe_state, ref_model.ancilla_state,
+                ref_model.pointer, ref_model.observable,
+            ]
+            for k, (a, b) in enumerate(zip(got, want)):
+                a, b = (getattr(x, "entries", getattr(x, "amplitudes", x)) for x in (a, b))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, spec, k)
+            assert basis.block_dims == ref["block_dims"], (seed, spec)
+            assert digest(model=model, law=law) == digest(model=ref_model, law=ref_law), (seed, spec)

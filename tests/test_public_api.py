@@ -24,7 +24,8 @@ MODULE_ALL = {
     },
     "conservation": {
         "ConservationError", "ConservationLaw", "CommutantBasis",
-        "conservation_residual", "commutant_basis", "conserving_unitary",
+        "conservation_residual", "commutant_basis", "commutant_bases",
+        "conserving_unitary", "conserving_unitaries",
     },
     "bounds": {
         "BoundReport", "bound_ingredients", "identity_reports", "require_conserving",
@@ -44,7 +45,7 @@ MODULE_ALL = {
     },
     "sampling": {
         "DEFAULT_STRENGTH", "random_state", "random_conserving_model",
-        "random_conserving_implementation",
+        "random_conserving_models", "random_conserving_implementation",
     },
     "serialize": {
         "operator_to_json", "operator_from_json", "state_to_json", "state_from_json",
