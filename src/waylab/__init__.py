@@ -49,10 +49,9 @@ from .cnot import (
     pauli,
 )
 from .scenarios import (
-    BosonScenario,
     OptimizationRun,
     OptimizeConfig,
-    SpinScenario,
+    Scenario,
     boson_reports,
     build_boson,
     build_spin,

@@ -70,6 +70,9 @@ DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2,
 # alone holds more, so the chunk's models fit in a few MiB.
 CASES_PER_CHUNK = 64
 CHUNK_ENTRIES = 2**16
+# The most cases a randomized command runs: every report stays in memory until
+# the last case, about 8 KiB of RSS a check-bounds case, so 0.5 GiB at the cap.
+MAX_CASES = 2**16
 
 
 class _UsageError(Exception):
@@ -151,6 +154,13 @@ def _nonnegative_int(name: str, value: Any) -> int:
     seed)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise _UsageError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def _case_count(name: str, value: Any) -> int:
+    """A randomized command's number of cases: a count of at most ``MAX_CASES``."""
+    if _nonnegative_int(name, value) > MAX_CASES:
+        raise _UsageError(f"{name} must be at most {MAX_CASES}, got {value}")
     return value
 
 
@@ -288,7 +298,7 @@ def _random_cases(
     :func:`_chunk_cases` cases at a time, each chunk, seeds included,
     drawn only when the loop reaches it."""
     seed = _require_seed(args, config)
-    count = _nonnegative_int("count", _pick(args, config, "count", default_count))
+    count = _case_count("count", _pick(args, config, "count", default_count))
     specs = _factor_specs(config)
     used = {"count": count, "tol": tol, "factor_dims": [list(s.factor_dims) for s in specs]}
     chunk = _chunk_cases(max(s.total_dim for s in specs))
@@ -423,7 +433,7 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
     nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
-    samples = _nonnegative_int("samples_per", _pick(args, config, "samples_per", 3))
+    samples = _case_count("samples_per", _pick(args, config, "samples_per", 3))
     strength = _real("strength", _pick(args, config, "strength", DEFAULT_STRENGTH))
     if not math.isfinite(strength):  # a negative strength is a valid draw
         raise _UsageError(f"strength must be finite, got {strength!r}")

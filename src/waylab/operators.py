@@ -256,55 +256,48 @@ class HilbertSpec:
         return self.ancilla_dim > 1
 
     def embed(self, op: Operator, role: str) -> Operator:
-        """Lift an operator on one named factor to the total space.
+        """Lift an operator on one named factor to the total space: the
+        :class:`Operator` of :meth:`lift` of its entries, with no flags."""
+        return Operator(self.lift(op.entries, role))
 
-        ``role`` is one of ``"object"``, ``"probe"``, ``"ancilla"``.
-        The ancilla role expects an operator on the full ancilla group
-        (dimension ``ancilla_dim``).  This is :meth:`embed_all` of one.
+    def lift(self, entries: np.ndarray, role: str) -> np.ndarray:
+        """A matrix on one named factor, or a stack of them, lifted to the
+        total space: the Kronecker product with identities on the other
+        factors, left factor slowest.
+
+        ``role`` is one of ``"object"``, ``"probe"``, ``"ancilla"``; the
+        ancilla role takes matrices on the full ancilla group (dimension
+        ``ancilla_dim``).  A stack is lifted as one broadcast product,
+        which gives each matrix the bits of its own lift.
         """
-        return self.embed_all([op], role)[0]
-
-    def embed_all(self, ops: Sequence[Operator], role: str) -> list[Operator]:
-        """:meth:`embed` of each of ``ops``, all on one factor, lifted as
-        one stack: each lift has the bits of its own elementwise products."""
         d_obj, d_probe, d_anc = self.object_dim, self.probe_dim, self.ancilla_dim
-        if role not in ("object", "probe", "ancilla"):
+        want = {"object": d_obj, "probe": d_probe, "ancilla": d_anc}.get(role)
+        if want is None:
             raise ValueError(f"unknown role {role!r}")
-        want = d_obj if role == "object" else d_probe if role == "probe" else d_anc
-        for op in ops:
-            if op.dim != want:
-                raise ValueError(f"{role} operator has dim {op.dim}, expected {want}")
-        entries = np.array([op.entries for op in ops])
+        if entries.shape[-2:] != (want, want):
+            raise ValueError(f"{role} operator has shape {entries.shape[-2:]}, expected ({want}, {want})")
         if role == "object":
-            mats = _outer(entries, np.eye(d_probe * d_anc))
-        elif role == "probe":
-            mats = _outer(_outer(np.eye(d_obj), entries), np.eye(d_anc))
-        else:
-            mats = _outer(np.eye(d_obj * d_probe), entries)
-        lifted = []
-        for op, mat in zip(ops, mats):
-            # a Kronecker product with identities keeps both properties, so
-            # the operand's flags carry over without a full-dimension check
-            lift = Operator(mat)
-            object.__setattr__(lift, "hermitian", op.hermitian)
-            object.__setattr__(lift, "unitary", op.unitary)
-            lifted.append(lift)
-        return lifted
+            return _outer(entries, np.eye(d_probe * d_anc))
+        if role == "probe":
+            return _outer(_outer(np.eye(d_obj), entries), np.eye(d_anc))
+        return _outer(np.eye(d_obj * d_probe), entries)
 
 
 def flagged_operators(
-    stack: np.ndarray, hermitian: bool | None = None, unitary: bool | None = None
+    mats: Sequence[np.ndarray], hermitian: bool | None = None, unitary: bool | None = None
 ) -> list[Operator]:
     """``Operator(m, hermitian=hermitian, unitary=unitary)`` for each
-    matrix ``m`` of the stack, with the flags validated for the whole
-    stack by one comparison each."""
-    _check_flags(stack, hermitian, unitary)
-    out = []
-    for mat in stack:
-        op = Operator(mat)
-        object.__setattr__(op, "hermitian", hermitian)
-        object.__setattr__(op, "unitary", unitary)
-        out.append(op)
+    matrix ``m`` of ``mats`` (a list or a stack), in order, with the
+    flags validated by one comparison each per stack of one dimension."""
+    out: list = [None] * len(mats)
+    for members in positions([len(m) for m in mats]):
+        # matrices of one dimension throughout are stacked as given
+        stack = np.asarray(mats) if len(members) == len(mats) else np.array([mats[i] for i in members])
+        _check_flags(stack, hermitian, unitary)
+        for i, mat in zip(members, stack):
+            out[i] = op = Operator(mat)
+            object.__setattr__(op, "hermitian", hermitian)
+            object.__setattr__(op, "unitary", unitary)
     return out
 
 
@@ -339,9 +332,10 @@ def commutator(a: Operator, b: Operator) -> Operator:
 
 def evolve(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
     """Heisenberg-picture images U^dag op U of Hermitian ``ops``, as one
-    stacked product; each image is validated Hermitian as it is built."""
+    stacked product, validated Hermitian as one stack: a non-Hermitian
+    operand is a ``ValueError``."""
     images = u.entries.conj().T @ np.stack([op.entries for op in ops]) @ u.entries
-    return tuple(Operator(image, hermitian=True) for image in images)
+    return tuple(flagged_operators(images, hermitian=True))
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

@@ -41,24 +41,9 @@ def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     return StateVector.from_amplitudes(raw)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> Operator:
-    """GUE-style random Hermitian matrix."""
-    return _hermitians([_gaussian(rng, dim)])[0]
-
-
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A dim x dim matrix of complex standard normals, real parts drawn first."""
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-
-
-def _hermitians(raws: Sequence[np.ndarray]) -> list[Operator]:
-    """(G + G^dag) / 2 for each Gaussian matrix G, one stack per dimension."""
-    out: list = [None] * len(raws)
-    for members in positions([len(raw) for raw in raws]):
-        g = np.array([raws[i] for i in members])
-        for i, op in zip(members, flagged_operators((g + g.conj().swapaxes(1, 2)) * 0.5, hermitian=True)):
-            out[i] = op
-    return out
 
 
 def _integer_spectrum_hermitians(spectra: Sequence[np.ndarray], raws: Sequence[np.ndarray]) -> list[Operator]:
@@ -71,21 +56,15 @@ def _integer_spectrum_hermitians(spectra: Sequence[np.ndarray], raws: Sequence[n
     are factored by one stacked ``qr``, which gives each the bits of its
     own call.
     """
-    out: list = [None] * len(raws)
+    mats: list = [None] * len(raws)
     for members in positions([len(raw) for raw in raws]):
         q, r = np.linalg.qr(np.array([raws[i] for i in members]))
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * (diag / np.abs(diag))[:, None, :]
         spectrum = np.array([spectra[i] for i in members])[:, None, :]
-        mats = (q * spectrum) @ q.conj().swapaxes(1, 2)
-        for i, op in zip(members, flagged_operators(mats, hermitian=True)):
-            out[i] = op
-    return out
-
-
-def random_law(rng: np.random.Generator, spec: HilbertSpec) -> ConservationLaw:
-    """Random additive law with integer charge spectra on each factor."""
-    return _random_laws([rng], [spec])[0]
+        for i, mat in zip(members, (q * spectrum) @ q.conj().swapaxes(1, 2)):
+            mats[i] = mat
+    return flagged_operators(mats, hermitian=True)
 
 
 def _random_laws(rngs: Sequence[np.random.Generator], specs: Sequence[HilbertSpec]) -> list[ConservationLaw]:
@@ -139,7 +118,7 @@ def random_conserving_models(
             random_state(rng, spec.ancilla_dim) if spec.has_ancilla else None,
         ))
         raws += [_gaussian(rng, spec.probe_dim), _gaussian(rng, spec.object_dim)]
-    hermitians = _hermitians(raws)
+    hermitians = flagged_operators([(g + g.conj().T) * 0.5 for g in raws], hermitian=True)
     return [
         (
             IndirectMeasurementModel(

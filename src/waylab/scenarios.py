@@ -47,8 +47,7 @@ from .serialize import digest
 __all__ = [
     "TAIL_TOL",
     "CEILING_TOL",
-    "SpinScenario",
-    "BosonScenario",
+    "Scenario",
     "OptimizeConfig",
     "OptimizationRun",
     "CeilingViolation",
@@ -110,53 +109,33 @@ def ceiling_boson(nbar: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class SpinScenario:
-    """CNOT on n qubits under total-x-spin conservation."""
+class Scenario:
+    """A CNOT family: its conservation law, whose ``spec`` is the
+    scenario's space, the ancilla input and the F^2 ceiling.
 
-    n: int
-    spec: HilbertSpec
+    ``nbar`` is the mean photon number of a coherent control field (the
+    bosonic family, whose Fock cutoff is ``spec.ancilla_dim``), and
+    ``None`` for a spin register of ``len(spec.factor_dims)`` qubits.
+    """
+
     law: ConservationLaw
     ancilla_state: StateVector | None
     ceiling_fsq: float
+    nbar: float | None = None
+
+    @property
+    def spec(self) -> HilbertSpec:
+        return self.law.spec
 
     @property
     def label(self) -> str:
-        return f"spin-n{self.n}"
-
-
-@dataclass(frozen=True, eq=False)
-class BosonScenario:
-    """CNOT with a truncated coherent field mode as the control reservoir.
-
-    The ancilla charge is twice the number operator; the coherent state
-    amplitude is real, sqrt(nbar).
-    """
-
-    nbar: float
-    cutoff: int
-    spec: HilbertSpec
-    law: ConservationLaw
-    ancilla_state: StateVector
-    ceiling_fsq: float
-
-    @property
-    def label(self) -> str:
+        if self.nbar is None:
+            return f"spin-n{len(self.spec.factor_dims)}"
         return f"boson-nbar{self.nbar:g}"
 
 
-def _sum_single_site(op2: np.ndarray, sites: int) -> Operator:
-    """Sum of a one-qubit operator over each site of a spin register."""
-    dim = 2**sites
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for k in range(sites):
-        total += np.kron(
-            np.kron(np.eye(2**k), op2), np.eye(2 ** (sites - k - 1))
-        )
-    return Operator(total, hermitian=True)
-
-
-def build_spin(n: int) -> SpinScenario:
-    """Spin scenario on n >= 2 qubits.
+def build_spin(n: int) -> Scenario:
+    """Spin scenario on n >= 2 qubits, labelled ``spin-n{n}``.
 
     The conservation law is Pauli X on the control, Pauli X on the
     target, and the summed X over the n-2 ancilla qubits (absent for
@@ -181,11 +160,12 @@ def build_spin(n: int) -> SpinScenario:
         law = ConservationLaw(spec, x, x, None)
         anc_state = None
     else:
-        law = ConservationLaw(spec, x, x, _sum_single_site(x.entries, anc_qubits))
+        summed = np.zeros((spec.ancilla_dim,) * 2, dtype=np.complex128)
+        for k in range(anc_qubits):  # X on ancilla qubit k, lifted to the ancilla register
+            summed += HilbertSpec((2**k, 2, 2 ** (anc_qubits - k - 1))).lift(x.entries, "probe")
+        law = ConservationLaw(spec, x, x, Operator(summed, hermitian=True))
         anc_state = StateVector.basis(spec.ancilla_dim, 0)
-    return SpinScenario(
-        n=n, spec=spec, law=law, ancilla_state=anc_state, ceiling_fsq=ceiling
-    )
+    return Scenario(law, anc_state, ceiling)
 
 
 def poisson_cutoff(nbar: float, tail_tol: float = TAIL_TOL) -> int:
@@ -217,12 +197,15 @@ def truncated_coherent(nbar: float, cutoff: int) -> StateVector:
     return StateVector.from_amplitudes(np.exp(log_amp))
 
 
-def build_boson(nbar: float, tail_tol: float = TAIL_TOL) -> BosonScenario:
-    """Bosonic scenario: CNOT qubits plus one truncated field mode.
+def build_boson(nbar: float, tail_tol: float = TAIL_TOL) -> Scenario:
+    """Bosonic scenario: CNOT qubits plus one truncated field mode,
+    labelled ``boson-nbar{nbar:g}``.
 
-    The cutoff is the smallest dimension meeting the tail tolerance
-    (:func:`poisson_cutoff`); a smaller ``tail_tol`` keeps more Fock
-    levels.  Mean photon numbers below 1e-6 are rejected: the
+    The ancilla charge is twice the number operator, and the ancilla
+    input the coherent state of real amplitude sqrt(nbar).  The cutoff,
+    the ancilla dimension, is the smallest one meeting the tail
+    tolerance (:func:`poisson_cutoff`); a smaller ``tail_tol`` keeps
+    more Fock levels.  Mean photon numbers below 1e-6 are rejected: the
     vacuum limit leaves no reservoir and the truncation itself would
     degenerate.  So are non-finite ones.
     """
@@ -230,22 +213,13 @@ def build_boson(nbar: float, tail_tol: float = TAIL_TOL) -> BosonScenario:
         raise ValueError(f"mean photon number {nbar} outside the supported range [1e-6, inf)")
     d = poisson_cutoff(nbar, tail_tol)
     spec = HilbertSpec((2, 2, d))
-    number_op = Operator(np.diag(np.arange(d, dtype=float)), hermitian=True)
     x = pauli("X")
-    law = ConservationLaw(spec, x, x, Operator(2.0 * number_op.entries, hermitian=True))
-    xi = truncated_coherent(nbar, d)
-    return BosonScenario(
-        nbar=float(nbar),
-        cutoff=d,
-        spec=spec,
-        law=law,
-        ancilla_state=xi,
-        ceiling_fsq=ceiling_boson(nbar),
-    )
+    law = ConservationLaw(spec, x, x, Operator(np.diag(2.0 * np.arange(d)), hermitian=True))
+    return Scenario(law, truncated_coherent(nbar, d), ceiling_boson(nbar), float(nbar))
 
 
 def boson_reports(
-    impl: GateImplementation, scenario: BosonScenario, fidelity: FidelityResult
+    impl: GateImplementation, scenario: Scenario, fidelity: FidelityResult
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
     """The coherent-field check of one implementation, three reports under
     one digest: F^2 (``fidelity``, its worst-case search) against
@@ -258,8 +232,12 @@ def boson_reports(
     their outcomes are data about the approximation, not a build gate.
     ``sigma-l3`` records the Poissonian residual |Delta N' - sqrt(<N'>)|
     and the mean-shift margin in its details; the two F^2 records carry
-    the search's certified ``fidelity_sq_lower`` in theirs.
+    the search's certified ``fidelity_sq_lower`` in theirs.  The digest
+    tags the implementation and the scenario's nbar and Fock cutoff; a
+    scenario without ``nbar`` (a spin register) is a ``ValueError``.
     """
+    if scenario.nbar is None:
+        raise ValueError(f"{scenario.label} is not a coherent-field scenario")
     if impl.spec.factor_dims != scenario.spec.factor_dims:
         raise ValueError("implementation does not live on the scenario's space")
     mean_l3, sigma = l3_moments(impl, scenario.law)
@@ -275,7 +253,7 @@ def boson_reports(
         "sigma_ceiling_fsq": rigorous,
         "nbar_ceiling_fsq": scenario.ceiling_fsq,
     }
-    tag = digest(implementation=impl, scenario={"nbar": nbar, "cutoff": scenario.cutoff})
+    tag = digest(implementation=impl, scenario={"nbar": nbar, "cutoff": scenario.spec.ancilla_dim})
     fsq_details = {"fidelity_sq_lower": fidelity.fidelity_sq_lower, "nbar": nbar}
     return (
         BoundReport("sigma-ceiling", "inequality", fsq, rigorous, tag, {**fsq_details, "sigma_l3": sigma}),
@@ -355,7 +333,7 @@ class CeilingViolation(Exception):
         )
 
 
-def projected_gate_coefficients(scenario: SpinScenario | BosonScenario, basis: CommutantBasis) -> np.ndarray:
+def projected_gate_coefficients(scenario: Scenario, basis: CommutantBasis) -> np.ndarray:
     """Commutant coefficients of the ideal gate's generator.
 
     The CNOT is exp(-i H) with H = (pi/2)(I - U_CN); projecting H
@@ -373,7 +351,7 @@ def projected_gate_coefficients(scenario: SpinScenario | BosonScenario, basis: C
 
 
 def optimize_fidelity(
-    scenario: SpinScenario | BosonScenario, config: OptimizeConfig | None = None
+    scenario: Scenario, config: OptimizeConfig | None = None
 ) -> OptimizationRun:
     """Maximize the worst-case CNOT fidelity over conserving unitaries.
 
@@ -385,8 +363,9 @@ def optimize_fidelity(
     rejected one halves.  A start ends after ``max_iter`` steps, at an
     exactly zero gradient (the F = 0 plateau), or below ``STEP_FLOOR``.
     Every evaluated point, rejected trials included, is checked against
-    its ceiling (the fixed 1 - 1/(4 n^2) for spin; the measured
-    sigma(L3')-form for bosonic runs): one above ceiling + ``CEILING_TOL``
+    its ceiling (the scenario's fixed ``ceiling_fsq``, 1 - 1/(4 n^2) for
+    spin; the measured sigma(L3')-form when ``nbar`` is set, the bosonic
+    family): one above ceiling + ``CEILING_TOL``
     raises :class:`CeilingViolation`.
 
     With an ancilla, a trial first gets a warm pass: ``WARM_STEPS``
@@ -401,7 +380,7 @@ def optimize_fidelity(
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
     count = basis.generator_count
-    is_boson = isinstance(scenario, BosonScenario)
+    is_boson = scenario.nbar is not None
     cnot = cnot_unitary().entries
     min_gap, evaluations = math.inf, 0
     sigma = math.nan  # boson only: sigma(L3') at the last evaluation

@@ -147,6 +147,13 @@ def digest_of_bits(**parts: Any) -> str:
     return hashlib.sha256(text.encode("utf-8") + b"".join(blobs)).hexdigest()[:16]
 
 
+def gue_hermitian(rng: np.random.Generator, dim: int) -> Operator:
+    """GUE-style random Hermitian (G + G^dag) / 2, G a matrix of complex
+    standard normals with its real parts drawn first."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return Operator((g + g.conj().T) * 0.5, hermitian=True)
+
+
 def _hermiticity_defect(op: Operator) -> float:
     """max|M - M^dag|, for the norm-scaled hermiticity checks below."""
     return float(np.max(np.abs(op.entries - op.entries.conj().T)))

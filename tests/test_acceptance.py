@@ -43,7 +43,6 @@ from waylab import (
 from waylab.sampling import (
     random_conserving_implementation,
     random_conserving_model,
-    random_hermitian,
     random_state,
 )
 from waylab.scenarios import (
@@ -54,7 +53,7 @@ from waylab.scenarios import (
     projected_gate_coefficients,
 )
 
-from oracles import expm_skew, grid_search_fidelity, kraus_lower_fsq, outcome_distribution
+from oracles import expm_skew, grid_search_fidelity, gue_hermitian, kraus_lower_fsq, outcome_distribution
 
 X = pauli("X")
 SPEC22 = HilbertSpec((2, 2))
@@ -251,8 +250,8 @@ def test_criterion_8_deviation_product_floor(capsys):
     count = 0
     while count < 1000:
         dim = int(rng.integers(2, 17))
-        a = random_hermitian(rng, dim)
-        b = random_hermitian(rng, dim)
+        a = gue_hermitian(rng, dim)
+        b = gue_hermitian(rng, dim)
         psi = random_state(rng, dim)
         lhs = std_dev(a, psi) * std_dev(b, psi)
         rhs = 0.5 * abs(expectation(commutator(a, b), psi))
@@ -270,7 +269,7 @@ def test_criterion_9_search_matches_grid_oracle(capsys):
     # independent routes to the same worst-case fidelity
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    cases = [expm_skew(random_hermitian(rng, 4)) for _ in range(3)]
+    cases = [expm_skew(gue_hermitian(rng, 4)) for _ in range(3)]
     cases.append(
         Operator(cnot_unitary().entries @ np.diag([1, 1, 1, np.exp(0.9j)]), unitary=True)
     )

@@ -197,17 +197,17 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 
 def test_law_lifts_are_built_once(monkeypatch):
-    # each lift is built once: the law's three parts, by the sampler for
-    # its total charge, then the model's observable for the identities'
-    # [A, L1] (E and D, like the trade-off pass's E x and D x, apply P and
-    # A to U x on their own factors)
+    # each lift is built once: the law's three parts, each a stack of one
+    # from the sampler, for its total charge, then the model's observable,
+    # one matrix, for the identities' [A, L1] (E and D, like the trade-off
+    # pass's E x and D x, apply P and A to U x on their own factors)
     calls = []
-    embed_all = HilbertSpec.embed_all
+    lift = HilbertSpec.lift
     monkeypatch.setattr(
-        HilbertSpec, "embed_all", lambda s, ops, role: calls.append((role, len(ops))) or embed_all(s, ops, role)
+        HilbertSpec, "lift", lambda s, entries, role: calls.append((role, entries.shape[:-2])) or lift(s, entries, role)
     )
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
-    assert sorted(calls) == [("ancilla", 1), ("object", 1), ("probe", 1)]
+    assert sorted(calls) == [("ancilla", (1,)), ("object", (1,)), ("probe", (1,))]
     calls.clear()
     psi = _random_object_state(10)
     trade_off_reports(model, law, psi)
@@ -215,7 +215,7 @@ def test_law_lifts_are_built_once(monkeypatch):
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert calls == [("object", 1)]
+    assert calls == [("object", ())]
     calls.clear()
     identity_reports(model, law)
     trade_off_reports(model, law, psi)

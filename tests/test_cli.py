@@ -600,9 +600,9 @@ def test_bad_count_is_usage_error(tmp_path, capsys, command, key, value):
 
 
 def test_huge_count_draws_each_case_seed_when_its_case_is_reached(tmp_path, capsys, monkeypatch):
-    # drawing every case seed up front asked numpy for 6.94 EiB at this
-    # count; seeds are drawn one chunk at a time, each when its chunk is
-    # reached, so the second chunk's input error ends the run
+    # at the largest count allowed, seeds are still drawn one chunk at a
+    # time, each when its chunk is reached, so the second chunk's input
+    # error ends the run before more seeds are drawn
     pulled, calls = [], []
     case_seeds = waylab.cli._case_seeds
 
@@ -619,13 +619,34 @@ def test_huge_count_draws_each_case_seed_when_its_case_is_reached(tmp_path, caps
 
     monkeypatch.setattr(waylab.cli, "_case_seeds", counting)
     monkeypatch.setattr(waylab.cli, "random_conserving_models", second_fails)
-    code, report = run_cli(tmp_path, "check-bounds", {"count": 10**18}, "--seed", "1")
+    code, report = run_cli(tmp_path, "check-bounds", {"count": waylab.cli.MAX_CASES}, "--seed", "1")
     assert code == EXIT_USAGE and report == {}
     chunk = waylab.cli.CASES_PER_CHUNK
     assert calls == [(chunk, chunk), (chunk, 2 * chunk)]
     err = capsys.readouterr().err
     assert "input error" in err and "second chunk refused" in err
     assert "MemoryError" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("check-bounds", "count"), ("verify-identities", "count"), ("boson-check", "samples_per")],
+)
+@pytest.mark.parametrize("excess", [1, 10**18])
+def test_case_count_above_the_cap_is_a_usage_error_before_any_seed(tmp_path, capsys, monkeypatch, command, key, excess):
+    # every report stays in memory until the last case, so a count past
+    # MAX_CASES is refused before a case seed is drawn; 10**18 ran on
+    # until it was killed
+    pulled = []
+    case_seeds = waylab.cli._case_seeds
+    monkeypatch.setattr(waylab.cli, "_case_seeds", lambda seed, count: pulled.append(count) or case_seeds(seed, count))
+    value = waylab.cli.MAX_CASES + excess
+    code, report = run_cli(tmp_path, command, {key: value}, "--seed", "1")
+    assert code == EXIT_USAGE and report == {}
+    assert pulled == []
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"{key} must be at most {waylab.cli.MAX_CASES}, got {value}" in err
+    assert "Traceback" not in err
 
 
 CHUNK_LAYOUTS = [[2, 2], [3, 2], [2, 2, 2, 2]]

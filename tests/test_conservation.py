@@ -24,7 +24,7 @@ from waylab import (
 )
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
 from waylab.conservation import commutant_bases, conserving_exponential
-from waylab.sampling import random_conserving_models, random_hermitian, random_law
+from waylab.sampling import random_conserving_model, random_conserving_models
 from waylab.serialize import digest
 from waylab.scenarios import build_boson, build_spin
 
@@ -32,6 +32,7 @@ from oracles import (
     conserving_unitary_per_block,
     expm_skew,
     generators,
+    gue_hermitian,
     kraus_fidelity_sq,
     project_coefficients_per_block,
     reference_conserving_model,
@@ -233,7 +234,7 @@ def test_commutant_spans_trivial_law():
 def _random_laws():
     for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2), (3, 2, 2), (2, 3, 2)):
         for seed in range(12):
-            yield f"random-{dims}-{seed}", random_law(np.random.default_rng(seed), HilbertSpec(dims))
+            yield f"random-{dims}-{seed}", random_conserving_model(seed, HilbertSpec(dims))[1]
     yield "spin-3", build_spin(3).law
     yield "spin-4", build_spin(4).law
     yield "boson-1", build_boson(1.0).law
@@ -242,7 +243,7 @@ def _random_laws():
         rng = np.random.default_rng(sum(dims))
         spec = HilbertSpec(dims)
         yield f"nondegenerate-{dims}", ConservationLaw(
-            spec, *(random_hermitian(rng, d) for d in (spec.object_dim, spec.probe_dim, spec.ancilla_dim))
+            spec, *(gue_hermitian(rng, d) for d in (spec.object_dim, spec.probe_dim, spec.ancilla_dim))
         )
 
 

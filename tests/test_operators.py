@@ -23,7 +23,7 @@ from waylab import (
 import waylab.operators
 from waylab.cnot import pauli
 
-from oracles import eig_hermitian, expm_skew
+from oracles import eig_hermitian, expm_skew, gue_hermitian
 
 
 X = pauli("X")
@@ -128,17 +128,45 @@ def test_tensor_entry_convention():
 
 
 def test_tensor_matches_kron_and_associativity():
-    # the three embeddings multiply to the left-slowest Kronecker product
-    a = Operator(np.arange(4.0).reshape(2, 2))
-    b = Operator(np.arange(9.0).reshape(3, 3) * 1j)
-    c = Operator(np.eye(2))
-    spec = HilbertSpec((2, 3, 2))
-    lifted = [spec.embed(op, role).entries for op, role in ((a, "object"), (b, "probe"), (c, "ancilla"))]
-    np.testing.assert_allclose(
-        lifted[0] @ lifted[1] @ lifted[2],
-        np.kron(np.kron(a.entries, b.entries), c.entries),
-        atol=1e-14,
-    )
+    # each role's lift is the left-slowest Kronecker product with
+    # identities, byte for byte, a stack's lift is the lift of each of its
+    # matrices, and the three lifts multiply to the Kronecker product
+    rng = np.random.default_rng(4)
+    for dims in ((2, 2), (1, 2), (3, 2), (2, 3, 2), (2, 2, 2, 2)):
+        spec = HilbertSpec(dims)
+        d_obj, d_probe, d_anc = spec.object_dim, spec.probe_dim, spec.ancilla_dim
+        krons = {
+            "object": (d_obj, lambda m: np.kron(m, np.eye(d_probe * d_anc))),
+            "probe": (d_probe, lambda m: np.kron(np.kron(np.eye(d_obj), m), np.eye(d_anc))),
+            "ancilla": (d_anc, lambda m: np.kron(np.eye(d_obj * d_probe), m)),
+        }
+        firsts = []
+        for role, (d, kron) in krons.items():
+            stack = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+            stack[0, 0, 0] = -0.0  # a negative zero keeps its sign as np.kron keeps it
+            lifted = spec.lift(stack, role)
+            assert lifted.shape == (3, spec.total_dim, spec.total_dim)
+            for m, lift in zip(stack, lifted):
+                assert spec.lift(m, role).tobytes() == lift.tobytes() == kron(m).tobytes(), (dims, role)
+                assert spec.embed(Operator(m), role).entries.tobytes() == lift.tobytes()
+            firsts.append(stack[0])
+        a, b, c = firsts
+        lifts = [spec.lift(m, role) for m, role in zip(firsts, krons)]
+        np.testing.assert_allclose(
+            lifts[0] @ lifts[1] @ lifts[2], np.kron(np.kron(a, b), c), rtol=0, atol=1e-13
+        )
+
+
+def test_evolve_refuses_a_non_hermitian_operand():
+    # the images are validated Hermitian as one stack: one non-Hermitian
+    # operand among Hermitian ones is refused, and Hermitian images are flagged
+    u = Operator(np.array([[0.6, 0.8j], [0.8j, 0.6]]), unitary=True)
+    raising = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="hermitian flag set"):
+        waylab.operators.evolve((X, raising), u)
+    images = waylab.operators.evolve((X, Z), u)
+    assert all(image.hermitian for image in images)
+    np.testing.assert_allclose(images[1].entries, u.entries.conj().T @ Z.entries @ u.entries, atol=0)
 
 
 def test_tensor_states_matches_kron():
@@ -171,6 +199,12 @@ def test_embed_roles():
         spec.embed(X, "pointer")
     with pytest.raises(ValueError):
         spec.embed(Operator(np.eye(3)), "object")
+    # the lift checks the role and the trailing dimensions of a matrix or stack
+    with pytest.raises(ValueError, match="unknown role"):
+        spec.lift(np.eye(2), "pointer")
+    for bad in (np.eye(3), np.zeros((4, 2, 3)), np.zeros((4, 3, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="expected"):
+            spec.lift(bad, "probe")
 
 
 def test_hilbert_spec_shapes():
@@ -291,11 +325,6 @@ def test_eig_hermitian_spectral_reconstruction():
     np.testing.assert_allclose(rebuilt, h.entries, atol=1e-12)
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> Operator:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return Operator((m + m.conj().T) / 2, hermitian=True)
-
-
 def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector.from_amplitudes(v)
@@ -306,8 +335,8 @@ def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
 def test_robertson_uncertainty_property(seed, dim):
     # sigma(X) sigma(Y) >= |<[X, Y]>| / 2 for any pair and any state.
     rng = np.random.default_rng(seed)
-    a = _random_hermitian(rng, dim)
-    b = _random_hermitian(rng, dim)
+    a = gue_hermitian(rng, dim)
+    b = gue_hermitian(rng, dim)
     psi = _random_state(rng, dim)
     lhs = std_dev(a, psi) * std_dev(b, psi)
     rhs = abs(expectation(commutator(a, b), psi)) / 2
@@ -320,7 +349,7 @@ def test_variance_is_minimum_over_shifts(seed, dim):
     # <(A - c)^2> is minimized at c = <A>, so std_dev must not exceed
     # the RMS deviation from any other reference point.
     rng = np.random.default_rng(seed)
-    a = _random_hermitian(rng, dim)
+    a = gue_hermitian(rng, dim)
     psi = _random_state(rng, dim)
     c = rng.standard_normal()
     shifted = a.entries - c * np.eye(dim)

@@ -39,7 +39,7 @@ MODULE_ALL = {
         "implementation_to_json", "implementation_from_json",
     },
     "scenarios": {
-        "TAIL_TOL", "CEILING_TOL", "SpinScenario", "BosonScenario", "OptimizeConfig",
+        "TAIL_TOL", "CEILING_TOL", "Scenario", "OptimizeConfig",
         "OptimizationRun", "CeilingViolation", "build_spin", "build_boson", "boson_reports",
         "optimize_fidelity", "way_positive_control",
     },
@@ -64,7 +64,7 @@ PACKAGE_ALL = {
     "BoundReport", "identity_reports", "trade_off_reports",
     "FidelityResult", "GateImplementation", "SearchConfig", "cnot_unitary",
     "gate_fidelity", "measurement_view", "noise_fidelity_link", "pauli",
-    "BosonScenario", "OptimizationRun", "OptimizeConfig", "SpinScenario", "boson_reports",
+    "OptimizationRun", "OptimizeConfig", "Scenario", "boson_reports",
     "build_boson", "build_spin", "optimize_fidelity", "way_positive_control",
     "__version__",
 }

@@ -22,8 +22,8 @@ from waylab import (
     HilbertSpec,
     Operator,
     OptimizeConfig,
+    Scenario,
     SearchConfig,
-    SpinScenario,
     StateVector,
     boson_reports,
     build_boson,
@@ -61,6 +61,7 @@ from waylab.scenarios import (
     projected_gate_coefficients,
     truncated_coherent,
 )
+from waylab.serialize import digest
 
 
 X = pauli("X")
@@ -171,7 +172,7 @@ def test_truncated_coherent_moments():
 
 def test_build_boson_layout():
     sc = build_boson(1.0)
-    assert sc.cutoff == 13
+    assert sc.spec.ancilla_dim == 13
     assert sc.spec.factor_dims == (2, 2, 13)
     assert sc.label == "boson-nbar1"
     assert sc.ceiling_fsq == pytest.approx(1.0 - 1.0 / 16.0)
@@ -181,6 +182,28 @@ def test_build_boson_layout():
     )
     with pytest.raises(ValueError):
         build_boson(1e-9)
+
+
+def test_one_scenario_type_reads_its_space_label_and_cutoff_from_the_law():
+    # the space is the law's, the label follows from the layout or nbar,
+    # and a coherent-field scenario's Fock cutoff is its ancilla dimension
+    for n in range(2, 6):
+        sc = build_spin(n)
+        assert sc.label == f"spin-n{n}" and sc.nbar is None
+        assert sc.spec is sc.law.spec
+    for nbar, cutoff, label in ((1.0, 13, "boson-nbar1"), (2.0, 17, "boson-nbar2"), (4.0, 23, "boson-nbar4")):
+        sc = build_boson(nbar)
+        assert sc.label == label and sc.nbar == nbar
+        assert sc.spec is sc.law.spec
+        assert sc.spec.ancilla_dim == cutoff
+        impl = GateImplementation(sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state)
+        tag = digest(implementation=impl, scenario={"nbar": nbar, "cutoff": cutoff})
+        assert {r.digest for r in boson_reports(impl, sc, PERFECT)} == {tag}
+    # a spin register has no field to check
+    spin = build_spin(3)
+    impl = GateImplementation(spin.spec, Operator(np.eye(8), unitary=True), spin.ancilla_state)
+    with pytest.raises(ValueError, match="not a coherent-field scenario"):
+        boson_reports(impl, spin, PERFECT)
 
 
 def test_sigma_check_untouched_field():
@@ -253,7 +276,7 @@ def test_sigma_check_stable_under_larger_cutoff():
     lhs, cutoffs = [], []
     for tail_tol in (waylab.scenarios.TAIL_TOL, 1e-18):
         sc = build_boson(1.0, tail_tol)
-        cutoffs.append(sc.cutoff)
+        cutoffs.append(sc.spec.ancilla_dim)
         impl = GateImplementation(
             sc.spec, Operator(np.eye(sc.spec.total_dim), unitary=True), sc.ancilla_state
         )
@@ -268,9 +291,7 @@ def test_projected_start_reproduces_gate_in_commuting_law():
     # exact gate
     spec = HilbertSpec((2, 2))
     law = ConservationLaw(spec, Z, zero(2))
-    scenario = SpinScenario(
-        n=2, spec=spec, law=law, ancilla_state=None, ceiling_fsq=1.0
-    )
+    scenario = Scenario(law, None, 1.0)
     basis = commutant_basis(law)
     coeffs = projected_gate_coefficients(scenario, basis)
     u = conserving_unitary(basis, coeffs)
@@ -283,9 +304,7 @@ def test_optimizer_attains_unit_fidelity_without_obstruction():
     # start already contains the perfect gate
     spec = HilbertSpec((2, 2))
     law = ConservationLaw(spec, Z, zero(2))
-    scenario = SpinScenario(
-        n=2, spec=spec, law=law, ancilla_state=None, ceiling_fsq=1.0
-    )
+    scenario = Scenario(law, None, 1.0)
     run = optimize_fidelity(
         scenario,
         OptimizeConfig(
