@@ -32,30 +32,33 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .conservation import ConservationError, ConservationLaw, conservation_residual
-from .measurement import IndirectMeasurementModel, noise_images, rms_noise
+from .measurement import IndirectMeasurementModel, stacked_noise_images
 from .operators import (
+    FLAG_TOL,
     HilbertSpec,
     Operator,
     StateVector,
-    commutator,
-    evolve,
-    expectation,
-    operator_norm,
-    std_dev,
+    evolved_stack,
+    inner_products,
+    operator_norms,
+    positions,
+    stacked_moments,
 )
-from .serialize import canonical_json, digest
+from .serialize import canonical_json, digests
 
 __all__ = [
     "BoundReport",
     "bound_ingredients",
     "identity_reports",
+    "stacked_identity_reports",
     "require_conserving",
     "trade_off_reports",
+    "stacked_trade_off_reports",
     "qway_bounds",
     "summed_bound",
     "fundamental_bound",
@@ -119,18 +122,14 @@ def reports_to_csv(reports: Sequence[BoundReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["relation", "kind", "lhs", "rhs", "slack", "digest", "details"])
+    # records often share one details mapping (a case's qway and summed
+    # records do), and each mapping is encoded once
+    encoded: dict[int, str] = {}
     for r in reports:
-        writer.writerow(
-            [
-                r.relation,
-                r.kind,
-                repr(r.lhs),
-                repr(r.rhs),
-                repr(r.slack),
-                r.digest,
-                canonical_json(dict(sorted(r.details.items()))) if r.details else "",
-            ]
-        )
+        details = encoded.get(id(r.details))
+        if details is None:
+            details = encoded[id(r.details)] = canonical_json(dict(sorted(r.details.items()))) if r.details else ""
+        writer.writerow([r.relation, r.kind, repr(r.lhs), repr(r.rhs), repr(r.slack), r.digest, details])
     return buf.getvalue()
 
 
@@ -139,19 +138,46 @@ def require_conserving(spec: HilbertSpec, interaction: Operator, law: Conservati
     conserves its total charge within :data:`CONSERVATION_TOL`.
 
     The verdict is the spectral residual's (``conservation_residual``),
-    and so is a raised :class:`ConservationError`'s value."""
-    if spec.factor_dims != law.spec.factor_dims:
-        raise ValueError(
-            f"interaction factors {spec.factor_dims} do not match law factors "
-            f"{law.spec.factor_dims}"
-        )
+    and so is a raised :class:`ConservationError`'s value.  This is the
+    stacked passes' gate for one case."""
+    _require_conserving(spec, [interaction], [law], interaction.entries[None])
+
+
+def _require_conserving(
+    spec: HilbertSpec, interactions: Sequence[Operator], laws: Sequence[ConservationLaw], u: np.ndarray
+) -> None:
+    """:func:`require_conserving` of each (interaction, law) on ``spec``,
+    in order; ``u`` stacks the interactions' entries.  The commutators
+    with the total charges are one stacked product."""
+    for law in laws:
+        if spec.factor_dims != law.spec.factor_dims:
+            raise ValueError(
+                f"interaction factors {spec.factor_dims} do not match law factors "
+                f"{law.spec.factor_dims}"
+            )
+    totals = _stack(law.total() for law in laws)
     # ||X||_2 <= ||X||_F: a Frobenius norm within the tolerance certifies
-    # the check, and only a larger one pays for the SVD of the exact value
-    if np.linalg.norm(commutator(interaction, law.total()).entries) <= CONSERVATION_TOL:
-        return
-    residual = conservation_residual(interaction, law)
-    if residual > CONSERVATION_TOL:
-        raise ConservationError(residual, CONSERVATION_TOL)
+    # the check, and only a larger one (or NaN) pays for the SVD of the
+    # exact value
+    for i, frobenius in enumerate(np.linalg.norm(u @ totals - totals @ u, axis=(-2, -1)).tolist()):
+        if not frobenius <= CONSERVATION_TOL:
+            residual = conservation_residual(interactions[i], laws[i])
+            if residual > CONSERVATION_TOL:
+                raise ConservationError(residual, CONSERVATION_TOL)
+
+
+def _stack(ops: Iterable[Operator]) -> np.ndarray:
+    return np.array([op.entries for op in ops])
+
+
+def _by_layout(cases: Sequence[tuple], evaluate: Callable[[list], list]) -> list:
+    """``evaluate`` of the cases of each layout (the first member's spec),
+    as one group, scattered back into case order."""
+    out: list = [None] * len(cases)
+    for members in positions([case[0].spec for case in cases]):
+        for i, result in zip(members, evaluate([cases[i] for i in members])):
+            out[i] = result
+    return out
 
 
 def identity_reports(
@@ -163,43 +189,96 @@ def identity_reports(
     Requires the interaction to conserve the total charge (residual
     <= 1e-9), otherwise :class:`ConservationError` is raised: the
     identities are consequences of conservation and are not expected to
-    hold without it.
+    hold without it.  This is :func:`stacked_identity_reports` of one case.
     """
-    require_conserving(model.spec, model.interaction, law)
-    lhs = commutator(model._measured, law._lifts[0]).entries
-    err, dist = noise_images(model, np.eye(model.spec.total_dim))
-    l1t, l2t, l3t = (op.entries for op in evolve(law._lifts, model.interaction))
+    return stacked_identity_reports([(model, law)])[0]
 
-    def comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a @ b - b @ a
+
+def stacked_identity_reports(
+    cases: Sequence[tuple[IndirectMeasurementModel, ConservationLaw]],
+) -> list[tuple[BoundReport, BoundReport]]:
+    """:func:`identity_reports` of each (model, law), in order, bit for bit.
+
+    The cases of one layout are evaluated together: one conservation
+    gate, one lift of the observables, one :func:`stacked_noise_images`
+    at the identity (E and D), one evolution of the lifted charges, one
+    ``svd`` for both residuals of every case and one digest header.
+    """
+    return _by_layout(cases, _identity_group)
+
+
+def _identity_group(
+    cases: list[tuple[IndirectMeasurementModel, ConservationLaw]],
+) -> list[tuple[BoundReport, BoundReport]]:
+    models, laws = zip(*cases)
+    spec = models[0].spec
+    u, a, p = (_stack(getattr(m, name) for m in models) for name in ("interaction", "observable", "pointer"))
+    _require_conserving(spec, [m.interaction for m in models], laws, u)
+    lifts = np.array([[lift.entries for lift in law._lifts] for law in laws])
+    measured, l1 = spec.lift(a, "object"), lifts[:, 0]
+    lhs = measured @ l1 - l1 @ measured
+    err, dist = stacked_noise_images(spec, u, a, p, np.eye(spec.total_dim))
+    l1t, l2t, l3t = evolved_stack(lifts, u).swapaxes(0, 1)
+
+    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y - y @ x
 
     shared = comm(l1t, err) + comm(l2t, dist)
     rhs1 = shared + comm(l3t, dist)
     rhs2 = shared + comm(l3t, err)
-    tag = digest(model=model, law=law)
-    return (
-        BoundReport("identity-1", "identity", float(np.linalg.norm(lhs - rhs1, ord=2)), 0.0, tag),
-        BoundReport("identity-2", "identity", float(np.linalg.norm(lhs - rhs2, ord=2)), 0.0, tag),
-    )
+    # the spectral norm is the largest singular value, as np.linalg.norm(ord=2) takes it
+    residuals = np.linalg.svd(np.stack([lhs - rhs1, lhs - rhs2], axis=1), compute_uv=False).max(axis=-1)
+    tags = digests([{"model": model, "law": law} for model, law in cases])
+    return [
+        (
+            BoundReport("identity-1", "identity", r1, 0.0, tag),
+            BoundReport("identity-2", "identity", r2, 0.0, tag),
+        )
+        for (r1, r2), tag in zip(residuals.tolist(), tags)
+    ]
 
 
 def bound_ingredients(
-    model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector,
-    evolved: Mapping[str, Operator],
-) -> dict[str, float]:
-    """The trade-off bounds' ingredients at object state ``psi``: ``eps``,
-    ``eta``, the deviation of each evolved charge U^dag L U in ``evolved``
-    under its name, taken in the full input state, and ``commutator_abs``
-    = |<[A, L1]>|.  Every trade-off bound and the CNOT chain read these.
-    The input x is built once; ``eps`` and ``eta`` are read from U x."""
-    state = model.initial_state(psi)
-    eps, eta = rms_noise(model, state)
-    return {
-        "eps": eps,
-        "eta": eta,
-        **{name: std_dev(charge, state) for name, charge in evolved.items()},
-        "commutator_abs": abs(expectation(commutator(model.observable, law.object_part), psi)),
-    }
+    models: Sequence[IndirectMeasurementModel],
+    laws: Sequence[ConservationLaw],
+    psis: Sequence[StateVector],
+    evolved: Mapping[str, np.ndarray],
+) -> list[dict[str, float]]:
+    """The trade-off bounds' ingredients of each (model, law, psi), the
+    models all on one layout: ``eps``, ``eta``, the deviation of each
+    evolved charge U^dag L U in ``evolved`` under its name (a stack with
+    one matrix per case, or one matrix for every case), taken in the full
+    input state, and ``commutator_abs`` = |<[A, L1]>|.  Every trade-off
+    bound and the CNOT chain read these.
+
+    The input states x are built as one stack, checked normalized as
+    :func:`~waylab.operators.tensor_states` checks them, and ``eps`` and
+    ``eta`` are read from U x.  Each product and inner product is one
+    stacked call, which gives each case the bits of its own."""
+    spec = models[0].spec
+    for state in psis:
+        if state.dim != spec.object_dim:
+            raise ValueError(f"object state dim {state.dim}, expected {spec.object_dim}")
+    u, a, p = (_stack(getattr(m, name) for m in models) for name in ("interaction", "observable", "pointer"))
+    psi = np.array([state.amplitudes for state in psis])
+    x = psi
+    for factor in ("probe_state", "ancilla_state"):
+        amps = np.array([getattr(m, factor).amplitudes for m in models])
+        x = (x[:, :, None] * amps[:, None, :]).reshape(len(x), -1)
+    for norm in np.linalg.norm(x, axis=1).tolist():
+        if not abs(norm - 1.0) <= FLAG_TOL:
+            raise ValueError(f"state vector must be finite and normalized: |psi| = {norm!r}")
+    x = x[:, :, None]
+    err, dist = stacked_noise_images(spec, u, a, p, x)
+    eps, eta = (np.sqrt(inner_products(v, v).real).tolist() for v in (err, dist))
+    sigmas = {name: stacked_moments(charge, x)[1] for name, charge in evolved.items()}
+    l1 = _stack(law.object_part for law in laws)
+    psi = psi[:, :, None]
+    comm = inner_products(psi, (a @ l1 - l1 @ a) @ psi).tolist()
+    return [
+        {"eps": eps[i], "eta": eta[i], **{n: s[i] for n, s in sigmas.items()}, "commutator_abs": abs(comm[i])}
+        for i in range(len(psis))
+    ]
 
 
 def trade_off_reports(
@@ -212,19 +291,54 @@ def trade_off_reports(
     and ``fundamental``.  The operator norms make the fundamental
     denominator state-independent; the strictly tighter variant with the
     evolved-charge deviations ``sigma1, sigma2`` in their place is
-    recorded in ``details["lhs_sigma_variant"]`` for comparison.
+    recorded in ``details["lhs_sigma_variant"]`` for comparison.  This
+    is :func:`stacked_trade_off_reports` of one case.
     """
-    require_conserving(model.spec, model.interaction, law)
+    return stacked_trade_off_reports([(model, law, psi)])[0]
+
+
+def stacked_trade_off_reports(
+    cases: Sequence[tuple[IndirectMeasurementModel, ConservationLaw, StateVector]],
+) -> list[tuple[BoundReport, BoundReport, BoundReport, BoundReport]]:
+    """:func:`trade_off_reports` of each (model, law, psi), in order, bit
+    for bit.
+
+    The cases of one layout are evaluated together: one conservation
+    gate, one evolution of the lifted charges, one
+    :func:`bound_ingredients` pass, one ``svd`` per dimension of the
+    object and probe charges and one digest header.
+    """
+    return _by_layout(cases, _trade_off_group)
+
+
+def _trade_off_group(
+    cases: list[tuple[IndirectMeasurementModel, ConservationLaw, StateVector]],
+) -> list[tuple[BoundReport, BoundReport, BoundReport, BoundReport]]:
+    models, laws, psis = zip(*cases)
+    u = _stack(m.interaction for m in models)
+    _require_conserving(models[0].spec, [m.interaction for m in models], laws, u)
+    evolved = evolved_stack(np.array([[lift.entries for lift in law._lifts] for law in laws]), u)
     names = ("sigma_l1", "sigma_l2", "sigma_l3")
-    q = bound_ingredients(model, law, psi, dict(zip(names, evolve(law._lifts, model.interaction))))
+    ingredients = bound_ingredients(models, laws, psis, dict(zip(names, evolved.swapaxes(0, 1))))
+    norms = operator_norms([part for law in laws for part in (law.object_part, law.probe_part)])
+    tags = digests([{"model": model, "law": law, "psi": psi} for model, law, psi in cases])
+    return [
+        _trade_off(q, tag, 2.0 * max(norms[2 * i], norms[2 * i + 1]))
+        for i, (q, tag) in enumerate(zip(ingredients, tags))
+    ]
+
+
+def _trade_off(
+    q: dict[str, float], tag: str, norm_den: float
+) -> tuple[BoundReport, BoundReport, BoundReport, BoundReport]:
+    """One case's four reports from its ingredients, digest and
+    2 max(||L1||, ||L2||)."""
     eps, eta, s1, s2, s3, comm = q.values()
-    tag = digest(model=model, law=law, psi=psi)
     half = 0.5 * comm
     rhs1 = eps * s1 + eta * s2 + eta * s3
     rhs2 = eps * s1 + eta * s2 + eps * s3
     summed = (eps + eta) * (2.0 * max(s1, s2) + s3)
     noise_sq = eps**2 + eta**2
-    norm_den = 2.0 * max(operator_norm(law.object_part), operator_norm(law.probe_part))
     fund = _safe_ratio(comm**2, 2.0 * (norm_den + s3) ** 2)
     fund_sigma = _safe_ratio(comm**2, 2.0 * (2.0 * max(s1, s2) + s3) ** 2)
     return (

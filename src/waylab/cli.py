@@ -24,7 +24,13 @@ from typing import Any, Callable, Iterator, NoReturn
 import numpy as np
 
 from . import __version__
-from .bounds import BoundReport, identity_reports, reports_to_csv, trade_off_reports
+from .bounds import (
+    BoundReport,
+    identity_reports,
+    reports_to_csv,
+    stacked_identity_reports,
+    stacked_trade_off_reports,
+)
 from .cnot import (
     SearchConfig,
     gate_fidelity,
@@ -291,12 +297,12 @@ def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
 
 def _random_cases(
     args: argparse.Namespace, config: dict[str, Any], tol: float, default_count: int
-) -> tuple[int, dict[str, Any], Iterator[tuple[int, IndirectMeasurementModel, ConservationLaw]]]:
+) -> tuple[int, dict[str, Any], Iterator[list[tuple[int, IndirectMeasurementModel, ConservationLaw]]]]:
     """A randomized command's seed, its config record and its cases: one
     ``(case_seed, model, law)`` per case seed, cycling through the factor
-    layouts, in seed order.  The models are sampled a chunk of
-    :func:`_chunk_cases` cases at a time, each chunk, seeds included,
-    drawn only when the loop reaches it."""
+    layouts, in seed order, a chunk of :func:`_chunk_cases` cases at a
+    time.  Each chunk, seeds included, is drawn and sampled only when the
+    loop reaches it, and its bounds are then evaluated as one stack."""
     seed = _require_seed(args, config)
     count = _case_count("count", _pick(args, config, "count", default_count))
     specs = _factor_specs(config)
@@ -304,13 +310,13 @@ def _random_cases(
     chunk = _chunk_cases(max(s.total_dim for s in specs))
     pending = zip(_case_seeds(seed, count), itertools.cycle(specs))
 
-    def cases() -> Iterator[tuple[int, IndirectMeasurementModel, ConservationLaw]]:
+    def chunks() -> Iterator[list[tuple[int, IndirectMeasurementModel, ConservationLaw]]]:
         while batch := list(itertools.islice(pending, chunk)):
             case_seeds, case_specs = zip(*batch)
-            for case_seed, (model, law) in zip(case_seeds, random_conserving_models(case_seeds, case_specs)):
-                yield case_seed, model, law
+            models = random_conserving_models(case_seeds, case_specs)
+            yield [(case_seed, model, law) for case_seed, (model, law) in zip(case_seeds, models)]
 
-    return seed, used, cases()
+    return seed, used, chunks()
 
 
 def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> int:
@@ -328,18 +334,27 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
         used = {"tol": tol, "source": "explicit model"}
         return _finish(args, "verify-identities", seed, used, records)
 
-    seed, used, cases = _random_cases(args, config, tol, 100)
-    records = [_record(rep, tol) for _, model, law in cases for rep in identity_reports(model, law)]
+    seed, used, chunks = _random_cases(args, config, tol, 100)
+    records = [
+        _record(rep, tol)
+        for cases in chunks
+        for reports in stacked_identity_reports([(model, law) for _, model, law in cases])
+        for rep in reports
+    ]
     return _finish(args, "verify-identities", seed, used, records)
 
 
 def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
     tol = _tol(args, config)
-    seed, used, cases = _random_cases(args, config, tol, 250)
+    seed, used, chunks = _random_cases(args, config, tol, 250)
     reports: list[BoundReport] = []
-    for case_seed, model, law in cases:
-        psi = random_state(np.random.default_rng(case_seed + 1), model.spec.object_dim)
-        reports.extend(trade_off_reports(model, law, psi))
+    for cases in chunks:
+        stack = [
+            (model, law, random_state(np.random.default_rng(case_seed + 1), model.spec.object_dim))
+            for case_seed, model, law in cases
+        ]
+        for case_reports in stacked_trade_off_reports(stack):
+            reports.extend(case_reports)
     records = [_record(r, tol) for r in reports]
     return _finish(args, "check-bounds", seed, used, records, csv_text=reports_to_csv(reports))
 
@@ -434,6 +449,11 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     tol = _tol(args, config)
     nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
     samples = _case_count("samples_per", _pick(args, config, "samples_per", 3))
+    # each nbar builds its scenario and commutant basis, so it counts as at least one case
+    if len(nbars) * max(samples, 1) > MAX_CASES:
+        raise _UsageError(
+            f"nbars ({len(nbars)} entries) times samples_per ({samples}) must be at most {MAX_CASES} cases"
+        )
     strength = _real("strength", _pick(args, config, "strength", DEFAULT_STRENGTH))
     if not math.isfinite(strength):  # a negative strength is a valid draw
         raise _UsageError(f"strength must be finite, got {strength!r}")

@@ -585,8 +585,8 @@ def noise_fidelity_link(
     input state.  At |<[Z, X]>| = 2 that is :func:`sigma_ceiling_fsq`, which
     the third report, relation ``sigma-ceiling``, holds F^2 to.  The
     ingredients come from one :func:`~waylab.bounds.bound_ingredients` pass
-    per control state with L3 evolved once, so the first report is the
-    measurement view's ``fundamental`` trade-off bound.
+    over both control states with L3 evolved once, so the first report is
+    the measurement view's ``fundamental`` trade-off bound.
 
     The chain's headline input is (|0> + i|1>)/sqrt(2), which maximizes
     |<[Z, X]>|; the equal-weight real superposition (|0> + |1>)/sqrt(2)
@@ -610,8 +610,8 @@ def noise_fidelity_link(
     require_conserving(impl.spec, impl.unitary, law)
 
     view = measurement_view(impl)
-    evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0]}
-    main, plus = (bound_ingredients(view, law, psi, evolved) for psi in (_IPLUS, _PLUS))
+    evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0].entries}
+    main, plus = bound_ingredients([view, view], [law, law], [_IPLUS, _PLUS], evolved)
     result = fidelity if fidelity is not None else gate_fidelity(impl)
     fsq, sigma = result.fidelity_sq, main["sigma_l3"]
     ceiling = sigma_ceiling_fsq(sigma)

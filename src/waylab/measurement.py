@@ -14,7 +14,6 @@ basis vector.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ __all__ = [
     "IndirectMeasurementModel",
     "CertificationResult",
     "noise_images",
+    "stacked_noise_images",
     "rms_noise",
     "rms_error",
     "rms_disturbance",
@@ -85,12 +85,6 @@ class IndirectMeasurementModel:
         if self.observable.dim != s.object_dim or not self.observable.is_hermitian():
             raise ValueError("observable must be Hermitian on the object factor")
 
-    @functools.cached_property
-    def _measured(self) -> Operator:
-        """The measured observable lifted to the total space, built once
-        per model for the identities' [A, L1]."""
-        return self.spec.embed(self.observable, "object")
-
     def initial_state(self, psi: StateVector) -> StateVector:
         """Product state object x probe x ancilla for object state psi."""
         if psi.dim != self.spec.object_dim:
@@ -101,13 +95,27 @@ class IndirectMeasurementModel:
 def noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E x = U^dag P U x - A x and D x = U^dag A U x - A x for the columns of ``x``,
     with P and A applied on their own factor: O(d^2) a column.  At the
-    identity matrix the images are E and D themselves."""
-    s, u, a = model.spec, model.interaction.entries, model.observable.entries
+    identity matrix the images are E and D themselves.  This is
+    :func:`stacked_noise_images` of one model."""
+    return stacked_noise_images(
+        model.spec, model.interaction.entries, model.observable.entries, model.pointer.entries, x
+    )
+
+
+def stacked_noise_images(
+    spec: HilbertSpec, u: np.ndarray, a: np.ndarray, p: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`noise_images` of a stack of models on ``spec``, given by their
+    interactions ``u`` (..., d, d), observables ``a`` and pointers ``p``,
+    for the columns ``x`` (..., d, n), whose leading axes broadcast with
+    theirs.  Each product is one stacked call, which gives each model the
+    bits of its own."""
     ux = u @ x
-    ax = (a @ x.reshape(s.object_dim, -1)).reshape(x.shape)
-    a_ux = (a @ ux.reshape(s.object_dim, -1)).reshape(x.shape)
-    p_ux = (model.pointer.entries @ ux.reshape(s.object_dim, s.probe_dim, -1)).reshape(x.shape)
-    u_dag = u.conj().T
+    shape, lead = ux.shape, ux.shape[:-2]
+    ax = (a @ x.reshape(x.shape[:-2] + (spec.object_dim, -1))).reshape(shape)
+    a_ux = (a @ ux.reshape(lead + (spec.object_dim, -1))).reshape(shape)
+    p_ux = (p[..., None, :, :] @ ux.reshape(lead + (spec.object_dim, spec.probe_dim, -1))).reshape(shape)
+    u_dag = u.conj().swapaxes(-1, -2)
     return u_dag @ p_ux - ax, u_dag @ a_ux - ax
 
 

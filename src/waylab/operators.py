@@ -31,10 +31,14 @@ __all__ = [
     "tensor_states",
     "commutator",
     "evolve",
+    "evolved_stack",
     "expectation",
     "std_dev",
     "moments",
+    "stacked_moments",
+    "inner_products",
     "operator_norm",
+    "operator_norms",
     "zero",
 ]
 
@@ -63,15 +67,24 @@ def _unitarity_defect(entries: np.ndarray) -> float:
 
 def _check_flags(entries: np.ndarray, hermitian: bool | None, unitary: bool | None) -> None:
     """Raise ``ValueError`` unless every matrix of ``entries`` (one, or a
-    stack) is what a set flag claims."""
+    stack) is what a set flag claims.  A NaN defect fails the comparison."""
     if hermitian:
         dev = _hermiticity_defect(entries)
-        if dev > FLAG_TOL:
+        if not dev <= FLAG_TOL:
             raise ValueError(f"hermitian flag set but max|M - M^dag| = {dev:.3e}")
     if unitary:
         dev = _unitarity_defect(entries)
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:
             raise ValueError(f"unitary flag set but max|M^dag M - I| = {dev:.3e}")
+
+
+def _check_finite(entries: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``entries`` (one matrix,
+    or a stack) is finite."""
+    # sum |M_ij|^2 is one BLAS dot, cheaper than an elementwise isfinite at
+    # these sizes; it is finite unless an entry is not or the squares overflow
+    if not math.isfinite(np.vdot(entries, entries).real) and not np.isfinite(entries).all():
+        raise ValueError("operator entries must be finite")
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,10 +103,7 @@ def _as_complex_matrix(entries: object) -> np.ndarray:
     arr = np.array(entries, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"operator entries must be a square matrix, got shape {arr.shape}")
-    # sum |M_ij|^2 is one BLAS dot, cheaper than an elementwise isfinite at
-    # these sizes; it is finite unless an entry is not or the squares overflow
-    if not math.isfinite(np.vdot(arr, arr).real) and not np.isfinite(arr).all():
-        raise ValueError("operator entries must be finite")
+    _check_finite(arr)
     arr.setflags(write=False)
     return arr
 
@@ -330,12 +340,29 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.entries @ b.entries - b.entries @ a.entries)
 
 
+def _heisenberg(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dag M U for each matrix M of ``stack`` (..., m, d, d) under the
+    unitaries ``u`` (..., d, d), as one product."""
+    return u.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ u[..., None, :, :]
+
+
 def evolve(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
     """Heisenberg-picture images U^dag op U of Hermitian ``ops``, as one
     stacked product, validated Hermitian as one stack: a non-Hermitian
     operand is a ``ValueError``."""
-    images = u.entries.conj().T @ np.stack([op.entries for op in ops]) @ u.entries
+    images = _heisenberg(np.stack([op.entries for op in ops]), u.entries)
     return tuple(flagged_operators(images, hermitian=True))
+
+
+def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The matrices of :func:`evolve` without their Operators:
+    U^dag M U for each Hermitian M of ``stack`` (..., m, d, d) under the
+    unitaries ``u`` (..., d, d), one product validated Hermitian and
+    finite as one stack.  Each image has the bits of its own product."""
+    images = _heisenberg(stack, u)
+    _check_flags(images, hermitian=True, unitary=None)
+    _check_finite(images)
+    return images
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:
@@ -359,14 +386,41 @@ def moments(op: Operator, psi: StateVector) -> tuple[float, float]:
     """
     if op.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {psi.dim}")
-    vec = op.entries @ psi.amplitudes
-    mean = float(np.real(np.vdot(psi.amplitudes, vec)))
-    second = float(np.real(np.vdot(vec, vec)))
-    return mean, math.sqrt(max(second - mean * mean, 0.0))
+    (mean,), (dev,) = stacked_moments(op.entries, psi.amplitudes[None, :, None])
+    return mean, dev
+
+
+def stacked_moments(ops: np.ndarray, x: np.ndarray) -> tuple[list[float], list[float]]:
+    """:func:`moments` of each Hermitian matrix of ``ops`` (..., d, d) in
+    each state of the columns ``x`` (..., d, 1), whose leading axes
+    broadcast with theirs: the means and the deviations, flattened, each
+    pair bit for bit its own call's."""
+    vec = ops @ x
+    means = inner_products(x, vec).real.reshape(-1).tolist()
+    seconds = inner_products(vec, vec).real.reshape(-1).tolist()
+    return means, [math.sqrt(max(second - mean * mean, 0.0)) for mean, second in zip(means, seconds)]
+
+
+def inner_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x|y> for each pair of columns of the stacks ``x`` and ``y``
+    (..., d, 1), whose leading axes broadcast: one stacked product, with
+    ``np.vdot``'s bits for each pair."""
+    return (x.conj().swapaxes(-1, -2) @ y)[..., 0, 0]
 
 
 def operator_norm(op: Operator) -> float:
     """Largest singular value (spectral norm): the first of the descending
     singular values, the number ``np.linalg.norm(ord=2)`` picks out of
-    the same decomposition."""
-    return float(np.linalg.svd(op.entries, compute_uv=False)[0])
+    the same decomposition.  This is :func:`operator_norms` of one."""
+    return operator_norms([op])[0]
+
+
+def operator_norms(ops: Sequence[Operator]) -> list[float]:
+    """:func:`operator_norm` of each operator, in order, with one stacked
+    ``svd`` per dimension, which gives each matrix the bits of its own."""
+    out = [0.0] * len(ops)
+    for members in positions([op.dim for op in ops]):
+        top = np.linalg.svd(np.array([ops[i].entries for i in members]), compute_uv=False)[:, 0]
+        for i, value in zip(members, top.tolist()):
+            out[i] = value
+    return out

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import hashlib
 import json
 import math
-from typing import Any
+from typing import Any, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "model_from_json",
     "canonical_json",
     "digest",
+    "digests",
 ]
 
 
@@ -201,25 +203,50 @@ def canonical_json(payload: Any) -> str:
     return _CANONICAL_ENCODER.encode(payload)
 
 
-def _header(members: dict[str, Any], arrays: list[np.ndarray]) -> dict[str, Any]:
-    """Each member's kind-tagged header node by name; the members'
-    arrays are appended to ``arrays`` in sorted depth-first order."""
-    out: dict[str, Any] = {}
-    for name in sorted(members):
-        value = members[name]
-        if isinstance(value, (Operator, StateVector)):
-            arr = value.entries if isinstance(value, Operator) else value.amplitudes
-            kind = "operator" if isinstance(value, Operator) else "state"
-            arrays.append(arr)
-            out[name] = {"kind": kind, "shape": list(arr.shape), "dtype": "<c16"}
-        elif isinstance(value, HilbertSpec):
-            out[name] = {"kind": "spec", "spec": spec_to_json(value)}
-        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-            fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-            out[name] = {"kind": "object", "fields": _header(fields, arrays)}
-        else:
-            out[name] = {"kind": "json", "value": value}
-    return out
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Json:
+    """A JSON value in a header key, compared by its canonical text."""
+
+    text: str
+    value: Any = dataclasses.field(compare=False)
+
+
+def _key(value: Any, arrays: list[np.ndarray]) -> Hashable:
+    """Everything ``value``'s header node is made of, hashable: equal keys
+    make equal nodes (see :func:`_node`).  Its operators' and states'
+    arrays are appended to ``arrays`` in the header's sorted depth-first
+    order."""
+    if isinstance(value, Operator):
+        arrays.append(value.entries)
+        return ("operator", value.entries.shape)
+    if isinstance(value, StateVector):
+        arrays.append(value.amplitudes)
+        return ("state", value.amplitudes.shape)
+    if isinstance(value, HilbertSpec):
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        cls = type(value)
+        return (cls, tuple(_key(getattr(value, name), arrays) for name in _field_names(cls)))
+    return _Json(canonical_json(value), value)
+
+
+def _node(key: Hashable) -> dict[str, Any]:
+    """The kind-tagged header node of a :func:`_key`: an operator's or
+    state's shape and dtype, a spec's ``spec_to_json``, an object's
+    fields' nodes by name, any other value itself."""
+    if isinstance(key, HilbertSpec):
+        return {"kind": "spec", "spec": spec_to_json(key)}
+    if isinstance(key, _Json):
+        return {"kind": "json", "value": key.value}
+    head, rest = key
+    if isinstance(head, str):
+        return {"kind": head, "shape": list(rest), "dtype": "<c16"}
+    return {"kind": "object", "fields": dict(zip(_field_names(head), map(_node, rest)))}
 
 
 def digest(**parts: Any) -> str:
@@ -234,10 +261,29 @@ def digest(**parts: Any) -> str:
     implementation its fields' nodes by name, and any other value
     itself (it must be JSON-compatible).  The header fixes every
     array's length, and for non-NaN floats bits and shortest repr
-    determine each other, signed zeros included.
+    determine each other, signed zeros included.  This is
+    :func:`digests` of one set of parts.
     """
-    arrays: list[np.ndarray] = []
-    h = hashlib.sha256(canonical_json(_header(parts, arrays)).encode("utf-8"))
-    for arr in arrays:
-        h.update(np.ascontiguousarray(arr, dtype="<c16"))
-    return h.hexdigest()[:16]
+    return digests([parts])[0]
+
+
+def digests(cases: Sequence[Mapping[str, Any]]) -> list[str]:
+    """``digest(**parts)`` of each ``parts`` mapping, in order.  Cases
+    whose headers are equal (the same kinds, shapes, specs and other
+    values under the same names, as on one layout) share one header,
+    built, encoded and hashed once; each case then hashes only its
+    arrays."""
+    heads: dict[Hashable, Any] = {}
+    out = []
+    for parts in cases:
+        arrays: list[np.ndarray] = []
+        key = tuple((name, _key(parts[name], arrays)) for name in sorted(parts))
+        head = heads.get(key)
+        if head is None:
+            header = {name: _node(node) for name, node in key}
+            head = heads[key] = hashlib.sha256(canonical_json(header).encode("utf-8"))
+        h = head.copy()
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr, dtype="<c16"))
+        out.append(h.hexdigest()[:16])
+    return out

@@ -6,7 +6,7 @@ operators instead of their images under U, an explicit ancilla
 trace instead of Kraus forms, an exhaustive angle lattice instead of
 the sphere descent, a cloud of object states instead of the Gram
 eigenvalue, the digest's bytes assembled whole from its formula, one
-sampled case at a time instead of a stacked chunk.  None
+sampled case and one bound pass at a time instead of a stacked chunk.  None
 of them calls the code it checks, so an agreement between the two is
 evidence rather than a tautology.
 """
@@ -14,7 +14,9 @@ evidence rather than a tautology.
 from __future__ import annotations
 
 import base64
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -24,7 +26,7 @@ from typing import Any, Literal
 import numpy as np
 
 from waylab.cnot import GateImplementation, SearchConfig, cnot_unitary, implementation_to_json
-from waylab.conservation import CommutantBasis, ConservationLaw
+from waylab.conservation import CommutantBasis, ConservationError, ConservationLaw
 from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import (
     DEGENERACY_TOL,
@@ -396,6 +398,138 @@ def reference_conserving_model(
     model = IndirectMeasurementModel(spec, probe, ancilla, Operator(u), pointer, observable)
     steps = {"lifts": lifts, "total": total, "eigenbasis": vecs, "block_dims": basis.block_dims}
     return model, law, steps
+
+
+# A model must conserve its law's total charge this well (the bounds' gate).
+_CONSERVING_TOL = 1e-9
+
+
+def _reference_lifts(law: ConservationLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law's three parts lifted to the total space with ``np.kron``."""
+    s = law.spec
+    return (
+        np.kron(law.object_part.entries, np.eye(s.probe_dim * s.ancilla_dim)),
+        np.kron(np.kron(np.eye(s.object_dim), law.probe_part.entries), np.eye(s.ancilla_dim)),
+        np.kron(np.eye(s.object_dim * s.probe_dim), law.ancilla_part.entries),
+    )
+
+
+def _reference_pass_start(
+    model: IndirectMeasurementModel, law: ConservationLaw
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The gate both passes start with, then U and the lifts, and the
+    evolved charges U^dag L U as one product: raise ``ValueError`` for a
+    law on other factors, ``ConservationError`` when [U, L] has a spectral
+    norm above the tolerance."""
+    if model.spec.factor_dims != law.spec.factor_dims:
+        raise ValueError(f"model factors {model.spec.factor_dims} differ from law factors {law.spec.factor_dims}")
+    u = model.interaction.entries
+    lifts = _reference_lifts(law)
+    total = lifts[0] + lifts[1] + lifts[2]
+    comm = u @ total - total @ u
+    if np.linalg.norm(comm) > _CONSERVING_TOL:
+        residual = float(np.linalg.norm(comm, 2))
+        if residual > _CONSERVING_TOL:
+            raise ConservationError(residual, _CONSERVING_TOL)
+    evolved = u.conj().T @ np.stack(lifts) @ u
+    if not np.isfinite(evolved).all() or np.abs(evolved - evolved.conj().swapaxes(1, 2)).max() > FLAG_TOL:
+        raise ValueError("evolved charges are not finite Hermitian matrices")
+    return u, lifts, evolved
+
+
+def _reference_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E x = U^dag P U x - A x and D x = U^dag A U x - A x for the columns
+    of ``x``, P and A applied on their own factor of U x and x."""
+    s, u, a = model.spec, model.interaction.entries, model.observable.entries
+    ux = u @ x
+    ax = (a @ x.reshape(s.object_dim, -1)).reshape(x.shape)
+    a_ux = (a @ ux.reshape(s.object_dim, -1)).reshape(x.shape)
+    p_ux = (model.pointer.entries @ ux.reshape(s.object_dim, s.probe_dim, -1)).reshape(x.shape)
+    return u.conj().T @ p_ux - ax, u.conj().T @ a_ux - ax
+
+
+def _record(relation: str, kind: str, lhs: float, rhs: float, tag: str, details: dict[str, float]) -> dict[str, Any]:
+    """A report's JSON record: its slack is |lhs - rhs| for an identity
+    and rhs - lhs for an inequality, and its details are sorted."""
+    slack = abs(lhs - rhs) if kind == "identity" else rhs - lhs
+    record = {"relation": relation, "kind": kind, "lhs": lhs, "rhs": rhs, "slack": slack, "digest": tag}
+    if details:
+        record["details"] = dict(sorted(details.items()))
+    return record
+
+
+def reference_trade_off_reports(
+    model: IndirectMeasurementModel, law: ConservationLaw, psi: StateVector
+) -> list[dict[str, Any]]:
+    """The four trade-off records of one case (``qway-1``, ``qway-2``,
+    ``summed``, ``fundamental``) as JSON records, written out one case
+    and one matrix at a time as the library computed them before it
+    stacked its cases: the input psi x probe x ancilla from ``np.kron``,
+    eps and eta the norms of E x and D x, each evolved charge's deviation
+    from its own product with x, |<[A, L1]>| from psi, the norms of L1
+    and L2 from their own SVDs, and the digest from its bits formula."""
+    u, lifts, evolved = _reference_pass_start(model, law)
+    x = np.kron(np.kron(psi.amplitudes, model.probe_state.amplitudes), model.ancilla_state.amplitudes)
+    err, dist = _reference_images(model, x[:, None])
+    q = {"eps": math.sqrt(np.vdot(err, err).real), "eta": math.sqrt(np.vdot(dist, dist).real)}
+    for name, charge in zip(("sigma_l1", "sigma_l2", "sigma_l3"), evolved):
+        vec = charge @ x
+        mean = float(np.real(np.vdot(x, vec)))
+        q[name] = math.sqrt(max(float(np.real(np.vdot(vec, vec))) - mean * mean, 0.0))
+    a, l1 = model.observable.entries, law.object_part.entries
+    comm = abs(complex(np.vdot(psi.amplitudes, (a @ l1 - l1 @ a) @ psi.amplitudes)))
+    q["commutator_abs"] = comm
+    eps, eta, s1, s2, s3 = q["eps"], q["eta"], q["sigma_l1"], q["sigma_l2"], q["sigma_l3"]
+
+    def ratio(num: float, den: float) -> float:
+        if den == 0.0:
+            return 0.0 if num <= 1e-18 else float("inf")
+        return num / den
+
+    norms = [float(np.linalg.norm(part.entries, 2)) for part in (law.object_part, law.probe_part)]
+    fund = ratio(comm**2, 2.0 * (2.0 * max(norms) + s3) ** 2)
+    fund_sigma = ratio(comm**2, 2.0 * (2.0 * max(s1, s2) + s3) ** 2)
+    tag = digest_of_bits(model=model, law=law, psi=psi)
+    return [
+        _record("qway-1", "inequality", 0.5 * comm, eps * s1 + eta * s2 + eta * s3, tag, q),
+        _record("qway-2", "inequality", 0.5 * comm, eps * s1 + eta * s2 + eps * s3, tag, q),
+        _record("summed", "inequality", comm, (eps + eta) * (2.0 * max(s1, s2) + s3), tag, q),
+        _record("fundamental", "inequality", fund, eps**2 + eta**2, tag, {**q, "lhs_sigma_variant": fund_sigma}),
+    ]
+
+
+def reference_identity_reports(model: IndirectMeasurementModel, law: ConservationLaw) -> list[dict[str, Any]]:
+    """The two identity records of one case as JSON records, written out
+    one matrix at a time: [A, L1] with A lifted by ``np.kron``, E and D
+    as the images of the identity matrix, each identity's right side from
+    the evolved charges, and the spectral norm of each residual."""
+    s = model.spec
+    u, lifts, (l1t, l2t, l3t) = _reference_pass_start(model, law)
+    measured = np.kron(model.observable.entries, np.eye(s.probe_dim * s.ancilla_dim))
+    lhs = measured @ lifts[0] - lifts[0] @ measured
+    err, dist = _reference_images(model, np.eye(s.total_dim))
+
+    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y - y @ x
+
+    shared = comm(l1t, err) + comm(l2t, dist)
+    tag = digest_of_bits(model=model, law=law)
+    return [
+        _record("identity-1", "identity", float(np.linalg.norm(lhs - (shared + comm(l3t, dist)), 2)), 0.0, tag, {}),
+        _record("identity-2", "identity", float(np.linalg.norm(lhs - (shared + comm(l3t, err)), 2)), 0.0, tag, {}),
+    ]
+
+
+def reference_csv(records: list[dict[str, Any]]) -> str:
+    """The CSV of JSON records: a header row, then each record's fields
+    with floats as their repr and details as sorted compact JSON."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["relation", "kind", "lhs", "rhs", "slack", "digest", "details"])
+    for r in records:
+        details = json.dumps(r["details"], sort_keys=True, separators=(",", ":")) if "details" in r else ""
+        writer.writerow([r["relation"], r["kind"], repr(r["lhs"]), repr(r["rhs"]), repr(r["slack"]), r["digest"], details])
+    return buf.getvalue()
 
 
 def unitary_gradient(

@@ -6,7 +6,10 @@ must be weaker than its recorded sigma-variant, on every sample.
 """
 
 import csv
+import functools
 import io
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,11 +37,27 @@ import waylab.bounds
 import waylab.conservation
 import waylab.measurement
 import waylab.operators
-from waylab.bounds import fundamental_bound, qway_bounds, reports_to_csv, require_conserving, summed_bound
+from waylab.bounds import (
+    fundamental_bound,
+    qway_bounds,
+    reports_to_csv,
+    require_conserving,
+    stacked_identity_reports,
+    stacked_trade_off_reports,
+    summed_bound,
+)
 from waylab.cnot import pauli
 from waylab.conservation import commutant_basis, conservation_residual
-from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
+from waylab.sampling import (
+    random_conserving_implementation,
+    random_conserving_model,
+    random_conserving_models,
+    random_state,
+)
 from waylab.scenarios import build_boson
+from waylab.serialize import digests
+
+from oracles import digest_of_bits, reference_csv, reference_identity_reports, reference_trade_off_reports
 
 
 Z = pauli("Z")
@@ -132,20 +151,73 @@ def test_trade_off_reports_is_one_pass_behind_every_bound(monkeypatch):
     psi = _random_object_state(18)
     slices = [*qway_bounds(model, law, psi), summed_bound(model, law, psi), fundamental_bound(model, law, psi)]
     calls, residuals = [], []
-    gate, residual = waylab.bounds.require_conserving, waylab.bounds.conservation_residual
+    gate, residual = waylab.bounds._require_conserving, waylab.bounds.conservation_residual
     monkeypatch.setattr(
-        waylab.bounds, "require_conserving", lambda s, u, lw: calls.append(1) or gate(s, u, lw)
+        waylab.bounds, "_require_conserving", lambda s, us, lws, u: calls.append(len(lws)) or gate(s, us, lws, u)
     )
     monkeypatch.setattr(
         waylab.bounds, "conservation_residual", lambda u, lw: residuals.append(1) or residual(u, lw)
     )
     reports = trade_off_reports(model, law, psi)
-    # one conservation gate, which a conserving model passes on its
-    # Frobenius norm alone
-    assert len(calls) == 1
+    # one conservation gate over a stack of one case, which a conserving
+    # model passes on its Frobenius norm alone
+    assert calls == [1]
     assert residuals == []
     assert [r.relation for r in reports] == ["qway-1", "qway-2", "summed", "fundamental"]
     assert [r.to_json_dict() for r in reports] == [r.to_json_dict() for r in slices]
+
+
+STACK_LAYOUTS = [(2, 2), (3, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4, 4)]
+
+
+@functools.cache
+def _stack_cases():
+    """130 sampled cases cycling through STACK_LAYOUTS, each with its
+    object state, and the per-case oracle's trade-off and identity
+    records of each."""
+    specs = [HilbertSpec(STACK_LAYOUTS[i % len(STACK_LAYOUTS)]) for i in range(130)]
+    seeds = range(4000, 4130)
+    cases = [
+        (model, law, random_state(np.random.default_rng(seed + 1), spec.object_dim))
+        for seed, spec, (model, law) in zip(seeds, specs, random_conserving_models(seeds, specs))
+    ]
+    trade = [reference_trade_off_reports(*case) for case in cases]
+    ident = [reference_identity_reports(model, law) for model, law, _ in cases]
+    return cases, trade, ident
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 63, 64, 65, 130])
+def test_stacked_passes_are_the_per_case_oracle_byte_for_byte(monkeypatch, chunk):
+    # the stacked passes over chunks of mixed layouts give each case the
+    # records of the per-case oracle: floats, digests, order and CSV, with
+    # one conservation gate per layout of a chunk
+    cases, trade, ident = _stack_cases()
+    gates = []
+    gate = waylab.bounds._require_conserving
+    monkeypatch.setattr(
+        waylab.bounds, "_require_conserving", lambda s, us, lws, u: gates.append(len(lws)) or gate(s, us, lws, u)
+    )
+    got_trade, got_ident = [], []
+    for start in range(0, len(cases), chunk):
+        part = cases[start : start + chunk]
+        got_trade += stacked_trade_off_reports(part)
+        got_ident += stacked_identity_reports([(model, law) for model, law, _ in part])
+        batch = [{"model": model, "law": law, "psi": psi} for model, law, psi in part]
+        batch += [{"model": model, "law": law} for model, law, _ in part]
+        assert digests(batch) == [digest_of_bits(**parts) for parts in batch]
+    # each pass gates each layout of a chunk once, layouts in order of first appearance
+    want = []
+    for start in range(0, len(cases), chunk):
+        sizes = list(Counter(case[0].spec for case in cases[start : start + chunk]).values())
+        want += sizes + sizes
+    assert gates == want
+    for got, want in zip(got_trade + got_ident, trade + ident, strict=True):
+        assert [json.dumps(r.to_json_dict()) for r in got] == [json.dumps(r) for r in want]
+    got_rows = reports_to_csv([r for reports in got_trade for r in reports]).splitlines()
+    want_rows = reference_csv([r for records in trade for r in records]).splitlines()
+    assert len(got_rows) == len(want_rows)
+    for got, want in zip(got_rows, want_rows):  # one row at a time keeps a failure's diff small
+        assert got == want
 
 
 def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
@@ -154,8 +226,7 @@ def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
     u = random_conserving_implementation(3, law, basis=commutant_basis(law)).unitary
     svds = []
     norm = waylab.operators.operator_norm
-    for module in (waylab.bounds, waylab.conservation):
-        monkeypatch.setattr(module, "operator_norm", lambda op: svds.append(1) or norm(op))
+    monkeypatch.setattr(waylab.conservation, "operator_norm", lambda op: svds.append(1) or norm(op))
     # conserving: the Frobenius norm certifies it, with no SVD
     require_conserving(spec, u, law)
     assert svds == []
@@ -197,10 +268,11 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 
 def test_law_lifts_are_built_once(monkeypatch):
-    # each lift is built once: the law's three parts, each a stack of one
-    # from the sampler, for its total charge, then the model's observable,
-    # one matrix, for the identities' [A, L1] (E and D, like the trade-off
-    # pass's E x and D x, apply P and A to U x on their own factors)
+    # each law lift is built once: the law's three parts, each a stack of
+    # one from the sampler, for its total charge; an identity pass lifts
+    # its models' observables as one stack for the identities' [A, L1]
+    # (E and D, like the trade-off pass's E x and D x, apply P and A to
+    # U x on their own factors)
     calls = []
     lift = HilbertSpec.lift
     monkeypatch.setattr(
@@ -215,9 +287,8 @@ def test_law_lifts_are_built_once(monkeypatch):
     trade_off_reports(model, law, psi)
     assert calls == []
     identity_reports(model, law)
-    assert calls == [("object", ())]
+    assert calls == [("object", (1,))]
     calls.clear()
-    identity_reports(model, law)
     trade_off_reports(model, law, psi)
     assert calls == []
 
@@ -227,14 +298,14 @@ def test_noise_operators_are_built_only_for_the_identities(monkeypatch):
     # most one column per object basis state; only the operator
     # identities pass the whole basis, whose images are E and D
     calls = []
-    images = waylab.measurement.noise_images
+    images = waylab.measurement.stacked_noise_images
 
-    def recording(model, x):
-        calls.append((x.shape[1], model.spec.object_dim, model.spec.total_dim))
-        return images(model, x)
+    def recording(spec, u, a, p, x):
+        calls.append((x.shape[-1], spec.object_dim, spec.total_dim))
+        return images(spec, u, a, p, x)
 
     for module in (waylab.measurement, waylab.bounds):
-        monkeypatch.setattr(module, "noise_images", recording)
+        monkeypatch.setattr(module, "stacked_noise_images", recording)
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     trade_off_reports(model, law, _random_object_state(10))
     is_precise(model)
@@ -242,7 +313,9 @@ def test_noise_operators_are_built_only_for_the_identities(monkeypatch):
     x_law = ConservationLaw(HilbertSpec((2, 2, 2)), pauli("X"), pauli("X"), pauli("X"))
     impl = random_conserving_implementation(1, x_law)
     noise_fidelity_link(impl, x_law, fidelity=gate_fidelity(impl, SearchConfig(restarts=1, max_iter=10)))
-    assert len(calls) == 5 and all(columns <= object_dim for columns, object_dim, _ in calls)
+    # one call each: the trade-off pass, the two certificates, and the
+    # chain's one ingredient pass over its two control states
+    assert len(calls) == 4 and all(columns <= object_dim for columns, object_dim, _ in calls)
     calls.clear()
     identity_reports(model, law)
     assert calls == [(8, 2, 8)]

@@ -29,7 +29,6 @@ from waylab import (
     commutant_basis,
     conserving_unitary,
 )
-from waylab.bounds import identity_reports, reports_to_csv, trade_off_reports
 from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from waylab.cnot import implementation_from_json, implementation_to_json, pauli, sigma_ceiling_fsq
 from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
@@ -37,7 +36,15 @@ from waylab.measurement import IndirectMeasurementModel
 from waylab.operators import MAX_TOTAL_DIM, StateVector
 from waylab.sampling import random_conserving_model, random_conserving_models, random_state
 
-from oracles import WIRE_SPOILERS, pair_form, reference_conserving_model, spoiled_implementation
+from oracles import (
+    WIRE_SPOILERS,
+    pair_form,
+    reference_conserving_model,
+    reference_csv,
+    reference_identity_reports,
+    reference_trade_off_reports,
+    spoiled_implementation,
+)
 
 
 def run_cli(tmp_path: Path, command: str, config: dict | None = None, *extra: str) -> tuple[int, dict]:
@@ -649,6 +656,34 @@ def test_case_count_above_the_cap_is_a_usage_error_before_any_seed(tmp_path, cap
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "entries, samples",
+    [(waylab.cli.MAX_CASES + 1, 1), (2, waylab.cli.MAX_CASES // 2 + 1), (waylab.cli.MAX_CASES + 1, 0)],
+)
+def test_boson_check_total_case_count_above_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch, entries, samples):
+    # the cap is on len(nbars) x samples_per, each nbar counting at least
+    # once (it builds its scenario and basis): refused before any is built
+    built = []
+    monkeypatch.setattr(waylab.cli, "build_boson", lambda *a: built.append(a))
+    code, report = run_cli(tmp_path, "boson-check", {"nbars": [1.0] * entries, "samples_per": samples}, "--seed", "1")
+    assert code == EXIT_USAGE and report == {} and built == []
+    err = capsys.readouterr().err
+    assert "usage error" in err and f"must be at most {waylab.cli.MAX_CASES} cases" in err
+    assert "Traceback" not in err
+
+
+def test_boson_check_at_the_case_cap_reaches_its_scenarios(tmp_path, capsys, monkeypatch):
+    # exactly MAX_CASES cases pass the cap: the first scenario is built
+    def refusing(*args):
+        raise ValueError("first scenario reached")
+
+    monkeypatch.setattr(waylab.cli, "build_boson", refusing)
+    config = {"nbars": [1.0, 2.0], "samples_per": waylab.cli.MAX_CASES // 2}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "1")
+    assert code == EXIT_USAGE and report == {}
+    assert "input error: first scenario reached" in capsys.readouterr().err
+
+
 CHUNK_LAYOUTS = [[2, 2], [3, 2], [2, 2, 2, 2]]
 
 
@@ -663,17 +698,18 @@ def test_chunked_cases_give_the_records_of_the_per_case_oracle(tmp_path, command
     code, report = run_cli(tmp_path, command, {"count": count, "factor_dims": CHUNK_LAYOUTS}, "--seed", "5")
     assert code == EXIT_OK
     specs = itertools.cycle([HilbertSpec(tuple(dims)) for dims in CHUNK_LAYOUTS])
-    reports = []
+    oracle = []
     for case_seed, spec in zip(waylab.cli._case_seeds(5, count), specs):
         model, law, _ = reference_conserving_model(case_seed, spec)
         if command == "check-bounds":
             psi = random_state(np.random.default_rng(case_seed + 1), spec.object_dim)
-            reports += trade_off_reports(model, law, psi)
+            oracle += reference_trade_off_reports(model, law, psi)
         else:
-            reports += identity_reports(model, law)
+            oracle += reference_identity_reports(model, law)
     tol = waylab.cli.DEFAULT_TOL
+    passed = {"identity": lambda slack: slack <= tol, "inequality": lambda slack: slack >= -tol}
     records = sorted(
-        ({**r.to_json_dict(), "passed": r.passed(tol)} for r in reports),
+        ({**r, "passed": passed[r["kind"]](r["slack"])} for r in oracle),
         key=lambda r: (r["digest"], r["relation"]),
     )
     assert len(report["records"]) == len(records) == count * (4 if command == "check-bounds" else 2)
@@ -681,7 +717,7 @@ def test_chunked_cases_give_the_records_of_the_per_case_oracle(tmp_path, command
         assert json.dumps(got) == json.dumps(want)
     if command == "check-bounds":
         got_rows = (tmp_path / "report.csv").read_text().splitlines()
-        want_rows = reports_to_csv(reports).splitlines()
+        want_rows = reference_csv(oracle).splitlines()
         assert len(got_rows) == len(want_rows)
         for got, want in zip(got_rows, want_rows):
             assert got == want

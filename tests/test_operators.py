@@ -169,6 +169,23 @@ def test_evolve_refuses_a_non_hermitian_operand():
     np.testing.assert_allclose(images[1].entries, u.entries.conj().T @ Z.entries @ u.entries, atol=0)
 
 
+def test_flag_checks_refuse_a_nan_stack():
+    # a NaN defect fails the comparison (nan > tol is False, so a check
+    # that asked that passed it, and only Operator's own finiteness check
+    # caught the NaN); the stacked evolution builds no Operator
+    stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="hermitian flag set but max.* = nan"):
+        waylab.operators._check_flags(stack, hermitian=True, unitary=None)
+    with pytest.raises(ValueError, match="unitary flag set but max.* = nan"):
+        waylab.operators._check_flags(stack, hermitian=None, unitary=True)
+    with pytest.raises(ValueError, match="hermitian flag set"):
+        waylab.operators.flagged_operators(stack, hermitian=True)
+    with pytest.raises(ValueError, match="hermitian flag set"):
+        waylab.operators.evolved_stack(stack, np.eye(2))
+    np.testing.assert_array_equal(waylab.operators.evolved_stack(stack[:1], np.eye(2)), stack[:1])
+
+
 def test_tensor_states_matches_kron():
     plus = StateVector.from_amplitudes([1.0, 1.0])
     e1 = StateVector.basis(2, 1)

@@ -14,12 +14,12 @@ import waylab
 MODULE_ALL = {
     "operators": {
         "FLAG_TOL", "UNITARY_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
-        "tensor_states", "commutator", "evolve", "expectation", "std_dev", "moments",
-        "operator_norm", "zero",
+        "tensor_states", "commutator", "evolve", "evolved_stack", "expectation", "std_dev", "moments",
+        "stacked_moments", "inner_products", "operator_norm", "operator_norms", "zero",
     },
     "measurement": {
         "IndirectMeasurementModel", "CertificationResult",
-        "noise_images", "rms_noise", "rms_error", "rms_disturbance",
+        "noise_images", "stacked_noise_images", "rms_noise", "rms_error", "rms_disturbance",
         "is_precise", "is_nondisturbing",
     },
     "conservation": {
@@ -28,8 +28,8 @@ MODULE_ALL = {
         "conserving_unitary", "conserving_unitaries",
     },
     "bounds": {
-        "BoundReport", "bound_ingredients", "identity_reports", "require_conserving",
-        "trade_off_reports", "qway_bounds", "summed_bound", "fundamental_bound",
+        "BoundReport", "bound_ingredients", "identity_reports", "stacked_identity_reports",
+        "require_conserving", "trade_off_reports", "stacked_trade_off_reports", "qway_bounds", "summed_bound", "fundamental_bound",
         "reports_to_csv",
     },
     "cnot": {
@@ -50,7 +50,7 @@ MODULE_ALL = {
     "serialize": {
         "operator_to_json", "operator_from_json", "state_to_json", "state_from_json",
         "spec_to_json", "spec_from_json", "law_to_json", "law_from_json",
-        "model_to_json", "model_from_json", "canonical_json", "digest",
+        "model_to_json", "model_from_json", "canonical_json", "digest", "digests",
     },
 }
 

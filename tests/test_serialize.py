@@ -15,6 +15,7 @@ from waylab.cnot import implementation_from_json, implementation_to_json, pauli
 from waylab.serialize import (
     canonical_json,
     digest,
+    digests,
     law_from_json,
     law_to_json,
     model_from_json,
@@ -337,6 +338,15 @@ def test_digest_matches_the_bits_formula(monkeypatch):
         assert digest(**parts) == expected
         assert digest(**dict(reversed(list(parts.items())))) == expected
     assert encodes == []
+
+
+def test_batched_digests_are_the_bits_formula_of_each_case():
+    # one digests call over every case: cases with one header share its
+    # hash, and cases that differ only in a spec or in a shape do not
+    cases = _digest_cases()
+    cases += [{"op": Operator(np.eye(2))}, {"op": Operator(np.eye(3))}, {"op": Operator(np.eye(2))}]
+    assert digests(cases) == [digest_of_bits(**parts) for parts in cases]
+    assert digests([]) == []
 
 
 def test_digest_tells_apart_what_the_document_formula_did():
