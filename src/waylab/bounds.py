@@ -155,7 +155,7 @@ def _require_conserving(
                 f"interaction factors {spec.factor_dims} do not match law factors "
                 f"{law.spec.factor_dims}"
             )
-    totals = _stack(law.total() for law in laws)
+    totals = np.array([law._lifted[3] for law in laws])
     # ||X||_2 <= ||X||_F: a Frobenius norm within the tolerance certifies
     # the check, and only a larger one (or NaN) pays for the SVD of the
     # exact value
@@ -168,6 +168,13 @@ def _require_conserving(
 
 def _stack(ops: Iterable[Operator]) -> np.ndarray:
     return np.array([op.entries for op in ops])
+
+
+def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = xy - yx of each pair of matrices of two stacks."""
+    out = x @ y
+    out -= y @ x
+    return out
 
 
 def _by_layout(cases: Sequence[tuple], evaluate: Callable[[list], list]) -> list:
@@ -214,20 +221,23 @@ def _identity_group(
     spec = models[0].spec
     u, a, p = (_stack(getattr(m, name) for m in models) for name in ("interaction", "observable", "pointer"))
     _require_conserving(spec, [m.interaction for m in models], laws, u)
-    lifts = np.array([[lift.entries for lift in law._lifts] for law in laws])
-    measured, l1 = spec.lift(a, "object"), lifts[:, 0]
-    lhs = measured @ l1 - l1 @ measured
-    err, dist = stacked_noise_images(spec, u, a, p, np.eye(spec.total_dim))
+    # each stack is let go after its last product, and both residuals
+    # lhs - (shared + [L3', D]) and lhs - (shared + [L3', E]) are formed
+    # in place in the one stack their svd reads
+    lifts = np.array([law._lifted[:3] for law in laws])
+    lhs = _commutator(spec.lift(a, "object"), lifts[:, 0])
     l1t, l2t, l3t = evolved_stack(lifts, u).swapaxes(0, 1)
-
-    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x @ y - y @ x
-
-    shared = comm(l1t, err) + comm(l2t, dist)
-    rhs1 = shared + comm(l3t, dist)
-    rhs2 = shared + comm(l3t, err)
+    del lifts
+    err, dist = stacked_noise_images(spec, u, a, p, np.eye(spec.total_dim))
+    del u
+    shared = _commutator(l1t, err)
+    shared += _commutator(l2t, dist)
+    residuals = np.empty((len(cases), 2) + lhs.shape[1:], dtype=np.complex128)
+    for k, noise in enumerate((dist, err)):
+        np.add(shared, _commutator(l3t, noise), out=residuals[:, k])
+        np.subtract(lhs, residuals[:, k], out=residuals[:, k])
     # the spectral norm is the largest singular value, as np.linalg.norm(ord=2) takes it
-    residuals = np.linalg.svd(np.stack([lhs - rhs1, lhs - rhs2], axis=1), compute_uv=False).max(axis=-1)
+    residuals = np.linalg.svd(residuals, compute_uv=False).max(axis=-1)
     tags = digests([{"model": model, "law": law} for model, law in cases])
     return [
         (
@@ -317,7 +327,7 @@ def _trade_off_group(
     models, laws, psis = zip(*cases)
     u = _stack(m.interaction for m in models)
     _require_conserving(models[0].spec, [m.interaction for m in models], laws, u)
-    evolved = evolved_stack(np.array([[lift.entries for lift in law._lifts] for law in laws]), u)
+    evolved = evolved_stack(np.array([law._lifted[:3] for law in laws]), u)
     names = ("sigma_l1", "sigma_l2", "sigma_l3")
     ingredients = bound_ingredients(models, laws, psis, dict(zip(names, evolved.swapaxes(0, 1))))
     norms = operator_norms([part for law in laws for part in (law.object_part, law.probe_part)])

@@ -41,7 +41,7 @@ from .cnot import (
 )
 from .conservation import ConservationLaw, commutant_basis, conservation_residual
 from .measurement import IndirectMeasurementModel, is_nondisturbing, is_precise
-from .operators import HilbertSpec, Operator
+from .operators import CHUNK_ENTRIES, HilbertSpec, Operator
 from .sampling import (
     DEFAULT_STRENGTH,
     random_conserving_implementation,
@@ -75,7 +75,6 @@ DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2,
 # CHUNK_ENTRIES entries (1 MiB of complex128) unless one case's matrix
 # alone holds more, so the chunk's models fit in a few MiB.
 CASES_PER_CHUNK = 64
-CHUNK_ENTRIES = 2**16
 # The most cases a randomized command runs: every report stays in memory until
 # the last case, about 8 KiB of RSS a check-bounds case, so 0.5 GiB at the cap.
 MAX_CASES = 2**16

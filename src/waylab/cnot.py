@@ -36,7 +36,7 @@ from scipy import linalg
 from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
 from .measurement import IndirectMeasurementModel
-from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, evolve, moments
+from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, evolved_stack, stacked_moments
 from .serialize import (
     digest,
     operator_from_json,
@@ -553,8 +553,9 @@ def l3_moments(impl: GateImplementation, law: ConservationLaw) -> tuple[float, f
             f"law on factors {law.spec.factor_dims} does not fit implementation "
             f"factors {s.factor_dims}"
         )
-    (l3_evolved,) = evolve(law._lifts[2:], impl.unitary)
-    return moments(l3_evolved, measurement_view(impl).initial_state(_IPLUS))
+    x = measurement_view(impl).initial_state(_IPLUS).amplitudes[None, :, None]
+    (mean,), (dev,) = stacked_moments(evolved_stack(law._lifted[2:3], impl.unitary.entries), x)
+    return mean, dev
 
 
 def sigma_ceiling_fsq(sigma: float) -> float:
@@ -610,7 +611,7 @@ def noise_fidelity_link(
     require_conserving(impl.spec, impl.unitary, law)
 
     view = measurement_view(impl)
-    evolved = {"sigma_l3": evolve(law._lifts[2:], impl.unitary)[0].entries}
+    evolved = {"sigma_l3": evolved_stack(law._lifted[2:3], impl.unitary.entries)[0]}
     main, plus = bound_ingredients([view, view], [law, law], [_IPLUS, _PLUS], evolved)
     result = fidelity if fidelity is not None else gate_fidelity(impl)
     fsq, sigma = result.fidelity_sq, main["sigma_l3"]

@@ -20,9 +20,11 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .operators import (
+    CHUNK_ENTRIES,
     DEGENERACY_TOL,
     HilbertSpec,
     Operator,
+    checked_stack,
     commutator,
     flagged_operators,
     operator_norm,
@@ -86,43 +88,44 @@ class ConservationLaw:
                 raise ValueError(f"{name} must be Hermitian")
 
     def total(self) -> Operator:
-        """The conserved quantity lifted to the total space.
+        """The conserved quantity lifted to the total space: the last
+        matrix of the lift stack, flagged Hermitian.
 
         Built on first use and kept: the parts are read-only, so it
         cannot go stale.
         """
-        return self._lifted[3]
-
-    @property
-    def _lifts(self) -> tuple[Operator, Operator, Operator]:
-        """The object, probe and ancilla parts lifted to the total space,
-        built once per law: every evolved charge starts from these."""
-        return self._lifted[:3]
+        return self._total
 
     @functools.cached_property
-    def _lifted(self) -> tuple[Operator, Operator, Operator, Operator]:
-        """The three lifts and their sum, the total charge: this law's own
-        pass, unless :func:`commutant_bases` filled it for a whole stack."""
+    def _total(self) -> Operator:
+        return Operator(self._lifted[3], hermitian=True)
+
+    @functools.cached_property
+    def _lifted(self) -> np.ndarray:
+        """The object, probe and ancilla parts lifted to the total space
+        and their sum, the total charge, as one read-only (4, d, d) stack
+        in that order: every evolved charge starts from these.  This
+        law's own pass, unless :func:`commutant_bases` filled it for a
+        whole layout."""
         return _lifted_laws(self.spec, [self])[0]
 
 
 _ROLES = (("object", "object_part"), ("probe", "probe_part"), ("ancilla", "ancilla_part"))
 
 
-def _lifted_laws(
-    spec: HilbertSpec, laws: Sequence[ConservationLaw]
-) -> list[tuple[Operator, Operator, Operator, Operator]]:
-    """The three lifted parts and the total charge of each law on
-    ``spec``: each role's parts are lifted as one stack, and the totals
-    are the stacks' sum l1 + l2 + l3 in that order, so every law gets
-    the bits of its own pass.  The lifts carry no flags; the totals are
-    validated Hermitian as one stack."""
+def _lifted_laws(spec: HilbertSpec, laws: Sequence[ConservationLaw]) -> np.ndarray:
+    """The lift stack of each law on ``spec``, as one read-only
+    (laws, 4, d, d) array: each role's parts are lifted as one stack, and
+    the totals are the stacks' sum l1 + l2 + l3 in that order, so every
+    law gets the bits of its own pass.  Each of the four stacks is
+    checked finite once, and the totals Hermitian as one stack."""
     l1, l2, l3 = (
-        spec.lift(np.array([getattr(law, part).entries for law in laws]), role) for role, part in _ROLES
+        checked_stack(spec.lift(np.array([getattr(law, part).entries for law in laws]), role))
+        for role, part in _ROLES
     )
-    # the totals before the lifts' copies: the other order took 35% longer at 92 dimensions
-    totals = flagged_operators(l1 + l2 + l3, hermitian=True)
-    return list(zip(*map(flagged_operators, (l1, l2, l3)), totals))
+    lifted = np.stack((l1, l2, l3, checked_stack(l1 + l2 + l3, hermitian=True)), axis=1)
+    lifted.setflags(write=False)
+    return lifted
 
 
 def conservation_residual(u: Operator, law: ConservationLaw) -> float:
@@ -316,7 +319,7 @@ def commutant_bases(laws: Sequence[ConservationLaw]) -> list[CommutantBasis]:
         if fresh:
             for law, lifted in zip(fresh, _lifted_laws(spec, fresh)):
                 vars(law)["_lifted"] = lifted  # what the cached property would build
-        vals, vecs = np.linalg.eigh(np.array([law.total().entries for law in group]))
+        vals, vecs = np.linalg.eigh(np.array([law._lifted[3] for law in group]))
         # a block ends wherever the ascending spectrum steps by more than the tolerance
         steps = np.diff(vals) > DEGENERACY_TOL
         for i, step, vec in zip(members, steps, vecs):
@@ -338,7 +341,8 @@ def _exponentials(
     exponential V exp(-i w) V^dag.
 
     The block stacks of one size, across all the bases, are decomposed
-    by one ``eigh`` and exponentiated as one stack; a stacked ``eigh`` or
+    by one ``eigh`` and exponentiated as one stack, and U is
+    :func:`_block_sums` of the exponentials.  A stacked ``eigh`` or
     product gives each matrix the bits of its own call, so every basis
     gets the U of its own pass.
     """
@@ -348,22 +352,92 @@ def _exponentials(
         for g, stack in enumerate(groups):
             by_size.setdefault(stack.shape[-1], []).append((i, g))
     eigen: list[list] = [[None] * len(groups) for groups in stacks]
-    for members in by_size.values():
+    exps: dict[int, np.ndarray] = {}
+    rows: list[list[int]] = [[0] * len(groups) for groups in stacks]
+    for d, members in by_size.items():
         w, v = np.linalg.eigh(np.concatenate([stacks[i][g] for i, g in members]))
         v_dag = v.conj().swapaxes(1, 2)
-        exp = (v * np.exp(-1j * w)[:, None, :]) @ v_dag
+        exps[d] = exp = (v * np.exp(-1j * w)[:, None, :]) @ v_dag
         at = 0
         for i, g in members:
             k = len(stacks[i][g])
             eigen[i][g] = (w[at : at + k], v[at : at + k], v_dag[at : at + k], exp[at : at + k])
+            rows[i][g] = at  # the group's first block in its size's stack
             at += k
-    out = []
-    for basis, eig in zip(bases, eigen):
-        u = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    out: list = [None] * len(bases)
+    for members in positions([basis.dim for basis in bases]):
+        group = [bases[i] for i in members]
+        for i, u in zip(members, _block_sums(group, [rows[i] for i in members], exps)):
+            out[i] = (u, eigen[i])
+    return out
+
+
+def _block_sums(
+    bases: Sequence[CommutantBasis], rows: Sequence[Sequence[int]], exps: dict[int, np.ndarray]
+) -> list[np.ndarray]:
+    """sum_b C_b E_b C_b^dag of each basis, all of one dimension, over its
+    blocks b in block order: C_b holds the block's eigenbasis columns and
+    E_b, its exponential, is row ``rows[i][g] + m`` of ``exps[d]`` for
+    the m-th block of size group g of basis i.
+
+    One basis adds its blocks one at a time, which takes fewer numpy
+    calls than stacking them.  For more, the sums run from zeros, one
+    stacked add per block position: the bases are taken in order of
+    falling block count, so those with a block at a position come first
+    and each add is a slice.  The terms of a window of positions are one
+    stack, each block size's terms in it one stacked (C E) C^dag, and a
+    window holds at most ``CHUNK_ENTRIES`` entries unless one position's
+    terms do: every position of a sampled chunk of small layouts, a few
+    of a (4, 4, 4) chunk.  Every basis gets the bits of its own
+    block-by-block sum.
+    """
+    n = bases[0].dim
+    if len(bases) == 1:
+        (basis,), (at,) = bases, rows
+        u = np.zeros((n, n), dtype=np.complex128)
         for cols, g, m in basis._layout.blocks:
             c = basis.eigenbasis[:, cols]
-            u += c @ eig[g][3][m] @ c.conj().T
-        out.append((u, eig))
+            u += c @ exps[cols.stop - cols.start][at[g] + m] @ c.conj().T
+        return [u]
+    order = sorted(range(len(bases)), key=lambda i: -len(bases[i].block_dims))
+    # the eigenvectors as rows, basis after basis
+    eigvecs = np.array([bases[i].eigenbasis.T for i in order]).reshape(-1, n)
+    # each position's blocks as (size, slot, first column, row in exps[size]), in slot order
+    at_position: list[list[tuple[int, int, int, int]]] = []
+    for slot, i in enumerate(order):
+        for position, (cols, g, m) in enumerate(bases[i]._layout.blocks):
+            if position == len(at_position):
+                at_position.append([])
+            at_position[position].append((cols.stop - cols.start, slot, cols.start, rows[i][g] + m))
+    u = np.zeros((len(bases), n, n), dtype=np.complex128)
+    most = max(1, CHUNK_ENTRIES // (n * n))
+    first = 0
+    while first < len(at_position):
+        last, count = first + 1, len(at_position[first])
+        while last < len(at_position) and count + len(at_position[last]) <= most:
+            count, last = count + len(at_position[last]), last + 1
+        window = [block for blocks in at_position[first:last] for block in blocks]
+        by_size: dict[int, list[int]] = {}
+        for k, block in enumerate(window):
+            by_size.setdefault(block[0], []).append(k)
+        # the terms of one size side by side: block k's is terms[place[k]]
+        terms = np.empty((count, n, n), dtype=np.complex128)
+        place = [0] * count
+        at = 0
+        for d, ks in by_size.items():
+            _, slot, start, row = np.array([window[k] for k in ks]).T
+            c = eigvecs[(slot * n + start)[:, None] + np.arange(d)].swapaxes(1, 2)
+            np.matmul(c @ exps[d][row], c.conj().swapaxes(1, 2), out=terms[at : at + len(ks)])
+            for k in ks:
+                place[k], at = at, at + 1
+        at = 0
+        for blocks in at_position[first:last]:
+            u[: len(blocks)] += terms[place[at : at + len(blocks)]]
+            at += len(blocks)
+        first = last
+    out: list = [None] * len(bases)
+    for slot, i in enumerate(order):
+        out[i] = u[slot]
     return out
 
 

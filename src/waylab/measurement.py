@@ -14,6 +14,7 @@ basis vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +92,12 @@ class IndirectMeasurementModel:
             raise ValueError(f"object state dim {psi.dim}, expected {self.spec.object_dim}")
         return tensor_states(psi, self.probe_state, self.ancilla_state)
 
+    @functools.cached_property
+    def _certificates(self) -> tuple[CertificationResult, CertificationResult]:
+        """:func:`is_precise` and :func:`is_nondisturbing`, from one noise
+        image pass, built on first use and kept: the model is immutable."""
+        return _certify(self)
+
 
 def noise_images(model: IndirectMeasurementModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E x = U^dag P U x - A x and D x = U^dag A U x - A x for the columns of ``x``,
@@ -152,17 +159,23 @@ class CertificationResult:
         return self.ok
 
 
-def _certify(model: IndirectMeasurementModel, noise: int) -> CertificationResult:
-    """Exact worst case over object states of the rms error (``noise`` 0)
-    or disturbance (``noise`` 1).
+def _certify(model: IndirectMeasurementModel) -> tuple[CertificationResult, CertificationResult]:
+    """Exact worst cases over object states of the rms error and the rms
+    disturbance, from one :func:`noise_images` pass.
 
     In the input psi x phi, with phi the probe (x ancilla) state, the
     mean square is psi^dag G psi, where G is the Gram matrix of the noise
-    images of each object basis state x phi (:func:`noise_images`).  The
-    worst rms is therefore sqrt(lambda_max(G)), at the top eigenvector.
+    images of each object basis state x phi.  The worst rms is therefore
+    sqrt(lambda_max(G)), at the top eigenvector.
     """
     phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
-    images = noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))[noise]
+    err, dist = noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))
+    return _worst_case(err), _worst_case(dist)
+
+
+def _worst_case(images: np.ndarray) -> CertificationResult:
+    """The certificate of the noise images of the object basis states:
+    sqrt of the top eigenvalue of their Gram matrix, at its eigenvector."""
     values, vectors = np.linalg.eigh(images.conj().T @ images)
     worst = math.sqrt(max(float(values[-1]), 0.0))
     return CertificationResult(
@@ -175,8 +188,9 @@ def is_precise(model: IndirectMeasurementModel) -> CertificationResult:
 
     The exact worst case over object states (top Gram eigenvalue) is
     compared with ``PREDICATE_TOL``; its eigenvector is the witness.
+    It shares one noise image pass with :func:`is_nondisturbing`.
     """
-    return _certify(model, 0)
+    return model._certificates[0]
 
 
 def is_nondisturbing(model: IndirectMeasurementModel) -> CertificationResult:
@@ -184,5 +198,6 @@ def is_nondisturbing(model: IndirectMeasurementModel) -> CertificationResult:
 
     The exact worst case over object states (top Gram eigenvalue) is
     compared with ``PREDICATE_TOL``; its eigenvector is the witness.
+    It shares one noise image pass with :func:`is_precise`.
     """
-    return _certify(model, 1)
+    return model._certificates[1]

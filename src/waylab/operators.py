@@ -50,12 +50,19 @@ UNITARY_TOL = 1e-10
 # Eigenvalues closer than this are treated as a single degenerate level.
 DEGENERACY_TOL = 1e-8
 MAX_TOTAL_DIM = 4096  # largest total dimension of a HilbertSpec: a dense complex matrix is 256 MiB
+# A stack of total-space matrices that is built for many cases or blocks at
+# once holds at most this many entries (1 MiB of complex128) unless one of
+# its matrices alone holds more.
+CHUNK_ENTRIES = 2**16
 
 
 def _hermiticity_defect(entries: np.ndarray) -> float:
     """max|M - M^dag|: the comparison behind every hermiticity check,
-    taken over every matrix of a stack at once."""
-    return float(np.abs(entries - entries.conj().swapaxes(-1, -2)).max())
+    taken over every matrix of a stack at once, with the difference
+    formed in the adjoint's own array."""
+    diff = entries.conj().swapaxes(-1, -2)
+    np.subtract(entries, diff, out=diff)
+    return float(np.abs(diff).max())
 
 
 def _unitarity_defect(entries: np.ndarray) -> float:
@@ -178,9 +185,9 @@ class StateVector:
         arr = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
         if arr.size == 0:
             raise ValueError("state vector must have at least one amplitude")
-        # the norm is NaN or infinite when an amplitude is, and this
-        # comparison fails on NaN
-        nrm = float(np.linalg.norm(arr))
+        # the norm from one sum of squares: NaN or infinite when an
+        # amplitude is, and this comparison fails on NaN
+        nrm = math.sqrt(np.vdot(arr, arr).real)
         if not abs(nrm - 1.0) <= FLAG_TOL:
             raise ValueError(f"state vector must be finite and normalized: |psi| = {nrm!r}")
         arr.setflags(write=False)
@@ -359,10 +366,16 @@ def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
     U^dag M U for each Hermitian M of ``stack`` (..., m, d, d) under the
     unitaries ``u`` (..., d, d), one product validated Hermitian and
     finite as one stack.  Each image has the bits of its own product."""
-    images = _heisenberg(stack, u)
-    _check_flags(images, hermitian=True, unitary=None)
-    _check_finite(images)
-    return images
+    return checked_stack(_heisenberg(stack, u), hermitian=True)
+
+
+def checked_stack(stack: np.ndarray, hermitian: bool | None = None) -> np.ndarray:
+    """``stack`` (..., d, d), once it passes the checks :class:`Operator`
+    makes of one matrix: every entry finite, and every matrix Hermitian
+    if ``hermitian`` says so, each one comparison for the whole stack."""
+    _check_flags(stack, hermitian, unitary=None)
+    _check_finite(stack)
+    return stack
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

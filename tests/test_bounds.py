@@ -268,19 +268,28 @@ def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):
 
 
 def test_law_lifts_are_built_once(monkeypatch):
-    # each law lift is built once: the law's three parts, each a stack of
-    # one from the sampler, for its total charge; an identity pass lifts
-    # its models' observables as one stack for the identities' [A, L1]
-    # (E and D, like the trade-off pass's E x and D x, apply P and A to
-    # U x on their own factors)
+    # each law's lifts are built once, as one read-only (4, d, d) stack of
+    # l1, l2, l3 and the total, and no Operator: the law's three parts,
+    # each a stack of one from the sampler; the passes read that stack,
+    # and an identity pass lifts its models' observables as one stack for
+    # the identities' [A, L1] (E and D, like the trade-off pass's E x and
+    # D x, apply P and A to U x on their own factors)
     calls = []
     lift = HilbertSpec.lift
     monkeypatch.setattr(
         HilbertSpec, "lift", lambda s, entries, role: calls.append((role, entries.shape[:-2])) or lift(s, entries, role)
     )
+    built = []
+    init = Operator.__post_init__
+    monkeypatch.setattr(Operator, "__post_init__", lambda op: built.append(op.entries.shape) or init(op))
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     assert sorted(calls) == [("ancilla", (1,)), ("object", (1,)), ("probe", (1,))]
+    stack = law._lifted
+    assert stack.shape == (4, 8, 8) and not stack.flags.writeable
+    # of the total-space operators, the sampler builds only the interaction
+    assert built.count((8, 8)) == 1
     calls.clear()
+    built.clear()
     psi = _random_object_state(10)
     trade_off_reports(model, law, psi)
     assert calls == []
@@ -291,6 +300,7 @@ def test_law_lifts_are_built_once(monkeypatch):
     calls.clear()
     trade_off_reports(model, law, psi)
     assert calls == []
+    assert law._lifted is stack and (8, 8) not in built
 
 
 def test_noise_operators_are_built_only_for_the_identities(monkeypatch):
@@ -313,9 +323,9 @@ def test_noise_operators_are_built_only_for_the_identities(monkeypatch):
     x_law = ConservationLaw(HilbertSpec((2, 2, 2)), pauli("X"), pauli("X"), pauli("X"))
     impl = random_conserving_implementation(1, x_law)
     noise_fidelity_link(impl, x_law, fidelity=gate_fidelity(impl, SearchConfig(restarts=1, max_iter=10)))
-    # one call each: the trade-off pass, the two certificates, and the
-    # chain's one ingredient pass over its two control states
-    assert len(calls) == 4 and all(columns <= object_dim for columns, object_dim, _ in calls)
+    # one call each: the trade-off pass, one pass for both certificates,
+    # and the chain's one ingredient pass over its two control states
+    assert len(calls) == 3 and all(columns <= object_dim for columns, object_dim, _ in calls)
     calls.clear()
     identity_reports(model, law)
     assert calls == [(8, 2, 8)]

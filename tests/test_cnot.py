@@ -992,11 +992,11 @@ def test_sigma_ceiling_is_the_same_record_at_every_control_state(case):
 
 def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
     impl, law = _link_cases()[1]
-    evolve = waylab.operators.evolve
+    evolved_stack = waylab.operators.evolved_stack
     calls = []
     for name, module in list(sys.modules.items()):
-        if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
-            monkeypatch.setattr(module, "evolve", lambda ops, u: calls.append(1) or evolve(ops, u))
+        if name.startswith("waylab") and getattr(module, "evolved_stack", None) is evolved_stack:
+            monkeypatch.setattr(module, "evolved_stack", lambda ops, u: calls.append(1) or evolved_stack(ops, u))
     fidelity = gate_fidelity(impl, SearchConfig(restarts=2, max_iter=20))
     noise_fidelity_link(impl, law, fidelity=fidelity)
     assert len(calls) == 1

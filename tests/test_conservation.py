@@ -23,7 +23,8 @@ from waylab import (
     zero,
 )
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
-from waylab.conservation import commutant_bases, conserving_exponential
+from waylab.operators import CHUNK_ENTRIES
+from waylab.conservation import commutant_bases, conserving_exponential, conserving_unitaries
 from waylab.sampling import random_conserving_model, random_conserving_models
 from waylab.serialize import digest
 from waylab.scenarios import build_boson, build_spin
@@ -267,6 +268,63 @@ def test_grouped_blocks_match_the_per_block_loop_bit_for_bit():
     assert (1,) in sizes_seen and any(len(s) >= 3 for s in sizes_seen)
 
 
+def test_one_call_over_mixed_bases_gives_each_its_own_unitary():
+    # one conserving_unitaries call over bases of several dimensions and
+    # block depths, in an order that mixes both: each basis gets the bytes
+    # of its own conserving_unitary and of the block-by-block loop.  The
+    # zero law has one block, the whole space, and the distinct diagonal
+    # charges leave only 1 x 1 blocks.  Dimensions 12 and 16 have one
+    # basis each, which adds its blocks one at a time; the two (4, 4, 4)
+    # bases' terms do not fit one stack of CHUNK_ENTRIES entries, so they
+    # are summed a window of positions at a time
+    def diagonal(*values: float) -> Operator:
+        return Operator(np.diag(values), hermitian=True)
+
+    laws = [
+        ConservationLaw(HilbertSpec((2, 2, 2)), zero(2), zero(2), zero(2)),
+        ConservationLaw(HilbertSpec((2, 2, 2)), diagonal(0, 1), diagonal(0, 2), diagonal(0, 4)),
+        ConservationLaw(HilbertSpec((3, 2)), diagonal(0, 2, 4), diagonal(0, 1)),
+    ]
+    layouts = ((2, 2), (2, 2, 2), (3, 2), (2, 2, 2, 2), (4, 4, 4), (2, 2, 2), (2, 3, 2), (3, 2), (4, 4, 4))
+    for seed, dims in enumerate(layouts):
+        laws.append(random_conserving_model(seed, HilbertSpec(dims))[1])
+    laws.insert(4, ConservationLaw(HilbertSpec((2, 2)), zero(2), zero(2)))
+    bases = commutant_bases(laws)
+    depths = [len(basis.block_dims) for basis in bases]
+    assert depths[0] == 1 and bases[0].block_dims == (8,)
+    assert set(bases[1].block_dims) == {1} and set(bases[2].block_dims) == {1}
+    assert len({(basis.dim, depth) for basis, depth in zip(bases, depths)}) >= 8
+    assert [basis.dim for basis in bases].count(16) == [basis.dim for basis in bases].count(12) == 1
+    assert sum(depth for basis, depth in zip(bases, depths) if basis.dim == 64) > CHUNK_ENTRIES // 64**2
+    # within one dimension, the call order is not the order of block depth
+    eights = [depth for basis, depth in zip(bases, depths) if basis.dim == 8]
+    assert eights != sorted(eights, reverse=True)
+    rng = np.random.default_rng(32)
+    coefficients = [rng.standard_normal(basis.generator_count) for basis in bases]
+    for basis, c, u in zip(bases, coefficients, conserving_unitaries(bases, coefficients)):
+        assert u.entries.tobytes() == conserving_unitary(basis, c).entries.tobytes(), basis.block_dims
+        assert u.entries.tobytes() == conserving_unitary_per_block(basis, c).tobytes(), basis.block_dims
+
+
+def test_law_lift_stack_is_read_only_and_its_total_is_the_sum():
+    # the lifts and the total are one read-only stack; total() is its last
+    # matrix as an Operator flagged Hermitian, built once, whose entries
+    # are the bytes of l1 + l2 + l3 with the parts lifted by np.kron
+    law = random_conserving_model(3, HilbertSpec((2, 3, 2)))[1]
+    stack = law._lifted
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        stack[3] += 1.0
+    a, b, c = (part.entries for part in (law.object_part, law.probe_part, law.ancilla_part))
+    lifts = (np.kron(a, np.eye(6)), np.kron(np.kron(np.eye(2), b), np.eye(2)), np.kron(np.eye(6), c))
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(stack[:3], lifts))
+    total = law.total()
+    assert total is law.total() and total.hermitian is True
+    assert total.entries.tobytes() == (lifts[0] + lifts[1] + lifts[2]).tobytes() == stack[3].tobytes()
+    assert not total.entries.flags.writeable
+
+
 @pytest.mark.parametrize("zero_point", [False, True], ids=["random-point", "degenerate-point"])
 @pytest.mark.parametrize("build", [lambda: build_spin(3), lambda: build_boson(1.0)], ids=["spin3", "boson1"])
 def test_unitary_gradient_matches_central_differences(build, zero_point):
@@ -332,7 +390,7 @@ def test_stacked_sampler_is_the_per_case_oracle_byte_for_byte(chunk):
         for seed, spec, (model, law), basis in zip(seeds[start:], specs[start:], cases, bases):
             ref_model, ref_law, ref = reference_conserving_model(seed, spec)
             got = [
-                law.object_part, law.probe_part, law.ancilla_part, *law._lifts, law.total(),
+                law.object_part, law.probe_part, law.ancilla_part, *law._lifted[:3], law.total(),
                 basis.eigenbasis, model.interaction, model.probe_state, model.ancilla_state,
                 model.pointer, model.observable,
             ]

@@ -235,11 +235,11 @@ def test_sigma_check_evolves_the_charge_once(monkeypatch):
     mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
     delta_n = math.sqrt(max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0))
 
-    evolve = waylab.operators.evolve
+    evolved_stack = waylab.operators.evolved_stack
     calls = []
     for name, module in list(sys.modules.items()):
-        if name.startswith("waylab") and getattr(module, "evolve", None) is evolve:
-            monkeypatch.setattr(module, "evolve", lambda ops, v: calls.append(1) or evolve(ops, v))
+        if name.startswith("waylab") and getattr(module, "evolved_stack", None) is evolved_stack:
+            monkeypatch.setattr(module, "evolved_stack", lambda ops, v: calls.append(1) or evolved_stack(ops, v))
     rep = boson_reports(impl, sc, PERFECT)[1]
     assert len(calls) == 1
     assert rep.details["mean_n_evolved"] == mean_n
