@@ -44,9 +44,9 @@ from .operators import (
     Operator,
     StateVector,
     evolved_stack,
+    grouped,
     inner_products,
     operator_norms,
-    positions,
     stacked_moments,
 )
 from .serialize import canonical_json, digests
@@ -178,13 +178,8 @@ def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _by_layout(cases: Sequence[tuple], evaluate: Callable[[list], list]) -> list:
-    """``evaluate`` of the cases of each layout (the first member's spec),
-    as one group, scattered back into case order."""
-    out: list = [None] * len(cases)
-    for members in positions([case[0].spec for case in cases]):
-        for i, result in zip(members, evaluate([cases[i] for i in members])):
-            out[i] = result
-    return out
+    """``evaluate`` of the cases of each layout (the first member's spec), in case order."""
+    return grouped([case[0].spec for case in cases], lambda members: evaluate([cases[i] for i in members]))
 
 
 def identity_reports(

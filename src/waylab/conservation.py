@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .operators import (
     checked_stack,
     commutator,
     flagged_operators,
+    grouped,
     operator_norm,
-    positions,
     zero,
 )
 
@@ -311,8 +311,7 @@ def commutant_bases(laws: Sequence[ConservationLaw]) -> list[CommutantBasis]:
     factor layout: the laws not yet lifted are lifted together, and the
     totals of the layout are decomposed by one stacked ``eigh``, which
     gives each matrix the bits of its own call."""
-    bases: list = [None] * len(laws)
-    for members in positions([law.spec for law in laws]):
+    def decompose(members: list[int]) -> Iterator[CommutantBasis]:
         group = [laws[i] for i in members]
         spec = group[0].spec
         fresh = [law for law in group if "_lifted" not in vars(law)]
@@ -322,14 +321,13 @@ def commutant_bases(laws: Sequence[ConservationLaw]) -> list[CommutantBasis]:
         vals, vecs = np.linalg.eigh(np.array([law._lifted[3] for law in group]))
         # a block ends wherever the ascending spectrum steps by more than the tolerance
         steps = np.diff(vals) > DEGENERACY_TOL
-        for i, step, vec in zip(members, steps, vecs):
+        for step, vec in zip(steps, vecs):
             ends = [0, *(np.flatnonzero(step) + 1).tolist(), spec.total_dim]
             basis = np.array(vec, copy=True)
             basis.setflags(write=False)
-            bases[i] = CommutantBasis(
-                eigenbasis=basis, block_dims=tuple(b - a for a, b in zip(ends, ends[1:]))
-            )
-    return bases
+            yield CommutantBasis(basis, tuple(b - a for a, b in zip(ends, ends[1:])))
+
+    return grouped([law.spec for law in laws], decompose)
 
 
 def _exponentials(
@@ -364,12 +362,11 @@ def _exponentials(
             eigen[i][g] = (w[at : at + k], v[at : at + k], v_dag[at : at + k], exp[at : at + k])
             rows[i][g] = at  # the group's first block in its size's stack
             at += k
-    out: list = [None] * len(bases)
-    for members in positions([basis.dim for basis in bases]):
-        group = [bases[i] for i in members]
-        for i, u in zip(members, _block_sums(group, [rows[i] for i in members], exps)):
-            out[i] = (u, eigen[i])
-    return out
+    us = grouped(
+        [basis.dim for basis in bases],
+        lambda members: _block_sums([bases[i] for i in members], [rows[i] for i in members], exps),
+    )
+    return list(zip(us, eigen))
 
 
 def _block_sums(
@@ -382,13 +379,13 @@ def _block_sums(
 
     One basis adds its blocks one at a time, which takes fewer numpy
     calls than stacking them.  For more, the sums run from zeros, one
-    stacked add per block position: the bases are taken in order of
-    falling block count, so those with a block at a position come first
-    and each add is a slice.  The terms of a window of positions are one
-    stack, each block size's terms in it one stacked (C E) C^dag, and a
-    window holds at most ``CHUNK_ENTRIES`` entries unless one position's
-    terms do: every position of a sampled chunk of small layouts, a few
-    of a (4, 4, 4) chunk.  Every basis gets the bits of its own
+    stacked add per block position.  A window of positions holds their
+    terms as one zero-filled (positions, bases, n, n) stack, each block
+    size's terms one stacked (C E) C^dag scattered into place, so a basis
+    with no block at a position adds +0.0: exact, as a sum that starts at
+    +0.0 never holds -0.0.  A window holds max(1, CHUNK_ENTRIES // (bases
+    n^2)) positions, so at most ``CHUNK_ENTRIES`` entries unless one
+    position's terms hold more.  Every basis gets the bits of its own
     block-by-block sum.
     """
     n = bases[0].dim
@@ -399,46 +396,27 @@ def _block_sums(
             c = basis.eigenbasis[:, cols]
             u += c @ exps[cols.stop - cols.start][at[g] + m] @ c.conj().T
         return [u]
-    order = sorted(range(len(bases)), key=lambda i: -len(bases[i].block_dims))
+    width = max(1, CHUNK_ENTRIES // (len(bases) * n * n))
+    # each window's blocks by size: (position in it, basis, first column, row
+    # in exps[size]); every basis starts at position 0, so windows come in order
+    windows: dict[int, dict[int, list[tuple[int, int, int, int]]]] = {}
+    for j, (basis, at) in enumerate(zip(bases, rows)):
+        for position, (cols, g, m) in enumerate(basis._layout.blocks):
+            window = windows.setdefault(position // width, {})
+            window.setdefault(cols.stop - cols.start, []).append((position % width, j, cols.start, at[g] + m))
     # the eigenvectors as rows, basis after basis
-    eigvecs = np.array([bases[i].eigenbasis.T for i in order]).reshape(-1, n)
-    # each position's blocks as (size, slot, first column, row in exps[size]), in slot order
-    at_position: list[list[tuple[int, int, int, int]]] = []
-    for slot, i in enumerate(order):
-        for position, (cols, g, m) in enumerate(bases[i]._layout.blocks):
-            if position == len(at_position):
-                at_position.append([])
-            at_position[position].append((cols.stop - cols.start, slot, cols.start, rows[i][g] + m))
+    eigvecs = np.array([basis.eigenbasis.T for basis in bases]).reshape(-1, n)
+    depth = max(len(basis.block_dims) for basis in bases)
     u = np.zeros((len(bases), n, n), dtype=np.complex128)
-    most = max(1, CHUNK_ENTRIES // (n * n))
-    first = 0
-    while first < len(at_position):
-        last, count = first + 1, len(at_position[first])
-        while last < len(at_position) and count + len(at_position[last]) <= most:
-            count, last = count + len(at_position[last]), last + 1
-        window = [block for blocks in at_position[first:last] for block in blocks]
-        by_size: dict[int, list[int]] = {}
-        for k, block in enumerate(window):
-            by_size.setdefault(block[0], []).append(k)
-        # the terms of one size side by side: block k's is terms[place[k]]
-        terms = np.empty((count, n, n), dtype=np.complex128)
-        place = [0] * count
-        at = 0
-        for d, ks in by_size.items():
-            _, slot, start, row = np.array([window[k] for k in ks]).T
-            c = eigvecs[(slot * n + start)[:, None] + np.arange(d)].swapaxes(1, 2)
-            np.matmul(c @ exps[d][row], c.conj().swapaxes(1, 2), out=terms[at : at + len(ks)])
-            for k in ks:
-                place[k], at = at, at + 1
-        at = 0
-        for blocks in at_position[first:last]:
-            u[: len(blocks)] += terms[place[at : at + len(blocks)]]
-            at += len(blocks)
-        first = last
-    out: list = [None] * len(bases)
-    for slot, i in enumerate(order):
-        out[i] = u[slot]
-    return out
+    for w, window in windows.items():
+        terms = np.zeros((min(width, depth - w * width), len(bases), n, n), dtype=np.complex128)
+        for d, blocks in window.items():
+            position, j, start, row = np.array(blocks).T
+            c = eigvecs[(j * n + start)[:, None] + np.arange(d)].swapaxes(1, 2)
+            terms[position, j] = (c @ exps[d][row]) @ c.conj().swapaxes(1, 2)
+        for term in terms:
+            u += term
+    return list(u)
 
 
 def conserving_exponential(

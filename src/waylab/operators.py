@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "StateVector",
     "tensor_states",
     "commutator",
-    "evolve",
     "evolved_stack",
     "expectation",
     "std_dev",
@@ -306,25 +305,32 @@ def flagged_operators(
     """``Operator(m, hermitian=hermitian, unitary=unitary)`` for each
     matrix ``m`` of ``mats`` (a list or a stack), in order, with the
     flags validated by one comparison each per stack of one dimension."""
-    out: list = [None] * len(mats)
-    for members in positions([len(m) for m in mats]):
+    def flag(members: list[int]) -> Iterator[Operator]:
         # matrices of one dimension throughout are stacked as given
         stack = np.asarray(mats) if len(members) == len(mats) else np.array([mats[i] for i in members])
         _check_flags(stack, hermitian, unitary)
-        for i, mat in zip(members, stack):
-            out[i] = op = Operator(mat)
+        for mat in stack:
+            op = Operator(mat)
             object.__setattr__(op, "hermitian", hermitian)
             object.__setattr__(op, "unitary", unitary)
-    return out
+            yield op
+
+    return grouped([len(m) for m in mats], flag)
 
 
-def positions(keys: Sequence[Hashable]) -> list[list[int]]:
-    """The positions of each distinct key in ``keys``, keys in order of
-    first appearance: how the stacked routines group what they stack."""
-    out: dict[Hashable, list[int]] = {}
+def grouped(keys: Sequence[Hashable], evaluate: Callable[[list[int]], Iterable]) -> list:
+    """``evaluate(members)`` once per distinct key of ``keys``, keys in
+    order of first appearance, with ``members`` the key's positions, and
+    its results, one per member, put back at those positions: how the
+    stacked routines group what they stack."""
+    where: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
-        out.setdefault(key, []).append(i)
-    return list(out.values())
+        where.setdefault(key, []).append(i)
+    out: list = [None] * len(keys)
+    for members in where.values():
+        for i, result in zip(members, evaluate(members)):
+            out[i] = result
+    return out
 
 
 def zero(dim: int) -> Operator:
@@ -347,26 +353,14 @@ def commutator(a: Operator, b: Operator) -> Operator:
     return Operator(a.entries @ b.entries - b.entries @ a.entries)
 
 
-def _heisenberg(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dag M U for each matrix M of ``stack`` (..., m, d, d) under the
-    unitaries ``u`` (..., d, d), as one product."""
-    return u.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ u[..., None, :, :]
-
-
-def evolve(ops: Sequence[Operator], u: Operator) -> tuple[Operator, ...]:
-    """Heisenberg-picture images U^dag op U of Hermitian ``ops``, as one
-    stacked product, validated Hermitian as one stack: a non-Hermitian
-    operand is a ``ValueError``."""
-    images = _heisenberg(np.stack([op.entries for op in ops]), u.entries)
-    return tuple(flagged_operators(images, hermitian=True))
-
-
 def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The matrices of :func:`evolve` without their Operators:
-    U^dag M U for each Hermitian M of ``stack`` (..., m, d, d) under the
-    unitaries ``u`` (..., d, d), one product validated Hermitian and
-    finite as one stack.  Each image has the bits of its own product."""
-    return checked_stack(_heisenberg(stack, u), hermitian=True)
+    """The Heisenberg-picture images U^dag M U of each Hermitian M of
+    ``stack`` (..., m, d, d) under the unitaries ``u`` (..., d, d): the
+    one evolved-charge helper.  One product, validated Hermitian and
+    finite as one stack, so a non-Hermitian operand is a ``ValueError``.
+    Each image has the bits of its own product."""
+    images = u.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ u[..., None, :, :]
+    return checked_stack(images, hermitian=True)
 
 
 def checked_stack(stack: np.ndarray, hermitian: bool | None = None) -> np.ndarray:
@@ -431,9 +425,7 @@ def operator_norm(op: Operator) -> float:
 def operator_norms(ops: Sequence[Operator]) -> list[float]:
     """:func:`operator_norm` of each operator, in order, with one stacked
     ``svd`` per dimension, which gives each matrix the bits of its own."""
-    out = [0.0] * len(ops)
-    for members in positions([op.dim for op in ops]):
-        top = np.linalg.svd(np.array([ops[i].entries for i in members]), compute_uv=False)[:, 0]
-        for i, value in zip(members, top.tolist()):
-            out[i] = value
-    return out
+    def top(members: list[int]) -> list[float]:
+        return np.linalg.svd(np.array([ops[i].entries for i in members]), compute_uv=False)[:, 0].tolist()
+
+    return grouped([op.dim for op in ops], top)

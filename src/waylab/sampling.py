@@ -21,7 +21,7 @@ from .conservation import (
     conserving_unitary,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, flagged_operators, positions
+from .operators import HilbertSpec, Operator, StateVector, flagged_operators, grouped
 
 __all__ = [
     "DEFAULT_STRENGTH",
@@ -56,15 +56,14 @@ def _integer_spectrum_hermitians(spectra: Sequence[np.ndarray], raws: Sequence[n
     are factored by one stacked ``qr``, which gives each the bits of its
     own call.
     """
-    mats: list = [None] * len(raws)
-    for members in positions([len(raw) for raw in raws]):
+    def haar(members: list[int]) -> np.ndarray:
         q, r = np.linalg.qr(np.array([raws[i] for i in members]))
         diag = np.diagonal(r, axis1=1, axis2=2)
         q = q * (diag / np.abs(diag))[:, None, :]
         spectrum = np.array([spectra[i] for i in members])[:, None, :]
-        for i, mat in zip(members, (q * spectrum) @ q.conj().swapaxes(1, 2)):
-            mats[i] = mat
-    return flagged_operators(mats, hermitian=True)
+        return (q * spectrum) @ q.conj().swapaxes(1, 2)
+
+    return flagged_operators(grouped([len(raw) for raw in raws], haar), hermitian=True)
 
 
 def _random_laws(rngs: Sequence[np.random.Generator], specs: Sequence[HilbertSpec]) -> list[ConservationLaw]:

@@ -398,3 +398,14 @@ def test_reports_csv_roundtrip():
     for row, rep in zip(rows, reports):
         assert float(row["slack"]) == pytest.approx(rep.slack, rel=1e-15)
         assert row["digest"] == rep.digest
+
+
+def test_the_stacked_routines_return_nothing_for_no_cases():
+    assert waylab.conservation.commutant_bases([]) == []
+    assert waylab.conservation.conserving_unitaries([], []) == []
+    assert waylab.operators.flagged_operators([], hermitian=True, unitary=True) == []
+    assert waylab.operators.operator_norms([]) == []
+    assert random_conserving_models([], []) == []
+    assert stacked_trade_off_reports([]) == []
+    assert stacked_identity_reports([]) == []
+    assert digests([]) == []

@@ -1002,14 +1002,6 @@ def test_noise_fidelity_link_evolves_the_charge_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_evolve_takes_a_sequence():
-    # a bare operator is not a sequence of them: an old-style
-    # evolve(op, u) call fails instead of computing a wrong product
-    with pytest.raises(TypeError):
-        waylab.operators.evolve(X, Z)
-    assert np.array_equal(waylab.operators.evolve((X,), Z)[0].entries, -X.entries)
-
-
 def test_noise_fidelity_link_rejects_wrong_charges():
     impl, _ = _conserving_impl(2)
     bad_law = ConservationLaw(SPEC22, Z, Z)

@@ -22,6 +22,7 @@ from waylab import (
     operator_norm,
     zero,
 )
+import waylab.conservation
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
 from waylab.operators import CHUNK_ENTRIES
 from waylab.conservation import commutant_bases, conserving_exponential, conserving_unitaries
@@ -302,6 +303,43 @@ def test_one_call_over_mixed_bases_gives_each_its_own_unitary():
     rng = np.random.default_rng(32)
     coefficients = [rng.standard_normal(basis.generator_count) for basis in bases]
     for basis, c, u in zip(bases, coefficients, conserving_unitaries(bases, coefficients)):
+        assert u.entries.tobytes() == conserving_unitary(basis, c).entries.tobytes(), basis.block_dims
+        assert u.entries.tobytes() == conserving_unitary_per_block(basis, c).tobytes(), basis.block_dims
+
+
+def test_padded_block_sums_keep_each_basis_bits_in_both_window_shapes(monkeypatch):
+    # at 100 entries a window, the three dimension-8 bases (3 * 64 entries
+    # a position) are summed one position a window, and the three
+    # dimension-4 bases (3 * 16) two positions a window, the random law's
+    # terms overlapping.  The shallower bases of each dimension are padded
+    # with +0.0 past their last block, also where the sum is an exact zero;
+    # a sum that starts at +0.0 holds no -0.0, so the padded adds leave
+    # every bit as it is
+    monkeypatch.setattr(waylab.conservation, "CHUNK_ENTRIES", 100)
+
+    def diagonal(*values: float) -> Operator:
+        return Operator(np.diag(values), hermitian=True)
+
+    laws = [
+        ConservationLaw(HilbertSpec((2, 2, 2)), zero(2), zero(2), zero(2)),
+        ConservationLaw(HilbertSpec((2, 2)), diagonal(0, 1), diagonal(0, 1)),
+        random_conserving_model(4, HilbertSpec((2, 2, 2)))[1],
+        random_conserving_model(0, HilbertSpec((2, 2)))[1],
+        ConservationLaw(HilbertSpec((2, 2)), diagonal(0, 1), diagonal(0, 2)),
+        ConservationLaw(HilbertSpec((2, 2, 2)), diagonal(0, 1), diagonal(0, 2), diagonal(0, 4)),
+    ]
+    bases = commutant_bases(laws)
+    block_dims = [(8,), (1, 2, 1), (1, 2, 2, 2, 1), (1,) * 4, (1,) * 4, (1,) * 8]
+    assert [basis.block_dims for basis in bases] == block_dims
+    assert 100 // (3 * 8 * 8) == 0 and 100 // (3 * 4 * 4) == 2
+    rng = np.random.default_rng(33)
+    coefficients = [rng.standard_normal(basis.generator_count) for basis in bases]
+    unitaries = conserving_unitaries(bases, coefficients)
+    # the shallow dimension-4 basis is padded at entries whose sum is an exact zero
+    shallow = unitaries[1].entries
+    zeros = np.concatenate([shallow.real[shallow.real == 0], shallow.imag[shallow.imag == 0]])
+    assert zeros.size and not np.signbit(zeros).any()
+    for basis, c, u in zip(bases, coefficients, unitaries):
         assert u.entries.tobytes() == conserving_unitary(basis, c).entries.tobytes(), basis.block_dims
         assert u.entries.tobytes() == conserving_unitary_per_block(basis, c).tobytes(), basis.block_dims
 

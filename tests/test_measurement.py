@@ -30,7 +30,7 @@ from waylab.bounds import identity_reports
 from waylab.cnot import measurement_view, pauli
 from waylab.conservation import ConservationLaw
 from waylab.measurement import CertificationResult, noise_images
-from waylab.operators import evolve, tensor_states
+from waylab.operators import evolved_stack, tensor_states
 from waylab.sampling import random_conserving_implementation, random_conserving_model, random_state
 from waylab.scenarios import build_boson, build_spin, way_positive_control
 
@@ -114,12 +114,12 @@ def test_heisenberg_cnot_propagates_pointer():
     model = cnot_z_model()
     lifts = _lifts(model)
     np.testing.assert_allclose(
-        evolve((lifts["pointer"],), model.interaction)[0].entries,
+        evolved_stack(lifts["pointer"].entries[None], model.interaction.entries)[0],
         np.kron(Z.entries, Z.entries),
         atol=1e-14,
     )
     np.testing.assert_allclose(
-        evolve((lifts["measured"],), model.interaction)[0].entries,
+        evolved_stack(lifts["measured"].entries[None], model.interaction.entries)[0],
         lifts["measured"].entries,
         atol=1e-14,
     )
@@ -129,7 +129,7 @@ def test_heisenberg_preserves_spectrum():
     model = cnot_z_model()
     for lift in _lifts(model).values():
         before = np.linalg.eigvalsh(lift.entries)
-        after = np.linalg.eigvalsh(evolve((lift,), model.interaction)[0].entries)
+        after = np.linalg.eigvalsh(evolved_stack(lift.entries[None], model.interaction.entries)[0])
         np.testing.assert_allclose(before, after, atol=1e-12)
 
 

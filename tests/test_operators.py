@@ -157,16 +157,38 @@ def test_tensor_matches_kron_and_associativity():
         )
 
 
-def test_evolve_refuses_a_non_hermitian_operand():
+def test_evolved_stack_refuses_a_non_hermitian_operand():
     # the images are validated Hermitian as one stack: one non-Hermitian
-    # operand among Hermitian ones is refused, and Hermitian images are flagged
-    u = Operator(np.array([[0.6, 0.8j], [0.8j, 0.6]]), unitary=True)
-    raising = Operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # operand among Hermitian ones is refused.  A stack of cases, each
+    # with its own U, gives every image the bits of its own product
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="hermitian flag set"):
-        waylab.operators.evolve((X, raising), u)
-    images = waylab.operators.evolve((X, Z), u)
-    assert all(image.hermitian for image in images)
-    np.testing.assert_allclose(images[1].entries, u.entries.conj().T @ Z.entries @ u.entries, atol=0)
+        waylab.operators.evolved_stack(np.array([X.entries, raising]), u)
+    images = waylab.operators.evolved_stack(np.array([X.entries, Z.entries]), u)
+    np.testing.assert_allclose(images[1], u.conj().T @ Z.entries @ u, atol=0)
+    us = np.array([u, np.eye(2), u.conj().T])
+    stacks = np.array([[X.entries, Z.entries], [Z.entries, X.entries], [Z.entries, Z.entries]])
+    evolved = waylab.operators.evolved_stack(stacks, us)
+    assert evolved.shape == (3, 2, 2, 2)
+    for case, v, images in zip(stacks, us, evolved):
+        for m, image in zip(case, images):
+            assert image.tobytes() == (v.conj().T @ m @ v).tobytes()
+
+
+def test_grouped_evaluates_each_key_once_in_order_of_first_appearance():
+    calls = []
+
+    def evaluate(members):
+        calls.append(members)
+        return [f"{i}/{len(members)}" for i in members]
+
+    out = waylab.operators.grouped(["b", "a", "b", "c", "a", "b"], evaluate)
+    assert calls == [[0, 2, 5], [1, 4], [3]]
+    assert out == ["0/3", "1/2", "2/3", "3/1", "4/2", "5/3"]
+    # no keys, no call
+    assert waylab.operators.grouped([], lambda members: calls.append(members) or []) == []
+    assert len(calls) == 3
 
 
 def test_flag_checks_refuse_a_nan_stack():

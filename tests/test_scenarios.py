@@ -230,8 +230,8 @@ def test_sigma_check_evolves_the_charge_once(monkeypatch):
     impl = GateImplementation(sc.spec, u, sc.ancilla_state)
     full = measurement_view(impl).initial_state(_IPLUS)
     number_op = Operator(0.5 * sc.law.ancilla_part.entries, hermitian=True)
-    (n_evolved,) = waylab.operators.evolve((sc.spec.embed(number_op, "ancilla"),), u)
-    vec = n_evolved.entries @ full.amplitudes
+    (n_evolved,) = waylab.operators.evolved_stack(sc.spec.lift(number_op.entries, "ancilla")[None], u.entries)
+    vec = n_evolved @ full.amplitudes
     mean_n = float(np.real(np.vdot(full.amplitudes, vec)))
     delta_n = math.sqrt(max(float(np.real(np.vdot(vec, vec))) - mean_n**2, 0.0))
 
