@@ -180,6 +180,16 @@ def _real(name: str, value: Any) -> float:
     return float(value)
 
 
+def _typed(name: str, value: Any, kind: type) -> Any:
+    """A config object or list, checked rather than converted: ``dict``
+    would read an array of pairs as an object, and iterating null or a
+    number fails with an error that does not name the key."""
+    if not isinstance(value, kind):
+        what = "a JSON object" if kind is dict else "a list"
+        raise _UsageError(f"{name} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def _search_config(
     config: dict[str, Any], base: SearchConfig, restarts_flag: int | None = None
 ) -> SearchConfig:
@@ -188,7 +198,7 @@ def _search_config(
     the descent early and a negative ``max_iter`` would run no step, so
     both are refused, as is a count or ``seed`` that is not a nonnegative
     integer and any key ``SearchConfig`` lacks."""
-    raw = {**asdict(base), **dict(config.get("search", {}))}
+    raw = {**asdict(base), **_typed("search", config.get("search", {}), dict)}
     if restarts_flag is not None:
         raw["restarts"] = restarts_flag
     unknown = set(raw) - {f.name for f in fields(SearchConfig)}
@@ -393,8 +403,9 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     kind = str(_pick(args, config, "kind", "spin"))
     defaults = OptimizeConfig()
-    points = config.get("initial_points", [])  # kept as given: an infinity would reach the header
-    for x in itertools.chain.from_iterable(points):
+    # kept as given: an infinity would reach the header
+    points = _typed("initial_points", config.get("initial_points", []), list)
+    for x in itertools.chain.from_iterable(_typed("initial_points entry", p, list) for p in points):
         if not math.isfinite(_real("initial_points entry", x)):
             raise _UsageError(f"initial_points entries must be finite, got {x!r}")
     opt = OptimizeConfig(
@@ -446,7 +457,7 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
     seed = _require_seed(args, config)
     tol = _tol(args, config)
-    nbars = [_real("nbars entry", x) for x in config.get("nbars", [1.0, 2.0, 4.0])]
+    nbars = [_real("nbars entry", x) for x in _typed("nbars", config.get("nbars", [1.0, 2.0, 4.0]), list)]
     samples = _case_count("samples_per", _pick(args, config, "samples_per", 3))
     # each nbar builds its scenario and commutant basis, so it counts as at least one case
     if len(nbars) * max(samples, 1) > MAX_CASES:

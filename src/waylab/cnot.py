@@ -28,7 +28,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy import linalg
@@ -55,6 +55,7 @@ __all__ = [
     "pauli",
     "state_fidelity",
     "gate_fidelity",
+    "search_meets",
     "measurement_view",
     "noise_fidelity_link",
     "l3_moments",
@@ -134,6 +135,12 @@ class GateImplementation:
         )
         object.__setattr__(self, "ancilla_state", view.ancilla_state)
         object.__setattr__(self, "_measurement_view", view)
+
+    @functools.cached_property
+    def _evaluator(self) -> _FidelityEvaluator:
+        """The Kraus forms, built on first use and shared by every search
+        on this implementation (both are immutable)."""
+        return _FidelityEvaluator(self)
 
 
 def implementation_to_json(impl: GateImplementation) -> dict[str, Any]:
@@ -216,7 +223,7 @@ def state_fidelity(impl: GateImplementation, psi: StateVector) -> float:
     if psi.dim != 4:
         raise ValueError(f"input must be a two-qubit state, got dim {psi.dim}")
     w = np.concatenate([psi.amplitudes.real, psi.amplitudes.imag])
-    return math.sqrt(min(float(_FidelityEvaluator(impl).points(w[None, :])[0, _FSQ]), 1.0))
+    return math.sqrt(min(float(impl._evaluator.points(w[None, :])[0, _FSQ]), 1.0))
 
 
 # The descent's deterministic starting states: the computational basis and
@@ -253,13 +260,20 @@ class FidelityResult:
     fidelity_sq: float
     error_probability: float
     worst_state: StateVector
-    evaluations: int
-    # certified: min F^2 lies in [fidelity_sq_lower, fidelity_sq]; 0.0 from given starts
-    fidelity_sq_lower: float = 0.0
+    evaluations: int  # states this search evaluated
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
     # every start's final state, one row of 4 amplitudes each: the ``starts``
     # of a search on a nearby implementation; in no report
     final_states: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # fidelity_sq_lower, or a function of no arguments that computes it
+    lower: float | Callable[[], float] = field(default=0.0, repr=False, compare=False)
+
+    @functools.cached_property
+    def fidelity_sq_lower(self) -> float:
+        """Certified: min F^2 lies in [fidelity_sq_lower, fidelity_sq].
+        Computed on first read, so a search whose lower value is never
+        read never computes it."""
+        return self.lower() if callable(self.lower) else self.lower
 
 
 def _cross(u: complex, v: complex) -> float:
@@ -404,11 +418,10 @@ def _lower_fsq(ev: _FidelityEvaluator, points: np.ndarray) -> np.ndarray:
 
 
 def _sphere_descent(
-    ev: _FidelityEvaluator, cfg: SearchConfig, starts: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, float, list[dict[str, float]]]:
-    """Riemannian descent of F^2 on the unit sphere of C^4, all starts as
-    rows of one array: those of :func:`_search_starts`, or the unit rows
-    ``starts`` when given.
+    ev: _FidelityEvaluator, cfg: SearchConfig, psi: np.ndarray, stop: Callable[[float], bool] | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Riemannian descent of F^2 on the unit sphere of C^4 from the unit
+    rows ``psi``, all starts as rows of one array.
 
     Each start is kept as one packed row [w, W, S, F^2]
     (:meth:`_FidelityEvaluator.points`), and each step moves it along the
@@ -433,23 +446,22 @@ def _sphere_descent(
     Otherwise it stops after two iterations in a row in which no start
     lowered its F^2 by more than ``cfg.tol``; one is not enough, as every
     start may reject at once far from a minimum.  More starts never raise
-    the minimum by more than ``tol``.  Returns the final states, their F^2
-    and largest lower value (0.0, still valid, from given ``starts``: the
-    optimizer's warm pass never reads it), and the trace.
+    the minimum by more than ``tol``.  With ``stop`` it also stops at the
+    top of the first iteration whose lowest F^2, clipped to [0, 1], passes
+    ``stop``.  Returns the final packed rows, the starts' initial F^2 and
+    the number of iterations.
     """
-    if starts is None:
-        labels, psi = _search_starts(cfg)
-    else:
-        labels, psi = [f"given-{i}" for i in range(len(starts))], starts
     points = ev.points(np.concatenate([psi.real, psi.imag], axis=1))
     value = points[:, _FSQ]
     initial = value.copy()
-    step, checked = np.full(len(labels), 0.25), np.zeros(len(labels), dtype=bool)
+    step, checked = np.full(len(psi), 0.25), np.zeros(len(psi), dtype=bool)
     iterations = quiet = 0
     while iterations < cfg.max_iter and quiet < 2:
+        k = int(value.argmin())
+        if stop is not None and stop(_clipped(value[k])):
+            break
         damping = 0.5 / step
         moves, rhs = _newton_moves(ev, points, damping)
-        k = int(value.argmin())
         if not checked[k]:
             g = 0.5 * math.sqrt(float(rhs[k] @ rhs[k]))
             if g * g <= (2.0 * math.sqrt(value[k]) * ev._rows_norm + g) * cfg.tol:
@@ -469,13 +481,12 @@ def _sphere_descent(
         np.minimum(step, _MAX_STEP, out=step)
         np.maximum(step, _MIN_STEP, out=step)
         quiet = quiet + 1 if gain <= cfg.tol else 0
-    firsts, finals = (np.sqrt(np.maximum(f, 0.0)).tolist() for f in (initial, value))
-    trace = [
-        {"start": label, "initial": f0, "final": f1, "iterations": float(iterations)}
-        for label, f0, f1 in zip(labels, firsts, finals)
-    ]
-    lower = float(np.max(_lower_fsq(ev, points))) if starts is None else 0.0
-    return points[:, _W][:, :4] + 1j * points[:, _W][:, 4:], value, lower, trace
+    return points, initial, iterations
+
+
+def _clipped(value: float) -> float:
+    """An evaluated F^2 as a search reports it, within [0, 1]."""
+    return min(max(float(value), 0.0), 1.0)
 
 
 def gate_fidelity(
@@ -499,22 +510,39 @@ def gate_fidelity(
     F^2 <= ceiling relation is sound, but a FAIL, or the optimizer's
     ``CeilingViolation``, may be spurious, unless ``fidelity_sq_lower``,
     the final rows' largest certified lower value (the hull's exact value),
-    crosses the ceiling too.  The optimizer's warm pass only ever rejects
-    ascent trials, so it adds no such risk.  Each start adds a trace
-    entry; ``evaluations`` counts states evaluated.
+    crosses the ceiling too.  That value takes one batched ``eigvalsh``
+    over the final rows, run on its first read.  Each start adds a trace
+    entry; ``evaluations`` counts the states this search evaluated, on
+    the implementation's one evaluator.
     """
     cfg = config or SearchConfig()
     if not 0 <= cfg.restarts <= MAX_TOTAL_DIM:  # each start is a row of 137 doubles
         raise ValueError(f"restarts must lie in [0, {MAX_TOTAL_DIM}], got {cfg.restarts}")
-    ev = _FidelityEvaluator(impl)
+    ev = impl._evaluator
+    before = ev.evaluations
     if ev.d_anc == 1:
         psis = _hull_witnesses(ev)
         values = ev.points(np.concatenate([psis.real, psis.imag], axis=1))[:, _FSQ]
         lower = trace = None
     else:
-        psis, values, lower, trace = _sphere_descent(ev, cfg, starts)
+        if starts is None:
+            labels, psi = _search_starts(cfg)
+        else:
+            labels, psi = [f"given-{i}" for i in range(len(starts))], starts
+        points, initial, iterations = _sphere_descent(ev, cfg, psi)
+        values, w = points[:, _FSQ], points[:, _W]
+        psis = w[:, :4] + 1j * w[:, 4:]
+        firsts, finals = (np.sqrt(np.maximum(v, 0.0)).tolist() for v in (initial, values))
+        trace = [
+            {"start": label, "initial": f0, "final": f1, "iterations": float(iterations)}
+            for label, f0, f1 in zip(labels, firsts, finals)
+        ]
+
+        def lower() -> float:
+            return float(np.max(_lower_fsq(ev, points)))
+
     k = int(np.argmin(values))
-    fsq = min(max(float(values[k]), 0.0), 1.0)
+    fsq = _clipped(values[k])
     f = math.sqrt(fsq)
     if trace is None:
         lower, trace = fsq, [{"start": "hull", "initial": f, "final": f, "iterations": 0.0}]
@@ -523,11 +551,31 @@ def gate_fidelity(
         fidelity_sq=fsq,
         error_probability=1.0 - fsq,
         worst_state=StateVector.from_amplitudes(psis[k]),
-        evaluations=ev.evaluations,
-        fidelity_sq_lower=lower,
+        evaluations=ev.evaluations - before,
         trace=tuple(trace),
         final_states=psis,
+        lower=lower,
     )
+
+
+def search_meets(
+    impl: GateImplementation, test: Callable[[float], bool], config: SearchConfig, starts: np.ndarray
+) -> bool:
+    """Whether the search :func:`gate_fidelity` runs from the unit rows
+    ``starts`` ends at an F^2 that passes ``test``, for a ``test`` that
+    every lower F^2 passes as well.
+
+    A row moves only when its F^2 falls, so the lowest F^2 of the descent
+    never rises, and the descent stops at the top of the first step whose
+    lowest F^2 passes: the full descent would pass too.  A descent that
+    never passes runs in full, so the answer is the full search's.
+    Without an ancilla it is the exact hull value's.
+    """
+    ev = impl._evaluator
+    if ev.d_anc == 1:
+        return test(gate_fidelity(impl, config).fidelity_sq)
+    values = _sphere_descent(ev, config, starts, test)[0][:, _FSQ]
+    return test(_clipped(values[int(np.argmin(values))]))
 
 
 def measurement_view(impl: GateImplementation) -> IndirectMeasurementModel:

@@ -32,6 +32,7 @@ from .cnot import (
     gate_fidelity,
     l3_moments,
     pauli,
+    search_meets,
     sigma_ceiling_fsq,
 )
 from .conservation import (
@@ -70,11 +71,12 @@ STEP_FLOOR = 1e-6
 # than the climb's, so the reported value is not inflated by an
 # under-converged minimum.
 FINAL_SEARCH = SearchConfig(restarts=32, max_iter=300)
-# Descent steps of the warm pass that screens each ascent trial (see
-# optimize_fidelity).  Its rejections needed 0, 1 and 2 steps in 6, 8 and
-# 1 cases at spin n = 3, and 0 steps in every case at n = 4 and 5, while
-# an uncapped warm pass on trials the cold search then accepted ran 3 to
-# 18 steps for nothing.
+# Most descent steps of the warm pass that screens each ascent trial (see
+# optimize_fidelity); it stops at the first step that decides the trial.
+# Its rejections were decided after 0, 1 and 2 steps in 6, 8 and 1 cases
+# at the maximin-spin3 budget, and after 0 steps in 14 of 15 cases on one
+# spin n = 4 and one n = 5 run, while an uncapped warm pass on trials the
+# cold search then accepted ran 3 to 18 steps for nothing.
 WARM_STEPS = 2
 # Default bound on the Poisson tail a field-mode truncation may drop.
 TAIL_TOL = 1e-10
@@ -368,14 +370,18 @@ def optimize_fidelity(
     family): one above ceiling + ``CEILING_TOL``
     raises :class:`CeilingViolation`.
 
-    With an ancilla, a trial first gets a warm pass: ``WARM_STEPS``
-    descent steps from every final state of the current point's search.
-    Where it reaches an F^2 no higher than the current one, without
-    lowering the smallest ceiling margin seen, the trial is rejected with
-    no full ("cold") search: some state already shows the trial is no
-    better, so only a cold search that missed that state could have
-    accepted it.  Otherwise the cold search runs as without the pass.
-    The first point of each start and the final score are always cold.
+    With an ancilla, a trial first gets a warm pass: at most
+    ``WARM_STEPS`` descent steps from every final state of the current
+    point's search (:func:`~waylab.cnot.search_meets`).  Where it reaches
+    an F^2 no higher than the current one, without lowering the smallest
+    ceiling margin seen, the trial is rejected with no full ("cold")
+    search: some state already shows the trial is no better, so only a
+    cold search that missed that state could have accepted it.  The pass
+    stops at the first step whose lowest F^2 does so, as the lowest F^2
+    of a descent never rises, and returns only that verdict.  Otherwise
+    the cold search runs as without the pass, on the evaluator the pass
+    built.  The first point of each start and the final score are always
+    cold, and only the final score's certified lower value is computed.
     """
     cfg = config or OptimizeConfig()
     basis = commutant_basis(scenario.law)
@@ -389,9 +395,9 @@ def optimize_fidelity(
 
     def evaluate(
         coeffs: np.ndarray, search: SearchConfig | None = None, current: FidelityResult | None = None
-    ) -> tuple[FidelityResult, GateImplementation, Callable[..., np.ndarray]]:
+    ) -> tuple[FidelityResult, GateImplementation, Callable[..., np.ndarray]] | None:
         """Score a point, kept with its implementation and the derivative
-        of its U; a warm pass that rejects a trial stands as its result."""
+        of its U; None for a trial its warm pass rejects."""
         nonlocal min_gap, evaluations, sigma
         u, derivative = conserving_exponential(basis, coeffs)
         impl = GateImplementation(scenario.spec, u, scenario.ancilla_state)
@@ -400,14 +406,15 @@ def optimize_fidelity(
             ceiling = sigma_ceiling_fsq(sigma)
         else:
             ceiling = scenario.ceiling_fsq
-        res = None
-        if current is not None and warm_search is not None:
-            res = gate_fidelity(impl, warm_search, starts=current.final_states)
-            if res.fidelity_sq > current.fidelity_sq or ceiling - res.fidelity_sq < min_gap:
-                res = None
-        if res is None:
-            res = gate_fidelity(impl, search or cfg.inner)
         evaluations += 1
+        if current is not None and warm_search is not None:
+
+            def rejects(fsq: float) -> bool:  # no better, and leaves the smallest margin as it is
+                return not (fsq > current.fidelity_sq or ceiling - fsq < min_gap)
+
+            if search_meets(impl, rejects, warm_search, current.final_states):
+                return None
+        res = gate_fidelity(impl, search or cfg.inner)
         min_gap = min(min_gap, ceiling - res.fidelity_sq)
         if min_gap < -CEILING_TOL:
             raise CeilingViolation(
@@ -443,9 +450,10 @@ def optimize_fidelity(
         while iterations < cfg.max_iter and step >= STEP_FLOOR and grad.any():
             iterations += 1
             trial = np.clip(x + step / np.linalg.norm(grad) * grad, -COEFF_BOX, COEFF_BOX)
-            res, impl, derivative = evaluate(trial, current=here)
-            if res.fidelity_sq > f:
-                x, f, here, grad = trial, res.fidelity_sq, res, gradient(res, impl, derivative)
+            scored = evaluate(trial, current=here)
+            if scored is not None and scored[0].fidelity_sq > f:
+                here, impl, derivative = scored
+                x, f, grad = trial, here.fidelity_sq, gradient(here, impl, derivative)
                 step *= 1.5
             else:
                 step *= 0.5

@@ -719,8 +719,8 @@ def reference_descent(
     ``math.sqrt`` per start.  The starts are the 16 seed states and
     ``cfg.restarts`` normalised complex Gaussian rows of
     ``default_rng(cfg.seed)``, or the unit rows ``starts``.  Returns the
-    final states, their F^2, the largest certified lower value (0.0 from
-    given starts), the trace and the number of states evaluated."""
+    final states, their F^2, the largest certified lower value, the trace
+    and the number of states evaluated."""
     _, rows, rows_norm, gram = reference_evaluator(impl)
     if starts is None:
         eye, half = np.eye(4), 1.0 / math.sqrt(2.0)
@@ -772,7 +772,7 @@ def reference_descent(
         }
         for label, f0, f1 in zip(labels, initial, value)
     ]
-    lower = float(np.max(_reference_lower(rows, rows_norm, points))) if starts is None else 0.0
+    lower = float(np.max(_reference_lower(rows, rows_norm, points)))
     return points[:, :4] + 1j * points[:, 4:8], value, lower, trace, evaluations
 
 

@@ -25,6 +25,7 @@ from waylab import (
     ConservationLaw,
     GateImplementation,
     HilbertSpec,
+    SearchConfig,
     cnot_unitary,
     commutant_basis,
     conserving_unitary,
@@ -41,6 +42,7 @@ from oracles import (
     pair_form,
     reference_conserving_model,
     reference_csv,
+    reference_descent,
     reference_identity_reports,
     reference_trade_off_reports,
     spoiled_implementation,
@@ -220,6 +222,17 @@ def test_eval_impl_perfect_gate(tmp_path):
     assert report["summary"]["fidelity_sq_lower"] == report["summary"]["fidelity_sq"]
     assert report["summary"]["precision_worst_eps"] <= 1e-12
     assert report["summary"]["disturbance_worst_eta"] <= 1e-12
+
+
+def test_eval_impl_counts_the_states_its_search_evaluated(tmp_path):
+    # search_evaluations is the one search's count, as the descent written
+    # out plainly counts it
+    config = {**_ancilla_impl_config(), "search": {"restarts": 4, "max_iter": 80}}
+    code, report = run_cli(tmp_path, "eval-impl", config, "--seed", "3")
+    assert code == EXIT_OK
+    impl = implementation_from_json(config["implementation"])
+    expected = reference_descent(impl, SearchConfig(restarts=4, max_iter=80, seed=3))[4]
+    assert report["summary"]["search_evaluations"] == expected
 
 
 def test_eval_impl_with_law_emits_bound_records(tmp_path):
@@ -1078,6 +1091,28 @@ def test_bad_factor_dims_is_usage_error(tmp_path, capsys, command, row):
     assert report == {}
     err = capsys.readouterr().err
     assert "usage error" in err and "factor_dims" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        # dict() read an array of pairs as a search block and ran with restarts 3
+        ("optimize", {"search": [["restarts", 3], ["max_iter", 5]]}, "search must be a JSON object"),
+        ("optimize", {"search": None}, "search must be a JSON object"),
+        ("optimize", {"initial_points": [1, 2]}, "initial_points entry must be a list"),
+        ("boson-check", {"nbars": 3}, "nbars must be a list"),
+    ],
+    ids=["search-pairs", "search-null", "initial-points-numbers", "nbars-number"],
+)
+def test_config_container_of_the_wrong_kind_is_usage_error(tmp_path, capsys, command, config, message):
+    # checked rather than converted or iterated: null and a number failed as
+    # an input error that did not name the key
+    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
     assert "Traceback" not in err
 
 

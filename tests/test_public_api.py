@@ -34,7 +34,7 @@ MODULE_ALL = {
     },
     "cnot": {
         "GateImplementation", "SearchConfig", "FidelityResult", "cnot_unitary", "pauli",
-        "state_fidelity", "gate_fidelity", "measurement_view", "noise_fidelity_link",
+        "state_fidelity", "gate_fidelity", "search_meets", "measurement_view", "noise_fidelity_link",
         "l3_moments", "sigma_ceiling_fsq",
         "implementation_to_json", "implementation_from_json",
     },

@@ -51,6 +51,7 @@ from waylab.cnot import (
     gate_fidelity,
     measurement_view,
     pauli,
+    search_meets,
     sigma_ceiling_fsq,
 )
 from waylab.scenarios import (
@@ -372,50 +373,105 @@ MAXIMIN_BUDGET = dict(restarts=0, max_iter=30, inner=SearchConfig(restarts=4, ma
 )
 def test_warm_pass_leaves_the_run_of_cold_searches_unchanged(monkeypatch, scenario, config):
     shipped = optimize_fidelity(scenario, config).to_json_dict()
+    passes = []
 
-    def cold_instead(impl, search=None, *, starts=None):
-        return gate_fidelity(impl, config.inner if starts is not None else search)
+    def never_rejects(impl, test, search, starts):
+        passes.append(impl)
+        return False
 
-    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", cold_instead)
+    # with no trial rejected, every trial gets its cold search: the run without a warm pass
+    monkeypatch.setattr(waylab.scenarios, "search_meets", never_rejects)
     assert optimize_fidelity(scenario, config).to_json_dict() == shipped
+    assert passes
 
 
 def test_warm_pass_rejects_only_trials_the_cold_search_rejects(monkeypatch):
     config = OptimizeConfig(seed=20021017, **MAXIMIN_BUDGET)
-    cold, warm = [], []  # (impl, result); (impl, result, the current point's F^2, the cold F^2)
+    cold, warm = [], []  # (impl, result); (impl, verdict, the current point's F^2, the cold F^2)
 
-    def spy(impl, search=None, *, starts=None):
+    def cold_spy(impl, search=None, *, starts=None):
         res = gate_fidelity(impl, search, starts=starts)
-        if starts is None:
-            cold.append((impl, res))
-        else:
-            current = next(r for _, r in cold if r.final_states is starts)
-            warm.append((impl, res, current.fidelity_sq, gate_fidelity(impl, config.inner).fidelity_sq))
+        cold.append((impl, res))
         return res
 
-    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", spy)
+    def warm_spy(impl, test, search, starts):
+        verdict = search_meets(impl, test, search, starts)
+        current = next(r for _, r in cold if r.final_states is starts)
+        warm.append((impl, verdict, current.fidelity_sq, gate_fidelity(impl, config.inner).fidelity_sq))
+        return verdict
+
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", cold_spy)
+    monkeypatch.setattr(waylab.scenarios, "search_meets", warm_spy)
     run = optimize_fidelity(build_spin(3), config)
     assert run.evaluations == 32  # 1 + 30 ascent points and the final score, as without the pass
     assert len(cold) <= 20
     assert len(warm) == 30  # every trial, none on the start point or the final score
-    rejected = [w for w in warm if not any(impl is w[0] for impl, _ in cold)]
+    rejected = [w for w in warm if w[1]]
     assert len(rejected) == 32 - len(cold)
-    for _, res, current_fsq, cold_fsq in rejected:
-        assert res.fidelity_sq <= current_fsq
+    cold_impls = {id(impl) for impl, _ in cold}
+    assert all((id(impl) in cold_impls) != verdict for impl, verdict, _, _ in warm)
+    for _, _, current_fsq, cold_fsq in rejected:
         assert cold_fsq <= current_fsq
 
 
+@pytest.mark.parametrize(
+    "scenario, config",
+    [
+        (build_spin(3), OptimizeConfig(seed=20021017, **MAXIMIN_BUDGET)),
+        (build_spin(4), OptimizeConfig(restarts=0, max_iter=10, seed=2, inner=SearchConfig(restarts=4, max_iter=80, seed=2))),
+        (build_boson(1.0), OptimizeConfig(restarts=1, max_iter=20, seed=7, inner=SearchConfig(restarts=4, max_iter=60))),
+    ],
+    ids=["spin-n3", "spin-n4", "boson-nbar1"],
+)
+def test_warm_verdict_is_the_verdict_after_every_warm_step(monkeypatch, scenario, config):
+    # the warm pass stops at the first step whose lowest F^2 decides the
+    # trial; the full WARM_STEPS descent from the same starts decides it
+    # the same way, and no trial is rejected whose warm F^2 tops the
+    # current point's
+    verdicts, early, at_start = [], 0, 0
+    current_fsq = {}  # each cold search's F^2, by its final states: a later warm pass's starts
+
+    def cold_spy(impl, search=None, *, starts=None):
+        res = gate_fidelity(impl, search, starts=starts)
+        current_fsq[res.final_states.tobytes()] = res.fidelity_sq
+        return res
+
+    def spy(impl, test, search, starts):
+        nonlocal early, at_start
+        assert search.max_iter == waylab.scenarios.WARM_STEPS
+        before = impl._evaluator.evaluations
+        verdict = search_meets(impl, test, search, starts)
+        used = impl._evaluator.evaluations - before
+        full = gate_fidelity(impl, search, starts=starts)
+        assert verdict == test(full.fidelity_sq)
+        assert not test(float(np.nextafter(current_fsq[starts.tobytes()], 2.0)))
+        early += used < full.evaluations
+        at_start += used == len(starts)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(waylab.scenarios, "search_meets", spy)
+    monkeypatch.setattr(waylab.scenarios, "gate_fidelity", cold_spy)
+    optimize_fidelity(scenario, config)
+    assert any(verdicts) and not all(verdicts)
+    assert early > 0
+    if scenario.label == "spin-n4":
+        assert at_start > 0  # rejected before any step
+
+
 def test_spin2_runs_no_warm_pass(monkeypatch):
-    starts_seen = []
+    starts_seen, passes = [], []
 
     def spy(impl, search=None, *, starts=None):
         starts_seen.append(starts)
         return gate_fidelity(impl, search, starts=starts)
 
     monkeypatch.setattr(waylab.scenarios, "gate_fidelity", spy)
+    monkeypatch.setattr(waylab.scenarios, "search_meets", lambda *args: passes.append(args))
     run = optimize_fidelity(build_spin(2), OptimizeConfig(restarts=1, max_iter=10, seed=3))
     assert len(starts_seen) == run.evaluations
     assert all(s is None for s in starts_seen)
+    assert not passes
 
 
 def test_random_starts_are_drawn_when_their_turn_comes(monkeypatch):
