@@ -159,7 +159,7 @@ def _require_conserving(
     # ||X||_2 <= ||X||_F: a Frobenius norm within the tolerance certifies
     # the check, and only a larger one (or NaN) pays for the SVD of the
     # exact value
-    for i, frobenius in enumerate(np.linalg.norm(u @ totals - totals @ u, axis=(-2, -1)).tolist()):
+    for i, frobenius in enumerate(np.linalg.norm(_commutator(u, totals), axis=(-2, -1)).tolist()):
         if not frobenius <= CONSERVATION_TOL:
             residual = conservation_residual(interactions[i], laws[i])
             if residual > CONSERVATION_TOL:
@@ -279,7 +279,7 @@ def bound_ingredients(
     sigmas = {name: stacked_moments(charge, x)[1] for name, charge in evolved.items()}
     l1 = _stack(law.object_part for law in laws)
     psi = psi[:, :, None]
-    comm = inner_products(psi, (a @ l1 - l1 @ a) @ psi).tolist()
+    comm = inner_products(psi, _commutator(a, l1) @ psi).tolist()
     return [
         {"eps": eps[i], "eta": eta[i], **{n: s[i] for n, s in sigmas.items()}, "commutator_abs": abs(comm[i])}
         for i in range(len(psis))

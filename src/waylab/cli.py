@@ -180,10 +180,11 @@ def _real(name: str, value: Any) -> float:
     return float(value)
 
 
-def _typed(name: str, value: Any, kind: type) -> Any:
-    """A config object or list, checked rather than converted: ``dict``
-    would read an array of pairs as an object, and iterating null or a
-    number fails with an error that does not name the key."""
+def _typed(name: str, value: Any, kind: type | tuple[type, ...]) -> Any:
+    """A config object or list (a default may be a tuple), checked rather
+    than converted: ``dict`` would read an array of pairs as an object,
+    and iterating null or a number fails with an error that does not name
+    the key."""
     if not isinstance(value, kind):
         what = "a JSON object" if kind is dict else "a list"
         raise _UsageError(f"{name} must be {what}, got {type(value).__name__}")
@@ -298,8 +299,9 @@ def _chunk_cases(total_dim: int) -> int:
 
 def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
     """The config's factor layouts; each entry is checked as a count is, and must be at least 1."""
-    dims = config.get("factor_dims", DEFAULT_FACTOR_DIMS)
-    if not dims or any(_nonnegative_int("factor_dims entry", x) < 1 for row in dims for x in row):
+    dims = _typed("factor_dims", config.get("factor_dims", DEFAULT_FACTOR_DIMS), (list, tuple))
+    rows = (_typed("factor_dims entry", row, (list, tuple)) for row in dims)
+    if not dims or any(_nonnegative_int("factor_dims entry", x) < 1 for row in rows for x in row):
         raise _UsageError(f"factor_dims must list factorizations of entries >= 1, got {dims!r}")
     return [HilbertSpec(tuple(row)) for row in dims]
 

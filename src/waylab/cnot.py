@@ -263,7 +263,7 @@ class FidelityResult:
     evaluations: int  # states this search evaluated
     trace: tuple[dict[str, float], ...] = field(default=(), repr=False)
     # every start's final state, one row of 4 amplitudes each: the ``starts``
-    # of a search on a nearby implementation; in no report
+    # of a warm pass (search_meets) on a nearby implementation; in no report
     final_states: np.ndarray | None = field(default=None, repr=False, compare=False)
     # fidelity_sq_lower, or a function of no arguments that computes it
     lower: float | Callable[[], float] = field(default=0.0, repr=False, compare=False)
@@ -489,9 +489,7 @@ def _clipped(value: float) -> float:
     return min(max(float(value), 0.0), 1.0)
 
 
-def gate_fidelity(
-    impl: GateImplementation, config: SearchConfig | None = None, *, starts: np.ndarray | None = None
-) -> FidelityResult:
+def gate_fidelity(impl: GateImplementation, config: SearchConfig | None = None) -> FidelityResult:
     """Worst-case state fidelity of an implementation against CNOT.
 
     In Kraus form F^2(psi) = sum_a |<psi|A_a|psi>|^2 (see
@@ -503,8 +501,7 @@ def gate_fidelity(
 
     With an ancilla, a batched Riemannian descent on the unit sphere
     (:func:`_sphere_descent`) runs from every seed state and Gaussian
-    start (see :class:`SearchConfig`), or from the unit rows ``starts``
-    when given (the hull ignores them), and returns the lowest value
+    start (see :class:`SearchConfig`) and returns the lowest value
     evaluated, so the result estimates the minimum from above.  An
     insufficient budget therefore overstates F^2: a PASS of an
     F^2 <= ceiling relation is sound, but a FAIL, or the optimizer's
@@ -525,10 +522,7 @@ def gate_fidelity(
         values = ev.points(np.concatenate([psis.real, psis.imag], axis=1))[:, _FSQ]
         lower = trace = None
     else:
-        if starts is None:
-            labels, psi = _search_starts(cfg)
-        else:
-            labels, psi = [f"given-{i}" for i in range(len(starts))], starts
+        labels, psi = _search_starts(cfg)
         points, initial, iterations = _sphere_descent(ev, cfg, psi)
         values, w = points[:, _FSQ], points[:, _W]
         psis = w[:, :4] + 1j * w[:, 4:]
@@ -561,20 +555,17 @@ def gate_fidelity(
 def search_meets(
     impl: GateImplementation, test: Callable[[float], bool], config: SearchConfig, starts: np.ndarray
 ) -> bool:
-    """Whether the search :func:`gate_fidelity` runs from the unit rows
+    """Whether the descent of :func:`_sphere_descent` from the unit rows
     ``starts`` ends at an F^2 that passes ``test``, for a ``test`` that
-    every lower F^2 passes as well.
+    every lower F^2 passes as well: the optimizer's warm pass, which an
+    implementation without an ancilla, solved exactly, never takes.
 
     A row moves only when its F^2 falls, so the lowest F^2 of the descent
     never rises, and the descent stops at the top of the first step whose
     lowest F^2 passes: the full descent would pass too.  A descent that
-    never passes runs in full, so the answer is the full search's.
-    Without an ancilla it is the exact hull value's.
+    never passes runs in full, so the answer is the full descent's.
     """
-    ev = impl._evaluator
-    if ev.d_anc == 1:
-        return test(gate_fidelity(impl, config).fidelity_sq)
-    values = _sphere_descent(ev, config, starts, test)[0][:, _FSQ]
+    values = _sphere_descent(impl._evaluator, config, starts, test)[0][:, _FSQ]
     return test(_clipped(values[int(np.argmin(values))]))
 
 

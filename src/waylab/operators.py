@@ -33,7 +33,6 @@ __all__ = [
     "evolved_stack",
     "expectation",
     "std_dev",
-    "moments",
     "stacked_moments",
     "inner_products",
     "operator_norm",
@@ -380,28 +379,19 @@ def expectation(op: Operator, psi: StateVector) -> complex:
 
 
 def std_dev(op: Operator, psi: StateVector) -> float:
-    """Standard deviation of a Hermitian observable in a pure state; see :func:`moments`."""
-    return moments(op, psi)[1]
-
-
-def moments(op: Operator, psi: StateVector) -> tuple[float, float]:
-    """Mean and standard deviation of a Hermitian observable in a pure
-    state, both from the one product op|psi>.
-
-    The deviation is sqrt(<op^2> - <op>^2) with the variance clipped at
-    zero to absorb roundoff.
-    """
+    """Standard deviation of a Hermitian observable in a pure state,
+    sqrt(<op^2> - <op>^2) from the one product op|psi>, with the variance
+    clipped at zero to absorb roundoff; see :func:`stacked_moments`."""
     if op.dim != psi.dim:
         raise ValueError(f"dimension mismatch: operator {op.dim}, state {psi.dim}")
-    (mean,), (dev,) = stacked_moments(op.entries, psi.amplitudes[None, :, None])
-    return mean, dev
+    return stacked_moments(op.entries, psi.amplitudes[None, :, None])[1][0]
 
 
 def stacked_moments(ops: np.ndarray, x: np.ndarray) -> tuple[list[float], list[float]]:
-    """:func:`moments` of each Hermitian matrix of ``ops`` (..., d, d) in
-    each state of the columns ``x`` (..., d, 1), whose leading axes
-    broadcast with theirs: the means and the deviations, flattened, each
-    pair bit for bit its own call's."""
+    """The mean and standard deviation of each Hermitian matrix of ``ops``
+    (..., d, d) in each state of the columns ``x`` (..., d, 1), whose
+    leading axes broadcast with theirs: the means and the deviations,
+    flattened, each pair bit for bit its own one-matrix call's."""
     vec = ops @ x
     means = inner_products(x, vec).real.reshape(-1).tolist()
     seconds = inner_products(vec, vec).real.reshape(-1).tolist()

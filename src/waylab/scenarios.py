@@ -42,7 +42,7 @@ from .conservation import (
     conserving_exponential,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator
+from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator, operator_norm
 from .serialize import digest
 
 __all__ = [
@@ -121,7 +121,7 @@ class Scenario:
     """
 
     law: ConservationLaw
-    ancilla_state: StateVector | None
+    ancilla_state: StateVector
     ceiling_fsq: float
     nbar: float | None = None
 
@@ -140,8 +140,8 @@ def build_spin(n: int) -> Scenario:
     """Spin scenario on n >= 2 qubits, labelled ``spin-n{n}``.
 
     The conservation law is Pauli X on the control, Pauli X on the
-    target, and the summed X over the n-2 ancilla qubits (absent for
-    n=2).  The ancilla state is |0>^(n-2).  The choice matters:
+    target, and the summed X over the n-2 ancilla qubits (the 1 x 1
+    zero for n=2).  The ancilla state is |0>^(n-2).  The choice matters:
     an ancilla prepared in an eigenstate of its conserved charge (any
     product of |+> and |->) pins the total charge sector, and a sector
     argument then forces the worst-case fidelity of *every* conserving
@@ -158,16 +158,11 @@ def build_spin(n: int) -> Scenario:
     anc_qubits = n - 2
     spec = HilbertSpec((2, 2) + (2,) * anc_qubits)
     x = pauli("X")
-    if anc_qubits == 0:
-        law = ConservationLaw(spec, x, x, None)
-        anc_state = None
-    else:
-        summed = np.zeros((spec.ancilla_dim,) * 2, dtype=np.complex128)
-        for k in range(anc_qubits):  # X on ancilla qubit k, lifted to the ancilla register
-            summed += HilbertSpec((2**k, 2, 2 ** (anc_qubits - k - 1))).lift(x.entries, "probe")
-        law = ConservationLaw(spec, x, x, Operator(summed, hermitian=True))
-        anc_state = StateVector.basis(spec.ancilla_dim, 0)
-    return Scenario(law, anc_state, ceiling)
+    summed = np.zeros((spec.ancilla_dim,) * 2, dtype=np.complex128)
+    for k in range(anc_qubits):  # X on ancilla qubit k, lifted to the ancilla register
+        summed += HilbertSpec((2**k, 2, 2 ** (anc_qubits - k - 1))).lift(x.entries, "probe")
+    law = ConservationLaw(spec, x, x, Operator(summed, hermitian=True))
+    return Scenario(law, StateVector.basis(spec.ancilla_dim, 0), ceiling)
 
 
 def poisson_cutoff(nbar: float, tail_tol: float = TAIL_TOL) -> int:
@@ -513,9 +508,7 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
         )
     if not observable.is_hermitian():
         raise ValueError("observable must be Hermitian")
-    comm_norm = float(
-        np.linalg.norm(commutator(observable, law.object_part).entries, ord=2)
-    )
+    comm_norm = operator_norm(commutator(observable, law.object_part))
     if comm_norm > 1e-12:
         raise ValueError(
             f"observable does not commute with the object charge "

@@ -718,7 +718,8 @@ def reference_descent(
     the gain as ``np.max(..., where=better)`` and the trace one
     ``math.sqrt`` per start.  The starts are the 16 seed states and
     ``cfg.restarts`` normalised complex Gaussian rows of
-    ``default_rng(cfg.seed)``, or the unit rows ``starts``.  Returns the
+    ``default_rng(cfg.seed)``, or the unit rows ``starts``, as
+    ``cnot._sphere_descent`` takes them in the optimizer's warm pass.  Returns the
     final states, their F^2, the largest certified lower value, the trace
     and the number of states evaluated."""
     _, rows, rows_norm, gram = reference_evaluator(impl)

@@ -38,6 +38,7 @@ import waylab.conservation
 import waylab.measurement
 import waylab.operators
 from waylab.bounds import (
+    bound_ingredients,
     fundamental_bound,
     qway_bounds,
     reports_to_csv,
@@ -243,6 +244,16 @@ def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
     with pytest.raises(ConservationError) as exc:
         require_conserving(spec, cnot, law)
     assert exc.value.residual == conservation_residual(cnot, law)
+
+
+def test_inputs_on_the_wrong_factors_are_refused():
+    model, law = random_conserving_model(1, HilbertSpec((2, 2, 2)))
+    # an object state of the wrong dimension, and a law whose factors share
+    # the interaction's total dimension but not its layout
+    with pytest.raises(ValueError, match="object state dim 3, expected 2"):
+        bound_ingredients([model], [law], [StateVector.basis(3, 0)], {})
+    with pytest.raises(ValueError, match="do not match law factors"):
+        require_conserving(HilbertSpec((2, 4)), model.interaction, law)
 
 
 def test_flagged_operators_are_checked_for_hermiticity_once(monkeypatch):

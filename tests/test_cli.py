@@ -1102,8 +1102,13 @@ def test_bad_factor_dims_is_usage_error(tmp_path, capsys, command, row):
         ("optimize", {"search": None}, "search must be a JSON object"),
         ("optimize", {"initial_points": [1, 2]}, "initial_points entry must be a list"),
         ("boson-check", {"nbars": 3}, "nbars must be a list"),
+        # iterating these failed as an input error: 'int' object is not iterable
+        ("check-bounds", {"factor_dims": 3}, "factor_dims must be a list"),
+        ("check-bounds", {"factor_dims": [3]}, "factor_dims entry must be a list"),
+        ("verify-identities", {"factor_dims": [[2, 2], 2]}, "factor_dims entry must be a list"),
     ],
-    ids=["search-pairs", "search-null", "initial-points-numbers", "nbars-number"],
+    ids=["search-pairs", "search-null", "initial-points-numbers", "nbars-number",
+         "factor-dims-number", "factor-dims-numbers", "factor-dims-mixed"],
 )
 def test_config_container_of_the_wrong_kind_is_usage_error(tmp_path, capsys, command, config, message):
     # checked rather than converted or iterated: null and a number failed as
@@ -1160,6 +1165,27 @@ def test_malformed_config_reports_position(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "at line 3, column 1" in err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("check-bounds", [1, 2], "config root must be a JSON object, got list"),
+        ("check-bounds", None, "cannot read config"),
+        ("verify-identities", {"model": _explicit_model_config()["model"]}, 'needs both "model" and "law"'),
+    ],
+    ids=["root-list", "unreadable-path", "model-without-law"],
+)
+def test_unusable_config_is_usage_error(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"  # with no config, a path that does not exist
+    if config is not None:
+        path.write_text(json.dumps(config))
+    code = main([command, "--config", str(path), "--seed", "3", "--out", str(tmp_path / "r.json"), "--quiet"])
+    assert code == EXIT_USAGE
+    assert not (tmp_path / "r.json").exists()
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_default_output_name(tmp_path, monkeypatch):

@@ -53,16 +53,19 @@ from waylab.cnot import (
     _S,
     _W,
     _FidelityEvaluator,
+    _clipped,
+    _lower_fsq,
     _newton_moves,
     _newton_system,
     _search_starts,
+    _sphere_descent,
     l3_moments,
     search_meets,
     sigma_ceiling_fsq,
     state_fidelity,
 )
 from waylab.sampling import random_conserving_implementation
-from waylab.operators import moments
+from waylab.operators import stacked_moments
 from waylab.scenarios import OptimizeConfig, build_boson, build_spin, optimize_fidelity, projected_gate_coefficients
 from waylab.serialize import digest
 
@@ -521,20 +524,19 @@ def test_given_starts_run_the_same_descent():
     impl = _spin3_implementations()[0]
     cfg = SearchConfig(restarts=5, max_iter=60, seed=11)
     cold = gate_fidelity(impl, cfg)
-    given = gate_fidelity(impl, cfg, starts=_search_starts(cfg)[1])
-    assert given.fidelity_sq.hex() == cold.fidelity_sq.hex()
-    assert given.final_states.tobytes() == cold.final_states.tobytes()
-    assert [t["final"] for t in given.trace] == [t["final"] for t in cold.trace]
-    assert given.trace[0]["start"] == "given-0"
+    given = _sphere_descent(impl._evaluator, cfg, _search_starts(cfg)[1])[0]
+    assert (given[:, :4] + 1j * given[:, 4:8]).tobytes() == cold.final_states.tobytes()
+    assert np.sqrt(np.maximum(given[:, _FSQ], 0.0)).tolist() == [t["final"] for t in cold.trace]
     # one row per start, the worst among them, and in neither repr nor equality
     assert cold.final_states.shape == (len(cold.trace), 4)
     assert np.min(np.linalg.norm(cold.final_states - cold.worst_state.amplitudes, axis=1)) < 1e-12
     assert "final_states" not in repr(cold)
     assert dataclasses.replace(cold, final_states=None) == cold
     # the final states reproduce the minimum without a step
-    again = gate_fidelity(impl, SearchConfig(max_iter=0), starts=cold.final_states)
-    assert again.fidelity_sq.hex() == cold.fidelity_sq.hex()
-    assert again.evaluations == len(cold.trace)
+    before = impl._evaluator.evaluations
+    again = _sphere_descent(impl._evaluator, SearchConfig(max_iter=0), cold.final_states)[0][:, _FSQ]
+    assert _clipped(again.min()).hex() == cold.fidelity_sq.hex()
+    assert impl._evaluator.evaluations - before == len(cold.trace)
 
 
 def test_searches_on_one_implementation_share_its_evaluator(monkeypatch):
@@ -549,7 +551,8 @@ def test_searches_on_one_implementation_share_its_evaluator(monkeypatch):
     warm = SearchConfig(restarts=4, max_iter=waylab.scenarios.WARM_STEPS)
     assert not search_meets(impl, lambda fsq: False, warm, starts)  # never stops early: every warm step runs
     warm_count = impl._evaluator.evaluations
-    assert warm_count == gate_fidelity(second, warm, starts=starts).evaluations
+    _sphere_descent(second._evaluator, warm, starts)
+    assert warm_count == second._evaluator.evaluations
     cold = gate_fidelity(impl, cfg)
     alone = gate_fidelity(fresh, cfg)
     assert built == [impl, second, fresh]
@@ -562,19 +565,16 @@ def test_searches_on_one_implementation_share_its_evaluator(monkeypatch):
 
 def test_search_meets_stops_at_its_verdict():
     # a test every start already passes stops the descent before any step;
-    # without an ancilla the verdict is the exact hull value's
+    # otherwise the verdict is the full descent's
     impl = _spin3_implementations()[0]
     starts = _search_starts(SearchConfig(restarts=4))[1]
     cfg = SearchConfig(restarts=4, max_iter=80)
     assert search_meets(impl, lambda fsq: True, cfg, starts)
     assert impl._evaluator.evaluations == len(starts)
-    res = gate_fidelity(impl, cfg, starts=starts)
-    assert search_meets(impl, lambda fsq: fsq <= res.fidelity_sq, cfg, starts)
-    assert not search_meets(impl, lambda fsq: fsq < res.fidelity_sq, cfg, starts)
-    hull = GateImplementation(SPEC22, Operator(haar_unitary(0), unitary=True))
-    exact = gate_fidelity(hull).fidelity_sq
-    assert search_meets(hull, lambda fsq: fsq <= exact, cfg, starts)
-    assert not search_meets(hull, lambda fsq: fsq < exact, cfg, starts)
+    values = _sphere_descent(impl._evaluator, cfg, starts)[0][:, _FSQ]
+    fsq = _clipped(values.min())
+    assert search_meets(impl, lambda f: f <= fsq, cfg, starts)
+    assert not search_meets(impl, lambda f: f < fsq, cfg, starts)
 
 
 @pytest.mark.parametrize("kind", ["spin-3", "boson-1"])
@@ -831,9 +831,9 @@ def _hexed(trace) -> list[dict]:
     return [{k: v.hex() if isinstance(v, float) else v for k, v in t.items()} for t in trace]
 
 
-def _assert_search_is_the_reference(impl: GateImplementation, cfg: SearchConfig, starts=None):
-    res = gate_fidelity(impl, cfg, starts=starts)
-    psis, values, lower, trace, evaluations = reference_descent(impl, cfg, starts)
+def _assert_search_is_the_reference(impl: GateImplementation, cfg: SearchConfig):
+    res = gate_fidelity(impl, cfg)
+    psis, values, lower, trace, evaluations = reference_descent(impl, cfg)
     k = int(np.argmin(values))
     assert res.final_states.tobytes() == psis.tobytes()
     assert res.worst_state.amplitudes.tobytes() == StateVector.from_amplitudes(psis[k]).amplitudes.tobytes()
@@ -873,8 +873,15 @@ def test_warm_pass_is_the_reference_descent_bit_for_bit():
     first, second = _spin3_implementations()
     cold = gate_fidelity(first, SearchConfig(restarts=4, max_iter=80))
     warm = SearchConfig(restarts=4, max_iter=waylab.scenarios.WARM_STEPS)
-    res = _assert_search_is_the_reference(second, warm, starts=cold.final_states)
-    assert res.trace[0]["start"] == "given-0"
+    ev, starts = second._evaluator, cold.final_states
+    before = ev.evaluations
+    points, _, iterations = _sphere_descent(ev, warm, starts)
+    psis, values, lower, trace, evaluations = reference_descent(second, warm, starts)
+    assert (points[:, :4] + 1j * points[:, 4:8]).tobytes() == psis.tobytes()
+    assert points[:, _FSQ].tobytes() == values.tobytes()
+    assert float(np.max(_lower_fsq(ev, points))).hex() == lower.hex()
+    assert ev.evaluations - before == evaluations
+    assert float(iterations) == trace[0]["iterations"]
 
 
 def _spoiled(points, row: int, rest: float | None):
@@ -1063,7 +1070,8 @@ def test_sigma_l3_reads_the_law_lift(monkeypatch):
     scenario.law.total()  # the lifts exist from here on
     calls = []
     monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)
-    assert waylab.cnot.l3_moments(impl, scenario.law) == moments(Operator(want), full)
+    (mean,), (dev,) = stacked_moments(want, full.amplitudes[None, :, None])
+    assert waylab.cnot.l3_moments(impl, scenario.law) == (mean, dev)
     assert calls == []
     monkeypatch.undo()
     # a law whose ancilla lift cannot act on the implementation's space

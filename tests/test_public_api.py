@@ -14,7 +14,7 @@ import waylab
 MODULE_ALL = {
     "operators": {
         "FLAG_TOL", "UNITARY_TOL", "DEGENERACY_TOL", "HilbertSpec", "Operator", "StateVector",
-        "tensor_states", "commutator", "evolved_stack", "expectation", "std_dev", "moments",
+        "tensor_states", "commutator", "evolved_stack", "expectation", "std_dev",
         "stacked_moments", "inner_products", "operator_norm", "operator_norms", "zero",
     },
     "measurement": {

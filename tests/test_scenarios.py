@@ -46,8 +46,11 @@ from waylab import (
 import waylab.operators
 import waylab.scenarios
 from waylab.cnot import (
+    _FSQ,
     _IPLUS,
     FidelityResult,
+    _clipped,
+    _sphere_descent,
     gate_fidelity,
     measurement_view,
     pauli,
@@ -89,7 +92,9 @@ def test_ceiling_boson_values():
 def test_build_spin_layout():
     two = build_spin(2)
     assert two.spec.factor_dims == (2, 2)
-    assert two.ancilla_state is None
+    # the 1 x 1 ancilla register of n = 2: a zero charge and the state 1
+    assert two.ancilla_state.amplitudes.tolist() == [1.0]
+    assert two.law.ancilla_part.entries.tolist() == [[0.0]]
     assert two.label == "spin-n2"
     np.testing.assert_allclose(two.law.object_part.entries, X.entries, atol=0)
 
@@ -389,8 +394,8 @@ def test_warm_pass_rejects_only_trials_the_cold_search_rejects(monkeypatch):
     config = OptimizeConfig(seed=20021017, **MAXIMIN_BUDGET)
     cold, warm = [], []  # (impl, result); (impl, verdict, the current point's F^2, the cold F^2)
 
-    def cold_spy(impl, search=None, *, starts=None):
-        res = gate_fidelity(impl, search, starts=starts)
+    def cold_spy(impl, search=None):
+        res = gate_fidelity(impl, search)
         cold.append((impl, res))
         return res
 
@@ -431,8 +436,8 @@ def test_warm_verdict_is_the_verdict_after_every_warm_step(monkeypatch, scenario
     verdicts, early, at_start = [], 0, 0
     current_fsq = {}  # each cold search's F^2, by its final states: a later warm pass's starts
 
-    def cold_spy(impl, search=None, *, starts=None):
-        res = gate_fidelity(impl, search, starts=starts)
+    def cold_spy(impl, search=None):
+        res = gate_fidelity(impl, search)
         current_fsq[res.final_states.tobytes()] = res.fidelity_sq
         return res
 
@@ -442,10 +447,11 @@ def test_warm_verdict_is_the_verdict_after_every_warm_step(monkeypatch, scenario
         before = impl._evaluator.evaluations
         verdict = search_meets(impl, test, search, starts)
         used = impl._evaluator.evaluations - before
-        full = gate_fidelity(impl, search, starts=starts)
-        assert verdict == test(full.fidelity_sq)
+        before = impl._evaluator.evaluations
+        full = _sphere_descent(impl._evaluator, search, starts)[0][:, _FSQ]
+        assert verdict == test(_clipped(full.min()))
         assert not test(float(np.nextafter(current_fsq[starts.tobytes()], 2.0)))
-        early += used < full.evaluations
+        early += used < impl._evaluator.evaluations - before
         at_start += used == len(starts)
         verdicts.append(verdict)
         return verdict
@@ -460,17 +466,16 @@ def test_warm_verdict_is_the_verdict_after_every_warm_step(monkeypatch, scenario
 
 
 def test_spin2_runs_no_warm_pass(monkeypatch):
-    starts_seen, passes = [], []
+    searches, passes = [], []
 
-    def spy(impl, search=None, *, starts=None):
-        starts_seen.append(starts)
-        return gate_fidelity(impl, search, starts=starts)
+    def spy(impl, search=None):
+        searches.append(impl)
+        return gate_fidelity(impl, search)
 
     monkeypatch.setattr(waylab.scenarios, "gate_fidelity", spy)
     monkeypatch.setattr(waylab.scenarios, "search_meets", lambda *args: passes.append(args))
     run = optimize_fidelity(build_spin(2), OptimizeConfig(restarts=1, max_iter=10, seed=3))
-    assert len(starts_seen) == run.evaluations
-    assert all(s is None for s in starts_seen)
+    assert len(searches) == run.evaluations
     assert not passes
 
 
@@ -479,7 +484,7 @@ def test_random_starts_are_drawn_when_their_turn_comes(monkeypatch):
     class Reached(Exception):
         pass
 
-    def first_search(impl, search=None, *, starts=None):
+    def first_search(impl, search=None):
         raise Reached
 
     monkeypatch.setattr(waylab.scenarios, "gate_fidelity", first_search)
