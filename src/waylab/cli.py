@@ -66,6 +66,9 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 
 DEFAULT_TOL = 1e-9
+# numpy's standard normals stay below 16 in magnitude (its ziggurat's tail ends
+# near 13.7), so a strength of at most this keeps every sampled coefficient finite.
+MAX_STRENGTH = sys.float_info.max / 16
 
 # Factor layouts cycled through by the randomized commands.
 DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2, 2))
@@ -114,10 +117,15 @@ def _load_config(path: str | None) -> dict[str, Any]:
     return data
 
 
-def _maybe_file(value: Any) -> Any:
-    """Config values referencing other JSON documents may be inline
-    objects or path strings; load the latter."""
-    return _read_json(value, "") if isinstance(value, str) else value
+def _bundle(config: dict[str, Any], key: str, decode: Callable[[Any], Any]) -> Any:
+    """The config's ``key`` document, inline or a path string to load,
+    decoded: one the decoder cannot read is a usage error naming ``key``."""
+    value = config[key]
+    try:
+        return decode(_read_json(value, "") if isinstance(value, str) else value)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise _UsageError(f"{key} is not a valid document: {detail}") from exc
 
 
 def _pick(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any) -> Any:
@@ -298,11 +306,11 @@ def _chunk_cases(total_dim: int) -> int:
 
 
 def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
-    """The config's factor layouts; each entry is checked as a count is, and must be at least 1."""
+    """The config's factor layouts, of two or more entries each, checked as counts are and at least 1."""
     dims = _typed("factor_dims", config.get("factor_dims", DEFAULT_FACTOR_DIMS), (list, tuple))
     rows = (_typed("factor_dims entry", row, (list, tuple)) for row in dims)
-    if not dims or any(_nonnegative_int("factor_dims entry", x) < 1 for row in rows for x in row):
-        raise _UsageError(f"factor_dims must list factorizations of entries >= 1, got {dims!r}")
+    if not dims or any(len(row) < 2 or min(_nonnegative_int("factor_dims entry", x) for x in row) < 1 for row in rows):
+        raise _UsageError(f"factor_dims must list factorizations of two or more entries >= 1, got {dims!r}")
     return [HilbertSpec(tuple(row)) for row in dims]
 
 
@@ -335,8 +343,8 @@ def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> 
     if "model" in config or "law" in config:
         if not ("model" in config and "law" in config):
             raise _UsageError("verify-identities needs both \"model\" and \"law\" when either is given")
-        model = model_from_json(_maybe_file(config["model"]))
-        law = law_from_json(_maybe_file(config["law"]))
+        model = _bundle(config, "model", model_from_json)
+        law = _bundle(config, "law", law_from_json)
         seed = _pick(args, config, "seed", None)
         if seed is not None:
             _nonnegative_int("seed", seed)
@@ -373,7 +381,7 @@ def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
 def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     if "implementation" not in config:
         raise _UsageError("eval-impl needs \"implementation\" in the config (bundle or path)")
-    impl = implementation_from_json(_maybe_file(config["implementation"]))
+    impl = _bundle(config, "implementation", implementation_from_json)
     tol = _tol(args, config)
     seed = _nonnegative_int("seed", _pick(args, config, "seed", 0))
     search = _search_config(config, SearchConfig(seed=seed), args.restarts)
@@ -395,7 +403,7 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
 
     records: list[dict[str, Any]] = []
     if "law" in config:
-        law = law_from_json(_maybe_file(config["law"]))
+        law = _bundle(config, "law", law_from_json)
         records.extend(_record(r, tol) for r in noise_fidelity_link(impl, law, fidelity=result))
     used = {"tol": tol, "search": asdict(search)}
     return _finish(args, "eval-impl", seed, used, records, extra_summary=info)
@@ -467,8 +475,8 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
             f"nbars ({len(nbars)} entries) times samples_per ({samples}) must be at most {MAX_CASES} cases"
         )
     strength = _real("strength", _pick(args, config, "strength", DEFAULT_STRENGTH))
-    if not math.isfinite(strength):  # a negative strength is a valid draw
-        raise _UsageError(f"strength must be finite, got {strength!r}")
+    if not abs(strength) <= MAX_STRENGTH:  # a negative strength is a valid draw
+        raise _UsageError(f"strength must be finite and at most {MAX_STRENGTH:.6g} in magnitude, got {strength!r}")
     tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL))
     search = _search_config(config, replace(OptimizeConfig().inner, seed=seed), args.restarts)
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from scipy import linalg
 
 from .bounds import BoundReport, bound_ingredients, require_conserving
 from .conservation import ConservationLaw
@@ -293,6 +292,7 @@ def _hull_witnesses(ev: _FidelityEvaluator) -> np.ndarray:
     with <psi|A|psi> = sum_k w_k lambda_k; the complex Schur form
     supplies orthonormal eigenvectors v_k even for repeated eigenvalues.
     """
+    from scipy import linalg  # imported here, by the one path that needs it: most of the CLI's start-up
     schur_t, vecs = linalg.schur(ev.forms[0], output="complex")
     lam = [complex(x) for x in np.diag(schur_t)]
     weights = [np.eye(4)[k] for k in range(4)]

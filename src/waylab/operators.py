@@ -17,7 +17,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -136,6 +136,16 @@ class Operator:
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
         _check_flags(self.entries, self.hermitian, self.unitary)
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray, hermitian: bool | None, unitary: bool | None) -> "Operator":
+        """The operator on ``entries`` as given, with no copy and no check:
+        ``entries`` must be a read-only square complex128 matrix that has
+        passed the checks ``__post_init__`` makes (its set flags, then its
+        finiteness), as :func:`flagged_operators` makes them of a stack."""
+        op = object.__new__(cls)
+        op.__dict__.update(entries=entries, hermitian=hermitian, unitary=unitary)
+        return op
 
     @property
     def dim(self) -> int:
@@ -302,17 +312,13 @@ def flagged_operators(
     mats: Sequence[np.ndarray], hermitian: bool | None = None, unitary: bool | None = None
 ) -> list[Operator]:
     """``Operator(m, hermitian=hermitian, unitary=unitary)`` for each
-    matrix ``m`` of ``mats`` (a list or a stack), in order, with the
-    flags validated by one comparison each per stack of one dimension."""
-    def flag(members: list[int]) -> Iterator[Operator]:
-        # matrices of one dimension throughout are stacked as given
-        stack = np.asarray(mats) if len(members) == len(mats) else np.array([mats[i] for i in members])
-        _check_flags(stack, hermitian, unitary)
-        for mat in stack:
-            op = Operator(mat)
-            object.__setattr__(op, "hermitian", hermitian)
-            object.__setattr__(op, "unitary", unitary)
-            yield op
+    square matrix ``m`` of ``mats`` (a list or a stack), in order: views of
+    one read-only complex128 copy per dimension, which :func:`checked_stack`
+    checks by one comparison for each set flag and one for finiteness."""
+    def flag(members: list[int]) -> list[Operator]:
+        stack = np.array(mats if len(members) == len(mats) else [mats[i] for i in members], dtype=np.complex128)
+        checked_stack(stack, hermitian, unitary).setflags(write=False)
+        return [Operator._checked(mat, hermitian, unitary) for mat in stack]
 
     return grouped([len(m) for m in mats], flag)
 
@@ -362,11 +368,11 @@ def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
     return checked_stack(images, hermitian=True)
 
 
-def checked_stack(stack: np.ndarray, hermitian: bool | None = None) -> np.ndarray:
+def checked_stack(stack: np.ndarray, hermitian: bool | None = None, unitary: bool | None = None) -> np.ndarray:
     """``stack`` (..., d, d), once it passes the checks :class:`Operator`
-    makes of one matrix: every entry finite, and every matrix Hermitian
-    if ``hermitian`` says so, each one comparison for the whole stack."""
-    _check_flags(stack, hermitian, unitary=None)
+    makes of one matrix: every matrix what a set flag claims, then every
+    entry finite, each one comparison for the whole stack."""
+    _check_flags(stack, hermitian, unitary)
     _check_finite(stack)
     return stack
 

@@ -36,14 +36,15 @@ DEFAULT_STRENGTH = 1.0
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
-    """Haar-ish random pure state: normalized complex Gaussian vector."""
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.from_amplitudes(raw)
+    """Haar-ish random pure state: normalized complex Gaussian vector, one draw, real parts first."""
+    raw = rng.standard_normal(2 * dim)
+    return StateVector.from_amplitudes(raw[:dim] + 1j * raw[dim:])
 
 
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A dim x dim matrix of complex standard normals, real parts drawn first."""
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    """dim x dim complex standard normals, real parts first, in one draw: the bits of two."""
+    raw = rng.standard_normal((2, dim, dim))
+    return raw[0] + 1j * raw[1]
 
 
 def _integer_spectrum_hermitians(spectra: Sequence[np.ndarray], raws: Sequence[np.ndarray]) -> list[Operator]:
@@ -117,7 +118,11 @@ def random_conserving_models(
             random_state(rng, spec.ancilla_dim) if spec.has_ancilla else None,
         ))
         raws += [_gaussian(rng, spec.probe_dim), _gaussian(rng, spec.object_dim)]
-    hermitians = flagged_operators([(g + g.conj().T) * 0.5 for g in raws], hermitian=True)
+    def symmetrized(members: list[int]) -> np.ndarray:
+        g = np.array([raws[i] for i in members])
+        return (g + g.conj().swapaxes(1, 2)) * 0.5
+
+    hermitians = flagged_operators(grouped([len(g) for g in raws], symmetrized), hermitian=True)
     return [
         (
             IndirectMeasurementModel(

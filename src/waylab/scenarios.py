@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
 
 from .bounds import BoundReport
 from .cnot import (
@@ -171,6 +170,7 @@ def poisson_cutoff(nbar: float, tail_tol: float = TAIL_TOL) -> int:
         raise ValueError(f"mean photon number must be positive and finite, got {nbar}")
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail tolerance must be in (0, 1), got {tail_tol}")
+    from scipy.special import pdtrc  # imported here, as gammaln below, for the boson scenario alone
     if float(pdtrc(MAX_TOTAL_DIM - 1, nbar)) >= tail_tol:  # the tail falls as d grows
         raise ValueError(
             f"the Fock cutoff for nbar={nbar} and tail {tail_tol} exceeds the dense limit {MAX_TOTAL_DIM}"
@@ -188,6 +188,7 @@ def truncated_coherent(nbar: float, cutoff: int) -> StateVector:
     Amplitudes alpha^k / sqrt(k!) are evaluated in log space (log-gamma
     for the factorial) so large cutoffs do not overflow.
     """
+    from scipy.special import gammaln
     alpha = math.sqrt(nbar)
     ks = np.arange(cutoff)
     log_amp = ks * math.log(alpha) - 0.5 * gammaln(ks + 1.0) - 0.5 * nbar

@@ -149,10 +149,24 @@ def digest_of_bits(**parts: Any) -> str:
     return hashlib.sha256(text.encode("utf-8") + b"".join(blobs)).hexdigest()[:16]
 
 
+def two_draw_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim matrix of complex standard normals drawn as two
+    matrices, the real parts first: the sampler's one-draw ``_gaussian``
+    written as two draws."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def two_draw_state(rng: np.random.Generator, dim: int) -> StateVector:
+    """A normalized complex Gaussian state drawn as two vectors, the real
+    parts first: the one-draw ``random_state`` written as two draws."""
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(raw / np.linalg.norm(raw))
+
+
 def gue_hermitian(rng: np.random.Generator, dim: int) -> Operator:
     """GUE-style random Hermitian (G + G^dag) / 2, G a matrix of complex
     standard normals with its real parts drawn first."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = two_draw_gaussian(rng, dim)
     return Operator((g + g.conj().T) * 0.5, hermitian=True)
 
 
@@ -362,8 +376,7 @@ def reference_conserving_model(
     parts = []
     for d in (d_obj, d_probe, d_anc):
         spectrum = rng.integers(-2, 3, size=d).astype(float)
-        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(raw)
+        q, r = np.linalg.qr(two_draw_gaussian(rng, d))
         diag = r.diagonal()
         q = q * (diag / np.abs(diag))
         parts.append((q * spectrum) @ q.conj().T)
@@ -382,16 +395,12 @@ def reference_conserving_model(
     basis = CommutantBasis(eigenbasis=vecs, block_dims=tuple(block_dims))
     u = conserving_unitary_per_block(basis, rng.standard_normal(sum(d * d for d in block_dims)))
 
-    def state(dim: int) -> StateVector:
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return StateVector(raw / np.linalg.norm(raw))
-
     def hermitian(dim: int) -> Operator:
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        raw = two_draw_gaussian(rng, dim)
         return Operator((raw + raw.conj().T) * 0.5)
 
-    probe = state(d_probe)
-    ancilla = state(d_anc) if spec.has_ancilla else None
+    probe = two_draw_state(rng, d_probe)
+    ancilla = two_draw_state(rng, d_anc) if spec.has_ancilla else None
     pointer = hermitian(d_probe)
     observable = hermitian(d_obj)
     law = ConservationLaw(spec, *(Operator(part) for part in parts))

@@ -290,9 +290,14 @@ def test_law_lifts_are_built_once(monkeypatch):
     monkeypatch.setattr(
         HilbertSpec, "lift", lambda s, entries, role: calls.append((role, entries.shape[:-2])) or lift(s, entries, role)
     )
+    # the sampler's operators come from stacks, through the private
+    # constructor, which runs no __post_init__; both ways are counted
     built = []
-    init = Operator.__post_init__
+    init, checked = Operator.__post_init__, Operator._checked
     monkeypatch.setattr(Operator, "__post_init__", lambda op: built.append(op.entries.shape) or init(op))
+    monkeypatch.setattr(
+        Operator, "_checked", lambda entries, *flags: built.append(entries.shape) or checked(entries, *flags)
+    )
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     assert sorted(calls) == [("ancilla", (1,)), ("object", (1,)), ("probe", (1,))]
     stack = law._lifted

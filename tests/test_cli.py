@@ -322,7 +322,7 @@ def test_eval_impl_with_malformed_unitary_is_input_error(tmp_path, capsys, spoil
     entries[0][0] = spoil(entries[0][0])
     code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
     assert code == EXIT_USAGE
-    assert "input error" in capsys.readouterr().err
+    assert "usage error: implementation is not a valid document" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ def test_eval_impl_with_malformed_packed_unitary_is_input_error(tmp_path, capsys
     code, _ = run_cli(tmp_path, "eval-impl", {"implementation": impl_json, "law": law_json})
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "input error" in err and "entries" in err
+    assert "usage error: implementation is not a valid document" in err and "entries" in err
     assert "Traceback" not in err
 
 
@@ -375,7 +375,7 @@ def test_eval_impl_with_nan_entry_is_input_error(tmp_path, capsys, field, law):
     code, _ = run_cli(tmp_path, "eval-impl", config)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "input error" in err and "finite" in err
+    assert "usage error: implementation is not a valid document" in err and "finite" in err
     assert "Traceback" not in err
 
 
@@ -388,7 +388,40 @@ def test_eval_impl_with_unconverted_wire_field_is_input_error(tmp_path, capsys, 
     code, _ = run_cli(tmp_path, "eval-impl", config)
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "input error" in err and "Traceback" not in err
+    assert "usage error: implementation is not a valid document" in err and "Traceback" not in err
+
+
+def _wire_configs() -> dict[str, tuple[str, dict, str]]:
+    impl, law = _conserving_impl_json()
+    search = {"restarts": 1, "max_iter": 5}
+    model, model_law = random_conserving_model(3, HilbertSpec((2, 2, 2)))
+    model, model_law = model_to_json(model), law_to_json(model_law)
+    return {
+        "implementation-number": ("eval-impl", {"implementation": 3}, "implementation"),
+        "implementation-no-spec": (
+            "eval-impl", {"implementation": {}}, "implementation is not a valid document: no field 'spec'"
+        ),
+        "law-list": ("eval-impl", {"implementation": impl, "law": [1], "search": search}, "law"),
+        "model-number": ("verify-identities", {"model": 3, "law": model_law}, "model"),
+        "model-null-pointer": ("verify-identities", {"model": {**model, "pointer": None}, "law": model_law}, "model"),
+        "law-one-factor": (
+            "verify-identities", {"model": model, "law": {**model_law, "spec": {"factor_dims": [2]}}}, "law"
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wire_configs()))
+def test_unreadable_wire_document_is_usage_error_naming_its_key(tmp_path, capsys, case):
+    # each failed as an input error that named no key: 'int' object is not
+    # subscriptable for {"implementation": 3}
+    command, config, message = _wire_configs()[case]
+    code, report = run_cli(tmp_path, command, config)
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    key = message.split()[0]
+    assert f"usage error: {key} is not a valid document" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_eval_impl_requires_implementation(tmp_path, capsys):
@@ -932,6 +965,25 @@ def test_non_finite_strength_is_usage_error(tmp_path, capsys, strength):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "strength", [1e308, -1e308, 2 * waylab.cli.MAX_STRENGTH], ids=["huge", "negative", "twice-cap"]
+)
+def test_strength_whose_draws_can_overflow_is_usage_error(tmp_path, capsys, strength):
+    # finite, but its product with a standard normal overflowed to infinity:
+    # a RuntimeWarning traceback when warnings are errors
+    config = {"nbars": [1.0], "samples_per": 1, "strength": strength, "search": {"restarts": 1, "max_iter": 5}}
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "3")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert "usage error: strength must be finite and at most" in err
+    assert "Traceback" not in err
+    # the cap itself is a valid draw
+    config["strength"] = -waylab.cli.MAX_STRENGTH
+    code, report = run_cli(tmp_path, "boson-check", config, "--seed", "3")
+    assert code != EXIT_USAGE and report["header"]["config"]["strength"] == -waylab.cli.MAX_STRENGTH
+
+
 def test_negative_strength_is_a_valid_draw(tmp_path):
     config = {"nbars": [1.0], "samples_per": 1, "strength": -0.5, "search": {"restarts": 1, "max_iter": 5}}
     code, report = run_cli(tmp_path, "boson-check", config, "--seed", "3")
@@ -1080,11 +1132,13 @@ def test_optimize_judges_the_ceiling_with_one_named_tolerance(tmp_path, monkeypa
 
 @pytest.mark.parametrize("command", ["check-bounds", "verify-identities"])
 @pytest.mark.parametrize(
-    "row", [[2.7, 2], ["2", 2], [True, 2], [2, 0]], ids=["fraction", "string", "bool", "zero"]
+    "row", [[2.7, 2], ["2", 2], [True, 2], [2, 0], [2], []],
+    ids=["fraction", "string", "bool", "zero", "one-entry", "empty"],
 )
 def test_bad_factor_dims_is_usage_error(tmp_path, capsys, command, row):
     # int() truncated 2.7 and took "2" and true: check-bounds exited 0
-    # with factor_dims [[2, 2]] or [[2, 1]] in its header
+    # with factor_dims [[2, 2]] or [[2, 1]] in its header; a row without
+    # object and probe factors failed as an input error naming no key
     config = {"count": 2, "factor_dims": [[2, 2], row]}
     code, report = run_cli(tmp_path, command, config, "--seed", "3")
     assert code == EXIT_USAGE

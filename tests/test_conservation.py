@@ -26,7 +26,8 @@ import waylab.conservation
 from waylab.cnot import GateImplementation, cnot_unitary, pauli
 from waylab.operators import CHUNK_ENTRIES
 from waylab.conservation import commutant_bases, conserving_exponential, conserving_unitaries
-from waylab.sampling import random_conserving_model, random_conserving_models
+import waylab.sampling
+from waylab.sampling import random_conserving_model, random_conserving_models, random_state
 from waylab.serialize import digest
 from waylab.scenarios import build_boson, build_spin
 
@@ -38,6 +39,8 @@ from oracles import (
     kraus_fidelity_sq,
     project_coefficients_per_block,
     reference_conserving_model,
+    two_draw_gaussian,
+    two_draw_state,
     unitary_gradient,
 )
 
@@ -442,3 +445,17 @@ def test_stacked_sampler_is_the_per_case_oracle_byte_for_byte(chunk):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (seed, spec, k)
             assert basis.block_dims == ref["block_dims"], (seed, spec)
             assert digest(model=model, law=law) == digest(model=ref_model, law=ref_law), (seed, spec)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 28, 2**62 - 1])
+def test_one_draw_gaussians_are_the_two_draw_oracles_bit_for_bit(seed):
+    # PCG64 fills a (2, d, d) or 2d draw in stream order, so one draw gives
+    # the real parts and then the imaginary parts of two draws, and leaves
+    # the stream where the two draws do
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    for dim in (1, 2, 3, 4, 8, 13, 2, 1):
+        a, b = waylab.sampling._gaussian(one, dim), two_draw_gaussian(two, dim)
+        assert a.shape == b.shape == (dim, dim) and a.tobytes() == b.tobytes(), dim
+        a, b = random_state(one, dim).amplitudes, two_draw_state(two, dim).amplitudes
+        assert a.shape == b.shape == (dim,) and a.tobytes() == b.tobytes(), dim
+    assert one.bit_generator.state == two.bit_generator.state

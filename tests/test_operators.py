@@ -208,6 +208,34 @@ def test_flag_checks_refuse_a_nan_stack():
     np.testing.assert_array_equal(waylab.operators.evolved_stack(stack[:1], np.eye(2)), stack[:1])
 
 
+def test_flagged_operators_are_read_only_views_of_one_checked_copy():
+    rng = np.random.default_rng(4)
+    mats = [gue_hermitian(rng, d).entries.copy() for d in (2, 3, 2)]
+    ops = waylab.operators.flagged_operators(mats, hermitian=True)
+    for op, mat in zip(ops, mats):
+        assert op.entries.tobytes() == mat.tobytes() and op.entries.dtype == np.complex128
+        assert not op.entries.flags.writeable and op.hermitian is True and op.unitary is None
+    # the two 2 x 2 matrices share one stack, copied from the caller's input,
+    # so writing to that input afterwards changes no operator
+    assert ops[0].entries.base is ops[2].entries.base
+    kept = [op.entries.copy() for op in ops]
+    for mat in mats:
+        mat[...] = 7.0
+    assert all(op.entries.tobytes() == k.tobytes() for op, k in zip(ops, kept))
+    stack = np.array([np.eye(2), np.diag([1.0, -1.0])])
+    ops = waylab.operators.flagged_operators(stack, hermitian=True, unitary=True)
+    stack[...] = np.nan
+    assert [op.entries.tolist() for op in ops] == [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    # one NaN refuses the whole stack: by its flag when one is set, and
+    # otherwise by the finiteness check
+    stack = np.array([np.eye(2), np.eye(2), np.eye(2)])
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="hermitian flag set"):
+        waylab.operators.flagged_operators(stack, hermitian=True)
+    with pytest.raises(ValueError, match="must be finite"):
+        waylab.operators.flagged_operators(list(stack))
+
+
 def test_tensor_states_matches_kron():
     plus = StateVector.from_amplitudes([1.0, 1.0])
     e1 = StateVector.basis(2, 1)
