@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator, NoReturn
@@ -70,8 +70,6 @@ DEFAULT_TOL = 1e-9
 # near 13.7), so a strength of at most this keeps every sampled coefficient finite.
 MAX_STRENGTH = sys.float_info.max / 16
 
-# Factor layouts cycled through by the randomized commands.
-DEFAULT_FACTOR_DIMS: tuple[tuple[int, ...], ...] = ((2, 2), (2, 2, 2), (2, 2, 2, 2))
 # The randomized commands sample their models this many cases at a time,
 # so that numpy's per-call cost is paid once per chunk rather than once
 # per case.  A chunk's stacks of total-space matrices hold at most
@@ -104,83 +102,32 @@ def _read_json(path: str, label: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _UsageError(
-            f"malformed JSON in {path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"malformed JSON in {label}{path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
-    data = _read_json(path, "config ")
-    if not isinstance(data, dict):
-        raise _UsageError(f"config root must be a JSON object, got {type(data).__name__}")
-    return data
+# A config reader takes a key's name and given value and returns the value
+# checked, not converted, or raises a usage error that names the key.
+_Reader = Callable[[str, Any], Any]
+_ABSENT = object()  # the default of a key that has none: left out unless given
 
 
-def _bundle(config: dict[str, Any], key: str, decode: Callable[[Any], Any]) -> Any:
-    """The config's ``key`` document, inline or a path string to load,
-    decoded: one the decoder cannot read is a usage error naming ``key``."""
-    value = config[key]
-    try:
-        return decode(_read_json(value, "") if isinstance(value, str) else value)
-    except (KeyError, TypeError, ValueError) as exc:
-        detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise _UsageError(f"{key} is not a valid document: {detail}") from exc
-
-
-def _pick(args: argparse.Namespace, config: dict[str, Any], key: str, default: Any) -> Any:
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _require_seed(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _pick(args, config, "seed", None)
-    if seed is None:
-        raise _UsageError(
-            "this command is randomized; pass --seed or put \"seed\" in the config "
-            "(reproducibility is mandatory)"
-        )
-    return _nonnegative_int("seed", seed)
-
-
-def _finite_nonnegative(name: str, value: Any) -> float:
-    number = _real(name, value)
-    if not 0.0 <= number < math.inf:
-        raise _UsageError(f"{name} must be finite and nonnegative, got {number!r}")
-    return number
-
-
-def _tol(args: argparse.Namespace, config: dict[str, Any]) -> float:
-    """The slack tolerance records are judged with: finite and nonnegative.
-    A NaN would fail every record and an infinity pass every one."""
-    return _finite_nonnegative("tol", _pick(args, config, "tol", DEFAULT_TOL))
-
-
-def _nonnegative_int(name: str, value: Any) -> int:
-    """A count, seed or size from the config, checked rather than
-    converted: ``int`` would quietly take a bool, truncate a float and
-    parse a string.  No such value is negative (numpy refuses a negative
-    seed)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+def _integer(name: str, value: Any) -> int:
+    """A count, seed or size: a bool is not an int, a float is not truncated, a string is not parsed."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:  # numpy refuses a negative seed
         raise _UsageError(f"{name} must be a nonnegative integer, got {value!r}")
     return value
 
 
-def _case_count(name: str, value: Any) -> int:
+def _cases(name: str, value: Any) -> int:
     """A randomized command's number of cases: a count of at most ``MAX_CASES``."""
-    if _nonnegative_int(name, value) > MAX_CASES:
+    if _integer(name, value) > MAX_CASES:
         raise _UsageError(f"{name} must be at most {MAX_CASES}, got {value}")
     return value
 
 
-def _real(name: str, value: Any) -> float:
-    """A real number from the config, checked rather than converted:
-    ``float`` would quietly take a bool and parse a string, and raises
-    ``OverflowError`` for an integer past the largest double."""
+def _number(name: str, value: Any) -> float:
+    """A real: a bool is not a number, a string is not parsed, an integer past the largest double is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _UsageError(f"{name} must be a number, got {value!r}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
@@ -188,35 +135,106 @@ def _real(name: str, value: Any) -> float:
     return float(value)
 
 
-def _typed(name: str, value: Any, kind: type | tuple[type, ...]) -> Any:
-    """A config object or list (a default may be a tuple), checked rather
-    than converted: ``dict`` would read an array of pairs as an object,
-    and iterating null or a number fails with an error that does not name
-    the key."""
-    if not isinstance(value, kind):
-        what = "a JSON object" if kind is dict else "a list"
-        raise _UsageError(f"{name} must be {what}, got {type(value).__name__}")
+def _tolerance(name: str, value: Any) -> float:
+    """Finite and nonnegative: a NaN fails every record and stops no descent early, an infinity passes all."""
+    if not 0.0 <= (number := _number(name, value)) < math.inf:
+        raise _UsageError(f"{name} must be finite and nonnegative, got {number!r}")
+    return number
+
+
+def _strength(name: str, value: Any) -> float:
+    """At most ``MAX_STRENGTH`` in magnitude, so that no draw overflows; a negative one is a valid draw."""
+    if not abs(number := _number(name, value)) <= MAX_STRENGTH:
+        raise _UsageError(f"{name} must be finite and at most {MAX_STRENGTH:.6g} in magnitude, got {number!r}")
+    return number
+
+
+def _finite(name: str, value: Any) -> int | float:
+    """A number kept as given, so finite: an infinity would reach the header."""
+    if not math.isfinite(_number(name, value)):
+        raise _UsageError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _search_config(
-    config: dict[str, Any], base: SearchConfig, restarts_flag: int | None = None
-) -> SearchConfig:
-    """The config's ``search`` block over ``base``, then the
-    ``--restarts`` flag when given.  A NaN search ``tol`` would never stop
-    the descent early and a negative ``max_iter`` would run no step, so
-    both are refused, as is a count or ``seed`` that is not a nonnegative
-    integer and any key ``SearchConfig`` lacks."""
-    raw = {**asdict(base), **_typed("search", config.get("search", {}), dict)}
-    if restarts_flag is not None:
-        raw["restarts"] = restarts_flag
-    unknown = set(raw) - {f.name for f in fields(SearchConfig)}
-    if unknown:
-        raise _UsageError(f"search {min(unknown)} is not a search setting")
-    raw["tol"] = _finite_nonnegative("search tol", raw["tol"])
-    for key in ("restarts", "max_iter", "seed"):
-        _nonnegative_int(f"search {key}", raw[key])
-    return SearchConfig(**raw)
+def _string(name: str, value: Any) -> str:
+    """A name: ``str`` would read null as "None" and a list as its repr."""
+    if not isinstance(value, str):
+        raise _UsageError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _list_of(entry: _Reader) -> _Reader:
+    """The reader of a JSON list whose entries, named "<key> entry" at any depth, ``entry`` reads."""
+    def read(name: str, value: Any) -> list[Any]:
+        if not isinstance(value, list):  # iterating null or a number fails without naming the key
+            raise _UsageError(f"{name} must be a list, got {type(value).__name__}")
+        return [entry(f"{name.removesuffix(' entry')} entry", x) for x in value]
+    return read
+
+
+def _factor_dims(name: str, value: Any) -> list[HilbertSpec]:
+    """Factor layouts of two or more entries (object and probe at least), each entry at least 1."""
+    rows = _list_of(_list_of(_integer))(name, value)
+    if not rows or any(len(row) < 2 or min(row) < 1 for row in rows):
+        raise _UsageError(f"{name} must list factorizations of two or more entries >= 1, got {value!r}")
+    return [HilbertSpec(tuple(row)) for row in rows]
+
+
+def _document(decode: Callable[[Any], Any]) -> _Reader:
+    """The reader of a wire-format document, inline or a path string to load, that ``decode`` reads."""
+    def read(name: str, value: Any) -> Any:
+        try:
+            return decode(_read_json(value, f"{name} ") if isinstance(value, str) else value)
+        except (KeyError, TypeError, ValueError) as exc:
+            detail = f"no field {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise _UsageError(f"{name} is not a valid document: {detail}") from exc
+    return read
+
+
+def _read_keys(defaults: dict[str, Any], given: dict[str, Any], owner: str, prefix: str = "") -> dict[str, Any]:
+    """Each declared key's given value through the key's reader, else its default; any other key is refused."""
+    if unknown := [key for key in given if key not in defaults]:
+        raise _UsageError(f"{prefix}{unknown[0]} is not read by {owner}")
+    return {
+        key: _READERS[key](prefix + key, given[key]) if key in given else default
+        for key, default in defaults.items()
+        if key in given or default is not _ABSENT
+    }
+
+
+def _search(name: str, value: Any) -> dict[str, Any]:
+    """A search block: a JSON object, since ``dict`` would read an array of pairs as one."""
+    if not isinstance(value, dict):
+        raise _UsageError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return _read_keys(_SEARCH_KEYS, value, "the worst-case search", f"{name} ")
+
+
+class _Config(dict):
+    """A command's config values: reading a key that has no default and was not given is a usage error."""
+
+    def __missing__(self, key: str) -> NoReturn:
+        raise _UsageError(f'this command needs "{key}" in the config' + (f" or --{key}" if key in _FLAGS else ""))
+
+
+def _read_config(command: str, args: argparse.Namespace, config: Any) -> _Config:
+    """The config with the given flags laid over it, read by the keys the command (and its kind) declares."""
+    if not isinstance(config, dict):
+        raise _UsageError(f"config root must be a JSON object, got {type(config).__name__}")
+    keys, owner = _COMMANDS[command][1], command
+    given = dict(config)
+    for flag in (f for f in _FLAGS if getattr(args, f) is not None):
+        if flag in keys:
+            given[flag] = getattr(args, flag)
+        elif flag == "restarts" and "search" in keys:  # the worst-case search's restarts
+            block = given.get("search", {})
+            given["search"] = {**block, flag: args.restarts} if isinstance(block, dict) else block
+        else:
+            raise _UsageError(f"{command} does not read --{flag}")
+    if "kind" in keys:  # optimize reads its scenario kind's keys too
+        if (kind := _READERS["kind"]("kind", given.get("kind", keys["kind"]))) not in _OPTIMIZE_KINDS:
+            raise _UsageError(f"unknown scenario kind {kind!r} (expected \"spin\" or \"boson\")")
+        keys, owner = {**keys, **_OPTIMIZE_KINDS[kind]}, f"optimize of kind {kind!r}"
+    return _Config(_read_keys(keys, given, owner))
 
 
 def _record(report: BoundReport, tol: float, advisory: bool = False) -> dict[str, Any]:
@@ -305,27 +323,16 @@ def _chunk_cases(total_dim: int) -> int:
     return max(1, min(CASES_PER_CHUNK, CHUNK_ENTRIES // total_dim**2))
 
 
-def _factor_specs(config: dict[str, Any]) -> list[HilbertSpec]:
-    """The config's factor layouts, of two or more entries each, checked as counts are and at least 1."""
-    dims = _typed("factor_dims", config.get("factor_dims", DEFAULT_FACTOR_DIMS), (list, tuple))
-    rows = (_typed("factor_dims entry", row, (list, tuple)) for row in dims)
-    if not dims or any(len(row) < 2 or min(_nonnegative_int("factor_dims entry", x) for x in row) < 1 for row in rows):
-        raise _UsageError(f"factor_dims must list factorizations of two or more entries >= 1, got {dims!r}")
-    return [HilbertSpec(tuple(row)) for row in dims]
-
-
 def _random_cases(
-    args: argparse.Namespace, config: dict[str, Any], tol: float, default_count: int
-) -> tuple[int, dict[str, Any], Iterator[list[tuple[int, IndirectMeasurementModel, ConservationLaw]]]]:
-    """A randomized command's seed, its config record and its cases: one
+    values: _Config,
+) -> tuple[dict[str, Any], Iterator[list[tuple[int, IndirectMeasurementModel, ConservationLaw]]]]:
+    """A randomized command's config record and its cases: one
     ``(case_seed, model, law)`` per case seed, cycling through the factor
     layouts, in seed order, a chunk of :func:`_chunk_cases` cases at a
     time.  Each chunk, seeds included, is drawn and sampled only when the
     loop reaches it, and its bounds are then evaluated as one stack."""
-    seed = _require_seed(args, config)
-    count = _case_count("count", _pick(args, config, "count", default_count))
-    specs = _factor_specs(config)
-    used = {"count": count, "tol": tol, "factor_dims": [list(s.factor_dims) for s in specs]}
+    seed, count, specs = values["seed"], values["count"], values["factor_dims"]
+    used = {"count": count, "tol": values["tol"], "factor_dims": [list(s.factor_dims) for s in specs]}
     chunk = _chunk_cases(max(s.total_dim for s in specs))
     pending = zip(_case_seeds(seed, count), itertools.cycle(specs))
 
@@ -335,37 +342,31 @@ def _random_cases(
             models = random_conserving_models(case_seeds, case_specs)
             yield [(case_seed, model, law) for case_seed, (model, law) in zip(case_seeds, models)]
 
-    return seed, used, chunks()
+    return used, chunks()
 
 
-def _cmd_verify_identities(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    tol = _tol(args, config)
-    if "model" in config or "law" in config:
-        if not ("model" in config and "law" in config):
+def _cmd_verify_identities(args: argparse.Namespace, values: _Config) -> int:
+    tol = values["tol"]
+    if "model" in values or "law" in values:
+        if not ("model" in values and "law" in values):
             raise _UsageError("verify-identities needs both \"model\" and \"law\" when either is given")
-        model = _bundle(config, "model", model_from_json)
-        law = _bundle(config, "law", law_from_json)
-        seed = _pick(args, config, "seed", None)
-        if seed is not None:
-            _nonnegative_int("seed", seed)
-        reports = identity_reports(model, law)  # raises ConservationError when not conserving
-        records = [_record(r, tol) for r in reports]
+        reports = identity_reports(values["model"], values["law"])  # raises ConservationError when not conserving
         used = {"tol": tol, "source": "explicit model"}
-        return _finish(args, "verify-identities", seed, used, records)
+        return _finish(args, "verify-identities", values.get("seed"), used, [_record(r, tol) for r in reports])
 
-    seed, used, chunks = _random_cases(args, config, tol, 100)
+    used, chunks = _random_cases(values)
     records = [
         _record(rep, tol)
         for cases in chunks
         for reports in stacked_identity_reports([(model, law) for _, model, law in cases])
         for rep in reports
     ]
-    return _finish(args, "verify-identities", seed, used, records)
+    return _finish(args, "verify-identities", values["seed"], used, records)
 
 
-def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    tol = _tol(args, config)
-    seed, used, chunks = _random_cases(args, config, tol, 250)
+def _cmd_check_bounds(args: argparse.Namespace, values: _Config) -> int:
+    tol = values["tol"]
+    used, chunks = _random_cases(values)
     reports: list[BoundReport] = []
     for cases in chunks:
         stack = [
@@ -375,16 +376,12 @@ def _cmd_check_bounds(args: argparse.Namespace, config: dict[str, Any]) -> int:
         for case_reports in stacked_trade_off_reports(stack):
             reports.extend(case_reports)
     records = [_record(r, tol) for r in reports]
-    return _finish(args, "check-bounds", seed, used, records, csv_text=reports_to_csv(reports))
+    return _finish(args, "check-bounds", values["seed"], used, records, csv_text=reports_to_csv(reports))
 
 
-def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    if "implementation" not in config:
-        raise _UsageError("eval-impl needs \"implementation\" in the config (bundle or path)")
-    impl = _bundle(config, "implementation", implementation_from_json)
-    tol = _tol(args, config)
-    seed = _nonnegative_int("seed", _pick(args, config, "seed", 0))
-    search = _search_config(config, SearchConfig(seed=seed), args.restarts)
+def _cmd_eval_impl(args: argparse.Namespace, values: _Config) -> int:
+    impl, tol, seed = values["implementation"], values["tol"], values["seed"]
+    search = replace(SearchConfig(), **{"seed": seed, **values["search"]})
     result = gate_fidelity(impl, search)
 
     view = measurement_view(impl)
@@ -402,40 +399,23 @@ def _cmd_eval_impl(args: argparse.Namespace, config: dict[str, Any]) -> int:
     }
 
     records: list[dict[str, Any]] = []
-    if "law" in config:
-        law = _bundle(config, "law", law_from_json)
-        records.extend(_record(r, tol) for r in noise_fidelity_link(impl, law, fidelity=result))
+    if "law" in values:
+        records.extend(_record(r, tol) for r in noise_fidelity_link(impl, values["law"], fidelity=result))
     used = {"tol": tol, "search": asdict(search)}
     return _finish(args, "eval-impl", seed, used, records, extra_summary=info)
 
 
-def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _require_seed(args, config)
-    kind = str(_pick(args, config, "kind", "spin"))
-    defaults = OptimizeConfig()
-    # kept as given: an infinity would reach the header
-    points = _typed("initial_points", config.get("initial_points", []), list)
-    for x in itertools.chain.from_iterable(_typed("initial_points entry", p, list) for p in points):
-        if not math.isfinite(_real("initial_points entry", x)):
-            raise _UsageError(f"initial_points entries must be finite, got {x!r}")
+def _cmd_optimize(args: argparse.Namespace, values: _Config) -> int:
+    seed, kind = values["seed"], values["kind"]
     opt = OptimizeConfig(
-        restarts=_nonnegative_int("restarts", _pick(args, config, "restarts", defaults.restarts)),
-        max_iter=_nonnegative_int("max_iter", _pick(args, config, "max_iter", defaults.max_iter)),
+        restarts=values["restarts"],
+        max_iter=values["max_iter"],
         seed=seed,
-        inner=_search_config(config, replace(defaults.inner, seed=seed)),
-        initial_points=tuple(tuple(p) for p in points),
+        inner=replace(OptimizeConfig().inner, **{"seed": seed, **values["search"]}),
+        initial_points=tuple(map(tuple, values["initial_points"])),
     )
-    if kind == "spin":
-        params = {"n": _nonnegative_int("n", _pick(args, config, "n", 2))}
-        scenario = build_spin(**params)
-    elif kind == "boson":
-        params = {
-            "nbar": _real("nbar", _pick(args, config, "nbar", 1.0)),
-            "tail_tol": _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL)),
-        }
-        scenario = build_boson(**params)
-    else:
-        raise _UsageError(f"unknown scenario kind {kind!r} (expected \"spin\" or \"boson\")")
+    params = {key: values[key] for key in _OPTIMIZE_KINDS[kind]}
+    scenario = (build_spin if kind == "spin" else build_boson)(**params)
 
     used = {"kind": kind, **asdict(opt), **params}
     extra: dict[str, Any] = {"scenario": scenario.label, "ceiling_fsq": scenario.ceiling_fsq}
@@ -464,21 +444,15 @@ def _cmd_optimize(args: argparse.Namespace, config: dict[str, Any]) -> int:
     return _finish(args, "optimize", seed, used, [record], extra_summary=extra, csv_text=csv_text)
 
 
-def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    seed = _require_seed(args, config)
-    tol = _tol(args, config)
-    nbars = [_real("nbars entry", x) for x in _typed("nbars", config.get("nbars", [1.0, 2.0, 4.0]), list)]
-    samples = _case_count("samples_per", _pick(args, config, "samples_per", 3))
+def _cmd_boson_check(args: argparse.Namespace, values: _Config) -> int:
+    seed, nbars, samples = values["seed"], values["nbars"], values["samples_per"]
     # each nbar builds its scenario and commutant basis, so it counts as at least one case
     if len(nbars) * max(samples, 1) > MAX_CASES:
         raise _UsageError(
             f"nbars ({len(nbars)} entries) times samples_per ({samples}) must be at most {MAX_CASES} cases"
         )
-    strength = _real("strength", _pick(args, config, "strength", DEFAULT_STRENGTH))
-    if not abs(strength) <= MAX_STRENGTH:  # a negative strength is a valid draw
-        raise _UsageError(f"strength must be finite and at most {MAX_STRENGTH:.6g} in magnitude, got {strength!r}")
-    tail_tol = _real("tail_tol", _pick(args, config, "tail_tol", TAIL_TOL))
-    search = _search_config(config, replace(OptimizeConfig().inner, seed=seed), args.restarts)
+    tol, strength, tail_tol = values["tol"], values["strength"], values["tail_tol"]
+    search = replace(OptimizeConfig().inner, **{"seed": seed, **values["search"]})
 
     records: list[dict[str, Any]] = []
     reports: list[BoundReport] = []
@@ -499,19 +473,14 @@ def _cmd_boson_check(args: argparse.Namespace, config: dict[str, Any]) -> int:
             # the sigma-l3 cap and the nbar-form ceiling are findings, not violations
             records += [_record(ceiling, tol), *(_record(r, tol, advisory=True) for r in approximate)]
     used = {
-        "nbars": nbars,
-        "samples_per": samples,
-        "strength": strength,
-        "tail_tol": tail_tol,
-        "tol": tol,
-        "search": asdict(search),
+        "nbars": nbars, "samples_per": samples, "strength": strength,
+        "tail_tol": tail_tol, "tol": tol, "search": asdict(search),
     }
     return _finish(args, "boson-check", seed, used, records, csv_text=reports_to_csv(reports))
 
 
-def _cmd_positive_control(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    tol = _tol(args, config)
-    basis_name = str(_pick(args, config, "basis", "x")).lower()
+def _cmd_positive_control(args: argparse.Namespace, values: _Config) -> int:
+    tol, basis_name = values["tol"], values["basis"]
     spec = HilbertSpec((2, 2, 2))
     if basis_name in ("x", "z"):
         charge = pauli(basis_name.upper())
@@ -540,15 +509,44 @@ def _cmd_positive_control(args: argparse.Namespace, config: dict[str, Any]) -> i
     return _finish(args, "positive-control", None, used, records)
 
 
-# Each command with the flags it reads besides --config, --out and --quiet; any other is a usage error.
-_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace, dict[str, Any]], int], tuple[str, ...]]] = {
-    "verify-identities": (_cmd_verify_identities, ("seed", "tol")),
-    "check-bounds": (_cmd_check_bounds, ("seed", "tol")),
-    "eval-impl": (_cmd_eval_impl, ("seed", "tol", "restarts")),
-    "optimize": (_cmd_optimize, ("seed", "restarts")),
-    "boson-check": (_cmd_boson_check, ("seed", "tol", "restarts")),
-    "positive-control": (_cmd_positive_control, ("tol",)),
+# The reader of each config key, whichever command reads it.
+_READERS: dict[str, _Reader] = {
+    "seed": _integer, "tol": _tolerance, "count": _cases, "samples_per": _cases, "factor_dims": _factor_dims,
+    "implementation": _document(implementation_from_json),
+    "model": _document(model_from_json), "law": _document(law_from_json), "search": _search,
+    "kind": _string, "restarts": _integer, "max_iter": _integer, "initial_points": _list_of(_list_of(_finite)),
+    "n": _integer, "nbar": _number, "tail_tol": _number, "nbars": _list_of(_number), "strength": _strength,
+    "basis": lambda name, value: _string(name, value).lower(),
+    "polish_steps": lambda name, value: None,
 }
+# Each command's keys with their defaults (_ABSENT for none, as for the
+# randomized commands' seed); any other key is a usage error.  A flag sets
+# the key of its name, and a command reads only the flags of its keys
+# (--restarts sets the search block's where the command has no restarts).
+_SPECS = [HilbertSpec(dims) for dims in ((2, 2), (2, 2, 2), (2, 2, 2, 2))]  # the layouts cycled through
+_COMMANDS: dict[str, tuple[Callable[[argparse.Namespace, _Config], int], dict[str, Any]]] = {
+    "verify-identities": (_cmd_verify_identities, {
+        "seed": _ABSENT, "tol": DEFAULT_TOL, "count": 100, "factor_dims": _SPECS, "model": _ABSENT, "law": _ABSENT,
+    }),
+    "check-bounds": (_cmd_check_bounds, {"seed": _ABSENT, "tol": DEFAULT_TOL, "count": 250, "factor_dims": _SPECS}),
+    "eval-impl": (_cmd_eval_impl, {
+        "implementation": _ABSENT, "law": _ABSENT, "seed": 0, "tol": DEFAULT_TOL, "search": {},
+    }),
+    "optimize": (_cmd_optimize, {
+        "seed": _ABSENT, "kind": "spin", "restarts": OptimizeConfig.restarts, "max_iter": OptimizeConfig.max_iter,
+        "initial_points": (), "search": {},
+        # retired with the compass polish, and read as nothing: perfbench's MAXIMIN
+        # still sends it (ROADMAP item 10 part a drops it there, and then this row)
+        "polish_steps": _ABSENT,
+    }),
+    "boson-check": (_cmd_boson_check, {
+        "seed": _ABSENT, "tol": DEFAULT_TOL, "nbars": (1.0, 2.0, 4.0), "samples_per": 3,
+        "strength": DEFAULT_STRENGTH, "tail_tol": TAIL_TOL, "search": {},
+    }),
+    "positive-control": (_cmd_positive_control, {"tol": DEFAULT_TOL, "basis": "x"}),
+}
+_OPTIMIZE_KINDS = {"spin": {"n": 2}, "boson": {"nbar": 1.0, "tail_tol": TAIL_TOL}}
+_SEARCH_KEYS = dict.fromkeys(("tol", "restarts", "max_iter", "seed"), _ABSENT)  # over the command's SearchConfig
 _FLAGS: dict[str, tuple[type, str]] = {
     "seed": (int, "PRNG seed (required for randomized commands)"),
     "tol": (float, "slack tolerance override (default 1e-9)"),
@@ -575,11 +573,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        run, reads = _COMMANDS[args.command]
-        unread = [f for f in _FLAGS if f not in reads and getattr(args, f) is not None]
-        if unread:
-            raise _UsageError(f"{args.command} does not read --{unread[0]}")
-        return run(args, _load_config(args.config))
+        config = {} if args.config is None else _read_json(args.config, "config ")
+        return _COMMANDS[args.command][0](args, _read_config(args.command, args, config))
     except _UsageError as exc:
         print(f"[waylab] usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

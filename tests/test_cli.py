@@ -5,16 +5,22 @@ see them; each writes its report into the pytest tmp dir.
 """
 
 import base64
+import contextlib
 import csv
 import io
 import itertools
 import json
+import math
 import re
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import waylab.cli
 import waylab.operators
@@ -566,9 +572,10 @@ def test_boson_check_nearby_nbars_draw_different_implementations(tmp_path, monke
 
 
 def test_positive_control_bases(tmp_path):
-    for basis in ("x", "z", "scalar"):
+    for basis in ("x", "z", "scalar", "X"):
         code, report = run_cli(tmp_path, "positive-control", {"basis": basis})
         assert code == EXIT_OK, basis
+        assert report["header"]["config"]["basis"] == basis.lower()
         assert report["summary"]["records"] == 3
         assert report["summary"]["worst_slack"] <= 1e-9
     code, _ = run_cli(tmp_path, "positive-control", {"basis": "y"})
@@ -896,8 +903,9 @@ def test_report_config_lists_every_setting(tmp_path):
 
 
 def test_retired_polish_steps_is_ignored(tmp_path):
-    # the compass polish is gone; a config that still sets its budget
-    # runs like any config with an unrecognised top-level key
+    # the compass polish is gone, but the benchmark's maximin workload still
+    # sends its budget: optimize declares the key retired, accepts any value
+    # and drops it, where any other undeclared key is a usage error
     config = {"kind": "spin", "n": 2, "restarts": 0, "max_iter": 2, "polish_steps": 10,
               "search": {"restarts": 1, "max_iter": 5}}
     code, report = run_cli(tmp_path, "optimize", config, "--seed", "2")
@@ -1160,18 +1168,52 @@ def test_bad_factor_dims_is_usage_error(tmp_path, capsys, command, row):
         ("check-bounds", {"factor_dims": 3}, "factor_dims must be a list"),
         ("check-bounds", {"factor_dims": [3]}, "factor_dims entry must be a list"),
         ("verify-identities", {"factor_dims": [[2, 2], 2]}, "factor_dims entry must be a list"),
+        # str() read null as "None" and a list as "['spin']"
+        ("optimize", {"kind": None}, "kind must be a string"),
+        ("optimize", {"kind": ["spin"]}, "kind must be a string"),
+        ("positive-control", {"basis": 3}, "basis must be a string"),
     ],
     ids=["search-pairs", "search-null", "initial-points-numbers", "nbars-number",
-         "factor-dims-number", "factor-dims-numbers", "factor-dims-mixed"],
+         "factor-dims-number", "factor-dims-numbers", "factor-dims-mixed",
+         "kind-null", "kind-list", "basis-number"],
 )
 def test_config_container_of_the_wrong_kind_is_usage_error(tmp_path, capsys, command, config, message):
     # checked rather than converted or iterated: null and a number failed as
     # an input error that did not name the key
-    code, report = run_cli(tmp_path, command, config, "--seed", "3")
+    flags = () if command == "positive-control" else ("--seed", "3")
+    code, report = run_cli(tmp_path, command, config, *flags)
     assert code == EXIT_USAGE
     assert report == {}
     err = capsys.readouterr().err
     assert "usage error" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("check-bounds", {"cuont": 3, "count": 1}, "cuont"),
+        ("verify-identities", {"count": 1, "samples_per": 1}, "samples_per"),
+        ("eval-impl", {**_ancilla_impl_config(), "serach": {"restarts": 1}}, "serach"),
+        ("boson-check", {"nbarz": [1.0], "samples_per": 1}, "nbarz"),
+        ("optimize", {"kind": "spin", "n": 2, "max_iterr": 1}, "max_iterr"),
+        ("optimize", {"kind": "spin", "n": 2, "nbar": "x"}, "nbar"),
+        ("optimize", {"kind": "spin", "n": 2, "tail_tol": -5}, "tail_tol"),
+        ("optimize", {"kind": "boson", "n": 2}, "n"),
+        ("positive-control", {"basis": "x", "seed": 3}, "seed"),
+    ],
+    ids=["check-bounds", "verify-identities", "eval-impl", "boson-check", "optimize",
+         "spin-nbar", "spin-tail-tol", "boson-n", "positive-control"],
+)
+def test_unknown_config_key_is_usage_error_naming_it(tmp_path, capsys, command, config, key):
+    # each was read as nothing: {"cuont": 3, "count": 1} ran to exit 0, and a
+    # spin optimize took the boson kind's nbar and tail_tol whatever they held
+    flags = () if command == "positive-control" else ("--seed", "1")
+    code, report = run_cli(tmp_path, command, config, *flags)
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert f"usage error: {key} is not read by {command}" in err
     assert "Traceback" not in err
 
 
@@ -1280,3 +1322,76 @@ def test_help_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage: waylab" in capsys.readouterr().out
+
+
+# The config fuzz: every key each command (and each optimize kind) declares,
+# set in turn to arbitrary JSON on a base config that runs in milliseconds.
+# Valid values are drawn only where they stay cheap: a count, n or budget
+# of at most 3 (an n of 12 runs for minutes, and optimize's restarts have
+# no cap), an nbar of at most 2 (500 allocates GBs) and a tail_tol of at
+# least 1e-4 (5e-324 takes seconds); the rest are negative, fractional,
+# not finite or huge integers, which every cap and dense limit refuses.
+_SMALL = st.integers(-3, 3)
+_HUGE = st.integers(10**18, 10**400)  # past int64, and past the largest double
+_CHEAP = _SMALL | st.floats()  # for budgets whose huge values are valid and slow
+_NUMBERS = {
+    "restarts": _CHEAP,
+    "max_iter": _CHEAP,
+    "nbar": _SMALL | _HUGE | st.floats(max_value=2.0) | st.floats(min_value=1e4) | st.just(math.nan),
+    "tail_tol": _SMALL | _HUGE | st.floats(max_value=0.0) | st.floats(min_value=1e-4) | st.just(math.nan),
+}
+_NUMBERS["nbars"] = _NUMBERS["nbar"]
+_TEXT = st.text(st.characters(blacklist_characters="/"), max_size=8)  # so a document path stays relative
+
+
+def _json_values(numbers):
+    leaves = st.none() | st.booleans() | _TEXT | numbers
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+# shapes arbitrary JSON seldom reaches: well-formed lists, search settings, names
+_SHAPES = {
+    "factor_dims": st.lists(st.lists(_SMALL | _HUGE, max_size=4), max_size=3),
+    "initial_points": st.lists(st.lists(_SMALL | _HUGE | st.floats(), min_size=6, max_size=6), max_size=2),
+    "nbars": st.lists(_NUMBERS["nbar"], max_size=3),
+    "search": st.dictionaries(
+        st.sampled_from(["tol", "restarts", "max_iter", "seed"]) | st.text(max_size=4), _json_values(_CHEAP), max_size=4
+    ),
+    "kind": st.sampled_from(["spin", "boson", "SPIN"]),
+    "basis": st.sampled_from(["x", "X", "z", "scalar", "y"]),
+}
+_FUZZ_SEARCH = {"restarts": 1, "max_iter": 2}
+_FUZZ_BASES = {
+    "check-bounds": {"seed": 1, "count": 1, "factor_dims": [[2, 2]]},
+    "verify-identities": {"seed": 1, "count": 1, "factor_dims": [[2, 2]]},
+    "eval-impl": {"implementation": _conserving_impl_json()[0], "search": _FUZZ_SEARCH},
+    "boson-check": {"seed": 1, "nbars": [0.5], "samples_per": 1, "search": _FUZZ_SEARCH},
+    "optimize": {"seed": 1, "restarts": 0, "max_iter": 1, "search": _FUZZ_SEARCH},
+    "positive-control": {},
+}
+_FUZZ_KEYS = [(command, None, key) for command, (_, keys) in waylab.cli._COMMANDS.items() for key in keys] + [
+    ("optimize", kind, key) for kind, keys in waylab.cli._OPTIMIZE_KINDS.items() for key in keys
+]
+
+
+@pytest.mark.parametrize("command, kind, key", _FUZZ_KEYS, ids=[f"{c}-{k or ''}-{key}" for c, k, key in _FUZZ_KEYS])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_config_value_exits_cleanly_and_a_usage_error_names_its_key(command, kind, key, data):
+    numbers = _NUMBERS.get(key, _SMALL | _HUGE | st.floats())
+    value = data.draw(numbers | _TEXT | _SHAPES.get(key, numbers) | _json_values(numbers))
+    config = {**_FUZZ_BASES[command], **({"kind": kind} if kind else {}), key: value}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # as PYTHONWARNINGS=error::RuntimeWarning
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        code = main([command, "--config", str(path), "--out", str(Path(tmp) / "report.json"), "--quiet"])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VIOLATION), err
+    if code == EXIT_USAGE:
+        assert "usage error" in err or "input error" in err, err
+        assert "usage error" not in err or key in err, err
