@@ -36,13 +36,15 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .conservation import ConservationError, ConservationLaw, conservation_residual
+from .conservation import ConservationError, ConservationLaw
 from .measurement import IndirectMeasurementModel, stacked_noise_images
 from .operators import (
     FLAG_TOL,
     HilbertSpec,
     Operator,
     StateVector,
+    checked_stack,
+    commutators,
     evolved_stack,
     grouped,
     inner_products,
@@ -140,41 +142,32 @@ def require_conserving(spec: HilbertSpec, interaction: Operator, law: Conservati
     The verdict is the spectral residual's (``conservation_residual``),
     and so is a raised :class:`ConservationError`'s value.  This is the
     stacked passes' gate for one case."""
-    _require_conserving(spec, [interaction], [law], interaction.entries[None])
+    _require_conserving(spec, [law], interaction.entries[None])
 
 
-def _require_conserving(
-    spec: HilbertSpec, interactions: Sequence[Operator], laws: Sequence[ConservationLaw], u: np.ndarray
-) -> None:
-    """:func:`require_conserving` of each (interaction, law) on ``spec``,
-    in order; ``u`` stacks the interactions' entries.  The commutators
-    with the total charges are one stacked product."""
+def _require_conserving(spec: HilbertSpec, laws: Sequence[ConservationLaw], u: np.ndarray) -> None:
+    """:func:`require_conserving` of each interaction of the stack ``u``
+    with its law on ``spec``, in order.  The commutators with the total
+    charges are one stacked product."""
     for law in laws:
         if spec.factor_dims != law.spec.factor_dims:
             raise ValueError(
                 f"interaction factors {spec.factor_dims} do not match law factors "
                 f"{law.spec.factor_dims}"
             )
-    totals = np.array([law._lifted[3] for law in laws])
+    comms = commutators(u, np.array([law.lifts[3] for law in laws]))
     # ||X||_2 <= ||X||_F: a Frobenius norm within the tolerance certifies
     # the check, and only a larger one (or NaN) pays for the SVD of the
-    # exact value
-    for i, frobenius in enumerate(np.linalg.norm(_commutator(u, totals), axis=(-2, -1)).tolist()):
+    # exact value: conservation_residual's, and refused as there if not finite
+    for i, frobenius in enumerate(np.linalg.norm(comms, axis=(-2, -1)).tolist()):
         if not frobenius <= CONSERVATION_TOL:
-            residual = conservation_residual(interactions[i], laws[i])
+            residual = float(np.linalg.svd(checked_stack(comms[i]), compute_uv=False)[0])
             if residual > CONSERVATION_TOL:
                 raise ConservationError(residual, CONSERVATION_TOL)
 
 
 def _stack(ops: Iterable[Operator]) -> np.ndarray:
     return np.array([op.entries for op in ops])
-
-
-def _commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] = xy - yx of each pair of matrices of two stacks."""
-    out = x @ y
-    out -= y @ x
-    return out
 
 
 def _by_layout(cases: Sequence[tuple], evaluate: Callable[[list], list]) -> list:
@@ -215,21 +208,21 @@ def _identity_group(
     models, laws = zip(*cases)
     spec = models[0].spec
     u, a, p = (_stack(getattr(m, name) for m in models) for name in ("interaction", "observable", "pointer"))
-    _require_conserving(spec, [m.interaction for m in models], laws, u)
+    _require_conserving(spec, laws, u)
     # each stack is let go after its last product, and both residuals
     # lhs - (shared + [L3', D]) and lhs - (shared + [L3', E]) are formed
     # in place in the one stack their svd reads
-    lifts = np.array([law._lifted[:3] for law in laws])
-    lhs = _commutator(spec.lift(a, "object"), lifts[:, 0])
+    lifts = np.array([law.lifts[:3] for law in laws])
+    lhs = commutators(spec.lift(a, "object"), lifts[:, 0])
     l1t, l2t, l3t = evolved_stack(lifts, u).swapaxes(0, 1)
     del lifts
     err, dist = stacked_noise_images(spec, u, a, p, np.eye(spec.total_dim))
     del u
-    shared = _commutator(l1t, err)
-    shared += _commutator(l2t, dist)
+    shared = commutators(l1t, err)
+    shared += commutators(l2t, dist)
     residuals = np.empty((len(cases), 2) + lhs.shape[1:], dtype=np.complex128)
     for k, noise in enumerate((dist, err)):
-        np.add(shared, _commutator(l3t, noise), out=residuals[:, k])
+        np.add(shared, commutators(l3t, noise), out=residuals[:, k])
         np.subtract(lhs, residuals[:, k], out=residuals[:, k])
     # the spectral norm is the largest singular value, as np.linalg.norm(ord=2) takes it
     residuals = np.linalg.svd(residuals, compute_uv=False).max(axis=-1)
@@ -279,7 +272,7 @@ def bound_ingredients(
     sigmas = {name: stacked_moments(charge, x)[1] for name, charge in evolved.items()}
     l1 = _stack(law.object_part for law in laws)
     psi = psi[:, :, None]
-    comm = inner_products(psi, _commutator(a, l1) @ psi).tolist()
+    comm = inner_products(psi, commutators(a, l1) @ psi).tolist()
     return [
         {"eps": eps[i], "eta": eta[i], **{n: s[i] for n, s in sigmas.items()}, "commutator_abs": abs(comm[i])}
         for i in range(len(psis))
@@ -321,8 +314,8 @@ def _trade_off_group(
 ) -> list[tuple[BoundReport, BoundReport, BoundReport, BoundReport]]:
     models, laws, psis = zip(*cases)
     u = _stack(m.interaction for m in models)
-    _require_conserving(models[0].spec, [m.interaction for m in models], laws, u)
-    evolved = evolved_stack(np.array([law._lifted[:3] for law in laws]), u)
+    _require_conserving(models[0].spec, laws, u)
+    evolved = evolved_stack(np.array([law.lifts[:3] for law in laws]), u)
     names = ("sigma_l1", "sigma_l2", "sigma_l3")
     ingredients = bound_ingredients(models, laws, psis, dict(zip(names, evolved.swapaxes(0, 1))))
     norms = operator_norms([part for law in laws for part in (law.object_part, law.probe_part)])

@@ -104,6 +104,8 @@ def _read_json(path: str, label: str) -> Any:
         raise _UsageError(
             f"malformed JSON in {label}{path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit for int()
+        raise _UsageError(f"malformed JSON in {label}{path!r}: {exc}") from exc
 
 
 # A config reader takes a key's name and given value and returns the value

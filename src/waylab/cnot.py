@@ -593,7 +593,7 @@ def l3_moments(impl: GateImplementation, law: ConservationLaw) -> tuple[float, f
             f"factors {s.factor_dims}"
         )
     x = measurement_view(impl).initial_state(_IPLUS).amplitudes[None, :, None]
-    (mean,), (dev,) = stacked_moments(evolved_stack(law._lifted[2:3], impl.unitary.entries), x)
+    (mean,), (dev,) = stacked_moments(evolved_stack(law.lifts[2:3], impl.unitary.entries), x)
     return mean, dev
 
 
@@ -650,7 +650,7 @@ def noise_fidelity_link(
     require_conserving(impl.spec, impl.unitary, law)
 
     view = measurement_view(impl)
-    evolved = {"sigma_l3": evolved_stack(law._lifted[2:3], impl.unitary.entries)[0]}
+    evolved = {"sigma_l3": evolved_stack(law.lifts[2:3], impl.unitary.entries)[0]}
     main, plus = bound_ingredients([view, view], [law, law], [_IPLUS, _PLUS], evolved)
     result = fidelity if fidelity is not None else gate_fidelity(impl)
     fsq, sigma = result.fidelity_sq, main["sigma_l3"]

@@ -25,10 +25,9 @@ from .operators import (
     HilbertSpec,
     Operator,
     checked_stack,
-    commutator,
+    commutators,
     flagged_operators,
     grouped,
-    operator_norm,
     zero,
 )
 
@@ -87,33 +86,20 @@ class ConservationLaw:
             if not part.is_hermitian():
                 raise ValueError(f"{name} must be Hermitian")
 
-    def total(self) -> Operator:
-        """The conserved quantity lifted to the total space: the last
-        matrix of the lift stack, flagged Hermitian.
-
-        Built on first use and kept: the parts are read-only, so it
-        cannot go stale.
-        """
-        return self._total
-
     @functools.cached_property
-    def _total(self) -> Operator:
-        return Operator(self._lifted[3], hermitian=True)
-
-    @functools.cached_property
-    def _lifted(self) -> np.ndarray:
+    def lifts(self) -> np.ndarray:
         """The object, probe and ancilla parts lifted to the total space
         and their sum, the total charge, as one read-only (4, d, d) stack
-        in that order: every evolved charge starts from these.  This
-        law's own pass, unless :func:`commutant_bases` filled it for a
-        whole layout."""
-        return _lifted_laws(self.spec, [self])[0]
+        in that order: the law's one holder of its charges.  Built once,
+        by this law's own pass unless :func:`commutant_bases` filled it
+        for a whole layout; the parts are read-only, so it cannot go stale."""
+        return _stacked_lifts(self.spec, [self])[0]
 
 
 _ROLES = (("object", "object_part"), ("probe", "probe_part"), ("ancilla", "ancilla_part"))
 
 
-def _lifted_laws(spec: HilbertSpec, laws: Sequence[ConservationLaw]) -> np.ndarray:
+def _stacked_lifts(spec: HilbertSpec, laws: Sequence[ConservationLaw]) -> np.ndarray:
     """The lift stack of each law on ``spec``, as one read-only
     (laws, 4, d, d) array: each role's parts are lifted as one stack, and
     the totals are the stacks' sum l1 + l2 + l3 in that order, so every
@@ -129,18 +115,11 @@ def _lifted_laws(spec: HilbertSpec, laws: Sequence[ConservationLaw]) -> np.ndarr
 
 
 def conservation_residual(u: Operator, law: ConservationLaw) -> float:
-    """Spectral norm of [U, L_total]; zero iff U conserves the charge."""
+    """Spectral norm of [U, L_total], once it is checked finite: its first singular
+    value, as :func:`~waylab.operators.operator_norm` reads it.  Zero iff U conserves L."""
     if u.dim != law.spec.total_dim:
         raise ValueError(f"unitary dim {u.dim} does not match law space {law.spec.total_dim}")
-    return operator_norm(commutator(u, law.total()))
-
-
-@functools.cache
-def _upper_pairs(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The index pairs (i, j), i < j, of a d x d block in generator
-    enumeration order, as rows ``i`` and columns ``j``."""
-    iu, ju = np.triu_indices(d, 1)
-    return tuple(iu.tolist()), tuple(ju.tolist())
+    return float(np.linalg.svd(checked_stack(commutators(u.entries, law.lifts[3])), compute_uv=False)[0])
 
 
 class _Layout(NamedTuple):
@@ -202,7 +181,7 @@ def _block_layout(dims: tuple[int, ...]) -> _Layout:
         placed[d] += 1
         blocks.append((slice(col, col + d), g, m))
         at = groups[g][2] + m * d * d
-        iu, ju = _upper_pairs(d)
+        iu, ju = (index.tolist() for index in np.triu_indices(d, 1))
         pairs = len(iu)
         diag += range(pos, pos + d)
         diag_at += range(at, at + d * d, d + 1)
@@ -314,11 +293,11 @@ def commutant_bases(laws: Sequence[ConservationLaw]) -> list[CommutantBasis]:
     def decompose(members: list[int]) -> Iterator[CommutantBasis]:
         group = [laws[i] for i in members]
         spec = group[0].spec
-        fresh = [law for law in group if "_lifted" not in vars(law)]
+        fresh = [law for law in group if "lifts" not in vars(law)]
         if fresh:
-            for law, lifted in zip(fresh, _lifted_laws(spec, fresh)):
-                vars(law)["_lifted"] = lifted  # what the cached property would build
-        vals, vecs = np.linalg.eigh(np.array([law._lifted[3] for law in group]))
+            for law, lifted in zip(fresh, _stacked_lifts(spec, fresh)):
+                vars(law)["lifts"] = lifted  # what the cached property would build
+        vals, vecs = np.linalg.eigh(np.array([law.lifts[3] for law in group]))
         # a block ends wherever the ascending spectrum steps by more than the tolerance
         steps = np.diff(vals) > DEGENERACY_TOL
         for step, vec in zip(steps, vecs):

@@ -27,7 +27,6 @@ __all__ = [
     "CertificationResult",
     "noise_images",
     "stacked_noise_images",
-    "rms_noise",
     "rms_error",
     "rms_disturbance",
     "is_precise",
@@ -126,20 +125,16 @@ def stacked_noise_images(
     return u_dag @ p_ux - ax, u_dag @ a_ux - ax
 
 
-def rms_noise(model: IndirectMeasurementModel, state: StateVector) -> tuple[float, float]:
-    """<E^2>^(1/2) and <D^2>^(1/2) in the full input ``state``: the norms of E x and D x."""
-    err, dist = noise_images(model, state.amplitudes[:, None])
-    return math.sqrt(np.vdot(err, err).real), math.sqrt(np.vdot(dist, dist).real)
-
-
 def rms_error(model: IndirectMeasurementModel, psi: StateVector) -> float:
-    """Root-mean-square error <E^2>^(1/2) in the product input state."""
-    return rms_noise(model, model.initial_state(psi))[0]
+    """Root-mean-square error <E^2>^(1/2) in the product input state x: the norm of E x."""
+    err, _ = noise_images(model, model.initial_state(psi).amplitudes[:, None])
+    return math.sqrt(np.vdot(err, err).real)
 
 
 def rms_disturbance(model: IndirectMeasurementModel, psi: StateVector) -> float:
-    """Root-mean-square disturbance <D^2>^(1/2) in the product input state."""
-    return rms_noise(model, model.initial_state(psi))[1]
+    """Root-mean-square disturbance <D^2>^(1/2) in the product input state x: the norm of D x."""
+    _, dist = noise_images(model, model.initial_state(psi).amplitudes[:, None])
+    return math.sqrt(np.vdot(dist, dist).real)
 
 
 @dataclass(frozen=True)

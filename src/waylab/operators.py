@@ -141,8 +141,8 @@ class Operator:
     def _checked(cls, entries: np.ndarray, hermitian: bool | None, unitary: bool | None) -> "Operator":
         """The operator on ``entries`` as given, with no copy and no check:
         ``entries`` must be a read-only square complex128 matrix that has
-        passed the checks ``__post_init__`` makes (its set flags, then its
-        finiteness), as :func:`flagged_operators` makes them of a stack."""
+        passed the checks ``__post_init__`` makes (its finiteness, then its
+        set flags), as :func:`flagged_operators` makes them of a stack."""
         op = object.__new__(cls)
         op.__dict__.update(entries=entries, hermitian=hermitian, unitary=unitary)
         return op
@@ -264,13 +264,9 @@ class HilbertSpec:
     def probe_dim(self) -> int:
         return self.factor_dims[1]
 
-    @property
-    def ancilla_dims(self) -> tuple[int, ...]:
-        return self.factor_dims[2:]
-
     @functools.cached_property
     def ancilla_dim(self) -> int:
-        return math.prod(self.ancilla_dims)
+        return math.prod(self.factor_dims[2:])
 
     @functools.cached_property
     def total_dim(self) -> int:
@@ -353,9 +349,17 @@ def tensor_states(*states: StateVector) -> StateVector:
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
-    """[a, b] = ab - ba."""
+    """[a, b] = ab - ba: :func:`commutators` of their entries."""
     a._check_same_dim(b)
-    return Operator(a.entries @ b.entries - b.entries @ a.entries)
+    return Operator(commutators(a.entries, b.entries))
+
+
+def commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = xy - yx of two matrices, or of each pair of matrices of two
+    stacks whose leading axes broadcast: the one commutator formula."""
+    out = x @ y
+    out -= y @ x
+    return out
 
 
 def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -380,6 +380,8 @@ def optimize_fidelity(
     cold, and only the final score's certified lower value is computed.
     """
     cfg = config or OptimizeConfig()
+    if not 0 <= cfg.restarts <= MAX_TOTAL_DIM:  # the cap of a search's restarts
+        raise ValueError(f"restarts must lie in [0, {MAX_TOTAL_DIM}], got {cfg.restarts}")
     basis = commutant_basis(scenario.law)
     count = basis.generator_count
     is_boson = scenario.nbar is not None

@@ -9,6 +9,7 @@ import csv
 import functools
 import io
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -147,18 +148,32 @@ def test_fundamental_sigma_variant_is_tighter(seed):
     assert rep.details["lhs_sigma_variant"] <= rep.rhs + 1e-9
 
 
+def _spy_residual_svds(monkeypatch, total_dim: int) -> list:
+    """Record each SVD of one total-space matrix, the gate's exact
+    residual: operator_norms takes stacks of the factor charges, and the
+    identity pass one stack of residuals."""
+    svds = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == (total_dim, total_dim):
+            svds.append(1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return svds
+
+
 def test_trade_off_reports_is_one_pass_behind_every_bound(monkeypatch):
     model, law = random_conserving_model(17, HilbertSpec((2, 2, 2)))
     psi = _random_object_state(18)
     slices = [*qway_bounds(model, law, psi), summed_bound(model, law, psi), fundamental_bound(model, law, psi)]
-    calls, residuals = [], []
-    gate, residual = waylab.bounds._require_conserving, waylab.bounds.conservation_residual
+    calls = []
+    gate = waylab.bounds._require_conserving
     monkeypatch.setattr(
-        waylab.bounds, "_require_conserving", lambda s, us, lws, u: calls.append(len(lws)) or gate(s, us, lws, u)
+        waylab.bounds, "_require_conserving", lambda s, lws, u: calls.append(len(lws)) or gate(s, lws, u)
     )
-    monkeypatch.setattr(
-        waylab.bounds, "conservation_residual", lambda u, lw: residuals.append(1) or residual(u, lw)
-    )
+    residuals = _spy_residual_svds(monkeypatch, 8)
     reports = trade_off_reports(model, law, psi)
     # one conservation gate over a stack of one case, which a conserving
     # model passes on its Frobenius norm alone
@@ -196,7 +211,7 @@ def test_stacked_passes_are_the_per_case_oracle_byte_for_byte(monkeypatch, chunk
     gates = []
     gate = waylab.bounds._require_conserving
     monkeypatch.setattr(
-        waylab.bounds, "_require_conserving", lambda s, us, lws, u: gates.append(len(lws)) or gate(s, us, lws, u)
+        waylab.bounds, "_require_conserving", lambda s, lws, u: gates.append(len(lws)) or gate(s, lws, u)
     )
     got_trade, got_ident = [], []
     for start in range(0, len(cases), chunk):
@@ -225,9 +240,7 @@ def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
     scenario = build_boson(1.0)
     law, spec = scenario.law, scenario.law.spec
     u = random_conserving_implementation(3, law, basis=commutant_basis(law)).unitary
-    svds = []
-    norm = waylab.operators.operator_norm
-    monkeypatch.setattr(waylab.conservation, "operator_norm", lambda op: svds.append(1) or norm(op))
+    svds = _spy_residual_svds(monkeypatch, spec.total_dim)
     # conserving: the Frobenius norm certifies it, with no SVD
     require_conserving(spec, u, law)
     assert svds == []
@@ -235,7 +248,7 @@ def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
     # the SVD decides, and the unitary passes as before
     tilt = np.kron(np.diag(np.exp([-0.25e-9j, 0.25e-9j])), np.eye(u.dim // 2))
     tilted = Operator(u.entries @ tilt)
-    commuted = tilted.entries @ law.total().entries - law.total().entries @ tilted.entries
+    commuted = tilted.entries @ law.lifts[3] - law.lifts[3] @ tilted.entries
     assert np.linalg.norm(commuted, 2) <= 1e-9 < np.linalg.norm(commuted)
     require_conserving(spec, tilted, law)
     assert len(svds) == 1
@@ -244,6 +257,21 @@ def test_conservation_gate_takes_the_svd_only_above_the_tolerance(monkeypatch):
     with pytest.raises(ConservationError) as exc:
         require_conserving(spec, cnot, law)
     assert exc.value.residual == conservation_residual(cnot, law)
+
+
+def test_a_commutator_past_the_largest_double_is_refused():
+    # charges near the largest double: [U, L] overflows, and the exact
+    # residual is refused as an Operator's entries are, where an SVD of
+    # the overflowed matrix reads NaN, which the gate's test would pass
+    spec = HilbertSpec((2, 2))
+    big = Operator(np.diag([8e307, -8e307]), hermitian=True)
+    law = ConservationLaw(spec, big, big)
+    u = Operator(np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0], unitary=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        for check in (lambda: conservation_residual(u, law), lambda: require_conserving(spec, u, law)):
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                check()
 
 
 def test_inputs_on_the_wrong_factors_are_refused():
@@ -300,7 +328,7 @@ def test_law_lifts_are_built_once(monkeypatch):
     )
     model, law = random_conserving_model(9, HilbertSpec((2, 2, 2)))
     assert sorted(calls) == [("ancilla", (1,)), ("object", (1,)), ("probe", (1,))]
-    stack = law._lifted
+    stack = law.lifts
     assert stack.shape == (4, 8, 8) and not stack.flags.writeable
     # of the total-space operators, the sampler builds only the interaction
     assert built.count((8, 8)) == 1
@@ -316,7 +344,7 @@ def test_law_lifts_are_built_once(monkeypatch):
     calls.clear()
     trade_off_reports(model, law, psi)
     assert calls == []
-    assert law._lifted is stack and (8, 8) not in built
+    assert law.lifts is stack and (8, 8) not in built
 
 
 def test_noise_operators_are_built_only_for_the_identities(monkeypatch):

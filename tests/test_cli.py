@@ -14,6 +14,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -1089,6 +1090,37 @@ def test_restarts_past_the_dense_limit_is_input_error(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("restarts, max_iter", [(10**18, 1), (100000, 0)], ids=["huge", "past-the-cap"])
+def test_outer_restarts_past_the_dense_limit_is_input_error(tmp_path, capsys, monkeypatch, restarts, max_iter):
+    # optimize's own starts had no cap, and both configs ran until a
+    # 10 s timeout stopped them: they take a search's cap and message,
+    # refused before the commutant basis is built
+    built = []
+    basis = waylab.scenarios.commutant_basis
+    monkeypatch.setattr(waylab.scenarios, "commutant_basis", lambda law: built.append(law) or basis(law))
+    config = {"kind": "spin", "n": 2, "restarts": restarts, "max_iter": max_iter, "search": {"restarts": 1, "max_iter": 2}}
+    start = time.perf_counter()
+    code, report = run_cli(tmp_path, "optimize", config, "--seed", "2")
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_USAGE and report == {} and built == []
+    err = capsys.readouterr().err
+    assert f"input error: restarts must lie in [0, 4096], got {restarts}" in err
+    assert "Traceback" not in err
+
+
+def test_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with a plain
+    # ValueError (Python 3.11 and later 3.10 patches), which exited as an
+    # input error naming neither the key nor the file; where there is no
+    # such limit, the count cap refuses it, so the message is not pinned
+    path = tmp_path / "config.json"
+    path.write_text('{"count": 1' + "0" * 5000 + "}")
+    code = main(["check-bounds", "--seed", "1", "--config", str(path), "--out", str(tmp_path / "report.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and "usage error" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 HUGE = 10**400  # a JSON integer past the largest double
 
 
@@ -1327,8 +1359,8 @@ def test_help_exits_zero(capsys):
 # The config fuzz: every key each command (and each optimize kind) declares,
 # set in turn to arbitrary JSON on a base config that runs in milliseconds.
 # Valid values are drawn only where they stay cheap: a count, n or budget
-# of at most 3 (an n of 12 runs for minutes, and optimize's restarts have
-# no cap), an nbar of at most 2 (500 allocates GBs) and a tail_tol of at
+# of at most 3 (an n of 12 runs for minutes, and optimize's restarts up
+# to their cap of 4096 as long), an nbar of at most 2 (500 allocates GBs) and a tail_tol of at
 # least 1e-4 (5e-324 takes seconds); the rest are negative, fractional,
 # not finite or huge integers, which every cap and dense limit refuses.
 _SMALL = st.integers(-3, 3)

@@ -1067,7 +1067,7 @@ def test_sigma_l3_reads_the_law_lift(monkeypatch):
     ) @ impl.unitary.entries
     # the chain's headline input: control (|0> + i|1>)/sqrt(2), target |0>
     full = measurement_view(impl).initial_state(_IPLUS)
-    scenario.law.total()  # the lifts exist from here on
+    scenario.law.lifts  # the lifts exist from here on
     calls = []
     monkeypatch.setattr(HilbertSpec, "embed", lambda *a: calls.append(a) or None)
     (mean,), (dev,) = stacked_moments(want, full.amplitudes[None, :, None])

@@ -60,7 +60,7 @@ def _xxx_law() -> ConservationLaw:
 def test_law_total_is_embedded_sum():
     law = _xx_law()
     expected = np.kron(X.entries, np.eye(2)) + np.kron(np.eye(2), X.entries)
-    np.testing.assert_allclose(law.total().entries, expected, atol=1e-15)
+    np.testing.assert_allclose(law.lifts[3], expected, atol=1e-15)
 
 
 def test_law_defaults_ancilla_to_zero():
@@ -88,7 +88,7 @@ def test_conservation_error_carries_numbers():
 
 def test_conservation_residual_zero_for_commuting():
     law = _xx_law()
-    u = expm_skew(Operator(law.total().entries, hermitian=True), 0.37)
+    u = expm_skew(Operator(law.lifts[3], hermitian=True), 0.37)
     assert conservation_residual(u, law) < 1e-12
 
 
@@ -96,6 +96,19 @@ def test_conservation_residual_detects_violation():
     law = _xx_law()
     u = Operator(np.kron(Z.entries, np.eye(2)), unitary=True)
     assert conservation_residual(u, law) > 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 2, 2)])
+def test_conservation_residual_is_the_spectral_norm_of_u_l_minus_l_u_bit_for_bit(dims):
+    # the independent formula: numpy's spectral norm of U L - L U with L the
+    # lift stack's total, on a conserving and a non-conserving unitary
+    model, law = random_conserving_model(31, HilbertSpec(dims))
+    total = law.lifts[3]
+    generic = expm_skew(gue_hermitian(np.random.default_rng(32), total.shape[0]))
+    for u, conserving in ((model.interaction, True), (generic, False)):
+        want = np.linalg.norm(u.entries @ total - total @ u.entries, 2)
+        assert conservation_residual(u, law) == want
+        assert bool(want < 1e-9) is conserving
 
 
 def test_commutant_generator_counts():
@@ -112,7 +125,7 @@ def test_block_structure_matches_multiplicities():
     basis = commutant_basis(law)
     assert basis.block_dims == (1, 2, 1)
     e = basis.eigenbasis
-    diagonal = np.real(np.diag(e.conj().T @ law.total().entries @ e))
+    diagonal = np.real(np.diag(e.conj().T @ law.lifts[3] @ e))
     ends = np.cumsum(basis.block_dims)
     for value, block in zip([-2.0, 0.0, 2.0], np.split(diagonal, ends[:-1])):
         np.testing.assert_allclose(block, value, atol=1e-12)
@@ -133,7 +146,7 @@ def test_bases_with_one_block_signature_share_a_read_only_layout():
 def test_commutant_count_matches_nullspace(law_fn):
     # brute force: vec([B, L]) = (I (x) L - L^T (x) I) vec(B) = 0
     law = law_fn()
-    l_tot = law.total().entries
+    l_tot = law.lifts[3]
     d = l_tot.shape[0]
     superop = np.kron(np.eye(d), l_tot) - np.kron(l_tot.T, np.eye(d))
     rank = np.linalg.matrix_rank(superop, tol=1e-9)
@@ -144,7 +157,7 @@ def test_commutant_count_matches_nullspace(law_fn):
 def test_generators_are_orthonormal_hermitian_and_commute():
     basis = commutant_basis(_xx_law())
     gens = generators(basis)
-    l_tot = _xx_law().total()
+    l_tot = Operator(_xx_law().lifts[3])
     for i, g in enumerate(gens):
         assert g.is_hermitian()
         assert operator_norm(commutator(g, l_tot)) < 1e-12
@@ -348,11 +361,11 @@ def test_padded_block_sums_keep_each_basis_bits_in_both_window_shapes(monkeypatc
 
 
 def test_law_lift_stack_is_read_only_and_its_total_is_the_sum():
-    # the lifts and the total are one read-only stack; total() is its last
-    # matrix as an Operator flagged Hermitian, built once, whose entries
-    # are the bytes of l1 + l2 + l3 with the parts lifted by np.kron
+    # the lifts and the total are one read-only stack, built once, whose
+    # last matrix is the bytes of l1 + l2 + l3 with the parts lifted by np.kron
     law = random_conserving_model(3, HilbertSpec((2, 3, 2)))[1]
-    stack = law._lifted
+    stack = law.lifts
+    assert law.lifts is law.lifts
     with pytest.raises(ValueError, match="read-only"):
         stack[0, 0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
@@ -360,10 +373,7 @@ def test_law_lift_stack_is_read_only_and_its_total_is_the_sum():
     a, b, c = (part.entries for part in (law.object_part, law.probe_part, law.ancilla_part))
     lifts = (np.kron(a, np.eye(6)), np.kron(np.kron(np.eye(2), b), np.eye(2)), np.kron(np.eye(6), c))
     assert all(got.tobytes() == want.tobytes() for got, want in zip(stack[:3], lifts))
-    total = law.total()
-    assert total is law.total() and total.hermitian is True
-    assert total.entries.tobytes() == (lifts[0] + lifts[1] + lifts[2]).tobytes() == stack[3].tobytes()
-    assert not total.entries.flags.writeable
+    assert (lifts[0] + lifts[1] + lifts[2]).tobytes() == stack[3].tobytes()
 
 
 @pytest.mark.parametrize("zero_point", [False, True], ids=["random-point", "degenerate-point"])
@@ -431,7 +441,7 @@ def test_stacked_sampler_is_the_per_case_oracle_byte_for_byte(chunk):
         for seed, spec, (model, law), basis in zip(seeds[start:], specs[start:], cases, bases):
             ref_model, ref_law, ref = reference_conserving_model(seed, spec)
             got = [
-                law.object_part, law.probe_part, law.ancilla_part, *law._lifted[:3], law.total(),
+                law.object_part, law.probe_part, law.ancilla_part, *law.lifts,
                 basis.eigenbasis, model.interaction, model.probe_state, model.ancilla_state,
                 model.pointer, model.observable,
             ]

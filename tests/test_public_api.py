@@ -19,7 +19,7 @@ MODULE_ALL = {
     },
     "measurement": {
         "IndirectMeasurementModel", "CertificationResult",
-        "noise_images", "stacked_noise_images", "rms_noise", "rms_error", "rms_disturbance",
+        "noise_images", "stacked_noise_images", "rms_error", "rms_disturbance",
         "is_precise", "is_nondisturbing",
     },
     "conservation": {

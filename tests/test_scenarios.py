@@ -480,16 +480,35 @@ def test_spin2_runs_no_warm_pass(monkeypatch):
 
 
 def test_random_starts_are_drawn_when_their_turn_comes(monkeypatch):
-    # a list of 10^18 starts would exhaust memory before the first search
+    # the first search runs before any random start is drawn, at the cap of
+    # 4096 starts too; 10^18, which a list would have held before the first
+    # search, is refused as a search's restarts are
+    scenario = build_spin(2)
+    with pytest.raises(ValueError, match=r"restarts must lie in \[0, 4096\], got 1000000000000000000"):
+        optimize_fidelity(scenario, OptimizeConfig(restarts=10**18))
+
     class Reached(Exception):
         pass
 
     def first_search(impl, search=None):
         raise Reached
 
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *shape):
+            drawn.append(shape)
+            return self.rng.standard_normal(*shape)
+
     monkeypatch.setattr(waylab.scenarios, "gate_fidelity", first_search)
+    monkeypatch.setattr(np.random, "default_rng", Counting)
     with pytest.raises(Reached):
-        optimize_fidelity(build_spin(2), OptimizeConfig(restarts=10**18))
+        optimize_fidelity(scenario, OptimizeConfig(restarts=waylab.operators.MAX_TOTAL_DIM))
+    assert drawn == []
 
 
 def test_optimize_rejects_bad_initial_points():
