@@ -39,11 +39,11 @@ import numpy as np
 from .conservation import ConservationError, ConservationLaw
 from .measurement import IndirectMeasurementModel, stacked_noise_images
 from .operators import (
-    FLAG_TOL,
     HilbertSpec,
     Operator,
     StateVector,
     checked_stack,
+    checked_states,
     commutators,
     evolved_stack,
     grouped,
@@ -120,19 +120,24 @@ class BoundReport:
 
 
 def reports_to_csv(reports: Sequence[BoundReport]) -> str:
-    """CSV rendering of reports with the same columns as the JSON form."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["relation", "kind", "lhs", "rhs", "slack", "digest", "details"])
-    # records often share one details mapping (a case's qway and summed
-    # records do), and each mapping is encoded once
+    """CSV rendering of reports with the same columns as the JSON form: ``csv.writer``'s bytes
+    (``lineterminator="\\n"``), one f-string a row.  A details cell, canonical JSON, holds a quote
+    unless empty and is quoted; a row whose other cells hold ``,"\\r\\n`` goes through ``csv.writer``."""
+    lines = ["relation,kind,lhs,rhs,slack,digest,details\n"]
+    # records share details mappings (a case's qway and summed records do): each is encoded once
     encoded: dict[int, str] = {}
     for r in reports:
         details = encoded.get(id(r.details))
         if details is None:
-            details = encoded[id(r.details)] = canonical_json(dict(sorted(r.details.items()))) if r.details else ""
-        writer.writerow([r.relation, r.kind, repr(r.lhs), repr(r.rhs), repr(r.slack), r.digest, details])
-    return buf.getvalue()
+            quoted = canonical_json(dict(r.details)).replace('"', '""')  # json encodes a dict, keys sorted
+            details = encoded[id(r.details)] = f'"{quoted}"' if r.details else ""
+        cells = f"{r.relation},{r.kind},{r.lhs!r},{r.rhs!r},{r.slack!r},{r.digest}"
+        if cells.count(",") != 5 or '"' in cells or "\n" in cells or "\r" in cells:
+            csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(
+                [r.relation, r.kind, repr(r.lhs), repr(r.rhs), repr(r.slack), r.digest])
+            cells = buf.getvalue()[:-1]
+        lines.append(f"{cells},{details}\n")
+    return "".join(lines)
 
 
 def require_conserving(spec: HilbertSpec, interaction: Operator, law: ConservationLaw) -> None:
@@ -250,7 +255,7 @@ def bound_ingredients(
     bound and the CNOT chain read these.
 
     The input states x are built as one stack, checked normalized as
-    :func:`~waylab.operators.tensor_states` checks them, and ``eps`` and
+    one stack (:func:`~waylab.operators.checked_states`), and ``eps`` and
     ``eta`` are read from U x.  Each product and inner product is one
     stacked call, which gives each case the bits of its own."""
     spec = models[0].spec
@@ -263,10 +268,7 @@ def bound_ingredients(
     for factor in ("probe_state", "ancilla_state"):
         amps = np.array([getattr(m, factor).amplitudes for m in models])
         x = (x[:, :, None] * amps[:, None, :]).reshape(len(x), -1)
-    for norm in np.linalg.norm(x, axis=1).tolist():
-        if not abs(norm - 1.0) <= FLAG_TOL:
-            raise ValueError(f"state vector must be finite and normalized: |psi| = {norm!r}")
-    x = x[:, :, None]
+    x = checked_states(x)[:, :, None]
     err, dist = stacked_noise_images(spec, u, a, p, x)
     eps, eta = (np.sqrt(inner_products(v, v).real).tolist() for v in (err, dist))
     sigmas = {name: stacked_moments(charge, x)[1] for name, charge in evolved.items()}

@@ -46,7 +46,7 @@ from .sampling import (
     DEFAULT_STRENGTH,
     random_conserving_implementation,
     random_conserving_models,
-    random_state,
+    random_states,
 )
 from .scenarios import (
     CEILING_TOL,
@@ -104,7 +104,7 @@ def _read_json(path: str, label: str) -> Any:
         raise _UsageError(
             f"malformed JSON in {label}{path!r} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past Python's digit limit for int()
+    except (ValueError, RecursionError) as exc:  # past int()'s digit limit, or nested past the recursion limit
         raise _UsageError(f"malformed JSON in {label}{path!r}: {exc}") from exc
 
 
@@ -371,11 +371,9 @@ def _cmd_check_bounds(args: argparse.Namespace, values: _Config) -> int:
     used, chunks = _random_cases(values)
     reports: list[BoundReport] = []
     for cases in chunks:
-        stack = [
-            (model, law, random_state(np.random.default_rng(case_seed + 1), model.spec.object_dim))
-            for case_seed, model, law in cases
-        ]
-        for case_reports in stacked_trade_off_reports(stack):
+        rngs = [np.random.default_rng(case_seed + 1) for case_seed, _, _ in cases]
+        psis = random_states(rngs, [model.spec.object_dim for _, model, _ in cases])
+        for case_reports in stacked_trade_off_reports([(m, law, psi) for (_, m, law), psi in zip(cases, psis)]):
             reports.extend(case_reports)
     records = [_record(r, tol) for r in reports]
     return _finish(args, "check-bounds", values["seed"], used, records, csv_text=reports_to_csv(reports))

@@ -13,6 +13,7 @@ over directly.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
@@ -153,46 +154,38 @@ class _Layout(NamedTuple):
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+@functools.lru_cache(maxsize=128)  # bounded as the layouts are: a block's arrays grow as d^2
+def _block_template(d: int) -> tuple[np.ndarray, ...]:
+    """The :class:`_Layout` arrays ``diag`` to ``lower_at`` of a block of dimension d that comes first
+    everywhere, then its buffer entries' offsets in the block, rows and columns."""
+    iu, ju = np.triu_indices(d, 1)
+    pairs, entries = np.arange(len(iu)), np.arange(d * d)
+    return (np.arange(d), entries[:: d + 1], d + pairs, d + len(iu) + pairs, iu * d + ju, ju * d + iu,
+            entries, *np.divmod(entries, d))
+
+
 @functools.lru_cache(maxsize=128)
 def _block_layout(dims: tuple[int, ...]) -> _Layout:
-    """The :class:`_Layout` for these block dimensions, which are all it
-    reads: built once per signature, with read-only arrays to share."""
-    n = sum(dims)
+    """The :class:`_Layout` for these block dimensions, which are all it reads: built once per
+    signature from each block's :func:`_block_template`, shifted, as read-only arrays to share."""
     counts = Counter(dims)  # block sizes in order of first appearance
-    groups: list[tuple[int, int, int]] = []
-    group_of: dict[int, int] = {}
-    offset = 0
-    for g, (d, k) in enumerate(counts.items()):
-        group_of[d] = g
-        groups.append((d, k, offset))
-        offset += k * d * d
-    placed = dict.fromkeys(counts, 0)
-    blocks: list[tuple[slice, int, int]] = []
-    diag: list[int] = []
-    diag_at: list[int] = []
-    sym: list[int] = []
-    anti: list[int] = []
-    upper_at: list[int] = []
-    lower_at: list[int] = []
-    frame = [0] * offset
-    col = pos = 0
-    for d in dims:
-        g, m = group_of[d], placed[d]
-        placed[d] += 1
-        blocks.append((slice(col, col + d), g, m))
-        at = groups[g][2] + m * d * d
-        iu, ju = (index.tolist() for index in np.triu_indices(d, 1))
-        pairs = len(iu)
-        diag += range(pos, pos + d)
-        diag_at += range(at, at + d * d, d + 1)
-        sym += range(pos + d, pos + d + pairs)
-        anti += range(pos + d + pairs, pos + d * d)
-        upper_at += [at + i * d + j for i, j in zip(iu, ju)]
-        lower_at += [at + j * d + i for i, j in zip(iu, ju)]
-        frame[at : at + d * d] = [(col + i) * n + col + j for i in range(d) for j in range(d)]
-        col += d
-        pos += d * d
-    arrays = [np.array(x, dtype=np.intp) for x in (diag, diag_at, sym, anti, upper_at, lower_at, frame)]
+    offsets = list(itertools.accumulate((k * d * d for d, k in counts.items()), initial=0))
+    groups = [(d, k, offset) for (d, k), offset in zip(counts.items(), offsets)]
+    places = {d: (g, itertools.count()) for g, d in enumerate(counts)}  # each size's group, then places in it
+    *firsts, n = itertools.accumulate(dims, initial=0)  # each block's first column, and the dimension
+    blocks = [(slice(col, col + d), places[d][0], next(places[d][1])) for d, col in zip(dims, firsts)]
+    templates = [_block_template(d) for d in dims]
+    *pos, _ = itertools.accumulate((d * d for d in dims), initial=0)  # each block's first coefficient
+    at = [groups[g][2] + m * d * d for d, (_, g, m) in zip(dims, blocks)]  # and its first buffer entry
+
+    def shifted(k: int, shift: list[int]) -> np.ndarray:
+        """Template array k of every block, in block order, each plus its block's entry of ``shift``."""
+        parts = [t[k] for t in templates]
+        return np.concatenate(parts) + np.repeat(shift, [len(part) for part in parts])
+
+    frame = np.empty(offsets[-1], dtype=np.intp)
+    frame[shifted(6, at)] = shifted(7, firsts) * n + shifted(8, firsts)
+    arrays = [shifted(k, shift) for k, shift in enumerate((pos, at, pos, pos, at, at))] + [frame]
     for arr in arrays:
         arr.setflags(write=False)
     return _Layout(tuple(groups), tuple(blocks), *arrays)

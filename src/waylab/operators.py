@@ -201,6 +201,14 @@ class StateVector:
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
 
+    @classmethod
+    def _checked(cls, amplitudes: np.ndarray) -> "StateVector":
+        """The state on ``amplitudes`` as given, with no copy and no check: a read-only complex128
+        vector that has passed ``__post_init__``'s check, as :func:`normalized_states` makes it."""
+        state = object.__new__(cls)
+        state.__dict__.update(amplitudes=amplitudes)
+        return state
+
     @property
     def dim(self) -> int:
         return self.amplitudes.size
@@ -216,12 +224,8 @@ class StateVector:
 
     @staticmethod
     def from_amplitudes(values: Sequence[complex]) -> "StateVector":
-        """Build a state from unnormalized amplitudes (normalizes them)."""
-        arr = np.asarray(values, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(arr))
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(arr / nrm)
+        """Build a state from unnormalized amplitudes: :func:`normalized_states` of one."""
+        return normalized_states(np.asarray(values, dtype=np.complex128).reshape(1, -1))[0]
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim})"
@@ -378,6 +382,26 @@ def checked_stack(stack: np.ndarray, hermitian: bool | None = None, unitary: boo
     entry finite, each one comparison for the whole stack."""
     _check_flags(stack, hermitian, unitary)
     _check_finite(stack)
+    return stack
+
+
+def normalized_states(stack: np.ndarray) -> list[StateVector]:
+    """A :class:`StateVector` of each row of the complex stack (k, d), divided by its own
+    ``np.linalg.norm``: read-only views of one quotient stack, checked as one stack."""
+    if 0.0 in (norms := [np.linalg.norm(row) for row in stack]):
+        raise ValueError("cannot normalize the zero vector")
+    with np.errstate(invalid="ignore"):  # a row that is not finite fails the check, not warns
+        stack = stack / np.array(norms)[:, None]
+    checked_states(stack).setflags(write=False)
+    return [StateVector._checked(row) for row in stack]
+
+
+def checked_states(stack: np.ndarray) -> np.ndarray:
+    """``stack`` (k, d), once each state of it passes the check :class:`StateVector` makes of one,
+    finite and of unit norm within ``FLAG_TOL``, with one norm for the whole stack."""
+    for norm in np.linalg.norm(stack, axis=1).tolist():
+        if not abs(norm - 1.0) <= FLAG_TOL:
+            raise ValueError(f"state vector must be finite and normalized: |psi| = {norm!r}")
     return stack
 
 

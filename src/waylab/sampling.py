@@ -21,7 +21,7 @@ from .conservation import (
     conserving_unitary,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import HilbertSpec, Operator, StateVector, flagged_operators, grouped
+from .operators import HilbertSpec, Operator, StateVector, flagged_operators, grouped, normalized_states
 
 __all__ = [
     "DEFAULT_STRENGTH",
@@ -36,9 +36,20 @@ DEFAULT_STRENGTH = 1.0
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
-    """Haar-ish random pure state: normalized complex Gaussian vector, one draw, real parts first."""
-    raw = rng.standard_normal(2 * dim)
-    return StateVector.from_amplitudes(raw[:dim] + 1j * raw[dim:])
+    """Haar-ish random pure state, a normalized complex Gaussian vector: :func:`random_states` of one."""
+    return random_states([rng], [dim])[0]
+
+
+def random_states(rngs: Sequence[np.random.Generator], dims: Sequence[int]) -> list[StateVector]:
+    """:func:`random_state` of each stream and dimension, in order, bit for bit: one draw a state, real parts
+    first, those of one dimension normalized as one stack (:func:`~waylab.operators.normalized_states`)."""
+    raws = [rng.standard_normal(2 * dim) for rng, dim in zip(rngs, dims)]
+
+    def normalized(members: list[int]) -> list[StateVector]:
+        raw, d = np.array([raws[i] for i in members]), dims[members[0]]
+        return normalized_states(raw[:, :d] + 1j * raw[:, d:])
+
+    return grouped(dims, normalized)
 
 
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -102,22 +113,20 @@ def random_conserving_models(
     Each case draws from its own stream in its own order.  The cases'
     law factors of one dimension share one stacked ``qr``, their laws of
     one layout one stacked lift and ``eigh`` (:func:`commutant_bases`),
-    and their commutant blocks of one size one ``eigh`` and block
-    exponential (:func:`conserving_unitaries`).  A stacked decomposition
-    or product gives each matrix the bits of its own call.
+    their commutant blocks of one size one ``eigh`` and block exponential
+    (:func:`conserving_unitaries`), their states of one dimension one check
+    (:func:`random_states`): each matrix has the bits of its own call.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     laws = _random_laws(rngs, specs)
     bases = commutant_bases(laws)
     coefficients = [rng.standard_normal(basis.generator_count) for rng, basis in zip(rngs, bases)]
     unitaries = conserving_unitaries(bases, coefficients)
-    states, raws = [], []
-    for rng, spec in zip(rngs, specs):
-        states.append((
-            random_state(rng, spec.probe_dim),
-            random_state(rng, spec.ancilla_dim) if spec.has_ancilla else None,
-        ))
-        raws += [_gaussian(rng, spec.probe_dim), _gaussian(rng, spec.object_dim)]
+    # each stream draws its probe state, its ancilla state if any, then its pointer and observable
+    dims = [[spec.probe_dim] + [spec.ancilla_dim] * spec.has_ancilla for spec in specs]
+    drawn = iter(random_states([rng for rng, ds in zip(rngs, dims) for _ in ds], [d for ds in dims for d in ds]))
+    states = [(next(drawn), next(drawn) if spec.has_ancilla else None) for spec in specs]
+    raws = [_gaussian(rng, d) for rng, spec in zip(rngs, specs) for d in (spec.probe_dim, spec.object_dim)]
     def symmetrized(members: list[int]) -> np.ndarray:
         g = np.array([raws[i] for i in members])
         return (g + g.conj().swapaxes(1, 2)) * 0.5

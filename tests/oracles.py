@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Literal
 
@@ -161,6 +162,15 @@ def two_draw_state(rng: np.random.Generator, dim: int) -> StateVector:
     parts first: the one-draw ``random_state`` written as two draws."""
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(raw / np.linalg.norm(raw))
+
+
+def one_draw_state(rng: np.random.Generator, dim: int) -> StateVector:
+    """A normalized complex Gaussian state from one draw, the real parts
+    first, divided by its norm as a Python float: a state at a time, as
+    ``StateVector.from_amplitudes`` divided before states were stacked."""
+    raw = rng.standard_normal(2 * dim)
+    amps = raw[:dim] + 1j * raw[dim:]
+    return StateVector(amps / float(np.linalg.norm(amps)))
 
 
 def gue_hermitian(rng: np.random.Generator, dim: int) -> Operator:
@@ -337,6 +347,52 @@ def _per_block_runs(basis: CommutantBasis):
         )
         start += d
         pos += d * d
+
+
+def reference_block_layout(dims: tuple[int, ...]) -> tuple:
+    """The fields of a commutant basis's coefficient layout for these block
+    dimensions, in the order of ``conservation._Layout``, built block by
+    block and entry by entry with Python lists: the groups (d, k, offset),
+    the blocks (columns, group, place), then the index arrays ``diag``,
+    ``diag_at``, ``sym``, ``anti``, ``upper_at``, ``lower_at`` and
+    ``frame``."""
+    n = sum(dims)
+    counts = Counter(dims)
+    groups: list[tuple[int, int, int]] = []
+    group_of: dict[int, int] = {}
+    offset = 0
+    for g, (d, k) in enumerate(counts.items()):
+        group_of[d] = g
+        groups.append((d, k, offset))
+        offset += k * d * d
+    placed = dict.fromkeys(counts, 0)
+    blocks: list[tuple[slice, int, int]] = []
+    diag: list[int] = []
+    diag_at: list[int] = []
+    sym: list[int] = []
+    anti: list[int] = []
+    upper_at: list[int] = []
+    lower_at: list[int] = []
+    frame = [0] * offset
+    col = pos = 0
+    for d in dims:
+        g, m = group_of[d], placed[d]
+        placed[d] += 1
+        blocks.append((slice(col, col + d), g, m))
+        at = groups[g][2] + m * d * d
+        iu, ju = (index.tolist() for index in np.triu_indices(d, 1))
+        pairs = len(iu)
+        diag += range(pos, pos + d)
+        diag_at += range(at, at + d * d, d + 1)
+        sym += range(pos + d, pos + d + pairs)
+        anti += range(pos + d + pairs, pos + d * d)
+        upper_at += [at + i * d + j for i, j in zip(iu, ju)]
+        lower_at += [at + j * d + i for i, j in zip(iu, ju)]
+        frame[at : at + d * d] = [(col + i) * n + col + j for i in range(d) for j in range(d)]
+        col += d
+        pos += d * d
+    arrays = [np.array(x, dtype=np.intp) for x in (diag, diag_at, sym, anti, upper_at, lower_at, frame)]
+    return (tuple(groups), tuple(blocks), *arrays)
 
 
 def conserving_unitary_per_block(basis: CommutantBasis, coefficients: np.ndarray) -> np.ndarray:

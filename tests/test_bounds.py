@@ -8,7 +8,9 @@ must be weaker than its recorded sigma-variant, on every sample.
 import csv
 import functools
 import io
+import itertools
 import json
+import types
 import warnings
 from collections import Counter
 
@@ -442,6 +444,41 @@ def test_reports_csv_roundtrip():
     for row, rep in zip(rows, reports):
         assert float(row["slack"]) == pytest.approx(rep.slack, rel=1e-15)
         assert row["digest"] == rep.digest
+
+
+def _report(relation: str, kind: str, lhs: float, rhs: float, slack: float, digest: str, details) -> BoundReport:
+    """A report with these fields as given, the kind and slack set past the checks that derive them."""
+    report = BoundReport(relation, "identity", lhs, rhs, digest, details)
+    object.__setattr__(report, "kind", kind)
+    object.__setattr__(report, "slack", slack)
+    return report
+
+
+def test_reports_csv_is_the_csv_writer_byte_for_byte():
+    # one f-string a row must write what csv.writer writes, quoting
+    # included: the details cell is always quoted, and a row whose other
+    # cells hold a comma, quote or line break is quoted as csv.writer quotes it
+    texts = ["qway-1", "a,b", 'a"b', "a\nb", "a\rb", "", '"', ',\r\n"', " x ", "\u00e9\u2028"]
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e300, -1.25]
+    shared = {"eps": 0.5, "a,b": -0.0}
+    mappings = [
+        {}, shared, shared, {"zeta": 1.0, "alpha": float("nan")},
+        {"k,": float("inf"), 'q"': -float("inf"), "n\n": -0.0, "r\r": 2.0, '",\r\n': 1e-310},
+        types.MappingProxyType({"b": 2.0, "a": 1.0}),
+    ]
+    reports = [
+        _report(relation, kind, floats[i % 8], floats[(i // 8) % 8], floats[(i + 3) % 8], digest, mappings[i % 6])
+        for i, (relation, kind, digest) in enumerate(
+            [(t, "inequality", "d" * 16) for t in texts]
+            + [("qway-2", t, "d" * 16) for t in texts]
+            + [("summed", "identity", t) for t in texts]
+            + list(itertools.product(texts[:5], repeat=3))
+        )
+    ]
+    assert reports_to_csv(reports) == reference_csv([r.to_json_dict() for r in reports])
+    for r in reports:
+        assert reports_to_csv([r]) == reference_csv([r.to_json_dict()]), r
+    assert reports_to_csv([]) == reference_csv([]) == "relation,kind,lhs,rhs,slack,digest,details\n"
 
 
 def test_the_stacked_routines_return_nothing_for_no_cases():

@@ -1121,6 +1121,27 @@ def test_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+DEEP = "[" * 100000 + "]" * 100000  # JSON nested past Python's recursion limit
+
+
+@pytest.mark.parametrize("where", ["config", "config-value", "eval-impl-law"])
+def test_json_nested_past_the_recursion_limit_is_usage_error(tmp_path, capsys, where):
+    # json.loads raises RecursionError, which main let through as a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"count": 1, "x": ' + DEEP + "}" if where == "config-value" else DEEP)
+    command, label, config = "check-bounds", "config", deep
+    if where == "eval-impl-law":
+        impl, _ = _conserving_impl_json()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"implementation": impl, "law": str(deep), "search": {"restarts": 1, "max_iter": 5}}))
+        command, label = "eval-impl", "law"
+    code = main([command, "--seed", "1", "--config", str(config), "--out", str(tmp_path / "report.json"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and f"usage error: malformed JSON in {label} {str(deep)!r}: " in err
+    assert "recursion" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 HUGE = 10**400  # a JSON integer past the largest double
 
 

@@ -6,6 +6,8 @@ eigenvalue multiplicities, which a dense superoperator rank computation
 confirms without reusing any of the block logic under test.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,9 @@ from oracles import (
     generators,
     gue_hermitian,
     kraus_fidelity_sq,
+    one_draw_state,
     project_coefficients_per_block,
+    reference_block_layout,
     reference_conserving_model,
     two_draw_gaussian,
     two_draw_state,
@@ -469,3 +473,71 @@ def test_one_draw_gaussians_are_the_two_draw_oracles_bit_for_bit(seed):
         a, b = random_state(one, dim).amplitudes, two_draw_state(two, dim).amplitudes
         assert a.shape == b.shape == (dim,) and a.tobytes() == b.tobytes(), dim
     assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 28, 2**62 - 1])
+def test_stacked_states_are_the_two_step_path_bit_for_bit(seed):
+    # the states of one dimension are built, divided and checked as one
+    # stack, each divided by its own np.linalg.norm: the bits of one draw
+    # divided state by state, as StateVector.from_amplitudes divided; a stream
+    # listed twice draws in list order, as a case draws its probe then its ancilla
+    dims = [int(d) for d in np.random.default_rng(seed).permutation(np.repeat(np.arange(1, 9), 4))]
+    owners = [i // 3 for i in range(len(dims))]  # three states a stream
+    ours = [np.random.default_rng([seed, k]) for k in range(owners[-1] + 1)]
+    theirs = [np.random.default_rng([seed, k]) for k in range(owners[-1] + 1)]
+    got = waylab.sampling.random_states([ours[k] for k in owners], dims)
+    for state, k, dim in zip(got, owners, dims):
+        want = one_draw_state(theirs[k], dim).amplitudes
+        a = state.amplitudes
+        assert a.dtype == want.dtype and a.shape == want.shape == (dim,) and a.tobytes() == want.tobytes(), dim
+        assert not a.flags.writeable
+    assert [r.bit_generator.state for r in ours] == [r.bit_generator.state for r in theirs]
+    assert waylab.sampling.random_states([], []) == []
+    # from_amplitudes is the stack of one, on amplitudes of any shape
+    amps = np.random.default_rng(seed).standard_normal((2, 3)) * (1 - 2j)
+    a, want = StateVector.from_amplitudes(amps).amplitudes, amps.reshape(-1) / float(np.linalg.norm(amps))
+    assert a.shape == want.shape == (6,) and a.tobytes() == want.tobytes() and not a.flags.writeable
+
+
+class _Draws:
+    """A stand-in generator whose standard normals are all ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return np.full(size, self.value)
+
+
+@pytest.mark.parametrize("value, message", [(np.nan, "finite and normalized"), (0.0, "cannot normalize the zero vector")])
+def test_a_state_draw_of_nan_or_zeros_is_refused(value, message):
+    # StateVector.from_amplitudes raises ValueError for both (for NaN only
+    # where RuntimeWarning is not an error, since its division warns): a
+    # zero norm is refused before dividing, and a NaN state fails the
+    # normalization check, with no warning from the stacked division
+    for dim in (1, 2, 5):
+        with pytest.raises(ValueError, match=message):
+            random_state(_Draws(value), dim)
+        with pytest.raises(ValueError, match=message):
+            waylab.sampling.random_states([np.random.default_rng(1), _Draws(value), np.random.default_rng(2)], [dim] * 3)
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            StateVector.from_amplitudes(_Draws(value).standard_normal(dim))
+
+
+def _layout_signatures() -> list[tuple[int, ...]]:
+    rng = np.random.default_rng(39)
+    drawn = [tuple(int(d) for d in rng.integers(1, 8, size=rng.integers(1, 10))) for _ in range(300)]
+    fixed = [(1,), (6,), (1,) * 12, (2, 2, 2), (3, 1, 3, 1, 3), (1, 1, 3, 4, 1, 3, 3), (5, 4, 3, 2, 1), (1, 6, 1)]
+    return fixed + drawn
+
+
+def test_block_layouts_are_the_entry_by_entry_builder():
+    # each layout is built from per-size templates shifted per block; the
+    # oracle is the builder that placed every index with Python lists
+    for dims in _layout_signatures():
+        got, want = waylab.conservation._block_layout(dims), reference_block_layout(dims)
+        assert got[:2] == want[:2], dims
+        for name, a, b in zip(got._fields[2:], got[2:], want[2:]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (dims, name)
+            assert not a.flags.writeable, (dims, name)
