@@ -43,11 +43,11 @@ from .operators import (
     Operator,
     StateVector,
     checked_stack,
-    checked_states,
     commutators,
     evolved_stack,
     grouped,
     inner_products,
+    kron,
     operator_norms,
     stacked_moments,
 )
@@ -254,8 +254,8 @@ def bound_ingredients(
     input state, and ``commutator_abs`` = |<[A, L1]>|.  Every trade-off
     bound and the CNOT chain read these.
 
-    The input states x are built as one stack, checked normalized as
-    one stack (:func:`~waylab.operators.checked_states`), and ``eps`` and
+    The input states x are built as one stack of columns, the unchecked
+    :func:`~waylab.operators.kron` of checked states, and ``eps`` and
     ``eta`` are read from U x.  Each product and inner product is one
     stacked call, which gives each case the bits of its own."""
     spec = models[0].spec
@@ -263,17 +263,13 @@ def bound_ingredients(
         if state.dim != spec.object_dim:
             raise ValueError(f"object state dim {state.dim}, expected {spec.object_dim}")
     u, a, p = (_stack(getattr(m, name) for m in models) for name in ("interaction", "observable", "pointer"))
-    psi = np.array([state.amplitudes for state in psis])
-    x = psi
+    psi = x = np.array([state.amplitudes for state in psis])[:, :, None]
     for factor in ("probe_state", "ancilla_state"):
-        amps = np.array([getattr(m, factor).amplitudes for m in models])
-        x = (x[:, :, None] * amps[:, None, :]).reshape(len(x), -1)
-    x = checked_states(x)[:, :, None]
+        x = kron(x, np.array([getattr(m, factor).amplitudes for m in models])[:, :, None])
     err, dist = stacked_noise_images(spec, u, a, p, x)
     eps, eta = (np.sqrt(inner_products(v, v).real).tolist() for v in (err, dist))
     sigmas = {name: stacked_moments(charge, x)[1] for name, charge in evolved.items()}
     l1 = _stack(law.object_part for law in laws)
-    psi = psi[:, :, None]
     comm = inner_products(psi, commutators(a, l1) @ psi).tolist()
     return [
         {"eps": eps[i], "eta": eta[i], **{n: s[i] for n, s in sigmas.items()}, "commutator_abs": abs(comm[i])}

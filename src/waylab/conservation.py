@@ -104,13 +104,11 @@ def _stacked_lifts(spec: HilbertSpec, laws: Sequence[ConservationLaw]) -> np.nda
     """The lift stack of each law on ``spec``, as one read-only
     (laws, 4, d, d) array: each role's parts are lifted as one stack, and
     the totals are the stacks' sum l1 + l2 + l3 in that order, so every
-    law gets the bits of its own pass.  Each of the four stacks is
-    checked finite once, and the totals Hermitian as one stack."""
-    l1, l2, l3 = (
-        checked_stack(spec.lift(np.array([getattr(law, part).entries for law in laws]), role))
-        for role, part in _ROLES
-    )
-    lifted = np.stack((l1, l2, l3, checked_stack(l1 + l2 + l3, hermitian=True)), axis=1)
+    law gets the bits of its own pass.  A lift is a checked part times 0.0
+    and 1.0, so only the totals are checked, as one stack and only finite:
+    a sum can overflow, and its parts' tolerated Hermitian defects add up."""
+    l1, l2, l3 = (spec.lift(np.array([getattr(law, part).entries for law in laws]), role) for role, part in _ROLES)
+    lifted = np.stack((l1, l2, l3, checked_stack(l1 + l2 + l3)), axis=1)
     lifted.setflags(write=False)
     return lifted
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, tensor_states
+from .operators import UNITARY_TOL, HilbertSpec, Operator, StateVector, kron, tensor_states
 
 __all__ = [
     "IndirectMeasurementModel",
@@ -164,7 +164,7 @@ def _certify(model: IndirectMeasurementModel) -> tuple[CertificationResult, Cert
     sqrt(lambda_max(G)), at the top eigenvector.
     """
     phi = tensor_states(model.probe_state, model.ancilla_state).amplitudes
-    err, dist = noise_images(model, np.kron(np.eye(model.spec.object_dim), phi[:, None]))
+    err, dist = noise_images(model, kron(np.eye(model.spec.object_dim), phi[:, None]))
     return _worst_case(err), _worst_case(dist)
 
 

@@ -92,25 +92,17 @@ def _check_finite(entries: np.ndarray) -> None:
         raise ValueError("operator entries must be finite")
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two vectors or two matrices (or stacks of
-    matrices), left factor slowest: the products ``np.kron`` forms, bit
-    for bit, without its shape handling, which dominates at these sizes."""
+    matrices, such as stacks of columns), left factor slowest: the one
+    tensor product, with the products ``np.kron`` forms, bit for bit,
+    without its shape handling, which dominates at these sizes."""
     if a.ndim == 1:
         return (a[:, None] * b).reshape(-1)
     # matrices may come as stacks, whose leading axes broadcast
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     shape = out.shape
     return out.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
-
-
-def _as_complex_matrix(entries: object) -> np.ndarray:
-    arr = np.array(entries, dtype=np.complex128, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"operator entries must be a square matrix, got shape {arr.shape}")
-    _check_finite(arr)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,15 +126,18 @@ class Operator:
     unitary: bool | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_complex_matrix(self.entries))
-        _check_flags(self.entries, self.hermitian, self.unitary)
+        arr = np.array(self.entries, dtype=np.complex128, copy=True)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"operator entries must be a square matrix, got shape {arr.shape}")
+        checked_stack(arr, self.hermitian, self.unitary).setflags(write=False)
+        object.__setattr__(self, "entries", arr)
 
     @classmethod
     def _checked(cls, entries: np.ndarray, hermitian: bool | None, unitary: bool | None) -> "Operator":
         """The operator on ``entries`` as given, with no copy and no check:
         ``entries`` must be a read-only square complex128 matrix that has
-        passed the checks ``__post_init__`` makes (its finiteness, then its
-        set flags), as :func:`flagged_operators` makes them of a stack."""
+        passed :func:`checked_stack` with these flags, as ``__post_init__``
+        runs it on one matrix and :func:`flagged_operators` on a stack."""
         op = object.__new__(cls)
         op.__dict__.update(entries=entries, hermitian=hermitian, unitary=unitary)
         return op
@@ -204,7 +199,8 @@ class StateVector:
     @classmethod
     def _checked(cls, amplitudes: np.ndarray) -> "StateVector":
         """The state on ``amplitudes`` as given, with no copy and no check: a read-only complex128
-        vector that has passed ``__post_init__``'s check, as :func:`normalized_states` makes it."""
+        vector that has passed ``__post_init__``'s check, as :func:`normalized_states` makes it,
+        or the product of checked states, as :func:`tensor_states` makes it."""
         state = object.__new__(cls)
         state.__dict__.update(amplitudes=amplitudes)
         return state
@@ -302,10 +298,10 @@ class HilbertSpec:
         if entries.shape[-2:] != (want, want):
             raise ValueError(f"{role} operator has shape {entries.shape[-2:]}, expected ({want}, {want})")
         if role == "object":
-            return _outer(entries, np.eye(d_probe * d_anc))
+            return kron(entries, np.eye(d_probe * d_anc))
         if role == "probe":
-            return _outer(_outer(np.eye(d_obj), entries), np.eye(d_anc))
-        return _outer(np.eye(d_obj * d_probe), entries)
+            return kron(kron(np.eye(d_obj), entries), np.eye(d_anc))
+        return kron(np.eye(d_obj * d_probe), entries)
 
 
 def flagged_operators(
@@ -343,13 +339,14 @@ def zero(dim: int) -> Operator:
 
 
 def tensor_states(*states: StateVector) -> StateVector:
-    """Kronecker product of state vectors, left factor slowest."""
+    """Kronecker product of state vectors, left factor slowest: as a product of checked states, unchecked."""
     if not states:
         raise ValueError("tensor_states() needs at least one state")
     amps = states[0].amplitudes
     for s in states[1:]:
-        amps = _outer(amps, s.amplitudes)
-    return StateVector(amps)
+        amps = kron(amps, s.amplitudes)
+    amps.setflags(write=False)
+    return StateVector._checked(amps)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -369,40 +366,35 @@ def commutators(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def evolved_stack(stack: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The Heisenberg-picture images U^dag M U of each Hermitian M of
     ``stack`` (..., m, d, d) under the unitaries ``u`` (..., d, d): the
-    one evolved-charge helper.  One product, validated Hermitian and
-    finite as one stack, so a non-Hermitian operand is a ``ValueError``.
+    one evolved-charge helper.  One product, validated finite and
+    Hermitian as one stack, so a non-Hermitian operand is a ``ValueError``.
     Each image has the bits of its own product."""
     images = u.conj().swapaxes(-1, -2)[..., None, :, :] @ stack @ u[..., None, :, :]
     return checked_stack(images, hermitian=True)
 
 
 def checked_stack(stack: np.ndarray, hermitian: bool | None = None, unitary: bool | None = None) -> np.ndarray:
-    """``stack`` (..., d, d), once it passes the checks :class:`Operator`
-    makes of one matrix: every matrix what a set flag claims, then every
-    entry finite, each one comparison for the whole stack."""
-    _check_flags(stack, hermitian, unitary)
+    """``stack`` (..., d, d), once it passes the one matrix check, which :class:`Operator`
+    runs on one: every entry finite, then (so on finite entries) every matrix what a set
+    flag claims, each one comparison for the whole stack."""
     _check_finite(stack)
+    _check_flags(stack, hermitian, unitary)
     return stack
 
 
 def normalized_states(stack: np.ndarray) -> list[StateVector]:
     """A :class:`StateVector` of each row of the complex stack (k, d), divided by its own
-    ``np.linalg.norm``: read-only views of one quotient stack, checked as one stack."""
+    ``np.linalg.norm``: read-only views of one quotient stack, each row checked as
+    :class:`StateVector` checks one, with one norm for the whole stack."""
     if 0.0 in (norms := [np.linalg.norm(row) for row in stack]):
         raise ValueError("cannot normalize the zero vector")
     with np.errstate(invalid="ignore"):  # a row that is not finite fails the check, not warns
         stack = stack / np.array(norms)[:, None]
-    checked_states(stack).setflags(write=False)
-    return [StateVector._checked(row) for row in stack]
-
-
-def checked_states(stack: np.ndarray) -> np.ndarray:
-    """``stack`` (k, d), once each state of it passes the check :class:`StateVector` makes of one,
-    finite and of unit norm within ``FLAG_TOL``, with one norm for the whole stack."""
     for norm in np.linalg.norm(stack, axis=1).tolist():
         if not abs(norm - 1.0) <= FLAG_TOL:
             raise ValueError(f"state vector must be finite and normalized: |psi| = {norm!r}")
-    return stack
+    stack.setflags(write=False)
+    return [StateVector._checked(row) for row in stack]
 
 
 def expectation(op: Operator, psi: StateVector) -> complex:

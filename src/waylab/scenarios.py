@@ -41,7 +41,7 @@ from .conservation import (
     conserving_exponential,
 )
 from .measurement import IndirectMeasurementModel
-from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator, operator_norm
+from .operators import MAX_TOTAL_DIM, HilbertSpec, Operator, StateVector, commutator, kron, operator_norm
 from .serialize import digest
 
 __all__ = [
@@ -342,9 +342,7 @@ def projected_gate_coefficients(scenario: Scenario, basis: CommutantBasis) -> np
     that reliably lands inside a basin with nonzero fidelity.
     """
     h = (math.pi / 2.0) * (np.eye(4) - cnot_unitary().entries)
-    lifted = Operator(
-        np.kron(h, np.eye(scenario.spec.ancilla_dim)), hermitian=True
-    )
+    lifted = Operator(kron(h, np.eye(scenario.spec.ancilla_dim)), hermitian=True)
     return basis.project_coefficients(lifted)
 
 
@@ -425,9 +423,9 @@ def optimize_fidelity(
     ) -> np.ndarray:
         """dF^2/dc at the scored point's worst state psi (Danskin)."""
         psi = res.worst_state.amplitudes
-        ket = np.kron(psi, impl.ancilla_state.amplitudes)
+        ket = kron(psi, impl.ancilla_state.amplitudes)
         z = (cnot @ psi).conj() @ (impl.unitary.entries @ ket).reshape(4, -1)
-        return 2.0 * derivative(np.kron(cnot @ psi, z), ket)
+        return 2.0 * derivative(kron(cnot @ psi, z), ket)
 
     rng = np.random.default_rng(cfg.seed)
     given = [projected_gate_coefficients(scenario, basis)]
@@ -542,7 +540,7 @@ def way_positive_control(observable: Operator, law: ConservationLaw) -> Indirect
     if vals[-1] - vals[0] <= 1e-12:  # scalar: the swap branch is empty, U = I
         p_upper, p_lower = np.eye(2), np.zeros((2, 2))
     swap = np.eye(4, dtype=np.complex128)[[0, 2, 1, 3]]  # exchanges the probe and ancilla qubits
-    u = np.kron(p_upper, np.eye(4)) + np.kron(p_lower, swap)
+    u = kron(p_upper, np.eye(4)) + kron(p_lower, swap)
     return IndirectMeasurementModel(
         spec=spec,
         probe_state=StateVector(upper),

@@ -46,6 +46,10 @@ __all__ = [
     "digests",
 ]
 
+# The largest entry magnitude of a document's operator: a product of six such matrices on
+# a MAX_TOTAL_DIM (2^12) space, as [L(dt), E] is, and its squared entries' sum stay below 2^912.
+MAX_ENTRY = 2.0**64
+
 
 def _pairs(values: np.ndarray) -> list:
     """Nested lists of ``[re, im]`` pairs: the complex128 array viewed as
@@ -120,7 +124,10 @@ def _dim(data: dict[str, Any]) -> int:
 
 def operator_from_json(data: dict[str, Any]) -> Operator:
     dim = _dim(data)
-    return Operator(_complexes(data["entries"], (dim, dim), "entries"))
+    entries = _complexes(data["entries"], (dim, dim), "entries")
+    if not np.abs(entries).max(initial=0.0) <= MAX_ENTRY:  # NaN fails the comparison
+        raise ValueError(f"operator entries must be finite and at most {MAX_ENTRY:.6g} in magnitude")
+    return Operator(entries)
 
 
 def state_to_json(psi: StateVector) -> dict[str, Any]:

@@ -490,3 +490,17 @@ def test_the_stacked_routines_return_nothing_for_no_cases():
     assert stacked_trade_off_reports([]) == []
     assert stacked_identity_reports([]) == []
     assert digests([]) == []
+
+
+def test_products_of_accepted_states_are_not_refused():
+    # each state passes its own check (|psi| - 1 = 0.9e-12), and products of
+    # three of them were checked again and refused (|psi| = 1.0000000000026998)
+    model, law = random_conserving_model(3, HilbertSpec((2, 2, 2)))
+    s = StateVector([1 + 0.9e-12, 0])
+    fields = {name: getattr(model, name) for name in ("interaction", "pointer", "observable")}
+    model = IndirectMeasurementModel(spec=model.spec, probe_state=s, ancilla_state=s, **fields)
+    product = waylab.operators.tensor_states(s, s, s)
+    assert product.amplitudes.tobytes() == np.kron(np.kron(s.amplitudes, s.amplitudes), s.amplitudes).tobytes()
+    assert not product.amplitudes.flags.writeable
+    got = [r.to_json_dict() for r in trade_off_reports(model, law, s)]
+    assert got == reference_trade_off_reports(model, law, s)

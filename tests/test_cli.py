@@ -41,8 +41,13 @@ from waylab.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from waylab.cnot import implementation_from_json, implementation_to_json, pauli, sigma_ceiling_fsq
 from waylab.serialize import digest, law_to_json, model_to_json, operator_to_json
 from waylab.measurement import IndirectMeasurementModel
-from waylab.operators import MAX_TOTAL_DIM, StateVector
-from waylab.sampling import random_conserving_model, random_conserving_models, random_state
+from waylab.operators import MAX_TOTAL_DIM, Operator, StateVector
+from waylab.sampling import (
+    random_conserving_implementation,
+    random_conserving_model,
+    random_conserving_models,
+    random_state,
+)
 
 from oracles import (
     WIRE_SPOILERS,
@@ -429,6 +434,89 @@ def test_unreadable_wire_document_is_usage_error_naming_its_key(tmp_path, capsys
     key = message.split()[0]
     assert f"usage error: {key} is not a valid document" in err and message in err
     assert "Traceback" not in err
+
+
+def _huge_entry_configs() -> dict[str, tuple[str, dict, str]]:
+    """Documents with an operator entry of 1e308, each with the command
+    that reads it and the key that names it."""
+    x = pauli("X")
+    spec = HilbertSpec((2, 2, 2))
+    search = {"restarts": 1, "max_iter": 5}
+    huge = operator_to_json(Operator(np.array([[0.0, 1e308], [1e308, 0.0]])))
+    split = operator_to_json(Operator(np.diag([1e308, -1e308])))
+    model, model_law = random_conserving_model(3, spec)
+    model, model_law = model_to_json(model), law_to_json(model_law)
+    huge_law = {**model_law, "object_part": huge, "probe_part": huge, "ancilla_part": huge}
+    identity = {**model, "interaction": operator_to_json(Operator(np.eye(8)))}
+    law = ConservationLaw(spec, x, x, x)
+    impl = implementation_to_json(random_conserving_implementation(1, law))
+    ket0 = {"dim": 2, "amplitudes": [[1, 0], [0, 0]]}
+    idle = {**impl, "unitary": operator_to_json(Operator(np.eye(8))), "ancilla_state": ket0}
+    scaled = {**impl, "unitary": operator_to_json(Operator(1e308 * np.eye(8)))}
+    law = law_to_json(law)
+    return {
+        "law-parts": ("verify-identities", {"model": model, "law": huge_law}, "law"),
+        "law-parts-identity-gate": ("verify-identities", {"model": identity, "law": huge_law}, "law"),
+        "pointer-and-observable": (
+            "verify-identities", {"model": {**identity, "pointer": split, "observable": split}, "law": law}, "model"
+        ),
+        "gate": ("eval-impl", {"implementation": scaled, "law": law, "search": search}, "implementation"),
+        "ancilla-charge": (
+            "eval-impl", {"implementation": idle, "law": {**law, "ancilla_part": split}, "search": search}, "law"
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_huge_entry_configs()))
+def test_an_operator_entry_past_the_cap_is_usage_error_naming_its_key(tmp_path, capsys, case):
+    # each overflowed: a traceback where RuntimeWarning is an error, and
+    # otherwise a misleading input error, an unconverged SVD, or (for the
+    # ancilla charge) exit 2 on a NaN sigma(L3') counted as a violated bound
+    command, config, key = _huge_entry_configs()[case]
+    code, report = run_cli(tmp_path, command, config, "--seed", "1")
+    assert code == EXIT_USAGE
+    assert report == {}
+    err = capsys.readouterr().err
+    assert f"usage error: {key} is not a valid document: operator entries must be finite and at most" in err
+    assert "Traceback" not in err
+
+
+def test_eval_impl_accepts_a_law_whose_parts_each_pass_their_check(tmp_path, capsys):
+    # each part's Hermitian defect is 0.9e-12, within FLAG_TOL; the total's is
+    # 2.7e-12, and checking the total again refused the law as an input error
+    # that named no key
+    x = pauli("X")
+    law = ConservationLaw(HilbertSpec((2, 2, 2)), x, x, x)
+    part = Operator(x.entries + np.diag([0.45e-12j, 0.45e-12j]))
+    assert part.is_hermitian()
+    loose = {**law_to_json(law), **dict.fromkeys(("object_part", "probe_part", "ancilla_part"), operator_to_json(part))}
+    impl = implementation_to_json(random_conserving_implementation(1, law))
+    config = {"implementation": impl, "law": loose, "search": {"restarts": 1, "max_iter": 5}}
+    code, report = run_cli(tmp_path, "eval-impl", config, "--seed", "1")
+    assert code == EXIT_OK, capsys.readouterr().err
+    assert report["summary"]["failed"] == 0
+
+
+def test_no_command_calls_np_kron(tmp_path, monkeypatch):
+    # operators.kron is the one tensor product, with np.kron's bits
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    model, law = random_conserving_model(3, HilbertSpec((2, 2, 2)))
+    search = {"restarts": 1, "max_iter": 10}
+    runs = [
+        ("check-bounds", {"count": 4}, ["--seed", "1"]),
+        ("verify-identities", {"model": model_to_json(model), "law": law_to_json(law)}, []),
+        ("eval-impl", {**_ancilla_impl_config(), "search": search}, ["--seed", "1"]),
+        ("optimize", {"kind": "spin", "n": 3, "restarts": 0, "max_iter": 2, "search": search}, ["--seed", "2"]),
+        ("optimize", {"kind": "boson", "nbar": 1, "restarts": 0, "max_iter": 2, "search": search}, ["--seed", "2"]),
+        *[("positive-control", {"basis": basis}, []) for basis in ("x", "z", "scalar")],
+    ]
+    for i, (command, config, extra) in enumerate(runs):
+        (tmp_path / str(i)).mkdir()
+        code, report = run_cli(tmp_path / str(i), command, config, *extra)
+        assert code == EXIT_OK and report["summary"]["failed"] == 0, (command, config)
 
 
 def test_eval_impl_requires_implementation(tmp_path, capsys):
@@ -1397,12 +1485,15 @@ _NUMBERS["nbars"] = _NUMBERS["nbar"]
 _TEXT = st.text(st.characters(blacklist_characters="/"), max_size=8)  # so a document path stays relative
 
 
+def _json_containers(inner):
+    """Lists and objects of ``inner`` values: the ``extend`` of :func:`_json_values`.  A ``def``,
+    since hypothesis reads the source of ``extend`` to see that it uses its argument, and read
+    from a lambda's line it warned, now and then, that the argument was unused."""
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
 def _json_values(numbers):
-    leaves = st.none() | st.booleans() | _TEXT | numbers
-    return st.recursive(
-        leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-        max_leaves=8,
-    )
+    return st.recursive(st.none() | st.booleans() | _TEXT | numbers, _json_containers, max_leaves=8)
 
 
 # shapes arbitrary JSON seldom reaches: well-formed lists, search settings, names
@@ -1430,12 +1521,19 @@ _FUZZ_KEYS = [(command, None, key) for command, (_, keys) in waylab.cli._COMMAND
 ]
 
 
+def _fuzz_values(key):
+    numbers = _NUMBERS.get(key, _SMALL | _HUGE | st.floats())
+    return numbers | _TEXT | _SHAPES.get(key, numbers) | _json_values(numbers)
+
+
+_FUZZ_VALUES = {key: _fuzz_values(key) for _, _, key in _FUZZ_KEYS}  # built once, not in each example
+
+
 @pytest.mark.parametrize("command, kind, key", _FUZZ_KEYS, ids=[f"{c}-{k or ''}-{key}" for c, k, key in _FUZZ_KEYS])
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_any_config_value_exits_cleanly_and_a_usage_error_names_its_key(command, kind, key, data):
-    numbers = _NUMBERS.get(key, _SMALL | _HUGE | st.floats())
-    value = data.draw(numbers | _TEXT | _SHAPES.get(key, numbers) | _json_values(numbers))
+    value = data.draw(_FUZZ_VALUES[key])
     config = {**_FUZZ_BASES[command], **({"kind": kind} if kind else {}), key: value}
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), warnings.catch_warnings():

@@ -193,17 +193,18 @@ def test_grouped_evaluates_each_key_once_in_order_of_first_appearance():
 
 def test_flag_checks_refuse_a_nan_stack():
     # a NaN defect fails the comparison (nan > tol is False, so a check
-    # that asked that passed it, and only Operator's own finiteness check
-    # caught the NaN); the stacked evolution builds no Operator
+    # that asked that passed it); the one matrix check tests finiteness
+    # before any flag, so a stacked check, which builds no Operator,
+    # refuses a NaN as not finite whatever flag is set
     stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
     stack[1, 0, 1] = np.nan
     with pytest.raises(ValueError, match="hermitian flag set but max.* = nan"):
         waylab.operators._check_flags(stack, hermitian=True, unitary=None)
     with pytest.raises(ValueError, match="unitary flag set but max.* = nan"):
         waylab.operators._check_flags(stack, hermitian=None, unitary=True)
-    with pytest.raises(ValueError, match="hermitian flag set"):
+    with pytest.raises(ValueError, match="must be finite"):
         waylab.operators.flagged_operators(stack, hermitian=True)
-    with pytest.raises(ValueError, match="hermitian flag set"):
+    with pytest.raises(ValueError, match="must be finite"):
         waylab.operators.evolved_stack(stack, np.eye(2))
     np.testing.assert_array_equal(waylab.operators.evolved_stack(stack[:1], np.eye(2)), stack[:1])
 
@@ -226,14 +227,67 @@ def test_flagged_operators_are_read_only_views_of_one_checked_copy():
     ops = waylab.operators.flagged_operators(stack, hermitian=True, unitary=True)
     stack[...] = np.nan
     assert [op.entries.tolist() for op in ops] == [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
-    # one NaN refuses the whole stack: by its flag when one is set, and
-    # otherwise by the finiteness check
+    # one NaN refuses the whole stack, by the finiteness check, which runs
+    # before any flag's
     stack = np.array([np.eye(2), np.eye(2), np.eye(2)])
     stack[2, 1, 1] = np.nan
-    with pytest.raises(ValueError, match="hermitian flag set"):
+    with pytest.raises(ValueError, match="must be finite"):
         waylab.operators.flagged_operators(stack, hermitian=True)
     with pytest.raises(ValueError, match="must be finite"):
         waylab.operators.flagged_operators(list(stack))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"])
+@pytest.mark.parametrize(
+    "flags",
+    [{"hermitian": True}, {"unitary": True}, {"hermitian": True, "unitary": True}],
+    ids=["hermitian", "unitary", "both"],
+)
+def test_a_matrix_that_is_not_finite_is_refused_as_such_whatever_flag_is_set(bad, flags):
+    # finiteness is checked first, so no flag check does arithmetic on an
+    # infinite entry (inf - inf warned, and then read as a flag's NaN defect)
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Operator(m, **flags)
+    with pytest.raises(ValueError, match="must be finite"):
+        waylab.operators.flagged_operators([np.eye(2), m, np.eye(3)], **flags)
+    # the images of an operand that is not finite are not finite either;
+    # forming them may warn on its own (inf * 0 in the complex product),
+    # and what is checked here is what the check then says of them
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(ValueError, match="must be finite"):
+            waylab.operators.evolved_stack(np.array([np.eye(2), m]), np.eye(2))
+
+
+def test_kron_is_np_kron_byte_for_byte():
+    rng = np.random.default_rng(40)
+
+    def draw(*shape):
+        out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out.flat[0] = complex(-0.0, 0.0)  # a signed zero keeps its sign as np.kron keeps it
+        return out
+
+    kron = waylab.operators.kron
+    pairs = {
+        "vector-vector": (draw(3), draw(4)),
+        "float-vector-complex-vector": (rng.standard_normal(2), draw(5)),
+        "matrix-matrix": (draw(2, 2), draw(3, 3)),
+        "float-matrix-complex-matrix": (np.eye(3), draw(2, 2)),
+        "complex-matrix-float-matrix": (draw(4, 4), np.eye(2)),
+        "matrix-column": (np.eye(3), draw(4, 1)),
+    }
+    for name, (a, b) in pairs.items():
+        want = np.kron(a, b)
+        got = kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+    # stacks of columns multiply member by member, each with its own np.kron's bits
+    a, b, c = draw(5, 3, 1), draw(5, 4, 1), draw(5, 2, 1)
+    got = kron(kron(a, b), c)
+    assert got.shape == (5, 24, 1)
+    for i in range(5):
+        assert got[i].tobytes() == np.kron(np.kron(a[i], b[i]), c[i]).tobytes()
 
 
 def test_tensor_states_matches_kron():

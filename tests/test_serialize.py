@@ -58,6 +58,17 @@ def test_operator_from_json_validates_shape():
         operator_from_json(data)
 
 
+def test_operator_entries_are_capped_where_a_document_enters():
+    cap = waylab.serialize.MAX_ENTRY
+    for entries in ([[cap, 0], [0, -cap]], [[0, 1j * cap], [-1j * cap, 0]], np.zeros((0, 0))):
+        op = operator_from_json(operator_to_json(Operator(entries)))
+        assert op.entries.tobytes() == np.asarray(entries, dtype=complex).tobytes()
+    for re, im in ((np.nextafter(cap, np.inf), 0.0), (-2 * cap, 0.0), (0.0, 4 * cap), (np.nan, 0.0), (0.0, -np.inf)):
+        data = {"dim": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[re, im], [1.0, 0.0]]]}
+        with pytest.raises(ValueError, match="operator entries must be finite and at most"):
+            operator_from_json(data)
+
+
 @pytest.mark.parametrize(
     "bad_pair",
     [[1.0], [1.0, 0.0, 7.0], ["1.0", 0.0], [None, 0.0], [[1.0, 0.0], 0.0], 1.0],
